@@ -39,6 +39,8 @@ class RunConfig:
             raise SeqchainError("budget must be >= 1")
         if self.prec < 8:
             raise SeqchainError("prec must be >= 8")
+        if self.epsilon is not None and self.epsilon <= 0:
+            raise SeqchainError("epsilon must be > 0")
 
     def describe(self):
         out = {"budget": self.budget, "prec": self.prec, "seed": self.seed}
@@ -186,6 +188,8 @@ def cmd_basis(args, config: RunConfig) -> int:
 
 
 def cmd_recover(args, config: RunConfig) -> int:
+    if args.j < 1:
+        raise SeqchainError("j must be >= 1 (basis elements count from 1)")
     inner = parse_space(args.inner)
     outer = parse_space(args.outer)
     f = _load_sequence(args.f)

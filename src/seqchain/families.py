@@ -40,7 +40,6 @@ from .sequences import FamilySeq
 from .supports import AllNaturals, PowersOfTwo, SupportSet, support_from_spec
 from .tags import (
     BlockDivergence,
-    MonotoneUnbounded,
     RootLowerBound,
     SubseqLowerBound,
     dyadic_position_block,
@@ -273,7 +272,6 @@ def nat() -> FamilySeq:
         return r ** (N + 1) * ((N + 1) - N * r) / (1 - r) ** 2
 
     tags = (
-        MonotoneUnbounded(label="nat-monotone", start=0),
         SubseqLowerBound(
             label="nat-linear", s=lambda m: m, g=lambda m: Fraction(m), g_inf=Q1
         ),
@@ -305,7 +303,6 @@ def nat_power() -> FamilySeq:
         return ComplexInterval.exact(0 if n == 0 else Fraction(n) ** (n + 1))
 
     tags = (
-        MonotoneUnbounded(label="nat-power-monotone", start=0),
         SubseqLowerBound(
             label="nat-power-values",
             s=lambda m: m,
@@ -500,6 +497,9 @@ def gap_cap_lp(a: Fraction, b: Fraction) -> FamilySeq:
         s = 2 * Fraction(q) / (a + b)
         if s <= 1:
             return None
+        if N < 0:
+            # the whole sequence: the n = 0 term is 1, the rest is the N = 0 tail
+            return 1 + 1 / (s - 1)
         return pow_bounds(Fraction(N + 1), 1 - s, max(prec, 16))[1] / (s - 1)
 
     def sup(N, prec):

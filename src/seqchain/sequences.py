@@ -273,8 +273,8 @@ class Spread(Sequence):
                 g=tag.g,
                 g_inf=tag.g_inf,
             )
-        # monotone and root-test tags are position-dependent; they do not
-        # survive transplantation
+        # root-test tags are position-dependent; they do not survive
+        # transplantation
         return None
 
     def _term(self, n, prec):
@@ -369,7 +369,9 @@ class Combine(Sequence):
         child = prec + self._bump
         acc = ComplexInterval.zero()
         for (re, im), base in zip(self.coeffs, self.bases):
-            acc = acc + base.term(n, child).scale(re, im)
+            iv = base.term(n, child)
+            if not iv.is_exact_zero:  # 0*c and acc+0 are exact: skipping changes nothing
+                acc = acc + iv.scale(re, im)
         return acc
 
     def _coef_abs_upper(self, idx, prec):

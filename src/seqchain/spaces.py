@@ -22,11 +22,17 @@ metric computable from coefficient data with certified tails:
 
 ``metric_bound`` returns certified two-sided bounds.  Upper bounds are
 minimised over a power-of-two ladder of effective budgets, which keeps
-them monotone in the budget despite interval rounding in the heads.
+them monotone in the budget despite interval rounding in the heads.  The
+rungs share one set of head sums: each |d_n| enclosure is computed once
+per call, and each rung extends the previous rung's sums over the new
+indices instead of summing again from zero.  The endpoints are exact
+rationals, so the bounds equal those of rungs summed separately.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -153,46 +159,142 @@ def _budget_ladder(budget: int) -> list[int]:
     return rungs
 
 
-def _abs_term_bounds(diff: Sequence, n: int, prec: int):
-    return diff.term(n, prec).abs_bounds(prec)
+class _Head:
+    """The head of one ``metric_bound`` call: |d_n| enclosures and running sums.
+
+    Each term enclosure is computed once, at ``prec + _HEAD_GUARD``.  Each
+    head sum remembers its cutoff, and a later rung of the budget ladder
+    extends it over the new indices only; the endpoints are exact
+    rationals, so an extended sum equals the one restarted from zero.
+    ``parts`` keeps the summands of the nested metrics (see ``_nested_sum``).
+    The object lives for one call; cutoffs never decrease within it.
+    """
+
+    def __init__(self, diff: Sequence, prec: int):
+        self.diff = diff
+        self.hp = prec + _HEAD_GUARD
+        self.parts: dict = {}
+        self._support: list[int] = []
+        self._support_upto = -1
+        self._sq: dict = {}
+        self._abs: dict = {}
+        self._sums: dict = {}
+
+    def support(self, lo: int, hi: int) -> list[int]:
+        """Indices n with lo < n <= hi that can carry nonzero terms."""
+        if hi > self._support_upto:
+            self._support = sorted(support_indices_upto(self.diff, hi))
+            self._support_upto = hi
+        s = self._support
+        return s[bisect_right(s, lo):bisect_right(s, hi)]
+
+    def sq(self, n: int):
+        """Exact bounds on |d_n|**2, or None when d_n is an exact zero."""
+        if n not in self._sq:
+            iv = self.diff.term(n, self.hp)
+            self._sq[n] = None if iv.is_exact_zero else iv.abs_sq_bounds()
+        return self._sq[n]
+
+    def abs(self, n: int):
+        """Bounds on |d_n| rounded outward at 2**-hp, or None for an exact zero."""
+        if n not in self._abs:
+            iv = self.diff.term(n, self.hp)
+            self._abs[n] = None if iv.is_exact_zero else iv.abs_bounds(self.hp)
+        return self._abs[n]
+
+    def _extend(self, key, N: int, indices, part, join=operator.add):
+        """``join`` of part(n) over indices(-1, N), continued from the last cutoff."""
+        entry = self._sums.get(key)
+        if entry is None:
+            entry = self._sums[key] = [-1, Q0, Q0]
+        cut, lo, hi = entry
+        if N < cut:
+            raise ValueError("a head sum cannot shrink below its last cutoff")
+        for n in indices(cut, N):
+            bounds = part(n)
+            if bounds is not None:
+                lo = join(lo, bounds[0])
+                hi = join(hi, bounds[1])
+        entry[:] = N, lo, hi
+        return lo, hi
+
+    def power_sum(self, p: Fraction, N: int):
+        """Bounds on sum_{n<=N} |d_n|**p."""
+        half, hp = p / 2, self.hp
+
+        def part(n):
+            sq = self.sq(n)
+            if sq is None:
+                return None
+            return pow_bounds(sq[0], half, hp)[0], pow_bounds(sq[1], half, hp)[1]
+
+        return self._extend(("lp", p), N, self.support, part)
+
+    def max_abs(self, N: int):
+        """Bounds on max_{n<=N} |d_n| (zero for an empty head)."""
+        return self._extend("sup", N, self.support, self.abs, join=max)
+
+    def ratio_sum(self, N: int):
+        """Bounds on sum_{n<=N} 2**-n |d_n|/(1+|d_n|), each summand rounded
+        outward onto the 2**-hp grid so the rationals cannot balloon."""
+        grid = self.hp
+
+        def part(n):
+            a = self.abs(n)
+            if a is None:
+                return None
+            weight = Fraction(1, 1 << n)
+            return (
+                _floor_grid(weight * _bounded_ratio(a[0]), grid),
+                _ceil_grid(weight * _bounded_ratio(a[1]), grid),
+            )
+
+        return self._extend("cn0", N, lambda lo, hi: range(lo + 1, hi + 1), part)
+
+    def disc_sum(self, r: Fraction, N: int):
+        """Bounds on sum_{n<=N} |d_n| r**n."""
+
+        def part(n):
+            a = self.abs(n)
+            if a is None:
+                return None
+            rn = r ** n
+            return a[0] * rn, a[1] * rn
+
+        return self._extend(("hd", r), N, self.support, part)
+
+    def falling_sum(self, i: int, N: int):
+        """Bounds on sum_{i<=n<=N} n!/(n-i)! |d_n|."""
+
+        def part(n):
+            a = None if n < i else self.abs(n)
+            if a is None:
+                return None
+            f = _falling(n, i)
+            return f * a[0], f * a[1]
+
+        return self._extend(("ainf", i), N, self.support, part)
 
 
-def _lp_power_sum(diff: Sequence, p: Fraction, N: int, prec: int):
+def _lp_power_sum(head: _Head, p: Fraction, N: int, prec: int):
     """Bounds on sum_{n<=N} |d_n|**p plus certified tail for the upper."""
-    lo_sum = Q0
-    hi_sum = Q0
-    hp = prec + _HEAD_GUARD
-    for n in support_indices_upto(diff, N):
-        iv = diff.term(n, hp)
-        if iv.is_exact_zero:
-            continue
-        sq_lo, sq_hi = iv.abs_sq_bounds()
-        lo_sum += pow_bounds(sq_lo, p / 2, hp)[0]
-        hi_sum += pow_bounds(sq_hi, p / 2, hp)[1]
-    tail = diff.tail_majorant(N, p, prec)
+    lo_sum, hi_sum = head.power_sum(p, N)
+    tail = head.diff.tail_majorant(N, p, prec)
     if tail is None:
         raise MissingTailOracle(f"no l^{p} tail bound available")
     return lo_sum, hi_sum + tail
 
 
-def _metric_once_lp(diff, p: Fraction, N: int, prec: int):
-    lo, hi = _lp_power_sum(diff, p, N, prec)
+def _metric_once_lp(head: _Head, p: Fraction, N: int, prec: int):
+    lo, hi = _lp_power_sum(head, p, N, prec)
     if p >= 1:
         return pow_bounds(lo, 1 / p, prec)[0], pow_bounds(hi, 1 / p, prec)[1]
     return lo, hi
 
 
-def _metric_once_sup(diff, N: int, prec: int):
-    hp = prec + _HEAD_GUARD
-    lo = Q0
-    hi = Q0
-    for n in support_indices_upto(diff, N):
-        if diff.term(n, hp).is_exact_zero:
-            continue
-        a_lo, a_hi = _abs_term_bounds(diff, n, hp)
-        lo = max(lo, a_lo)
-        hi = max(hi, a_hi)
-    tail = diff.sup_tail(N, prec)
+def _metric_once_sup(head: _Head, N: int, prec: int):
+    lo, hi = head.max_abs(N)
+    tail = head.diff.sup_tail(N, prec)
     if tail is None:
         raise MissingTailOracle("no sup tail bound available")
     return lo, max(hi, tail)
@@ -202,62 +304,59 @@ def _bounded_ratio(x: Fraction) -> Fraction:
     return x / (1 + x)
 
 
-def _metric_once_cn0(diff, N: int, prec: int):
-    # summands are rounded outward onto a dyadic grid so the exact
-    # rationals cannot balloon across the accumulation
-    grid = prec + _HEAD_GUARD
-    head = min(N, prec + 4)
-    lo = Q0
-    hi = Q0
-    hp = prec + _HEAD_GUARD
-    for n in range(head + 1):
-        a_lo, a_hi = _abs_term_bounds(diff, n, hp)
-        weight = Fraction(1, 1 << n)
-        lo += _floor_grid(weight * _bounded_ratio(a_lo), grid)
-        hi += _ceil_grid(weight * _bounded_ratio(a_hi), grid)
-    return lo, hi + Fraction(1, 1 << head)
+def _metric_once_cn0(head: _Head, N: int, prec: int):
+    cut = min(N, prec + 4)
+    lo, hi = head.ratio_sum(cut)
+    return lo, hi + Fraction(1, 1 << cut)
 
 
-def _metric_once_cap(diff, a0: Fraction, N: int, prec: int):
+def _nested_sum(head: _Head, N: int, prec: int, summand):
+    """sum_{k<=K} 2**-k * summand(k, inner cutoff), plus 2**-K for the rest.
+
+    ``summand`` returns bounds in [0, 1]; each weighted summand is rounded
+    outward onto the 2**-(prec+guard) grid and kept in ``head.parts``, so a
+    later rung reuses every summand whose inner cutoff has stopped growing."""
     grid = prec + _HEAD_GUARD
     K = min(N, max(_MIN_BUDGET, prec + 8))
-    lo = Q0
-    hi = Q0
-    for n in range(1, K + 1):
-        p_n = a0 + Fraction(1, n)
-        inner_budget = max(_MIN_BUDGET, min(N, 4096 // n))
-        q_lo, q_hi = _lp_power_sum(diff, p_n, inner_budget, prec)
-        if p_n >= 1:
-            q_lo = pow_bounds(q_lo, 1 / p_n, prec)[0]
-            q_hi = pow_bounds(q_hi, 1 / p_n, prec)[1]
-        weight = Fraction(1, 1 << n)
-        lo += _floor_grid(weight * _bounded_ratio(q_lo), grid)
-        hi += _ceil_grid(weight * _bounded_ratio(q_hi), grid)
-    return lo, hi + Fraction(1, 1 << K)
-
-
-def _metric_once_hd(diff, N: int, prec: int):
-    grid = prec + _HEAD_GUARD
-    K = min(N, max(_MIN_BUDGET, prec + 8))
-    hp = prec + _HEAD_GUARD
     lo = Q0
     hi = Q0
     for k in range(1, K + 1):
-        r_k = Fraction(k, k + 1)
         inner_budget = max(_MIN_BUDGET, min(N, 4096 // k))
-        m_lo = Q0
-        m_hi = Q0
-        for n in support_indices_upto(diff, inner_budget):
-            a_lo, a_hi = _abs_term_bounds(diff, n, hp)
-            m_lo += a_lo * r_k ** n
-            m_hi += a_hi * r_k ** n
-        tail = diff.disc_tail(inner_budget, r_k, prec)
+        part = head.parts.get((k, inner_budget))
+        if part is None:
+            s_lo, s_hi = summand(k, inner_budget)
+            weight = Fraction(1, 1 << k)
+            part = head.parts[k, inner_budget] = (
+                _floor_grid(weight * s_lo, grid),
+                _ceil_grid(weight * s_hi, grid),
+            )
+        lo += part[0]
+        hi += part[1]
+    return lo, hi + Fraction(1, 1 << K)
+
+
+def _metric_once_cap(head: _Head, a0: Fraction, N: int, prec: int):
+    def summand(n, inner_budget):
+        p_n = a0 + Fraction(1, n)
+        q_lo, q_hi = _lp_power_sum(head, p_n, inner_budget, prec)
+        if p_n >= 1:
+            q_lo = pow_bounds(q_lo, 1 / p_n, prec)[0]
+            q_hi = pow_bounds(q_hi, 1 / p_n, prec)[1]
+        return _bounded_ratio(q_lo), _bounded_ratio(q_hi)
+
+    return _nested_sum(head, N, prec, summand)
+
+
+def _metric_once_hd(head: _Head, N: int, prec: int):
+    def summand(k, inner_budget):
+        r_k = Fraction(k, k + 1)
+        m_lo, m_hi = head.disc_sum(r_k, inner_budget)
+        tail = head.diff.disc_tail(inner_budget, r_k, prec)
         if tail is None:
             raise MissingTailOracle("no disc tail bound available")
-        weight = Fraction(1, 1 << k)
-        lo += _floor_grid(weight * min(Q1, m_lo), grid)
-        hi += _ceil_grid(weight * min(Q1, m_hi + tail), grid)
-    return lo, hi + Fraction(1, 1 << K)
+        return min(Q1, m_lo), min(Q1, m_hi + tail)
+
+    return _nested_sum(head, N, prec, summand)
 
 
 def _falling(n: int, i: int) -> int:
@@ -267,22 +366,13 @@ def _falling(n: int, i: int) -> int:
     return out
 
 
-def _metric_once_ainf(diff, N: int, prec: int):
+def _metric_once_ainf(head: _Head, N: int, prec: int):
     K = min(N, max(8, prec + 4))
-    hp = prec + _HEAD_GUARD
     lo = Q0
     hi = Q0
     for i in range(K + 1):
-        w_lo = Q0
-        w_hi = Q0
-        for n in support_indices_upto(diff, N):
-            if n < i:
-                continue
-            a_lo, a_hi = _abs_term_bounds(diff, n, hp)
-            f = _falling(n, i)
-            w_lo += f * a_lo
-            w_hi += f * a_hi
-        poly = diff.poly_sup_tail(N, i + 2, prec)
+        w_lo, w_hi = head.falling_sum(i, N)
+        poly = head.diff.poly_sup_tail(N, i + 2, prec)
         if poly is None:
             raise MissingTailOracle("no polynomial tail bound available")
         tail = poly * Fraction(1, max(1, N))  # sum_{n>N} n**-2 <= 1/N
@@ -292,31 +382,35 @@ def _metric_once_ainf(diff, N: int, prec: int):
     return lo, hi + Fraction(1, 1 << K)
 
 
-def _metric_once(y: SpaceId, diff: Sequence, N: int, prec: int):
+def _metric_once(y: SpaceId, head: _Head, N: int, prec: int):
     if y.tag == "lp":
-        return _metric_once_lp(diff, y.param, N, prec)
+        return _metric_once_lp(head, y.param, N, prec)
     if y.tag in ("c0", "linf"):
-        return _metric_once_sup(diff, N, prec)
+        return _metric_once_sup(head, N, prec)
     if y.tag == "cn0":
-        return _metric_once_cn0(diff, N, prec)
+        return _metric_once_cn0(head, N, prec)
     if y.tag == "cap-lp":
-        return _metric_once_cap(diff, y.param, N, prec)
+        return _metric_once_cap(head, y.param, N, prec)
     if y.tag == "hd":
-        return _metric_once_hd(diff, N, prec)
+        return _metric_once_hd(head, N, prec)
     if y.tag == "ainf":
-        return _metric_once_ainf(diff, N, prec)
+        return _metric_once_ainf(head, N, prec)
     raise UnknownSpace(y.tag)
 
 
 def metric_bound(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int) -> MetricBound:
-    """Certified bounds on the distance between a and b in y's metric."""
+    """Certified bounds on the distance between a and b in y's metric.
+
+    Each rung of the budget ladder yields a bound; the result keeps the
+    best of them.  The rungs share one head (``_Head``), so each rung only
+    extends the head sums of the previous one."""
     if a is b or a.spec_key() == b.spec_key():
         return MetricBound(Q0, Q0)
-    diff = combine([1, -1], [a, b])
+    head = _Head(combine([1, -1], [a, b]), prec)
     best_lo = Q0
     best_hi = None
     for rung in _budget_ladder(budget):
-        lo, hi = _metric_once(y, diff, rung, prec)
+        lo, hi = _metric_once(y, head, rung, prec)
         best_lo = max(best_lo, lo)
         best_hi = hi if best_hi is None else min(best_hi, hi)
     best_lo = _floor_grid(best_lo, prec + 8)

@@ -6,8 +6,6 @@ evaluations of the terms.  Three shapes cover every out-certificate:
 
 * ``SubseqLowerBound`` : |a_{s(m)}| >= g(m) along a strictly increasing
   subsequence, with an optional certified positive infimum of g;
-* ``MonotoneUnbounded``: |a_n| is nondecreasing from ``start`` on and
-  unbounded;
 * ``RootLowerBound``   : |a_{s(m)}|^(1/s(m)) >= rho(m).
 
 ``BlockDivergence`` expresses divergence of sum |a_n|^p through disjoint
@@ -30,12 +28,6 @@ class SubseqLowerBound:
     s: Callable[[int], int] = field(repr=False)  # m >= 1 -> index, strictly increasing
     g: Callable[[int], Fraction] = field(repr=False)  # m -> rational lower bound
     g_inf: Fraction | None = None  # certified positive infimum of g, if any
-
-
-@dataclass(frozen=True)
-class MonotoneUnbounded:
-    label: str
-    start: int = 0
 
 
 @dataclass(frozen=True)

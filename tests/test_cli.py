@@ -160,6 +160,23 @@ def test_config_validation():
     assert main(["--prec", "4", "chain"]) == 1
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_nonpositive_epsilon_is_a_one_line_error(capsys):
+    argv = ["--epsilon", "0", "approx", "--target", ZERO, "--outer", "c0", "--avoid", "lp:1"]
+    assert main(argv) == 1
+    assert _one_line_error(capsys)
+
+
+def test_recover_index_zero_is_a_one_line_error(capsys):
+    argv = ["recover", "--f", ZERO, "--inner", "lp:1", "--outer", "c0", "--j", "0"]
+    assert main(argv) == 1
+    assert _one_line_error(capsys)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,7 +10,7 @@ from seqchain.errors import (
     NotStrictPair,
     UnsupportedOuter,
 )
-from seqchain.families import gap_lp_cap
+from seqchain.families import gap_cap_lp, gap_lp_cap
 from seqchain.generic import (
     approximate_with_avoider,
     certify_outside,
@@ -20,8 +20,9 @@ from seqchain.generic import (
     encode_rational_c00,
     enumerate_rational_c00,
 )
-from seqchain.sequences import FiniteRational, combine, term_at, zero
-from seqchain.spaces import C0, CN0, HD, LINF, AINF, lp, metric_bound
+from seqchain.sequences import FiniteRational, combine, spread, term_at, zero
+from seqchain.spaces import C0, CN0, HD, LINF, AINF, cap_lp, lp, metric_bound
+from seqchain.supports import DyadicRow
 
 F = Fraction
 
@@ -99,6 +100,25 @@ def test_elements_stay_close_to_their_rational_anchor(pair):
         el = dense_family_element(j, outer, inner, BUDGET, PREC)
         mb = metric_bound(outer, el.f, el.x, BUDGET, PREC)
         assert mb.upper < F(1, j), (str(outer), j, mb)
+
+
+def test_element_with_empty_tail_head():
+    # the row-6 witness has no support point <= the smallest cutoffs, so its
+    # l^2 tail is asked for the whole sequence (base cutoff N = -1)
+    el = dense_family_element(6, lp(2), cap_lp(1), BUDGET, PREC)
+    mb = metric_bound(lp(2), el.f, el.x, BUDGET, PREC)
+    assert mb.upper is not None and mb.upper < F(1, 6)
+
+
+def test_gap_cap_lp_tail_total_on_empty_head():
+    seq = gap_cap_lp(F(1), F(2))
+    for q in (F(2), F(13, 8)):
+        # N = -1 asks for the whole sequence: the n = 0 term (value 1) plus
+        # the N = 0 tail
+        assert seq.tail_majorant(-1, q, PREC) >= 1 + seq.tail_majorant(0, q, PREC)
+    # row 3 starts at index 3, so a spread cut at N = 2 needs the base's N = -1
+    row = spread(seq, DyadicRow(3))
+    assert row.tail_majorant(2, F(2), PREC) == seq.tail_majorant(-1, F(2), PREC)
 
 
 def test_element_witness_lives_on_its_row():

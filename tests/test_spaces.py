@@ -6,8 +6,9 @@ import pytest
 
 from conftest import random_finite
 from seqchain.errors import BudgetExceeded, MissingTailOracle, UnknownSpace
-from seqchain.families import const_one, nat, prop28
-from seqchain.sequences import FiniteRational, combine, unit, zero
+from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, nat, prop28
+from seqchain.intervals import ComplexInterval
+from seqchain.sequences import Combine, FiniteRational, combine, spread, unit, zero
 from seqchain.spaces import (
     AINF,
     C0,
@@ -24,6 +25,7 @@ from seqchain.spaces import (
     standard_chain,
     strictly_included,
 )
+from seqchain.supports import DyadicRow
 
 F = Fraction
 
@@ -195,6 +197,61 @@ def test_ainf_diagnostic_metric_on_finite_data():
     assert mb.upper - mb.lower < F(1, 1 << 16)
     with pytest.raises(MissingTailOracle):
         metric_bound(AINF, const_one(), zero(), 64, 32)
+
+
+# Exact bounds, in units of 2**-72, that the metric gave before its heads
+# were shared across the budget ladder: the rewrite must reproduce them.
+_PINNED_FINITE = FiniteRational({0: (F(1, 3), F(-2, 7)), 3: F(5, 2), 17: F(-1, 9)})
+_PINNED_BOUNDS = [
+    ("lp:1/1", 256, 25092116048602349599791, 25804666124192351456537),
+    ("lp:1/1", 4096, 25626528605294850992279, 25804666124192351456475),
+    ("lp:1/2", 256, 30888869819252988111011, 37128548600362423247548),
+    ("lp:1/2", 4096, 34008709209807705678489, 37128548600362423246979),
+    ("c0", 256, 11805916207174113034240, 11805916207174113034240),
+    ("c0", 4096, 11805916207174113034240, 11805916207174113034240),
+    ("linf", 256, 11805916207174113034240, 11805916207174113034240),
+    ("linf", 4096, 11805916207174113034240, 11805916207174113034240),
+    ("cn0", 256, 2454601417408091621449, 2454601417408091621466),
+    ("cn0", 4096, 2454601417408091621449, 2454601417408091621466),
+    ("hd", 256, 4630134774737644538657, 4630134774737644538659),
+    ("hd", 4096, 4630134774737644538657, 4630134774737644538659),
+    ("cap-lp:0/1", 256, 4060518117606193522857, 4138811866402935288911),
+    ("cap-lp:0/1", 4096, 4086886095953930375956, 4138811866402935288908),
+    ("ainf", 256, 8244298726644873480712, 8244298726644873480729),
+    ("ainf", 4096, 8244298726644873480712, 8244298726644873480729),
+]
+
+
+@pytest.mark.parametrize("space, budget, lower, upper", _PINNED_BOUNDS, ids=lambda v: str(v))
+def test_metric_bound_pinned_values(space, budget, lower, upper):
+    # prop28 against a finite sequence; ainf has no catalog tail oracle,
+    # so it measures between two finite sequences
+    if space == "ainf":
+        a = FiniteRational({1: F(3, 4), 3: F(1, 2), 9: (F(0), F(2, 5))})
+    else:
+        a = prop28()
+    mb = metric_bound(parse_space(space), a, _PINNED_FINITE, budget, 64)
+    assert mb == MetricBound(F(lower, 1 << 72), F(upper, 1 << 72))
+
+
+def test_combine_on_disjoint_rows_sums_scaled_base_terms():
+    bases = [
+        spread(gap_cap_lp(F(1), F(2)), DyadicRow(1)),
+        spread(prop28(), DyadicRow(2)),
+        spread(gap_cap_c0(F(2)), DyadicRow(3)),
+    ]
+    coeffs = [(F(3), F(-1)), (F(-1, 2), F(0)), (F(0), F(5, 7))]
+    f = combine(coeffs, bases)
+    assert isinstance(f, Combine)
+    prec = 40
+    child = prec + f._bump
+    # 0, 2 on row 1; 1, 5 on row 2; 3, 11 on row 3; 7 on row 4, off all three
+    for n in (0, 1, 2, 3, 5, 7, 11):
+        expected = ComplexInterval.zero()
+        for (re, im), base in zip(coeffs, bases):
+            expected = expected + base.term(n, child).scale(re, im)
+        assert f.term(n, prec) == expected
+    assert f.term(7, prec).is_exact_zero
 
 
 # -- ball_scale ----------------------------------------------------------------
