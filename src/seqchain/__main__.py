@@ -1,0 +1,6 @@
+"""``python -m seqchain``: the same command line as the ``seqchain`` script."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagnose, generic, spaceable
-from .errors import SeqchainError
+from .errors import ParseError, SeqchainError
 from .intervals import format_rational, parse_rational
 from .sequences import Sequence
 from .serialize import canonical_json, sequence_from_spec
@@ -128,8 +128,6 @@ def cmd_classify(args, config: RunConfig) -> int:
 
 
 def _load_support(text: str):
-    from .errors import ParseError
-
     try:
         return support_from_spec(json.loads(_read_source(text)))
     except json.JSONDecodeError as exc:
@@ -212,9 +210,12 @@ def cmd_recover(args, config: RunConfig) -> int:
     return 0
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(text: str, flag: str) -> range:
     lo, _, hi = text.partition(":")
-    return range(int(lo), int(hi) + 1)
+    try:
+        return range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise ParseError(f"bad {flag} {text!r}: expected LO:HI with integer ends") from None
 
 
 def cmd_decompose(args, config: RunConfig) -> int:
@@ -223,8 +224,8 @@ def cmd_decompose(args, config: RunConfig) -> int:
     rows = diagnose.decompose_report(
         seq,
         space,
-        _parse_range(args.outer_range),
-        _parse_range(args.inner_range),
+        _parse_range(args.outer_range, "--outer-range"),
+        _parse_range(args.inner_range, "--inner-range"),
         config.budget,
         config.prec,
     )

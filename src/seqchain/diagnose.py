@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedSpace
-from .intervals import Q0, Q1, format_rational, parse_rational, pow_bounds
+from .intervals import Q0, Q1, format_rational, parse_rational, pow_bounds, sqrt_bounds
 from .sequences import Sequence, support_indices_upto
 from .spaces import AINF, C0, HD, LINF, SpaceId
 from .supports import AllNaturals
@@ -231,18 +231,28 @@ def _subseq_tags(seq):
 
 
 def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
+    """Sum the certified lower mass |a_n|**p over every position of each
+    block j in js and compare it with beta(j).
+
+    Every sampled term is evaluated and every block summed; a power memo
+    local to the call maps each exact |a_n|**2 lower bound to its
+    ``pow_bounds`` endpoint, so block-constant values are powered once."""
     if bd.comparator not in COMPARATORS:
         return False
     hint = seq.support_hint or AllNaturals()
+    half_p = bd.p / 2
+    powers: dict[Fraction, Fraction] = {}
     for j in js:
         k_lo, k_hi = bd.block(j)
         if k_lo < 1 or k_hi < k_lo:
             return False
         total = Q0
         for k in range(k_lo, k_hi + 1):
-            n = hint.nth(k)
-            sq_lo = seq.term(n, prec).abs_sq_bounds()[0]
-            total += pow_bounds(sq_lo, bd.p / 2, prec)[0]
+            sq_lo = seq.term(hint.nth(k), prec).abs_sq_bounds()[0]
+            low = powers.get(sq_lo)
+            if low is None:
+                low = powers[sq_lo] = pow_bounds(sq_lo, half_p, prec)[0]
+            total += low
         if total < bd.beta(j):
             return False
     return True
@@ -381,26 +391,40 @@ def _verify_not_vanishing(seq, cert: NotVanishing, samples: int, prec: int) -> b
 # -- in-certificate construction ---------------------------------------------
 
 
-def _lp_head_upper(seq: Sequence, p: Fraction, N: int, prec: int) -> Fraction:
-    total = Q0
+def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
+    """(n, upper bound on |a_n|**2 at prec) for every support index n <= N,
+    or on |a_n| when root is set (the sup and disc heads).
+
+    A certificate call builds one head per cutoff N and every row of its
+    schedule reads from it, so each |a_n| is bounded once per call; the
+    list dies with the call."""
+    head = []
     for n in support_indices_upto(seq, N):
         sq_hi = seq.term(n, prec).abs_sq_bounds()[1]
-        total += pow_bounds(sq_hi, p / 2, prec)[1]
-    return total
+        head.append((n, sqrt_bounds(sq_hi, prec)[1] if root else sq_hi))
+    return head
 
 
-def _sup_head_upper(seq: Sequence, N: int, prec: int) -> Fraction:
-    best = Q0
-    for n in support_indices_upto(seq, N):
-        best = max(best, seq.term(n, prec).abs_bounds(prec)[1])
-    return best
-
-
-def _disc_head_upper(seq: Sequence, r: Fraction, N: int, prec: int) -> Fraction:
+def _lp_head_upper(head, p: Fraction, prec: int) -> Fraction:
+    """Upper bound on the head sum of |a_n|**p from a squared head; equal
+    moduli are powered once (a memo local to the call)."""
+    half_p = p / 2
+    powers: dict[Fraction, Fraction] = {}
     total = Q0
-    for n in support_indices_upto(seq, N):
-        total += seq.term(n, prec).abs_bounds(prec)[1] * r ** n
+    for _, sq_hi in head:
+        high = powers.get(sq_hi)
+        if high is None:
+            high = powers[sq_hi] = pow_bounds(sq_hi, half_p, prec)[1]
+        total += high
     return total
+
+
+def _sup_head_upper(head) -> Fraction:
+    return max((a for _, a in head), default=Q0)
+
+
+def _disc_head_upper(head, r: Fraction) -> Fraction:
+    return sum((a * r ** n for n, a in head), Q0)
 
 
 def _find_cutoff(probe, target: Fraction):
@@ -417,7 +441,11 @@ def _find_cutoff(probe, target: Fraction):
 
 
 def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
-    """Build a re-verified InCert, or None."""
+    """Build a re-verified InCert, or None.
+
+    Schedules over exponents p_n (cap-lp) or radii r_k (hd) share one
+    cutoff N, so their rows read one head of moduli built once per call
+    (after every tail oracle has answered)."""
     if space.tag == "cn0":
         return InCert(space, "total", (), prec)
 
@@ -426,20 +454,23 @@ def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
         tail = seq.tail_majorant(N, space.param, prec)
         if tail is None:
             return None
-        head = _lp_head_upper(seq, space.param, N, prec)
+        head = _lp_head_upper(_head_moduli(seq, N, prec), space.param, prec)
         return InCert(space, "lp-tail", (space.param, N, head, tail), prec)
 
     if space.tag == "cap-lp":
-        rows = []
+        N = min(budget, 256)
+        tails = []
         for n in range(1, _SCHEDULE_K + 1):
             p_n = space.param + Fraction(1, n)
-            N = min(budget, 256)
             tail = seq.tail_majorant(N, p_n, prec)
             if tail is None:
                 return None
-            head = _lp_head_upper(seq, p_n, N, prec)
-            rows.append((p_n, N, head, tail))
-        return InCert(space, "lp-schedule", tuple(rows), prec)
+            tails.append((p_n, tail))
+        moduli = _head_moduli(seq, N, prec)
+        rows = tuple(
+            (p_n, N, _lp_head_upper(moduli, p_n, prec), tail) for p_n, tail in tails
+        )
+        return InCert(space, "lp-schedule", rows, prec)
 
     if space.tag == "c0":
         # the schedule cuts at support positions: beyond the K-th support
@@ -459,20 +490,21 @@ def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
         tail = seq.sup_tail(N, prec)
         if tail is None:
             return None
-        bound = max(_sup_head_upper(seq, N, prec), tail)
+        bound = max(_sup_head_upper(_head_moduli(seq, N, prec, root=True)), tail)
         return InCert(space, "sup-bound", (N, bound), prec)
 
     if space.tag == "hd":
-        rows = []
+        N = min(budget, 64)
+        tails = []
         for k in range(1, _SCHEDULE_K + 1):
             r_k = Fraction(k, k + 1)
-            N = min(budget, 64)
             tail = seq.disc_tail(N, r_k, prec)
             if tail is None:
                 return None
-            bound = _disc_head_upper(seq, r_k, N, prec) + tail
-            rows.append((r_k, N, bound))
-        return InCert(space, "disc-schedule", tuple(rows), prec)
+            tails.append((r_k, tail))
+        moduli = _head_moduli(seq, N, prec, root=True)
+        rows = tuple((r_k, N, _disc_head_upper(moduli, r_k) + tail) for r_k, tail in tails)
+        return InCert(space, "disc-schedule", rows, prec)
 
     if space.tag == "ainf":
         rows = []
@@ -546,7 +578,16 @@ def _check_out(seq, cert: OutCert, samples: int, prec: int) -> bool:
 
 
 def _check_in(seq, cert: InCert) -> bool:
+    """Recompute every recorded number and compare.  Rows that share a
+    cutoff N read one head of moduli, built at most once per call."""
     space, prec = cert.space, cert.prec
+    heads = {}
+
+    def moduli(N, root=False):
+        if (N, root) not in heads:
+            heads[N, root] = _head_moduli(seq, N, prec, root)
+        return heads[N, root]
+
     if cert.shape == "total":
         return space.tag == "cn0"
     if cert.shape == "lp-tail" and space.tag == "lp":
@@ -555,7 +596,7 @@ def _check_in(seq, cert: InCert) -> bool:
             return False
         return (
             seq.tail_majorant(N, p, prec) == tail
-            and _lp_head_upper(seq, p, N, prec) == head
+            and _lp_head_upper(moduli(N), p, prec) == head
         )
     if cert.shape == "lp-schedule" and space.tag == "cap-lp":
         for p_n, N, head, tail in cert.data:
@@ -563,7 +604,7 @@ def _check_in(seq, cert: InCert) -> bool:
                 return False
             if seq.tail_majorant(N, p_n, prec) != tail:
                 return False
-            if _lp_head_upper(seq, p_n, N, prec) != head:
+            if _lp_head_upper(moduli(N), p_n, prec) != head:
                 return False
         return len(cert.data) > 0
     if cert.shape == "vanishing-schedule" and space.tag == "c0":
@@ -577,13 +618,13 @@ def _check_in(seq, cert: InCert) -> bool:
         tail = seq.sup_tail(N, prec)
         if tail is None or tail > bound:
             return False
-        return _sup_head_upper(seq, N, prec) <= bound
+        return _sup_head_upper(moduli(N, root=True)) <= bound
     if cert.shape == "disc-schedule" and space.tag == "hd":
         for r_k, N, bound in cert.data:
             tail = seq.disc_tail(N, r_k, prec)
             if tail is None:
                 return False
-            if _disc_head_upper(seq, r_k, N, prec) + tail != bound:
+            if _disc_head_upper(moduli(N, root=True), r_k) + tail != bound:
                 return False
         return len(cert.data) > 0
     if cert.shape == "poly-schedule" and space.tag == "ainf":

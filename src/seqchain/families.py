@@ -557,12 +557,13 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
     def lp_div(p):
         p = Fraction(p)
         # 2**j terms of value j**-p per L-aligned block; valid from the
-        # first j in the monotone region with 2**j >= j**p
+        # first j in the monotone region with 2**j >= j**p.  Past the
+        # search cap there is no certificate (None), not an error.
         j = max(1, -(-2 * p.numerator // p.denominator))
         while not (1 << (j * p.denominator)) >= j ** p.numerator:
             j += 1
             if j > 512:
-                raise BudgetExceeded("block start search ran away")
+                return None
         return BlockDivergence(
             p=p,
             block=lambda m: ((1 << m) - 1, (1 << (m + 1)) - 2),

@@ -20,9 +20,14 @@ Q1 = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal such as ``"3/4"``, ``"-2"`` or ``"0"``."""
+    """Parse a rational literal such as ``"3/4"``, ``"-2"`` or ``"0"``.
+
+    Only strings are accepted: a JSON number where a literal is expected
+    is a malformed spec, not a value to coerce."""
     from .errors import ParseError
 
+    if not isinstance(text, str):
+        raise ParseError(f"bad rational literal {text!r}: expected a string")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -221,6 +226,8 @@ class ComplexInterval:
     def abs_sq_bounds(self) -> tuple[Fraction, Fraction]:
         """Exact rational bounds on |z|^2 over the box."""
         r_lo, r_hi = _interval_sq(self.re_lo, self.re_hi)
+        if self.im_lo == 0 and self.im_hi == 0:
+            return r_lo, r_hi  # real box: adding the zero square is exact
         i_lo, i_hi = _interval_sq(self.im_lo, self.im_hi)
         return r_lo + i_lo, r_hi + i_hi
 

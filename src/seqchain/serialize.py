@@ -36,7 +36,9 @@ def sequence_from_spec(spec) -> Sequence:
             entries = {}
             for row in spec.get("entries", []):
                 n, re, im = row
-                entries[int(n)] = (parse_rational(re), parse_rational(im))
+                if not isinstance(n, int) or isinstance(n, bool):
+                    raise ParseError(f"bad finite entry index {n!r}: expected an integer")
+                entries[n] = (parse_rational(re), parse_rational(im))
             return FiniteRational(entries)
         if kind == "family":
             return family_from_spec(spec["name"], spec.get("params", {}))

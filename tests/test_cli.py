@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -193,3 +196,51 @@ def test_reports_byte_identical_across_runs(tmp_path, argv):
     _, first = run_json(tmp_path, argv + ["--seed", "7"], name="one.json")
     _, second = run_json(tmp_path, argv + ["--seed", "7"], name="two.json")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--outer-range", "1:1", "--inner-range", "a:b"],
+        ["--outer-range", "1-3"],
+        ["--outer-range", ""],
+    ],
+    ids=["inner-letters", "outer-dash", "outer-empty"],
+)
+def test_bad_decompose_range_is_a_one_line_error(capsys, flags):
+    assert main(["decompose", PROP28, "ainf"] + flags) == 1
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"kind":"finite","entries":[[0,1,0]]}',
+        '{"kind":"finite","entries":[[1.5,"1","0"]]}',
+        '{"kind":"finite","entries":[[true,"1","0"]]}',
+        '{"kind":"family","name":"gap-cap-c0","params":{"b":2}}',
+    ],
+    ids=["int-rational", "float-index", "bool-index", "int-param"],
+)
+def test_malformed_spec_values_are_one_line_errors(capsys, spec):
+    assert main(["classify", spec, "linf"]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_gap_cap_c0_high_exponent_exits_undecided(tmp_path):
+    spec = '{"kind":"family","name":"gap-cap-c0","params":{"b":"1000"}}'
+    code, raw = run_json(tmp_path, ["classify", spec, "lp:1000"])
+    assert code == 2
+    assert json.loads(raw)["result"]["verdict"] == "undecided"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seqchain", "chain"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(json.loads(done.stdout)["chain"]) == 10

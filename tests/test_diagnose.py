@@ -1,5 +1,8 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +12,13 @@ from seqchain.diagnose import (
     CertifiedIn,
     CertifiedOut,
     ConsistentUpTo,
+    DivergentPartialSums,
     FMk,
     Fkj,
     Fnk,
+    InCert,
     NotVanishing,
+    OutCert,
     PartialSum,
     RootLimsupExceeds,
     Unbounded,
@@ -30,9 +36,12 @@ from seqchain.diagnose import (
     verdict_to_json,
 )
 from seqchain.errors import UnsupportedSpace
-from seqchain.families import const_one, gap_cap_c0, nat, nat_power, prop28
-from seqchain.sequences import FiniteRational, zero
-from seqchain.spaces import AINF, C0, CN0, HD, LINF, cap_lp, lp, standard_chain
+from seqchain.families import const_one, gap_cap_c0, gap_lp_cap, nat, nat_power, prop28
+from seqchain.intervals import pow_bounds
+from seqchain.sequences import FiniteRational, spread, zero
+from seqchain.serialize import canonical_json, sequence_from_spec
+from seqchain.spaces import AINF, C0, CN0, HD, LINF, cap_lp, lp, parse_space, standard_chain
+from seqchain.supports import DyadicRow
 from seqchain.tags import SubseqLowerBound
 
 F = Fraction
@@ -387,3 +396,89 @@ def test_decompose_cap_lp_uses_exponent_schedule():
     fams = [fam for fam, _ in rows]
     assert fams[0].p == F(2) and fams[-1].p == F(3, 2)
     assert all(isinstance(res, ViolatedAt) for _, res in rows)
+
+
+# -- recorded certificates and tampering -------------------------------------------
+
+# Reports recorded before the certificate heads were shared across schedule
+# rows: one spec per certificate shape, including the block-constant
+# gap-cap-c0 spread on a dyadic row.  Any change to a head sum, a bound or
+# the row order changes these bytes.
+GOLDEN = json.loads((Path(__file__).parent / "diagnose_golden.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case",
+    GOLDEN,
+    ids=[
+        f"{i}-{c['space']}-{c['result']['certificate']['shape']}"
+        for i, c in enumerate(GOLDEN)
+    ],
+)
+def test_certificate_reports_match_recorded_bytes(case):
+    seq = sequence_from_spec(case["spec"])
+    v = classify(seq, parse_space(case["space"]), BUDGET, PREC)
+    assert canonical_json(verdict_to_json(v)) == canonical_json(case["result"])
+    assert check_certificate(seq, v, samples=3, prec=PREC)
+
+
+BUMP = F(1, 2**200)
+
+
+def _bump_row(verdict, row: int, col: int):
+    """The in-certificate with data[row][col] raised by 2**-200."""
+    cert = verdict.cert
+    data = list(cert.data)
+    data[row] = tuple(x + BUMP if i == col else x for i, x in enumerate(data[row]))
+    return CertifiedIn(InCert(cert.space, cert.shape, tuple(data), cert.prec))
+
+
+def test_raised_lp_schedule_head_rejected():
+    seq = gap_lp_cap(F(1))
+    v = classify(seq, cap_lp(1), BUDGET, PREC)
+    assert v.cert.shape == "lp-schedule"
+    assert check_certificate(seq, v, 3, PREC)
+    for row in (0, len(v.cert.data) - 1):
+        assert not check_certificate(seq, _bump_row(v, row, 2), 3, PREC)
+
+
+def test_raised_disc_schedule_bound_rejected():
+    seq = nat()
+    v = classify(seq, HD, BUDGET, PREC)
+    assert v.cert.shape == "disc-schedule"
+    assert check_certificate(seq, v, 3, PREC)
+    for row in (0, len(v.cert.data) - 1):
+        assert not check_certificate(seq, _bump_row(v, row, 2), 3, PREC)
+
+
+def _block_mass_lower(seq, bd, j, prec):
+    """Reference loop: the certified lower mass of block j, term by term."""
+    k_lo, k_hi = bd.block(j)
+    return sum(
+        pow_bounds(seq.term(seq.support_hint.nth(k), prec).abs_sq_bounds()[0], bd.p / 2, prec)[0]
+        for k in range(k_lo, k_hi + 1)
+    )
+
+
+@pytest.mark.parametrize("space", [lp(1), cap_lp(1)], ids=str)
+def test_block_constant_divergence_is_tight(space):
+    # gap-cap-c0 is constant on each block, so the check powers each block
+    # value once; a comparator constant just above the real mass must fail
+    seq = spread(gap_cap_c0(F(2)), DyadicRow(3))
+    v = classify(seq, space, BUDGET, PREC)
+    shape = v.cert.shape
+    assert isinstance(shape, DivergentPartialSums) and shape.blocks.comparator == "constant"
+    mass = min(_block_mass_lower(seq, shape.blocks, j, PREC) for j in shape.checked_blocks)
+
+    def with_c(c):
+        blocks = replace(shape.blocks, c=c)
+        return CertifiedOut(OutCert(space, replace(shape, blocks=blocks)))
+
+    assert check_certificate(seq, with_c(mass), 3, PREC)
+    assert not check_certificate(seq, with_c(mass + BUMP), 3, PREC)
+
+
+def test_gap_cap_c0_past_block_search_cap_is_undecided():
+    seq = gap_cap_c0(F(1000))
+    assert seq.lp_divergence(F(1000)) is None
+    assert isinstance(classify(seq, lp(1000), BUDGET, PREC), Undecided)

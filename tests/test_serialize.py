@@ -5,6 +5,7 @@ import pytest
 
 from conftest import catalog
 from seqchain.errors import ParseError
+from seqchain.intervals import parse_rational
 from seqchain.sequences import FiniteRational, combine, restrict, spread
 from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.supports import Arith, PowersOfTwo
@@ -52,6 +53,25 @@ def test_bad_specs_raise_parse_errors():
         sequence_from_spec({"kind": "family", "name": "rem29", "params": {}})
     with pytest.raises(ParseError):
         sequence_from_spec({"kind": "finite", "entries": [[0, "1/0", "0/1"]]})
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[0, 1, 0]], [[0, "1", 0]], [[1.5, "1", "0"]], [[True, "1", "0"]], [["1", "1", "0"]]],
+    ids=["int-re", "int-im", "float-index", "bool-index", "str-index"],
+)
+def test_malformed_finite_entries_raise_parse_errors(entries):
+    with pytest.raises(ParseError):
+        sequence_from_spec({"kind": "finite", "entries": entries})
+
+
+def test_rational_literals_must_be_strings():
+    with pytest.raises(ParseError):
+        parse_rational(3)
+    with pytest.raises(ParseError):
+        nat = {"kind": "family", "name": "nat"}
+        sequence_from_spec({"kind": "combine", "terms": [[1, "0", nat]]})
+    assert parse_rational(" 3/4 ") == F(3, 4)
 
 
 def test_parse_error_carries_position():
