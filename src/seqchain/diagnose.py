@@ -406,17 +406,9 @@ def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
 
 
 def _lp_head_upper(head, p: Fraction, prec: int) -> Fraction:
-    """Upper bound on the head sum of |a_n|**p from a squared head; equal
-    moduli are powered once (a memo local to the call)."""
+    """Upper bound on the head sum of |a_n|**p from a squared head."""
     half_p = p / 2
-    powers: dict[Fraction, Fraction] = {}
-    total = Q0
-    for _, sq_hi in head:
-        high = powers.get(sq_hi)
-        if high is None:
-            high = powers[sq_hi] = pow_bounds(sq_hi, half_p, prec)[1]
-        total += high
-    return total
+    return sum((pow_bounds(sq_hi, half_p, prec)[1] for _, sq_hi in head), Q0)
 
 
 def _sup_head_upper(head) -> Fraction:

@@ -335,11 +335,7 @@ class _ScaledByInterval(Sequence):
 
     def _term(self, n, prec):
         mag = 1 + int(max(abs(self.scale_iv.re_hi), abs(self.scale_iv.im_hi)))
-        term = self.base.term(n, prec + mag.bit_length() + 2)
-        if self.scale_iv.is_exact:
-            # a zero-width box multiplies exactly as the scalar it holds
-            return term.scale(self.scale_iv.re_lo, self.scale_iv.im_lo)
-        return self.scale_iv.mul(term)
+        return self.scale_iv.mul(self.base.term(n, prec + mag.bit_length() + 2))
 
     def spec(self):
         return {"kind": "scaled", "base": self.base.spec()}

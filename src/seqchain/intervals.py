@@ -203,6 +203,11 @@ class ComplexInterval:
         return ComplexInterval(re_lo, re_hi, c_lo + d_lo, c_hi + d_hi)
 
     def mul(self, other: "ComplexInterval") -> "ComplexInterval":
+        # a zero-width box multiplies exactly as the scalar it holds
+        if self.is_exact:
+            return other.scale(self.re_lo, self.im_lo)
+        if other.is_exact:
+            return self.scale(other.re_lo, other.im_lo)
         ac = _interval_mul(self.re_lo, self.re_hi, other.re_lo, other.re_hi)
         bd = _interval_mul(self.im_lo, self.im_hi, other.im_lo, other.im_hi)
         ad = _interval_mul(self.re_lo, self.re_hi, other.im_lo, other.im_hi)

@@ -126,6 +126,39 @@ def test_interval_mul_div_roundtrip(a, b, c, d):
     assert back.contains(a, b)
 
 
+def _box_product(z, w):
+    """The textbook complex box product from four interval products."""
+
+    def prod(a_lo, a_hi, b_lo, b_hi):
+        ps = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+        return min(ps), max(ps)
+
+    ac = prod(z.re_lo, z.re_hi, w.re_lo, w.re_hi)
+    bd = prod(z.im_lo, z.im_hi, w.im_lo, w.im_hi)
+    ad = prod(z.re_lo, z.re_hi, w.im_lo, w.im_hi)
+    bc = prod(z.im_lo, z.im_hi, w.re_lo, w.re_hi)
+    return ComplexInterval(ac[0] - bd[1], ac[1] - bd[0], ad[0] + bc[0], ad[1] + bc[1])
+
+
+@given(boxes, rationals, rationals)
+def test_mul_by_a_point_has_the_box_product_endpoints(box, c_re, c_im):
+    re_lo, re_w, im_lo, im_w = box
+    z = ComplexInterval(re_lo, re_lo + re_w, im_lo, im_lo + im_w)
+    c = ComplexInterval.exact(c_re, c_im)
+    assert c.mul(z) == _box_product(c, z)
+    assert z.mul(c) == _box_product(z, c)
+
+
+@given(boxes)
+def test_abs_sq_bounds_of_a_real_box(box):
+    re_lo, re_w, _, _ = box
+    z = ComplexInterval.from_real_bounds(re_lo, re_lo + re_w)
+    lo, hi = z.abs_sq_bounds()
+    squares = (re_lo * re_lo, (re_lo + re_w) ** 2)
+    assert hi == max(squares)
+    assert lo == (0 if re_lo <= 0 <= re_lo + re_w else min(squares))
+
+
 def test_abs_bounds_contain_true_modulus():
     z = ComplexInterval.exact(Fraction(3), Fraction(4))
     lo, hi = z.abs_bounds(30)
