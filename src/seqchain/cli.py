@@ -9,7 +9,6 @@ the only outcome is an undecided verdict, 1 on errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,7 @@ from . import diagnose, generic, spaceable
 from .errors import ParseError, SeqchainError
 from .intervals import format_rational, parse_rational
 from .sequences import Sequence
-from .serialize import canonical_json, sequence_from_spec
+from .serialize import canonical_json, parse_json, sequence_from_spec
 from .spaces import adjacent_pairs, parse_space, standard_chain
 from .supports import support_from_spec
 from .witness import make_witness, verify_witness
@@ -128,10 +127,7 @@ def cmd_classify(args, config: RunConfig) -> int:
 
 
 def _load_support(text: str):
-    try:
-        return support_from_spec(json.loads(_read_source(text)))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", position=exc.pos) from None
+    return support_from_spec(parse_json(_read_source(text)))
 
 
 def cmd_witness(args, config: RunConfig) -> int:

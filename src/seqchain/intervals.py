@@ -7,13 +7,18 @@ contains the true value, and refining the precision only shrinks it:
 bounds at precision ``prec`` live on the dyadic grid ``2**-(prec+1)`` and
 are exact floors/ceilings of the true value on that grid, which makes
 intervals at successive precisions nested.
+
+The box operations skip work on exact zeros: when a box or a scalar is
+real, the products with its zero imaginary part and the sums with them
+are left out.  ``0*c`` and ``x + 0`` are exact in rational arithmetic, so
+every endpoint is the same rational the full formula gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -35,13 +40,36 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    """Canonical ``num/den`` form used in all JSON reports."""
+    """Canonical ``num/den`` form used in all JSON reports.
+
+    A numerator or denominator longer than the interpreter's limit on
+    integer-to-string conversion (``sys.get_int_max_str_digits()``) cannot
+    be rendered; that raises a SeqchainError naming the limit."""
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        import sys
+
+        from .errors import SeqchainError
+
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        raise SeqchainError(
+            f"cannot render a {bits}-bit rational: it exceeds the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()} digits for integer-to-string "
+            "conversion"
+        ) from None
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer (Newton iteration)."""
+    """Floor of the k-th root of a nonnegative integer (Newton iteration).
+
+    Newton starts from a float estimate of 2**(log2(n)/k), taken after
+    shifting whole k-th powers of two out of n so the float stays below
+    2**61.  One unconditional step follows: by AM-GM the integer Newton
+    iterate of any positive x is at least the floor of the root, so the
+    decreasing loop after it starts at or above the root and stops on it.
+    """
     if n < 0:
         raise ValueError("iroot of negative integer")
     if k < 1:
@@ -52,7 +80,9 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # >= n**(1/k)
+    s = max(0, n.bit_length() // k - 60)
+    x = (int(2.0 ** (log2(n >> (k * s)) / k)) + 1) << s
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -60,34 +90,29 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def _floor_scaled_root(num: int, den: int, k: int, scale: int) -> int:
-    """Exact floor((num/den)**(1/k) * 2**scale) for num >= 0, den > 0."""
-    shifted = num << (k * scale)
-    r = iroot(shifted // den, k)
-    # correct the composition of the two floors (off by at most one)
-    while (r + 1) ** k * den <= shifted:
-        r += 1
-    while r > 0 and r ** k * den > shifted:
-        r -= 1
-    return r
-
-
 def root_bounds(q: Fraction, k: int, prec: int) -> tuple[Fraction, Fraction]:
     """Enclose q**(1/k) for q >= 0 within width 2**-prec.
 
-    Returns a zero-width pair whenever the root is exactly rational.
+    Returns a zero-width pair whenever the root is exactly rational, that
+    is when both the numerator and the denominator are perfect k-th powers.
+    Otherwise the lower end is floor(q**(1/k) * 2**s) / 2**s with
+    s = prec + 1, taken as iroot(floor(q * 2**(k*s)), k):
+    floor(x**(1/k)) == iroot(floor(x), k) for rational x >= 0, because r**k
+    is an integer, so r**k <= x exactly when r**k <= floor(x).
     """
     if q < 0:
         raise ValueError("root of negative rational")
     if q == 0:
         return Q0, Q0
     num, den = q.numerator, q.denominator
-    rn, rd = iroot(num, k), iroot(den, k)
-    if rn ** k == num and rd ** k == den:
-        exact = Fraction(rn, rd)
-        return exact, exact
+    rn = iroot(num, k)
+    if rn ** k == num:  # the denominator is rooted only when it can matter
+        rd = iroot(den, k)
+        if rd ** k == den:
+            exact = Fraction(rn, rd)
+            return exact, exact
     scale = prec + 1
-    lo = _floor_scaled_root(num, den, k, scale)
+    lo = iroot((num << (k * scale)) // den, k)
     unit = Fraction(1, 1 << scale)
     return lo * unit, (lo + 1) * unit
 
@@ -179,7 +204,15 @@ class ComplexInterval:
     def is_exact_zero(self) -> bool:
         return self.is_exact and self.re_lo == 0 and self.im_lo == 0
 
+    @property
+    def is_real(self) -> bool:
+        return self.im_lo == 0 and self.im_hi == 0
+
     def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
+        if self.is_real and other.is_real:
+            return ComplexInterval(
+                self.re_lo + other.re_lo, self.re_hi + other.re_hi, Q0, Q0
+            )
         return ComplexInterval(
             self.re_lo + other.re_lo,
             self.re_hi + other.re_hi,
@@ -194,8 +227,19 @@ class ComplexInterval:
         return self + (-other)
 
     def scale(self, c_re: Fraction, c_im: Fraction = Q0) -> "ComplexInterval":
-        """Multiply by the exact complex scalar c_re + i*c_im."""
+        """Multiply by the exact complex scalar c_re + i*c_im.
+
+        A real box or a real scalar skips the products with zero and the
+        sums with them; the endpoints are those of the full formula."""
         a_lo, a_hi = _scale_real(self.re_lo, self.re_hi, c_re)
+        if c_im == 0:
+            if self.is_real:
+                return ComplexInterval(a_lo, a_hi, Q0, Q0)
+            c_lo, c_hi = _scale_real(self.im_lo, self.im_hi, c_re)
+            return ComplexInterval(a_lo, a_hi, c_lo, c_hi)
+        if self.is_real:
+            d_lo, d_hi = _scale_real(self.re_lo, self.re_hi, c_im)
+            return ComplexInterval(a_lo, a_hi, d_lo, d_hi)
         b_lo, b_hi = _scale_real(self.im_lo, self.im_hi, c_im)
         re_lo, re_hi = a_lo - b_hi, a_hi - b_lo
         c_lo, c_hi = _scale_real(self.im_lo, self.im_hi, c_re)
@@ -231,7 +275,7 @@ class ComplexInterval:
     def abs_sq_bounds(self) -> tuple[Fraction, Fraction]:
         """Exact rational bounds on |z|^2 over the box."""
         r_lo, r_hi = _interval_sq(self.re_lo, self.re_hi)
-        if self.im_lo == 0 and self.im_hi == 0:
+        if self.is_real:
             return r_lo, r_hi  # real box: adding the zero square is exact
         i_lo, i_hi = _interval_sq(self.im_lo, self.im_hi)
         return r_lo + i_lo, r_hi + i_hi

@@ -367,12 +367,15 @@ class Combine(Sequence):
 
     def _term(self, n, prec):
         child = prec + self._bump
-        acc = ComplexInterval.zero()
+        # 0*c and acc+0 are exact, so the sum starts at the first nonzero
+        # part and skips zero parts without changing an endpoint
+        acc = None
         for (re, im), base in zip(self.coeffs, self.bases):
             iv = base.term(n, child)
-            if not iv.is_exact_zero:  # 0*c and acc+0 are exact: skipping changes nothing
-                acc = acc + iv.scale(re, im)
-        return acc
+            if not iv.is_exact_zero:
+                part = iv.scale(re, im)
+                acc = part if acc is None else acc + part
+        return ComplexInterval.zero() if acc is None else acc
 
     def _coef_abs_upper(self, idx, prec):
         re, im = self.coeffs[idx]

@@ -21,13 +21,36 @@ from .sequences import FiniteRational, Sequence, combine, restrict, spread
 from .supports import support_from_spec
 
 
+# Deepest sequence-spec nesting accepted (a leaf spec has depth 1).  Term
+# oracles, tail oracles and report rendering recurse through the nested
+# nodes, two or three interpreter frames per level (a 490-deep `restrict`
+# chain already overflows in `lp:1`), so the cap keeps every command far
+# inside Python's default recursion limit of 1000 frames.
+MAX_SPEC_DEPTH = 100
+
+
+def parse_json(text: str):
+    """Decode JSON text; malformed or too deeply nested text is a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON: {exc.msg}", position=exc.pos) from None
+    except RecursionError:
+        raise ParseError("bad JSON: nested too deeply to decode") from None
+
+
 def sequence_from_spec(spec) -> Sequence:
-    """Build a sequence from its JSON spec (dict or JSON text)."""
+    """Build a sequence from its JSON spec (dict or JSON text).
+
+    A spec nested deeper than ``MAX_SPEC_DEPTH`` is a ParseError."""
     if isinstance(spec, str):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON: {exc.msg}", position=exc.pos) from None
+        spec = parse_json(spec)
+    return _sequence_at_depth(spec, 1)
+
+
+def _sequence_at_depth(spec, depth: int) -> Sequence:
+    if depth > MAX_SPEC_DEPTH:
+        raise ParseError(f"sequence spec nested deeper than {MAX_SPEC_DEPTH} levels")
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError(f"sequence spec must be an object with a kind: {spec!r}")
     kind = spec["kind"]
@@ -44,18 +67,20 @@ def sequence_from_spec(spec) -> Sequence:
             return family_from_spec(spec["name"], spec.get("params", {}))
         if kind == "spread":
             return spread(
-                sequence_from_spec(spec["base"]), support_from_spec(spec["support"])
+                _sequence_at_depth(spec["base"], depth + 1),
+                support_from_spec(spec["support"]),
             )
         if kind == "restrict":
             return restrict(
-                sequence_from_spec(spec["base"]), support_from_spec(spec["support"])
+                _sequence_at_depth(spec["base"], depth + 1),
+                support_from_spec(spec["support"]),
             )
         if kind == "combine":
             coeffs, bases = [], []
             for row in spec.get("terms", []):
                 c_re, c_im, sub = row
                 coeffs.append((parse_rational(c_re), parse_rational(c_im)))
-                bases.append(sequence_from_spec(sub))
+                bases.append(_sequence_at_depth(sub, depth + 1))
             return combine(coeffs, bases)
     except ParseError:
         raise

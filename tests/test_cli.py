@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from seqchain.cli import main
+from seqchain.serialize import MAX_SPEC_DEPTH
 
 NAT = '{"kind":"family","name":"nat"}'
 ZERO = '{"kind":"finite","entries":[]}'
@@ -244,3 +245,66 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert len(json.loads(done.stdout)["chain"]) == 10
+
+
+def _nested_restrict(depth):
+    """A leaf spec under depth - 1 `restrict` nodes, built as text."""
+    head = '{"kind":"restrict","support":{"kind":"all"},"base":'
+    return head * (depth - 1) + PROP28 + "}" * (depth - 1)
+
+
+def test_spec_just_inside_the_depth_cap_classifies(tmp_path):
+    code, raw = run_json(tmp_path, ["classify", _nested_restrict(MAX_SPEC_DEPTH), "lp:1"])
+    assert code == 0
+    assert json.loads(raw)["result"]["verdict"] == "in"
+
+
+@pytest.mark.parametrize("depth", [MAX_SPEC_DEPTH + 1, 2000], ids=["past-cap", "2000-deep"])
+def test_spec_past_the_depth_cap_is_a_one_line_error(capsys, depth):
+    assert main(["classify", _nested_restrict(depth), "linf"]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_too_deeply_nested_support_json_is_a_one_line_error(capsys):
+    argv = ["witness", "--inner", "linf", "--outer", "hd", "--support", "[" * 5000]
+    assert main(argv) == 1
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--prec", "2000", "classify", PROP28, "lp:1"],
+        ["classify", '{"kind":"family","name":"gap-lp-cap","params":{"a":"2"}}', "cap-lp:2"],
+    ],
+    ids=["prop28-prec-2000", "gap-lp-cap-in-cap-lp-2"],
+)
+def test_report_past_the_int_str_digit_limit_is_a_one_line_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "integer-to-string" in err
+
+
+GOLDEN_DIR = Path(__file__).parent / "cli_golden"
+
+
+# Reports recorded byte for byte before the exact kernel skipped work on
+# zeros and seeded its roots from floats; every endpoint must stay the same.
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("approx-hd", ["approx", "--target", PROP28, "--outer", "hd", "--avoid", "c0",
+                       "--epsilon", "1/64"]),
+        ("approx-cap-lp-0", ["approx", "--target",
+                             '{"kind":"finite","entries":[[0,"1/2","1/3"],[3,"-2/5","0"]]}',
+                             "--outer", "cap-lp:0", "--avoid", "ainf", "--epsilon", "1/2"]),
+        # exponents 1 + 1/n: each head term is powered through a root of order 2n
+        ("classify-cap-lp-1", ["classify", PROP28, "cap-lp:1"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_golden_reports_are_byte_identical(tmp_path, name, argv):
+    code, raw = run_json(tmp_path, argv)
+    assert code == 0
+    assert raw == (GOLDEN_DIR / f"{name}.json").read_bytes()

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqchain.errors import SeqchainError
 from seqchain.intervals import (
     ComplexInterval,
+    format_rational,
     iroot,
     pow_bounds,
     root_bounds,
@@ -179,3 +181,162 @@ def test_interval_width_and_subset():
 def test_bad_interval_rejected():
     with pytest.raises(ValueError):
         ComplexInterval(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+
+
+# -- float-seeded integer roots ---------------------------------------------
+
+orders = st.integers(min_value=3, max_value=200)
+
+
+@st.composite
+def root_operands(draw):
+    """(n, k): n up to 12,000 bits, perfect k-th powers and their neighbours,
+    and n below 2**k (floor root 1)."""
+    k = draw(orders)
+    shape = draw(st.sampled_from(["any", "power", "small"]))
+    if shape == "any":
+        return draw(st.integers(min_value=0, max_value=(1 << 12000) - 1)), k
+    if shape == "small":
+        return draw(st.integers(min_value=1, max_value=(1 << k) - 1)), k
+    r = draw(st.integers(min_value=1, max_value=1 << (12000 // k)))
+    return max(0, r ** k + draw(st.sampled_from([-1, 0, 1]))), k
+
+
+@settings(max_examples=300)
+@given(root_operands())
+def test_iroot_is_floor_root_for_large_operands_and_orders(case):
+    n, k = case
+    r = iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+@given(st.integers(min_value=1, max_value=1 << 600), orders)
+def test_iroot_of_exact_powers_and_neighbours(r, k):
+    assert iroot(r ** k, k) == r
+    assert iroot(r ** k - 1, k) == r - 1
+    assert iroot(r ** k + 1, k) == r
+
+
+# The enclosures before roots were float-seeded, kept as the reference:
+# Newton from a power of two above the root, and a floor of a scaled root
+# corrected by counting up and down.
+
+
+def _ref_iroot(n, k):
+    if n == 0:
+        return 0
+    if k == 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _ref_floor_scaled_root(num, den, k, scale):
+    shifted = num << (k * scale)
+    r = _ref_iroot(shifted // den, k)
+    while (r + 1) ** k * den <= shifted:
+        r += 1
+    while r > 0 and r ** k * den > shifted:
+        r -= 1
+    return r
+
+
+def _ref_root_bounds(q, k, prec):
+    if q == 0:
+        return Fraction(0), Fraction(0)
+    num, den = q.numerator, q.denominator
+    rn, rd = _ref_iroot(num, k), _ref_iroot(den, k)
+    if rn ** k == num and rd ** k == den:
+        return Fraction(rn, rd), Fraction(rn, rd)
+    scale = prec + 1
+    lo = _ref_floor_scaled_root(num, den, k, scale)
+    unit = Fraction(1, 1 << scale)
+    return lo * unit, (lo + 1) * unit
+
+
+def _ref_pow_bounds(q, e, prec):
+    if e == 0:
+        return Fraction(1), Fraction(1)
+    if e < 0:
+        t = 0
+        if q < 1:
+            t = q.denominator.bit_length() - q.numerator.bit_length() + 1
+            t = -(-(-e.numerator * t) // e.denominator)
+        lo_p, hi_p = _ref_pow_bounds(q, -e, prec + 2 + 2 * t)
+        return 1 / hi_p, 1 / lo_p
+    if q == 0:
+        return Fraction(0), Fraction(0)
+    return _ref_root_bounds(q ** e.numerator, e.denominator, prec)
+
+
+wide_nonneg = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+
+
+@st.composite
+def perfect_power_ratios(draw):
+    k = draw(st.integers(min_value=2, max_value=40))
+    num = draw(st.integers(min_value=1, max_value=1000)) ** k
+    den = draw(st.integers(min_value=1, max_value=1000))
+    return Fraction(num, draw(st.sampled_from([den, den ** k]))), k
+
+
+@given(wide_nonneg, st.integers(min_value=1, max_value=60), st.integers(min_value=4, max_value=200))
+def test_root_bounds_equal_the_reference(q, k, prec):
+    assert root_bounds(q, k, prec) == _ref_root_bounds(q, k, prec)
+
+
+@given(perfect_power_ratios(), st.integers(min_value=4, max_value=200))
+def test_root_bounds_of_perfect_power_numerators_equal_the_reference(case, prec):
+    q, k = case
+    assert root_bounds(q, k, prec) == _ref_root_bounds(q, k, prec)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+    st.fractions(min_value=-4, max_value=4, max_denominator=40),
+    st.integers(min_value=8, max_value=128),
+)
+def test_pow_bounds_equal_the_reference(q, e, prec):
+    assert pow_bounds(q, e, prec) == _ref_pow_bounds(q, e, prec)
+
+
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=8, max_value=128))
+def test_pow_bounds_with_order_2n_roots_equal_the_reference(n, prec):
+    # the cap-lp exponents 1 + 1/n power |a|**2 through a root of order 2n
+    q, e = Fraction(3, 17), Fraction(n + 1, 2 * n)
+    assert pow_bounds(q, e, prec) == _ref_pow_bounds(q, e, prec)
+
+
+# -- zero-skipping box arithmetic ---------------------------------------------
+
+zero_or_rational = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def real_or_complex_boxes(draw):
+    re_lo, re_w = draw(rationals), draw(nonneg)
+    if draw(st.booleans()):
+        return ComplexInterval.from_real_bounds(re_lo, re_lo + re_w)
+    im_lo, im_w = draw(zero_or_rational), draw(nonneg)
+    return ComplexInterval(re_lo, re_lo + re_w, im_lo, im_lo + im_w)
+
+
+@given(real_or_complex_boxes(), rationals, zero_or_rational)
+def test_scale_equals_the_four_product_formula(z, c_re, c_im):
+    assert z.scale(c_re, c_im) == _box_product(z, ComplexInterval.exact(c_re, c_im))
+
+
+@given(real_or_complex_boxes(), real_or_complex_boxes())
+def test_add_equals_the_componentwise_sum(z, w):
+    assert z + w == ComplexInterval(
+        z.re_lo + w.re_lo, z.re_hi + w.re_hi, z.im_lo + w.im_lo, z.im_hi + w.im_hi
+    )
+
+
+def test_format_rational_past_the_digit_limit_is_a_seqchain_error():
+    with pytest.raises(SeqchainError, match="integer-to-string"):
+        format_rational(Fraction(10 ** 5000 + 1, 3))
