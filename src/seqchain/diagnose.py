@@ -263,7 +263,10 @@ def _blocks_to_check(bd: BlockDivergence, count: int = 3):
 
 
 def _threshold_table(tag: SubseqLowerBound, weight_k: int):
-    """(threshold, m, g(m)) rows with s(m)**weight_k * g(m) >= threshold."""
+    """(threshold, m, g(m)) rows with s(m)**weight_k * g(m) >= threshold.
+
+    With weight_k == 0 the factor is 1 and s(m) is never built: on a sparse
+    support such as powers of two, s(m) = 2**2**m is too large to hold."""
     rows = []
     for threshold in _THRESHOLDS:
         hit = None
@@ -271,7 +274,7 @@ def _threshold_table(tag: SubseqLowerBound, weight_k: int):
             g = tag.g(m)
             if g <= 0:
                 continue
-            if Fraction(tag.s(m)) ** weight_k * g >= threshold:
+            if (Fraction(tag.s(m)) ** weight_k if weight_k else 1) * g >= threshold:
                 hit = (threshold, m, g)
                 break
         if hit is None:

@@ -26,7 +26,10 @@ them monotone in the budget despite interval rounding in the heads.  The
 rungs share one set of head sums: each |d_n| enclosure is computed once
 per call, and each rung extends the previous rung's sums over the new
 indices instead of summing again from zero.  The endpoints are exact
-rationals, so the bounds equal those of rungs summed separately.
+rationals, so the bounds equal those of rungs summed separately.  The
+disc, ratio and nested sums of the ``hd`` and ``cn0`` metrics are kept as
+integer numerators over a known denominator and become a ``Fraction``
+once per read, so no summand pays for a gcd.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace
 from .intervals import Q0, Q1, format_rational, parse_rational, pow_bounds
@@ -139,14 +143,22 @@ _MIN_BUDGET = 16
 _HEAD_GUARD = 16  # extra head precision, keeps head slack below tail slack
 
 
+def _floor_num(num: int, den: int, bits: int) -> int:
+    """floor(num/den * 2**bits): a numerator on the 2**-bits grid."""
+    return (num << bits) // den
+
+
+def _ceil_num(num: int, den: int, bits: int) -> int:
+    """ceil(num/den * 2**bits): a numerator on the 2**-bits grid."""
+    return -((-num << bits) // den)
+
+
 def _floor_grid(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction((x.numerator * scale) // x.denominator, scale)
+    return Fraction(_floor_num(x.numerator, x.denominator, bits), 1 << bits)
 
 
 def _ceil_grid(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(-((-x.numerator * scale) // x.denominator), scale)
+    return Fraction(_ceil_num(x.numerator, x.denominator, bits), 1 << bits)
 
 
 def _budget_ladder(budget: int) -> list[int]:
@@ -167,6 +179,10 @@ class _Head:
     extends it over the new indices only; the endpoints are exact
     rationals, so an extended sum equals the one restarted from zero.
     ``parts`` keeps the summands of the nested metrics (see ``_nested_sum``).
+    The disc sums, the ratio sums and ``parts`` are integer numerators over
+    a known denominator (L * v**m for a radius u/v, 2**hp, 2**(prec+guard)),
+    normalised into a ``Fraction`` once per read; the power and falling
+    sums add ``Fraction`` terms through ``_extend``.
     The object lives for one call; cutoffs never decrease within it.
     """
 
@@ -202,11 +218,11 @@ class _Head:
             self._abs[n] = None if iv.is_exact_zero else iv.abs_bounds(self.hp)
         return self._abs[n]
 
-    def _extend(self, key, N: int, indices, part, join=operator.add):
+    def _extend(self, key, N: int, indices, part, join=operator.add, zero=Q0):
         """``join`` of part(n) over indices(-1, N), continued from the last cutoff."""
         entry = self._sums.get(key)
         if entry is None:
-            entry = self._sums[key] = [-1, Q0, Q0]
+            entry = self._sums[key] = [-1, zero, zero]
         cut, lo, hi = entry
         if N < cut:
             raise ValueError("a head sum cannot shrink below its last cutoff")
@@ -236,32 +252,57 @@ class _Head:
 
     def ratio_sum(self, N: int):
         """Bounds on sum_{n<=N} 2**-n |d_n|/(1+|d_n|), each summand rounded
-        outward onto the 2**-hp grid so the rationals cannot balloon."""
+        outward onto the 2**-hp grid so the rationals cannot balloon.
+
+        For |d_n| = p/q a summand is p/((q+p) 2**n), so its grid numerators
+        are integer floors and ceilings; the sums are integers over 2**hp."""
         grid = self.hp
 
         def part(n):
             a = self.abs(n)
             if a is None:
                 return None
-            weight = Fraction(1, 1 << n)
+            lo, hi = a
             return (
-                _floor_grid(weight * _bounded_ratio(a[0]), grid),
-                _ceil_grid(weight * _bounded_ratio(a[1]), grid),
+                _floor_num(lo.numerator, (lo.denominator + lo.numerator) << n, grid),
+                _ceil_num(hi.numerator, (hi.denominator + hi.numerator) << n, grid),
             )
 
-        return self._extend("cn0", N, lambda lo, hi: range(lo + 1, hi + 1), part)
+        lo, hi = self._extend("cn0", N, lambda lo, hi: range(lo + 1, hi + 1), part, zero=0)
+        return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid)
 
     def disc_sum(self, r: Fraction, N: int):
-        """Bounds on sum_{n<=N} |d_n| r**n."""
+        """Bounds on sum_{n<=N} |d_n| r**n.
 
-        def part(n):
+        With r = u/v, each bound is one integer numerator over L * v**m,
+        where m is the last index summed and L the lcm of the denominators
+        of the |d_n| bounds so far.  A new index n is a Horner step: scale
+        the numerators by v**(n-m), then add |d_n| u**n over L."""
+        u, v = r.numerator, r.denominator
+        key = ("hd", r)
+        entry = self._sums.get(key)
+        if entry is None:
+            entry = self._sums[key] = [-1, 0, 1, 0, 0]  # cutoff, m, L, numerators
+        cut, m, L, lo, hi = entry
+        if N < cut:
+            raise ValueError("a head sum cannot shrink below its last cutoff")
+        for n in self.support(cut, N):
             a = self.abs(n)
             if a is None:
-                return None
-            rn = r ** n
-            return a[0] * rn, a[1] * rn
-
-        return self._extend(("hd", r), N, self.support, part)
+                continue
+            a_lo, a_hi = a
+            for den in (a_lo.denominator, a_hi.denominator):
+                if L % den:
+                    widen = den // gcd(L, den)
+                    L, lo, hi = L * widen, lo * widen, hi * widen
+            shift = v ** (n - m)
+            un = u ** n
+            lo = lo * shift + a_lo.numerator * (L // a_lo.denominator) * un
+            hi = hi * shift + a_hi.numerator * (L // a_hi.denominator) * un
+            m = n
+        entry[:] = N, m, L, lo, hi
+        den = L * v ** m
+        return Fraction(lo, den), Fraction(hi, den)
 
     def falling_sum(self, i: int, N: int):
         """Bounds on sum_{i<=n<=N} n!/(n-i)! |d_n|."""
@@ -314,25 +355,24 @@ def _nested_sum(head: _Head, N: int, prec: int, summand):
     """sum_{k<=K} 2**-k * summand(k, inner cutoff), plus 2**-K for the rest.
 
     ``summand`` returns bounds in [0, 1]; each weighted summand is rounded
-    outward onto the 2**-(prec+guard) grid and kept in ``head.parts``, so a
-    later rung reuses every summand whose inner cutoff has stopped growing."""
+    outward onto the 2**-(prec+guard) grid and kept in ``head.parts`` as a
+    pair of integer numerators over that grid, so a later rung reuses every
+    summand whose inner cutoff has stopped growing."""
     grid = prec + _HEAD_GUARD
     K = min(N, max(_MIN_BUDGET, prec + 8))
-    lo = Q0
-    hi = Q0
+    lo = hi = 0
     for k in range(1, K + 1):
         inner_budget = max(_MIN_BUDGET, min(N, 4096 // k))
         part = head.parts.get((k, inner_budget))
         if part is None:
             s_lo, s_hi = summand(k, inner_budget)
-            weight = Fraction(1, 1 << k)
             part = head.parts[k, inner_budget] = (
-                _floor_grid(weight * s_lo, grid),
-                _ceil_grid(weight * s_hi, grid),
+                _floor_num(s_lo.numerator, s_lo.denominator << k, grid),
+                _ceil_num(s_hi.numerator, s_hi.denominator << k, grid),
             )
         lo += part[0]
         hi += part[1]
-    return lo, hi + Fraction(1, 1 << K)
+    return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid) + Fraction(1, 1 << K)
 
 
 def _metric_once_cap(head: _Head, a0: Fraction, N: int, prec: int):

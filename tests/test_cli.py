@@ -290,7 +290,8 @@ GOLDEN_DIR = Path(__file__).parent / "cli_golden"
 
 
 # Reports recorded byte for byte before the exact kernel skipped work on
-# zeros and seeded its roots from floats; every endpoint must stay the same.
+# zeros and seeded its roots from floats (approx-cn0: before the head sums
+# became integers); every endpoint must stay the same.
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -301,6 +302,9 @@ GOLDEN_DIR = Path(__file__).parent / "cli_golden"
                              "--outer", "cap-lp:0", "--avoid", "ainf", "--epsilon", "1/2"]),
         # exponents 1 + 1/n: each head term is powered through a root of order 2n
         ("classify-cap-lp-1", ["classify", PROP28, "cap-lp:1"]),
+        ("approx-cn0", ["approx", "--target",
+                        '{"kind":"finite","entries":[[0,"1/3","-2/7"],[2,"5/2","0"],[9,"0","-1/9"]]}',
+                        "--outer", "cn0", "--avoid", "hd", "--epsilon", "1/1024"]),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

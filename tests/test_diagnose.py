@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -482,3 +485,40 @@ def test_gap_cap_c0_past_block_search_cap_is_undecided():
     seq = gap_cap_c0(F(1000))
     assert seq.lp_divergence(F(1000)) is None
     assert isinstance(classify(seq, lp(1000), BUDGET, PREC), Undecided)
+
+
+_POW2 = {"kind": "powers-of-two"}
+_SPARSE_SPREADS = [
+    {"kind": "spread", "base": {"kind": "family", "name": name, "params": params}, "support": _POW2}
+    for name, params in (("prop28", {}), ("gap-lp-cap", {"a": "1/2"}), ("rem29", {"support": _POW2}))
+]
+
+# Classifies each spec in linf under a 512 MiB address-space limit, re-checks
+# the verdict, and prints one JSON line [verdict, shape, rechecked] per spec.
+_CLASSIFY_UNDER_LIMIT = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from seqchain import diagnose, serialize, spaces
+for text in json.loads(sys.argv[1]):
+    seq = serialize.sequence_from_spec(text)
+    v = diagnose.classify(seq, spaces.parse_space("linf"), 4096, 64)
+    report = diagnose.verdict_to_json(v)
+    shape = report.get("certificate", {}).get("shape")
+    print(json.dumps([report["verdict"], shape, diagnose.check_certificate(seq, v, 3, 64)]))
+"""
+
+
+def test_sparse_spreads_classify_in_linf_within_bounded_memory():
+    # the linf threshold table weighs g(m) by s(m)**0; it must not build
+    # s(m) = 2**2**m for spreads onto powers of two
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    specs = json.dumps([json.dumps(spec) for spec in _SPARSE_SPREADS])
+    done = subprocess.run(
+        [sys.executable, "-c", _CLASSIFY_UNDER_LIMIT, specs],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert lines == [["in", "sup-bound", True]] * len(_SPARSE_SPREADS)

@@ -1,14 +1,25 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_finite
 from seqchain.errors import BudgetExceeded, MissingTailOracle, UnknownSpace
 from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, nat, prop28
 from seqchain.intervals import ComplexInterval
-from seqchain.sequences import Combine, FiniteRational, combine, spread, unit, zero
+from seqchain.sequences import (
+    Combine,
+    FiniteRational,
+    combine,
+    spread,
+    support_indices_upto,
+    unit,
+    zero,
+)
 from seqchain.spaces import (
     AINF,
     C0,
@@ -23,9 +34,11 @@ from seqchain.spaces import (
     metric_bound,
     parse_space,
     standard_chain,
+    _Head,
+    _nested_sum,
     strictly_included,
 )
-from seqchain.supports import DyadicRow
+from seqchain.supports import Arith, DyadicRow, PowersOfTwo
 
 F = Fraction
 
@@ -252,6 +265,131 @@ def test_combine_on_disjoint_rows_sums_scaled_base_terms():
             expected = expected + base.term(n, child).scale(re, im)
         assert f.term(n, prec) == expected
     assert f.term(7, prec).is_exact_zero
+
+
+# -- integer head sums against exact Fraction sums ------------------------------
+
+# The head sums as they were computed term by term in Fraction arithmetic,
+# before they became integer numerators over a known denominator; the
+# integer sums must give exactly the same rationals.
+
+
+def _ref_abs(seq, n, hp):
+    iv = seq.term(n, hp)
+    return None if iv.is_exact_zero else iv.abs_bounds(hp)
+
+
+def _ref_floor_grid(x, bits):
+    return Fraction(math.floor(x * (1 << bits)), 1 << bits)
+
+
+def _ref_ceil_grid(x, bits):
+    return Fraction(math.ceil(x * (1 << bits)), 1 << bits)
+
+
+def _ref_disc_sum(seq, r, N, hp):
+    lo = hi = F(0)
+    for n in sorted(support_indices_upto(seq, N)):
+        a = _ref_abs(seq, n, hp)
+        if a is not None:
+            lo += a[0] * r ** n
+            hi += a[1] * r ** n
+    return lo, hi
+
+
+def _ref_ratio_sum(seq, N, hp):
+    lo = hi = F(0)
+    for n in range(N + 1):
+        a = _ref_abs(seq, n, hp)
+        if a is not None:
+            weight = F(1, 1 << n)
+            lo += _ref_floor_grid(weight * a[0] / (1 + a[0]), hp)
+            hi += _ref_ceil_grid(weight * a[1] / (1 + a[1]), hp)
+    return lo, hi
+
+
+def _ref_nested_sum(N, prec, summand):
+    grid = prec + 16
+    K = min(N, max(16, prec + 8))
+    lo = hi = F(0)
+    for k in range(1, K + 1):
+        s_lo, s_hi = summand(k, max(16, min(N, 4096 // k)))
+        lo += _ref_floor_grid(F(1, 1 << k) * s_lo, grid)
+        hi += _ref_ceil_grid(F(1, 1 << k) * s_hi, grid)
+    return lo, hi + F(1, 1 << K)
+
+
+_head_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+_head_entries = st.one_of(
+    st.just((F(0), F(0))),  # an exact zero
+    st.tuples(_head_rationals, st.just(F(0))),  # real: |x| is exact, often not dyadic
+    st.tuples(_head_rationals, _head_rationals),
+)
+_head_finite = st.dictionaries(st.integers(0, 90), _head_entries, max_size=8).map(FiniteRational)
+_head_spreads = st.builds(
+    spread, _head_finite, st.sampled_from([Arith(1, 3), PowersOfTwo(), DyadicRow(2)])
+)
+_head_sequences = st.one_of(
+    _head_finite,
+    _head_spreads,
+    st.builds(
+        lambda a, b, c: combine([c, (F(1, 3), F(-2, 7))], [a, b]),
+        _head_finite, _head_spreads, _head_rationals,
+    ),
+    _head_finite.map(lambda a: combine([1, -1], [prop28(), a])),
+)
+# one to four increasing cutoffs; -1 is the empty head
+_head_cutoffs = st.lists(st.integers(-1, 160), min_size=1, max_size=4).map(sorted)
+
+
+@given(_head_sequences, st.integers(1, 72), _head_cutoffs, st.sampled_from([32, 64]))
+def test_disc_sum_equals_fraction_sum(seq, k, cutoffs, prec):
+    head, r = _Head(seq, prec), F(k, k + 1)
+    for N in cutoffs:
+        assert head.disc_sum(r, N) == _ref_disc_sum(seq, r, N, prec + 16)
+
+
+@given(_head_sequences, _head_cutoffs, st.sampled_from([32, 64]))
+def test_ratio_sum_equals_fraction_sum(seq, cutoffs, prec):
+    head = _Head(seq, prec)
+    for N in cutoffs:
+        assert head.ratio_sum(N) == _ref_ratio_sum(seq, N, prec + 16)
+
+
+@given(
+    st.lists(st.tuples(_head_rationals, _head_rationals), min_size=1, max_size=5),
+    st.lists(st.integers(0, 700), min_size=1, max_size=4).map(sorted),
+    st.sampled_from([16, 32, 64]),
+)
+def test_nested_sum_equals_fraction_sum(table, cutoffs, prec):
+    # summands in [0, 1] with arbitrary, mostly non-dyadic denominators
+    def summand(k, inner):
+        a, b = table[(k + inner) % len(table)]
+        lo = min(abs(a), abs(b)) / (1 + abs(a) + abs(b)) / k
+        return lo, min(F(1), lo + F(1, inner + k))
+
+    head = _Head(zero(), prec)
+    for N in cutoffs:
+        assert _nested_sum(head, N, prec, summand) == _ref_nested_sum(N, prec, summand)
+
+
+@given(_head_sequences, _head_cutoffs)
+def test_nested_disc_sums_equal_fraction_sums(seq, cutoffs):
+    # the hd metric's pattern: the nested parts and the disc sums of one
+    # head grow together, each radius from its own last inner cutoff
+    head = _Head(seq, 32)
+
+    def summand(k, inner):
+        lo, hi = head.disc_sum(F(k, k + 1), inner)
+        return min(F(1), lo), min(F(1), hi)
+
+    def ref_summand(k, inner):
+        lo, hi = _ref_disc_sum(seq, F(k, k + 1), inner, 32 + 16)
+        return min(F(1), lo), min(F(1), hi)
+
+    for N in cutoffs:
+        N = max(0, N)
+        assert _nested_sum(head, N, 32, summand) == _ref_nested_sum(N, 32, ref_summand)
 
 
 # -- ball_scale ----------------------------------------------------------------
