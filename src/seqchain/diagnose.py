@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
-from .errors import UnsupportedSpace
+from .errors import ParseError, UnsupportedSpace
 from .intervals import Q0, Q1, format_rational, parse_rational, pow_bounds, sqrt_bounds
 from .sequences import Sequence, support_indices_upto
 from .spaces import AINF, C0, HD, LINF, SpaceId
@@ -176,8 +177,8 @@ class OutCert:
 @dataclass(frozen=True)
 class InCert:
     """Tail-bound witness: a finite head plus oracle-backed tail bounds,
-    recorded together with the budgets/precision used so the numbers
-    re-verify by exact recomputation."""
+    recorded together with its cutoffs and precision, so a check rebuilds
+    it from those and compares."""
 
     space: SpaceId
     shape: str
@@ -414,17 +415,9 @@ def _lp_head_upper(head, p: Fraction, prec: int) -> Fraction:
     return sum((pow_bounds(sq_hi, half_p, prec)[1] for _, sq_hi in head), Q0)
 
 
-def _sup_head_upper(head) -> Fraction:
-    return max((a for _, a in head), default=Q0)
-
-
-def _disc_head_upper(head, r: Fraction) -> Fraction:
-    return sum((a * r ** n for n, a in head), Q0)
-
-
-def _find_cutoff(probe, target: Fraction):
-    """Smallest doubling N = 16 * 2**i with probe(N) <= target, or None."""
-    N = 16
+def _find_cutoff(probe, target: Fraction, start: int):
+    """Smallest doubling N = start * 2**i with probe(N) <= target, or None."""
+    N = start
     for _ in range(_DOUBLING_CAP):
         value = probe(N)
         if value is None:
@@ -435,8 +428,10 @@ def _find_cutoff(probe, target: Fraction):
     return None
 
 
-def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
-    """Build a re-verified InCert, or None.
+def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
+    """The InCert of the space at the given cutoffs, or None when an oracle
+    cannot certify it.  ``cuts`` is the head cutoff N for lp, cap-lp, linf
+    and hd, and one doubling-search start per schedule row for c0 and ainf.
 
     Schedules over exponents p_n (cap-lp) or radii r_k (hd) share one
     cutoff N, so their rows read one head of moduli built once per call
@@ -445,25 +440,23 @@ def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
         return InCert(space, "total", (), prec)
 
     if space.tag == "lp":
-        N = min(budget, 256)
-        tail = seq.tail_majorant(N, space.param, prec)
+        tail = seq.tail_majorant(cuts, space.param, prec)
         if tail is None:
             return None
-        head = _lp_head_upper(_head_moduli(seq, N, prec), space.param, prec)
-        return InCert(space, "lp-tail", (space.param, N, head, tail), prec)
+        head = _lp_head_upper(_head_moduli(seq, cuts, prec), space.param, prec)
+        return InCert(space, "lp-tail", (space.param, cuts, head, tail), prec)
 
     if space.tag == "cap-lp":
-        N = min(budget, 256)
         tails = []
         for n in range(1, _SCHEDULE_K + 1):
             p_n = space.param + Fraction(1, n)
-            tail = seq.tail_majorant(N, p_n, prec)
+            tail = seq.tail_majorant(cuts, p_n, prec)
             if tail is None:
                 return None
             tails.append((p_n, tail))
-        moduli = _head_moduli(seq, N, prec)
+        moduli = _head_moduli(seq, cuts, prec)
         rows = tuple(
-            (p_n, N, _lp_head_upper(moduli, p_n, prec), tail) for p_n, tail in tails
+            (p_n, cuts, _lp_head_upper(moduli, p_n, prec), tail) for p_n, tail in tails
         )
         return InCert(space, "lp-schedule", rows, prec)
 
@@ -472,46 +465,56 @@ def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
         # point every term modulus is <= eps (off-support terms are zero),
         # which keeps the cutoffs representable on sparse supports
         rows = []
-        for i in range(_SCHEDULE_K):
+        for i, start in enumerate(cuts):
             eps = Fraction(1, 1 << i)
-            found = _find_cutoff(lambda K: seq.pos_sup_tail(K, prec), eps)
+            found = _find_cutoff(lambda K: seq.pos_sup_tail(K, prec), eps, start)
             if found is None:
                 return None
             rows.append((eps, found[0], found[1]))
         return InCert(space, "vanishing-schedule", tuple(rows), prec)
 
     if space.tag == "linf":
-        N = min(budget, 256)
-        tail = seq.sup_tail(N, prec)
+        tail = seq.sup_tail(cuts, prec)
         if tail is None:
             return None
-        bound = max(_sup_head_upper(_head_moduli(seq, N, prec, root=True)), tail)
-        return InCert(space, "sup-bound", (N, bound), prec)
+        head = max((a for _, a in _head_moduli(seq, cuts, prec, root=True)), default=Q0)
+        return InCert(space, "sup-bound", (cuts, max(head, tail)), prec)
 
     if space.tag == "hd":
-        N = min(budget, 64)
         tails = []
         for k in range(1, _SCHEDULE_K + 1):
             r_k = Fraction(k, k + 1)
-            tail = seq.disc_tail(N, r_k, prec)
+            tail = seq.disc_tail(cuts, r_k, prec)
             if tail is None:
                 return None
             tails.append((r_k, tail))
-        moduli = _head_moduli(seq, N, prec, root=True)
-        rows = tuple((r_k, N, _disc_head_upper(moduli, r_k) + tail) for r_k, tail in tails)
+        moduli = _head_moduli(seq, cuts, prec, root=True)
+        rows = tuple(
+            (r_k, cuts, sum((a * r_k ** n for n, a in moduli), Q0) + tail) for r_k, tail in tails
+        )
         return InCert(space, "disc-schedule", rows, prec)
 
     if space.tag == "ainf":
         rows = []
-        for k in range(_SCHEDULE_K + 1):
+        for k, start in enumerate(cuts):
             eps = Fraction(1, 64)
-            found = _find_cutoff(lambda N: seq.poly_sup_tail(N, k, prec), eps)
+            found = _find_cutoff(lambda N: seq.poly_sup_tail(N, k, prec), eps, start)
             if found is None:
                 return None
             rows.append((k, eps, found[0], found[1]))
         return InCert(space, "poly-schedule", tuple(rows), prec)
 
     raise UnsupportedSpace(space.tag)
+
+
+def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
+    """Build an InCert, or None: heads cut at min(budget, 256), or at
+    min(budget, 64) for hd; every schedule row searches from 16."""
+    if space.tag == "c0":
+        return _in_cert(seq, space, (16,) * _SCHEDULE_K, prec)
+    if space.tag == "ainf":
+        return _in_cert(seq, space, (16,) * (_SCHEDULE_K + 1), prec)
+    return _in_cert(seq, space, min(budget, 64 if space.tag == "hd" else 256), prec)
 
 
 def classify(seq: Sequence, space: SpaceId, budget: int, prec: int):
@@ -572,63 +575,31 @@ def _check_out(seq, cert: OutCert, samples: int, prec: int) -> bool:
     return False
 
 
+# space tag -> (its in-certificate shape, the number of data entries, and
+# the cutoffs _in_cert takes, read from the data; index() turns away a
+# cutoff that is not an integer)
+_IN_SHAPES = {
+    "cn0": ("total", 0, lambda data: None),
+    "lp": ("lp-tail", 4, lambda data: index(data[1])),
+    "cap-lp": ("lp-schedule", _SCHEDULE_K, lambda data: index(data[0][1])),
+    "c0": ("vanishing-schedule", _SCHEDULE_K, lambda data: tuple(index(r[1]) for r in data)),
+    "linf": ("sup-bound", 2, lambda data: index(data[0])),
+    "hd": ("disc-schedule", _SCHEDULE_K, lambda data: index(data[0][1])),
+    "ainf": ("poly-schedule", _SCHEDULE_K + 1, lambda data: tuple(index(r[2]) for r in data)),
+}
+
+
 def _check_in(seq, cert: InCert) -> bool:
-    """Recompute every recorded number and compare.  Rows that share a
-    cutoff N read one head of moduli, built at most once per call."""
-    space, prec = cert.space, cert.prec
-    heads = {}
-
-    def moduli(N, root=False):
-        if (N, root) not in heads:
-            heads[N, root] = _head_moduli(seq, N, prec, root)
-        return heads[N, root]
-
-    if cert.shape == "total":
-        return space.tag == "cn0"
-    if cert.shape == "lp-tail" and space.tag == "lp":
-        p, N, head, tail = cert.data
-        if p != space.param:
+    """Rebuild the certificate at its recorded cutoffs and compare: every
+    row, cutoff and number must come out the same."""
+    shape, size, read_cuts = _IN_SHAPES[cert.space.tag]
+    try:
+        if cert.shape != shape or len(cert.data) != size:
             return False
-        return (
-            seq.tail_majorant(N, p, prec) == tail
-            and _lp_head_upper(moduli(N), p, prec) == head
-        )
-    if cert.shape == "lp-schedule" and space.tag == "cap-lp":
-        for p_n, N, head, tail in cert.data:
-            if p_n <= space.param:
-                return False
-            if seq.tail_majorant(N, p_n, prec) != tail:
-                return False
-            if _lp_head_upper(moduli(N), p_n, prec) != head:
-                return False
-        return len(cert.data) > 0
-    if cert.shape == "vanishing-schedule" and space.tag == "c0":
-        for eps, K, bound in cert.data:
-            got = seq.pos_sup_tail(K, prec)
-            if got is None or got != bound or got > eps:
-                return False
-        return len(cert.data) > 0
-    if cert.shape == "sup-bound" and space.tag == "linf":
-        N, bound = cert.data
-        tail = seq.sup_tail(N, prec)
-        if tail is None or tail > bound:
-            return False
-        return _sup_head_upper(moduli(N, root=True)) <= bound
-    if cert.shape == "disc-schedule" and space.tag == "hd":
-        for r_k, N, bound in cert.data:
-            tail = seq.disc_tail(N, r_k, prec)
-            if tail is None:
-                return False
-            if _disc_head_upper(moduli(N, root=True), r_k) + tail != bound:
-                return False
-        return len(cert.data) > 0
-    if cert.shape == "poly-schedule" and space.tag == "ainf":
-        for k, eps, N, bound in cert.data:
-            got = seq.poly_sup_tail(N, k, prec)
-            if got is None or got != bound or got > eps:
-                return False
-        return len(cert.data) > 0
-    return False
+        cuts = read_cuts(cert.data)
+    except (IndexError, TypeError):
+        return False
+    return _in_cert(seq, cert.space, cuts, cert.prec) == cert
 
 
 # -- closed families ----------------------------------------------------------
@@ -678,8 +649,6 @@ def format_family(fam) -> str:
 
 
 def parse_family(text: str):
-    from .errors import ParseError
-
     head, *rest = text.strip().split(":")
     try:
         if head == "FMk" and len(rest) == 2:
@@ -723,7 +692,7 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
     defining inequality."""
     if isinstance(fam, FMk):
         if fam.M < 0 or fam.k < 0:
-            raise ValueError("family parameters out of range")
+            raise ParseError(f"bad family ref {format_family(fam)}: parameters out of range")
         for n in support_indices_upto(seq, budget):
             weight = Fraction(n) ** fam.k
             if weight == 0:
@@ -737,7 +706,7 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
 
     if isinstance(fam, PartialSum):
         if fam.p <= 0:
-            raise ValueError("exponent must be positive")
+            raise ParseError(f"bad family ref {format_family(fam)}: exponent must be positive")
         hp = prec + 32
         cum_lo, cum_hi = Q0, Q0
         for n in support_indices_upto(seq, budget):
@@ -750,7 +719,7 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
 
     if isinstance(fam, Fnk):
         if fam.k < 1:
-            raise ValueError("need k >= 1")
+            raise ParseError(f"bad family ref {format_family(fam)}: need k >= 1")
         threshold = Fraction(1, fam.k)
         for s in support_indices_upto(seq, budget):
             if s < fam.n:
@@ -762,7 +731,7 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
 
     if isinstance(fam, FM):
         if fam.M < 0:
-            raise ValueError("bound must be >= 0")
+            raise ParseError(f"bad family ref {format_family(fam)}: bound must be >= 0")
         for n in support_indices_upto(seq, budget):
             if _abs_vs_threshold(seq, n, fam.M, prec) > 0:
                 lo, hi = _report_abs(seq, n, prec * 2)
@@ -771,7 +740,7 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
 
     if isinstance(fam, Fkj):
         if fam.k < 1 or fam.j < 1:
-            raise ValueError("need k, j >= 1")
+            raise ParseError(f"bad family ref {format_family(fam)}: need k, j >= 1")
         base = 1 + Fraction(1, fam.j)
         for n in support_indices_upto(seq, budget):
             if n < max(fam.k, 1):
@@ -801,6 +770,8 @@ def decompose_report(seq: Sequence, space: SpaceId, outer, inner, budget: int, p
             run(PartialSum(p=space.param, M=Fraction(M)))
     elif space.tag == "cap-lp":
         for n in outer:
+            if int(n) < 1:
+                raise ParseError(f"cap-lp exponent index {n} must be >= 1")
             p_n = space.param + Fraction(1, int(n))
             for M in inner:
                 run(PartialSum(p=p_n, M=Fraction(M)))

@@ -28,6 +28,7 @@ from .sequences import (
     FiniteRational,
     Sequence,
     combine,
+    restrict,
     support_indices_upto,
     zero,
 )
@@ -245,21 +246,42 @@ def _terms_agree(f: Sequence, g: Sequence, n: int, prec: int) -> bool:
     return True
 
 
-def _identity_points(support: SupportSet, cutoff: int, count: int) -> list[int]:
-    tail = TailFrom(support, cutoff)
-    return [tail.nth(k) for k in range(1, count + 1)]
-
-
-def _masked(seq: Sequence, support: SupportSet, cutoff: int) -> Sequence:
-    from .sequences import restrict
-
-    return restrict(seq, TailFrom(support, cutoff))
+def escape_certificate(
+    f: Sequence,
+    j0: int,
+    witness: Witness,
+    scale: ComplexInterval,
+    cutoff: int,
+    budget: int,
+    prec: int,
+) -> OutsideXCertificate:
+    """Escape certificate for f on row j0: check that f masked to the
+    witness row from the cutoff on agrees with scale * witness at the first
+    min(budget, 50) row points, and attach the witness's out-certificate."""
+    row = TailFrom(witness.support, cutoff)
+    masked = restrict(f, row)
+    rhs = _ScaledByInterval(scale, witness.seq)
+    points = [row.nth(k) for k in range(1, min(max(budget, 1), 50) + 1)]
+    for n in points:
+        if not _terms_agree(masked, rhs, n, prec):
+            raise SeqchainError(f"row identity failed at index {n}")
+    return OutsideXCertificate(
+        inner=witness.inner,
+        j0=j0,
+        scale=scale,
+        cutoff=cutoff,
+        row_support=witness.support,
+        witness_seq=witness.seq,
+        inner_out=witness.out_cert,
+        checked_points=tuple(points),
+    )
 
 
 def certify_outside(
     coeffs, elements: list[DenseFamilyElement], budget: int, prec: int
 ) -> OutsideXCertificate:
-    """Escape certificate for sum_j t_j f_j over dense-family elements."""
+    """Escape certificate for sum_j t_j f_j over dense-family elements, on
+    the row of the first nonzero coefficient, past every anchor's support."""
     coeffs = [c if isinstance(c, tuple) else (Fraction(c), Q0) for c in coeffs]
     if len(coeffs) != len(elements):
         from .errors import LengthMismatch
@@ -280,25 +302,7 @@ def certify_outside(
 
     c = chosen.scale
     scale = ComplexInterval.exact(t_re * c, t_im * c)
-    rhs = combine([(t_re * c, t_im * c)], [chosen.witness.seq])
-    row = chosen.witness.support
-
-    points = _identity_points(row, cutoff, min(max(budget, 1), 50))
-    masked = _masked(g, row, cutoff)
-    for n in points:
-        if not _terms_agree(masked, rhs, n, prec):
-            raise SeqchainError(f"restriction identity failed at index {n}")
-
-    return OutsideXCertificate(
-        inner=chosen.witness.inner,
-        j0=chosen.j,
-        scale=scale,
-        cutoff=cutoff,
-        row_support=row,
-        witness_seq=chosen.witness.seq,
-        inner_out=chosen.witness.out_cert,
-        checked_points=tuple(points),
-    )
+    return escape_certificate(g, chosen.j, chosen.witness, scale, cutoff, budget, prec)
 
 
 def check_outside_certificate(
@@ -310,7 +314,7 @@ def check_outside_certificate(
     if cert.inner_out.space != cert.inner:
         return False
     rhs = _ScaledByInterval(cert.scale, cert.witness_seq)
-    masked = _masked(f, cert.row_support, cert.cutoff)
+    masked = restrict(f, TailFrom(cert.row_support, cert.cutoff))
     points = cert.checked_points[: max(1, samples)]
     if not points:
         return False

@@ -377,55 +377,43 @@ class Combine(Sequence):
                 acc = part if acc is None else acc + part
         return ComplexInterval.zero() if acc is None else acc
 
-    def _coef_abs_upper(self, idx, prec):
-        re, im = self.coeffs[idx]
-        return _abs_upper(re, im, prec)
+    def _weighted_tail(self, tail, prec):
+        """sum |c_i| * tail(base_i), or None at the first base whose tail
+        oracle gives None."""
+        total = Q0
+        for (re, im), base in zip(self.coeffs, self.bases):
+            t = tail(base)
+            if t is None:
+                return None
+            total += _abs_upper(re, im, prec) * t
+        return total
 
     def tail_majorant(self, N, p, prec):
         p = Fraction(p)
         parts = []
-        for idx, base in enumerate(self.bases):
+        for base in self.bases:
             t = base.tail_majorant(N, p, prec)
             if t is None:
                 return None
             parts.append(t)
         if p <= 1:
             total = Q0
-            for idx, t in enumerate(parts):
-                re, im = self.coeffs[idx]
+            for (re, im), t in zip(self.coeffs, parts):
                 total += pow_bounds(re * re + im * im, p / 2, prec)[1] * t
             return total
         root_sum = Q0
-        for idx, t in enumerate(parts):
-            root_sum += self._coef_abs_upper(idx, prec) * pow_bounds(t, 1 / p, prec)[1]
+        for (re, im), t in zip(self.coeffs, parts):
+            root_sum += _abs_upper(re, im, prec) * pow_bounds(t, 1 / p, prec)[1]
         return pow_bounds(root_sum, p, prec)[1]
 
     def sup_tail(self, N, prec):
-        total = Q0
-        for idx, base in enumerate(self.bases):
-            t = base.sup_tail(N, prec)
-            if t is None:
-                return None
-            total += self._coef_abs_upper(idx, prec) * t
-        return total
+        return self._weighted_tail(lambda base: base.sup_tail(N, prec), prec)
 
     def disc_tail(self, N, r, prec):
-        total = Q0
-        for idx, base in enumerate(self.bases):
-            t = base.disc_tail(N, r, prec)
-            if t is None:
-                return None
-            total += self._coef_abs_upper(idx, prec) * t
-        return total
+        return self._weighted_tail(lambda base: base.disc_tail(N, r, prec), prec)
 
     def poly_sup_tail(self, N, k, prec):
-        total = Q0
-        for idx, base in enumerate(self.bases):
-            t = base.poly_sup_tail(N, k, prec)
-            if t is None:
-                return None
-            total += self._coef_abs_upper(idx, prec) * t
-        return total
+        return self._weighted_tail(lambda base: base.poly_sup_tail(N, k, prec), prec)
 
     def spec(self):
         return {

@@ -12,15 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    AllCoefficientsPossiblyZero,
-    NoNonzeroSupportPoint,
-    NotStrictPair,
-    SeqchainError,
-)
-from .generic import OutsideXCertificate, _terms_agree, disjoint_support
+from .errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint, NotStrictPair
+from .generic import OutsideXCertificate, disjoint_support, escape_certificate
 from .intervals import ComplexInterval, Q0
-from .sequences import Combine, Sequence, restrict
+from .sequences import Combine, Sequence
 from .spaces import SpaceId, strictly_included
 from .witness import Witness, make_witness
 
@@ -125,35 +120,13 @@ def certify_combination_outside(
     budget: int,
     prec: int,
 ) -> OutsideXCertificate:
-    """Escape certificate for a finite combination over the basis: pick the
-    smallest active index whose recovered coefficient excludes zero, check
-    that f masked to that row is the recovered multiple of the row witness,
-    and attach the witness's own out-certificate."""
+    """Escape certificate for a finite combination over the basis, on the
+    row of the smallest active index whose recovered coefficient excludes
+    zero, with that coefficient as the scale."""
     recovered = {j: recover_coefficient(f, basis, j, prec, budget) for j in sorted(active)}
     j0 = next((j for j, iv in recovered.items() if iv.excludes_zero()), None)
     if j0 is None:
         raise AllCoefficientsPossiblyZero(
             "no recovered coefficient interval excludes zero at this precision"
         )
-    w = basis.elements[j0]
-    scale = recovered[j0]
-
-    from .generic import _ScaledByInterval
-
-    rhs = _ScaledByInterval(scale, w.seq)
-    masked = restrict(f, w.support)
-    points = [w.support.nth(k) for k in range(1, min(max(budget, 1), 50) + 1)]
-    for n in points:
-        if not _terms_agree(masked, rhs, n, prec):
-            raise SeqchainError(f"row identity failed at index {n}")
-
-    return OutsideXCertificate(
-        inner=basis.inner,
-        j0=j0,
-        scale=scale,
-        cutoff=0,
-        row_support=w.support,
-        witness_seq=w.seq,
-        inner_out=w.out_cert,
-        checked_points=tuple(points),
-    )
+    return escape_certificate(f, j0, basis.elements[j0], recovered[j0], 0, budget, prec)

@@ -214,6 +214,22 @@ def test_bad_decompose_range_is_a_one_line_error(capsys, flags):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["c0", "--outer-range", "0:0", "--inner-range", "1:1"],
+        ["hd", "--outer-range", "0:0", "--inner-range", "1:1"],
+        ["cap-lp:1", "--outer-range", "0:0"],
+        ["linf", "--inner-range=-1:-1"],
+        ["ainf", "--outer-range=-1:-1", "--inner-range", "1:1"],
+    ],
+    ids=["c0-k-0", "hd-j-0", "cap-lp-n-0", "linf-bound-negative", "ainf-k-negative"],
+)
+def test_out_of_range_decompose_grid_is_a_one_line_error(capsys, args):
+    assert main(["decompose", NAT] + args) == 1
+    assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         '{"kind":"finite","entries":[[0,1,0]]}',

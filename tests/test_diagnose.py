@@ -454,6 +454,96 @@ def test_raised_disc_schedule_bound_rejected():
         assert not check_certificate(seq, _bump_row(v, row, 2), 3, PREC)
 
 
+# An in-certificate is checked by rebuilding it at its recorded cutoffs, so
+# any recorded number, row or cutoff that the rebuild does not reproduce is
+# rejected, even where the forged value would still bound the sequence.
+
+
+def _with_data(verdict, data):
+    cert = verdict.cert
+    return CertifiedIn(InCert(cert.space, cert.shape, data, cert.prec))
+
+
+def test_raised_sup_bound_rejected():
+    seq = prop28()
+    v = classify(seq, LINF, BUDGET, PREC)
+    assert v.cert.shape == "sup-bound"
+    assert check_certificate(seq, v, 3, PREC)
+    N, bound = v.cert.data
+    assert not check_certificate(seq, _with_data(v, (N, bound + BUMP)), 3, PREC)
+
+
+def test_larger_vanishing_schedule_epsilon_rejected():
+    seq = prop28()
+    v = classify(seq, C0, BUDGET, PREC)
+    assert v.cert.shape == "vanishing-schedule"
+    assert check_certificate(seq, v, 3, PREC)
+    for row in (0, len(v.cert.data) - 1):
+        assert not check_certificate(seq, _bump_row(v, row, 0), 3, PREC)
+
+
+def test_shortened_vanishing_schedule_rejected():
+    seq = prop28()
+    v = classify(seq, C0, BUDGET, PREC)
+    assert not check_certificate(seq, _with_data(v, v.cert.data[:3]), 3, PREC)
+
+
+def test_raised_poly_schedule_bound_rejected():
+    # |a_20| = 1/128 is under eps = 1/64 at k = 0, so row 0 records a
+    # nonzero bound at the first cutoff; later rows search past index 20
+    seq = FiniteRational({20: F(1, 128)})
+    v = classify(seq, AINF, BUDGET, PREC)
+    assert v.cert.shape == "poly-schedule"
+    assert v.cert.data[0][2:] == (16, F(1, 128)) and v.cert.data[1][2] == 32
+    assert check_certificate(seq, v, 3, PREC)
+    for row in (0, 1):
+        assert not check_certificate(seq, _bump_row(v, row, 3), 3, PREC)
+
+
+def test_lp_tail_at_another_cutoff_rejected():
+    seq = prop28()
+    v = classify(seq, lp(1), BUDGET, PREC)
+    assert v.cert.shape == "lp-tail"
+    p, N, head, tail = v.cert.data
+    for other in (N // 2, 2 * N):
+        assert not check_certificate(seq, _with_data(v, (p, other, head, tail)), 3, PREC)
+
+
+def test_lp_schedule_rows_on_different_cutoffs_rejected():
+    seq = gap_lp_cap(F(1))
+    v = classify(seq, cap_lp(1), BUDGET, PREC)
+    rows = list(v.cert.data)
+    p_n, N, head, tail = rows[-1]
+    rows[-1] = (p_n, N // 2, head, tail)
+    assert not check_certificate(seq, _with_data(v, tuple(rows)), 3, PREC)
+
+
+def test_shape_of_another_space_rejected():
+    seq = zero()
+    assert not check_certificate(seq, CertifiedIn(InCert(lp(1), "total", (), PREC)), 3, PREC)
+    cn0_cert = classify(seq, CN0, BUDGET, PREC).cert
+    lp_cert = classify(seq, lp(1), BUDGET, PREC).cert
+    forged = InCert(lp(1), cn0_cert.shape, lp_cert.data, PREC)
+    assert not check_certificate(seq, CertifiedIn(forged), 3, PREC)
+
+
+@pytest.mark.parametrize("space", [lp(1), cap_lp(1), C0, LINF, HD, AINF], ids=str)
+def test_empty_in_certificate_data_rejected(space):
+    seq = FiniteRational({0: F(3, 4)})
+    v = classify(seq, space, BUDGET, PREC)
+    assert isinstance(v, CertifiedIn) and check_certificate(seq, v, 3, PREC)
+    assert not check_certificate(seq, _with_data(v, ()), 3, PREC)
+
+
+@pytest.mark.parametrize("cutoff", [F(256), 256.0], ids=["fraction", "float"])
+def test_non_integer_recorded_cutoff_rejected(cutoff):
+    seq = prop28()
+    v = classify(seq, LINF, BUDGET, PREC)
+    N, bound = v.cert.data
+    assert N == cutoff
+    assert not check_certificate(seq, _with_data(v, (cutoff, bound)), 3, PREC)
+
+
 def _block_mass_lower(seq, bd, j, prec):
     """Reference loop: the certified lower mass of block j, term by term."""
     k_lo, k_hi = bd.block(j)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +8,8 @@ from conftest import BUDGET, PREC
 from seqchain.errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint, NotStrictPair
 from seqchain.generic import check_outside_certificate, disjoint_support
 from seqchain.sequences import combine, zero
-from seqchain.spaces import AINF, C0, adjacent_pairs, cap_lp, lp
+from seqchain.serialize import canonical_json
+from seqchain.spaces import AINF, C0, adjacent_pairs, cap_lp, lp, parse_space
 from seqchain.spaceable import (
     basis_element,
     build_basis,
@@ -120,6 +122,29 @@ def test_certify_combination_smallest_nonzero_row():
     cert = certify_combination_outside(f, basis, [1, 2, 3], BUDGET, PREC)
     assert cert.j0 == 1
     assert cert.scale.is_exact and (cert.scale.re_lo, cert.scale.im_lo) == (1, 1)
+    assert check_outside_certificate(f, cert, samples=3, prec=PREC)
+
+
+ESCAPE_GOLDEN_DIR = Path(__file__).parent / "escape_golden"
+
+
+# Escape certificates recorded byte for byte before the two escape
+# constructions shared one builder: two construct-workload bases, with the
+# first coefficient zero in one case so the certificate sits on row 2.
+ESCAPE_CASES = [
+    ("lp-1-cap-lp-1", "lp:1", "cap-lp:1", [(0, 0), (2, -1), (0, 3), (-5, 0), (1, 1)]),
+    ("cap-lp-2-c0", "cap-lp:2", "c0", [(3, -2), (0, 0), (1, 0), (0, -4), (5, 5)]),
+]
+
+
+@pytest.mark.parametrize("name, inner, outer, coeffs", ESCAPE_CASES, ids=[c[0] for c in ESCAPE_CASES])
+def test_combination_escape_certificates_match_recorded_bytes(name, inner, outer, coeffs):
+    basis = build_basis(parse_space(inner), parse_space(outer), 5, BUDGET, PREC)
+    t = [(F(re), F(im)) for re, im in coeffs]
+    f = combine(t, [basis.elements[j].seq for j in range(1, 6)])
+    cert = certify_combination_outside(f, basis, [1, 2, 3, 4, 5], BUDGET, PREC)
+    recorded = (ESCAPE_GOLDEN_DIR / f"{name}.json").read_text()
+    assert canonical_json(cert.describe()) == recorded
     assert check_outside_certificate(f, cert, samples=3, prec=PREC)
 
 
