@@ -166,6 +166,8 @@ def cmd_approx(args, config: RunConfig) -> int:
 
 
 def cmd_basis(args, config: RunConfig) -> int:
+    if args.count < 1:
+        raise SeqchainError("count must be >= 1 (a basis has at least one element)")
     inner = parse_space(args.inner)
     outer = parse_space(args.outer)
     basis = spaceable.build_basis(inner, outer, args.count, config.budget, config.prec)

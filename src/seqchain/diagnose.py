@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from operator import index
 
 from .errors import ParseError, UnsupportedSpace
@@ -235,25 +236,25 @@ def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
     """Sum the certified lower mass |a_n|**p over every position of each
     block j in js and compare it with beta(j).
 
-    Every sampled term is evaluated and every block summed; a power memo
-    local to the call maps each exact |a_n|**2 lower bound to its
-    ``pow_bounds`` endpoint, so block-constant values are powered once."""
+    Every sampled term is evaluated, and each block is summed by runs of
+    equal (``==``) consecutive terms: a run of ``count`` terms adds
+    ``count * low`` once.  Exact rational arithmetic makes that the same
+    total as the term-by-term sum, so ``abs_sq_bounds`` and ``pow_bounds``
+    run once per run, and a block-constant witness costs one power per
+    block."""
     if bd.comparator not in COMPARATORS:
         return False
     hint = seq.support_hint or AllNaturals()
     half_p = bd.p / 2
-    powers: dict[Fraction, Fraction] = {}
     for j in js:
         k_lo, k_hi = bd.block(j)
         if k_lo < 1 or k_hi < k_lo:
             return False
+        terms = (seq.term(hint.nth(k), prec) for k in range(k_lo, k_hi + 1))
         total = Q0
-        for k in range(k_lo, k_hi + 1):
-            sq_lo = seq.term(hint.nth(k), prec).abs_sq_bounds()[0]
-            low = powers.get(sq_lo)
-            if low is None:
-                low = powers[sq_lo] = pow_bounds(sq_lo, half_p, prec)[0]
-            total += low
+        for iv, run in groupby(terms):
+            count = sum(1 for _ in run)
+            total += count * pow_bounds(iv.abs_sq_bounds()[0], half_p, prec)[0]
         if total < bd.beta(j):
             return False
     return True

@@ -40,6 +40,28 @@ def _as_pair(c) -> tuple[Fraction, Fraction]:
     return _as_rat(c), Q0
 
 
+# r**n for a radius r = u/v is computed exactly while n * bit_length(v)
+# stays within this many bits; past it, disc tails bound the power instead
+_EXACT_POWER_BITS = 1 << 20
+_POWER_GUARD = 16
+
+
+def _radius_power_upper(r: Fraction, n: int, prec: int) -> Fraction:
+    """Upper bound on r**n, exact while the power is small.
+
+    Past ``_EXACT_POWER_BITS``, a radius 0 <= r < 1 gives 2**-K with
+    K = prec + guard when n * (1 - r) >= K, and 1 otherwise: with
+    x = 1 - r, -log2(1 - x) >= x, so r**n <= 2**(-n*x).  Other radii
+    are powered exactly."""
+    u, v = r.numerator, r.denominator
+    if n * v.bit_length() <= _EXACT_POWER_BITS or not 0 <= u < v:
+        return r ** n
+    K = prec + _POWER_GUARD
+    if n * (v - u) >= v * K:
+        return Fraction(1, 1 << K)
+    return Q1
+
+
 def _abs_upper(re: Fraction, im: Fraction, prec: int) -> Fraction:
     if im == 0:
         return abs(re)
@@ -159,7 +181,7 @@ class FiniteRational(Sequence):
         r = Fraction(r)
         total = Q0
         for n, (re, im) in self._entries_beyond(N):
-            total += _abs_upper(re, im, prec) * r ** n
+            total += _abs_upper(re, im, prec) * _radius_power_upper(r, n, prec)
         return total
 
     def poly_sup_tail(self, N, k, prec):
@@ -352,7 +374,13 @@ class Combine(Sequence):
     """Pointwise finite linear combination with exact complex-rational
     coefficients.  Tail bounds combine subadditively: for p <= 1 via
     |x+y|^p <= |x|^p + |y|^p, for p > 1 via the p-norm triangle
-    inequality applied to the tails."""
+    inequality applied to the tails.
+
+    A term reads only the parts whose ``support_hint`` contains n (or
+    that have no hint): a hint is a superset of its part's support, as
+    ``support_indices_upto`` also assumes, so every skipped part is an
+    exact zero.  A combination over disjointly supported basis rows thus
+    evaluates one part per index."""
 
     kind = "combine"
 
@@ -362,15 +390,20 @@ class Combine(Sequence):
         self.bases = list(bases)
         mag = sum(abs(re) + abs(im) for re, im in self.coeffs)
         self._bump = (int(mag) + 2).bit_length() + 1
-        hints = [b.support_hint for b in self.bases]
-        self.support_hint = None if any(h is None for h in hints) else _UnionHint(hints)
+        self._hints = [b.support_hint for b in self.bases]
+        self.support_hint = (
+            None if any(h is None for h in self._hints) else _UnionHint(self._hints)
+        )
 
     def _term(self, n, prec):
         child = prec + self._bump
         # 0*c and acc+0 are exact, so the sum starts at the first nonzero
-        # part and skips zero parts without changing an endpoint
+        # part and skips zero parts without changing an endpoint; a part
+        # whose support hint misses n is such a zero and is not evaluated
         acc = None
-        for (re, im), base in zip(self.coeffs, self.bases):
+        for (re, im), base, hint in zip(self.coeffs, self.bases, self._hints):
+            if hint is not None and not hint.member(n):
+                continue
             iv = base.term(n, child)
             if not iv.is_exact_zero:
                 part = iv.scale(re, im)

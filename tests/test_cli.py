@@ -181,6 +181,13 @@ def test_recover_index_zero_is_a_one_line_error(capsys):
     assert _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_basis_count_below_one_is_a_one_line_error(capsys, count):
+    argv = ["basis", "--inner", "lp:1", "--outer", "cap-lp:1", "--count", count]
+    assert main(argv) == 1
+    assert _one_line_error(capsys)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

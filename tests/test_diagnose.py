@@ -28,6 +28,7 @@ from seqchain.diagnose import (
     UnboundedWeighted,
     Undecided,
     ViolatedAt,
+    _verify_blocks,
     check_certificate,
     classify,
     closed_family_check,
@@ -40,12 +41,12 @@ from seqchain.diagnose import (
 )
 from seqchain.errors import UnsupportedSpace
 from seqchain.families import const_one, gap_cap_c0, gap_lp_cap, nat, nat_power, prop28
-from seqchain.intervals import pow_bounds
-from seqchain.sequences import FiniteRational, spread, zero
+from seqchain.intervals import ComplexInterval, pow_bounds
+from seqchain.sequences import FiniteRational, Sequence, spread, zero
 from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaces import AINF, C0, CN0, HD, LINF, cap_lp, lp, parse_space, standard_chain
-from seqchain.supports import DyadicRow
-from seqchain.tags import SubseqLowerBound
+from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
+from seqchain.tags import BlockDivergence, SubseqLowerBound
 
 F = Fraction
 
@@ -583,32 +584,149 @@ _SPARSE_SPREADS = [
     for name, params in (("prop28", {}), ("gap-lp-cap", {"a": "1/2"}), ("rem29", {"support": _POW2}))
 ]
 
-# Classifies each spec in linf under a 512 MiB address-space limit, re-checks
-# the verdict, and prints one JSON line [verdict, shape, rechecked] per spec.
+# Classifies each spec in the space argv[2] under a 512 MiB address-space
+# limit, re-checks the verdict, and prints one JSON line
+# [verdict, shape, rechecked] per spec.
 _CLASSIFY_UNDER_LIMIT = """
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 from seqchain import diagnose, serialize, spaces
+space = spaces.parse_space(sys.argv[2])
 for text in json.loads(sys.argv[1]):
     seq = serialize.sequence_from_spec(text)
-    v = diagnose.classify(seq, spaces.parse_space("linf"), 4096, 64)
+    v = diagnose.classify(seq, space, 4096, 64)
     report = diagnose.verdict_to_json(v)
     shape = report.get("certificate", {}).get("shape")
     print(json.dumps([report["verdict"], shape, diagnose.check_certificate(seq, v, 3, 64)]))
 """
 
 
-def test_sparse_spreads_classify_in_linf_within_bounded_memory():
-    # the linf threshold table weighs g(m) by s(m)**0; it must not build
-    # s(m) = 2**2**m for spreads onto powers of two
+def _classify_under_limit(specs, space):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    specs = json.dumps([json.dumps(spec) for spec in _SPARSE_SPREADS])
     done = subprocess.run(
-        [sys.executable, "-c", _CLASSIFY_UNDER_LIMIT, specs],
+        [sys.executable, "-c", _CLASSIFY_UNDER_LIMIT,
+         json.dumps([json.dumps(spec) for spec in specs]), space],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_sparse_spreads_classify_in_linf_within_bounded_memory():
+    # the linf threshold table weighs g(m) by s(m)**0; it must not build
+    # s(m) = 2**2**m for spreads onto powers of two
+    lines = _classify_under_limit(_SPARSE_SPREADS, "linf")
     assert lines == [["in", "sup-bound", True]] * len(_SPARSE_SPREADS)
+
+
+def test_finite_entries_far_out_classify_in_hd_within_bounded_memory():
+    # base index 40 spread onto powers of two lands at 2**40: the disc tail
+    # must bound r**n there instead of computing it
+    far = {"kind": "spread", "base": {"kind": "finite", "entries": [[40, "3", "0"]]},
+           "support": _POW2}
+    lines = _classify_under_limit([far], "hd")
+    assert lines == [["in", "disc-schedule", True]]
+
+
+# -- block masses summed by runs of equal terms -----------------------------------
+
+
+def _reference_block_mass(seq, bd, j, prec):
+    """The per-term loop that the run-based check replaced: one power per
+    sampled term, no runs and no memo."""
+    hint = seq.support_hint or AllNaturals()
+    k_lo, k_hi = bd.block(j)
+    total = F(0)
+    for k in range(k_lo, k_hi + 1):
+        sq_lo = seq.term(hint.nth(k), prec).abs_sq_bounds()[0]
+        total += pow_bounds(sq_lo, bd.p / 2, prec)[0]
+    return total
+
+
+def _assert_mass_is_tight(seq, bd, j, prec=PREC):
+    """beta(j) equal to the reference mass passes, and 2**-200 more fails."""
+    mass = _reference_block_mass(seq, bd, j, prec)
+    exact = replace(bd, comparator="constant", c=mass, j_start=j)
+    above = replace(exact, c=mass + F(1, 1 << 200))
+    assert _verify_blocks(seq, exact, (j,), prec)
+    assert not _verify_blocks(seq, above, (j,), prec)
+
+
+class _Listed(Sequence):
+    """a_n = values[n] (an interval box) inside the list, zero past it;
+    no support hint, so block position k is index k - 1."""
+
+    kind = "listed"
+
+    def __init__(self, values):
+        super().__init__()
+        self.values = list(values)
+
+    def _term(self, n, prec):
+        return self.values[n] if n < len(self.values) else ComplexInterval.zero()
+
+
+def _box(re_lo, re_hi, im_lo=0, im_hi=0):
+    return ComplexInterval(F(re_lo), F(re_hi), F(im_lo), F(im_hi))
+
+
+_A = _box(F(1, 3), F(1, 3))
+_B = _box(F(3, 4), F(3, 4))
+_C = _box(F(1, 5), F(2, 5), F(-1, 7), F(1, 9))  # complex, not exact
+_D = _box(F(-2, 3), F(-2, 3), F(5, 11), F(5, 11))  # complex, exact
+
+# block j covers positions [1, 8], indices 0..7
+_RUN_PATTERNS = {
+    "one-run": [_A] * 8,
+    # equal values in distinct objects: runs are found by ==, not identity
+    "equal-copies": [_box(F(1, 5), F(2, 5), F(-1, 7), F(1, 9)) for _ in range(8)],
+    "breaks-at-first": [_B] + [_A] * 7,
+    "breaks-at-last": [_A] * 7 + [_B],
+    "alternating": [_A, _B] * 4,
+    "complex-runs": [_C, _C, _D, _D, _D, _C, _A, _A],
+    "complex-alternating": [_C, _D] * 4,
+    "single-distinct": [_A, _B, _C, _D, _box(2, 3), _box(0, 0), _box(-1, 1), _B],
+}
+
+
+@pytest.mark.parametrize("p", [F(1), F(2), F(1, 2), F(3, 2)], ids=str)
+@pytest.mark.parametrize("pattern", sorted(_RUN_PATTERNS))
+def test_run_sums_equal_the_per_term_sum(pattern, p):
+    seq = _Listed(_RUN_PATTERNS[pattern])
+    whole = BlockDivergence(p=p, block=lambda j: (1, 8))
+    _assert_mass_is_tight(seq, whole, 1)
+    # one-position blocks at either end of the list
+    _assert_mass_is_tight(seq, BlockDivergence(p=p, block=lambda j: (1, 1)), 1)
+    _assert_mass_is_tight(seq, BlockDivergence(p=p, block=lambda j: (8, 8)), 1)
+
+
+def _catalog_divergences():
+    for _, seq in sorted(catalog().items()):
+        for bd in [
+            seq.lp_divergence(F(1)),
+            seq.lp_divergence(F(2)),
+            (seq.cap_divergence(F(0)) or (None, None))[1],
+            (seq.cap_divergence(F(1)) or (None, None))[1],
+        ]:
+            if bd is not None:
+                yield seq, bd
+
+
+_SPREAD_SUPPORTS = {
+    "all": AllNaturals(),
+    "arith": Arith(1, 3),
+    "powers-of-two": PowersOfTwo(),
+    "dyadic-row": DyadicRow(3),
+}
+
+
+@pytest.mark.parametrize("support", sorted(_SPREAD_SUPPORTS))
+def test_run_sums_on_catalog_divergences_spread_onto_each_support(support):
+    cases = list(_catalog_divergences())
+    assert len(cases) >= 20
+    for base, bd in cases:
+        seq = spread(base, _SPREAD_SUPPORTS[support])
+        for j in range(bd.j_start, bd.j_start + 4):
+            _assert_mass_is_tight(seq, bd, j)

@@ -2,24 +2,36 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalog, random_finite
+from conftest import PREC, catalog, random_finite
+from seqchain import families
 from seqchain.errors import FiniteSupportSet, LengthMismatch
 from seqchain.families import nat, prop28
-from seqchain.intervals import pow_bounds, sqrt_bounds
+from seqchain.intervals import ComplexInterval, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
+    _EXACT_POWER_BITS,
+    Combine,
     FiniteRational,
+    Sequence,
     combine,
     restrict,
     spread,
     support_indices_upto,
     term_at,
     unit,
+    _radius_power_upper,
     zero,
 )
-from seqchain.supports import AllNaturals, Arith, Complement, ExplicitFinite
+from seqchain.supports import (
+    AllNaturals,
+    Arith,
+    Complement,
+    DyadicRow,
+    ExplicitFinite,
+    PowersOfTwo,
+)
 
 F = Fraction
 
@@ -271,3 +283,134 @@ def test_support_indices_cover_nonzero_terms():
 def test_spec_roundtrip_key_stable():
     for name, seq in CATALOG:
         assert seq.spec_key() == seq.spec_key()
+
+
+# -- support hints: a part whose hint misses n is an exact zero --------------------
+
+
+class _Unhinted(Sequence):
+    """a_n = 1/(n+1) - i/(n+2) at every n, with no support hint."""
+
+    kind = "unhinted"
+
+    def _term(self, n, prec):
+        return ComplexInterval.exact(F(1, n + 1), F(-1, n + 2))
+
+
+_HINT_SUPPORTS = {
+    "all": AllNaturals(),
+    "arith": Arith(1, 3),
+    "powers-of-two": PowersOfTwo(),
+    "dyadic-row": DyadicRow(2),
+    "explicit": ExplicitFinite([0, 3, 7, 64, 300]),
+}
+
+
+def _hinted_nodes():
+    """Every catalog member, and its spread and restrict onto each support
+    kind, and combinations of them."""
+    for name, seq in CATALOG:
+        yield name, seq
+        for sname, support in _HINT_SUPPORTS.items():
+            if not support.finite_flag:
+                yield f"spread({name},{sname})", spread(seq, support)
+            yield f"restrict({name},{sname})", restrict(seq, support)
+    yield "restrict(unhinted,arith)", restrict(_Unhinted(), Arith(1, 3))
+    for name, combo in _COMBINATIONS.items():
+        yield name, combo
+
+
+def _combinations():
+    rows = [spread(seq, DyadicRow(j)) for j, seq in enumerate(
+        [prop28(), nat(), families.gap_cap_lp(F(2), F(3)), families.const_one()], start=1
+    )]
+    cat = dict(CATALOG)
+    return {
+        # a spaceable basis: disjoint rows, so one part is live per index
+        "basis-rows": Combine([F(3), (F(-1, 2), F(2)), F(1, 7), (F(0), F(-5))], rows),
+        # parts that overlap on every row
+        "overlapping": Combine(
+            [F(1), F(-1, 3), (F(2), F(1))],
+            [rows[0], restrict(cat["gap-cap-c0"], DyadicRow(1)), cat["finite"]],
+        ),
+        # a part with no hint is read at every index
+        "with-unhinted": Combine([F(2), (F(1), F(1))], [rows[1], _Unhinted()]),
+        "nested": Combine(
+            [F(1), F(-2)],
+            [Combine([F(1, 2), F(1)], rows[2:]), spread(cat["rem29-pow2"], Arith(0, 5))],
+        ),
+    }
+
+
+_COMBINATIONS = _combinations()
+
+
+def test_terms_outside_the_support_hint_are_exact_zeros():
+    # Combine skips such parts unread; every node kind must honour this
+    checked = 0
+    for name, seq in _hinted_nodes():
+        hint = seq.support_hint
+        if hint is None:
+            continue
+        for n in range(301):
+            if not hint.member(n):
+                assert seq.term(n, PREC).is_exact_zero, (name, n)
+                checked += 1
+    assert checked > 10_000
+
+
+def _all_parts_term(combo, n, prec):
+    """Combine's term with every part read and added, zeros included."""
+    child = prec + combo._bump
+    acc = ComplexInterval.zero()
+    for (re, im), base in zip(combo.coeffs, combo.bases):
+        acc = acc + base.term(n, child).scale(re, im)
+    return acc
+
+
+@pytest.mark.parametrize("name", sorted(_COMBINATIONS))
+def test_combine_term_equals_the_all_parts_sum(name):
+    combo = _COMBINATIONS[name]
+    for prec in (PREC, 200):
+        for n in range(301):
+            assert combo.term(n, prec) == _all_parts_term(combo, n, prec), (name, n)
+
+
+# -- disc tails past the exact-power size bound -----------------------------------
+
+
+def _bounds_power(bound, u, v, n):
+    """bound >= (u/v)**n, compared on integers without building the power."""
+    return bound.numerator * v ** n >= u ** n * bound.denominator
+
+
+@st.composite
+def _radius_and_far_index(draw):
+    v = draw(st.one_of(st.integers(2, 64), st.integers(2, 1 << 40)))
+    r = F(draw(st.one_of(st.integers(0, v - 1), st.just(v - 1))), v)
+    start = _EXACT_POWER_BITS // r.denominator.bit_length() + 1  # just past the bound
+    return r.numerator, r.denominator, draw(st.integers(start, start + (1 << 12)))
+
+
+# each example powers two integers to about a million bits
+@settings(max_examples=20)
+@given(_radius_and_far_index(), st.integers(1, 300))
+def test_capped_radius_power_is_at_least_the_exact_power(case, prec):
+    u, v, n = case
+    bound = _radius_power_upper(F(u, v), n, prec)
+    assert bound in (F(1, 1 << (prec + 16)), 1)
+    assert _bounds_power(bound, u, v, n)
+
+
+@given(st.integers(1, 64), st.integers(0, 2000), st.integers(1, 200))
+def test_radius_power_is_exact_below_the_size_bound(k, n, prec):
+    r = F(k, k + 1)
+    assert _radius_power_upper(r, n, prec) == r ** n
+
+
+def test_disc_tail_of_a_far_entry_is_bounded_not_computed():
+    a = FiniteRational({1 << 40: F(3), 5: (F(1, 2), F(-1, 3))})
+    r = F(7, 8)
+    tail = a.disc_tail(0, r, PREC)
+    head = sqrt_bounds(F(1, 4) + F(1, 9), PREC)[1] * r ** 5
+    assert tail == head + 3 * F(1, 1 << (PREC + 16))
