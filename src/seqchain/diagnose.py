@@ -4,11 +4,13 @@
 certificate that re-verifies independently via ``check_certificate``;
 otherwise ``Undecided``.  Out-certificates are grounded in the growth
 tags and block-divergence data carried by the sequence (numeric
-estimation alone never certifies divergence or a root-test failure);
-in-certificates are grounded in the tail oracles.  Membership claims
-whose quantifiers are infinite (every exponent k, every radius r, every
-epsilon) are certified through a recorded finite schedule backed by the
-totality of the corresponding oracle.
+estimation alone never certifies divergence or a root-test failure),
+and each is checked by the same ``holds`` predicate of its shape that
+accepted it when it was built; in-certificates are grounded in the tail
+oracles, and a check rebuilds them at their recorded cutoffs.
+Membership claims whose quantifiers are infinite (every exponent k,
+every radius r, every epsilon) are certified through a recorded finite
+schedule backed by the totality of the corresponding oracle.
 
 ``closed_family_check`` decides the defining inequality of the closed
 families used in the decomposition of each space:
@@ -80,6 +82,17 @@ def _abs_at_least(seq: Sequence, n: int, bound: Fraction, prec: int) -> bool:
     return False
 
 
+def _increasing_points_at_least(seq: Sequence, s, ms, first: int, bound, prec: int) -> bool:
+    """The points s(m), m in ms, increase strictly from at least first, and
+    |a_n| >= bound(n) at each point n."""
+    for m in ms:
+        n = s(m)
+        if n < first or not _abs_at_least(seq, n, bound(n), prec):
+            return False
+        first = n + 1
+    return True
+
+
 # -- certificates ------------------------------------------------------------
 
 
@@ -100,6 +113,14 @@ class DivergentPartialSums:
             "checked_blocks": list(self.checked_blocks),
         }
 
+    def holds(self, seq, space, samples, prec) -> bool:
+        if space.tag == "lp":
+            fits = self.exponent == space.param
+        else:
+            fits = space.tag == "cap-lp" and self.exponent > space.param
+        js = self.checked_blocks[: max(1, samples)]
+        return fits and self.blocks.p == self.exponent and _verify_blocks(seq, self.blocks, js, prec)
+
 
 @dataclass(frozen=True)
 class UnboundedWeighted:
@@ -119,6 +140,14 @@ class UnboundedWeighted:
             ],
         }
 
+    def holds(self, seq, space, samples, prec) -> bool:
+        return (
+            space == AINF
+            and self.k >= 1
+            and all(Fraction(self.tag.s(m)) ** self.k * g >= t for t, m, g in self.table)
+            and _check_table(seq, self.tag, self.table[: max(1, samples)], prec)
+        )
+
 
 @dataclass(frozen=True)
 class NotVanishing:
@@ -131,6 +160,13 @@ class NotVanishing:
             "delta": format_rational(self.delta),
             "tag": self.tag.label,
         }
+
+    def holds(self, seq, space, samples, prec) -> bool:
+        tag = self.tag
+        if space != C0 or self.delta <= 0 or tag.g_inf is None or tag.g_inf < self.delta:
+            return False
+        ms = range(1, max(1, samples) + 1)
+        return _increasing_points_at_least(seq, tag.s, ms, 0, lambda n: self.delta, prec)
 
 
 @dataclass(frozen=True)
@@ -147,6 +183,13 @@ class Unbounded:
             ],
         }
 
+    def holds(self, seq, space, samples, prec) -> bool:
+        return (
+            space == LINF
+            and all(g >= t for t, _, g in self.table)
+            and _check_table(seq, self.tag, self.table[: max(1, samples)], prec)
+        )
+
 
 @dataclass(frozen=True)
 class RootLimsupExceeds:
@@ -162,8 +205,14 @@ class RootLimsupExceeds:
             "tag": self.tag.label,
         }
 
-
-OutShape = (DivergentPartialSums, UnboundedWeighted, NotVanishing, Unbounded, RootLimsupExceeds)
+    def holds(self, seq, space, samples, prec) -> bool:
+        ms = range(self.m_start, self.m_start + max(1, samples))
+        return (
+            space == HD
+            and self.rho > 1
+            and all(self.tag.rho(m) >= self.rho for m in ms)
+            and _increasing_points_at_least(seq, self.tag.s, ms, 1, lambda n: self.rho ** n, prec)
+        )
 
 
 @dataclass(frozen=True)
@@ -225,11 +274,7 @@ def verdict_to_json(v) -> dict:
     return {"verdict": "undecided", "budget": v.budget}
 
 
-# -- out-certificate construction --------------------------------------------
-
-
-def _subseq_tags(seq):
-    return [t for t in seq.growth_tags if isinstance(t, SubseqLowerBound)]
+# -- out-certificate candidates -----------------------------------------------
 
 
 def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
@@ -260,10 +305,6 @@ def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
     return True
 
 
-def _blocks_to_check(bd: BlockDivergence, count: int = 3):
-    return tuple(range(bd.j_start, bd.j_start + count))
-
-
 def _threshold_table(tag: SubseqLowerBound, weight_k: int):
     """(threshold, m, g(m)) rows with s(m)**weight_k * g(m) >= threshold.
 
@@ -289,108 +330,51 @@ def _check_table(seq, tag, rows, prec) -> bool:
     return all(_abs_at_least(seq, tag.s(m), g, prec) for _, m, g in rows)
 
 
-def try_out_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
-    """Build a re-verified OutCert, or None."""
-    if space.tag == "cn0":
-        return None  # every coefficient sequence belongs to the product space
-
+def _out_shapes(seq: Sequence, space: SpaceId):
+    """Yield (candidate out-shape, samples its build checks) for the space,
+    in the order the candidates are tried: root 3, not-vanishing 5, blocks
+    3, threshold tables every row."""
+    subseq_tags = [t for t in seq.growth_tags if isinstance(t, SubseqLowerBound)]
     if space.tag == "hd":
         for tag in seq.growth_tags:
-            if not isinstance(tag, RootLowerBound):
-                continue
-            rho = Fraction(2)
-            m_start = None
-            for m in range(1, _SCAN_CAP + 1):
-                if tag.rho(m) >= rho:
-                    m_start = m
-                    break
-            if m_start is None:
-                continue
-            cert = RootLimsupExceeds(rho=rho, m_start=m_start, tag=tag)
-            if _verify_root_cert(seq, cert, samples=3, prec=prec):
-                return OutCert(space, cert)
-        return None
-
-    if space.tag == "linf":
-        for tag in _subseq_tags(seq):
+            if isinstance(tag, RootLowerBound):
+                m_start = next((m for m in range(1, _SCAN_CAP + 1) if tag.rho(m) >= 2), None)
+                if m_start is not None:
+                    yield RootLimsupExceeds(rho=Fraction(2), m_start=m_start, tag=tag), 3
+    elif space.tag == "linf":
+        for tag in subseq_tags:
             rows = _threshold_table(tag, weight_k=0)
-            if rows and _check_table(seq, tag, rows, prec):
-                return OutCert(space, Unbounded(tag=tag, table=rows))
-        return None
-
-    if space.tag == "c0":
-        for tag in _subseq_tags(seq):
+            if rows:
+                yield Unbounded(tag=tag, table=rows), len(rows)
+    elif space.tag == "c0":
+        for tag in subseq_tags:
             if tag.g_inf is not None and tag.g_inf > 0:
-                cert = NotVanishing(delta=tag.g_inf, tag=tag)
-                if _verify_not_vanishing(seq, cert, samples=5, prec=prec):
-                    return OutCert(space, cert)
-        return None
-
-    if space.tag == "lp":
-        bd = seq.lp_divergence(space.param)
-        if bd is None or bd.p != space.param:
-            return None
-        js = _blocks_to_check(bd)
-        if _verify_blocks(seq, bd, js, prec):
-            return OutCert(
-                space, DivergentPartialSums(exponent=bd.p, blocks=bd, checked_blocks=js)
-            )
-        return None
-
-    if space.tag == "cap-lp":
-        got = seq.cap_divergence(space.param)
-        if got is None:
-            return None
-        q, bd = got
-        if bd is None or q <= space.param or bd.p != q:
-            return None
-        js = _blocks_to_check(bd)
-        if _verify_blocks(seq, bd, js, prec):
-            return OutCert(
-                space, DivergentPartialSums(exponent=q, blocks=bd, checked_blocks=js)
-            )
-        return None
-
-    if space.tag == "ainf":
+                yield NotVanishing(delta=tag.g_inf, tag=tag), 5
+    elif space.tag in ("lp", "cap-lp"):
+        if space.tag == "lp":
+            bd = seq.lp_divergence(space.param)
+            q = None if bd is None else bd.p
+        else:
+            q, bd = seq.cap_divergence(space.param) or (None, None)
+        if bd is not None:
+            js = tuple(range(bd.j_start, bd.j_start + 3))
+            yield DivergentPartialSums(exponent=q, blocks=bd, checked_blocks=js), 3
+    elif space.tag == "ainf":
         for k in range(1, 5):
-            for tag in _subseq_tags(seq):
+            for tag in subseq_tags:
                 rows = _threshold_table(tag, weight_k=k)
-                if rows and _check_table(seq, tag, rows, prec):
-                    return OutCert(space, UnboundedWeighted(k=k, tag=tag, table=rows))
-        return None
-
-    raise UnsupportedSpace(space.tag)
-
-
-def _verify_root_cert(seq, cert: RootLimsupExceeds, samples: int, prec: int) -> bool:
-    if cert.rho <= 1:
-        return False
-    tag = cert.tag
-    prev_s = -1
-    for m in range(cert.m_start, cert.m_start + max(1, samples)):
-        s = tag.s(m)
-        if s <= prev_s or s < 1:
-            return False
-        prev_s = s
-        if tag.rho(m) < cert.rho:
-            return False
-        if not _abs_at_least(seq, s, cert.rho ** s, prec):
-            return False
-    return True
+                if rows:
+                    yield UnboundedWeighted(k=k, tag=tag, table=rows), len(rows)
+    elif space.tag != "cn0":  # every sequence belongs to the product space cn0
+        raise UnsupportedSpace(space.tag)
 
 
-def _verify_not_vanishing(seq, cert: NotVanishing, samples: int, prec: int) -> bool:
-    if cert.delta <= 0 or cert.tag.g_inf is None or cert.tag.g_inf < cert.delta:
-        return False
-    prev_s = -1
-    for m in range(1, max(1, samples) + 1):
-        s = cert.tag.s(m)
-        if s <= prev_s:
-            return False
-        prev_s = s
-        if not _abs_at_least(seq, s, cert.delta, prec):
-            return False
-    return True
+def try_out_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
+    """The first candidate OutCert that its own check accepts, or None."""
+    for shape, samples in _out_shapes(seq, space):
+        if shape.holds(seq, space, samples, prec):
+            return OutCert(space, shape)
+    return None
 
 
 # -- in-certificate construction ---------------------------------------------
@@ -535,45 +519,14 @@ def classify(seq: Sequence, space: SpaceId, budget: int, prec: int):
 def check_certificate(seq: Sequence, verdict, samples: int, prec: int) -> bool:
     """Independently re-verify a CertifiedIn/CertifiedOut verdict."""
     if isinstance(verdict, CertifiedOut):
-        return _check_out(seq, verdict.cert, samples, prec)
+        # a shape's holds is its whole rule: the space it certifies, its
+        # structure and its spot-checks; try_out_certificate calls it too
+        shape, space = verdict.cert.shape, verdict.cert.space
+        shapes = (DivergentPartialSums, UnboundedWeighted, NotVanishing, Unbounded, RootLimsupExceeds)
+        return isinstance(shape, shapes) and shape.holds(seq, space, samples, prec)
     if isinstance(verdict, CertifiedIn):
         return _check_in(seq, verdict.cert)
     raise ValueError("only certified verdicts carry certificates")
-
-
-def _check_out(seq, cert: OutCert, samples: int, prec: int) -> bool:
-    shape = cert.shape
-    space = cert.space
-    if isinstance(shape, DivergentPartialSums):
-        if space.tag == "lp" and shape.exponent != space.param:
-            return False
-        if space.tag == "cap-lp" and shape.exponent <= space.param:
-            return False
-        if space.tag not in ("lp", "cap-lp"):
-            return False
-        if shape.blocks.p != shape.exponent:
-            return False
-        js = shape.checked_blocks[: max(1, samples)]
-        return _verify_blocks(seq, shape.blocks, js, prec)
-    if isinstance(shape, UnboundedWeighted):
-        if space != AINF or shape.k < 1:
-            return False
-        for threshold, m, g in shape.table:
-            if Fraction(shape.tag.s(m)) ** shape.k * g < threshold:
-                return False
-        return _check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
-    if isinstance(shape, Unbounded):
-        if space != LINF:
-            return False
-        for threshold, m, g in shape.table:
-            if g < threshold:
-                return False
-        return _check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
-    if isinstance(shape, NotVanishing):
-        return space == C0 and _verify_not_vanishing(seq, shape, samples, prec)
-    if isinstance(shape, RootLimsupExceeds):
-        return space == HD and _verify_root_cert(seq, shape, samples, prec)
-    return False
 
 
 # space tag -> (its in-certificate shape, the number of data entries, and
@@ -683,28 +636,31 @@ class ConsistentUpTo:
     N: int
 
 
-def _report_abs(seq, n, prec, weight=Q1):
-    lo, hi = seq.term(n, prec).abs_bounds(prec)
-    return weight * lo, weight * hi
+def _pointwise_rule(fam):
+    """(first index, n -> (weight, bound)) of a pointwise family, which asks
+    weight * |a_n| <= bound at every support index n >= the first index."""
+    if isinstance(fam, FMk):
+        if fam.M < 0 or fam.k < 0:
+            raise ParseError(f"bad family ref {format_family(fam)}: parameters out of range")
+        return 0, lambda n: (Fraction(n) ** fam.k, fam.M)
+    if isinstance(fam, Fnk):
+        if fam.k < 1:
+            raise ParseError(f"bad family ref {format_family(fam)}: need k >= 1")
+        return fam.n, lambda n: (Q1, Fraction(1, fam.k))
+    if isinstance(fam, FM):
+        if fam.M < 0:
+            raise ParseError(f"bad family ref {format_family(fam)}: bound must be >= 0")
+        return 0, lambda n: (Q1, fam.M)
+    if isinstance(fam, Fkj):
+        if fam.k < 1 or fam.j < 1:
+            raise ParseError(f"bad family ref {format_family(fam)}: need k, j >= 1")
+        return fam.k, lambda n: (Q1, (1 + Fraction(1, fam.j)) ** n)
+    raise TypeError(f"not a family ref: {fam!r}")
 
 
 def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
     """Scan indices <= budget for a provable violation of the family's
     defining inequality."""
-    if isinstance(fam, FMk):
-        if fam.M < 0 or fam.k < 0:
-            raise ParseError(f"bad family ref {format_family(fam)}: parameters out of range")
-        for n in support_indices_upto(seq, budget):
-            weight = Fraction(n) ** fam.k
-            if weight == 0:
-                if fam.k > 0:
-                    continue
-                weight = Q1
-            if _abs_vs_threshold(seq, n, fam.M / weight, prec) > 0:
-                lo, hi = _report_abs(seq, n, prec * 2, weight)
-                return ViolatedAt(n, lo, hi)
-        return ConsistentUpTo(budget)
-
     if isinstance(fam, PartialSum):
         if fam.p <= 0:
             raise ParseError(f"bad family ref {format_family(fam)}: exponent must be positive")
@@ -718,40 +674,16 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
                 return ViolatedAt(n, cum_lo, cum_hi)
         return ConsistentUpTo(budget)
 
-    if isinstance(fam, Fnk):
-        if fam.k < 1:
-            raise ParseError(f"bad family ref {format_family(fam)}: need k >= 1")
-        threshold = Fraction(1, fam.k)
-        for s in support_indices_upto(seq, budget):
-            if s < fam.n:
-                continue
-            if _abs_vs_threshold(seq, s, threshold, prec) > 0:
-                lo, hi = _report_abs(seq, s, prec * 2)
-                return ViolatedAt(s, lo, hi)
-        return ConsistentUpTo(budget)
-
-    if isinstance(fam, FM):
-        if fam.M < 0:
-            raise ParseError(f"bad family ref {format_family(fam)}: bound must be >= 0")
-        for n in support_indices_upto(seq, budget):
-            if _abs_vs_threshold(seq, n, fam.M, prec) > 0:
-                lo, hi = _report_abs(seq, n, prec * 2)
-                return ViolatedAt(n, lo, hi)
-        return ConsistentUpTo(budget)
-
-    if isinstance(fam, Fkj):
-        if fam.k < 1 or fam.j < 1:
-            raise ParseError(f"bad family ref {format_family(fam)}: need k, j >= 1")
-        base = 1 + Fraction(1, fam.j)
-        for n in support_indices_upto(seq, budget):
-            if n < max(fam.k, 1):
-                continue
-            if _abs_vs_threshold(seq, n, base ** n, prec) > 0:
-                lo, hi = _report_abs(seq, n, prec * 2)
-                return ViolatedAt(n, lo, hi)
-        return ConsistentUpTo(budget)
-
-    raise TypeError(f"not a family ref: {fam!r}")
+    first, rule = _pointwise_rule(fam)
+    for n in support_indices_upto(seq, budget):
+        if n < first:
+            continue
+        weight, bound = rule(n)
+        # weight 0 (FMk at n = 0, k > 0) asks 0 <= M, which holds
+        if weight and _abs_vs_threshold(seq, n, bound / weight, prec) > 0:
+            lo, hi = seq.term(n, prec * 2).abs_bounds(prec * 2)
+            return ViolatedAt(n, weight * lo, weight * hi)
+    return ConsistentUpTo(budget)
 
 
 def decompose_report(seq: Sequence, space: SpaceId, outer, inner, budget: int, prec: int):

@@ -19,6 +19,7 @@ precision are contained in coarser ones.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import LengthMismatch
@@ -323,11 +324,29 @@ class Spread(Sequence):
         # positions satisfy nth(k) >= k-1, so r**nth(k) <= r**(k-1)
         return self.base.disc_tail(self._base_cut(N), r, prec)
 
+    def _spread_blocks(self, bd):
+        # spread position i+1 carries base index i, and base indices between
+        # support points are zero: base block (k_lo, k_hi) has the mass of
+        # spread positions nth(k_lo)+1 .. nth(k_hi)+1, the same block on a
+        # gapless hint.  On a sparse hint a longer block would grow with the
+        # gaps, and a check reads all of it, so it is offered empty instead.
+        hint, block = self.base.support_hint, bd.block
+        if hint is None or isinstance(hint, AllNaturals):
+            return bd
+
+        def spread_block(j):
+            k_lo, k_hi = block(j)
+            return (hint.nth(k_lo) + 1,) * 2 if k_lo == k_hi else (k_lo, k_lo - 1)
+
+        return replace(bd, block=spread_block)
+
     def lp_divergence(self, p):
-        return self.base.lp_divergence(p)
+        bd = self.base.lp_divergence(p)
+        return None if bd is None else self._spread_blocks(bd)
 
     def cap_divergence(self, a):
-        return self.base.cap_divergence(a)
+        q, bd = self.base.cap_divergence(a) or (None, None)
+        return None if bd is None else (q, self._spread_blocks(bd))
 
     def spec(self):
         return {"kind": "spread", "base": self.base.spec(), "support": self.support.spec()}

@@ -8,7 +8,6 @@ access patterns stay consistent by construction.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 
 from .errors import FiniteSupportSet, ParseError
@@ -42,11 +41,6 @@ class SupportSet:
             else:
                 lo = mid + 1
         return lo
-
-    def iter_elements(self):
-        """Yield elements in increasing order."""
-        for k in itertools.count(1):
-            yield self.nth(k)
 
     def elements_upto(self, n: int) -> list[int]:
         count = self.rank_upto(n)

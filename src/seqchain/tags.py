@@ -11,8 +11,8 @@ evaluations of the terms.  Three shapes cover every out-certificate:
 ``BlockDivergence`` expresses divergence of sum |a_n|^p through disjoint
 blocks of support positions whose masses are bounded below by a named
 divergent comparator (constant c, or harmonic c/j).  Block positions are
-counted through the sequence's support enumeration, so the data survives
-support spreading unchanged.
+counted through the sequence's support enumeration; a spread moves each
+block through the base's enumeration onto its own positions.
 """
 
 from __future__ import annotations

@@ -585,8 +585,8 @@ _SPARSE_SPREADS = [
 ]
 
 # Classifies each spec in the space argv[2] under a 512 MiB address-space
-# limit, re-checks the verdict, and prints one JSON line
-# [verdict, shape, rechecked] per spec.
+# limit, re-checks a certified verdict, and prints one JSON line
+# [verdict, shape, rechecked] per spec (rechecked is false when undecided).
 _CLASSIFY_UNDER_LIMIT = """
 import json, resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
@@ -597,18 +597,19 @@ for text in json.loads(sys.argv[1]):
     v = diagnose.classify(seq, space, 4096, 64)
     report = diagnose.verdict_to_json(v)
     shape = report.get("certificate", {}).get("shape")
-    print(json.dumps([report["verdict"], shape, diagnose.check_certificate(seq, v, 3, 64)]))
+    checked = report["verdict"] != "undecided" and diagnose.check_certificate(seq, v, 3, 64)
+    print(json.dumps([report["verdict"], shape, checked]))
 """
 
 
-def _classify_under_limit(specs, space):
+def _classify_under_limit(specs, space, timeout=300):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _CLASSIFY_UNDER_LIMIT,
          json.dumps([json.dumps(spec) for spec in specs]), space],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
     assert done.returncode == 0, done.stderr
     return [json.loads(line) for line in done.stdout.splitlines()]
@@ -628,6 +629,28 @@ def test_finite_entries_far_out_classify_in_hd_within_bounded_memory():
            "support": _POW2}
     lines = _classify_under_limit([far], "hd")
     assert lines == [["in", "disc-schedule", True]]
+
+
+def _nested_spread(base):
+    inner = {"kind": "spread", "base": base, "support": _POW2}
+    return {"kind": "spread", "base": inner, "support": {"kind": "all"}}
+
+
+_NESTED_SPREADS = [
+    _nested_spread({"kind": "family", "name": "gap-cap-c0", "params": {"b": "0"}}),
+    _nested_spread({"kind": "family", "name": "nn-on-support",
+                    "params": {"support": {"kind": "arith", "start": 0, "step": 2}}}),
+]
+
+
+@pytest.mark.parametrize("space", ["lp:1", "lp:2", "cap-lp:1"])
+def test_nested_spreads_classify_within_a_time_limit(space):
+    # the inner spread's hint is powers of two: a dyadic block of gap-cap-c0
+    # moved through it would span ~2**29 positions (lp:1), which every block
+    # check reads; single positions (nn-on-support) still move and certify
+    gap, nn = _classify_under_limit(_NESTED_SPREADS, space, timeout=60)
+    assert gap[0] in ("out", "undecided") and gap[2] == (gap[0] == "out")
+    assert nn == ["out", "divergent-partial-sums", True]
 
 
 # -- block masses summed by runs of equal terms -----------------------------------
@@ -730,3 +753,25 @@ def test_run_sums_on_catalog_divergences_spread_onto_each_support(support):
         seq = spread(base, _SPREAD_SUPPORTS[support])
         for j in range(bd.j_start, bd.j_start + 4):
             _assert_mass_is_tight(seq, bd, j)
+
+
+def test_sparse_hint_divergences_certify_on_spreads():
+    """Spread position i+1 carries base index i, so a base block of support
+    positions moves through the base's hint onto the spread's positions;
+    every divergence certified on a sparse-hint base certifies on its
+    spread onto each support and re-checks."""
+    cases = 0
+    for name, base in sorted(catalog().items()):
+        if base.support_hint is None or isinstance(base.support_hint, AllNaturals):
+            continue
+        for space in (lp(1), cap_lp(1)):
+            if not isinstance(classify(base, space, BUDGET, PREC), CertifiedOut):
+                continue
+            for support in sorted(_SPREAD_SUPPORTS):
+                seq = spread(base, _SPREAD_SUPPORTS[support])
+                v = classify(seq, space, BUDGET, PREC)
+                assert isinstance(v, CertifiedOut), (name, str(space), support)
+                assert isinstance(v.cert.shape, DivergentPartialSums)
+                assert all(check_certificate(seq, v, k, PREC) for k in range(1, 9))
+                cases += 1
+    assert cases >= 8

@@ -1,0 +1,403 @@
+"""Out-certificates built and checked by one ``holds`` predicate per shape,
+and the one threshold scan behind the pointwise closed families, against
+reference copies of the per-space build, check and scan code they replaced."""
+
+import functools
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from conftest import BUDGET, PREC, catalog
+from seqchain import families
+from seqchain.diagnose import (
+    FM,
+    CertifiedOut,
+    ConsistentUpTo,
+    DivergentPartialSums,
+    FMk,
+    Fkj,
+    Fnk,
+    NotVanishing,
+    OutCert,
+    RootLimsupExceeds,
+    Unbounded,
+    UnboundedWeighted,
+    ViolatedAt,
+    _abs_at_least,
+    _abs_vs_threshold,
+    _check_table,
+    _threshold_table,
+    _verify_blocks,
+    check_certificate,
+    closed_family_check,
+    try_in_certificate,
+    try_out_certificate,
+)
+from seqchain.errors import UnsupportedSpace
+from seqchain.intervals import Q1
+from seqchain.sequences import combine, restrict, spread, support_indices_upto
+from seqchain.spaces import AINF, C0, HD, LINF, standard_chain
+from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
+from seqchain.tags import RootLowerBound, SubseqLowerBound
+
+F = Fraction
+CHAIN = standard_chain()
+
+
+# -- reference: the per-space build and check the holds predicates replaced -------
+
+
+def _ref_subseq_tags(seq):
+    return [t for t in seq.growth_tags if isinstance(t, SubseqLowerBound)]
+
+
+def _ref_verify_root_cert(seq, cert, samples, prec):
+    if cert.rho <= 1:
+        return False
+    tag = cert.tag
+    prev_s = -1
+    for m in range(cert.m_start, cert.m_start + max(1, samples)):
+        s = tag.s(m)
+        if s <= prev_s or s < 1:
+            return False
+        prev_s = s
+        if tag.rho(m) < cert.rho:
+            return False
+        if not _abs_at_least(seq, s, cert.rho ** s, prec):
+            return False
+    return True
+
+
+def _ref_verify_not_vanishing(seq, cert, samples, prec):
+    if cert.delta <= 0 or cert.tag.g_inf is None or cert.tag.g_inf < cert.delta:
+        return False
+    prev_s = -1
+    for m in range(1, max(1, samples) + 1):
+        s = cert.tag.s(m)
+        if s <= prev_s:
+            return False
+        prev_s = s
+        if not _abs_at_least(seq, s, cert.delta, prec):
+            return False
+    return True
+
+
+def _ref_blocks_to_check(bd, count=3):
+    return tuple(range(bd.j_start, bd.j_start + count))
+
+
+def _ref_try_out_certificate(seq, space, budget, prec):
+    if space.tag == "cn0":
+        return None
+    if space.tag == "hd":
+        for tag in seq.growth_tags:
+            if not isinstance(tag, RootLowerBound):
+                continue
+            rho = Fraction(2)
+            m_start = None
+            for m in range(1, 512 + 1):
+                if tag.rho(m) >= rho:
+                    m_start = m
+                    break
+            if m_start is None:
+                continue
+            cert = RootLimsupExceeds(rho=rho, m_start=m_start, tag=tag)
+            if _ref_verify_root_cert(seq, cert, samples=3, prec=prec):
+                return OutCert(space, cert)
+        return None
+    if space.tag == "linf":
+        for tag in _ref_subseq_tags(seq):
+            rows = _threshold_table(tag, weight_k=0)
+            if rows and _check_table(seq, tag, rows, prec):
+                return OutCert(space, Unbounded(tag=tag, table=rows))
+        return None
+    if space.tag == "c0":
+        for tag in _ref_subseq_tags(seq):
+            if tag.g_inf is not None and tag.g_inf > 0:
+                cert = NotVanishing(delta=tag.g_inf, tag=tag)
+                if _ref_verify_not_vanishing(seq, cert, samples=5, prec=prec):
+                    return OutCert(space, cert)
+        return None
+    if space.tag == "lp":
+        bd = seq.lp_divergence(space.param)
+        if bd is None or bd.p != space.param:
+            return None
+        js = _ref_blocks_to_check(bd)
+        if _verify_blocks(seq, bd, js, prec):
+            return OutCert(
+                space, DivergentPartialSums(exponent=bd.p, blocks=bd, checked_blocks=js)
+            )
+        return None
+    if space.tag == "cap-lp":
+        got = seq.cap_divergence(space.param)
+        if got is None:
+            return None
+        q, bd = got
+        if bd is None or q <= space.param or bd.p != q:
+            return None
+        js = _ref_blocks_to_check(bd)
+        if _verify_blocks(seq, bd, js, prec):
+            return OutCert(
+                space, DivergentPartialSums(exponent=q, blocks=bd, checked_blocks=js)
+            )
+        return None
+    if space.tag == "ainf":
+        for k in range(1, 5):
+            for tag in _ref_subseq_tags(seq):
+                rows = _threshold_table(tag, weight_k=k)
+                if rows and _check_table(seq, tag, rows, prec):
+                    return OutCert(space, UnboundedWeighted(k=k, tag=tag, table=rows))
+        return None
+    raise UnsupportedSpace(space.tag)
+
+
+def _ref_check_out(seq, cert, samples, prec):
+    shape = cert.shape
+    space = cert.space
+    if isinstance(shape, DivergentPartialSums):
+        if space.tag == "lp" and shape.exponent != space.param:
+            return False
+        if space.tag == "cap-lp" and shape.exponent <= space.param:
+            return False
+        if space.tag not in ("lp", "cap-lp"):
+            return False
+        if shape.blocks.p != shape.exponent:
+            return False
+        js = shape.checked_blocks[: max(1, samples)]
+        return _verify_blocks(seq, shape.blocks, js, prec)
+    if isinstance(shape, UnboundedWeighted):
+        if space != AINF or shape.k < 1:
+            return False
+        for threshold, m, g in shape.table:
+            if Fraction(shape.tag.s(m)) ** shape.k * g < threshold:
+                return False
+        return _check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
+    if isinstance(shape, Unbounded):
+        if space != LINF:
+            return False
+        for threshold, m, g in shape.table:
+            if g < threshold:
+                return False
+        return _check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
+    if isinstance(shape, NotVanishing):
+        return space == C0 and _ref_verify_not_vanishing(seq, shape, samples, prec)
+    if isinstance(shape, RootLimsupExceeds):
+        return space == HD and _ref_verify_root_cert(seq, shape, samples, prec)
+    return False
+
+
+# -- reference: the four pointwise family scans the one scan replaced --------------
+
+
+def _ref_report_abs(seq, n, prec, weight=Q1):
+    lo, hi = seq.term(n, prec).abs_bounds(prec)
+    return weight * lo, weight * hi
+
+
+def _ref_pointwise_check(seq, fam, budget, prec):
+    if isinstance(fam, FMk):
+        for n in support_indices_upto(seq, budget):
+            weight = Fraction(n) ** fam.k
+            if weight == 0:
+                if fam.k > 0:
+                    continue
+                weight = Q1
+            if _abs_vs_threshold(seq, n, fam.M / weight, prec) > 0:
+                lo, hi = _ref_report_abs(seq, n, prec * 2, weight)
+                return ViolatedAt(n, lo, hi)
+        return ConsistentUpTo(budget)
+    if isinstance(fam, Fnk):
+        threshold = Fraction(1, fam.k)
+        for s in support_indices_upto(seq, budget):
+            if s < fam.n:
+                continue
+            if _abs_vs_threshold(seq, s, threshold, prec) > 0:
+                lo, hi = _ref_report_abs(seq, s, prec * 2)
+                return ViolatedAt(s, lo, hi)
+        return ConsistentUpTo(budget)
+    if isinstance(fam, FM):
+        for n in support_indices_upto(seq, budget):
+            if _abs_vs_threshold(seq, n, fam.M, prec) > 0:
+                lo, hi = _ref_report_abs(seq, n, prec * 2)
+                return ViolatedAt(n, lo, hi)
+        return ConsistentUpTo(budget)
+    if isinstance(fam, Fkj):
+        base = 1 + Fraction(1, fam.j)
+        for n in support_indices_upto(seq, budget):
+            if n < max(fam.k, 1):
+                continue
+            if _abs_vs_threshold(seq, n, base ** n, prec) > 0:
+                lo, hi = _ref_report_abs(seq, n, prec * 2)
+                return ViolatedAt(n, lo, hi)
+        return ConsistentUpTo(budget)
+    raise TypeError(fam)
+
+
+# -- cases ---------------------------------------------------------------------------
+
+
+_SUPPORTS = {
+    "all": AllNaturals(),
+    "arith": Arith(1, 3),
+    "powers-of-two": PowersOfTwo(),
+    "dyadic-row": DyadicRow(3),
+}
+
+
+def _pinned(seq):
+    """The sequence with its divergence oracles memoized on the instance.
+
+    Divergence oracles build a fresh ``block`` closure per call, and
+    closures compare by identity; pinned, both builds read the same
+    BlockDivergence and their OutCerts compare with ==."""
+    seq.lp_divergence = functools.cache(seq.lp_divergence)
+    seq.cap_divergence = functools.cache(seq.cap_divergence)
+    return seq
+
+
+def _variants():
+    """(name, sequence): every catalog member as is, spread onto each
+    support, restricted, and combined with another member."""
+    for name, base in sorted(catalog().items()):
+        yield name, _pinned(base)
+        for sup_name, sup in sorted(_SUPPORTS.items()):
+            yield f"{name}@{sup_name}", _pinned(spread(base, sup))
+        yield f"{name}|arith", _pinned(restrict(base, Arith(0, 3)))
+        yield f"{name}+nat/2", _pinned(combine([1, F(1, 2)], [base, families.nat()]))
+
+
+@pytest.fixture(scope="module")
+def built():
+    """(name, seq, space, new OutCert or None, reference OutCert or None)."""
+    rows = []
+    for name, seq in _variants():
+        for space in CHAIN:
+            new = try_out_certificate(seq, space, BUDGET, PREC)
+            ref = _ref_try_out_certificate(seq, space, BUDGET, PREC)
+            rows.append((name, seq, space, new, ref))
+    return rows
+
+
+# -- build and check equal the reference --------------------------------------------
+
+
+def test_built_out_certificates_equal_the_reference(built):
+    assert len(built) == 14 * 7 * len(CHAIN)
+    for name, _, space, new, ref in built:
+        assert new == ref, (name, str(space))
+    # every shape is built somewhere, on more than one variant
+    shapes = [type(new.shape) for *_, new, _ in built if new is not None]
+    for shape in (DivergentPartialSums, UnboundedWeighted, NotVanishing, Unbounded, RootLimsupExceeds):
+        assert shapes.count(shape) >= 2, shape.__name__
+
+
+def test_checks_equal_the_reference_at_every_sample_count(built):
+    for name, seq, space, new, _ in built:
+        if new is None:
+            continue
+        for samples in range(1, 9):
+            got = check_certificate(seq, CertifiedOut(new), samples, PREC)
+            assert got == _ref_check_out(seq, new, samples, PREC), (name, str(space), samples)
+            assert got, (name, str(space), samples)
+
+
+_SHAPE_TAGS = {
+    DivergentPartialSums: ("lp", "cap-lp"),
+    UnboundedWeighted: ("ainf",),
+    NotVanishing: ("c0",),
+    Unbounded: ("linf",),
+    RootLimsupExceeds: ("hd",),
+}
+
+
+def test_shapes_moved_to_other_spaces(built):
+    """A shape moved to a space of another kind is rejected; an lp or cap-lp
+    divergence moved within those spaces is accepted exactly when the
+    reference accepts it, and then the sequence has no in-certificate there."""
+    for name, seq, space, new, _ in built:
+        if new is None:
+            continue
+        for other in CHAIN:
+            if other == space:
+                continue
+            moved = OutCert(other, new.shape)
+            got = check_certificate(seq, CertifiedOut(moved), 3, PREC)
+            assert got == _ref_check_out(seq, moved, 3, PREC), (name, str(space), str(other))
+            if other.tag not in _SHAPE_TAGS[type(new.shape)]:
+                assert not got, (name, str(space), str(other))
+            elif got:
+                assert try_in_certificate(seq, other, BUDGET, PREC) is None, (name, str(other))
+
+
+def _built_shape(seq, space, shape_type):
+    cert = try_out_certificate(seq, space, BUDGET, PREC)
+    assert isinstance(cert.shape, shape_type)
+    return cert
+
+
+def test_weighted_row_below_its_threshold_rejected():
+    # the last row keeps its index and its true lower bound g (so the term
+    # check passes) but claims a threshold above s(m)**k * g
+    seq = families.nat()
+    cert = _built_shape(seq, AINF, UnboundedWeighted)
+    shape = cert.shape
+    _, m, g = shape.table[-1]
+    weighted = Fraction(shape.tag.s(m)) ** shape.k * g
+    forged = replace(shape, table=shape.table[:-1] + ((int(weighted) + 1, m, g),))
+    assert _check_table(seq, shape.tag, forged.table, PREC)
+    for samples in (1, 8):
+        assert check_certificate(seq, CertifiedOut(cert), samples, PREC)
+        assert not check_certificate(seq, CertifiedOut(OutCert(AINF, forged)), samples, PREC)
+
+
+def test_unbounded_row_below_its_threshold_rejected():
+    seq = families.nat()
+    cert = _built_shape(seq, LINF, Unbounded)
+    shape = cert.shape
+    _, m, g = shape.table[-1]
+    forged = replace(shape, table=shape.table[:-1] + ((int(g) + 1, m, g),))
+    assert _check_table(seq, shape.tag, forged.table, PREC)
+    for samples in (1, 8):
+        assert check_certificate(seq, CertifiedOut(cert), samples, PREC)
+        assert not check_certificate(seq, CertifiedOut(OutCert(LINF, forged)), samples, PREC)
+
+
+# -- the one pointwise scan equals the four scans ------------------------------------
+
+
+def _family_grid():
+    for k in (0, 1, 2, 3):
+        for M in (F(0), F(1, 2), F(1), F(3), F(100)):
+            yield FMk(M=M, k=k)
+    for n in (0, 1, 3, 7):  # starts past 0
+        for k in (1, 2, 5):
+            yield Fnk(n=n, k=k)
+    for M in (F(0), F(1, 3), F(1), F(10)):
+        yield FM(M=M)
+    for k in (1, 2, 5):  # starts past 0
+        for j in (1, 2, 8):
+            yield Fkj(k=k, j=j)
+
+
+@pytest.mark.parametrize("support", [None, "arith"])
+def test_pointwise_family_scan_equals_the_reference(support):
+    budget = 64
+    for name, seq in sorted(catalog().items()):
+        if support is not None:
+            seq = spread(seq, _SUPPORTS[support])
+        for fam in _family_grid():
+            got = closed_family_check(seq, fam, budget, PREC)
+            assert got == _ref_pointwise_check(seq, fam, budget, PREC), (name, fam)
+
+
+def test_fmk_with_k_zero_weighs_index_zero():
+    # n**0 = 1 at n = 0 as everywhere: a_0 = 3/4 violates FMk(1/2, 0) at 0,
+    # and with k > 0 index 0 carries weight 0 and is never a violation
+    seq = catalog()["finite"]
+    got = closed_family_check(seq, FMk(M=F(1, 2), k=0), 64, PREC)
+    assert got == _ref_pointwise_check(seq, FMk(M=F(1, 2), k=0), 64, PREC)
+    assert isinstance(got, ViolatedAt) and got.n == 0 and got.lower == F(3, 4)
+    got = closed_family_check(seq, FMk(M=F(1, 2), k=1), 64, PREC)
+    assert got == _ref_pointwise_check(seq, FMk(M=F(1, 2), k=1), 64, PREC)
+    assert isinstance(got, ViolatedAt) and got.n == 2
