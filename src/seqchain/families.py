@@ -41,9 +41,10 @@ from .supports import AllNaturals, PowersOfTwo, SupportSet, support_from_spec
 from .tags import (
     BlockDivergence,
     RootLowerBound,
+    SingletonBlock,
     SubseqLowerBound,
     dyadic_position_block,
-    singleton_position_block,
+    shifted_dyadic_block,
 )
 
 _TAG_PREC = 32  # fixed precision for rational bounds baked into tags
@@ -253,12 +254,9 @@ def rem29(support: SupportSet) -> FamilySeq:
 
 def _singleton_divergence(p: Fraction, offset: int = 1) -> BlockDivergence:
     # one support position per block, each with |a|**p >= 1
-    if offset == 1:
-        block = singleton_position_block
-    else:
-        def block(j, _off=offset):
-            return (j + _off - 1, j + _off - 1)
-    return BlockDivergence(p=Fraction(p), block=block, comparator="constant", c=Q1)
+    return BlockDivergence(
+        p=Fraction(p), block=SingletonBlock(offset), comparator="constant", c=Q1
+    )
 
 
 def nat() -> FamilySeq:
@@ -458,7 +456,7 @@ def gap_lp_cap(a: Fraction) -> FamilySeq:
         # sum 1/(m j) over that range exceeds 1/(2j)
         return BlockDivergence(
             p=Fraction(p),
-            block=lambda j: ((1 << j) - 1, (1 << (j + 1)) - 2),
+            block=shifted_dyadic_block,
             comparator="harmonic",
             c=Fraction(1, 2),
         )
@@ -566,7 +564,7 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
                 return None
         return BlockDivergence(
             p=p,
-            block=lambda m: ((1 << m) - 1, (1 << (m + 1)) - 2),
+            block=shifted_dyadic_block,
             comparator="constant",
             c=Q1,
             j_start=j,

@@ -32,7 +32,8 @@ from .sequences import (
     support_indices_upto,
     zero,
 )
-from .spaces import SpaceId, ball_scale, metric_bound, strictly_included
+from .spaces import SpaceId, ball_scale, distance_below, metric_bounds, strictly_included
+from .spaces import _budget_ladder
 from .supports import DyadicRow, SupportSet, TailFrom
 from .witness import Witness, make_witness
 
@@ -375,7 +376,8 @@ def _rational_truncation(
     """A Gaussian-rational c00 sequence within half_eps of the target."""
     if isinstance(target, FiniteRational):
         return target
-    for head in (64, 256, min(1024, budget), budget):
+    # a repeated cutoff (budget below 1024) would rebuild x and fail again
+    for head in dict.fromkeys((64, 256, min(1024, budget), budget)):
         for grid_bits in (prec, 2 * prec):
             entries = {}
             for n in support_indices_upto(target, head):
@@ -384,8 +386,7 @@ def _rational_truncation(
                 im = _round_to_grid((iv.im_lo + iv.im_hi) / 2, grid_bits)
                 entries[n] = (re, im)
             x = FiniteRational(entries)
-            bound = metric_bound(outer, target, x, budget, prec)
-            if bound.upper is not None and bound.upper < half_eps:
+            if distance_below(outer, target, x, half_eps, budget, prec):
                 return x
     raise BudgetExceeded("no rational truncation reached the target distance")
 
@@ -419,8 +420,10 @@ def approximate_with_avoider(
     )
     cert = certify_outside([1], [element], budget, prec)
 
-    for b in sorted({min(64, budget), min(256, budget), budget}):
-        dist = metric_bound(outer, element.f, target, b, prec)
-        if dist.upper is not None and dist.upper < epsilon:
+    # read the distance at the last rungs of the ladders of budgets 64, 256
+    # and budget, all on one walk
+    checkpoints = {_budget_ladder(b)[-1] for b in (min(64, budget), min(256, budget), budget)}
+    for rung, dist in metric_bounds(outer, element.f, target, budget, prec):
+        if rung in checkpoints and dist.upper is not None and dist.upper < epsilon:
             return ApproxResult(f=element.f, certificate=cert, distance_upper=dist.upper)
     raise BudgetExceeded("certified distance bound did not reach epsilon")

@@ -19,8 +19,9 @@ precision are contained in coarser ones.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
 from .errors import LengthMismatch
 from .intervals import ComplexInterval, Q0, Q1, format_rational, pow_bounds, sqrt_bounds
@@ -268,6 +269,20 @@ class FamilySeq(Sequence):
         return {"kind": "family", "name": self.name, "params": self._params_spec}
 
 
+@dataclass(frozen=True)
+class _SpreadBlock:
+    """A base block moved onto spread positions through a sparse hint: a
+    singleton lands on its one position, a longer block is offered empty
+    (see ``Spread._spread_blocks``).  A value, so equal moves compare equal."""
+
+    hint: SupportSet
+    block: Callable[[int], tuple[int, int]]
+
+    def __call__(self, j: int) -> tuple[int, int]:
+        k_lo, k_hi = self.block(j)
+        return (self.hint.nth(k_lo) + 1,) * 2 if k_lo == k_hi else (k_lo, k_lo - 1)
+
+
 class Spread(Sequence):
     """Transplant of a sequence onto an infinite index set: the k-th
     support point carries the k-th term of the base (counting from 0)."""
@@ -330,15 +345,10 @@ class Spread(Sequence):
         # spread positions nth(k_lo)+1 .. nth(k_hi)+1, the same block on a
         # gapless hint.  On a sparse hint a longer block would grow with the
         # gaps, and a check reads all of it, so it is offered empty instead.
-        hint, block = self.base.support_hint, bd.block
+        hint = self.base.support_hint
         if hint is None or isinstance(hint, AllNaturals):
             return bd
-
-        def spread_block(j):
-            k_lo, k_hi = block(j)
-            return (hint.nth(k_lo) + 1,) * 2 if k_lo == k_hi else (k_lo, k_lo - 1)
-
-        return replace(bd, block=spread_block)
+        return replace(bd, block=_SpreadBlock(hint, bd.block))
 
     def lp_divergence(self, p):
         bd = self.base.lp_divergence(p)

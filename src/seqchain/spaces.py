@@ -30,6 +30,11 @@ rationals, so the bounds equal those of rungs summed separately.  The
 disc, ratio and nested sums of the ``hd`` and ``cn0`` metrics are kept as
 integer numerators over a known denominator and become a ``Fraction``
 once per read, so no summand pays for a gcd.
+
+``metric_bounds`` walks the same ladder and yields the bound after each
+rung.  A caller that asks only whether the distance is below r
+(``distance_below``) stops at the first rung that settles it; the last
+rungs cost the most.
 """
 
 from __future__ import annotations
@@ -438,28 +443,48 @@ def _metric_once(y: SpaceId, head: _Head, N: int, prec: int):
     raise UnknownSpace(y.tag)
 
 
-def metric_bound(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int) -> MetricBound:
-    """Certified bounds on the distance between a and b in y's metric.
+def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):
+    """Certified bounds on the distance between a and b in y's metric, rung
+    by rung: after each rung of the budget ladder, ``(rung, bound)`` with the
+    bound ``metric_bound`` returns when the ladder stops at that rung.
 
-    Each rung of the budget ladder yields a bound; the result keeps the
-    best of them.  The rungs share one head (``_Head``), so each rung only
-    extends the head sums of the previous one."""
+    The rungs share one head (``_Head``), so each rung only extends the head
+    sums of the previous one."""
+    ladder = _budget_ladder(budget)
     if a is b or a.spec_key() == b.spec_key():
-        return MetricBound(Q0, Q0)
+        yield from ((rung, MetricBound(Q0, Q0)) for rung in ladder)
+        return
     head = _Head(combine([1, -1], [a, b]), prec)
     best_lo = Q0
     best_hi = None
-    for rung in _budget_ladder(budget):
+    for rung in ladder:
         lo, hi = _metric_once(y, head, rung, prec)
         best_lo = max(best_lo, lo)
         best_hi = hi if best_hi is None else min(best_hi, hi)
-    best_lo = _floor_grid(best_lo, prec + 8)
-    if best_hi is not None:
-        best_hi = _ceil_grid(best_hi, prec + 8)
-        if best_hi < best_lo:
-            # can only happen through independent roundings; widen to stay sound
-            best_hi = best_lo
-    return MetricBound(best_lo, best_hi)
+        lower = _floor_grid(best_lo, prec + 8)
+        # an upper below the lower can only come from independent roundings: widen
+        yield rung, MetricBound(lower, max(lower, _ceil_grid(best_hi, prec + 8)))
+
+
+def metric_bound(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int) -> MetricBound:
+    """Certified bounds on the distance between a and b in y's metric: the
+    best bound over every rung of the budget ladder."""
+    *_, (_, bound) = metric_bounds(y, a, b, budget, prec)
+    return bound
+
+
+def distance_below(y: SpaceId, a: Sequence, b: Sequence, r: Fraction, budget: int,
+                   prec: int) -> bool:
+    """Whether ``metric_bound(y, a, b, budget, prec).upper < r``, decided at
+    the first rung that settles it.  An upper bound below r says yes; a
+    lower bound of at least r says no, since every later upper bound is at
+    least the distance, hence at least that lower bound."""
+    for _, bound in metric_bounds(y, a, b, budget, prec):
+        if bound.upper is not None and bound.upper < r:
+            return True
+        if bound.lower >= r:
+            return False
+    return False
 
 
 _BALL_MEMO: dict = {}
@@ -474,7 +499,9 @@ def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: i
                max_halvings: int = 96) -> Fraction:
     """Smallest tried dyadic scalar c = 2**-m with certified d(c*seq, 0) < radius.
 
-    Pure in its inputs; memoized on the sequence's serialized spec."""
+    Each halving is decided by ``distance_below``, at the first rung of its
+    ladder that settles it.  Pure in its inputs; memoized on the sequence's
+    serialized spec."""
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -490,8 +517,7 @@ def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: i
     origin = zero()
     for m in range(max_halvings + 1):
         c = Fraction(1, 1 << m)
-        bound = metric_bound(y, combine([c], [seq]), origin, eval_budget, eval_prec)
-        if bound.upper is not None and bound.upper < radius:
+        if distance_below(y, combine([c], [seq]), origin, radius, eval_budget, eval_prec):
             _BALL_MEMO[key] = c
             return c
     raise BudgetExceeded(f"no dyadic scale reached radius {radius} in {max_halvings} halvings")

@@ -75,5 +75,19 @@ def dyadic_position_block(j: int) -> tuple[int, int]:
     return (1 << j, (1 << (j + 1)) - 1)
 
 
-def singleton_position_block(j: int) -> tuple[int, int]:
-    return (j, j)
+def shifted_dyadic_block(j: int) -> tuple[int, int]:
+    """Support positions [2^j - 1, 2^(j+1) - 2]: on all naturals, the
+    indices n with 2^j <= n + 2 < 2^(j+1)."""
+    return ((1 << j) - 1, (1 << (j + 1)) - 2)
+
+
+@dataclass(frozen=True)
+class SingletonBlock:
+    """Block j is the single support position j + offset - 1.  Block shapes
+    are module functions or values like this one, never closures, so two
+    certificates built for one sequence compare equal."""
+
+    offset: int = 1
+
+    def __call__(self, j: int) -> tuple[int, int]:
+        return (j + self.offset - 1,) * 2

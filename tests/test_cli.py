@@ -314,7 +314,9 @@ GOLDEN_DIR = Path(__file__).parent / "cli_golden"
 
 # Reports recorded byte for byte before the exact kernel skipped work on
 # zeros and seeded its roots from floats (approx-cn0: before the head sums
-# became integers); every endpoint must stay the same.
+# became integers; the three reports with checkpoints: before distance
+# questions stopped at their first decisive rung); every endpoint must stay
+# the same.
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -328,6 +330,15 @@ GOLDEN_DIR = Path(__file__).parent / "cli_golden"
         ("approx-cn0", ["approx", "--target",
                         '{"kind":"finite","entries":[[0,"1/3","-2/7"],[2,"5/2","0"],[9,"0","-1/9"]]}',
                         "--outer", "cn0", "--avoid", "hd", "--epsilon", "1/1024"]),
+        # the final distance check reads one ladder where ladders stopped at
+        # budgets 64, 256 and --budget would stop: the lp:1 run passes only
+        # the last, and at --budget 40 the one checkpoint is rung 32
+        ("approx-lp-1-checkpoint-budget", ["approx", "--target", PROP28, "--outer", "lp:1",
+                                           "--avoid", "ainf", "--epsilon", "1/4"]),
+        ("approx-cn0-budget-40", ["--budget", "40", "approx", "--target", PROP28, "--outer", "cn0",
+                                  "--avoid", "c0", "--epsilon", "1/1024"]),
+        ("approx-cn0-budget-100", ["--budget", "100", "approx", "--target", PROP28, "--outer", "cn0",
+                                   "--avoid", "c0", "--epsilon", "1/1024"]),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -2,7 +2,6 @@
 and the one threshold scan behind the pointwise closed families, against
 reference copies of the per-space build, check and scan code they replaced."""
 
-import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -245,26 +244,15 @@ _SUPPORTS = {
 }
 
 
-def _pinned(seq):
-    """The sequence with its divergence oracles memoized on the instance.
-
-    Divergence oracles build a fresh ``block`` closure per call, and
-    closures compare by identity; pinned, both builds read the same
-    BlockDivergence and their OutCerts compare with ==."""
-    seq.lp_divergence = functools.cache(seq.lp_divergence)
-    seq.cap_divergence = functools.cache(seq.cap_divergence)
-    return seq
-
-
 def _variants():
     """(name, sequence): every catalog member as is, spread onto each
     support, restricted, and combined with another member."""
     for name, base in sorted(catalog().items()):
-        yield name, _pinned(base)
+        yield name, base
         for sup_name, sup in sorted(_SUPPORTS.items()):
-            yield f"{name}@{sup_name}", _pinned(spread(base, sup))
-        yield f"{name}|arith", _pinned(restrict(base, Arith(0, 3)))
-        yield f"{name}+nat/2", _pinned(combine([1, F(1, 2)], [base, families.nat()]))
+            yield f"{name}@{sup_name}", spread(base, sup)
+        yield f"{name}|arith", restrict(base, Arith(0, 3))
+        yield f"{name}+nat/2", combine([1, F(1, 2)], [base, families.nat()])
 
 
 @pytest.fixture(scope="module")
