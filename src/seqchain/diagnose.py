@@ -34,7 +34,7 @@ from itertools import groupby
 from operator import index
 
 from .errors import ParseError, UnsupportedSpace
-from .intervals import Q0, Q1, format_rational, parse_rational, pow_bounds, sqrt_bounds
+from .intervals import Q0, Q1, PowSum, format_rational, parse_rational, pow_bounds, sqrt_bounds
 from .sequences import Sequence, support_indices_upto
 from .spaces import AINF, C0, HD, LINF, SpaceId
 from .supports import AllNaturals
@@ -284,9 +284,8 @@ def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
     Every sampled term is evaluated, and each block is summed by runs of
     equal (``==``) consecutive terms: a run of ``count`` terms adds
     ``count * low`` once.  Exact rational arithmetic makes that the same
-    total as the term-by-term sum, so ``abs_sq_bounds`` and ``pow_bounds``
-    run once per run, and a block-constant witness costs one power per
-    block."""
+    total as the term-by-term sum, so ``abs_sq_bounds`` and the power run
+    once per run, and a block-constant witness costs one power per block."""
     if bd.comparator not in COMPARATORS:
         return False
     hint = seq.support_hint or AllNaturals()
@@ -296,11 +295,10 @@ def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
         if k_lo < 1 or k_hi < k_lo:
             return False
         terms = (seq.term(hint.nth(k), prec) for k in range(k_lo, k_hi + 1))
-        total = Q0
+        total = PowSum(half_p, prec)
         for iv, run in groupby(terms):
-            count = sum(1 for _ in run)
-            total += count * pow_bounds(iv.abs_sq_bounds()[0], half_p, prec)[0]
-        if total < bd.beta(j):
+            total.add(iv.abs_sq_bounds()[0], sum(1 for _ in run))
+        if total.value < bd.beta(j):
             return False
     return True
 
@@ -396,8 +394,10 @@ def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
 
 def _lp_head_upper(head, p: Fraction, prec: int) -> Fraction:
     """Upper bound on the head sum of |a_n|**p from a squared head."""
-    half_p = p / 2
-    return sum((pow_bounds(sq_hi, half_p, prec)[1] for _, sq_hi in head), Q0)
+    total = PowSum(p / 2, prec, upper=True)
+    for _, sq_hi in head:
+        total.add(sq_hi)
+    return total.value
 
 
 def _find_cutoff(probe, target: Fraction, start: int):
@@ -665,13 +665,12 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
         if fam.p <= 0:
             raise ParseError(f"bad family ref {format_family(fam)}: exponent must be positive")
         hp = prec + 32
-        cum_lo, cum_hi = Q0, Q0
+        cum_lo, cum_hi = PowSum(fam.p / 2, hp), PowSum(fam.p / 2, hp, upper=True)
         for n in support_indices_upto(seq, budget):
             sq_lo, sq_hi = seq.term(n, hp).abs_sq_bounds()
-            cum_lo += pow_bounds(sq_lo, fam.p / 2, hp)[0]
-            cum_hi += pow_bounds(sq_hi, fam.p / 2, hp)[1]
-            if cum_lo > fam.M:
-                return ViolatedAt(n, cum_lo, cum_hi)
+            cum_hi.add(sq_hi)
+            if cum_lo.add(sq_lo).value > fam.M:
+                return ViolatedAt(n, cum_lo.value, cum_hi.value)
         return ConsistentUpTo(budget)
 
     first, rule = _pointwise_rule(fam)

@@ -337,10 +337,10 @@ class _ScaledByInterval(Sequence):
         self.scale_iv = scale
         self.base = base
         self.support_hint = base.support_hint
+        self.extra_prec = (1 + int(max(abs(scale.re_hi), abs(scale.im_hi)))).bit_length() + 2
 
     def _term(self, n, prec):
-        mag = 1 + int(max(abs(self.scale_iv.re_hi), abs(self.scale_iv.im_hi)))
-        return self.scale_iv.mul(self.base.term(n, prec + mag.bit_length() + 2))
+        return self.scale_iv.mul(self.base.term(n, prec + self.extra_prec))
 
     def spec(self):
         return {"kind": "scaled", "base": self.base.spec()}

@@ -8,6 +8,13 @@ bounds at precision ``prec`` live on the dyadic grid ``2**-(prec+1)`` and
 are exact floors/ceilings of the true value on that grid, which makes
 intervals at successive precisions nested.
 
+All powers q**(a/k), gcd(a, k) = 1, come from one integer kernel,
+``pow_grid``.  q**a is a k-th power exactly when q is: each prime's
+exponent in q**a is a times that in q, and a is prime to k.  So the test
+for a rational result roots q's own numerator and denominator; otherwise
+the result is lo = iroot(floor(q**a * 2**(k*(prec+1))), k) over 2**(prec+1),
+an integer that ``PowSum`` adds without building a ``Fraction``.
+
 The box operations skip work on exact zeros: when a box or a scalar is
 real, the products with its zero imaginary part and the sums with them
 are left out.  ``0*c`` and ``x + 0`` are exact in rational arithmetic, so
@@ -90,31 +97,36 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def root_bounds(q: Fraction, k: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Enclose q**(1/k) for q >= 0 within width 2**-prec.
-
-    Returns a zero-width pair whenever the root is exactly rational, that
-    is when both the numerator and the denominator are perfect k-th powers.
-    Otherwise the lower end is floor(q**(1/k) * 2**s) / 2**s with
-    s = prec + 1, taken as iroot(floor(q * 2**(k*s)), k):
-    floor(x**(1/k)) == iroot(floor(x), k) for rational x >= 0, because r**k
-    is an integer, so r**k <= x exactly when r**k <= floor(x).
-    """
-    if q < 0:
-        raise ValueError("root of negative rational")
-    if q == 0:
-        return Q0, Q0
+def pow_grid(q: Fraction, a: int, k: int, prec: int) -> tuple[Fraction | None, int]:
+    """q**(a/k) for q > 0 and coprime a, k >= 1, as (value, 0) when it is
+    rational, else as (None, lo) with lo = floor(q**(a/k) * 2**(prec+1)):
+    floor(x**(1/k)) = iroot(floor(x), k), as r**k <= x iff r**k <= floor(x)."""
     num, den = q.numerator, q.denominator
+    if k == 1:  # an integer power needs no root
+        return Fraction(num ** a, den ** a), 0
     rn = iroot(num, k)
     if rn ** k == num:  # the denominator is rooted only when it can matter
         rd = iroot(den, k)
         if rd ** k == den:
-            exact = Fraction(rn, rd)
-            return exact, exact
-    scale = prec + 1
-    lo = iroot((num << (k * scale)) // den, k)
-    unit = Fraction(1, 1 << scale)
-    return lo * unit, (lo + 1) * unit
+            return Fraction(rn ** a, rd ** a), 0
+    return None, iroot((num ** a << (k * (prec + 1))) // den ** a, k)
+
+
+def _grid_bounds(q: Fraction, a: int, k: int, prec: int) -> tuple[Fraction, Fraction]:
+    if q < 0:
+        raise ValueError("power of negative rational")
+    if q == 0:
+        return Q0, Q0
+    exact, lo = pow_grid(q, a, k, prec)
+    if exact is not None:
+        return exact, exact
+    return Fraction(lo, 1 << (prec + 1)), Fraction(lo + 1, 1 << (prec + 1))
+
+
+def root_bounds(q: Fraction, k: int, prec: int) -> tuple[Fraction, Fraction]:
+    """Enclose q**(1/k) for q >= 0 within width 2**-prec: ``pow_bounds``
+    with e = 1/k, zero-width whenever the root is rational."""
+    return _grid_bounds(q, 1, k, prec)
 
 
 def sqrt_bounds(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -138,19 +150,42 @@ def pow_bounds(q: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]
     its inversion still meets the width contract, and the grid choice is a
     deterministic function of (q, e, prec) so enclosures stay nested.
     """
+    if q < 0:
+        raise ValueError("power of negative rational")
     e = Fraction(e)
     if e == 0:
         return Q1, Q1
     if e < 0:
-        if q <= 0:
+        if q == 0:
             raise ValueError("negative power of nonpositive rational")
         inner = prec + 2 + 2 * _neg_log2_upper(q, -e)
         lo_p, hi_p = pow_bounds(q, -e, inner)
         return 1 / hi_p, 1 / lo_p
-    if q == 0:
-        return Q0, Q0
-    powered = q ** e.numerator
-    return root_bounds(powered, e.denominator, prec)
+    return _grid_bounds(q, e.numerator, e.denominator, prec)
+
+
+class PowSum:
+    """Running sum of one endpoint of ``pow_bounds(q, e, prec)``, e > 0, over
+    ``add(q, count)`` calls (q >= 0): inexact endpoints, lo or lo + 1 over
+    2**(prec+1), add as one integer numerator, exact ones as a ``Fraction``;
+    ``value`` makes one ``Fraction`` per read, the exact sum of the endpoints."""
+
+    def __init__(self, e: Fraction, prec: int, upper: bool = False):
+        self.a, self.k, self.prec, self.upper = e.numerator, e.denominator, prec, upper
+        self.exact, self.num = Q0, 0
+
+    def add(self, q: Fraction, count: int = 1) -> "PowSum":
+        if q:
+            exact, lo = pow_grid(q, self.a, self.k, self.prec)
+            if exact is None:
+                self.num += count * (lo + self.upper)
+            else:
+                self.exact += count * exact
+        return self
+
+    @property
+    def value(self) -> Fraction:
+        return self.exact + Fraction(self.num, 1 << (self.prec + 1))
 
 
 def _interval_mul(a_lo: Fraction, a_hi: Fraction, b_lo: Fraction, b_hi: Fraction):
@@ -229,8 +264,10 @@ class ComplexInterval:
     def scale(self, c_re: Fraction, c_im: Fraction = Q0) -> "ComplexInterval":
         """Multiply by the exact complex scalar c_re + i*c_im.
 
-        A real box or a real scalar skips the products with zero and the
-        sums with them; the endpoints are those of the full formula."""
+        A real box or scalar skips the products with zero and the sums with
+        them, and a scale by 1 is the box itself: the full formula's endpoints."""
+        if c_re == 1 and c_im == 0:
+            return self
         a_lo, a_hi = _scale_real(self.re_lo, self.re_hi, c_re)
         if c_im == 0:
             if self.is_real:

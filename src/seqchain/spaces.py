@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace
-from .intervals import Q0, Q1, format_rational, parse_rational, pow_bounds
+from .intervals import Q0, Q1, PowSum, format_rational, parse_rational, pow_bounds
 from .sequences import Sequence, combine, support_indices_upto, zero
 
 _PARAM_TAGS = {"lp", "cap-lp"}
@@ -184,10 +184,10 @@ class _Head:
     extends it over the new indices only; the endpoints are exact
     rationals, so an extended sum equals the one restarted from zero.
     ``parts`` keeps the summands of the nested metrics (see ``_nested_sum``).
-    The disc sums, the ratio sums and ``parts`` are integer numerators over
-    a known denominator (L * v**m for a radius u/v, 2**hp, 2**(prec+guard)),
-    normalised into a ``Fraction`` once per read; the power and falling
-    sums add ``Fraction`` terms through ``_extend``.
+    The disc sums, the ratio sums, the power sums (``PowSum``) and ``parts``
+    are integer numerators over a known denominator (L * v**m for a radius
+    u/v, 2**hp, 2**(hp+1) plus exact summands, 2**(prec+guard)), normalised
+    into a ``Fraction`` once per read; the falling sums add ``Fraction`` terms.
     The object lives for one call; cutoffs never decrease within it.
     """
 
@@ -223,11 +223,11 @@ class _Head:
             self._abs[n] = None if iv.is_exact_zero else iv.abs_bounds(self.hp)
         return self._abs[n]
 
-    def _extend(self, key, N: int, indices, part, join=operator.add, zero=Q0):
+    def _extend(self, key, N: int, indices, part, join=operator.add, start=(Q0, Q0)):
         """``join`` of part(n) over indices(-1, N), continued from the last cutoff."""
         entry = self._sums.get(key)
         if entry is None:
-            entry = self._sums[key] = [-1, zero, zero]
+            entry = self._sums[key] = [-1, *start]
         cut, lo, hi = entry
         if N < cut:
             raise ValueError("a head sum cannot shrink below its last cutoff")
@@ -240,16 +240,10 @@ class _Head:
         return lo, hi
 
     def power_sum(self, p: Fraction, N: int):
-        """Bounds on sum_{n<=N} |d_n|**p."""
-        half, hp = p / 2, self.hp
-
-        def part(n):
-            sq = self.sq(n)
-            if sq is None:
-                return None
-            return pow_bounds(sq[0], half, hp)[0], pow_bounds(sq[1], half, hp)[1]
-
-        return self._extend(("lp", p), N, self.support, part)
+        """Bounds on sum_{n<=N} |d_n|**p, one ``PowSum`` per endpoint."""
+        start = PowSum(p / 2, self.hp), PowSum(p / 2, self.hp, upper=True)
+        lo, hi = self._extend(("lp", p), N, self.support, self.sq, PowSum.add, start)
+        return lo.value, hi.value
 
     def max_abs(self, N: int):
         """Bounds on max_{n<=N} |d_n| (zero for an empty head)."""
@@ -273,7 +267,7 @@ class _Head:
                 _ceil_num(hi.numerator, (hi.denominator + hi.numerator) << n, grid),
             )
 
-        lo, hi = self._extend("cn0", N, lambda lo, hi: range(lo + 1, hi + 1), part, zero=0)
+        lo, hi = self._extend("cn0", N, lambda lo, hi: range(lo + 1, hi + 1), part, start=(0, 0))
         return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid)
 
     def disc_sum(self, r: Fraction, N: int):

@@ -28,6 +28,8 @@ from seqchain.diagnose import (
     UnboundedWeighted,
     Undecided,
     ViolatedAt,
+    _head_moduli,
+    _lp_head_upper,
     _verify_blocks,
     check_certificate,
     classify,
@@ -42,11 +44,12 @@ from seqchain.diagnose import (
 from seqchain.errors import UnsupportedSpace
 from seqchain.families import const_one, gap_cap_c0, gap_lp_cap, nat, nat_power, prop28
 from seqchain.intervals import ComplexInterval, pow_bounds
-from seqchain.sequences import FiniteRational, Sequence, spread, zero
+from seqchain.sequences import FiniteRational, Sequence, spread, support_indices_upto, zero
 from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaces import AINF, C0, CN0, HD, LINF, cap_lp, lp, parse_space, standard_chain
 from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
 from seqchain.tags import BlockDivergence, SubseqLowerBound
+from test_intervals import _ref_pow_bounds
 
 F = Fraction
 
@@ -658,13 +661,14 @@ def test_nested_spreads_classify_within_a_time_limit(space):
 
 def _reference_block_mass(seq, bd, j, prec):
     """The per-term loop that the run-based check replaced: one power per
-    sampled term, no runs and no memo."""
+    sampled term, no runs and no memo, in Fraction arithmetic through the
+    reference kernel."""
     hint = seq.support_hint or AllNaturals()
     k_lo, k_hi = bd.block(j)
     total = F(0)
     for k in range(k_lo, k_hi + 1):
         sq_lo = seq.term(hint.nth(k), prec).abs_sq_bounds()[0]
-        total += pow_bounds(sq_lo, bd.p / 2, prec)[0]
+        total += _ref_pow_bounds(sq_lo, bd.p / 2, prec)[0]
     return total
 
 
@@ -775,3 +779,64 @@ def test_sparse_hint_divergences_certify_on_spreads():
                 assert all(check_certificate(seq, v, k, PREC) for k in range(1, 9))
                 cases += 1
     assert cases >= 8
+
+
+# -- in-certificate heads: grid sums against Fraction sums --------------------------
+
+
+def _ref_lp_head_upper(moduli, p, prec):
+    """The head sum as it was added in Fraction arithmetic, one upper
+    endpoint per term."""
+    total = F(0)
+    for _, sq_hi in moduli:
+        total += _ref_pow_bounds(sq_hi, p / 2, prec)[1]
+    return total
+
+
+# lp exponents (p = 2 and p = 4 make every summand exact) and cap-lp rows a + 1/n
+_HEAD_EXPONENTS = [F(1, 2), F(1), F(3, 2), F(2), F(4)] + [
+    a + F(1, n) for a in (F(0), F(1), F(2)) for n in (1, 2, 3, 8)
+]
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_lp_head_uppers_equal_fraction_sums(name):
+    seq = catalog()[name]
+    # n**n (nat-power, nn-evens) makes the reference's q**a slow past N = 40
+    for N in (-1, 0, 9, 40) if name in ("nat-power", "nn-evens") else (-1, 0, 9, 64, 300):
+        moduli = _head_moduli(seq, N, PREC)
+        for p in _HEAD_EXPONENTS:
+            assert _lp_head_upper(moduli, p, PREC) == _ref_lp_head_upper(moduli, p, PREC), (N, p)
+
+
+@pytest.mark.parametrize("prec", [16, 64])
+def test_lp_head_uppers_of_finite_rationals_equal_fraction_sums(prec):
+    # rational entries: many summands are exact, the rest land on the grid
+    rng = random.Random(7)
+    for _ in range(40):
+        seq = random_finite(rng, max_index=30)
+        moduli = _head_moduli(seq, 30, prec)
+        for p in _HEAD_EXPONENTS:
+            assert _lp_head_upper(moduli, p, prec) == _ref_lp_head_upper(moduli, p, prec)
+
+
+def _ref_partial_sum_check(seq, fam, budget, prec):
+    """The PartialSum scan as it was: cumulative Fraction sums of both endpoints."""
+    hp = prec + 32
+    cum_lo = cum_hi = F(0)
+    for n in sorted(support_indices_upto(seq, budget)):
+        sq_lo, sq_hi = seq.term(n, hp).abs_sq_bounds()
+        cum_lo += _ref_pow_bounds(sq_lo, fam.p / 2, hp)[0]
+        cum_hi += _ref_pow_bounds(sq_hi, fam.p / 2, hp)[1]
+        if cum_lo > fam.M:
+            return ViolatedAt(n, cum_lo, cum_hi)
+    return ConsistentUpTo(budget)
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_partial_sum_scans_equal_fraction_sums(name):
+    seq = catalog()[name]
+    for p in (F(1, 2), F(1), F(3, 2), F(2), F(4, 3)):
+        for M in (F(1, 3), F(2), F(9)):
+            fam = PartialSum(p=p, M=M)
+            assert closed_family_check(seq, fam, 200, PREC) == _ref_partial_sum_check(seq, fam, 200, PREC)

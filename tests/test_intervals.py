@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from seqchain.errors import SeqchainError
 from seqchain.intervals import (
     ComplexInterval,
+    PowSum,
     format_rational,
     iroot,
     pow_bounds,
@@ -340,3 +342,122 @@ def test_add_equals_the_componentwise_sum(z, w):
 def test_format_rational_past_the_digit_limit_is_a_seqchain_error():
     with pytest.raises(SeqchainError, match="integer-to-string"):
         format_rational(Fraction(10 ** 5000 + 1, 3))
+
+
+# -- the integer kernel: rationality tested on the base -------------------------
+
+# pow_bounds tests whether q**(a/k) is rational on q itself, not on q**a;
+# with gcd(a, k) = 1 both tests agree, and every enclosure must equal the
+# reference, which roots q**a.
+
+
+def _coprime_exponent(a, k, sign):
+    a = a if gcd(a, k) == 1 else 1
+    return sign * Fraction(a, k)
+
+
+small_bases = st.integers(min_value=1, max_value=60)
+signs = st.sampled_from([1, -1])
+
+
+@given(small_bases, small_bases, st.integers(2, 40), st.integers(1, 9), signs,
+       st.integers(8, 128))
+def test_pow_bounds_of_exact_power_bases_equal_the_reference(r, s, k, a, sign, prec):
+    q, e = Fraction(r ** k, s ** k), _coprime_exponent(a, k, sign)
+    got = pow_bounds(q, e, prec)
+    assert got == _ref_pow_bounds(q, e, prec)
+    assert got[0] == got[1] == Fraction(r, s) ** (e.numerator)
+
+
+@given(small_bases, st.integers(2, 10 ** 6), st.integers(2, 40), st.integers(1, 9), signs,
+       st.booleans(), st.integers(8, 128))
+def test_pow_bounds_with_one_power_side_equal_the_reference(r, d, k, a, sign, flip, prec):
+    # a numerator that is a k-th power over a denominator that is not
+    # (or the other way round): the power is irrational
+    if iroot(d, k) ** k == d:
+        d += 1
+    q, e = Fraction(r ** k, d), _coprime_exponent(a, k, sign)
+    if flip:
+        q = 1 / q
+    lo, hi = pow_bounds(q, e, prec)
+    assert (lo, hi) == _ref_pow_bounds(q, e, prec)
+    assert lo < hi
+
+
+@given(
+    st.integers(min_value=1, max_value=(1 << 200) - 1),
+    st.integers(130, 180),
+    st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(2, 3),
+                     Fraction(3, 2), Fraction(5, 4), Fraction(73, 144)]),
+    st.sampled_from([64, 80, 96]),
+)
+def test_pow_bounds_of_grid_values_equal_the_reference(m, bits, e, prec):
+    # squared head moduli are integers over 2**130 and more
+    q = Fraction(m, 1 << bits)
+    assert pow_bounds(q, e, prec) == _ref_pow_bounds(q, e, prec)
+
+
+@settings(max_examples=100)
+@given(
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+    st.integers(1, 144),
+    st.integers(1, 3),
+    signs,
+    st.sampled_from([16, 64, 128]),
+)
+def test_pow_bounds_with_orders_up_to_144_equal_the_reference(q, k, a, sign, prec):
+    # cap-lp:0 roots of order 2n for n <= 72, and k = 1 (integer powers)
+    e = _coprime_exponent(a, k, sign)
+    assert pow_bounds(q, e, prec) == _ref_pow_bounds(q, e, prec)
+
+
+@given(wide_nonneg, st.integers(1, 144), st.integers(4, 200))
+def test_root_bounds_is_pow_bounds_at_one_over_k(q, k, prec):
+    assert root_bounds(q, k, prec) == pow_bounds(q, Fraction(1, k), prec)
+
+
+@given(
+    st.fractions(min_value=-1000, max_value=Fraction(-1, 50), max_denominator=50),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.integers(1, 8),
+)
+def test_negative_bases_are_rejected(q, e, k):
+    # the domain is q >= 0, whatever the exponent: even numerators and e = 0 too
+    with pytest.raises(ValueError):
+        pow_bounds(q, e, 32)
+    with pytest.raises(ValueError):
+        root_bounds(q, k, 32)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(
+                st.just(Fraction(0)),
+                st.fractions(min_value=0, max_value=50, max_denominator=50),
+                st.builds(lambda r, s: Fraction(r * r, s * s), small_bases, small_bases),
+            ),
+            st.integers(1, 5),
+        ),
+        max_size=12,
+    ),
+    st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 8)]),
+    st.integers(8, 96),
+)
+def test_pow_sum_equals_the_sum_of_reference_endpoints(terms, e, prec):
+    lo_sum, hi_sum = PowSum(e, prec), PowSum(e, prec, upper=True)
+    ref_lo = ref_hi = Fraction(0)
+    for q, count in terms:
+        lo_sum.add(q, count)
+        hi_sum.add(q, count)
+        lo, hi = _ref_pow_bounds(q, e, prec)
+        ref_lo += count * lo
+        ref_hi += count * hi
+    assert (lo_sum.value, hi_sum.value) == (ref_lo, ref_hi)
+
+
+def test_scale_by_one_is_the_box_itself():
+    z = ComplexInterval(Fraction(-1, 3), Fraction(2, 7), Fraction(1, 5), Fraction(4, 9))
+    assert z.scale(1) is z
+    assert z.scale(Fraction(1), Fraction(0)) is z
+    assert z.scale(Fraction(1)) == _box_product(z, ComplexInterval.exact(1))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_finite
+from conftest import catalog, random_finite
 from seqchain.errors import BudgetExceeded, MissingTailOracle, UnknownSpace
 from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, nat, prop28
 from seqchain.intervals import ComplexInterval
@@ -39,6 +39,7 @@ from seqchain.spaces import (
     strictly_included,
 )
 from seqchain.supports import Arith, DyadicRow, PowersOfTwo
+from test_intervals import _ref_pow_bounds
 
 F = Fraction
 
@@ -354,6 +355,37 @@ def test_ratio_sum_equals_fraction_sum(seq, cutoffs, prec):
     head = _Head(seq, prec)
     for N in cutoffs:
         assert head.ratio_sum(N) == _ref_ratio_sum(seq, N, prec + 16)
+
+
+def _ref_power_sum(seq, p, N, hp):
+    lo = hi = F(0)
+    for n in sorted(support_indices_upto(seq, N)):
+        iv = seq.term(n, hp)
+        if not iv.is_exact_zero:
+            sq_lo, sq_hi = iv.abs_sq_bounds()
+            lo += _ref_pow_bounds(sq_lo, p / 2, hp)[0]
+            hi += _ref_pow_bounds(sq_hi, p / 2, hp)[1]
+    return lo, hi
+
+
+# lp exponents, and cap-lp exponents a + 1/n; p = 2 makes every summand exact
+_POWER_EXPONENTS = [F(1, 2), F(1), F(3, 2), F(2), F(3), F(1, 3), F(4, 3), F(13, 6), F(5, 4)]
+
+
+@given(_head_sequences, st.sampled_from(_POWER_EXPONENTS), _head_cutoffs, st.sampled_from([32, 64]))
+def test_power_sum_equals_fraction_sum(seq, p, cutoffs, prec):
+    head = _Head(seq, prec)
+    for N in cutoffs:
+        assert head.power_sum(p, N) == _ref_power_sum(seq, p, N, prec + 16)
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_power_sums_on_the_catalog_equal_fraction_sums(name):
+    seq = catalog()[name]
+    head = _Head(seq, 64)
+    for N in (-1, 0, 9, 40):
+        for p in _POWER_EXPONENTS:
+            assert head.power_sum(p, N) == _ref_power_sum(seq, p, N, 80), (N, p)
 
 
 @given(
