@@ -283,9 +283,11 @@ def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
 
     Every sampled term is evaluated, and each block is summed by runs of
     equal (``==``) consecutive terms: a run of ``count`` terms adds
-    ``count * low`` once.  Exact rational arithmetic makes that the same
-    total as the term-by-term sum, so ``abs_sq_bounds`` and the power run
-    once per run, and a block-constant witness costs one power per block."""
+    ``count * low`` once.  The runs are found by ``ComplexInterval``'s
+    point-aware ``==``, which compares one endpoint per zero-width axis.
+    Exact rational arithmetic makes that the same total as the term-by-term
+    sum, so ``abs_sq_bounds`` and the power run once per run, and a
+    block-constant witness costs one power per block."""
     if bd.comparator not in COMPARATORS:
         return False
     hint = seq.support_hint or AllNaturals()

@@ -19,6 +19,15 @@ The box operations skip work on exact zeros: when a box or a scalar is
 real, the products with its zero imaginary part and the sums with them
 are left out.  ``0*c`` and ``x + 0`` are exact in rational arithmetic, so
 every endpoint is the same rational the full formula gives.
+
+They also skip work on exact values: a zero-width axis of a
+``ComplexInterval`` holds one endpoint object (``re_lo is re_hi`` whenever
+``re_lo == re_hi``, and the same for ``im``), which the constructor
+enforces.  ``is_exact``, ``is_exact_zero`` and ``is_real`` test identity,
+``==`` compares one endpoint of an axis that is a point in both boxes, and
+``+``, ``-``, ``conj``, ``scale``, ``div``, ``abs_sq_bounds``, ``abs_bounds``
+and negative powers in ``pow_bounds`` compute a point's endpoint once: the
+formula for either end gives that same rational.
 """
 
 from __future__ import annotations
@@ -160,6 +169,9 @@ def pow_bounds(q: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]
             raise ValueError("negative power of nonpositive rational")
         inner = prec + 2 + 2 * _neg_log2_upper(q, -e)
         lo_p, hi_p = pow_bounds(q, -e, inner)
+        if lo_p is hi_p:
+            inv = 1 / lo_p
+            return inv, inv
         return 1 / hi_p, 1 / lo_p
     return _grid_bounds(q, e.numerator, e.denominator, prec)
 
@@ -194,6 +206,9 @@ def _interval_mul(a_lo: Fraction, a_hi: Fraction, b_lo: Fraction, b_hi: Fraction
 
 
 def _interval_sq(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    if lo is hi:
+        sq = lo * lo
+        return sq, sq
     if lo >= 0:
         return lo * lo, hi * hi
     if hi <= 0:
@@ -211,12 +226,30 @@ class ComplexInterval:
     im_hi: Fraction
 
     def __post_init__(self):
-        if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
-            raise ValueError("interval endpoints out of order")
+        # a zero-width axis holds one endpoint object (module docstring)
+        if self.re_lo is not self.re_hi and not self.re_lo < self.re_hi:
+            if self.re_lo > self.re_hi:
+                raise ValueError("interval endpoints out of order")
+            object.__setattr__(self, "re_hi", self.re_lo)
+        if self.im_lo is not self.im_hi and not self.im_lo < self.im_hi:
+            if self.im_lo > self.im_hi:
+                raise ValueError("interval endpoints out of order")
+            object.__setattr__(self, "im_hi", self.im_lo)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        s, o = self, other
+        return (
+            (s.re_lo is o.re_lo or s.re_lo == o.re_lo)
+            and (s.re_lo is s.re_hi and o.re_lo is o.re_hi or s.re_hi == o.re_hi)
+            and (s.im_lo is o.im_lo or s.im_lo == o.im_lo)
+            and (s.im_lo is s.im_hi and o.im_lo is o.im_hi or s.im_hi == o.im_hi)
+        )
 
     @staticmethod
-    def exact(re, im=0) -> "ComplexInterval":
-        re, im = Fraction(re), Fraction(im)
+    def exact(re, im=Q0) -> "ComplexInterval":
+        re, im = _as_endpoint(re), _as_endpoint(im)
         return ComplexInterval(re, re, im, im)
 
     @staticmethod
@@ -225,7 +258,7 @@ class ComplexInterval:
 
     @staticmethod
     def from_real_bounds(lo, hi) -> "ComplexInterval":
-        return ComplexInterval(Fraction(lo), Fraction(hi), Q0, Q0)
+        return ComplexInterval(_as_endpoint(lo), _as_endpoint(hi), Q0, Q0)
 
     @property
     def width(self) -> Fraction:
@@ -233,30 +266,25 @@ class ComplexInterval:
 
     @property
     def is_exact(self) -> bool:
-        return self.re_lo == self.re_hi and self.im_lo == self.im_hi
+        return self.re_lo is self.re_hi and self.im_lo is self.im_hi
 
     @property
     def is_exact_zero(self) -> bool:
-        return self.is_exact and self.re_lo == 0 and self.im_lo == 0
+        return self.is_exact and not self.re_lo and not self.im_lo
 
     @property
     def is_real(self) -> bool:
-        return self.im_lo == 0 and self.im_hi == 0
+        return self.im_lo is self.im_hi and not self.im_lo
 
     def __add__(self, other: "ComplexInterval") -> "ComplexInterval":
+        re_lo, re_hi = _sum(self.re_lo, self.re_hi, other.re_lo, other.re_hi)
         if self.is_real and other.is_real:
-            return ComplexInterval(
-                self.re_lo + other.re_lo, self.re_hi + other.re_hi, Q0, Q0
-            )
-        return ComplexInterval(
-            self.re_lo + other.re_lo,
-            self.re_hi + other.re_hi,
-            self.im_lo + other.im_lo,
-            self.im_hi + other.im_hi,
-        )
+            return ComplexInterval(re_lo, re_hi, Q0, Q0)
+        im_lo, im_hi = _sum(self.im_lo, self.im_hi, other.im_lo, other.im_hi)
+        return ComplexInterval(re_lo, re_hi, im_lo, im_hi)
 
     def __neg__(self) -> "ComplexInterval":
-        return ComplexInterval(-self.re_hi, -self.re_lo, -self.im_hi, -self.im_lo)
+        return ComplexInterval(*_neg(self.re_lo, self.re_hi), *_neg(self.im_lo, self.im_hi))
 
     def __sub__(self, other: "ComplexInterval") -> "ComplexInterval":
         return self + (-other)
@@ -277,11 +305,11 @@ class ComplexInterval:
         if self.is_real:
             d_lo, d_hi = _scale_real(self.re_lo, self.re_hi, c_im)
             return ComplexInterval(a_lo, a_hi, d_lo, d_hi)
-        b_lo, b_hi = _scale_real(self.im_lo, self.im_hi, c_im)
-        re_lo, re_hi = a_lo - b_hi, a_hi - b_lo
+        b_lo, b_hi = _scale_real(self.im_lo, self.im_hi, -c_im)
+        re_lo, re_hi = _sum(a_lo, a_hi, b_lo, b_hi)
         c_lo, c_hi = _scale_real(self.im_lo, self.im_hi, c_re)
         d_lo, d_hi = _scale_real(self.re_lo, self.re_hi, c_im)
-        return ComplexInterval(re_lo, re_hi, c_lo + d_lo, c_hi + d_hi)
+        return ComplexInterval(re_lo, re_hi, *_sum(c_lo, c_hi, d_lo, d_hi))
 
     def mul(self, other: "ComplexInterval") -> "ComplexInterval":
         # a zero-width box multiplies exactly as the scalar it holds
@@ -296,7 +324,7 @@ class ComplexInterval:
         return ComplexInterval(ac[0] - bd[1], ac[1] - bd[0], ad[0] + bc[0], ad[1] + bc[1])
 
     def conj(self) -> "ComplexInterval":
-        return ComplexInterval(self.re_lo, self.re_hi, -self.im_hi, -self.im_lo)
+        return ComplexInterval(self.re_lo, self.re_hi, *_neg(self.im_lo, self.im_hi))
 
     def div(self, other: "ComplexInterval") -> "ComplexInterval":
         """Exact-rational interval division; other must exclude zero."""
@@ -304,6 +332,8 @@ class ComplexInterval:
         if d_lo <= 0:
             raise ZeroDivisionError("divisor interval does not exclude zero")
         num = self.mul(other.conj())
+        if d_lo is d_hi:  # a point divisor: scale by the exact 1/|w|**2
+            return num.scale(1 / d_lo)
         inv_lo, inv_hi = 1 / d_hi, 1 / d_lo
         re = _interval_mul(num.re_lo, num.re_hi, inv_lo, inv_hi)
         im = _interval_mul(num.im_lo, num.im_hi, inv_lo, inv_hi)
@@ -314,12 +344,13 @@ class ComplexInterval:
         r_lo, r_hi = _interval_sq(self.re_lo, self.re_hi)
         if self.is_real:
             return r_lo, r_hi  # real box: adding the zero square is exact
-        i_lo, i_hi = _interval_sq(self.im_lo, self.im_hi)
-        return r_lo + i_lo, r_hi + i_hi
+        return _sum(r_lo, r_hi, *_interval_sq(self.im_lo, self.im_hi))
 
     def abs_bounds(self, prec: int) -> tuple[Fraction, Fraction]:
         """Rational bounds on |z|, rounded outward at 2**-prec."""
         sq_lo, sq_hi = self.abs_sq_bounds()
+        if sq_lo is sq_hi:
+            return sqrt_bounds(sq_lo, prec)
         lo = sqrt_bounds(sq_lo, prec)[0]
         hi = sqrt_bounds(sq_hi, prec)[1]
         return lo, hi
@@ -341,7 +372,32 @@ class ComplexInterval:
         )
 
 
+def _as_endpoint(x) -> Fraction:
+    if x.__class__ is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError("interval endpoints must be exact rationals, not floats")
+    return Fraction(x)
+
+
+def _sum(a_lo, a_hi, b_lo, b_hi) -> tuple[Fraction, Fraction]:
+    lo = a_lo + b_lo
+    if a_lo is a_hi and b_lo is b_hi:
+        return lo, lo
+    return lo, a_hi + b_hi
+
+
+def _neg(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    if lo is hi:
+        neg = -lo
+        return neg, neg
+    return -hi, -lo
+
+
 def _scale_real(lo: Fraction, hi: Fraction, c: Fraction) -> tuple[Fraction, Fraction]:
+    if lo is hi:
+        p = c * lo
+        return p, p
     if c >= 0:
         return c * lo, c * hi
     return c * hi, c * lo

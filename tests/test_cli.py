@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +270,32 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert len(json.loads(done.stdout)["chain"]) == 10
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _project_table():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+
+def test_console_script_resolves_to_a_working_entry_point(monkeypatch, capsys):
+    module, _, attr = _project_table()["scripts"]["seqchain"].partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert callable(entry)
+    monkeypatch.setattr(sys, "argv", ["seqchain", "chain"])
+    with pytest.raises(SystemExit) as done:
+        entry()
+    assert done.value.code == 0
+    assert len(json.loads(capsys.readouterr().out)["chain"]) == 10
+
+
+def test_requires_python_is_the_floor_of_the_ci_matrix():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    matrix = re.search(r"python-version:\s*\[([^\]]*)\]", workflow).group(1)
+    versions = [tuple(map(int, v.strip(" \"'").split("."))) for v in matrix.split(",")]
+    assert _project_table()["requires-python"] == ">={}.{}".format(*min(versions))
 
 
 def _nested_restrict(depth):

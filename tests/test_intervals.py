@@ -130,13 +130,14 @@ def test_interval_mul_div_roundtrip(a, b, c, d):
     assert back.contains(a, b)
 
 
+def _ref_interval_mul(a_lo, a_hi, b_lo, b_hi):
+    ps = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
+    return min(ps), max(ps)
+
+
 def _box_product(z, w):
     """The textbook complex box product from four interval products."""
-
-    def prod(a_lo, a_hi, b_lo, b_hi):
-        ps = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
-        return min(ps), max(ps)
-
+    prod = _ref_interval_mul
     ac = prod(z.re_lo, z.re_hi, w.re_lo, w.re_hi)
     bd = prod(z.im_lo, z.im_hi, w.im_lo, w.im_hi)
     ad = prod(z.re_lo, z.re_hi, w.im_lo, w.im_hi)
@@ -461,3 +462,170 @@ def test_scale_by_one_is_the_box_itself():
     assert z.scale(1) is z
     assert z.scale(Fraction(1), Fraction(0)) is z
     assert z.scale(Fraction(1)) == _box_product(z, ComplexInterval.exact(1))
+
+
+# -- one endpoint object per zero-width axis ----------------------------------
+#
+# Reference copies of the general box formulas, which compute every
+# endpoint on its own: the kernel's shortcuts on points and zeros must give
+# the same rationals.  Endpoints are compared as tuples of Fractions, so
+# these tests do not rest on ComplexInterval.__eq__.
+
+
+def _ends(z):
+    return (z.re_lo, z.re_hi, z.im_lo, z.im_hi)
+
+
+def _ref_add(z, w):
+    return tuple(a + b for a, b in zip(_ends(z), _ends(w)))
+
+
+def _ref_neg(z):
+    return (-z.re_hi, -z.re_lo, -z.im_hi, -z.im_lo)
+
+
+def _ref_conj(z):
+    return (z.re_lo, z.re_hi, -z.im_hi, -z.im_lo)
+
+
+def _ref_sq(lo, hi):
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return Fraction(0), max(lo * lo, hi * hi)
+
+
+def _ref_abs_sq(z):
+    r, i = _ref_sq(z.re_lo, z.re_hi), _ref_sq(z.im_lo, z.im_hi)
+    return r[0] + i[0], r[1] + i[1]
+
+
+def _ref_div(z, w):
+    d_lo, d_hi = _ref_abs_sq(w)
+    num = _box_product(z, ComplexInterval(*_ref_conj(w)))
+    re = _ref_interval_mul(num.re_lo, num.re_hi, 1 / d_hi, 1 / d_lo)
+    im = _ref_interval_mul(num.im_lo, num.im_hi, 1 / d_hi, 1 / d_lo)
+    return re + im
+
+
+def _ref_abs_bounds(z, prec):
+    sq_lo, sq_hi = _ref_abs_sq(z)
+    return _ref_root_bounds(sq_lo, 2, prec)[0], _ref_root_bounds(sq_hi, 2, prec)[1]
+
+
+def _copy(q):
+    """An equal Fraction that is a distinct object."""
+    return Fraction(q.numerator, q.denominator)
+
+
+@st.composite
+def point_or_wide_boxes(draw):
+    """Boxes whose axes are points or not, real or complex; the high end of
+    every axis is a new object, equal to the low end on a point axis."""
+
+    def axis(lo):
+        return lo, lo + draw(st.one_of(st.just(Fraction(0)), nonneg))
+
+    im_lo = draw(st.one_of(st.just(Fraction(0)), rationals))
+    return ComplexInterval(*axis(draw(rationals)), *axis(im_lo))
+
+
+def _one_object_per_point_axis(z):
+    return (z.re_lo is z.re_hi or z.re_lo != z.re_hi) and (
+        z.im_lo is z.im_hi or z.im_lo != z.im_hi
+    )
+
+
+@given(point_or_wide_boxes(), point_or_wide_boxes(), rationals, zero_or_rational, nonneg)
+def test_zero_width_axes_hold_one_endpoint_object(z, w, c_re, c_im, q):
+    built = [
+        z,
+        w,
+        ComplexInterval.exact(c_re, c_im),
+        ComplexInterval.from_real_bounds(c_re, _copy(c_re)),
+        ComplexInterval.from_real_bounds(q, q + 1),
+        ComplexInterval(c_re, _copy(c_re), c_im, _copy(c_im)),
+        z.scale(c_re, c_im),
+        z + w,
+        z - w,
+        -z,
+        z.mul(w),
+        z.conj(),
+    ]
+    if w.excludes_zero():
+        built.append(z.div(w))
+    for box in built:
+        assert _one_object_per_point_axis(box)
+    for lo, hi in (z.abs_sq_bounds(), z.abs_bounds(64)):
+        assert lo is hi or lo != hi
+    if q:
+        lo, hi = pow_bounds(q * q, Fraction(-1, 2), 64)  # the exact 1/q
+        assert lo is hi and lo == 1 / q
+
+
+@given(point_or_wide_boxes(), point_or_wide_boxes(), rationals, zero_or_rational)
+def test_box_ops_equal_the_general_formulas(z, w, c_re, c_im):
+    c = ComplexInterval.exact(c_re, c_im)
+    assert _ends(z.scale(c_re, c_im)) == _ends(_box_product(z, c))
+    assert _ends(z + w) == _ref_add(z, w)
+    assert _ends(z - w) == _ref_add(z, ComplexInterval(*_ref_neg(w)))
+    assert _ends(-z) == _ref_neg(z)
+    assert _ends(z.conj()) == _ref_conj(z)
+    assert _ends(z.mul(w)) == _ends(_box_product(z, w))
+    assert z.abs_sq_bounds() == _ref_abs_sq(z)
+    assert z.abs_bounds(40) == _ref_abs_bounds(z, 40)
+    if w.excludes_zero():
+        assert _ends(z.div(w)) == _ref_div(z, w)
+
+
+@given(point_or_wide_boxes(), st.sampled_from(["copy", "other", "re_hi", "im_hi"]), point_or_wide_boxes())
+def test_equality_and_hash_are_those_of_the_field_tuple(z, how, other):
+    if how == "copy":
+        w = ComplexInterval(*(_copy(x) for x in _ends(z)))
+    elif how == "re_hi":  # same low ends, one axis wider
+        w = ComplexInterval(z.re_lo, z.re_hi + 1, z.im_lo, z.im_hi)
+    elif how == "im_hi":
+        w = ComplexInterval(z.re_lo, z.re_hi, z.im_lo, z.im_hi + 1)
+    else:
+        w = other
+    assert (z == w) is (w == z) is (_ends(z) == _ends(w))
+    assert (z != w) is (_ends(z) != _ends(w))
+    assert hash(z) == hash(_ends(z))
+    if z == w:
+        assert hash(z) == hash(w)
+
+
+def test_a_box_never_equals_a_non_box():
+    z = ComplexInterval.exact(Fraction(0))
+    assert z.__eq__(0) is NotImplemented
+    assert z != 0 and z != _ends(z)
+    assert {z: 1}[ComplexInterval.exact(0)] == 1
+
+
+@given(rationals, rationals)
+def test_out_of_order_endpoints_are_rejected_on_either_axis(a, b):
+    if a == b:
+        return
+    lo, hi = min(a, b), max(a, b)
+    with pytest.raises(ValueError):
+        ComplexInterval(hi, lo, Fraction(0), Fraction(0))
+    with pytest.raises(ValueError):
+        ComplexInterval(lo, hi, hi, lo)
+    with pytest.raises(ValueError):
+        ComplexInterval(hi, _copy(lo), lo, _copy(lo))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ComplexInterval.exact(0.1),
+        lambda: ComplexInterval.exact(Fraction(1), 0.5),
+        lambda: ComplexInterval.from_real_bounds(0.1, 1),
+        lambda: ComplexInterval.from_real_bounds(0, 1.5),
+    ],
+    ids=["exact-re", "exact-im", "real-bounds-lo", "real-bounds-hi"],
+)
+def test_box_constructors_reject_floats(build):
+    with pytest.raises(TypeError, match="not floats"):
+        build()
