@@ -48,6 +48,7 @@ from .tags import (
 )
 
 _TAG_PREC = 32  # fixed precision for rational bounds baked into tags
+_ONE = ComplexInterval.exact(1)  # every term of const-one
 
 
 def _real_iv(lo: Fraction, hi: Fraction) -> ComplexInterval:
@@ -377,7 +378,7 @@ def const_one() -> FamilySeq:
     """The constant sequence 1: bounded, not vanishing."""
 
     def term(n, prec):
-        return ComplexInterval.exact(1)
+        return _ONE
 
     def sup(N, prec):
         return Q1
@@ -542,8 +543,15 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
     if b < 0:
         raise ValueError("parameter must be >= 0")
 
+    # one box per dyadic level L(n+2), so a run of equal terms is one object
+    levels: dict[int, ComplexInterval] = {}
+
     def term(n, prec):
-        return ComplexInterval.exact(Fraction(1, _floor_log2(n + 2)))
+        L = _floor_log2(n + 2)
+        box = levels.get(L)
+        if box is None:
+            box = levels[L] = ComplexInterval.exact(Fraction(1, L))
+        return box
 
     def sup(N, prec):
         return Fraction(1, _floor_log2(N + 3))

@@ -44,11 +44,14 @@ def parse_rational(text: str) -> Fraction:
     """Parse a rational literal such as ``"3/4"``, ``"-2"`` or ``"0"``.
 
     Only strings are accepted: a JSON number where a literal is expected
-    is a malformed spec, not a value to coerce."""
+    is a malformed spec, not a value to coerce.  Exponent notation is
+    refused, since ``Fraction("1e-300000000")`` expands the power exactly."""
     from .errors import ParseError
 
     if not isinstance(text, str):
         raise ParseError(f"bad rational literal {text!r}: expected a string")
+    if "e" in text or "E" in text:
+        raise ParseError(f"bad rational literal {text!r}: exponent notation is not accepted")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

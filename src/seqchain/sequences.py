@@ -13,7 +13,9 @@ each returning ``None`` when the sequence cannot certify the bound.
 Growth tags (:mod:`seqchain.tags`) and block-divergence data ride along
 the same way.  Term oracles are pure and cached, so repeated calls with
 identical arguments return identical intervals, and intervals at finer
-precision are contained in coarser ones.
+precision are contained in coarser ones.  The cache keeps every term
+except the shared zero box (``ComplexInterval.zero()``): a structural zero
+costs one support test to recompute and is the same object every time.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from typing import Callable
 from .errors import LengthMismatch
 from .intervals import ComplexInterval, Q0, Q1, format_rational, pow_bounds, sqrt_bounds
 from .supports import AllNaturals, ExplicitFinite, SupportSet
+
+
+_ZERO = ComplexInterval.zero()
 
 
 def _as_rat(x) -> Fraction:
@@ -82,13 +87,15 @@ class Sequence:
 
     # -- term oracle ---------------------------------------------------
     def term(self, n: int, prec: int) -> ComplexInterval:
+        """The term at n, cached unless it is the shared zero box."""
         if n < 0:
             raise ValueError("negative index")
         key = (n, prec)
         hit = self._term_cache.get(key)
         if hit is None:
             hit = self._term(n, prec)
-            self._term_cache[key] = hit
+            if hit is not _ZERO:
+                self._term_cache[key] = hit
         return hit
 
     def _term(self, n: int, prec: int) -> ComplexInterval:

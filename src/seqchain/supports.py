@@ -191,21 +191,6 @@ class TailFrom(SupportSet):
         return self.base.nth(self._skipped + k)
 
 
-class Complement(SupportSet):
-    """All naturals not in base: used by tests; infinite-ness unchecked."""
-
-    def __init__(self, base: SupportSet):
-        self.base = base
-
-    def member(self, n):
-        return n >= 0 and not self.base.member(n)
-
-    def rank_upto(self, n):
-        if n < 0:
-            return 0
-        return n + 1 - self.base.rank_upto(n)
-
-
 EVENS = Arith(0, 2)
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,34 @@ def test_out_of_range_decompose_grid_is_a_one_line_error(capsys, args):
 def test_malformed_spec_values_are_one_line_errors(capsys, spec):
     assert main(["classify", spec, "linf"]) == 1
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, literal",
+    [
+        (["classify", NAT, "lp:1e-300000000"], "1e-300000000"),
+        (["classify", '{"kind":"finite","entries":[[0,"1e-400000000","0/1"]]}', "linf"],
+         "1e-400000000"),
+        (["--epsilon", "1e-999999999", "approx", "--target", ZERO, "--outer", "c0",
+          "--avoid", "lp:1"], "1e-999999999"),
+        (["classify", NAT, "lp:2E3"], "2E3"),
+    ],
+    ids=["space-param", "finite-entry", "epsilon", "capital-E"],
+)
+def test_exponent_literals_are_prompt_one_line_errors(capsys, argv, literal):
+    # Fraction would expand 10**-300000000 exactly; the parser refuses first
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(literal) in err
+
+
+def test_plain_decimal_space_parameter_still_parses(tmp_path):
+    code, raw = run_json(tmp_path, ["classify", NAT, "lp:0.5"])
+    assert code == 0
+    assert json.loads(raw)["space"] == "lp:1/2"
 
 
 def test_gap_cap_c0_high_exponent_exits_undecided(tmp_path):

@@ -27,7 +27,6 @@ from seqchain.sequences import (
 from seqchain.supports import (
     AllNaturals,
     Arith,
-    Complement,
     DyadicRow,
     ExplicitFinite,
     PowersOfTwo,
@@ -118,11 +117,11 @@ def test_restrict_tails_dominated():
 
 def test_restrict_complement_recomposes():
     rng = random.Random(11)
-    evens = Arith(0, 2)
+    evens, odds = Arith(0, 2), Arith(1, 2)
     for _ in range(20):
         a = random_finite(rng)
         left = restrict(a, evens)
-        right = restrict(a, Complement(evens))
+        right = restrict(a, odds)
         back = combine([1, 1], [left, right])
         for n in range(30):
             assert term_at(back, n, 20) == term_at(a, n, 20)
@@ -414,3 +413,42 @@ def test_disc_tail_of_a_far_entry_is_bounded_not_computed():
     tail = a.disc_tail(0, r, PREC)
     head = sqrt_bounds(F(1, 4) + F(1, 9), PREC)[1] * r ** 5
     assert tail == head + 3 * F(1, 1 << (PREC + 16))
+
+
+# -- what the term cache keeps ----------------------------------------------------
+
+
+def test_repeated_terms_are_one_object_and_the_cache_holds_no_shared_zero():
+    zero_box = ComplexInterval.zero()
+    zeros = nonzeros = 0
+    for name, seq in _hinted_nodes():
+        for prec in (8, PREC):
+            for n in range(0, 130, 3):
+                first = seq.term(n, prec)
+                again = seq.term(n, prec)
+                # a zero comes back as the shared box, anything else from the cache
+                assert again is first and again == first, (name, n, prec)
+                if first is zero_box:
+                    zeros += 1
+                else:
+                    nonzeros += 1
+        assert not any(v is zero_box for v in seq._term_cache.values()), name
+    assert zeros > 1000 and nonzeros > 1000
+
+
+def test_gap_cap_c0_shares_one_box_per_dyadic_level():
+    seq = families.gap_cap_c0(F(2))
+    first_at_level = {}
+    for n in range(1 << 13):
+        level = (n + 2).bit_length() - 1
+        for prec in (8, PREC):
+            box = seq.term(n, prec)
+            assert box == ComplexInterval.exact(F(1, level)), n
+            assert box is first_at_level.setdefault(level, box), n
+    assert sorted(first_at_level) == list(range(1, 14))
+
+
+def test_const_one_terms_are_one_box():
+    one, other = families.const_one(), families.const_one()
+    assert one.term(0, 8) == ComplexInterval.exact(1)
+    assert all(one.term(n, PREC) is other.term(0, 8) for n in range(50))

@@ -6,7 +6,6 @@ from seqchain.errors import FiniteSupportSet, ParseError
 from seqchain.supports import (
     AllNaturals,
     Arith,
-    Complement,
     DyadicRow,
     ExplicitFinite,
     PowersOfTwo,
@@ -63,8 +62,6 @@ def test_tail_from_and_complement():
     tail = TailFrom(evens, 5)
     assert [tail.nth(k) for k in range(1, 4)] == [6, 8, 10]
     assert not tail.member(4)
-    comp = Complement(evens)
-    assert [comp.nth(k) for k in range(1, 4)] == [1, 3, 5]
 
 
 def test_finite_flag_and_errors():

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from conftest import BUDGET, PREC
 from seqchain.diagnose import CertifiedIn, CertifiedOut, classify
 from seqchain.errors import FiniteSupportSet, NotStrictPair, TopOfChain
 from seqchain.families import prop28
-from seqchain.sequences import spread, term_at
+from seqchain.intervals import ComplexInterval
+from seqchain.sequences import Spread, spread, term_at
+from seqchain.spaceable import build_basis
 from seqchain.spaces import (
     AINF,
     C0,
@@ -194,3 +197,67 @@ def test_witness_construction_is_deterministic():
     assert a.seq.spec() == b.seq.spec()
     for n in range(50):
         assert a.seq.term(n, 30) == b.seq.term(n, 30)
+
+
+# -- the term cache under verification ------------------------------------------
+
+
+def _nodes(seq):
+    """A sequence and every sequence it is built from."""
+    yield seq
+    for part in [getattr(seq, "base", None), *getattr(seq, "bases", ())]:
+        if part is not None:
+            yield from _nodes(part)
+
+
+@pytest.mark.parametrize("pair", adjacent_pairs(), ids=lambda p: f"{p[0]}<{p[1]}")
+def test_verified_basis_caches_hold_no_shared_zero(pair):
+    # off-support terms are the shared zero box; the cache keeps none of them
+    zero_box = ComplexInterval.zero()
+    basis = build_basis(*pair, 3, BUDGET, PREC)
+    for w in basis.elements.values():
+        assert verify_witness(w, BUDGET, samples=3, prec=PREC)
+        for node in _nodes(w.seq):
+            assert not any(v is zero_box for v in node._term_cache.values()), node
+
+
+class _CountingSpread(Spread):
+    """A spread that counts its term evaluations per index at prec 8, the
+    precision of ``verify_witness``'s off-support loop, and may carry one
+    planted nonzero term off its support."""
+
+    def __init__(self, base, support, planted=None):
+        super().__init__(base, support)
+        self.planted = planted
+        self.calls = Counter()
+
+    def _term(self, n, prec):
+        if prec == 8:
+            self.calls[n] += 1
+        if n == self.planted:
+            return ComplexInterval.exact(F(1, 1 << 40))
+        return super()._term(n, prec)
+
+
+def _counting_witness(planted=None):
+    w = make_witness(lp(1), C0, EVENS, BUDGET, PREC)
+    return dataclasses.replace(w, seq=_CountingSpread(w.seq.base, EVENS, planted))
+
+
+@pytest.mark.parametrize("budget", [100, BUDGET, 2 * BUDGET])
+def test_verify_witness_evaluates_every_off_support_index(budget):
+    w = _counting_witness()
+    odd = range(1, min(budget, 4096) + 1, 2)
+    for rounds in (1, 2):
+        assert verify_witness(w, budget, samples=3, prec=PREC)
+        # each round evaluates every odd index once more: no zero is cached
+        assert {n: w.seq.calls[n] for n in odd} == dict.fromkeys(odd, rounds)
+        assert all(n % 2 == 0 for n in set(w.seq.calls) - set(odd))
+
+
+@pytest.mark.parametrize("planted", [1, 4095])
+def test_verify_witness_rejects_a_nonzero_term_off_the_support(planted):
+    assert verify_witness(_counting_witness(), BUDGET, 3, PREC)
+    assert not verify_witness(_counting_witness(planted), BUDGET, 3, PREC)
+    # past min(budget, 4096) the loop does not look
+    assert verify_witness(_counting_witness(4097), BUDGET, 3, PREC)
