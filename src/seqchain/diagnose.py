@@ -34,7 +34,7 @@ from itertools import groupby
 from operator import index
 
 from .errors import ParseError, UnsupportedSpace
-from .intervals import Q0, Q1, PowSum, format_rational, parse_rational, pow_bounds, sqrt_bounds
+from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, parse_rational, pow_bounds, sqrt_bounds
 from .sequences import Sequence, support_indices_upto
 from .spaces import AINF, C0, HD, LINF, SpaceId
 from .supports import AllNaturals
@@ -397,8 +397,8 @@ def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
 def _lp_head_upper(head, p: Fraction, prec: int) -> Fraction:
     """Upper bound on the head sum of |a_n|**p from a squared head."""
     total = PowSum(p / 2, prec, upper=True)
-    for _, sq_hi in head:
-        total.add(sq_hi)
+    for sq_hi, run in groupby(sq for _, sq in head):  # a run of equal moduli adds once
+        total.add(sq_hi, sum(1 for _ in run))
     return total.value
 
 
@@ -422,7 +422,8 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
 
     Schedules over exponents p_n (cap-lp) or radii r_k (hd) share one
     cutoff N, so their rows read one head of moduli built once per call
-    (after every tail oracle has answered)."""
+    (after every tail oracle has answered).  The ``disc-schedule`` rows sum
+    that head with the one disc-sum kernel, ``intervals.DiscSum``."""
     if space.tag == "cn0":
         return InCert(space, "total", (), prec)
 
@@ -476,9 +477,7 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
                 return None
             tails.append((r_k, tail))
         moduli = _head_moduli(seq, cuts, prec, root=True)
-        rows = tuple(
-            (r_k, cuts, sum((a * r_k ** n for n, a in moduli), Q0) + tail) for r_k, tail in tails
-        )
+        rows = tuple((r_k, cuts, DiscSum(r_k).extend(moduli).value + tail) for r_k, tail in tails)
         return InCert(space, "disc-schedule", rows, prec)
 
     if space.tag == "ainf":

@@ -76,10 +76,18 @@ def _geom_tail(base: Fraction, exponent: Fraction, k0: int, prec: int) -> Fracti
 
 
 def _check_r(r: Fraction) -> Fraction:
-    r = Fraction(r)
+    if not isinstance(r, Fraction):
+        r = Fraction(r)
     if not 0 < r < 1:
         raise ValueError("disc radius must lie in (0,1)")
     return r
+
+
+def _disc_geom(r: Fraction, n0: int) -> Fraction:
+    """r**n0 / (1 - r) normalised once: the disc tail of terms <= 1 that vanish below n0."""
+    r = _check_r(r)
+    u, v = r.numerator, r.denominator
+    return Fraction(u ** n0 * v, v ** n0 * (v - u))
 
 
 # -- prop28 / rem29 ---------------------------------------------------------
@@ -107,9 +115,7 @@ def prop28() -> FamilySeq:
         return sqrt_bounds(Fraction(1, 1 << max(1, K)), max(prec, 16))[1]
 
     def disc(N, r, prec):
-        r = _check_r(r)
-        n0 = 1 << _k0(N)  # values are <= 1
-        return r ** n0 / (1 - r)
+        return _disc_geom(r, 1 << _k0(N))  # values are <= 1
 
     tag = SubseqLowerBound(
         label="prop28-weighted",
@@ -228,9 +234,7 @@ def rem29(support: SupportSet) -> FamilySeq:
         return sqrt_bounds(Fraction(1, selection.value(m)), max(prec, 16))[1]
 
     def disc(N, r, prec):
-        r = _check_r(r)
-        m = selection.count_upto(N) + 1
-        return r ** selection.value(m) / (1 - r)
+        return _disc_geom(r, selection.value(selection.count_upto(N) + 1))
 
     tag = SubseqLowerBound(
         label="rem29-weighted",
@@ -384,8 +388,7 @@ def const_one() -> FamilySeq:
         return Q1
 
     def disc(N, r, prec):
-        r = _check_r(r)
-        return r ** (N + 1) / (1 - r)
+        return _disc_geom(r, N + 1)
 
     tags = (
         SubseqLowerBound(
@@ -441,8 +444,7 @@ def gap_lp_cap(a: Fraction) -> FamilySeq:
         return pow_bounds(base_val(N + 1), exponent, max(prec, 16))[1]
 
     def disc(N, r, prec):
-        r = _check_r(r)  # values are <= 1
-        return r ** (N + 1) / (1 - r)
+        return _disc_geom(r, N + 1)  # values are <= 1
 
     tag = SubseqLowerBound(
         label="gap-lp-cap-dyadic",
@@ -505,8 +507,7 @@ def gap_cap_lp(a: Fraction, b: Fraction) -> FamilySeq:
         return pow_bounds(Fraction(N + 2), exponent, max(prec, 16))[1]
 
     def disc(N, r, prec):
-        r = _check_r(r)
-        return r ** (N + 1) / (1 - r)
+        return _disc_geom(r, N + 1)
 
     def lp_div(p):
         if Fraction(p) > pivot:
@@ -557,8 +558,7 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
         return Fraction(1, _floor_log2(N + 3))
 
     def disc(N, r, prec):
-        r = _check_r(r)
-        return r ** (N + 1) / (1 - r)
+        return _disc_geom(r, N + 1)
 
     def lp_div(p):
         p = Fraction(p)

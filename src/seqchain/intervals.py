@@ -13,7 +13,8 @@ All powers q**(a/k), gcd(a, k) = 1, come from one integer kernel,
 exponent in q**a is a times that in q, and a is prime to k.  So the test
 for a rational result roots q's own numerator and denominator; otherwise
 the result is lo = iroot(floor(q**a * 2**(k*(prec+1))), k) over 2**(prec+1),
-an integer that ``PowSum`` adds without building a ``Fraction``.
+an integer that ``PowSum`` adds without building a ``Fraction``.  Every disc
+sum, sum a_n r**n over a head, comes from one Horner kernel, ``DiscSum``.
 
 The box operations skip work on exact zeros: when a box or a scalar is
 real, the products with its zero imaginary part and the sums with them
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, log2
+from math import gcd, isqrt, log2
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -203,6 +204,35 @@ class PowSum:
         return self.exact + Fraction(self.num, 1 << (self.prec + 1))
 
 
+class DiscSum:
+    """Exact sum of a * r**n over terms (n, a) at increasing n, r = u/v: one
+    integer numerator over L * v**m (m the last index, L the lcm of the
+    denominators of a), one Horner step per term, one ``Fraction`` per read."""
+
+    def __init__(self, r: Fraction):
+        self.u, self.v = r.numerator, r.denominator
+        self.m, self.L, self.num = 0, 1, 0
+
+    def extend(self, terms) -> "DiscSum":
+        u, v, m, L, num = self.u, self.v, self.m, self.L, self.num
+        um = u ** m
+        for n, a in terms:
+            if a:
+                den = a.denominator
+                if L % den:
+                    widen = den // gcd(L, den)
+                    L, num = L * widen, num * widen
+                um *= u ** (n - m)
+                num = num * v ** (n - m) + a.numerator * (L // den) * um
+                m = n
+        self.m, self.L, self.num = m, L, num
+        return self
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.L * self.v ** self.m)
+
+
 def _interval_mul(a_lo: Fraction, a_hi: Fraction, b_lo: Fraction, b_hi: Fraction):
     products = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
     return min(products), max(products)
@@ -273,7 +303,7 @@ class ComplexInterval:
 
     @property
     def is_exact_zero(self) -> bool:
-        return self.is_exact and not self.re_lo and not self.im_lo
+        return self is _ZERO or self.is_exact and not self.re_lo and not self.im_lo
 
     @property
     def is_real(self) -> bool:

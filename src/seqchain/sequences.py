@@ -261,7 +261,7 @@ class FamilySeq(Sequence):
         return self._pos_sup_fn(K, prec) if self._pos_sup_fn else None
 
     def disc_tail(self, N, r, prec):
-        return self._disc_fn(N, Fraction(r), prec) if self._disc_fn else None
+        return self._disc_fn(N, r, prec) if self._disc_fn else None
 
     def poly_sup_tail(self, N, k, prec):
         return self._poly_fn(N, k, prec) if self._poly_fn else None
@@ -427,6 +427,7 @@ class Combine(Sequence):
         mag = sum(abs(re) + abs(im) for re, im in self.coeffs)
         self._bump = (int(mag) + 2).bit_length() + 1
         self._hints = [b.support_hint for b in self.bases]
+        self._abs_coeffs: dict[int, list[Fraction]] = {}
         self.support_hint = (
             None if any(h is None for h in self._hints) else _UnionHint(self._hints)
         )
@@ -446,16 +447,24 @@ class Combine(Sequence):
                 acc = part if acc is None else acc + part
         return ComplexInterval.zero() if acc is None else acc
 
+    def _weights(self, prec):
+        """Upper bounds on the |c_i|, made once per precision."""
+        if prec not in self._abs_coeffs:
+            self._abs_coeffs[prec] = [_abs_upper(re, im, prec) for re, im in self.coeffs]
+        return self._abs_coeffs[prec]
+
     def _weighted_tail(self, tail, prec):
         """sum |c_i| * tail(base_i), or None at the first base whose tail
-        oracle gives None."""
-        total = Q0
-        for (re, im), base in zip(self.coeffs, self.bases):
+        oracle gives None.  The sum starts at the first part and a weight of
+        1 multiplies nothing: every metric's difference a - b has two."""
+        total = None
+        for w, base in zip(self._weights(prec), self.bases):
             t = tail(base)
             if t is None:
                 return None
-            total += _abs_upper(re, im, prec) * t
-        return total
+            t = t if w == 1 else w * t
+            total = t if total is None else total + t
+        return Q0 if total is None else total
 
     def tail_majorant(self, N, p, prec):
         p = Fraction(p)
@@ -471,8 +480,8 @@ class Combine(Sequence):
                 total += pow_bounds(re * re + im * im, p / 2, prec)[1] * t
             return total
         root_sum = Q0
-        for (re, im), t in zip(self.coeffs, parts):
-            root_sum += _abs_upper(re, im, prec) * pow_bounds(t, 1 / p, prec)[1]
+        for w, t in zip(self._weights(prec), parts):
+            root_sum += w * pow_bounds(t, 1 / p, prec)[1]
         return pow_bounds(root_sum, p, prec)[1]
 
     def sup_tail(self, N, prec):

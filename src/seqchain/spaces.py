@@ -27,9 +27,10 @@ rungs share one set of head sums: each |d_n| enclosure is computed once
 per call, and each rung extends the previous rung's sums over the new
 indices instead of summing again from zero.  The endpoints are exact
 rationals, so the bounds equal those of rungs summed separately.  The
-disc, ratio and nested sums of the ``hd`` and ``cn0`` metrics are kept as
-integer numerators over a known denominator and become a ``Fraction``
-once per read, so no summand pays for a gcd.
+disc sums (the one disc-sum kernel, ``intervals.DiscSum``), ratio and
+nested sums of the ``hd`` and ``cn0`` metrics are kept as integer
+numerators over a known denominator and become a ``Fraction`` once per
+read, so no summand pays for a gcd.
 
 ``metric_bounds`` walks the same ladder and yields the bound after each
 rung.  A caller that asks only whether the distance is below r
@@ -43,10 +44,9 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace
-from .intervals import Q0, Q1, PowSum, format_rational, parse_rational, pow_bounds
+from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, parse_rational, pow_bounds
 from .sequences import Sequence, combine, support_indices_upto, zero
 
 _PARAM_TAGS = {"lp", "cap-lp"}
@@ -223,14 +223,20 @@ class _Head:
             self._abs[n] = None if iv.is_exact_zero else iv.abs_bounds(self.hp)
         return self._abs[n]
 
-    def _extend(self, key, N: int, indices, part, join=operator.add, start=(Q0, Q0)):
-        """``join`` of part(n) over indices(-1, N), continued from the last cutoff."""
+    def _entry(self, key, N: int, start):
+        """[last cutoff, lo, hi] of the sums under ``key``, made from
+        ``start()`` on first use; N may not fall below the last cutoff."""
         entry = self._sums.get(key)
         if entry is None:
-            entry = self._sums[key] = [-1, *start]
-        cut, lo, hi = entry
-        if N < cut:
+            entry = self._sums[key] = [-1, *start()]
+        if N < entry[0]:
             raise ValueError("a head sum cannot shrink below its last cutoff")
+        return entry
+
+    def _extend(self, key, N: int, indices, part, join=operator.add, start=lambda: (Q0, Q0)):
+        """``join`` of part(n) over indices(-1, N), continued from the last cutoff."""
+        entry = self._entry(key, N, start)
+        cut, lo, hi = entry
         for n in indices(cut, N):
             bounds = part(n)
             if bounds is not None:
@@ -241,8 +247,10 @@ class _Head:
 
     def power_sum(self, p: Fraction, N: int):
         """Bounds on sum_{n<=N} |d_n|**p, one ``PowSum`` per endpoint."""
-        start = PowSum(p / 2, self.hp), PowSum(p / 2, self.hp, upper=True)
-        lo, hi = self._extend(("lp", p), N, self.support, self.sq, PowSum.add, start)
+        lo, hi = self._extend(
+            ("lp", p), N, self.support, self.sq, PowSum.add,
+            lambda: (PowSum(p / 2, self.hp), PowSum(p / 2, self.hp, upper=True)),
+        )
         return lo.value, hi.value
 
     def max_abs(self, N: int):
@@ -267,41 +275,19 @@ class _Head:
                 _ceil_num(hi.numerator, (hi.denominator + hi.numerator) << n, grid),
             )
 
-        lo, hi = self._extend("cn0", N, lambda lo, hi: range(lo + 1, hi + 1), part, start=(0, 0))
+        lo, hi = self._extend(
+            "cn0", N, lambda lo, hi: range(lo + 1, hi + 1), part, start=lambda: (0, 0)
+        )
         return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid)
 
     def disc_sum(self, r: Fraction, N: int):
-        """Bounds on sum_{n<=N} |d_n| r**n.
-
-        With r = u/v, each bound is one integer numerator over L * v**m,
-        where m is the last index summed and L the lcm of the denominators
-        of the |d_n| bounds so far.  A new index n is a Horner step: scale
-        the numerators by v**(n-m), then add |d_n| u**n over L."""
-        u, v = r.numerator, r.denominator
-        key = ("hd", r)
-        entry = self._sums.get(key)
-        if entry is None:
-            entry = self._sums[key] = [-1, 0, 1, 0, 0]  # cutoff, m, L, numerators
-        cut, m, L, lo, hi = entry
-        if N < cut:
-            raise ValueError("a head sum cannot shrink below its last cutoff")
-        for n in self.support(cut, N):
-            a = self.abs(n)
-            if a is None:
-                continue
-            a_lo, a_hi = a
-            for den in (a_lo.denominator, a_hi.denominator):
-                if L % den:
-                    widen = den // gcd(L, den)
-                    L, lo, hi = L * widen, lo * widen, hi * widen
-            shift = v ** (n - m)
-            un = u ** n
-            lo = lo * shift + a_lo.numerator * (L // a_lo.denominator) * un
-            hi = hi * shift + a_hi.numerator * (L // a_hi.denominator) * un
-            m = n
-        entry[:] = N, m, L, lo, hi
-        den = L * v ** m
-        return Fraction(lo, den), Fraction(hi, den)
+        """Bounds on sum_{n<=N} |d_n| r**n, one ``DiscSum`` per endpoint."""
+        cut, lo, hi = entry = self._entry(("hd", r), N, lambda: (DiscSum(r), DiscSum(r)))
+        new = [(n, a) for n in self.support(cut, N) if (a := self.abs(n)) is not None]
+        entry[0] = N  # each sum takes the new indices in one call
+        lo.extend((n, a[0]) for n, a in new)
+        hi.extend((n, a[1]) for n, a in new)
+        return lo.value, hi.value
 
     def falling_sum(self, i: int, N: int):
         """Bounds on sum_{i<=n<=N} n!/(n-i)! |d_n|."""

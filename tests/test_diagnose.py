@@ -29,6 +29,7 @@ from seqchain.diagnose import (
     Undecided,
     ViolatedAt,
     _head_moduli,
+    _in_cert,
     _lp_head_upper,
     _verify_blocks,
     check_certificate,
@@ -44,7 +45,15 @@ from seqchain.diagnose import (
 from seqchain.errors import UnsupportedSpace
 from seqchain.families import const_one, gap_cap_c0, gap_lp_cap, nat, nat_power, prop28
 from seqchain.intervals import ComplexInterval, pow_bounds
-from seqchain.sequences import FiniteRational, Sequence, spread, support_indices_upto, zero
+from seqchain.sequences import (
+    FiniteRational,
+    Sequence,
+    combine,
+    restrict,
+    spread,
+    support_indices_upto,
+    zero,
+)
 from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaces import AINF, C0, CN0, HD, LINF, cap_lp, lp, parse_space, standard_chain
 from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
@@ -840,3 +849,61 @@ def test_partial_sum_scans_equal_fraction_sums(name):
         for M in (F(1, 3), F(2), F(9)):
             fam = PartialSum(p=p, M=M)
             assert closed_family_check(seq, fam, 200, PREC) == _ref_partial_sum_check(seq, fam, 200, PREC)
+
+
+def test_lp_head_uppers_with_runs_of_equal_moduli_equal_term_by_term_sums():
+    # runs of equal moduli, exact and on the grid, zeros among them
+    rng = random.Random(11)
+    values = [F(0), F(1), F(1, 4), F(2), F(1, 3), F(5, 7), F(9, 4)]
+    for _ in range(60):
+        moduli, n = [], 0
+        for _ in range(rng.randint(0, 8)):
+            q = rng.choice(values)
+            for _ in range(rng.randint(1, 6)):
+                moduli.append((n, q))
+                n += 1
+        for p in _HEAD_EXPONENTS:
+            for prec in (16, PREC):
+                assert _lp_head_upper(moduli, p, prec) == _ref_lp_head_upper(moduli, p, prec)
+
+
+# -- disc-schedule rows: the disc-sum kernel against Fraction sums ---------------------
+
+
+def _disc_nodes():
+    """Every catalog member as is, spread, restricted and combined, plus a
+    combination whose head moduli are all exact zeros."""
+    for name, seq in sorted(catalog().items()):
+        yield name, seq
+        yield f"spread({name})", spread(seq, Arith(1, 3))
+        yield f"restrict({name})", restrict(seq, Arith(0, 2))
+        yield f"combine({name})", combine([F(1, 2), (F(-2, 3), F(1, 5))], [seq, const_one()])
+    yield "nat-nat", combine([1, -1], [nat(), nat()])
+
+
+_DISC_NODES = dict(_disc_nodes())
+
+
+@pytest.mark.parametrize("name", list(_DISC_NODES))
+def test_disc_schedule_rows_equal_fraction_sums(name):
+    seq = _DISC_NODES[name]
+    for cut in (0, 5, 64):
+        cert = _in_cert(seq, HD, cut, PREC)
+        if cert is None:
+            assert seq.disc_tail(cut, F(1, 2), PREC) is None, name
+            continue
+        moduli = _head_moduli(seq, cut, PREC, root=True)
+        if name == "nat-nat":
+            assert moduli and all(a == 0 for _, a in moduli)
+        assert len(cert.data) == 8
+        for k, (r, N, bound) in enumerate(cert.data, start=1):
+            ref = F(0)
+            for n, a in moduli:
+                ref += a * r ** n
+            assert (r, N) == (F(k, k + 1), cut)
+            assert bound == ref + seq.disc_tail(cut, r, PREC), (name, cut, k)
+
+
+def test_disc_schedule_rows_are_built_for_most_nodes():
+    built = [name for name, seq in _DISC_NODES.items() if _in_cert(seq, HD, 5, PREC) is not None]
+    assert len(built) == 49 and "nat-nat" in built

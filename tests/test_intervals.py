@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from seqchain.errors import SeqchainError
 from seqchain.intervals import (
     ComplexInterval,
+    DiscSum,
     PowSum,
     format_rational,
     iroot,
@@ -455,6 +456,40 @@ def test_pow_sum_equals_the_sum_of_reference_endpoints(terms, e, prec):
         ref_lo += count * lo
         ref_hi += count * hi
     assert (lo_sum.value, hi_sum.value) == (ref_lo, ref_hi)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 6),  # gap to the previous index
+            st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=50, max_denominator=60)),
+        ),
+        max_size=20,
+    ),
+    st.one_of(
+        st.integers(1, 72).map(lambda k: Fraction(k, k + 1)),
+        st.fractions(min_value=0, max_value=3, max_denominator=40),
+    ),
+)
+def test_disc_sum_equals_the_reference_sum_at_every_prefix(steps, r):
+    acc, ref, n, terms = DiscSum(r), Fraction(0), 0, []
+    assert acc.value == 0  # the empty prefix
+    for gap, a in steps:
+        n += gap
+        acc.extend([(n, a)])
+        ref += a * r ** n
+        assert acc.value == ref, (n, a)
+        terms.append((n, a))
+    assert DiscSum(r).extend(terms).value == ref  # all terms in one call
+    assert DiscSum(r).extend(terms[:2]).extend(terms[2:]).value == ref
+
+
+def test_equal_zero_boxes_are_exact_zeros():
+    assert ComplexInterval.zero().is_exact_zero
+    assert ComplexInterval.exact(0).is_exact_zero
+    assert ComplexInterval(Fraction(0), Fraction(0), Fraction(0), Fraction(0)).is_exact_zero
+    assert not ComplexInterval.exact(0, Fraction(1, 3)).is_exact_zero
+    assert not ComplexInterval.from_real_bounds(0, Fraction(1, 9)).is_exact_zero
 
 
 def test_scale_by_one_is_the_box_itself():

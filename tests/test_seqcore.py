@@ -1,5 +1,7 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from seqchain.families import nat, prop28
 from seqchain.intervals import ComplexInterval, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     _EXACT_POWER_BITS,
+    _abs_upper,
     Combine,
     FiniteRational,
     Sequence,
@@ -206,6 +209,83 @@ def test_combine_tail_two_summands_triangle():
     assert mixed.tail_majorant(7, F(1), 60) >= brute
     assert b.tail_majorant(7, F(1), 60) is None
     assert combine([1, 1], [a, b]).tail_majorant(7, F(1), 60) is None
+
+
+# -- disc tails of the families and of combinations ------------------------------
+
+# families whose terms are <= 1 in modulus: past N the disc tail is the
+# geometric r**n0 / (1 - r) from the first index n0 > N that can be nonzero
+_GEOMETRIC_DISC = {
+    "prop28": prop28(),
+    "rem29-evens": families.rem29(Arith(0, 2)),
+    "rem29-pow2": families.rem29(PowersOfTwo()),
+    "const-one": families.const_one(),
+    "gap-lp-cap": families.gap_lp_cap(F(1)),
+    "gap-cap-lp": families.gap_cap_lp(F(0), F(1)),
+    "gap-cap-c0": families.gap_cap_c0(F(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GEOMETRIC_DISC))
+def test_family_disc_tails_are_the_geometric_tail_past_the_first_nonzero(name):
+    seq = _GEOMETRIC_DISC[name]
+    for N in (-1, 0, 5, 4095):
+        n0 = next(n for n in count(N + 1) if not seq.term(n, 8).is_exact_zero)
+        for k in range(1, 73):
+            r = F(k, k + 1)
+            assert seq.disc_tail(N, r, PREC) == r ** n0 / (1 - r), (N, k)
+
+
+@pytest.mark.parametrize("name", sorted(_GEOMETRIC_DISC) + ["nat"])
+def test_family_disc_tails_take_any_exact_radius_in_the_open_unit_interval(name):
+    seq = _GEOMETRIC_DISC.get(name) or nat()
+    for N in (-1, 0, 9):
+        for r in (0.5, 0.875, Decimal("0.3")):
+            assert seq.disc_tail(N, r, PREC) == seq.disc_tail(N, F(r), PREC), (N, r)
+        for r in (F(0), F(1), F(-1, 2), F(3, 2), 0.0, 1.5):
+            with pytest.raises(ValueError):
+                seq.disc_tail(N, r, PREC)
+
+
+def _ref_weighted(combo, tails, prec):
+    total = F(0)
+    for (re, im), t in zip(combo.coeffs, tails):
+        total += _abs_upper(re, im, prec) * t
+    return total
+
+
+def test_combine_tails_are_weighted_sums_at_each_precision():
+    # |1 + i| and |1/3 - 2i/7| are irrational, so their bounds move with the
+    # precision; 1 and (3 + 4i)/5 have modulus exactly 1
+    coeffs = [(F(1), F(1)), 1, (F(3, 5), F(4, 5)), (F(1, 3), F(-2, 7))]
+    bases = [
+        families.const_one(),
+        FiniteRational({3: F(2), 40: (F(1, 2), F(1, 3))}),
+        families.gap_cap_c0(F(2)),
+        FiniteRational({0: F(-5, 4), 9: (F(0), F(7))}),
+    ]
+    combo = combine(coeffs, bases)
+    finite = Combine(coeffs[1::2], bases[1::2])  # both bases have poly tails
+    for prec in (8, 64, 8):
+        for N in (0, 5, 30):
+            r = F(5, 6)
+            assert combo.disc_tail(N, r, prec) == _ref_weighted(
+                combo, [b.disc_tail(N, r, prec) for b in bases], prec
+            ), (prec, N)
+            assert combo.sup_tail(N, prec) == _ref_weighted(
+                combo, [b.sup_tail(N, prec) for b in bases], prec
+            ), (prec, N)
+            for k in (0, 2):
+                assert finite.poly_sup_tail(N, k, prec) == _ref_weighted(
+                    finite, [b.poly_sup_tail(N, k, prec) for b in finite.bases], prec
+                ), (prec, N, k)
+            p = F(3)
+            root_sum = F(0)
+            for (re, im), b in zip(finite.coeffs, finite.bases):
+                t = b.tail_majorant(N, p, prec)
+                root_sum += _abs_upper(re, im, prec) * pow_bounds(t, 1 / p, prec)[1]
+            assert finite.tail_majorant(N, p, prec) == pow_bounds(root_sum, p, prec)[1]
+    assert combo.poly_sup_tail(0, 1, 8) is None
 
 
 # -- combine ---------------------------------------------------------------------

@@ -388,6 +388,26 @@ def test_power_sums_on_the_catalog_equal_fraction_sums(name):
             assert head.power_sum(p, N) == _ref_power_sum(seq, p, N, 80), (N, p)
 
 
+@pytest.mark.parametrize(
+    "head_sum",
+    [
+        lambda head, N: head.disc_sum(F(2, 3), N),
+        lambda head, N: head.power_sum(F(3, 2), N),
+        lambda head, N: head.max_abs(N),
+        lambda head, N: head.ratio_sum(N),
+        lambda head, N: head.falling_sum(2, N),
+    ],
+    ids=["disc", "power", "max", "ratio", "falling"],
+)
+def test_head_sums_keep_their_cutoff_and_cannot_shrink(head_sum):
+    head = _Head(catalog()["prop28"], 32)
+    first = head_sum(head, 9)
+    assert head_sum(head, 9) == first
+    assert head_sum(head, 20) == head_sum(_Head(catalog()["prop28"], 32), 20)
+    with pytest.raises(ValueError, match="cannot shrink"):
+        head_sum(head, 9)
+
+
 @given(
     st.lists(st.tuples(_head_rationals, _head_rationals), min_size=1, max_size=5),
     st.lists(st.integers(0, 700), min_size=1, max_size=4).map(sorted),
