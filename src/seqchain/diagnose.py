@@ -34,7 +34,7 @@ from itertools import groupby
 from operator import index
 
 from .errors import ParseError, UnsupportedSpace
-from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, parse_rational, pow_bounds, sqrt_bounds
+from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, parse_rational, pow_bounds
 from .sequences import Sequence, support_indices_upto
 from .spaces import AINF, C0, HD, LINF, SpaceId
 from .supports import AllNaturals
@@ -389,8 +389,8 @@ def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
     list dies with the call."""
     head = []
     for n in support_indices_upto(seq, N):
-        sq_hi = seq.term(n, prec).abs_sq_bounds()[1]
-        head.append((n, sqrt_bounds(sq_hi, prec)[1] if root else sq_hi))
+        iv = seq.term(n, prec)
+        head.append((n, iv.abs_bounds(prec)[1] if root else iv.abs_sq_bounds()[1]))
     return head
 
 
@@ -477,7 +477,7 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
                 return None
             tails.append((r_k, tail))
         moduli = _head_moduli(seq, cuts, prec, root=True)
-        rows = tuple((r_k, cuts, DiscSum(r_k).extend(moduli).value + tail) for r_k, tail in tails)
+        rows = tuple((r, cuts, Fraction(*DiscSum(r).extend(moduli).pair) + t) for r, t in tails)
         return InCert(space, "disc-schedule", rows, prec)
 
     if space.tag == "ainf":

@@ -28,7 +28,8 @@ enforces.  ``is_exact``, ``is_exact_zero`` and ``is_real`` test identity,
 ``==`` compares one endpoint of an axis that is a point in both boxes, and
 ``+``, ``-``, ``conj``, ``scale``, ``div``, ``abs_sq_bounds``, ``abs_bounds``
 and negative powers in ``pow_bounds`` compute a point's endpoint once: the
-formula for either end gives that same rational.
+formula for either end gives that same rational.  An exact real box's
+``abs_bounds`` is |re|, with no square to root.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ class PowSum:
 class DiscSum:
     """Exact sum of a * r**n over terms (n, a) at increasing n, r = u/v: one
     integer numerator over L * v**m (m the last index, L the lcm of the
-    denominators of a), one Horner step per term, one ``Fraction`` per read."""
+    denominators of a), one Horner step per term, read as that unreduced pair."""
 
     def __init__(self, r: Fraction):
         self.u, self.v = r.numerator, r.denominator
@@ -229,8 +230,8 @@ class DiscSum:
         return self
 
     @property
-    def value(self) -> Fraction:
-        return Fraction(self.num, self.L * self.v ** self.m)
+    def pair(self) -> tuple[int, int]:
+        return self.num, self.L * self.v ** self.m
 
 
 def _interval_mul(a_lo: Fraction, a_hi: Fraction, b_lo: Fraction, b_hi: Fraction):
@@ -381,6 +382,9 @@ class ComplexInterval:
 
     def abs_bounds(self, prec: int) -> tuple[Fraction, Fraction]:
         """Rational bounds on |z|, rounded outward at 2**-prec."""
+        if self.is_exact and self.is_real:
+            a = abs(self.re_lo)
+            return a, a
         sq_lo, sq_hi = self.abs_sq_bounds()
         if sq_lo is sq_hi:
             return sqrt_bounds(sq_lo, prec)

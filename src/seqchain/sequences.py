@@ -187,6 +187,8 @@ class FiniteRational(Sequence):
         return max((_abs_upper(re, im, prec) for re, im in rest), default=Q0)
 
     def disc_tail(self, N, r, prec):
+        if N >= self.max_index:  # past the last entry the tail is zero
+            return Q0
         r = Fraction(r)
         total = Q0
         for n, (re, im) in self._entries_beyond(N):
@@ -455,15 +457,16 @@ class Combine(Sequence):
 
     def _weighted_tail(self, tail, prec):
         """sum |c_i| * tail(base_i), or None at the first base whose tail
-        oracle gives None.  The sum starts at the first part and a weight of
-        1 multiplies nothing: every metric's difference a - b has two."""
+        oracle gives None.  Exact-zero tails add nothing and a weight of 1
+        multiplies nothing: every metric's difference a - b has two."""
         total = None
         for w, base in zip(self._weights(prec), self.bases):
             t = tail(base)
             if t is None:
                 return None
-            t = t if w == 1 else w * t
-            total = t if total is None else total + t
+            if t:
+                t = t if w == 1 else w * t
+                total = t if total is None else total + t
         return Q0 if total is None else total
 
     def tail_majorant(self, N, p, prec):

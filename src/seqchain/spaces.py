@@ -27,10 +27,10 @@ rungs share one set of head sums: each |d_n| enclosure is computed once
 per call, and each rung extends the previous rung's sums over the new
 indices instead of summing again from zero.  The endpoints are exact
 rationals, so the bounds equal those of rungs summed separately.  The
-disc sums (the one disc-sum kernel, ``intervals.DiscSum``), ratio and
-nested sums of the ``hd`` and ``cn0`` metrics are kept as integer
-numerators over a known denominator and become a ``Fraction`` once per
-read, so no summand pays for a gcd.
+ratio and nested sums are integer numerators over a power of two, made a
+``Fraction`` once per read; the ``hd`` disc sums (the one disc-sum kernel,
+``intervals.DiscSum``) stay unreduced integer pairs that the nested sum
+floors onto its grid, so no summand pays for a gcd.
 
 ``metric_bounds`` walks the same ladder and yields the bound after each
 rung.  A caller that asks only whether the distance is below r
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace
-from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, parse_rational, pow_bounds
+from .intervals import Q0, DiscSum, PowSum, format_rational, parse_rational, pow_bounds
 from .sequences import Sequence, combine, support_indices_upto, zero
 
 _PARAM_TAGS = {"lp", "cap-lp"}
@@ -184,10 +184,10 @@ class _Head:
     extends it over the new indices only; the endpoints are exact
     rationals, so an extended sum equals the one restarted from zero.
     ``parts`` keeps the summands of the nested metrics (see ``_nested_sum``).
-    The disc sums, the ratio sums, the power sums (``PowSum``) and ``parts``
-    are integer numerators over a known denominator (L * v**m for a radius
-    u/v, 2**hp, 2**(hp+1) plus exact summands, 2**(prec+guard)), normalised
-    into a ``Fraction`` once per read; the falling sums add ``Fraction`` terms.
+    The ratio sums, the power sums (``PowSum``) and ``parts`` are integer
+    numerators over 2**hp, 2**(hp+1) plus exact summands, 2**(prec+guard),
+    made a ``Fraction`` once per read; disc sums are unreduced pairs over
+    L * v**m for a radius u/v; the falling sums add ``Fraction`` terms.
     The object lives for one call; cutoffs never decrease within it.
     """
 
@@ -224,8 +224,8 @@ class _Head:
         return self._abs[n]
 
     def _entry(self, key, N: int, start):
-        """[last cutoff, lo, hi] of the sums under ``key``, made from
-        ``start()`` on first use; N may not fall below the last cutoff."""
+        """[last cutoff, *sums] under ``key``, the sums made by ``start()``
+        on first use; N may not fall below the last cutoff."""
         entry = self._sums.get(key)
         if entry is None:
             entry = self._sums[key] = [-1, *start()]
@@ -281,13 +281,18 @@ class _Head:
         return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid)
 
     def disc_sum(self, r: Fraction, N: int):
-        """Bounds on sum_{n<=N} |d_n| r**n, one ``DiscSum`` per endpoint."""
-        cut, lo, hi = entry = self._entry(("hd", r), N, lambda: (DiscSum(r), DiscSum(r)))
+        """Bounds on sum_{n<=N} |d_n| r**n as unreduced integer pairs: one
+        ``DiscSum`` of the point moduli for both, one per endpoint of the rest."""
+        cut, points, wide_lo, wide_hi = entry = self._entry(
+            ("hd", r), N, lambda: (DiscSum(r), DiscSum(r), DiscSum(r))
+        )
         new = [(n, a) for n in self.support(cut, N) if (a := self.abs(n)) is not None]
         entry[0] = N  # each sum takes the new indices in one call
-        lo.extend((n, a[0]) for n, a in new)
-        hi.extend((n, a[1]) for n, a in new)
-        return lo.value, hi.value
+        points.extend((n, a[0]) for n, a in new if a[0] is a[1])
+        wide_lo.extend((n, a[0]) for n, a in new if a[0] is not a[1])
+        wide_hi.extend((n, a[1]) for n, a in new if a[0] is not a[1])
+        p_num, p_den = points.pair
+        return tuple((p_num * d + w * p_den, p_den * d) for w, d in (wide_lo.pair, wide_hi.pair))
 
     def falling_sum(self, i: int, N: int):
         """Bounds on sum_{i<=n<=N} n!/(n-i)! |d_n|."""
@@ -339,10 +344,11 @@ def _metric_once_cn0(head: _Head, N: int, prec: int):
 def _nested_sum(head: _Head, N: int, prec: int, summand):
     """sum_{k<=K} 2**-k * summand(k, inner cutoff), plus 2**-K for the rest.
 
-    ``summand`` returns bounds in [0, 1]; each weighted summand is rounded
-    outward onto the 2**-(prec+guard) grid and kept in ``head.parts`` as a
-    pair of integer numerators over that grid, so a later rung reuses every
-    summand whose inner cutoff has stopped growing."""
+    ``summand`` returns two integer pairs (num, den), den > 0, not reduced,
+    with values num/den in [0, 1]; each weighted summand is rounded outward
+    onto the 2**-(prec+guard) grid and kept in ``head.parts`` as a pair of
+    integer numerators over that grid, so a later rung reuses every summand
+    whose inner cutoff has stopped growing."""
     grid = prec + _HEAD_GUARD
     K = min(N, max(_MIN_BUDGET, prec + 8))
     lo = hi = 0
@@ -350,10 +356,10 @@ def _nested_sum(head: _Head, N: int, prec: int, summand):
         inner_budget = max(_MIN_BUDGET, min(N, 4096 // k))
         part = head.parts.get((k, inner_budget))
         if part is None:
-            s_lo, s_hi = summand(k, inner_budget)
+            (lo_num, lo_den), (hi_num, hi_den) = summand(k, inner_budget)
             part = head.parts[k, inner_budget] = (
-                _floor_num(s_lo.numerator, s_lo.denominator << k, grid),
-                _ceil_num(s_hi.numerator, s_hi.denominator << k, grid),
+                _floor_num(lo_num, lo_den << k, grid),
+                _ceil_num(hi_num, hi_den << k, grid),
             )
         lo += part[0]
         hi += part[1]
@@ -367,7 +373,8 @@ def _metric_once_cap(head: _Head, a0: Fraction, N: int, prec: int):
         if p_n >= 1:
             q_lo = pow_bounds(q_lo, 1 / p_n, prec)[0]
             q_hi = pow_bounds(q_hi, 1 / p_n, prec)[1]
-        return _bounded_ratio(q_lo), _bounded_ratio(q_hi)
+        # x/(1+x) as the pair (num, num + den)
+        return tuple((q.numerator, q.numerator + q.denominator) for q in (q_lo, q_hi))
 
     return _nested_sum(head, N, prec, summand)
 
@@ -375,11 +382,12 @@ def _metric_once_cap(head: _Head, a0: Fraction, N: int, prec: int):
 def _metric_once_hd(head: _Head, N: int, prec: int):
     def summand(k, inner_budget):
         r_k = Fraction(k, k + 1)
-        m_lo, m_hi = head.disc_sum(r_k, inner_budget)
+        m_lo, (hi_num, hi_den) = head.disc_sum(r_k, inner_budget)
         tail = head.diff.disc_tail(inner_budget, r_k, prec)
         if tail is None:
             raise MissingTailOracle("no disc tail bound available")
-        return min(Q1, m_lo), min(Q1, m_hi + tail)
+        m_hi = (hi_num * tail.denominator + tail.numerator * hi_den, hi_den * tail.denominator)
+        return tuple(m if m[0] < m[1] else (1, 1) for m in (m_lo, m_hi))  # min(1, m)
 
     return _nested_sum(head, N, prec, summand)
 

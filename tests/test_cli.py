@@ -396,6 +396,10 @@ GOLDEN_DIR = Path(__file__).parent / "cli_golden"
                                   "--avoid", "c0", "--epsilon", "1/1024"]),
         ("approx-cn0-budget-100", ["--budget", "100", "approx", "--target", PROP28, "--outer", "cn0",
                                    "--avoid", "c0", "--epsilon", "1/1024"]),
+        # every modulus of the distance's head is a point: one disc sum per radius
+        ("approx-hd-finite", ["approx", "--target",
+                              '{"kind":"finite","entries":[[0,"1/2","1/3"],[3,"-2/5","0"]]}',
+                              "--outer", "hd", "--avoid", "c0", "--epsilon", "1/64"]),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -44,7 +44,7 @@ from seqchain.diagnose import (
 )
 from seqchain.errors import UnsupportedSpace
 from seqchain.families import const_one, gap_cap_c0, gap_lp_cap, nat, nat_power, prop28
-from seqchain.intervals import ComplexInterval, pow_bounds
+from seqchain.intervals import ComplexInterval, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     FiniteRational,
     Sequence,
@@ -907,3 +907,20 @@ def test_disc_schedule_rows_equal_fraction_sums(name):
 def test_disc_schedule_rows_are_built_for_most_nodes():
     built = [name for name, seq in _DISC_NODES.items() if _in_cert(seq, HD, 5, PREC) is not None]
     assert len(built) == 49 and "nat-nat" in built
+
+
+@pytest.mark.parametrize("prec", [16, PREC])
+def test_root_head_moduli_equal_roots_of_squared_moduli(prec):
+    # the sup-bound and disc-schedule heads: real, complex and exact-zero
+    # terms, the catalog and its spread, restricted and combined nodes
+    rng = random.Random(13)
+    mixed = FiniteRational({0: (F(-3, 4), 0), 2: (0, F(1, 2)), 5: (F(1, 3), F(1, 4)), 9: (F(7), F(-2, 5))})
+    seqs = [random_finite(rng, real_only=i % 2 == 0, max_index=30) for i in range(40)]
+    seqs += [mixed, combine([1, -1], [mixed, mixed]), *_DISC_NODES.values()]
+    for seq in seqs:
+        for N in (-1, 0, 9, 64):
+            ref = [
+                (n, sqrt_bounds(seq.term(n, prec).abs_sq_bounds()[1], prec)[1])
+                for n in support_indices_upto(seq, N)
+            ]
+            assert _head_moduli(seq, N, prec, root=True) == ref, (seq.spec(), N)

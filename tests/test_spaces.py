@@ -347,7 +347,9 @@ _head_cutoffs = st.lists(st.integers(-1, 160), min_size=1, max_size=4).map(sorte
 def test_disc_sum_equals_fraction_sum(seq, k, cutoffs, prec):
     head, r = _Head(seq, prec), F(k, k + 1)
     for N in cutoffs:
-        assert head.disc_sum(r, N) == _ref_disc_sum(seq, r, N, prec + 16)
+        pairs = head.disc_sum(r, N)
+        assert all(den > 0 for _, den in pairs)
+        assert tuple(F(*pair) for pair in pairs) == _ref_disc_sum(seq, r, N, prec + 16)
 
 
 @given(_head_sequences, _head_cutoffs, st.sampled_from([32, 64]))
@@ -391,7 +393,7 @@ def test_power_sums_on_the_catalog_equal_fraction_sums(name):
 @pytest.mark.parametrize(
     "head_sum",
     [
-        lambda head, N: head.disc_sum(F(2, 3), N),
+        lambda head, N: tuple(F(*pair) for pair in head.disc_sum(F(2, 3), N)),
         lambda head, N: head.power_sum(F(3, 2), N),
         lambda head, N: head.max_abs(N),
         lambda head, N: head.ratio_sum(N),
@@ -415,14 +417,19 @@ def test_head_sums_keep_their_cutoff_and_cannot_shrink(head_sum):
 )
 def test_nested_sum_equals_fraction_sum(table, cutoffs, prec):
     # summands in [0, 1] with arbitrary, mostly non-dyadic denominators
-    def summand(k, inner):
+    def ref_summand(k, inner):
         a, b = table[(k + inner) % len(table)]
         lo = min(abs(a), abs(b)) / (1 + abs(a) + abs(b)) / k
         return lo, min(F(1), lo + F(1, inner + k))
 
+    # the same values as integer pairs, not reduced: a common factor must not
+    # move a grid floor or ceiling
+    def summand(k, inner):
+        return tuple((x.numerator * (k + 2), x.denominator * (k + 2)) for x in ref_summand(k, inner))
+
     head = _Head(zero(), prec)
     for N in cutoffs:
-        assert _nested_sum(head, N, prec, summand) == _ref_nested_sum(N, prec, summand)
+        assert _nested_sum(head, N, prec, summand) == _ref_nested_sum(N, prec, ref_summand)
 
 
 @given(_head_sequences, _head_cutoffs)
@@ -432,8 +439,7 @@ def test_nested_disc_sums_equal_fraction_sums(seq, cutoffs):
     head = _Head(seq, 32)
 
     def summand(k, inner):
-        lo, hi = head.disc_sum(F(k, k + 1), inner)
-        return min(F(1), lo), min(F(1), hi)
+        return tuple(pair if F(*pair) < 1 else (1, 1) for pair in head.disc_sum(F(k, k + 1), inner))
 
     def ref_summand(k, inner):
         lo, hi = _ref_disc_sum(seq, F(k, k + 1), inner, 32 + 16)
