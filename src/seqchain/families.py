@@ -257,11 +257,21 @@ def rem29(support: SupportSet) -> FamilySeq:
 # -- unbounded catalog members ----------------------------------------------
 
 
-def _singleton_divergence(p: Fraction, offset: int = 1) -> BlockDivergence:
-    # one support position per block, each with |a|**p >= 1
-    return BlockDivergence(
-        p=Fraction(p), block=SingletonBlock(offset), comparator="constant", c=Q1
-    )
+def _unbounded_divergences(offset: int):
+    """(lp_div, cap_div) for a sequence with |a| >= 1 at support position
+    j + offset - 1 for every j >= 1: one position per block, each with
+    |a|**p >= 1, so every l^p sum diverges; cap-lp:a escapes at q = a + 1."""
+
+    def lp_div(p):
+        return BlockDivergence(
+            p=Fraction(p), block=SingletonBlock(offset), comparator="constant", c=Q1
+        )
+
+    def cap_div(a):
+        q = Fraction(a) + 1
+        return q, lp_div(q)
+
+    return lp_div, cap_div
 
 
 def nat() -> FamilySeq:
@@ -280,12 +290,7 @@ def nat() -> FamilySeq:
         ),
     )
 
-    def lp_div(p):
-        return _singleton_divergence(p, offset=2)  # position k=j+1 carries value j
-
-    def cap_div(a):
-        q = Fraction(a) + 1
-        return q, _singleton_divergence(q, offset=2)
+    lp_div, cap_div = _unbounded_divergences(2)  # position k=j+1 carries value j
 
     return FamilySeq(
         "nat",
@@ -315,12 +320,7 @@ def nat_power() -> FamilySeq:
         RootLowerBound(label="nat-power-root", s=lambda m: m, rho=lambda m: Fraction(m)),
     )
 
-    def lp_div(p):
-        return _singleton_divergence(p, offset=2)
-
-    def cap_div(a):
-        q = Fraction(a) + 1
-        return q, _singleton_divergence(q, offset=2)
+    lp_div, cap_div = _unbounded_divergences(2)
 
     return FamilySeq(
         "nat-power",
@@ -360,12 +360,7 @@ def nn_on_support(support: SupportSet) -> FamilySeq:
         ),
     )
 
-    def lp_div(p):
-        return _singleton_divergence(p, offset=offset)
-
-    def cap_div(a):
-        q = Fraction(a) + 1
-        return q, _singleton_divergence(q, offset=offset)
+    lp_div, cap_div = _unbounded_divergences(offset)
 
     return FamilySeq(
         "nn-on-support",
@@ -396,12 +391,7 @@ def const_one() -> FamilySeq:
         ),
     )
 
-    def lp_div(p):
-        return _singleton_divergence(p)
-
-    def cap_div(a):
-        q = Fraction(a) + 1
-        return q, _singleton_divergence(q)
+    lp_div, cap_div = _unbounded_divergences(1)
 
     return FamilySeq(
         "const-one",

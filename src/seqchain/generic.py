@@ -3,11 +3,11 @@
 The construction pairs the j-th finitely supported Gaussian-rational
 sequence x_j with a witness y_j supported in the j-th row of a dyadic
 partition of the naturals, scaled by a dyadic c_j so that f_j = x_j +
-c_j y_j sits within 1/j of x_j in the outer metric.  A nonzero finite
-combination of the f_j, restricted to one witness row past the joint
-support of the x parts, reduces to a scalar multiple of that row's
-witness; the escape certificate packages that restriction identity
-together with the witness's own out-certificate.
+c_j y_j sits within 1/j of x_j in the outer metric.  On one witness
+row, past the joint support of the x parts, a nonzero finite combination
+of the f_j agrees term by term with a scalar multiple of that row's
+witness; the escape certificate records that row identity together with
+the witness, whose out-certificate it carries.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .diagnose import CertifiedOut, OutCert, check_certificate
+from .diagnose import CertifiedOut, check_certificate
 from .errors import (
     AllZeroCoefficients,
     BudgetExceeded,
@@ -28,13 +28,12 @@ from .sequences import (
     FiniteRational,
     Sequence,
     combine,
-    restrict,
     support_indices_upto,
     zero,
 )
 from .spaces import SpaceId, ball_scale, distance_below, metric_bounds, strictly_included
 from .spaces import _budget_ladder
-from .supports import DyadicRow, SupportSet, TailFrom
+from .supports import DyadicRow
 from .witness import Witness, make_witness
 
 
@@ -203,19 +202,17 @@ def dense_family_element(
 class OutsideXCertificate:
     """Certificate that a finite combination escapes the inner space.
 
-    The combination, masked to the chosen witness row from the cutoff on,
-    agrees pointwise with scale * witness; were the combination inside the
-    inner space, masking would keep it there and the witness (a scalar
-    multiple away, modulo a finitely supported correction) would be pulled
-    in too, contradicting its out-certificate."""
+    On the witness row, from the cutoff on, the combination's own terms
+    agree with scale * witness.  Every space of the chain is solid, so
+    were the combination inside the inner space, its part on that row past
+    the cutoff would be too, and with it the witness (a nonzero multiple of
+    that part, modulo finitely many terms), contradicting the witness's
+    out-certificate."""
 
-    inner: SpaceId
     j0: int
     scale: ComplexInterval  # exact for exact-coefficient combinations
     cutoff: int
-    row_support: SupportSet
-    witness_seq: Sequence
-    inner_out: OutCert
+    witness: Witness
     checked_points: tuple[int, ...]
 
     def describe(self):
@@ -226,25 +223,31 @@ class OutsideXCertificate:
             "im": [format_rational(self.scale.im_lo), format_rational(self.scale.im_hi)],
         }
         return {
-            "inner": str(self.inner),
+            "inner": str(self.witness.inner),
             "j0": self.j0,
             "scale": scale,
             "cutoff": self.cutoff,
             "checked_points": list(self.checked_points),
-            "witness_out_certificate": self.inner_out.describe(),
+            "witness_out_certificate": self.witness.out_cert.describe(),
         }
 
 
-def _terms_agree(f: Sequence, g: Sequence, n: int, prec: int) -> bool:
-    """Consistency of two term intervals (containment or zero difference),
-    re-checked at doubled precision."""
-    for work in (prec, 2 * prec):
-        a, b = f.term(n, work), g.term(n, work)
-        if a.subset_of(b) or b.subset_of(a):
-            continue
-        if not (a - b).contains(0, 0):
-            return False
-    return True
+def _row_identity_failure(f: Sequence, cert: OutsideXCertificate, points, prec: int):
+    """First of the points that is off the witness row, below the cutoff,
+    or where f and scale * witness disagree; None when every point passes.
+    Two term intervals agree when one contains the other or their
+    difference contains zero, at prec and again at doubled precision."""
+    scale, w = cert.scale, cert.witness
+    extra = (1 + int(max(abs(scale.re_hi), abs(scale.im_hi)))).bit_length() + 2
+    for n in points:
+        if not w.support.member(n) or n < cert.cutoff:
+            return n
+        for work in (prec, 2 * prec):
+            a = f.term(n, work)
+            b = scale.mul(w.seq.term(n, work + extra))
+            if not (a.subset_of(b) or b.subset_of(a) or (a - b).contains(0, 0)):
+                return n
+    return None
 
 
 def escape_certificate(
@@ -256,26 +259,17 @@ def escape_certificate(
     budget: int,
     prec: int,
 ) -> OutsideXCertificate:
-    """Escape certificate for f on row j0: check that f masked to the
-    witness row from the cutoff on agrees with scale * witness at the first
-    min(budget, 50) row points, and attach the witness's out-certificate."""
-    row = TailFrom(witness.support, cutoff)
-    masked = restrict(f, row)
-    rhs = _ScaledByInterval(scale, witness.seq)
-    points = [row.nth(k) for k in range(1, min(max(budget, 1), 50) + 1)]
-    for n in points:
-        if not _terms_agree(masked, rhs, n, prec):
-            raise SeqchainError(f"row identity failed at index {n}")
-    return OutsideXCertificate(
-        inner=witness.inner,
-        j0=j0,
-        scale=scale,
-        cutoff=cutoff,
-        row_support=witness.support,
-        witness_seq=witness.seq,
-        inner_out=witness.out_cert,
-        checked_points=tuple(points),
-    )
+    """Escape certificate for f on row j0: check that f agrees with
+    scale * witness at the first min(budget, 50) witness row points from
+    the cutoff on."""
+    row = witness.support
+    skipped = row.rank_upto(cutoff - 1)
+    points = tuple(row.nth(skipped + k) for k in range(1, min(max(budget, 1), 50) + 1))
+    cert = OutsideXCertificate(j0, scale, cutoff, witness, points)
+    n = _row_identity_failure(f, cert, points, prec)
+    if n is not None:
+        raise SeqchainError(f"row identity failed at index {n}")
+    return cert
 
 
 def certify_outside(
@@ -298,7 +292,6 @@ def certify_outside(
     (t_re, t_im), chosen = pick
 
     cutoff = 1 + max((e.x.max_index for e in elements), default=-1)
-    cutoff = max(cutoff, 0)
     g = combine(coeffs, [e.f for e in elements])
 
     c = chosen.scale
@@ -310,40 +303,13 @@ def check_outside_certificate(
     f: Sequence, cert: OutsideXCertificate, samples: int, prec: int
 ) -> bool:
     """Re-verify an escape certificate against the combination f."""
-    if not cert.scale.excludes_zero():
+    w = cert.witness
+    if not cert.scale.excludes_zero() or w.out_cert.space != w.inner:
         return False
-    if cert.inner_out.space != cert.inner:
-        return False
-    rhs = _ScaledByInterval(cert.scale, cert.witness_seq)
-    masked = restrict(f, TailFrom(cert.row_support, cert.cutoff))
     points = cert.checked_points[: max(1, samples)]
-    if not points:
+    if not points or _row_identity_failure(f, cert, points, prec) is not None:
         return False
-    for n in points:
-        if not cert.row_support.member(n) or n < cert.cutoff:
-            return False
-        if not _terms_agree(masked, rhs, n, prec):
-            return False
-    return check_certificate(cert.witness_seq, CertifiedOut(cert.inner_out), samples, prec)
-
-
-class _ScaledByInterval(Sequence):
-    """Witness scaled by a (possibly non-exact) interval coefficient."""
-
-    kind = "scaled"
-
-    def __init__(self, scale: ComplexInterval, base: Sequence):
-        super().__init__()
-        self.scale_iv = scale
-        self.base = base
-        self.support_hint = base.support_hint
-        self.extra_prec = (1 + int(max(abs(scale.re_hi), abs(scale.im_hi)))).bit_length() + 2
-
-    def _term(self, n, prec):
-        return self.scale_iv.mul(self.base.term(n, prec + self.extra_prec))
-
-    def spec(self):
-        return {"kind": "scaled", "base": self.base.spec()}
+    return check_certificate(w.seq, CertifiedOut(w.out_cert), samples, prec)
 
 
 # -- approximation with certified avoidance ------------------------------------

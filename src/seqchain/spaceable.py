@@ -54,21 +54,18 @@ def build_basis(
     return SpaceableBasis(inner=inner, outer=outer, elements=elements)
 
 
-def _first_nonzero_point(w: Witness, budget: int, prec: int) -> int:
+def _first_nonzero_point(w: Witness, budget: int, prec: int) -> tuple[int, int]:
     """First support point of the witness row whose value interval excludes
-    zero, with precision escalation per point."""
+    zero, with the precision (prec doubled up to three times) at which it
+    does."""
     support = w.support
     for k in range(1, max(1, budget) + 1):
         n = support.nth(k)
-        iv = w.seq.term(n, prec)
-        if iv.is_exact_zero:
+        if w.seq.term(n, prec).is_exact_zero:
             continue
-        work = prec
-        for _ in range(4):
-            if iv.excludes_zero():
-                return n
-            work *= 2
-            iv = w.seq.term(n, work)
+        for work in (prec, 2 * prec, 4 * prec, 8 * prec):
+            if w.seq.term(n, work).excludes_zero():
+                return n, work
     raise NoNonzeroSupportPoint(
         f"no provably nonzero value among the first {budget} support points"
     )
@@ -86,11 +83,8 @@ def recover_coefficient(
     if j not in basis.elements:
         raise KeyError(f"basis has no element {j}")
     w = basis.elements[j]
-    i0 = _first_nonzero_point(w, budget, prec)
+    i0, prec = _first_nonzero_point(w, budget, prec)
     y_iv = w.seq.term(i0, prec)
-    while not y_iv.excludes_zero():
-        prec *= 2
-        y_iv = w.seq.term(i0, prec)
 
     if isinstance(f, Combine):
         y_key = w.seq.spec_key()

@@ -169,31 +169,6 @@ class ExplicitFinite(SupportSet):
         return {"kind": "explicit-finite", "elems": list(self.elems)}
 
 
-class TailFrom(SupportSet):
-    """base intersected with [start, infinity): internal helper."""
-
-    def __init__(self, base: SupportSet, start: int):
-        self.base, self.start = base, start
-        self.finite_flag = base.finite_flag
-        self._skipped = base.rank_upto(start - 1)
-
-    def member(self, n):
-        return n >= self.start and self.base.member(n)
-
-    def rank_upto(self, n):
-        if n < self.start:
-            return 0
-        return self.base.rank_upto(n) - self._skipped
-
-    def nth(self, k):
-        if k < 1:
-            raise ValueError("nth is 1-based")
-        return self.base.nth(self._skipped + k)
-
-
-EVENS = Arith(0, 2)
-
-
 def support_from_spec(spec: dict) -> SupportSet:
     """Build a support set from its JSON spec."""
     if not isinstance(spec, dict) or "kind" not in spec:

@@ -1,9 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 
 from conftest import BUDGET, PREC
+from seqchain.diagnose import classify
 from seqchain.errors import (
     AllZeroCoefficients,
     LengthMismatch,
@@ -20,6 +23,7 @@ from seqchain.generic import (
     encode_rational_c00,
     enumerate_rational_c00,
 )
+from seqchain.intervals import ComplexInterval
 from seqchain.sequences import FiniteRational, combine, spread, term_at, zero
 from seqchain.spaces import C0, CN0, HD, LINF, AINF, cap_lp, lp, metric_bound
 from seqchain.supports import DyadicRow
@@ -183,7 +187,38 @@ def test_cutoff_clears_every_anchor():
     els = _elements((lp(1), C0), 3)
     cert = certify_outside([1, 1, 1], els, BUDGET, PREC)
     assert cert.cutoff == 1 + max(e.x.max_index for e in els)
-    assert all(n >= cert.cutoff for n in cert.checked_points)
+    row = cert.witness.support
+    first_points = islice((n for n in count(cert.cutoff) if row.member(n)), 50)
+    assert cert.checked_points == tuple(first_points)
+
+
+# each forgery leaves the row identity and the out-certificate true, so
+# only the check of the forged field can reject it: 3 is off row 1 past the
+# cutoff 2, and the witness of lp:1 in c0 is certifiably outside lp:1/2 too
+FORGERIES = {
+    "point-off-row": lambda c: dataclasses.replace(c, checked_points=(3,) + c.checked_points),
+    "point-below-cutoff": lambda c: dataclasses.replace(c, checked_points=(0,) + c.checked_points),
+    "scale-holds-zero": lambda c: dataclasses.replace(
+        c, scale=ComplexInterval.from_real_bounds(-c.scale.re_hi, c.scale.re_hi)
+    ),
+    "out-cert-of-another-space": lambda c: dataclasses.replace(
+        c,
+        witness=dataclasses.replace(
+            c.witness, out_cert=classify(c.witness.seq, lp(F(1, 2)), BUDGET, PREC).cert
+        ),
+    ),
+    "no-points": lambda c: dataclasses.replace(c, checked_points=()),
+}
+
+
+@pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES.keys())
+def test_check_rejects_forged_escape_certificate(forge):
+    els = _elements((lp(1), C0), 3)
+    cert = certify_outside([1, 0, 0], els, BUDGET, PREC)
+    g = combine([1, 0, 0], [e.f for e in els])
+    assert cert.cutoff == 2 and not cert.witness.support.member(3)
+    assert check_outside_certificate(g, cert, samples=3, prec=PREC)
+    assert not check_outside_certificate(g, forge(cert), samples=3, prec=PREC)
 
 
 def test_random_rational_combinations_certify():

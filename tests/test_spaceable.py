@@ -91,6 +91,18 @@ def test_recover_zero_sequence():
     assert iv.is_exact and iv.re_lo == 0 and iv.im_lo == 0
 
 
+def test_recover_escalates_precision_at_the_evaluation_point():
+    # the first row-7 point of the ainf witness, 63, is not zero-free at
+    # precision 1, so recovery doubles the precision there
+    basis = build_basis(AINF, cap_lp(0), 7, BUDGET, PREC)
+    w7 = basis.elements[7]
+    assert w7.support.nth(1) == 63 and not w7.seq.term(63, 1).excludes_zero()
+    iv = recover_coefficient(w7.seq, basis, 7, 1, BUDGET)
+    assert (iv.re_lo, iv.re_hi, iv.im_lo, iv.im_hi) == (F(1, 4), 4, 0, 0)
+    exact = recover_coefficient(combine([(2, 1)], [w7.seq]), basis, 7, 1, BUDGET)
+    assert exact.is_exact and (exact.re_lo, exact.im_lo) == (2, 1)
+
+
 def test_recover_missing_element_rejected():
     basis = build_basis(lp(1), C0, 1, BUDGET, PREC)
     with pytest.raises(KeyError):

@@ -9,7 +9,6 @@ from seqchain.supports import (
     DyadicRow,
     ExplicitFinite,
     PowersOfTwo,
-    TailFrom,
     support_from_spec,
 )
 
@@ -55,13 +54,6 @@ def test_dyadic_rows_partition():
                 assert n not in seen, (n, j, seen[n])
                 seen[n] = j
     assert set(seen) == set(range(0, 1001))  # rows 1..11 cover 0..1000
-
-
-def test_tail_from_and_complement():
-    evens = Arith(0, 2)
-    tail = TailFrom(evens, 5)
-    assert [tail.nth(k) for k in range(1, 4)] == [6, 8, 10]
-    assert not tail.member(4)
 
 
 def test_finite_flag_and_errors():
