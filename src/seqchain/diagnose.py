@@ -394,11 +394,17 @@ def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
     return head
 
 
-def _lp_head_upper(head, p: Fraction, prec: int) -> Fraction:
-    """Upper bound on the head sum of |a_n|**p from a squared head."""
+def _head_runs(head) -> list[tuple[Fraction, int]]:
+    """(modulus, count) per run of equal nonzero moduli of a head, made once
+    per certificate call: a zero adds nothing to a head sum, a run adds once."""
+    return [(sq, sum(1 for _ in run)) for sq, run in groupby(sq for _, sq in head if sq)]
+
+
+def _lp_head_upper(runs, p: Fraction, prec: int) -> Fraction:
+    """Upper bound on the head sum of |a_n|**p from the runs of a squared head."""
     total = PowSum(p / 2, prec, upper=True)
-    for sq_hi, run in groupby(sq for _, sq in head):  # a run of equal moduli adds once
-        total.add(sq_hi, sum(1 for _ in run))
+    for sq_hi, count in runs:
+        total.add(sq_hi, count)
     return total.value
 
 
@@ -431,7 +437,7 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
         tail = seq.tail_majorant(cuts, space.param, prec)
         if tail is None:
             return None
-        head = _lp_head_upper(_head_moduli(seq, cuts, prec), space.param, prec)
+        head = _lp_head_upper(_head_runs(_head_moduli(seq, cuts, prec)), space.param, prec)
         return InCert(space, "lp-tail", (space.param, cuts, head, tail), prec)
 
     if space.tag == "cap-lp":
@@ -442,10 +448,8 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
             if tail is None:
                 return None
             tails.append((p_n, tail))
-        moduli = _head_moduli(seq, cuts, prec)
-        rows = tuple(
-            (p_n, cuts, _lp_head_upper(moduli, p_n, prec), tail) for p_n, tail in tails
-        )
+        runs = _head_runs(_head_moduli(seq, cuts, prec))
+        rows = tuple((p_n, cuts, _lp_head_upper(runs, p_n, prec), tail) for p_n, tail in tails)
         return InCert(space, "lp-schedule", rows, prec)
 
     if space.tag == "c0":

@@ -83,19 +83,25 @@ class Sequence:
     support_hint: SupportSet | None = None
 
     def __init__(self):
-        self._term_cache: dict[tuple[int, int], ComplexInterval] = {}
+        self._term_cache: dict[int | tuple[int, int], ComplexInterval] = {}
+        self._spec_key: str | None = None
 
     # -- term oracle ---------------------------------------------------
     def term(self, n: int, prec: int) -> ComplexInterval:
-        """The term at n, cached unless it is the shared zero box."""
+        """The term at n, cached unless it is the shared zero box: a zero-width
+        box is the value at every precision and is kept under n, a wide one
+        under (n, prec).  Sound as no node's exactness at n depends on prec:
+        a family term is exact iff ``pow_bounds``/``sqrt_bounds`` finds a
+        rational root, spread and restrict read their base, and a combination
+        is exact iff every part with a nonzero coefficient is."""
         if n < 0:
             raise ValueError("negative index")
-        key = (n, prec)
-        hit = self._term_cache.get(key)
+        cache = self._term_cache
+        hit = cache.get(n) or cache.get((n, prec))
         if hit is None:
             hit = self._term(n, prec)
             if hit is not _ZERO:
-                self._term_cache[key] = hit
+                cache[n if hit.is_exact else (n, prec)] = hit
         return hit
 
     def _term(self, n: int, prec: int) -> ComplexInterval:
@@ -136,7 +142,11 @@ class Sequence:
         raise NotImplementedError
 
     def spec_key(self) -> str:
-        return json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
+        """Canonical JSON of ``spec()``, computed once: a node does not
+        change after construction."""
+        if self._spec_key is None:
+            self._spec_key = json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
+        return self._spec_key
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.kind}>"
@@ -429,7 +439,7 @@ class Combine(Sequence):
         mag = sum(abs(re) + abs(im) for re, im in self.coeffs)
         self._bump = (int(mag) + 2).bit_length() + 1
         self._hints = [b.support_hint for b in self.bases]
-        self._abs_coeffs: dict[int, list[Fraction]] = {}
+        self._abs_coeffs: dict[tuple[Fraction, int], list[Fraction]] = {}
         self.support_hint = (
             None if any(h is None for h in self._hints) else _UnionHint(self._hints)
         )
@@ -449,11 +459,14 @@ class Combine(Sequence):
                 acc = part if acc is None else acc + part
         return ComplexInterval.zero() if acc is None else acc
 
-    def _weights(self, prec):
-        """Upper bounds on the |c_i|, made once per precision."""
-        if prec not in self._abs_coeffs:
-            self._abs_coeffs[prec] = [_abs_upper(re, im, prec) for re, im in self.coeffs]
-        return self._abs_coeffs[prec]
+    def _weights(self, prec, p=Q1):
+        """Upper bounds on the |c_i|**p, made once per (p, prec)."""
+        key = (p, prec)
+        if key not in self._abs_coeffs:
+            self._abs_coeffs[key] = [
+                pow_bounds(re * re + im * im, p / 2, prec)[1] for re, im in self.coeffs
+            ]
+        return self._abs_coeffs[key]
 
     def _weighted_tail(self, tail, prec):
         """sum |c_i| * tail(base_i), or None at the first base whose tail
@@ -479,8 +492,8 @@ class Combine(Sequence):
             parts.append(t)
         if p <= 1:
             total = Q0
-            for (re, im), t in zip(self.coeffs, parts):
-                total += pow_bounds(re * re + im * im, p / 2, prec)[1] * t
+            for w, t in zip(self._weights(prec, p), parts):
+                total += w * t
             return total
         root_sum = Q0
         for w, t in zip(self._weights(prec), parts):

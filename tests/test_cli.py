@@ -368,6 +368,19 @@ def test_report_past_the_int_str_digit_limit_is_a_one_line_error(capsys, argv):
 
 GOLDEN_DIR = Path(__file__).parent / "cli_golden"
 
+# the three rows of ``basis --inner lp:1 --outer cap-lp:1 --count 3``, written
+# out so that ``recover`` matches the parts of f to basis elements by spec key,
+# not by identity
+_ROWS = [
+    '{"kind":"spread","base":{"kind":"family","name":"gap-lp-cap","params":{"a":"1/1"}},'
+    f'"support":{{"kind":"dyadic-row","j":{j}}}}}'
+    for j in (1, 2, 3)
+]
+ROW_COMBINATION = (
+    f'{{"kind":"combine","terms":[["2","0",{_ROWS[0]}],["-1/3","1/5",{_ROWS[1]}],'
+    f'["5/7","0",{_ROWS[2]}]]}}'
+)
+
 
 # Reports recorded byte for byte before the exact kernel skipped work on
 # zeros and seeded its roots from floats (approx-cn0: before the head sums
@@ -400,6 +413,12 @@ GOLDEN_DIR = Path(__file__).parent / "cli_golden"
         ("approx-hd-finite", ["approx", "--target",
                               '{"kind":"finite","entries":[[0,"1/2","1/3"],[3,"-2/5","0"]]}',
                               "--outer", "hd", "--avoid", "c0", "--epsilon", "1/64"]),
+        # the construct workload's two commands: a basis on disjoint dyadic
+        # rows, and a coefficient recovered from a combination of its rows
+        ("basis-lp-1-cap-lp-1", ["basis", "--inner", "lp:1", "--outer", "cap-lp:1",
+                                 "--count", "3"]),
+        ("recover-lp-1-cap-lp-1", ["recover", "--f", ROW_COMBINATION, "--inner", "lp:1",
+                                   "--outer", "cap-lp:1", "--j", "2", "--count", "3"]),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -29,6 +29,7 @@ from seqchain.diagnose import (
     Undecided,
     ViolatedAt,
     _head_moduli,
+    _head_runs,
     _in_cert,
     _lp_head_upper,
     _verify_blocks,
@@ -814,8 +815,9 @@ def test_lp_head_uppers_equal_fraction_sums(name):
     # n**n (nat-power, nn-evens) makes the reference's q**a slow past N = 40
     for N in (-1, 0, 9, 40) if name in ("nat-power", "nn-evens") else (-1, 0, 9, 64, 300):
         moduli = _head_moduli(seq, N, PREC)
+        runs = _head_runs(moduli)
         for p in _HEAD_EXPONENTS:
-            assert _lp_head_upper(moduli, p, PREC) == _ref_lp_head_upper(moduli, p, PREC), (N, p)
+            assert _lp_head_upper(runs, p, PREC) == _ref_lp_head_upper(moduli, p, PREC), (N, p)
 
 
 @pytest.mark.parametrize("prec", [16, 64])
@@ -825,8 +827,9 @@ def test_lp_head_uppers_of_finite_rationals_equal_fraction_sums(prec):
     for _ in range(40):
         seq = random_finite(rng, max_index=30)
         moduli = _head_moduli(seq, 30, prec)
+        runs = _head_runs(moduli)
         for p in _HEAD_EXPONENTS:
-            assert _lp_head_upper(moduli, p, prec) == _ref_lp_head_upper(moduli, p, prec)
+            assert _lp_head_upper(runs, p, prec) == _ref_lp_head_upper(moduli, p, prec)
 
 
 def _ref_partial_sum_check(seq, fam, budget, prec):
@@ -862,9 +865,10 @@ def test_lp_head_uppers_with_runs_of_equal_moduli_equal_term_by_term_sums():
             for _ in range(rng.randint(1, 6)):
                 moduli.append((n, q))
                 n += 1
+        runs = _head_runs(moduli)
         for p in _HEAD_EXPONENTS:
             for prec in (16, PREC):
-                assert _lp_head_upper(moduli, p, prec) == _ref_lp_head_upper(moduli, p, prec)
+                assert _lp_head_upper(runs, p, prec) == _ref_lp_head_upper(moduli, p, prec)
 
 
 # -- disc-schedule rows: the disc-sum kernel against Fraction sums ---------------------

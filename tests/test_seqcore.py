@@ -1,3 +1,4 @@
+import json
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -360,8 +361,16 @@ def test_support_indices_cover_nonzero_terms():
 
 
 def test_spec_roundtrip_key_stable():
-    for name, seq in CATALOG:
-        assert seq.spec_key() == seq.spec_key()
+    # the key is the canonical JSON of the spec, made once per node
+    checked = 0
+    for name, seq in _hinted_nodes(catalog()):
+        if "unhinted" in name:  # a test node without a spec
+            continue
+        key = seq.spec_key()
+        assert key == json.dumps(seq.spec(), sort_keys=True, separators=(",", ":")), name
+        assert seq.spec_key() is key, name
+        checked += 1
+    assert checked > 100
 
 
 # -- support hints: a part whose hint misses n is an exact zero --------------------
@@ -385,25 +394,25 @@ _HINT_SUPPORTS = {
 }
 
 
-def _hinted_nodes():
+def _hinted_nodes(cat=None):
     """Every catalog member, and its spread and restrict onto each support
-    kind, and combinations of them."""
-    for name, seq in CATALOG:
+    kind, and combinations of them; ``cat`` is a catalog of fresh nodes, or
+    the shared ``CATALOG`` when None."""
+    cat = dict(CATALOG) if cat is None else cat
+    for name, seq in cat.items():
         yield name, seq
         for sname, support in _HINT_SUPPORTS.items():
             if not support.finite_flag:
                 yield f"spread({name},{sname})", spread(seq, support)
             yield f"restrict({name},{sname})", restrict(seq, support)
     yield "restrict(unhinted,arith)", restrict(_Unhinted(), Arith(1, 3))
-    for name, combo in _COMBINATIONS.items():
-        yield name, combo
+    yield from _combinations(cat).items()
 
 
-def _combinations():
+def _combinations(cat):
     rows = [spread(seq, DyadicRow(j)) for j, seq in enumerate(
         [prop28(), nat(), families.gap_cap_lp(F(2), F(3)), families.const_one()], start=1
     )]
-    cat = dict(CATALOG)
     return {
         # a spaceable basis: disjoint rows, so one part is live per index
         "basis-rows": Combine([F(3), (F(-1, 2), F(2)), F(1, 7), (F(0), F(-5))], rows),
@@ -418,10 +427,15 @@ def _combinations():
             [F(1), F(-2)],
             [Combine([F(1, 2), F(1)], rows[2:]), spread(cat["rem29-pow2"], Arith(0, 5))],
         ),
+        # a zero coefficient on parts with irrational (wide) terms
+        "zero-coefficient": Combine(
+            [F(0), (F(1, 3), F(-2)), F(0)],
+            [cat["gap-lp-cap-2"], rows[0], restrict(cat["prop28"], Arith(0, 2))],
+        ),
     }
 
 
-_COMBINATIONS = _combinations()
+_COMBINATIONS = _combinations(dict(CATALOG))
 
 
 def test_terms_outside_the_support_hint_are_exact_zeros():
@@ -532,3 +546,61 @@ def test_const_one_terms_are_one_box():
     one, other = families.const_one(), families.const_one()
     assert one.term(0, 8) == ComplexInterval.exact(1)
     assert all(one.term(n, PREC) is other.term(0, 8) for n in range(50))
+
+
+def test_exactness_at_an_index_does_not_depend_on_the_precision():
+    # the term cache keeps a zero-width box under n alone, which is sound only
+    # if no node is exact at n at one precision and wide at another; each
+    # precision reads a fresh set of nodes, so no cache carries over
+    boxes = {}
+    for prec in (8, 16, 64, 128, 256):
+        for name, seq in _hinted_nodes(catalog()):
+            for n in range(0, 130, 3):
+                boxes.setdefault((name, n), []).append(seq.term(n, prec))
+    exact = wide = 0
+    for (name, n), seen in boxes.items():
+        assert len({box.is_exact for box in seen}) == 1, (name, n)
+        if seen[0].is_exact:
+            assert all(box == seen[0] for box in seen), (name, n)
+            exact += 1
+        else:
+            wide += 1
+    assert exact > 1000 and wide > 200
+
+
+class _Counting(Sequence):
+    """a_n = 1/(n+1), exact at even n and widened by 2**-prec at odd n, and
+    the shared zero at multiples of 5; records every ``_term`` call."""
+
+    kind = "counting"
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def _term(self, n, prec):
+        self.calls.append((n, prec))
+        if n % 5 == 0:
+            return ComplexInterval.zero()
+        if n % 2 == 0:
+            return ComplexInterval.exact(F(1, n + 1))
+        return ComplexInterval.from_real_bounds(F(1, n + 1), F(1, n + 1) + F(1, 1 << prec))
+
+
+def test_an_exact_term_answers_every_precision_and_a_wide_one_only_its_own():
+    seq = _Counting()
+    exact = seq.term(2, 64)
+    assert exact.is_exact
+    assert seq.term(2, 128) is exact and seq.term(2, 8) is exact
+    assert seq.calls == [(2, 64)]
+
+    wide = seq.term(3, 64)
+    finer = seq.term(3, 128)
+    assert not wide.is_exact and finer != wide and finer.subset_of(wide)
+    assert seq.term(3, 64) is wide and seq.term(3, 128) is finer
+    assert seq.calls == [(2, 64), (3, 64), (3, 128)]
+
+    zero_box = ComplexInterval.zero()
+    assert seq.term(5, 64) is zero_box and seq.term(5, 128) is zero_box
+    assert seq.calls[3:] == [(5, 64), (5, 128)]
+    assert set(seq._term_cache) == {2, (3, 64), (3, 128)}
