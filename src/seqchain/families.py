@@ -135,10 +135,12 @@ def prop28() -> FamilySeq:
     )
 
 
-class _DoublingSelection:
+class _DoublingSelection(SupportSet):
     """Deterministic choice of support points l_1' < l_2' < ... with
     l_m' >= 2**m: scan the support in increasing order, taking for each m
-    the first element past the previous pick that reaches 2**m."""
+    the first element past the previous pick that reaches 2**m.  The picks
+    form a lazy infinite index set, a far tighter support hint than the
+    ambient set."""
 
     def __init__(self, support: SupportSet):
         self.support = support
@@ -173,40 +175,23 @@ class _DoublingSelection:
                 return m
             m += 1
 
-    def contains(self, n: int) -> bool:
+    def member(self, n):
         if n < 2:
             return False
         self.extend_to_value(n)
         return n in self.sel_set
 
-    def count_upto(self, N: int) -> int:
-        self.extend_to_value(N + 1)
-        return sum(1 for v in self.sel if v <= N)
-
-    def value(self, m: int) -> int:
-        self.extend_to_count(m)
-        return self.sel[m - 1]
-
-
-class _SelectionSupport(SupportSet):
-    """The selected points themselves, as a lazy infinite index set; a far
-    tighter support hint than the ambient set."""
-
-    def __init__(self, selection: _DoublingSelection):
-        self.selection = selection
-
-    def member(self, n):
-        return self.selection.contains(n)
-
     def rank_upto(self, n):
         if n < 2:
             return 0
-        return self.selection.count_upto(n)
+        self.extend_to_value(n + 1)
+        return sum(1 for v in self.sel if v <= n)
 
     def nth(self, k):
         if k < 1:
             raise ValueError("nth is 1-based")
-        return self.selection.value(k)
+        self.extend_to_count(k)
+        return self.sel[k - 1]
 
 
 def rem29(support: SupportSet) -> FamilySeq:
@@ -216,30 +201,30 @@ def rem29(support: SupportSet) -> FamilySeq:
     selection = _DoublingSelection(support)
 
     def term(n, prec):
-        if selection.contains(n):
+        if selection.member(n):
             return _real_iv(*sqrt_bounds(Fraction(1, n), prec))
         return ComplexInterval.zero()
 
     def tail(N, p, prec):
         # the m-th selected value is >= 2**m, so the tail past the first
-        # count_upto(N) selections is dominated by a geometric series
-        return _geom_tail(Fraction(1, 2), p / 2, selection.count_upto(N) + 1, prec)
+        # rank_upto(N) selections is dominated by a geometric series
+        return _geom_tail(Fraction(1, 2), p / 2, selection.rank_upto(N) + 1, prec)
 
     def sup(N, prec):
-        m = selection.count_upto(N) + 1
-        return sqrt_bounds(Fraction(1, selection.value(m)), max(prec, 16))[1]
+        m = selection.rank_upto(N) + 1
+        return sqrt_bounds(Fraction(1, selection.nth(m)), max(prec, 16))[1]
 
     def pos_sup(K, prec):
         m = selection.first_past_position(K)
-        return sqrt_bounds(Fraction(1, selection.value(m)), max(prec, 16))[1]
+        return sqrt_bounds(Fraction(1, selection.nth(m)), max(prec, 16))[1]
 
     def disc(N, r, prec):
-        return _disc_geom(r, selection.value(selection.count_upto(N) + 1))
+        return _disc_geom(r, selection.nth(selection.rank_upto(N) + 1))
 
     tag = SubseqLowerBound(
         label="rem29-weighted",
-        s=selection.value,
-        g=lambda m: Fraction(1, _ceil_sqrt(selection.value(m))),
+        s=selection.nth,
+        g=lambda m: Fraction(1, _ceil_sqrt(selection.nth(m))),
     )
     return FamilySeq(
         "rem29",
@@ -250,7 +235,7 @@ def rem29(support: SupportSet) -> FamilySeq:
         pos_sup_fn=pos_sup,
         disc_fn=disc,
         tags=(tag,),
-        support_hint=_SelectionSupport(selection),
+        support_hint=selection,
     )
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import LengthMismatch
-from .intervals import ComplexInterval, Q0, Q1, format_rational, pow_bounds, sqrt_bounds
+from .intervals import ComplexInterval, Q0, Q1, format_rational, pow_bounds
 from .supports import AllNaturals, ExplicitFinite, SupportSet
 
 
@@ -67,14 +67,6 @@ def _radius_power_upper(r: Fraction, n: int, prec: int) -> Fraction:
     if n * (v - u) >= v * K:
         return Fraction(1, 1 << K)
     return Q1
-
-
-def _abs_upper(re: Fraction, im: Fraction, prec: int) -> Fraction:
-    if im == 0:
-        return abs(re)
-    if re == 0:
-        return abs(im)
-    return sqrt_bounds(re * re + im * im, prec)[1]
 
 
 class Sequence:
@@ -189,12 +181,15 @@ class FiniteRational(Sequence):
         return total
 
     def sup_tail(self, N, prec):
-        vals = [_abs_upper(re, im, prec) for _, (re, im) in self._entries_beyond(N)]
+        vals = [
+            pow_bounds(re * re + im * im, Q1 / 2, prec)[1]
+            for _, (re, im) in self._entries_beyond(N)
+        ]
         return max(vals, default=Q0)
 
     def pos_sup_tail(self, K, prec):
         rest = list(self.entries.values())[max(0, K):]
-        return max((_abs_upper(re, im, prec) for re, im in rest), default=Q0)
+        return max((pow_bounds(re * re + im * im, Q1 / 2, prec)[1] for re, im in rest), default=Q0)
 
     def disc_tail(self, N, r, prec):
         if N >= self.max_index:  # past the last entry the tail is zero
@@ -202,12 +197,13 @@ class FiniteRational(Sequence):
         r = Fraction(r)
         total = Q0
         for n, (re, im) in self._entries_beyond(N):
-            total += _abs_upper(re, im, prec) * _radius_power_upper(r, n, prec)
+            modulus = pow_bounds(re * re + im * im, Q1 / 2, prec)[1]
+            total += modulus * _radius_power_upper(r, n, prec)
         return total
 
     def poly_sup_tail(self, N, k, prec):
         vals = [
-            Fraction(n) ** k * _abs_upper(re, im, prec)
+            Fraction(n) ** k * pow_bounds(re * re + im * im, Q1 / 2, prec)[1]
             for n, (re, im) in self._entries_beyond(N)
         ]
         return max(vals, default=Q0)
@@ -237,7 +233,6 @@ class FamilySeq(Sequence):
         sup_fn=None,
         pos_sup_fn=None,
         disc_fn=None,
-        poly_fn=None,
         lp_div_fn=None,
         cap_div_fn=None,
         tags=(),
@@ -250,7 +245,6 @@ class FamilySeq(Sequence):
         self._tail_fn = tail_fn
         self._sup_fn = sup_fn
         self._disc_fn = disc_fn
-        self._poly_fn = poly_fn
         self._lp_div_fn = lp_div_fn
         self._cap_div_fn = cap_div_fn
         self.growth_tags = tuple(tags)
@@ -274,9 +268,6 @@ class FamilySeq(Sequence):
 
     def disc_tail(self, N, r, prec):
         return self._disc_fn(N, r, prec) if self._disc_fn else None
-
-    def poly_sup_tail(self, N, k, prec):
-        return self._poly_fn(N, k, prec) if self._poly_fn else None
 
     def lp_divergence(self, p):
         return self._lp_div_fn(Fraction(p)) if self._lp_div_fn else None

@@ -368,11 +368,7 @@ def _nested_sum(head: _Head, N: int, prec: int, summand):
 
 def _metric_once_cap(head: _Head, a0: Fraction, N: int, prec: int):
     def summand(n, inner_budget):
-        p_n = a0 + Fraction(1, n)
-        q_lo, q_hi = _lp_power_sum(head, p_n, inner_budget, prec)
-        if p_n >= 1:
-            q_lo = pow_bounds(q_lo, 1 / p_n, prec)[0]
-            q_hi = pow_bounds(q_hi, 1 / p_n, prec)[1]
+        q_lo, q_hi = _metric_once_lp(head, a0 + Fraction(1, n), inner_budget, prec)
         # x/(1+x) as the pair (num, num + den)
         return tuple((q.numerator, q.numerator + q.denominator) for q in (q_lo, q_hi))
 
@@ -476,6 +472,7 @@ def distance_below(y: SpaceId, a: Sequence, b: Sequence, r: Fraction, budget: in
 
 
 _BALL_MEMO: dict = {}
+_MAX_HALVINGS = 96  # scales 2**-m tried by ball_scale, m = 0 .. _MAX_HALVINGS
 
 
 def _radius_bits(radius: Fraction) -> int:
@@ -483,8 +480,7 @@ def _radius_bits(radius: Fraction) -> int:
     return max(0, radius.denominator.bit_length() - radius.numerator.bit_length())
 
 
-def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: int,
-               max_halvings: int = 96) -> Fraction:
+def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: int) -> Fraction:
     """Smallest tried dyadic scalar c = 2**-m with certified d(c*seq, 0) < radius.
 
     Each halving is decided by ``distance_below``, at the first rung of its
@@ -499,13 +495,13 @@ def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: i
     # stays deterministic
     eval_budget = min(budget, 128)
     eval_prec = min(prec, max(32, 12 + _radius_bits(radius)))
-    key = (str(y), seq.spec_key(), radius, eval_budget, eval_prec, max_halvings)
+    key = (str(y), seq.spec_key(), radius, eval_budget, eval_prec)
     if key in _BALL_MEMO:
         return _BALL_MEMO[key]
     origin = zero()
-    for m in range(max_halvings + 1):
+    for m in range(_MAX_HALVINGS + 1):
         c = Fraction(1, 1 << m)
         if distance_below(y, combine([c], [seq]), origin, radius, eval_budget, eval_prec):
             _BALL_MEMO[key] = c
             return c
-    raise BudgetExceeded(f"no dyadic scale reached radius {radius} in {max_halvings} halvings")
+    raise BudgetExceeded(f"no dyadic scale reached radius {radius} in {_MAX_HALVINGS} halvings")

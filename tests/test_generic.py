@@ -15,6 +15,7 @@ from seqchain.errors import (
 )
 from seqchain.families import gap_cap_lp, gap_lp_cap
 from seqchain.generic import (
+    _row_identity_failure,
     approximate_with_avoider,
     certify_outside,
     check_outside_certificate,
@@ -25,7 +26,8 @@ from seqchain.generic import (
 )
 from seqchain.intervals import ComplexInterval
 from seqchain.sequences import FiniteRational, combine, spread, term_at, zero
-from seqchain.spaces import C0, CN0, HD, LINF, AINF, cap_lp, lp, metric_bound
+from seqchain.spaceable import build_basis, certify_combination_outside
+from seqchain.spaces import C0, CN0, HD, LINF, AINF, adjacent_pairs, cap_lp, lp, metric_bound
 from seqchain.supports import DyadicRow
 
 F = Fraction
@@ -219,6 +221,74 @@ def test_check_rejects_forged_escape_certificate(forge):
     assert cert.cutoff == 2 and not cert.witness.support.member(3)
     assert check_outside_certificate(g, cert, samples=3, prec=PREC)
     assert not check_outside_certificate(g, forge(cert), samples=3, prec=PREC)
+    _assert_same_as_reference(g, forge(cert))
+
+
+# -- the row check against the two-pass reference ----------------------------------
+
+
+def _ref_row_identity_failure(f, cert, points, prec, passes=(1, 2)):
+    """The row check made at prec and again at 2 * prec, which the check at
+    2 * prec alone must equal; passes=(1,) is the check at prec alone."""
+    scale, w = cert.scale, cert.witness
+    extra = (1 + int(max(abs(scale.re_hi), abs(scale.im_hi)))).bit_length() + 2
+    for n in points:
+        if not w.support.member(n) or n < cert.cutoff:
+            return n
+        for work in (k * prec for k in passes):
+            a = f.term(n, work)
+            b = scale.mul(w.seq.term(n, work + extra))
+            if not (a.subset_of(b) or b.subset_of(a) or (a - b).contains(0, 0)):
+                return n
+    return None
+
+
+def _assert_same_as_reference(f, cert):
+    for samples in (1, 3, 50):
+        points = cert.checked_points[:samples]
+        assert _row_identity_failure(f, cert, points, PREC) == _ref_row_identity_failure(
+            f, cert, points, PREC
+        ), samples
+
+
+@pytest.mark.parametrize("pair", adjacent_pairs(), ids=lambda p: f"{p[0]}<{p[1]}")
+def test_row_check_equals_the_two_pass_reference_on_genuine_certificates(pair):
+    inner, outer = pair
+    basis = build_basis(inner, outer, 3, BUDGET, PREC)
+    seqs = [basis.elements[j].seq for j in (1, 2, 3)]
+    other = combine([0, 0, 1], seqs)  # lives on row 3 alone
+    # the first combination certifies on row 1, the second on row 2
+    for t in ([(F(1), F(1)), (F(-2), F(0)), 0], [0, (F(3), F(-1)), (F(1, 2), F(0))]):
+        f = combine(t, seqs)
+        cert = certify_combination_outside(f, basis, [1, 2, 3], BUDGET, PREC)
+        _assert_same_as_reference(f, cert)
+        _assert_same_as_reference(other, cert)
+        assert _row_identity_failure(other, cert, cert.checked_points, PREC) is not None
+    if outer != LINF:
+        res = approximate_with_avoider(FiniteRational({0: F(1)}), F(1), outer, inner, BUDGET, PREC)
+        _assert_same_as_reference(res.f, res.certificate)
+
+
+@pytest.mark.parametrize("pair", [(cap_lp(1), lp(2)), (lp(2), cap_lp(2)), (AINF, cap_lp(0))],
+                         ids=lambda p: f"{p[0]}<{p[1]}")
+def test_row_check_rejects_a_scale_that_only_the_finer_precision_tells_apart(pair):
+    # the witness terms are irrational at the first checked points, so their
+    # boxes at prec are wide enough to meet those of a scale moved by a
+    # relative 2**-(3 prec / 2), and their boxes at 2 * prec are not
+    inner, outer = pair
+    res = approximate_with_avoider(FiniteRational({0: F(1)}), F(1), outer, inner, BUDGET, PREC)
+    cert = res.certificate
+    moved = cert.scale.re_lo * (1 + F(1, 1 << (3 * PREC // 2)))
+    forged = dataclasses.replace(cert, scale=ComplexInterval.exact(moved))
+    coarse_only = []
+    for samples in range(1, len(cert.checked_points) + 1):
+        points = cert.checked_points[:samples]
+        ref = _ref_row_identity_failure(res.f, forged, points, PREC)
+        assert ref is not None and _row_identity_failure(res.f, forged, points, PREC) == ref
+        if _ref_row_identity_failure(res.f, forged, points, PREC, passes=(1,)) is None:
+            coarse_only.append(samples)
+            assert not check_outside_certificate(res.f, forged, samples, PREC)
+    assert coarse_only  # a check at prec alone accepts the forgery
 
 
 def test_random_rational_combinations_certify():

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PREC, catalog, random_finite
+from conftest import BUDGET, PREC, catalog, random_finite
 from seqchain import families
 from seqchain.errors import FiniteSupportSet, LengthMismatch
 from seqchain.families import nat, prop28
+from seqchain.generic import dense_family_element
 from seqchain.intervals import ComplexInterval, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     _EXACT_POWER_BITS,
-    _abs_upper,
     Combine,
     FiniteRational,
     Sequence,
@@ -28,6 +28,8 @@ from seqchain.sequences import (
     _radius_power_upper,
     zero,
 )
+from seqchain.spaceable import build_basis
+from seqchain.spaces import cap_lp, lp
 from seqchain.supports import (
     AllNaturals,
     Arith,
@@ -58,8 +60,22 @@ def test_nat_term_exact_at_prec_zero():
 
 CATALOG = list(catalog().items())
 
+# a combination over a basis with irrational witness terms, and a dense-family
+# element x + c y: the escape check relies on their terms nesting too
+_BASIS = build_basis(lp(2), cap_lp(2), 3, BUDGET, PREC)
+NESTING = CATALOG + [
+    (
+        "basis-combination",
+        combine(
+            [(F(1), F(1)), (F(-2), F(0)), (F(1, 3), F(2, 5))],
+            [_BASIS.elements[j].seq for j in (1, 2, 3)],
+        ),
+    ),
+    ("dense-family-f", dense_family_element(3, lp(2), cap_lp(1), BUDGET, PREC).f),
+]
 
-@pytest.mark.parametrize("name,seq", CATALOG, ids=[n for n, _ in CATALOG])
+
+@pytest.mark.parametrize("name,seq", NESTING, ids=[n for n, _ in NESTING])
 def test_term_determinism_and_nesting(name, seq):
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(20):
@@ -246,6 +262,15 @@ def test_family_disc_tails_take_any_exact_radius_in_the_open_unit_interval(name)
         for r in (F(0), F(1), F(-1, 2), F(3, 2), 0.0, 1.5):
             with pytest.raises(ValueError):
                 seq.disc_tail(N, r, PREC)
+
+
+def _abs_upper(re, im, prec):
+    """Upper bound on |re + i im|: exact on an axis, else the square root's."""
+    if im == 0:
+        return abs(re)
+    if re == 0:
+        return abs(im)
+    return sqrt_bounds(re * re + im * im, prec)[1]
 
 
 def _ref_weighted(combo, tails, prec):

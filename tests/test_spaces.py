@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import catalog, random_finite
+from seqchain import spaces
 from seqchain.errors import BudgetExceeded, MissingTailOracle, UnknownSpace
 from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, nat, prop28
 from seqchain.intervals import ComplexInterval
@@ -472,6 +473,7 @@ def test_ball_scale_postcondition_reverifiable():
         assert metric_bound(space, scaled, zero(), 64, 32).upper < radius
 
 
-def test_ball_scale_budget_exhaustion():
-    with pytest.raises(BudgetExceeded):
-        ball_scale(C0, unit(0), F(1, 10), 64, 32, max_halvings=2)
+def test_ball_scale_budget_exhaustion(fresh_memos, monkeypatch):
+    monkeypatch.setattr(spaces, "_MAX_HALVINGS", 2)
+    with pytest.raises(BudgetExceeded, match="radius 1/10 in 2 halvings"):
+        ball_scale(C0, unit(0), F(1, 10), 64, 32)
