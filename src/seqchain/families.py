@@ -2,24 +2,24 @@
 
 Each family ships closed-form tail bounds and growth tags attached at
 construction, because certified membership can never be read off finitely
-many terms.  Family ids double as the wire names of the sequence-spec
-JSON format:
+many terms.  Each states its l^p threshold t (middle column) once: it lies
+in l^q exactly for q > t, or in no l^q where t is "none", and ``FamilySeq``
+derives the exponent gates of its divergence and tail oracles from t.
+Family ids double as the wire names of the sequence-spec JSON format:
 
-========================  =====================================================
-``prop28``                sqrt(1/n) at n = 2, 4, 8, ...; zero elsewhere.
-``rem29``                 the same shape transplanted into an arbitrary
-                          infinite support via a doubling subsequence
-                          selection (value sqrt(1/l) at each selected l).
-``nat``                   a_n = n.
-``nat-power``             a_n = n**(n+1).
-``nn-on-support``         a_n = n**n on the support (n >= 1), zero off it.
-``gap-lp-cap``            |a_n| = ((n+2) L(n+2))**(-1/a), L = floor(log2);
-                          summable to power q iff q > a.
-``gap-cap-lp``            |a_n| = (n+1)**(-2/(a+b)); summable to power q
-                          iff q > (a+b)/2.
-``gap-cap-c0``            |a_n| = 1/L(n+2); vanishing, in no l^p.
-``const-one``             a_n = 1.
-========================  =====================================================
+=================  =======  ===================================================
+``prop28``         0        sqrt(1/n) at n = 2, 4, 8, ...; zero elsewhere.
+``rem29``          0        the same shape transplanted into an arbitrary
+                            infinite support via a doubling subsequence
+                            selection (value sqrt(1/l) at each selected l).
+``nat``            none     a_n = n.
+``nat-power``      none     a_n = n**(n+1).
+``nn-on-support``  none     a_n = n**n on the support (n >= 1), zero off it.
+``gap-lp-cap``     a        |a_n| = ((n+2) L(n+2))**(-1/a), L = floor(log2).
+``gap-cap-lp``     (a+b)/2  |a_n| = (n+1)**(-2/(a+b)).
+``gap-cap-c0``     none     |a_n| = 1/L(n+2); vanishing.
+``const-one``      none     a_n = 1.
+=================  =======  ===================================================
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ def _disc_geom(r: Fraction, n0: int) -> Fraction:
     return Fraction(u ** n0 * v, v ** n0 * (v - u))
 
 
+def _disc_unit(N: int, r: Fraction, prec: int) -> Fraction:
+    """Disc tail past N of a sequence whose every term is <= 1 in modulus."""
+    return _disc_geom(r, N + 1)
+
+
 # -- prop28 / rem29 ---------------------------------------------------------
 
 
@@ -130,6 +135,7 @@ def prop28() -> FamilySeq:
         sup_fn=sup,
         pos_sup_fn=pos_sup,
         disc_fn=disc,
+        threshold=Fraction(0),
         tags=(tag,),
         support_hint=PowersOfTwo(),
     )
@@ -234,6 +240,7 @@ def rem29(support: SupportSet) -> FamilySeq:
         sup_fn=sup,
         pos_sup_fn=pos_sup,
         disc_fn=disc,
+        threshold=Fraction(0),
         tags=(tag,),
         support_hint=selection,
     )
@@ -242,21 +249,15 @@ def rem29(support: SupportSet) -> FamilySeq:
 # -- unbounded catalog members ----------------------------------------------
 
 
-def _unbounded_divergences(offset: int):
-    """(lp_div, cap_div) for a sequence with |a| >= 1 at support position
-    j + offset - 1 for every j >= 1: one position per block, each with
-    |a|**p >= 1, so every l^p sum diverges; cap-lp:a escapes at q = a + 1."""
+def _unbounded_divergence(offset: int):
+    """lp_div for a sequence with |a| >= 1 at support position j + offset - 1
+    for every j >= 1: one position per block, each with |a|**p >= 1, so
+    every l^p sum diverges."""
 
     def lp_div(p):
-        return BlockDivergence(
-            p=Fraction(p), block=SingletonBlock(offset), comparator="constant", c=Q1
-        )
+        return BlockDivergence(p=p, block=SingletonBlock(offset), comparator="constant", c=Q1)
 
-    def cap_div(a):
-        q = Fraction(a) + 1
-        return q, lp_div(q)
-
-    return lp_div, cap_div
+    return lp_div
 
 
 def nat() -> FamilySeq:
@@ -275,7 +276,7 @@ def nat() -> FamilySeq:
         ),
     )
 
-    lp_div, cap_div = _unbounded_divergences(2)  # position k=j+1 carries value j
+    lp_div = _unbounded_divergence(2)  # position k=j+1 carries value j
 
     return FamilySeq(
         "nat",
@@ -284,7 +285,6 @@ def nat() -> FamilySeq:
         disc_fn=disc,
         tags=tags,
         lp_div_fn=lp_div,
-        cap_div_fn=cap_div,
         support_hint=AllNaturals(),
     )
 
@@ -305,7 +305,7 @@ def nat_power() -> FamilySeq:
         RootLowerBound(label="nat-power-root", s=lambda m: m, rho=lambda m: Fraction(m)),
     )
 
-    lp_div, cap_div = _unbounded_divergences(2)
+    lp_div = _unbounded_divergence(2)
 
     return FamilySeq(
         "nat-power",
@@ -313,7 +313,6 @@ def nat_power() -> FamilySeq:
         term,
         tags=tags,
         lp_div_fn=lp_div,
-        cap_div_fn=cap_div,
         support_hint=AllNaturals(),
     )
 
@@ -345,7 +344,7 @@ def nn_on_support(support: SupportSet) -> FamilySeq:
         ),
     )
 
-    lp_div, cap_div = _unbounded_divergences(offset)
+    lp_div = _unbounded_divergence(offset)
 
     return FamilySeq(
         "nn-on-support",
@@ -353,7 +352,6 @@ def nn_on_support(support: SupportSet) -> FamilySeq:
         term,
         tags=tags,
         lp_div_fn=lp_div,
-        cap_div_fn=cap_div,
         support_hint=support,
     )
 
@@ -367,26 +365,22 @@ def const_one() -> FamilySeq:
     def sup(N, prec):
         return Q1
 
-    def disc(N, r, prec):
-        return _disc_geom(r, N + 1)
-
     tags = (
         SubseqLowerBound(
             label="const-one", s=lambda m: m - 1, g=lambda m: Q1, g_inf=Q1
         ),
     )
 
-    lp_div, cap_div = _unbounded_divergences(1)
+    lp_div = _unbounded_divergence(1)
 
     return FamilySeq(
         "const-one",
         {},
         term,
         sup_fn=sup,
-        disc_fn=disc,
+        disc_fn=_disc_unit,
         tags=tags,
         lp_div_fn=lp_div,
-        cap_div_fn=cap_div,
         support_hint=AllNaturals(),
     )
 
@@ -409,17 +403,12 @@ def gap_lp_cap(a: Fraction) -> FamilySeq:
         return _real_iv(*pow_bounds(base_val(n), exponent, prec))
 
     def tail(N, q, prec):
-        s = Fraction(q) / a
-        if s <= 1:
-            return None
+        s = q / a
         # sum_{m > N+2} m**-s <= (N+2)**(1-s) / (s-1)
         return pow_bounds(Fraction(N + 2), 1 - s, max(prec, 16))[1] / (s - 1)
 
     def sup(N, prec):
         return pow_bounds(base_val(N + 1), exponent, max(prec, 16))[1]
-
-    def disc(N, r, prec):
-        return _disc_geom(r, N + 1)  # values are <= 1
 
     tag = SubseqLowerBound(
         label="gap-lp-cap-dyadic",
@@ -428,21 +417,9 @@ def gap_lp_cap(a: Fraction) -> FamilySeq:
     )
 
     def lp_div(p):
-        if Fraction(p) > a:
-            return None
         # positions with m = n+2 in [2**j, 2**(j+1)) have L(m) = j, and
         # sum 1/(m j) over that range exceeds 1/(2j)
-        return BlockDivergence(
-            p=Fraction(p),
-            block=shifted_dyadic_block,
-            comparator="harmonic",
-            c=Fraction(1, 2),
-        )
-
-    def cap_div(c):
-        if a > Fraction(c):
-            return a, lp_div(a)
-        return None
+        return BlockDivergence(p, shifted_dyadic_block, "harmonic", Fraction(1, 2))
 
     return FamilySeq(
         "gap-lp-cap",
@@ -450,10 +427,10 @@ def gap_lp_cap(a: Fraction) -> FamilySeq:
         term,
         tail_fn=tail,
         sup_fn=sup,
-        disc_fn=disc,
+        disc_fn=_disc_unit,
         tags=(tag,),
         lp_div_fn=lp_div,
-        cap_div_fn=cap_div,
+        threshold=a,
         support_hint=AllNaturals(),
     )
 
@@ -464,15 +441,12 @@ def gap_cap_lp(a: Fraction, b: Fraction) -> FamilySeq:
     if not 0 <= a < b:
         raise ValueError("need 0 <= a < b")
     exponent = Fraction(-2) / (a + b)
-    pivot = (a + b) / 2
 
     def term(n, prec):
         return _real_iv(*pow_bounds(Fraction(n + 1), exponent, prec))
 
     def tail(N, q, prec):
-        s = 2 * Fraction(q) / (a + b)
-        if s <= 1:
-            return None
+        s = 2 * q / (a + b)
         if N < 0:
             # the whole sequence: the n = 0 term is 1, the rest is the N = 0 tail
             return 1 + 1 / (s - 1)
@@ -481,24 +455,9 @@ def gap_cap_lp(a: Fraction, b: Fraction) -> FamilySeq:
     def sup(N, prec):
         return pow_bounds(Fraction(N + 2), exponent, max(prec, 16))[1]
 
-    def disc(N, r, prec):
-        return _disc_geom(r, N + 1)
-
     def lp_div(p):
-        if Fraction(p) > pivot:
-            return None
         # terms over positions [2**j, 2**(j+1)-1] are each >= 2**-(j+1)
-        return BlockDivergence(
-            p=Fraction(p),
-            block=dyadic_position_block,
-            comparator="constant",
-            c=Fraction(1, 2),
-        )
-
-    def cap_div(c):
-        if pivot > Fraction(c):
-            return pivot, lp_div(pivot)
-        return None
+        return BlockDivergence(p, dyadic_position_block, "constant", Fraction(1, 2))
 
     return FamilySeq(
         "gap-cap-lp",
@@ -506,9 +465,9 @@ def gap_cap_lp(a: Fraction, b: Fraction) -> FamilySeq:
         term,
         tail_fn=tail,
         sup_fn=sup,
-        disc_fn=disc,
+        disc_fn=_disc_unit,
         lp_div_fn=lp_div,
-        cap_div_fn=cap_div,
+        threshold=(a + b) / 2,
         support_hint=AllNaturals(),
     )
 
@@ -532,11 +491,7 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
     def sup(N, prec):
         return Fraction(1, _floor_log2(N + 3))
 
-    def disc(N, r, prec):
-        return _disc_geom(r, N + 1)
-
     def lp_div(p):
-        p = Fraction(p)
         # 2**j terms of value j**-p per L-aligned block; valid from the
         # first j in the monotone region with 2**j >= j**p.  Past the
         # search cap there is no certificate (None), not an error.
@@ -553,18 +508,13 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
             j_start=j,
         )
 
-    def cap_div(c):
-        q = Fraction(c) + 1
-        return q, lp_div(q)
-
     return FamilySeq(
         "gap-cap-c0",
         {"b": format_rational(b)},
         term,
         sup_fn=sup,
-        disc_fn=disc,
+        disc_fn=_disc_unit,
         lp_div_fn=lp_div,
-        cap_div_fn=cap_div,
         support_hint=AllNaturals(),
     )
 

@@ -25,10 +25,12 @@ from .diagnose import CertifiedOut, check_certificate
 from .errors import (
     AllZeroCoefficients,
     BudgetExceeded,
+    LengthMismatch,
+    NotStrictPair,
     SeqchainError,
     UnsupportedOuter,
 )
-from .intervals import ComplexInterval, Q0
+from .intervals import ComplexInterval, Q0, format_rational
 from .sequences import (
     FiniteRational,
     Sequence,
@@ -164,8 +166,6 @@ class DenseFamilyElement:
     f: Sequence  # x + scale * witness.seq
 
     def describe(self):
-        from .intervals import format_rational
-
         return {
             "j": self.j,
             "x": self.x.spec(),
@@ -189,10 +189,6 @@ def dense_family_element(
     if j < 1:
         raise ValueError("element index is 1-based")
     _require_outer(outer)
-    if not strictly_included(inner, outer):
-        from .errors import NotStrictPair
-
-        raise NotStrictPair(f"{inner} is not strictly below {outer}")
     x = enumerate_rational_c00(j)
     w = make_witness(inner, outer, disjoint_support(j), budget, prec)
     c = ball_scale(outer, w.seq, Fraction(1, j), budget, prec)
@@ -221,8 +217,6 @@ class OutsideXCertificate:
     checked_points: tuple[int, ...]
 
     def describe(self):
-        from .intervals import format_rational
-
         scale = {
             "re": [format_rational(self.scale.re_lo), format_rational(self.scale.re_hi)],
             "im": [format_rational(self.scale.im_lo), format_rational(self.scale.im_hi)],
@@ -290,8 +284,6 @@ def certify_outside(
     the row of the first nonzero coefficient, past every anchor's support."""
     coeffs = [c if isinstance(c, tuple) else (Fraction(c), Q0) for c in coeffs]
     if len(coeffs) != len(elements):
-        from .errors import LengthMismatch
-
         raise LengthMismatch("one coefficient per element")
     pick = None
     for (re, im), element in zip(coeffs, elements):
@@ -333,8 +325,6 @@ class ApproxResult:
     distance_upper: Fraction
 
     def describe(self):
-        from .intervals import format_rational
-
         return {
             "f": self.f.spec(),
             "certificate": self.certificate.describe(),
@@ -383,8 +373,6 @@ def approximate_with_avoider(
         raise ValueError("epsilon must be positive")
     _require_outer(outer)
     if not strictly_included(inner, outer):
-        from .errors import NotStrictPair
-
         raise NotStrictPair(f"{inner} is not strictly below {outer}")
 
     x = _rational_truncation(target, outer, epsilon / 2, budget, prec)

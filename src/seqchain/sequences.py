@@ -219,7 +219,14 @@ class FiniteRational(Sequence):
 
 
 class FamilySeq(Sequence):
-    """Catalog sequence defined by closed-form oracles (see families.py)."""
+    """Catalog sequence defined by closed-form oracles (see families.py).
+
+    ``threshold`` t is the family's one l^p datum: it lies in l^q exactly for
+    q > t, or in no l^q when t is None.  The exponent gates derive from it:
+    ``lp_divergence(p)`` is None for p > t; ``cap_divergence(a)`` escapes at
+    q = t when t > a (None when t <= a), or at q = a + 1 when t is None, with
+    ``lp_divergence(q)`` as its blocks; ``tail_majorant`` is None for p <= t
+    and whenever t is None."""
 
     kind = "family"
 
@@ -234,7 +241,7 @@ class FamilySeq(Sequence):
         pos_sup_fn=None,
         disc_fn=None,
         lp_div_fn=None,
-        cap_div_fn=None,
+        threshold=None,
         tags=(),
         support_hint=None,
     ):
@@ -246,7 +253,7 @@ class FamilySeq(Sequence):
         self._sup_fn = sup_fn
         self._disc_fn = disc_fn
         self._lp_div_fn = lp_div_fn
-        self._cap_div_fn = cap_div_fn
+        self.threshold = threshold
         self.growth_tags = tuple(tags)
         self.support_hint = support_hint
         if pos_sup_fn is None and sup_fn is not None and isinstance(support_hint, AllNaturals):
@@ -258,7 +265,10 @@ class FamilySeq(Sequence):
         return self._term_fn(n, prec)
 
     def tail_majorant(self, N, p, prec):
-        return self._tail_fn(N, Fraction(p), prec) if self._tail_fn else None
+        p, t = Fraction(p), self.threshold
+        if self._tail_fn is None or t is None or p <= t:
+            return None
+        return self._tail_fn(N, p, prec)
 
     def sup_tail(self, N, prec):
         return self._sup_fn(N, prec) if self._sup_fn else None
@@ -270,10 +280,20 @@ class FamilySeq(Sequence):
         return self._disc_fn(N, r, prec) if self._disc_fn else None
 
     def lp_divergence(self, p):
-        return self._lp_div_fn(Fraction(p)) if self._lp_div_fn else None
+        p, t = Fraction(p), self.threshold
+        if self._lp_div_fn is None or (t is not None and p > t):
+            return None
+        return self._lp_div_fn(p)
 
     def cap_divergence(self, a):
-        return self._cap_div_fn(Fraction(a)) if self._cap_div_fn else None
+        a, t = Fraction(a), self.threshold
+        if t is None:
+            q = a + 1
+        elif t > a:
+            q = t
+        else:
+            return None
+        return q, self.lp_divergence(q)
 
     def spec(self):
         return {"kind": "family", "name": self.name, "params": self._params_spec}

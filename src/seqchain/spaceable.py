@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint, NotStrictPair
+from .errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint
 from .generic import OutsideXCertificate, disjoint_support, escape_certificate
 from .intervals import ComplexInterval, Q0
 from .sequences import Combine, Sequence
-from .spaces import SpaceId, strictly_included
+from .spaces import SpaceId
 from .witness import Witness, make_witness
 
 
@@ -26,8 +26,6 @@ def basis_element(
     """The j-th basis witness, supported in disjoint_support(j)."""
     if j < 1:
         raise ValueError("basis index is 1-based")
-    if not strictly_included(inner, outer):
-        raise NotStrictPair(f"{inner} is not strictly below {outer}")
     return make_witness(inner, outer, disjoint_support(j), budget, prec)
 
 

@@ -1,0 +1,66 @@
+"""Pinned values of every catalog family's divergence and tail oracles.
+
+``family_oracles_golden.json`` holds, for each sequence below and each
+exponent in ``EXPONENTS``: ``lp_divergence(p)`` and ``cap_divergence(a)``
+(None, or the escape exponent q, the block's ``describe()`` and its first
+three blocks), and ``tail_majorant(N, p, 64)`` at each cutoff in ``CUTOFFS``
+(None or its exact value).  A refactor of the families must keep every
+entry, the Nones included.  To record the file anew after a deliberate
+change of the oracles, run ``PYTHONPATH=src python tests/test_family_oracles.py``.
+"""
+
+import json
+from fractions import Fraction as F
+from pathlib import Path
+
+from conftest import catalog
+from seqchain import families
+
+GOLDEN_PATH = Path(__file__).parent / "family_oracles_golden.json"
+
+EXPONENTS = [F(1, 8), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3)]
+CUTOFFS = [-1, 0, 37]
+PREC = 64
+
+
+def _sequences():
+    seqs = catalog()
+    seqs["gap-cap-c0-0"] = families.gap_cap_c0(F(0))
+    seqs["gap-cap-lp-1/2-3/2"] = families.gap_cap_lp(F(1, 2), F(3, 2))
+    return seqs
+
+
+def _divergence(q, bd):
+    out = {"q": str(q)}
+    if bd is not None:
+        out["describe"] = bd.describe()
+        out["blocks"] = [list(bd.block(j)) for j in range(bd.j_start, bd.j_start + 3)]
+    return out
+
+
+def _record(seq):
+    lp, cap, tail = {}, {}, {}
+    for x in EXPONENTS:
+        bd = seq.lp_divergence(x)
+        lp[str(x)] = None if bd is None else _divergence(bd.p, bd)
+        got = seq.cap_divergence(x)
+        cap[str(x)] = None if got is None else _divergence(*got)
+        for N in CUTOFFS:
+            value = seq.tail_majorant(N, x, PREC)
+            tail[f"{N}:{x}"] = None if value is None else str(F(value))
+    return {"lp": lp, "cap": cap, "tail": tail}
+
+
+def record_all():
+    return {name: _record(seq) for name, seq in sorted(_sequences().items())}
+
+
+def test_family_oracles_match_golden():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    got = record_all()
+    assert sorted(got) == sorted(golden)
+    assert [name for name in got if got[name] != golden[name]] == []
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(record_all(), indent=1, sort_keys=True) + "\n")

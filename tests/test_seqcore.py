@@ -77,7 +77,7 @@ NESTING = CATALOG + [
 
 @pytest.mark.parametrize("name,seq", NESTING, ids=[n for n, _ in NESTING])
 def test_term_determinism_and_nesting(name, seq):
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(name)
     for _ in range(20):
         n = rng.randint(0, 100)
         prec = rng.randint(4, 60)
