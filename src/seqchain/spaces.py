@@ -471,7 +471,6 @@ def distance_below(y: SpaceId, a: Sequence, b: Sequence, r: Fraction, budget: in
     return False
 
 
-_BALL_MEMO: dict = {}
 _MAX_HALVINGS = 96  # scales 2**-m tried by ball_scale, m = 0 .. _MAX_HALVINGS
 
 
@@ -484,8 +483,7 @@ def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: i
     """Smallest tried dyadic scalar c = 2**-m with certified d(c*seq, 0) < radius.
 
     Each halving is decided by ``distance_below``, at the first rung of its
-    ladder that settles it.  Pure in its inputs; memoized on the sequence's
-    serialized spec."""
+    ladder that settles it.  Pure in its inputs."""
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -495,13 +493,9 @@ def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: i
     # stays deterministic
     eval_budget = min(budget, 128)
     eval_prec = min(prec, max(32, 12 + _radius_bits(radius)))
-    key = (str(y), seq.spec_key(), radius, eval_budget, eval_prec)
-    if key in _BALL_MEMO:
-        return _BALL_MEMO[key]
     origin = zero()
     for m in range(_MAX_HALVINGS + 1):
         c = Fraction(1, 1 << m)
         if distance_below(y, combine([c], [seq]), origin, radius, eval_budget, eval_prec):
-            _BALL_MEMO[key] = c
             return c
     raise BudgetExceeded(f"no dyadic scale reached radius {radius} in {_MAX_HALVINGS} halvings")

@@ -10,7 +10,6 @@ X = ainf and the n**n construction for X = hd.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .diagnose import (
@@ -94,9 +93,6 @@ def _gap_for_pair(inner: SpaceId, outer: SpaceId) -> Sequence:
     raise SeqchainError(f"no spreadable gap for inner space {inner}")
 
 
-_WITNESS_MEMO: dict = {}
-
-
 def make_witness(
     inner: SpaceId,
     outer: SpaceId,
@@ -106,28 +102,7 @@ def make_witness(
 ) -> Witness:
     """Certified element of outer minus inner, supported in the given set.
 
-    Construction is pure, so results are memoized per serialized input;
-    repeated builders of the same witness agree bit for bit."""
-    try:
-        support_key = json.dumps(support.spec(), sort_keys=True)
-        key = (str(inner), str(outer), support_key, budget, prec)
-    except NotImplementedError:
-        key = None
-    if key is not None and key in _WITNESS_MEMO:
-        return _WITNESS_MEMO[key]
-    w = _make_witness(inner, outer, support, budget, prec)
-    if key is not None:
-        _WITNESS_MEMO[key] = w
-    return w
-
-
-def _make_witness(
-    inner: SpaceId,
-    outer: SpaceId,
-    support: SupportSet,
-    budget: int,
-    prec: int,
-) -> Witness:
+    Construction is pure: equal inputs give equal witnesses, bit for bit."""
     if not strictly_included(inner, outer):
         raise NotStrictPair(f"{inner} is not strictly below {outer}")
     support.require_infinite()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings
 
-from seqchain import families, spaces, witness
+from seqchain import families
 from seqchain.sequences import FiniteRational, zero
 from seqchain.supports import Arith, PowersOfTwo
 
@@ -41,14 +41,6 @@ def catalog():
 @pytest.fixture(scope="session")
 def catalog_sequences():
     return catalog()
-
-
-@pytest.fixture
-def fresh_memos(monkeypatch):
-    """Empty ``ball_scale`` and ``make_witness`` memos for one test, so a
-    result is computed there and not read from an earlier test's memo hit."""
-    monkeypatch.setattr(spaces, "_BALL_MEMO", {})
-    monkeypatch.setattr(witness, "_WITNESS_MEMO", {})
 
 
 def random_rational(rng: random.Random, span: int = 8) -> Fraction:

@@ -24,7 +24,7 @@ from seqchain.generic import (
     encode_rational_c00,
     enumerate_rational_c00,
 )
-from seqchain.intervals import ComplexInterval
+from seqchain.intervals import ComplexInterval, format_rational
 from seqchain.sequences import FiniteRational, combine, spread, term_at, zero
 from seqchain.spaceable import build_basis, certify_combination_outside
 from seqchain.spaces import C0, CN0, HD, LINF, AINF, adjacent_pairs, cap_lp, lp, metric_bound
@@ -183,6 +183,20 @@ def test_coefficient_arity_checked():
     els = _elements((lp(1), C0), 2)
     with pytest.raises(LengthMismatch):
         certify_outside([1], els, BUDGET, PREC)
+
+
+def test_float_coefficients_rejected_as_combine_rejects_them():
+    els = _elements((lp(1), C0), 2)
+    for coeffs in ([0.1, 0], [(F(1), 0.5), 0]):
+        with pytest.raises(TypeError, match="exact rationals, not floats"):
+            certify_outside(coeffs, els, BUDGET, PREC)
+        with pytest.raises(TypeError, match="exact rationals, not floats"):
+            combine(coeffs, [e.f for e in els])
+    # every exact spelling of one coefficient list gives one certificate
+    want = certify_outside([(F(1, 3), F(0)), (F(0), F(0))], els, BUDGET, PREC).describe()
+    assert want["scale"]["re"] == [format_rational(els[0].scale / 3)] * 2
+    for coeffs in ([F(1, 3), 0], [(F(1, 3), 0), 0], ["1/3", F(0)]):
+        assert certify_outside(coeffs, els, BUDGET, PREC).describe() == want
 
 
 def test_cutoff_clears_every_anchor():

@@ -473,7 +473,7 @@ def test_ball_scale_postcondition_reverifiable():
         assert metric_bound(space, scaled, zero(), 64, 32).upper < radius
 
 
-def test_ball_scale_budget_exhaustion(fresh_memos, monkeypatch):
+def test_ball_scale_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(spaces, "_MAX_HALVINGS", 2)
     with pytest.raises(BudgetExceeded, match="radius 1/10 in 2 halvings"):
         ball_scale(C0, unit(0), F(1, 10), 64, 32)

@@ -8,8 +8,10 @@ from conftest import BUDGET, PREC
 from seqchain.diagnose import CertifiedIn, CertifiedOut, classify
 from seqchain.errors import FiniteSupportSet, NotStrictPair, TopOfChain
 from seqchain.families import prop28
+from seqchain.generic import _row_element, approximate_with_avoider, dense_family_element
 from seqchain.intervals import ComplexInterval
 from seqchain.sequences import Spread, spread, term_at
+from seqchain.serialize import canonical_json
 from seqchain.spaceable import build_basis
 from seqchain.spaces import (
     AINF,
@@ -194,9 +196,22 @@ def test_verify_rejects_mismatched_certificates():
 def test_witness_construction_is_deterministic():
     a = make_witness(AINF, cap_lp(0), EVENS, BUDGET, PREC)
     b = make_witness(AINF, cap_lp(0), EVENS, BUDGET, PREC)
+    assert a is not b
     assert a.seq.spec() == b.seq.spec()
     for n in range(50):
         assert a.seq.term(n, 30) == b.seq.term(n, 30)
+
+
+def test_dense_family_rows_are_shared_through_the_row_cache():
+    a = dense_family_element(3, C0, lp(1), BUDGET, PREC)
+    b = dense_family_element(3, C0, lp(1), BUDGET, PREC)
+    assert a.witness is b.witness and a.scale == b.scale
+    args = (prop28(), F(1, 1024), CN0, C0, BUDGET, PREC)
+    _row_element.cache_clear()
+    cold = canonical_json(approximate_with_avoider(*args).describe())
+    warm = canonical_json(approximate_with_avoider(*args).describe())
+    assert _row_element.cache_info().hits == 1
+    assert cold == warm
 
 
 # -- the term cache under verification ------------------------------------------
