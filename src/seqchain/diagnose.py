@@ -330,6 +330,15 @@ def _check_table(seq, tag, rows, prec) -> bool:
     return all(_abs_at_least(seq, tag.s(m), g, prec) for _, m, g in rows)
 
 
+def _escape_exponent(t, a: Fraction):
+    """The exponent q > a at which a sequence of l^p threshold t leaves
+    cap-lp:a: t when t > a, a + 1 when t is None (in no l^q), and None when
+    t <= a, as the sequence then lies in every l^q with q > a."""
+    if t is None:
+        return a + 1
+    return t if t > a else None
+
+
 def _out_shapes(seq: Sequence, space: SpaceId):
     """Yield (candidate out-shape, samples its build checks) for the space,
     in the order the candidates are tried: root 3, not-vanishing 5, blocks
@@ -351,11 +360,8 @@ def _out_shapes(seq: Sequence, space: SpaceId):
             if tag.g_inf is not None and tag.g_inf > 0:
                 yield NotVanishing(delta=tag.g_inf, tag=tag), 5
     elif space.tag in ("lp", "cap-lp"):
-        if space.tag == "lp":
-            bd = seq.lp_divergence(space.param)
-            q = None if bd is None else bd.p
-        else:
-            q, bd = seq.cap_divergence(space.param) or (None, None)
+        q = space.param if space.tag == "lp" else _escape_exponent(seq.threshold, space.param)
+        bd = None if q is None else seq.lp_divergence(q)
         if bd is not None:
             js = tuple(range(bd.j_start, bd.j_start + 3))
             yield DivergentPartialSums(exponent=q, blocks=bd, checked_blocks=js), 3
@@ -429,7 +435,15 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
     Schedules over exponents p_n (cap-lp) or radii r_k (hd) share one
     cutoff N, so their rows read one head of moduli built once per call
     (after every tail oracle has answered).  The ``disc-schedule`` rows sum
-    that head with the one disc-sum kernel, ``intervals.DiscSum``."""
+    that head with the one disc-sum kernel, ``intervals.DiscSum``.
+
+    Each schedule samples finitely many rows and rests on a rule that makes
+    them enough: ``lp-schedule`` (p_n = a + 1/n, n <= 8) is built only when
+    the threshold t is at most a; a ``disc_tail`` (``disc-schedule``, radii
+    k/(k+1)) exists only where the disc sums converge for every r < 1; each
+    position tail (``vanishing-schedule``, eps = 2**-i) tends to 0 or is
+    >= 1 (``const-one``), failing the eps = 1/2 row; and only finitely
+    supported data has a ``poly_sup_tail`` (``poly-schedule``)."""
     if space.tag == "cn0":
         return InCert(space, "total", (), prec)
 
@@ -441,6 +455,8 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
         return InCert(space, "lp-tail", (space.param, cuts, head, tail), prec)
 
     if space.tag == "cap-lp":
+        if _escape_exponent(seq.threshold, space.param) is not None:
+            return None
         tails = []
         for n in range(1, _SCHEDULE_K + 1):
             p_n = space.param + Fraction(1, n)

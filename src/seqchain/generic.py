@@ -406,6 +406,6 @@ def approximate_with_avoider(
     # and budget, all on one walk
     checkpoints = {_budget_ladder(b)[-1] for b in (min(64, budget), min(256, budget), budget)}
     for rung, dist in metric_bounds(outer, element.f, target, budget, prec):
-        if rung in checkpoints and dist.upper is not None and dist.upper < epsilon:
+        if rung in checkpoints and dist.upper < epsilon:
             return ApproxResult(f=element.f, certificate=cert, distance_upper=dist.upper)
     raise BudgetExceeded("certified distance bound did not reach epsilon")

@@ -10,10 +10,11 @@ optional certified tail metadata carried as data:
 * ``poly_sup_tail(N, k, prec)``: upper bound on sup_{n>N} n**k |a_n|,
 
 each returning ``None`` when the sequence cannot certify the bound.
-Growth tags (:mod:`seqchain.tags`) and block-divergence data ride along
-the same way.  Term oracles are pure and cached, so repeated calls with
-identical arguments return identical intervals, and intervals at finer
-precision are contained in coarser ones.  The cache keeps every term
+Growth tags (:mod:`seqchain.tags`), block-divergence data and the l^p
+``threshold`` (node rules on :class:`Sequence`) ride along the same way.
+Term oracles are pure and cached, so repeated calls with identical
+arguments return identical intervals, and intervals at finer precision are
+contained in coarser ones.  The cache keeps every term
 except the shared zero box (``ComplexInterval.zero()``): a structural zero
 costs one support test to recompute and is the same object every time.
 """
@@ -70,9 +71,15 @@ def _radius_power_upper(r: Fraction, n: int, prec: int) -> Fraction:
 
 
 class Sequence:
+    """A lazy sequence node.  ``threshold`` t: it lies in l^q for every q > t
+    (None: no t known).  Finite data has t = 0, a family its closed form,
+    spread and restrict their base's t, and a combination the largest t of
+    its parts, or None if a part has None."""
+
     kind = "abstract"
     growth_tags: tuple = ()
     support_hint: SupportSet | None = None
+    threshold: Fraction | None = None
 
     def __init__(self):
         self._term_cache: dict[int | tuple[int, int], ComplexInterval] = {}
@@ -124,11 +131,6 @@ class Sequence:
         """BlockDivergence witnessing sum |a_n|**p = infinity, if known."""
         return None
 
-    def cap_divergence(self, a: Fraction):
-        """(q, BlockDivergence) with q > a witnessing escape from the
-        intersection of the l^q spaces with q > a, if known."""
-        return None
-
     # -- serialization ---------------------------------------------------
     def spec(self) -> dict:
         raise NotImplementedError
@@ -148,6 +150,7 @@ class FiniteRational(Sequence):
     """Finitely supported sequence with exact Gaussian-rational entries."""
 
     kind = "finite"
+    threshold = Q0
 
     def __init__(self, entries: dict[int, tuple] | None = None):
         super().__init__()
@@ -171,21 +174,18 @@ class FiniteRational(Sequence):
             return ComplexInterval.zero()
         return ComplexInterval.exact(val[0], val[1])
 
-    def _entries_beyond(self, N):
-        return [(n, v) for n, v in self.entries.items() if n > N]
+    def _moduli_beyond(self, N, prec, p=Q1):
+        """(n, upper bound on |a_n|**p) for every entry past N."""
+        return [
+            (n, pow_bounds(re * re + im * im, p / 2, prec)[1])
+            for n, (re, im) in self.entries.items() if n > N
+        ]
 
     def tail_majorant(self, N, p, prec):
-        total = Q0
-        for _, (re, im) in self._entries_beyond(N):
-            total += pow_bounds(re * re + im * im, Fraction(p) / 2, prec)[1]
-        return total
+        return sum((m for _, m in self._moduli_beyond(N, prec, Fraction(p))), Q0)
 
     def sup_tail(self, N, prec):
-        vals = [
-            pow_bounds(re * re + im * im, Q1 / 2, prec)[1]
-            for _, (re, im) in self._entries_beyond(N)
-        ]
-        return max(vals, default=Q0)
+        return max((m for _, m in self._moduli_beyond(N, prec)), default=Q0)
 
     def pos_sup_tail(self, K, prec):
         rest = list(self.entries.values())[max(0, K):]
@@ -195,18 +195,10 @@ class FiniteRational(Sequence):
         if N >= self.max_index:  # past the last entry the tail is zero
             return Q0
         r = Fraction(r)
-        total = Q0
-        for n, (re, im) in self._entries_beyond(N):
-            modulus = pow_bounds(re * re + im * im, Q1 / 2, prec)[1]
-            total += modulus * _radius_power_upper(r, n, prec)
-        return total
+        return sum((m * _radius_power_upper(r, n, prec) for n, m in self._moduli_beyond(N, prec)), Q0)
 
     def poly_sup_tail(self, N, k, prec):
-        vals = [
-            Fraction(n) ** k * pow_bounds(re * re + im * im, Q1 / 2, prec)[1]
-            for n, (re, im) in self._entries_beyond(N)
-        ]
-        return max(vals, default=Q0)
+        return max((Fraction(n) ** k * m for n, m in self._moduli_beyond(N, prec)), default=Q0)
 
     def spec(self):
         return {
@@ -223,10 +215,8 @@ class FamilySeq(Sequence):
 
     ``threshold`` t is the family's one l^p datum: it lies in l^q exactly for
     q > t, or in no l^q when t is None.  The exponent gates derive from it:
-    ``lp_divergence(p)`` is None for p > t; ``cap_divergence(a)`` escapes at
-    q = t when t > a (None when t <= a), or at q = a + 1 when t is None, with
-    ``lp_divergence(q)`` as its blocks; ``tail_majorant`` is None for p <= t
-    and whenever t is None."""
+    ``lp_divergence(p)`` is None for p > t, and ``tail_majorant`` is None
+    for p <= t and whenever t is None."""
 
     kind = "family"
 
@@ -285,16 +275,6 @@ class FamilySeq(Sequence):
             return None
         return self._lp_div_fn(p)
 
-    def cap_divergence(self, a):
-        a, t = Fraction(a), self.threshold
-        if t is None:
-            q = a + 1
-        elif t > a:
-            q = t
-        else:
-            return None
-        return q, self.lp_divergence(q)
-
     def spec(self):
         return {"kind": "family", "name": self.name, "params": self._params_spec}
 
@@ -325,6 +305,7 @@ class Spread(Sequence):
         self.base = base
         self.support = support
         self.support_hint = support
+        self.threshold = base.threshold
         self.growth_tags = tuple(
             tag for tag in map(self._transport_tag, base.growth_tags) if tag is not None
         )
@@ -384,10 +365,6 @@ class Spread(Sequence):
         bd = self.base.lp_divergence(p)
         return None if bd is None else self._spread_blocks(bd)
 
-    def cap_divergence(self, a):
-        q, bd = self.base.cap_divergence(a) or (None, None)
-        return None if bd is None else (q, self._spread_blocks(bd))
-
     def spec(self):
         return {"kind": "spread", "base": self.base.spec(), "support": self.support.spec()}
 
@@ -401,6 +378,7 @@ class Restrict(Sequence):
         super().__init__()
         self.base = base
         self.support = support
+        self.threshold = base.threshold
         base_hint = base.support_hint
         if base_hint is None:
             self.support_hint = support
@@ -454,6 +432,8 @@ class Combine(Sequence):
         self.support_hint = (
             None if any(h is None for h in self._hints) else _UnionHint(self._hints)
         )
+        ts = [b.threshold for b in self.bases]
+        self.threshold = None if None in ts else max(ts, default=Q0)
 
     def _term(self, n, prec):
         child = prec + self._bump

@@ -135,10 +135,10 @@ def adjacent_pairs(a=Fraction(1), b=Fraction(2)) -> list[tuple[SpaceId, SpaceId]
 @dataclass(frozen=True)
 class MetricBound:
     lower: Fraction
-    upper: Fraction | None  # None = no finite bound at this budget
+    upper: Fraction
 
     def __post_init__(self):
-        if self.upper is not None and self.lower > self.upper:
+        if self.lower > self.upper:
             raise ValueError("bound endpoints out of order")
 
 
@@ -464,7 +464,7 @@ def distance_below(y: SpaceId, a: Sequence, b: Sequence, r: Fraction, budget: in
     lower bound of at least r says no, since every later upper bound is at
     least the distance, hence at least that lower bound."""
     for _, bound in metric_bounds(y, a, b, budget, prec):
-        if bound.upper is not None and bound.upper < r:
+        if bound.upper < r:
             return True
         if bound.lower >= r:
             return False
@@ -480,17 +480,17 @@ def _radius_bits(radius: Fraction) -> int:
 
 
 def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: int) -> Fraction:
-    """Smallest tried dyadic scalar c = 2**-m with certified d(c*seq, 0) < radius.
+    """Largest tried dyadic scalar c = 2**-m with certified d(c*seq, 0) <
+    radius: m runs up from 0, and the first c that certifies is returned.
 
     Each halving is decided by ``distance_below``, at the first rung of its
     ladder that settles it.  Pure in its inputs."""
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    # candidates are evaluated at a capped internal budget and precision:
-    # a certified bound at any budget/precision is sound, the returned
-    # scale re-verifies at the caller's settings, and the candidate scan
-    # stays deterministic
+    # candidates are evaluated at a capped internal budget and precision: a
+    # bound certified at the capped budget and precision is still a
+    # certified bound, and the candidate scan stays deterministic
     eval_budget = min(budget, 128)
     eval_prec = min(prec, max(32, 12 + _radius_bits(radius)))
     origin = zero()

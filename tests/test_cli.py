@@ -289,6 +289,17 @@ def test_gap_cap_c0_high_exponent_exits_undecided(tmp_path):
     assert json.loads(raw)["result"]["verdict"] == "undecided"
 
 
+def test_a_multiple_of_a_cap_lp_non_member_exits_undecided(tmp_path):
+    # 2 * gap-cap-lp(1, 21/20) lies in l^q only for q > 41/40, so not in cap-lp:1
+    spec = (
+        '{"kind":"combine","terms":[["2/1","0/1",{"kind":"family","name":"gap-cap-lp",'
+        '"params":{"a":"1/1","b":"21/20"}}]]}'
+    )
+    code, raw = run_json(tmp_path, ["--budget", "64", "classify", spec, "cap-lp:1"])
+    assert code == 2
+    assert json.loads(raw)["result"]["verdict"] == "undecided"
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

@@ -28,6 +28,7 @@ from seqchain.diagnose import (
     UnboundedWeighted,
     Undecided,
     ViolatedAt,
+    _escape_exponent,
     _head_moduli,
     _head_runs,
     _in_cert,
@@ -43,7 +44,7 @@ from seqchain.diagnose import (
     verdict_to_json,
 )
 from seqchain.errors import UnsupportedSpace
-from seqchain.families import const_one, gap_cap_c0, gap_lp_cap, nat, nat_power, prop28
+from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, gap_lp_cap, nat, nat_power, prop28
 from seqchain.intervals import ComplexInterval, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     FiniteRational,
@@ -741,12 +742,9 @@ def test_run_sums_equal_the_per_term_sum(pattern, p):
 
 def _catalog_divergences():
     for _, seq in sorted(catalog().items()):
-        for bd in [
-            seq.lp_divergence(F(1)),
-            seq.lp_divergence(F(2)),
-            (seq.cap_divergence(F(0)) or (None, None))[1],
-            (seq.cap_divergence(F(1)) or (None, None))[1],
-        ]:
+        escapes = [_escape_exponent(seq.threshold, a) for a in (F(0), F(1))]
+        for q in [F(1), F(2), *escapes]:
+            bd = None if q is None else seq.lp_divergence(q)
             if bd is not None:
                 yield seq, bd
 
@@ -928,3 +926,65 @@ def test_root_head_moduli_equal_roots_of_squared_moduli(prec):
                 for n in support_indices_upto(seq, N)
             ]
             assert _head_moduli(seq, N, prec, root=True) == ref, (seq.spec(), N)
+
+
+# -- cap-lp in-certificates rest on the threshold ------------------------------
+
+
+_NEAR_GAP = gap_cap_lp(F(1), F(21, 20))  # threshold 41/40: in l^q only for q > 41/40
+
+
+def _near_gap_inputs():
+    g = _NEAR_GAP
+    return {
+        "2g": combine([2], [g]),
+        "restrict-evens": restrict(g, Arith(0, 2)),
+        "g+spread": combine([1, 1], [g, spread(g, Arith(1, 2))]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_near_gap_inputs()))
+def test_a_threshold_just_above_a_is_not_certified_into_cap_lp(name):
+    # the exponent schedule a + 1/n, n <= 8, only reaches l^(9/8); the
+    # threshold 41/40 > 1 keeps these non-members out of cap-lp:1
+    seq = _near_gap_inputs()[name]
+    assert seq.threshold == F(41, 40)
+    assert not isinstance(classify(seq, cap_lp(1), 64, PREC), CertifiedIn)
+    assert try_in_certificate(seq, cap_lp(1), 64, PREC) is None
+
+
+def test_a_schedule_built_past_the_threshold_fails_its_check():
+    assert try_in_certificate(_NEAR_GAP, cap_lp(1), 64, PREC) is None
+    # the same rows, built from a copy that claims threshold 1
+    posing = gap_cap_lp(F(1), F(21, 20))
+    posing.threshold = F(1)
+    forged = try_in_certificate(posing, cap_lp(1), 64, PREC)
+    assert forged is not None and forged.shape == "lp-schedule"
+    assert check_certificate(posing, CertifiedIn(forged), 8, PREC)
+    assert not check_certificate(_NEAR_GAP, CertifiedIn(forged), 8, PREC)
+
+
+def _consistency_inputs():
+    seqs = catalog()
+    for k in (2, 8, 9, 64):
+        seqs[f"gap-cap-lp-1-1+1/{k}"] = gap_cap_lp(F(1), 1 + F(1, k))
+    for name, s in sorted(seqs.items()):
+        yield name, s
+        yield f"2*{name}", combine([2], [s])
+        yield f"i*{name}", combine([(0, 1)], [s])
+        yield f"spread({name})", spread(s, Arith(1, 3))
+        yield f"restrict({name})", restrict(s, Arith(0, 2))
+        yield f"{name}+spread", combine([1, 1], [s, spread(s, Arith(1, 2))])
+
+
+def test_no_sequence_is_certified_both_in_and_out_of_a_cap_lp_space():
+    conflicts, ins, outs = [], 0, 0
+    for name, seq in _consistency_inputs():
+        for space in (cap_lp(0), cap_lp(1), cap_lp(2)):
+            inc = try_in_certificate(seq, space, BUDGET, PREC) is not None
+            out = try_out_certificate(seq, space, BUDGET, PREC) is not None
+            ins, outs = ins + inc, outs + out
+            if inc and out:
+                conflicts.append((name, str(space)))
+    assert conflicts == []
+    assert (ins, outs) == (150, 58)

@@ -1,9 +1,10 @@
 """Pinned values of every catalog family's divergence and tail oracles.
 
 ``family_oracles_golden.json`` holds, for each sequence below and each
-exponent in ``EXPONENTS``: ``lp_divergence(p)`` and ``cap_divergence(a)``
-(None, or the escape exponent q, the block's ``describe()`` and its first
-three blocks), and ``tail_majorant(N, p, 64)`` at each cutoff in ``CUTOFFS``
+exponent in ``EXPONENTS``: ``lp_divergence(p)`` and the ``cap-lp:a`` escape
+(None, or the escape exponent q that ``diagnose._escape_exponent`` reads off
+the threshold, and ``lp_divergence(q)``'s ``describe()`` and first three
+blocks), and ``tail_majorant(N, p, 64)`` at each cutoff in ``CUTOFFS``
 (None or its exact value).  A refactor of the families must keep every
 entry, the Nones included.  To record the file anew after a deliberate
 change of the oracles, run ``PYTHONPATH=src python tests/test_family_oracles.py``.
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from conftest import catalog
 from seqchain import families
+from seqchain.diagnose import _escape_exponent
 
 GOLDEN_PATH = Path(__file__).parent / "family_oracles_golden.json"
 
@@ -43,8 +45,8 @@ def _record(seq):
     for x in EXPONENTS:
         bd = seq.lp_divergence(x)
         lp[str(x)] = None if bd is None else _divergence(bd.p, bd)
-        got = seq.cap_divergence(x)
-        cap[str(x)] = None if got is None else _divergence(*got)
+        q = _escape_exponent(seq.threshold, x)
+        cap[str(x)] = None if q is None else _divergence(q, seq.lp_divergence(q))
         for N in CUTOFFS:
             value = seq.tail_majorant(N, x, PREC)
             tail[f"{N}:{x}"] = None if value is None else str(F(value))

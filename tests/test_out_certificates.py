@@ -129,10 +129,14 @@ def _ref_try_out_certificate(seq, space, budget, prec):
             )
         return None
     if space.tag == "cap-lp":
-        got = seq.cap_divergence(space.param)
-        if got is None:
+        t, a = seq.threshold, space.param
+        if t is None:
+            q = a + 1
+        elif t > a:
+            q = t
+        else:
             return None
-        q, bd = got
+        bd = seq.lp_divergence(q)
         if bd is None or q <= space.param or bd.p != q:
             return None
         js = _ref_blocks_to_check(bd)

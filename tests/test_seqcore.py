@@ -463,6 +463,46 @@ def _combinations(cat):
 _COMBINATIONS = _combinations(dict(CATALOG))
 
 
+# -- the l^p threshold of every node --------------------------------------------
+
+
+_FAMILY_THRESHOLDS = {
+    "prop28": F(0), "rem29-evens": F(0), "rem29-pow2": F(0), "nat": None,
+    "nat-power": None, "nn-evens": None, "const-one": None, "gap-lp-cap-1": F(1),
+    "gap-lp-cap-2": F(2), "gap-cap-lp-01": F(1, 2), "gap-cap-lp-12": F(3, 2),
+    "gap-cap-c0": None,
+}
+
+
+def _ref_threshold(seq):
+    if isinstance(seq, FiniteRational):
+        return F(0)
+    if seq.kind in ("spread", "restrict"):
+        return _ref_threshold(seq.base)
+    if seq.kind == "combine":
+        ts = [_ref_threshold(b) for b in seq.bases]
+        return None if any(t is None for t in ts) else max(ts)
+    return seq.threshold if seq.kind == "family" else None
+
+
+def test_threshold_node_rules():
+    cat = dict(CATALOG)
+    for name, t in _FAMILY_THRESHOLDS.items():
+        assert cat[name].threshold == t, name
+    assert zero().threshold == cat["finite"].threshold == 0
+    assert _Unhinted().threshold is None
+    g, h = cat["gap-cap-lp-01"], cat["gap-lp-cap-2"]
+    assert Combine([F(1), (F(0), F(1))], [g, h]).threshold == 2
+    assert Combine([F(1), F(-1)], [g, cat["finite"]]).threshold == F(1, 2)
+    assert Combine([F(1), F(1)], [g, nat()]).threshold is None
+    assert Combine([F(2), F(1)], [g, _Unhinted()]).threshold is None
+    checked = 0
+    for name, seq in _hinted_nodes():
+        assert seq.threshold == _ref_threshold(seq), name
+        checked += seq.kind != "family"
+    assert checked > 100
+
+
 def test_terms_outside_the_support_hint_are_exact_zeros():
     # Combine skips such parts unread; every node kind must honour this
     checked = 0
