@@ -6,8 +6,12 @@ otherwise ``Undecided``.  Out-certificates are grounded in the growth
 tags and block-divergence data carried by the sequence (numeric
 estimation alone never certifies divergence or a root-test failure),
 and each is checked by the same ``holds`` predicate of its shape that
-accepted it when it was built; in-certificates are grounded in the tail
-oracles, and a check rebuilds them at their recorded cutoffs.
+accepted it when it was built.  Four shape classes render the five
+out-shapes: ``Unbounded`` is ``unbounded`` (linf) with weight exponent
+k = 0 and ``unbounded-weighted`` (ainf) with k >= 1, and
+``DivergentPartialSums``, ``NotVanishing`` and ``RootLimsupExceeds`` are
+one shape each.  In-certificates are grounded in the tail oracles, and a
+check rebuilds them at their recorded cutoffs.
 Membership claims whose quantifiers are infinite (every exponent k,
 every radius r, every epsilon) are certified through a recorded finite
 schedule backed by the totality of the corresponding oracle.
@@ -24,6 +28,8 @@ families used in the decomposition of each space:
 "Provably fails" means the certified lower bound of the quantity
 strictly exceeds the threshold; overlapping comparisons refine the
 precision a bounded number of times and then count as non-violations.
+Every comparison of |a_n| with a bound, here and in the out-shapes, reads
+the lower end of one refinement loop, ``_abs_sq_lower``.
 """
 
 from __future__ import annotations
@@ -50,36 +56,25 @@ _REFINE_STEPS = 4
 # -- interval comparisons ----------------------------------------------------
 
 
-def _abs_vs_threshold(seq: Sequence, n: int, threshold: Fraction, prec: int):
-    """Return +1 if |a_n| > threshold provably, -1 if < provably, 0 unknown."""
-    t2 = threshold * threshold
-    work = prec
-    for _ in range(_REFINE_STEPS):
-        sq_lo, sq_hi = seq.term(n, work).abs_sq_bounds()
-        if sq_lo > t2:
-            return 1
-        if sq_hi < t2:
-            return -1
-        if sq_lo == t2 == sq_hi:
-            return 0
-        work *= 2
-    return 0
-
-
-def _abs_at_least(seq: Sequence, n: int, bound: Fraction, prec: int) -> bool:
-    """Confirm |a_n| >= bound (with refinement; equality counts)."""
-    if bound <= 0:
-        return True
+def _abs_sq_lower(seq: Sequence, n: int, bound: Fraction, prec: int) -> Fraction:
+    """Lower end of |a_n|**2, refined (precision doubling, at most
+    ``_REFINE_STEPS`` boxes) until the box is a point or lies strictly on one
+    side of bound**2.  "|a_n| > bound" and ">= bound" both read it: boxes
+    nest as the precision doubles, so lower ends only rise and upper ends
+    only fall, and the last lower end decides both as early exits would."""
     b2 = bound * bound
     work = prec
     for _ in range(_REFINE_STEPS):
         sq_lo, sq_hi = seq.term(n, work).abs_sq_bounds()
-        if sq_lo >= b2:
-            return True
-        if sq_hi < b2:
-            return False
+        if sq_lo > b2 or sq_hi < b2 or sq_lo == sq_hi:
+            break
         work *= 2
-    return False
+    return sq_lo
+
+
+def _abs_at_least(seq: Sequence, n: int, bound: Fraction, prec: int) -> bool:
+    """Confirm |a_n| >= bound (with refinement; equality counts)."""
+    return bound <= 0 or _abs_sq_lower(seq, n, bound, prec) >= bound * bound
 
 
 def _increasing_points_at_least(seq: Sequence, s, ms, first: int, bound, prec: int) -> bool:
@@ -123,33 +118,6 @@ class DivergentPartialSums:
 
 
 @dataclass(frozen=True)
-class UnboundedWeighted:
-    """n**k |a_n| exceeds every threshold along the tagged subsequence."""
-
-    k: int
-    tag: SubseqLowerBound
-    table: tuple[tuple[int, int, Fraction], ...]  # (threshold, m, g(m))
-
-    def describe(self):
-        return {
-            "shape": "unbounded-weighted",
-            "k": self.k,
-            "tag": self.tag.label,
-            "table": [
-                [t, self.tag.s(m), format_rational(g)] for t, m, g in self.table
-            ],
-        }
-
-    def holds(self, seq, space, samples, prec) -> bool:
-        return (
-            space == AINF
-            and self.k >= 1
-            and all(Fraction(self.tag.s(m)) ** self.k * g >= t for t, m, g in self.table)
-            and _check_table(seq, self.tag, self.table[: max(1, samples)], prec)
-        )
-
-
-@dataclass(frozen=True)
 class NotVanishing:
     delta: Fraction
     tag: SubseqLowerBound
@@ -171,12 +139,17 @@ class NotVanishing:
 
 @dataclass(frozen=True)
 class Unbounded:
+    """n**k |a_n| exceeds every threshold along the tagged subsequence: out
+    of linf with k = 0, out of ainf with k >= 1."""
+
     tag: SubseqLowerBound
     table: tuple[tuple[int, int, Fraction], ...]  # (threshold, m, g(m))
+    k: int = 0
 
     def describe(self):
+        weighted = {"shape": "unbounded-weighted", "k": self.k} if self.k else {"shape": "unbounded"}
         return {
-            "shape": "unbounded",
+            **weighted,
             "tag": self.tag.label,
             "table": [
                 [t, self.tag.s(m), format_rational(g)] for t, m, g in self.table
@@ -184,10 +157,12 @@ class Unbounded:
         }
 
     def holds(self, seq, space, samples, prec) -> bool:
+        checked = self.table[: max(1, samples)]
         return (
-            space == LINF
-            and all(g >= t for t, _, g in self.table)
-            and _check_table(seq, self.tag, self.table[: max(1, samples)], prec)
+            self.k >= 0
+            and space == (AINF if self.k else LINF)
+            and all(_weight(self.tag, m, self.k) * g >= t for t, m, g in self.table)
+            and all(_abs_at_least(seq, self.tag.s(m), g, prec) for _, m, g in checked)
         )
 
 
@@ -305,11 +280,14 @@ def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
     return True
 
 
-def _threshold_table(tag: SubseqLowerBound, weight_k: int):
-    """(threshold, m, g(m)) rows with s(m)**weight_k * g(m) >= threshold.
-
-    With weight_k == 0 the factor is 1 and s(m) is never built: on a sparse
+def _weight(tag: SubseqLowerBound, m: int, k: int):
+    """s(m)**k, and 1 at k = 0, where s(m) is never built: on a sparse
     support such as powers of two, s(m) = 2**2**m is too large to hold."""
+    return Fraction(tag.s(m)) ** k if k else 1
+
+
+def _threshold_table(tag: SubseqLowerBound, k: int):
+    """(threshold, m, g(m)) rows with s(m)**k * g(m) >= threshold."""
     rows = []
     for threshold in _THRESHOLDS:
         hit = None
@@ -317,17 +295,13 @@ def _threshold_table(tag: SubseqLowerBound, weight_k: int):
             g = tag.g(m)
             if g <= 0:
                 continue
-            if (Fraction(tag.s(m)) ** weight_k if weight_k else 1) * g >= threshold:
+            if _weight(tag, m, k) * g >= threshold:
                 hit = (threshold, m, g)
                 break
         if hit is None:
             return None
         rows.append(hit)
     return tuple(rows)
-
-
-def _check_table(seq, tag, rows, prec) -> bool:
-    return all(_abs_at_least(seq, tag.s(m), g, prec) for _, m, g in rows)
 
 
 def _escape_exponent(t, a: Fraction):
@@ -350,11 +324,12 @@ def _out_shapes(seq: Sequence, space: SpaceId):
                 m_start = next((m for m in range(1, _SCAN_CAP + 1) if tag.rho(m) >= 2), None)
                 if m_start is not None:
                     yield RootLimsupExceeds(rho=Fraction(2), m_start=m_start, tag=tag), 3
-    elif space.tag == "linf":
-        for tag in subseq_tags:
-            rows = _threshold_table(tag, weight_k=0)
-            if rows:
-                yield Unbounded(tag=tag, table=rows), len(rows)
+    elif space.tag in ("linf", "ainf"):
+        for k in range(1, 5) if space.tag == "ainf" else (0,):
+            for tag in subseq_tags:
+                rows = _threshold_table(tag, k)
+                if rows:
+                    yield Unbounded(tag=tag, table=rows, k=k), len(rows)
     elif space.tag == "c0":
         for tag in subseq_tags:
             if tag.g_inf is not None and tag.g_inf > 0:
@@ -365,12 +340,6 @@ def _out_shapes(seq: Sequence, space: SpaceId):
         if bd is not None:
             js = tuple(range(bd.j_start, bd.j_start + 3))
             yield DivergentPartialSums(exponent=q, blocks=bd, checked_blocks=js), 3
-    elif space.tag == "ainf":
-        for k in range(1, 5):
-            for tag in subseq_tags:
-                rows = _threshold_table(tag, weight_k=k)
-                if rows:
-                    yield UnboundedWeighted(k=k, tag=tag, table=rows), len(rows)
     elif space.tag != "cn0":  # every sequence belongs to the product space cn0
         raise UnsupportedSpace(space.tag)
 
@@ -543,7 +512,7 @@ def check_certificate(seq: Sequence, verdict, samples: int, prec: int) -> bool:
         # a shape's holds is its whole rule: the space it certifies, its
         # structure and its spot-checks; try_out_certificate calls it too
         shape, space = verdict.cert.shape, verdict.cert.space
-        shapes = (DivergentPartialSums, UnboundedWeighted, NotVanishing, Unbounded, RootLimsupExceeds)
+        shapes = (DivergentPartialSums, NotVanishing, Unbounded, RootLimsupExceeds)
         return isinstance(shape, shapes) and shape.holds(seq, space, samples, prec)
     if isinstance(verdict, CertifiedIn):
         return _check_in(seq, verdict.cert)
@@ -682,7 +651,7 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
             continue
         weight, bound = rule(n)
         # weight 0 (FMk at n = 0, k > 0) asks 0 <= M, which holds
-        if weight and _abs_vs_threshold(seq, n, bound / weight, prec) > 0:
+        if weight and _abs_sq_lower(seq, n, b := bound / weight, prec) > b * b:
             lo, hi = seq.term(n, prec * 2).abs_bounds(prec * 2)
             return ViolatedAt(n, weight * lo, weight * hi)
     return ConsistentUpTo(budget)

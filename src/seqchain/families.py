@@ -24,6 +24,7 @@ Family ids double as the wire names of the sequence-spec JSON format:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import isqrt
 
@@ -115,10 +116,6 @@ def prop28() -> FamilySeq:
     def sup(N, prec):
         return sqrt_bounds(Fraction(1, 1 << _k0(N)), max(prec, 16))[1]
 
-    def pos_sup(K, prec):
-        # support position k is the element 2**(k-1); values start at k = 2
-        return sqrt_bounds(Fraction(1, 1 << max(1, K)), max(prec, 16))[1]
-
     def disc(N, r, prec):
         return _disc_geom(r, 1 << _k0(N))  # values are <= 1
 
@@ -133,7 +130,6 @@ def prop28() -> FamilySeq:
         term,
         tail_fn=tail,
         sup_fn=sup,
-        pos_sup_fn=pos_sup,
         disc_fn=disc,
         threshold=Fraction(0),
         tags=(tag,),
@@ -152,7 +148,6 @@ class _DoublingSelection(SupportSet):
         self.support = support
         self.sel: list[int] = []
         self.pos: list[int] = []  # support positions of the selections
-        self.sel_set: set[int] = set()
         self._last_pos = 0
 
     def _select_next(self):
@@ -162,7 +157,6 @@ class _DoublingSelection(SupportSet):
         self._last_pos = pos
         self.sel.append(value)
         self.pos.append(pos)
-        self.sel_set.add(value)
 
     def extend_to_value(self, x: int):
         while not self.sel or self.sel[-1] < x:
@@ -181,17 +175,14 @@ class _DoublingSelection(SupportSet):
                 return m
             m += 1
 
+    # the picks increase strictly, so both bisect them
     def member(self, n):
-        if n < 2:
-            return False
         self.extend_to_value(n)
-        return n in self.sel_set
+        return self.sel[bisect_left(self.sel, n)] == n
 
     def rank_upto(self, n):
-        if n < 2:
-            return 0
         self.extend_to_value(n + 1)
-        return sum(1 for v in self.sel if v <= n)
+        return bisect_right(self.sel, n)
 
     def nth(self, k):
         if k < 1:

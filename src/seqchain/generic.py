@@ -397,15 +397,13 @@ def approximate_with_avoider(
     x = _rational_truncation(target, outer, epsilon / 2, budget, prec)
     w, c = _row_element(inner, outer, 1, epsilon / 2, budget, prec)
 
-    element = DenseFamilyElement(
-        j=1, x=x, witness=w, scale=c, f=combine([1, c], [x, w.seq])
-    )
-    cert = certify_outside([1], [element], budget, prec)
+    f = combine([1, c], [x, w.seq])
+    cert = escape_certificate(f, 1, w, ComplexInterval.exact(c), x.max_index + 1, budget, prec)
 
     # read the distance at the last rungs of the ladders of budgets 64, 256
     # and budget, all on one walk
     checkpoints = {_budget_ladder(b)[-1] for b in (min(64, budget), min(256, budget), budget)}
-    for rung, dist in metric_bounds(outer, element.f, target, budget, prec):
+    for rung, dist in metric_bounds(outer, f, target, budget, prec):
         if rung in checkpoints and dist.upper < epsilon:
-            return ApproxResult(f=element.f, certificate=cert, distance_upper=dist.upper)
+            return ApproxResult(f=f, certificate=cert, distance_upper=dist.upper)
     raise BudgetExceeded("certified distance bound did not reach epsilon")

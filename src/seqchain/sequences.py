@@ -216,7 +216,10 @@ class FamilySeq(Sequence):
     ``threshold`` t is the family's one l^p datum: it lies in l^q exactly for
     q > t, or in no l^q when t is None.  The exponent gates derive from it:
     ``lp_divergence(p)`` is None for p > t, and ``tail_majorant`` is None
-    for p <= t and whenever t is None."""
+    for p <= t and whenever t is None.  Without a ``pos_sup_fn``,
+    ``pos_sup_tail(K)`` is ``sup_tail(hint.nth(K))`` (N = -1 for K = 0) on the
+    support hint, all naturals without one.  rem29 keeps its own: it counts
+    positions in its underlying support, not in the selection it hints."""
 
     kind = "family"
 
@@ -246,9 +249,6 @@ class FamilySeq(Sequence):
         self.threshold = threshold
         self.growth_tags = tuple(tags)
         self.support_hint = support_hint
-        if pos_sup_fn is None and sup_fn is not None and isinstance(support_hint, AllNaturals):
-            # position k carries index k-1, so the two tail views coincide
-            pos_sup_fn = lambda K, prec: sup_fn(K - 1, prec)  # noqa: E731
         self._pos_sup_fn = pos_sup_fn
 
     def _term(self, n, prec):
@@ -264,7 +264,11 @@ class FamilySeq(Sequence):
         return self._sup_fn(N, prec) if self._sup_fn else None
 
     def pos_sup_tail(self, K, prec):
-        return self._pos_sup_fn(K, prec) if self._pos_sup_fn else None
+        if self._pos_sup_fn:
+            return self._pos_sup_fn(K, prec)
+        # support positions past K are the indices past the K-th hint point
+        hint = self.support_hint or AllNaturals()
+        return self.sup_tail(hint.nth(K) if K > 0 else -1, prec)
 
     def disc_tail(self, N, r, prec):
         return self._disc_fn(N, r, prec) if self._disc_fn else None
@@ -459,37 +463,27 @@ class Combine(Sequence):
             ]
         return self._abs_coeffs[key]
 
-    def _weighted_tail(self, tail, prec):
-        """sum |c_i| * tail(base_i), or None at the first base whose tail
-        oracle gives None.  Exact-zero tails add nothing and a weight of 1
-        multiplies nothing: every metric's difference a - b has two."""
+    def _weighted_tail(self, tail, prec, p=Q1):
+        """sum |c_i|**p * tail(base_i) for p <= 1, (sum |c_i| * tail(base_i)**(1/p))**p
+        for p > 1, or None at the first base whose tail oracle gives None.
+        Exact-zero tails add nothing and a weight of 1 multiplies nothing:
+        every metric's difference a - b has two."""
         total = None
-        for w, base in zip(self._weights(prec), self.bases):
+        for w, base in zip(self._weights(prec, min(p, Q1)), self.bases):
             t = tail(base)
             if t is None:
                 return None
             if t:
+                t = t if p <= 1 else pow_bounds(t, 1 / p, prec)[1]
                 t = t if w == 1 else w * t
                 total = t if total is None else total + t
-        return Q0 if total is None else total
+        if total is None:
+            return Q0
+        return total if p <= 1 else pow_bounds(total, p, prec)[1]
 
     def tail_majorant(self, N, p, prec):
         p = Fraction(p)
-        parts = []
-        for base in self.bases:
-            t = base.tail_majorant(N, p, prec)
-            if t is None:
-                return None
-            parts.append(t)
-        if p <= 1:
-            total = Q0
-            for w, t in zip(self._weights(prec, p), parts):
-                total += w * t
-            return total
-        root_sum = Q0
-        for w, t in zip(self._weights(prec), parts):
-            root_sum += w * pow_bounds(t, 1 / p, prec)[1]
-        return pow_bounds(root_sum, p, prec)[1]
+        return self._weighted_tail(lambda base: base.tail_majorant(N, p, prec), prec, p)
 
     def sup_tail(self, N, prec):
         return self._weighted_tail(lambda base: base.sup_tail(N, prec), prec)

@@ -65,17 +65,13 @@ def canonical_gap_sequence(space: SpaceId) -> Sequence:
     """
     if space.tag == "ainf":
         return prop28()
-    if space.tag == "cap-lp":
-        return gap_cap_lp(space.param, space.param + 1)
-    if space.tag == "lp":
-        return gap_lp_cap(space.param)
-    if space.tag == "c0":
-        return const_one()
-    if space.tag == "linf":
-        return nat()
     if space.tag == "hd":
         return nat_power()
-    raise TopOfChain("no space strictly above cn0 in the chain")
+    if space.tag == "cn0":
+        raise TopOfChain("no space strictly above cn0 in the chain")
+    # _gap_for_pair reads the outer space only for cap-lp
+    outer = SpaceId("lp", space.param + 1) if space.tag == "cap-lp" else space
+    return _gap_for_pair(space, outer)
 
 
 def _gap_for_pair(inner: SpaceId, outer: SpaceId) -> Sequence:

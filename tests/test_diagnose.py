@@ -25,7 +25,6 @@ from seqchain.diagnose import (
     PartialSum,
     RootLimsupExceeds,
     Unbounded,
-    UnboundedWeighted,
     Undecided,
     ViolatedAt,
     _escape_exponent,
@@ -94,7 +93,7 @@ def test_prop28_out_certificate_shape():
     v = classify(prop28(), AINF, BUDGET, PREC)
     assert isinstance(v, CertifiedOut)
     shape = v.cert.shape
-    assert isinstance(shape, UnboundedWeighted) and shape.k == 1
+    assert isinstance(shape, Unbounded) and shape.k == 1
     # the tagged subsequence runs along the powers of two
     assert [shape.tag.s(m) for m in (1, 2, 3)] == [2, 4, 8]
 

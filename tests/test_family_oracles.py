@@ -5,7 +5,11 @@ exponent in ``EXPONENTS``: ``lp_divergence(p)`` and the ``cap-lp:a`` escape
 (None, or the escape exponent q that ``diagnose._escape_exponent`` reads off
 the threshold, and ``lp_divergence(q)``'s ``describe()`` and first three
 blocks), and ``tail_majorant(N, p, 64)`` at each cutoff in ``CUTOFFS``
-(None or its exact value).  A refactor of the families must keep every
+(None or its exact value).  It also holds ``sup_tail(N, 64)`` and
+``disc_tail(N, 3/4, 64)`` at each cutoff in ``CUTOFFS``, and
+``pos_sup_tail(K, 64)`` at each K in ``POSITIONS``.  The sequences are the
+catalog, two more gap parameters, and rem29 and nn-on-support on the
+supports in ``SUPPORTS``.  A refactor of the families must keep every
 entry, the Nones included.  To record the file anew after a deliberate
 change of the oracles, run ``PYTHONPATH=src python tests/test_family_oracles.py``.
 """
@@ -17,11 +21,15 @@ from pathlib import Path
 from conftest import catalog
 from seqchain import families
 from seqchain.diagnose import _escape_exponent
+from seqchain.supports import Arith, DyadicRow, PowersOfTwo
 
 GOLDEN_PATH = Path(__file__).parent / "family_oracles_golden.json"
 
 EXPONENTS = [F(1, 8), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3)]
 CUTOFFS = [-1, 0, 37]
+POSITIONS = [0, 1, 2, 16, 37]
+SUPPORTS = {"arith-1-3": Arith(1, 3), "dyadic-row-2": DyadicRow(2), "powers-of-two": PowersOfTwo()}
+RADIUS = F(3, 4)
 PREC = 64
 
 
@@ -29,6 +37,9 @@ def _sequences():
     seqs = catalog()
     seqs["gap-cap-c0-0"] = families.gap_cap_c0(F(0))
     seqs["gap-cap-lp-1/2-3/2"] = families.gap_cap_lp(F(1, 2), F(3, 2))
+    for name, support in SUPPORTS.items():
+        seqs[f"rem29@{name}"] = families.rem29(support)
+        seqs[f"nn-on-support@{name}"] = families.nn_on_support(support)
     return seqs
 
 
@@ -40,6 +51,10 @@ def _divergence(q, bd):
     return out
 
 
+def _value(x):
+    return None if x is None else str(F(x))
+
+
 def _record(seq):
     lp, cap, tail = {}, {}, {}
     for x in EXPONENTS:
@@ -48,9 +63,15 @@ def _record(seq):
         q = _escape_exponent(seq.threshold, x)
         cap[str(x)] = None if q is None else _divergence(q, seq.lp_divergence(q))
         for N in CUTOFFS:
-            value = seq.tail_majorant(N, x, PREC)
-            tail[f"{N}:{x}"] = None if value is None else str(F(value))
-    return {"lp": lp, "cap": cap, "tail": tail}
+            tail[f"{N}:{x}"] = _value(seq.tail_majorant(N, x, PREC))
+    return {
+        "lp": lp,
+        "cap": cap,
+        "tail": tail,
+        "sup": {str(N): _value(seq.sup_tail(N, PREC)) for N in CUTOFFS},
+        "disc": {str(N): _value(seq.disc_tail(N, RADIUS, PREC)) for N in CUTOFFS},
+        "pos_sup": {str(K): _value(seq.pos_sup_tail(K, PREC)) for K in POSITIONS},
+    }
 
 
 def record_all():

@@ -1,6 +1,7 @@
 """Out-certificates built and checked by one ``holds`` predicate per shape,
-and the one threshold scan behind the pointwise closed families, against
-reference copies of the per-space build, check and scan code they replaced."""
+the one threshold scan behind the pointwise closed families, and the one
+refinement of |a_n| against a bound, against reference copies of the
+per-space build, check, scan and refinement code they replaced."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -21,12 +22,9 @@ from seqchain.diagnose import (
     OutCert,
     RootLimsupExceeds,
     Unbounded,
-    UnboundedWeighted,
     ViolatedAt,
     _abs_at_least,
-    _abs_vs_threshold,
-    _check_table,
-    _threshold_table,
+    _abs_sq_lower,
     _verify_blocks,
     check_certificate,
     closed_family_check,
@@ -42,6 +40,62 @@ from seqchain.tags import RootLowerBound, SubseqLowerBound
 
 F = Fraction
 CHAIN = standard_chain()
+
+
+# -- reference: the two refinement loops and the two table shapes -----------------
+
+
+def _ref_abs_vs_threshold(seq, n, threshold, prec):
+    """Return +1 if |a_n| > threshold provably, -1 if < provably, 0 unknown."""
+    t2 = threshold * threshold
+    work = prec
+    for _ in range(4):
+        sq_lo, sq_hi = seq.term(n, work).abs_sq_bounds()
+        if sq_lo > t2:
+            return 1
+        if sq_hi < t2:
+            return -1
+        if sq_lo == t2 == sq_hi:
+            return 0
+        work *= 2
+    return 0
+
+
+def _ref_abs_at_least(seq, n, bound, prec):
+    """Confirm |a_n| >= bound (with refinement; equality counts)."""
+    if bound <= 0:
+        return True
+    b2 = bound * bound
+    work = prec
+    for _ in range(4):
+        sq_lo, sq_hi = seq.term(n, work).abs_sq_bounds()
+        if sq_lo >= b2:
+            return True
+        if sq_hi < b2:
+            return False
+        work *= 2
+    return False
+
+
+def _ref_threshold_table(tag, weight_k):
+    rows = []
+    for threshold in (1, 2, 4, 8, 16, 32, 64, 128):
+        hit = None
+        for m in range(1, 512 + 1):
+            g = tag.g(m)
+            if g <= 0:
+                continue
+            if (Fraction(tag.s(m)) ** weight_k if weight_k else 1) * g >= threshold:
+                hit = (threshold, m, g)
+                break
+        if hit is None:
+            return None
+        rows.append(hit)
+    return tuple(rows)
+
+
+def _ref_check_table(seq, tag, rows, prec):
+    return all(_ref_abs_at_least(seq, tag.s(m), g, prec) for _, m, g in rows)
 
 
 # -- reference: the per-space build and check the holds predicates replaced -------
@@ -63,7 +117,7 @@ def _ref_verify_root_cert(seq, cert, samples, prec):
         prev_s = s
         if tag.rho(m) < cert.rho:
             return False
-        if not _abs_at_least(seq, s, cert.rho ** s, prec):
+        if not _ref_abs_at_least(seq, s, cert.rho ** s, prec):
             return False
     return True
 
@@ -77,7 +131,7 @@ def _ref_verify_not_vanishing(seq, cert, samples, prec):
         if s <= prev_s:
             return False
         prev_s = s
-        if not _abs_at_least(seq, s, cert.delta, prec):
+        if not _ref_abs_at_least(seq, s, cert.delta, prec):
             return False
     return True
 
@@ -107,8 +161,8 @@ def _ref_try_out_certificate(seq, space, budget, prec):
         return None
     if space.tag == "linf":
         for tag in _ref_subseq_tags(seq):
-            rows = _threshold_table(tag, weight_k=0)
-            if rows and _check_table(seq, tag, rows, prec):
+            rows = _ref_threshold_table(tag, weight_k=0)
+            if rows and _ref_check_table(seq, tag, rows, prec):
                 return OutCert(space, Unbounded(tag=tag, table=rows))
         return None
     if space.tag == "c0":
@@ -148,9 +202,9 @@ def _ref_try_out_certificate(seq, space, budget, prec):
     if space.tag == "ainf":
         for k in range(1, 5):
             for tag in _ref_subseq_tags(seq):
-                rows = _threshold_table(tag, weight_k=k)
-                if rows and _check_table(seq, tag, rows, prec):
-                    return OutCert(space, UnboundedWeighted(k=k, tag=tag, table=rows))
+                rows = _ref_threshold_table(tag, weight_k=k)
+                if rows and _ref_check_table(seq, tag, rows, prec):
+                    return OutCert(space, Unbounded(tag=tag, table=rows, k=k))
         return None
     raise UnsupportedSpace(space.tag)
 
@@ -169,20 +223,20 @@ def _ref_check_out(seq, cert, samples, prec):
             return False
         js = shape.checked_blocks[: max(1, samples)]
         return _verify_blocks(seq, shape.blocks, js, prec)
-    if isinstance(shape, UnboundedWeighted):
-        if space != AINF or shape.k < 1:
+    if isinstance(shape, Unbounded) and shape.k >= 1:
+        if space != AINF:
             return False
         for threshold, m, g in shape.table:
             if Fraction(shape.tag.s(m)) ** shape.k * g < threshold:
                 return False
-        return _check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
-    if isinstance(shape, Unbounded):
+        return _ref_check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
+    if isinstance(shape, Unbounded) and shape.k == 0:
         if space != LINF:
             return False
         for threshold, m, g in shape.table:
             if g < threshold:
                 return False
-        return _check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
+        return _ref_check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
     if isinstance(shape, NotVanishing):
         return space == C0 and _ref_verify_not_vanishing(seq, shape, samples, prec)
     if isinstance(shape, RootLimsupExceeds):
@@ -206,7 +260,7 @@ def _ref_pointwise_check(seq, fam, budget, prec):
                 if fam.k > 0:
                     continue
                 weight = Q1
-            if _abs_vs_threshold(seq, n, fam.M / weight, prec) > 0:
+            if _ref_abs_vs_threshold(seq, n, fam.M / weight, prec) > 0:
                 lo, hi = _ref_report_abs(seq, n, prec * 2, weight)
                 return ViolatedAt(n, lo, hi)
         return ConsistentUpTo(budget)
@@ -215,13 +269,13 @@ def _ref_pointwise_check(seq, fam, budget, prec):
         for s in support_indices_upto(seq, budget):
             if s < fam.n:
                 continue
-            if _abs_vs_threshold(seq, s, threshold, prec) > 0:
+            if _ref_abs_vs_threshold(seq, s, threshold, prec) > 0:
                 lo, hi = _ref_report_abs(seq, s, prec * 2)
                 return ViolatedAt(s, lo, hi)
         return ConsistentUpTo(budget)
     if isinstance(fam, FM):
         for n in support_indices_upto(seq, budget):
-            if _abs_vs_threshold(seq, n, fam.M, prec) > 0:
+            if _ref_abs_vs_threshold(seq, n, fam.M, prec) > 0:
                 lo, hi = _ref_report_abs(seq, n, prec * 2)
                 return ViolatedAt(n, lo, hi)
         return ConsistentUpTo(budget)
@@ -230,7 +284,7 @@ def _ref_pointwise_check(seq, fam, budget, prec):
         for n in support_indices_upto(seq, budget):
             if n < max(fam.k, 1):
                 continue
-            if _abs_vs_threshold(seq, n, base ** n, prec) > 0:
+            if _ref_abs_vs_threshold(seq, n, base ** n, prec) > 0:
                 lo, hi = _ref_report_abs(seq, n, prec * 2)
                 return ViolatedAt(n, lo, hi)
         return ConsistentUpTo(budget)
@@ -259,6 +313,10 @@ def _variants():
         yield f"{name}+nat/2", combine([1, F(1, 2)], [base, families.nat()])
 
 
+def _shape_name(cert):
+    return cert.shape.describe()["shape"]
+
+
 @pytest.fixture(scope="module")
 def built():
     """(name, seq, space, new OutCert or None, reference OutCert or None)."""
@@ -279,9 +337,9 @@ def test_built_out_certificates_equal_the_reference(built):
     for name, _, space, new, ref in built:
         assert new == ref, (name, str(space))
     # every shape is built somewhere, on more than one variant
-    shapes = [type(new.shape) for *_, new, _ in built if new is not None]
-    for shape in (DivergentPartialSums, UnboundedWeighted, NotVanishing, Unbounded, RootLimsupExceeds):
-        assert shapes.count(shape) >= 2, shape.__name__
+    shapes = [_shape_name(new) for *_, new, _ in built if new is not None]
+    for shape in _SHAPE_TAGS:
+        assert shapes.count(shape) >= 2, shape
 
 
 def test_checks_equal_the_reference_at_every_sample_count(built):
@@ -295,11 +353,11 @@ def test_checks_equal_the_reference_at_every_sample_count(built):
 
 
 _SHAPE_TAGS = {
-    DivergentPartialSums: ("lp", "cap-lp"),
-    UnboundedWeighted: ("ainf",),
-    NotVanishing: ("c0",),
-    Unbounded: ("linf",),
-    RootLimsupExceeds: ("hd",),
+    "divergent-partial-sums": ("lp", "cap-lp"),
+    "unbounded-weighted": ("ainf",),
+    "not-vanishing": ("c0",),
+    "unbounded": ("linf",),
+    "root-limsup-exceeds": ("hd",),
 }
 
 
@@ -316,15 +374,15 @@ def test_shapes_moved_to_other_spaces(built):
             moved = OutCert(other, new.shape)
             got = check_certificate(seq, CertifiedOut(moved), 3, PREC)
             assert got == _ref_check_out(seq, moved, 3, PREC), (name, str(space), str(other))
-            if other.tag not in _SHAPE_TAGS[type(new.shape)]:
+            if other.tag not in _SHAPE_TAGS[_shape_name(new)]:
                 assert not got, (name, str(space), str(other))
             elif got:
                 assert try_in_certificate(seq, other, BUDGET, PREC) is None, (name, str(other))
 
 
-def _built_shape(seq, space, shape_type):
+def _built_shape(seq, space, shape_name):
     cert = try_out_certificate(seq, space, BUDGET, PREC)
-    assert isinstance(cert.shape, shape_type)
+    assert _shape_name(cert) == shape_name
     return cert
 
 
@@ -332,12 +390,12 @@ def test_weighted_row_below_its_threshold_rejected():
     # the last row keeps its index and its true lower bound g (so the term
     # check passes) but claims a threshold above s(m)**k * g
     seq = families.nat()
-    cert = _built_shape(seq, AINF, UnboundedWeighted)
+    cert = _built_shape(seq, AINF, "unbounded-weighted")
     shape = cert.shape
     _, m, g = shape.table[-1]
     weighted = Fraction(shape.tag.s(m)) ** shape.k * g
     forged = replace(shape, table=shape.table[:-1] + ((int(weighted) + 1, m, g),))
-    assert _check_table(seq, shape.tag, forged.table, PREC)
+    assert _ref_check_table(seq, shape.tag, forged.table, PREC)
     for samples in (1, 8):
         assert check_certificate(seq, CertifiedOut(cert), samples, PREC)
         assert not check_certificate(seq, CertifiedOut(OutCert(AINF, forged)), samples, PREC)
@@ -345,14 +403,55 @@ def test_weighted_row_below_its_threshold_rejected():
 
 def test_unbounded_row_below_its_threshold_rejected():
     seq = families.nat()
-    cert = _built_shape(seq, LINF, Unbounded)
+    cert = _built_shape(seq, LINF, "unbounded")
     shape = cert.shape
     _, m, g = shape.table[-1]
     forged = replace(shape, table=shape.table[:-1] + ((int(g) + 1, m, g),))
-    assert _check_table(seq, shape.tag, forged.table, PREC)
+    assert _ref_check_table(seq, shape.tag, forged.table, PREC)
     for samples in (1, 8):
         assert check_certificate(seq, CertifiedOut(cert), samples, PREC)
         assert not check_certificate(seq, CertifiedOut(OutCert(LINF, forged)), samples, PREC)
+
+
+def test_unbounded_rejects_a_weight_exponent_that_does_not_fit_its_space():
+    # nat's tables pass their term checks; only k and the space are forged
+    seq = families.nat()
+    linf = _built_shape(seq, LINF, "unbounded").shape
+    ainf = _built_shape(seq, AINF, "unbounded-weighted").shape
+    forged = [
+        (LINF, replace(linf, k=-1)),
+        (AINF, replace(linf, k=-1)),
+        (AINF, replace(ainf, k=-1)),
+        (AINF, linf),  # a k = 0 table in ainf
+        (LINF, ainf),  # a k >= 1 table in linf
+        (LINF, replace(ainf, k=0)),  # nat's ainf table relabelled k = 0
+        (AINF, replace(ainf, k=0)),
+    ]
+    for space, shape in forged:
+        assert _ref_check_table(seq, shape.tag, shape.table, PREC)
+        for samples in (1, 8):
+            cert = OutCert(space, shape)
+            assert not check_certificate(seq, CertifiedOut(cert), samples, PREC), (str(space), shape.k)
+            assert not _ref_check_out(seq, cert, samples, PREC), (str(space), shape.k)
+
+
+def test_one_refinement_decides_both_comparisons_as_the_two_loops():
+    """"> bound" and ">= bound" read one refined lower end and agree with
+    the two loops at every catalog term n <= 64, against the tag bounds
+    g(m), the term's box endpoints (its exact modulus where it has one), 0
+    and a negative bound, at a coarse and the default precision."""
+    for name, seq in sorted(catalog().items()):
+        g_bounds = {tag.g(m) for tag in _ref_subseq_tags(seq) for m in range(1, 9)}
+        for n in range(65):
+            bounds = g_bounds | {F(0), F(-1, 2)}
+            for prec in (4, PREC):
+                bounds.update(seq.term(n, prec).abs_bounds(prec))
+            for b in sorted(bounds):
+                for prec in (4, PREC):
+                    where = (name, n, b, prec)
+                    exceeds = _abs_sq_lower(seq, n, b, prec) > b * b
+                    assert exceeds == (_ref_abs_vs_threshold(seq, n, b, prec) > 0), where
+                    assert _abs_at_least(seq, n, b, prec) == _ref_abs_at_least(seq, n, b, prec), where
 
 
 # -- the one pointwise scan equals the four scans ------------------------------------
