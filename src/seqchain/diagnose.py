@@ -40,7 +40,7 @@ from itertools import groupby
 from operator import index
 
 from .errors import ParseError, UnsupportedSpace
-from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, pow_bounds
+from .intervals import Q0, Q1, DiscSum, PowSum, format_rational
 from .sequences import Sequence, support_indices_upto
 from .spaces import AINF, C0, HD, LINF, SpaceId
 from .supports import AllNaturals

@@ -190,6 +190,10 @@ class _DoublingSelection(SupportSet):
         self.extend_to_count(k)
         return self.sel[k - 1]
 
+    def misses(self, row, cutoff):
+        # every pick is a point of the underlying support
+        return self.support.misses(row, cutoff)
+
 
 def rem29(support: SupportSet) -> FamilySeq:
     """sqrt(1/l) at a doubling selection of support points l; in every l^p

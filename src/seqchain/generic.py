@@ -9,10 +9,13 @@ of the f_j agrees term by term with a scalar multiple of that row's
 witness; the escape certificate records that row identity together with
 the witness, whose out-certificate it carries.
 
-Build and check test the row identity once per point, at 2 * prec.  Term
-enclosures nest as precision rises and interval operations preserve
-inclusion, so boxes that agree at 2 * prec also agree at prec: a second
-pass at prec could never reject a point, and is not made.
+Build and check prove the row identity from support hints and spec keys,
+for every point at once (``row_parts``): past the cutoff, the only part of
+the combination that may meet the row is the witness, with total
+coefficient inside the scale.  The check also compares the terms at the
+first ``samples`` recorded points, once, at 2 * prec: term enclosures nest
+as precision rises and interval operations preserve inclusion, so boxes
+that agree at 2 * prec also agree at prec.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .diagnose import CertifiedOut, check_certificate
 from .errors import (
     AllZeroCoefficients,
     BudgetExceeded,
@@ -31,8 +33,9 @@ from .errors import (
     SeqchainError,
     UnsupportedOuter,
 )
-from .intervals import ComplexInterval, Q0, format_rational
+from .intervals import ComplexInterval, Q0, Q1, format_rational
 from .sequences import (
+    Combine,
     FiniteRational,
     Sequence,
     _as_pair,
@@ -42,7 +45,7 @@ from .sequences import (
 )
 from .spaces import SpaceId, ball_scale, distance_below, metric_bounds, strictly_included
 from .spaces import _budget_ladder
-from .supports import DyadicRow
+from .supports import DyadicRow, SupportSet
 from .witness import Witness, make_witness
 
 
@@ -250,6 +253,53 @@ class OutsideXCertificate:
         }
 
 
+def row_parts(f: Sequence, row: SupportSet, cutoff: int) -> dict[str, tuple[Fraction, Fraction]]:
+    """The parts of f that may meet row from the cutoff on, by spec key,
+    with their summed coefficients.
+
+    Nested combinations are flattened, their coefficients multiplied.  A
+    part is dropped when its coefficient is zero or its support hint, a
+    superset of its support, misses row from the cutoff on
+    (``SupportSet.misses``).  Parts with one spec key have equal terms, so
+    their coefficients add, and a key whose sum is zero goes too.  On row
+    from the cutoff on, f is then sum c_k * part_k at every index."""
+    flat = [(Q1, Q0, f)]
+    parts: dict[str, tuple[Fraction, Fraction]] = {}
+    while flat:
+        re, im, part = flat.pop()
+        if re == 0 and im == 0:
+            continue
+        if isinstance(part, Combine):
+            flat.extend(
+                (re * c_re - im * c_im, re * c_im + im * c_re, base)
+                for (c_re, c_im), base in zip(part.coeffs, part.bases)
+            )
+            continue
+        hint = part.support_hint
+        if hint is not None and hint.misses(row, cutoff):
+            continue
+        key = part.spec_key()
+        s_re, s_im = parts.get(key, (Q0, Q0))
+        parts[key] = (s_re + re, s_im + im)
+    return {key: c for key, c in parts.items() if c != (Q0, Q0)}
+
+
+def _row_identity_unproved(f: Sequence, cert: OutsideXCertificate):
+    """Why ``row_parts`` does not prove f = c * witness on the witness row
+    from the cutoff on for a c inside the scale; None when it does."""
+    key = cert.witness.seq.spec_key()
+    parts = row_parts(f, cert.witness.support, cert.cutoff)
+    stray = next((k for k in parts if k != key), None)
+    if stray is not None:
+        name = stray if len(stray) <= 60 else stray[:57] + "..."
+        return f"part {name} may meet row {cert.j0} from index {cert.cutoff} on"
+    c_re, c_im = parts.get(key, (Q0, Q0))
+    if not cert.scale.contains(c_re, c_im):
+        c = f"{format_rational(c_re)} + {format_rational(c_im)}i"
+        return f"the witness coefficient {c} lies outside the scale"
+    return None
+
+
 def _row_identity_failure(f: Sequence, cert: OutsideXCertificate, points, prec: int):
     """First of the points that is off the witness row, below the cutoff,
     or where f and scale * witness disagree; None when every point passes.
@@ -283,16 +333,17 @@ def escape_certificate(
     budget: int,
     prec: int,
 ) -> OutsideXCertificate:
-    """Escape certificate for f on row j0: check that f agrees with
-    scale * witness at the first min(budget, 50) witness row points from
-    the cutoff on."""
+    """Escape certificate for f on row j0: ``row_parts`` must prove that f
+    agrees with scale * witness on the witness row from the cutoff on.  The
+    first min(budget, 50) row points from the cutoff on are recorded for
+    the point check of ``check_outside_certificate``."""
     row = witness.support
     skipped = row.rank_upto(cutoff - 1)
     points = tuple(row.nth(skipped + k) for k in range(1, min(max(budget, 1), 50) + 1))
     cert = OutsideXCertificate(j0, scale, cutoff, witness, points)
-    n = _row_identity_failure(f, cert, points, prec)
-    if n is not None:
-        raise SeqchainError(f"row identity failed at index {n}")
+    why = _row_identity_unproved(f, cert)
+    if why is not None:
+        raise SeqchainError(f"row identity not proved: {why}")
     return cert
 
 
@@ -324,14 +375,16 @@ def certify_outside(
 def check_outside_certificate(
     f: Sequence, cert: OutsideXCertificate, samples: int, prec: int
 ) -> bool:
-    """Re-verify an escape certificate against the combination f."""
+    """Re-verify an escape certificate against the combination f: prove the
+    row identity again, compare the terms at the first ``samples`` recorded
+    points, and re-check the witness's out-certificate."""
     w = cert.witness
     if not cert.scale.excludes_zero() or w.out_cert.space != w.inner:
         return False
     points = cert.checked_points[: max(1, samples)]
-    if not points or _row_identity_failure(f, cert, points, prec) is not None:
+    if not points or _row_identity_unproved(f, cert) is not None:
         return False
-    return check_certificate(w.seq, CertifiedOut(w.out_cert), samples, prec)
+    return _row_identity_failure(f, cert, points, prec) is None and w.out_cert_holds(samples, prec)
 
 
 # -- approximation with certified avoidance ------------------------------------

@@ -74,7 +74,12 @@ class Sequence:
     """A lazy sequence node.  ``threshold`` t: it lies in l^q for every q > t
     (None: no t known).  Finite data has t = 0, a family its closed form,
     spread and restrict their base's t, and a combination the largest t of
-    its parts, or None if a part has None."""
+    its parts, or None if a part has None.
+
+    ``support_hint``, when set, is a superset of the node's support: every
+    index off it carries an exact zero.  ``Combine`` terms skip the parts
+    whose hint misses n, and escape certificates drop the parts whose hint
+    misses the witness row, so both rest on this contract."""
 
     kind = "abstract"
     growth_tags: tuple = ()
@@ -512,6 +517,9 @@ class _FilteredHint(SupportSet):
     def member(self, n):
         return self.base_hint.member(n) and self.mask.member(n)
 
+    def misses(self, row, cutoff):
+        return self.base_hint.misses(row, cutoff) or self.mask.misses(row, cutoff)
+
     def elements_upto(self, n):
         return [e for e in self.base_hint.elements_upto(n) if self.mask.member(e)]
 
@@ -526,6 +534,9 @@ class _UnionHint(SupportSet):
 
     def member(self, n):
         return any(h.member(n) for h in self.hints)
+
+    def misses(self, row, cutoff):
+        return all(h.misses(row, cutoff) for h in self.hints)
 
     def elements_upto(self, n):
         merged: set[int] = set()

@@ -8,7 +8,7 @@ access patterns stay consistent by construction.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .errors import FiniteSupportSet, ParseError
 
@@ -45,6 +45,11 @@ class SupportSet:
     def elements_upto(self, n: int) -> list[int]:
         count = self.rank_upto(n)
         return [self.nth(k) for k in range(1, count + 1)]
+
+    def misses(self, row: SupportSet, cutoff: int) -> bool:
+        """True only if provably no element lies in row from the cutoff on.
+        A kind without a rule may meet every row."""
+        return False
 
     def spec(self) -> dict:
         raise NotImplementedError
@@ -116,6 +121,10 @@ class DyadicRow(SupportSet):
             raise ValueError("nth is 1-based")
         return (2 * k - 1) * (1 << (self.j - 1)) - 1
 
+    def misses(self, row, cutoff):
+        # the rows are pairwise disjoint
+        return isinstance(row, DyadicRow) and row.j != self.j
+
     def spec(self):
         return {"kind": "dyadic-row", "j": self.j}
 
@@ -164,6 +173,9 @@ class ExplicitFinite(SupportSet):
         if k < 1 or k > len(self.elems):
             raise FiniteSupportSet(f"set has only {len(self.elems)} elements")
         return self.elems[k - 1]
+
+    def misses(self, row, cutoff):
+        return not any(row.member(e) for e in self.elems[bisect_left(self.elems, cutoff):])
 
     def spec(self):
         return {"kind": "explicit-finite", "elems": list(self.elems)}

@@ -10,7 +10,7 @@ X = ainf and the n**n construction for X = hd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagnose import (
     CertifiedIn,
@@ -45,6 +45,20 @@ class Witness:
     out_cert: OutCert
     in_cert: InCert
     support: SupportSet
+    # (samples, prec) at which the out-certificate re-checked; a replaced
+    # witness starts empty
+    _out_checked: set = field(default_factory=set, init=False, compare=False, repr=False)
+
+    def out_cert_holds(self, samples: int, prec: int) -> bool:
+        """``check_certificate`` of the out-certificate, run once per
+        (samples, prec): the sequence and its certificate never change, so
+        a success is remembered and a failure is checked again."""
+        key = (samples, prec)
+        if key not in self._out_checked:
+            if not check_certificate(self.seq, CertifiedOut(self.out_cert), samples, prec):
+                return False
+            self._out_checked.add(key)
+        return True
 
     def describe(self):
         return {
@@ -135,6 +149,6 @@ def verify_witness(w: Witness, budget: int, samples: int, prec: int) -> bool:
     for n in range(min(budget, 4096) + 1):
         if not w.support.member(n) and not w.seq.term(n, 8).is_exact_zero:
             return False
-    return check_certificate(w.seq, CertifiedOut(w.out_cert), samples, prec) and (
+    return w.out_cert_holds(samples, prec) and (
         check_certificate(w.seq, CertifiedIn(w.in_cert), samples, prec)
     )

@@ -6,14 +6,15 @@ from itertools import count, islice
 import pytest
 
 from conftest import BUDGET, PREC
-from seqchain.diagnose import classify
+from seqchain.diagnose import CertifiedIn, classify
 from seqchain.errors import (
     AllZeroCoefficients,
     LengthMismatch,
     NotStrictPair,
+    SeqchainError,
     UnsupportedOuter,
 )
-from seqchain.families import gap_cap_lp, gap_lp_cap
+from seqchain.families import gap_cap_lp, gap_lp_cap, nat, rem29
 from seqchain.generic import (
     _row_identity_failure,
     approximate_with_avoider,
@@ -23,12 +24,14 @@ from seqchain.generic import (
     disjoint_support,
     encode_rational_c00,
     enumerate_rational_c00,
+    escape_certificate,
+    row_parts,
 )
 from seqchain.intervals import ComplexInterval, format_rational
-from seqchain.sequences import FiniteRational, combine, spread, term_at, zero
+from seqchain.sequences import FiniteRational, combine, restrict, spread, term_at, zero
 from seqchain.spaceable import build_basis, certify_combination_outside
 from seqchain.spaces import C0, CN0, HD, LINF, AINF, adjacent_pairs, cap_lp, lp, metric_bound
-from seqchain.supports import DyadicRow
+from seqchain.supports import Arith, DyadicRow, ExplicitFinite
 
 F = Fraction
 
@@ -325,6 +328,92 @@ def test_check_rejects_mismatched_combination():
     cert = certify_outside([1, 0], els, BUDGET, PREC)
     other = combine([0, 1], [e.f for e in els])  # lives on row 2, cert checks row 1
     assert not check_outside_certificate(other, cert, samples=3, prec=PREC)
+
+
+# -- the row identity proved from support hints -------------------------------------
+
+
+def _build_and_check_reject(f, cert):
+    with pytest.raises(SeqchainError, match="row identity not proved"):
+        escape_certificate(f, cert.j0, cert.witness, cert.scale, cert.cutoff, BUDGET, PREC)
+    assert not check_outside_certificate(f, cert, samples=50, prec=PREC)
+    assert _row_identity_failure(f, cert, cert.checked_points, PREC) is None
+
+
+def test_a_finite_copy_of_the_witness_at_the_checked_points_is_rejected():
+    # the copy agrees with scale * witness at all 50 recorded points, so the
+    # point check alone passes it, yet it is finitely supported: in lp:1
+    els = _elements((lp(1), C0), 2)
+    cert = certify_outside([1, 0], els, BUDGET, PREC)
+    c, w = cert.scale.re_lo, cert.witness.seq
+    fake = FiniteRational({n: c * w.term(n, 4 * PREC).re_lo for n in cert.checked_points})
+    assert isinstance(classify(fake, lp(1), BUDGET, PREC), CertifiedIn)
+    _build_and_check_reject(fake, cert)
+
+
+def test_a_part_whose_hint_meets_the_row_past_the_cutoff_is_rejected():
+    # the spread is zero on the row below 1000, past every recorded point
+    els = _elements((lp(1), C0), 2)
+    cert = certify_outside([1, 0], els, BUDGET, PREC)
+    stray = spread(restrict(nat(), Arith(1000, 2)), Arith(0, 1))
+    g = combine([1, 0, 1], [e.f for e in els] + [stray])
+    assert max(cert.checked_points) < 1000 and not g.term(1000, PREC).is_exact_zero
+    _build_and_check_reject(g, cert)
+    # the same part with a cancelling copy, or a zero coefficient, is placed
+    for t in ([1, 0, 1, -1], [1, 0, 0, 0]):
+        g = combine(t, [e.f for e in els] + [stray, stray])
+        assert check_outside_certificate(g, cert, samples=3, prec=PREC)
+
+
+@pytest.mark.parametrize("pair", adjacent_pairs(), ids=lambda p: f"{p[0]}<{p[1]}")
+def test_a_proved_row_identity_passes_the_point_check_at_every_recorded_point(pair):
+    inner, outer = pair
+    basis = build_basis(inner, outer, 3, BUDGET, PREC)
+    seqs = [basis.elements[j].seq for j in (1, 2, 3)]
+    certs = []
+    for t in ([(F(1), F(1)), (F(-2), F(0)), 0], [0, (F(3), F(-1)), (F(1, 2), F(0))]):
+        f = combine(t, seqs)
+        certs.append((f, certify_combination_outside(f, basis, [1, 2, 3], BUDGET, PREC)))
+    if outer != LINF:
+        target = FiniteRational({0: F(1), 3: (F(0), F(-1, 2))})
+        res = approximate_with_avoider(target, F(1), outer, inner, BUDGET, PREC)
+        certs.append((res.f, res.certificate))
+    for f, cert in certs:
+        assert len(cert.checked_points) == 50
+        assert _row_identity_failure(f, cert, cert.checked_points, PREC) is None
+
+
+def test_row_parts_flattens_and_keeps_only_what_may_meet_the_row():
+    # the anchors are x_1 = 0, x_2 = e_0 and x_3 = e_1, below the cutoff 2
+    els = _elements((lp(1), C0), 3)
+    g = combine([(F(2), F(1)), 3, 5], [e.f for e in els])
+    (w1, c1), (w2, c2) = [(e.witness.seq.spec_key(), e.scale) for e in els[:2]]
+    assert row_parts(g, DyadicRow(1), 2) == {w1: (2 * c1, c1)}
+    assert row_parts(g, DyadicRow(2), 2) == {w2: (3 * c2, F(0))}
+    # from index 0 on, x_2 meets row 1 and x_3 meets row 2
+    assert row_parts(g, DyadicRow(1), 0) == {w1: (2 * c1, c1), els[1].x.spec_key(): (F(3), F(0))}
+    assert row_parts(g, DyadicRow(2), 0) == {w2: (3 * c2, F(0)), els[2].x.spec_key(): (F(5), F(0))}
+    assert row_parts(combine([1, -1], [g, g]), DyadicRow(1), 0) == {}
+
+
+def test_every_miss_rule_is_sound_and_fires():
+    hints = [
+        ExplicitFinite([0, 1, 5, 6, 40]),
+        DyadicRow(2),
+        restrict(nat(), DyadicRow(1)).support_hint,  # the mask misses
+        restrict(spread(nat(), DyadicRow(2)), Arith(0, 1)).support_hint,  # the base misses
+        combine([1, 1], [spread(nat(), DyadicRow(2)), FiniteRational({3: 1})]).support_hint,
+        rem29(DyadicRow(3)).support_hint,
+        Arith(0, 3),  # no rule: may meet every row
+    ]
+    missed = set()
+    for hint in hints:
+        for row in (DyadicRow(1), DyadicRow(2), DyadicRow(3)):
+            for cutoff in (0, 2, 6, 41):
+                if hint.misses(row, cutoff):
+                    missed.add(type(hint).__name__)
+                    assert not any(hint.member(n) for n in range(cutoff, 600) if row.member(n))
+    assert missed == {type(h).__name__ for h in hints[:-1]}
 
 
 # -- approximation -----------------------------------------------------------------

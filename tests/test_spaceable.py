@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -5,9 +6,17 @@ from pathlib import Path
 import pytest
 
 from conftest import BUDGET, PREC
-from seqchain.errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint, NotStrictPair
-from seqchain.generic import check_outside_certificate, disjoint_support
-from seqchain.sequences import combine, zero
+from seqchain import witness
+from seqchain.diagnose import classify
+from seqchain.errors import (
+    AllCoefficientsPossiblyZero,
+    NoNonzeroSupportPoint,
+    NotStrictPair,
+    SeqchainError,
+)
+from seqchain.families import const_one
+from seqchain.generic import _row_identity_failure, check_outside_certificate, disjoint_support
+from seqchain.sequences import FiniteRational, combine, zero
 from seqchain.serialize import canonical_json
 from seqchain.spaces import AINF, C0, adjacent_pairs, cap_lp, lp, parse_space
 from seqchain.spaceable import (
@@ -135,6 +144,47 @@ def test_certify_combination_smallest_nonzero_row():
     assert cert.j0 == 1
     assert cert.scale.is_exact and (cert.scale.re_lo, cert.scale.im_lo) == (1, 1)
     assert check_outside_certificate(f, cert, samples=3, prec=PREC)
+
+
+def test_a_finite_copy_of_a_basis_multiple_is_not_a_combination_over_the_basis():
+    # 3 * w_1 on row 1's first 50 points: the coefficient recovers as 3 and
+    # every recorded point agrees, yet the sequence is finitely supported
+    basis = build_basis(lp(1), C0, 2, BUDGET, PREC)
+    w1 = basis.elements[1]
+    fake = FiniteRational({n: 3 * w1.seq.term(n, 4 * PREC).re_lo
+                           for n in (w1.support.nth(k) for k in range(1, 51))})
+    with pytest.raises(SeqchainError, match="row identity not proved"):
+        certify_combination_outside(fake, basis, [1], BUDGET, PREC)
+    cert = certify_combination_outside(combine([3], [w1.seq]), basis, [1], BUDGET, PREC)
+    assert (cert.scale.re_lo, cert.scale.re_hi) == (3, 3)
+    assert _row_identity_failure(fake, cert, cert.checked_points, PREC) is None
+    assert not check_outside_certificate(fake, cert, samples=50, prec=PREC)
+
+
+def test_the_out_certificate_check_is_remembered_per_witness():
+    w = basis_element(lp(1), C0, 1, BUDGET, PREC)
+    assert verify_witness(w, BUDGET, 3, PREC) and w.out_cert_holds(3, PREC)
+    assert (3, PREC) in w._out_checked
+    # a replaced witness starts with no memo: the witness vanishes, so the
+    # not-vanishing certificate of the constant 1 fails on it
+    moved = dataclasses.replace(w, out_cert=classify(const_one(), C0, BUDGET, PREC).cert)
+    assert moved._out_checked == set() and not moved.out_cert_holds(3, PREC)
+    assert w.out_cert_holds(3, PREC)
+
+
+def test_a_failed_out_certificate_check_is_not_remembered(monkeypatch):
+    w = basis_element(lp(1), C0, 2, BUDGET, PREC)
+    answers = [False, True]
+    calls = []
+
+    def check(seq, verdict, samples, prec):
+        calls.append(samples)
+        return answers[len(calls) - 1]
+
+    monkeypatch.setattr(witness, "check_certificate", check)
+    assert not w.out_cert_holds(2, PREC) and w._out_checked == set()
+    assert w.out_cert_holds(2, PREC) and w.out_cert_holds(2, PREC)
+    assert calls == [2, 2]
 
 
 ESCAPE_GOLDEN_DIR = Path(__file__).parent / "escape_golden"
