@@ -114,7 +114,12 @@ class DivergentPartialSums:
         else:
             fits = space.tag == "cap-lp" and self.exponent > space.param
         js = self.checked_blocks[: max(1, samples)]
-        return fits and self.blocks.p == self.exponent and _verify_blocks(seq, self.blocks, js, prec)
+        return (
+            fits
+            and self.blocks.p == self.exponent
+            and self.blocks == seq.lp_divergence(self.exponent)
+            and _verify_blocks(seq, self.blocks, js, prec)
+        )
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,8 @@ class NotVanishing:
 
     def holds(self, seq, space, samples, prec) -> bool:
         tag = self.tag
-        if space != C0 or self.delta <= 0 or tag.g_inf is None or tag.g_inf < self.delta:
+        fits = space == C0 and tag in seq.growth_tags
+        if not fits or self.delta <= 0 or tag.g_inf is None or tag.g_inf < self.delta:
             return False
         ms = range(1, max(1, samples) + 1)
         return _increasing_points_at_least(seq, tag.s, ms, 0, lambda n: self.delta, prec)
@@ -161,6 +167,7 @@ class Unbounded:
         return (
             self.k >= 0
             and space == (AINF if self.k else LINF)
+            and self.tag in seq.growth_tags
             and all(_weight(self.tag, m, self.k) * g >= t for t, m, g in self.table)
             and all(_abs_at_least(seq, self.tag.s(m), g, prec) for _, m, g in checked)
         )
@@ -185,6 +192,7 @@ class RootLimsupExceeds:
         return (
             space == HD
             and self.rho > 1
+            and self.tag in seq.growth_tags
             and all(self.tag.rho(m) >= self.rho for m in ms)
             and _increasing_points_at_least(seq, self.tag.s, ms, 1, lambda n: self.rho ** n, prec)
         )
@@ -510,7 +518,8 @@ def check_certificate(seq: Sequence, verdict, samples: int, prec: int) -> bool:
     """Independently re-verify a CertifiedIn/CertifiedOut verdict."""
     if isinstance(verdict, CertifiedOut):
         # a shape's holds is its whole rule: the space it certifies, its
-        # structure and its spot-checks; try_out_certificate calls it too
+        # structure, its tie to the sequence's own tag or blocks, and its
+        # spot-checks; try_out_certificate calls it too
         shape, space = verdict.cert.shape, verdict.cert.space
         shapes = (DivergentPartialSums, NotVanishing, Unbounded, RootLimsupExceeds)
         return isinstance(shape, shapes) and shape.holds(seq, space, samples, prec)

@@ -190,9 +190,12 @@ class _DoublingSelection(SupportSet):
         self.extend_to_count(k)
         return self.sel[k - 1]
 
+    # every pick is a point of the underlying support, so its rules carry over
     def misses(self, row, cutoff):
-        # every pick is a point of the underlying support
         return self.support.misses(row, cutoff)
+
+    def within(self, other):
+        return self.support.within(other)
 
 
 def rem29(support: SupportSet) -> FamilySeq:

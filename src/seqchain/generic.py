@@ -12,10 +12,9 @@ the witness, whose out-certificate it carries.
 Build and check prove the row identity from support hints and spec keys,
 for every point at once (``row_parts``): past the cutoff, the only part of
 the combination that may meet the row is the witness, with total
-coefficient inside the scale.  The check also compares the terms at the
-first ``samples`` recorded points, once, at 2 * prec: term enclosures nest
-as precision rises and interval operations preserve inclusion, so boxes
-that agree at 2 * prec also agree at prec.
+coefficient inside the scale, and the witness's own hint lies within the
+row (``Sequence.zero_off``).  Both rest on the hint contract, that a hint
+is a superset of its node's support; no term is evaluated.
 """
 
 from __future__ import annotations
@@ -226,17 +225,19 @@ class OutsideXCertificate:
     """Certificate that a finite combination escapes the inner space.
 
     On the witness row, from the cutoff on, the combination's own terms
-    agree with scale * witness.  Every space of the chain is solid, so
-    were the combination inside the inner space, its part on that row past
-    the cutoff would be too, and with it the witness (a nonzero multiple of
-    that part, modulo finitely many terms), contradicting the witness's
-    out-certificate."""
+    agree with scale * witness, and the witness is zero off that row.
+    Every space of the chain is solid, so were the combination inside the
+    inner space, its part on that row past the cutoff would be too, and
+    with it the witness (a nonzero multiple of that part, modulo finitely
+    many terms), contradicting the witness's out-certificate.  Build and
+    check share the one proof of both facts, ``_row_identity_unproved``;
+    the decomposition it accepts is {witness: c} with c in scale, so the
+    scale records it."""
 
     j0: int
     scale: ComplexInterval  # exact for exact-coefficient combinations
     cutoff: int
     witness: Witness
-    checked_points: tuple[int, ...]
 
     def describe(self):
         scale = {
@@ -248,7 +249,6 @@ class OutsideXCertificate:
             "j0": self.j0,
             "scale": scale,
             "cutoff": self.cutoff,
-            "checked_points": list(self.checked_points),
             "witness_out_certificate": self.witness.out_cert.describe(),
         }
 
@@ -285,10 +285,14 @@ def row_parts(f: Sequence, row: SupportSet, cutoff: int) -> dict[str, tuple[Frac
 
 
 def _row_identity_unproved(f: Sequence, cert: OutsideXCertificate):
-    """Why ``row_parts`` does not prove f = c * witness on the witness row
-    from the cutoff on for a c inside the scale; None when it does."""
-    key = cert.witness.seq.spec_key()
-    parts = row_parts(f, cert.witness.support, cert.cutoff)
+    """Why the support hints do not prove f = c * witness on the witness
+    row from the cutoff on for a c inside the scale, with the witness zero
+    off its row; None when they do."""
+    w = cert.witness
+    if not w.seq.zero_off(w.support):
+        return f"the witness may meet indices off row {cert.j0}"
+    key = w.seq.spec_key()
+    parts = row_parts(f, w.support, cert.cutoff)
     stray = next((k for k in parts if k != key), None)
     if stray is not None:
         name = stray if len(stray) <= 60 else stray[:57] + "..."
@@ -300,56 +304,19 @@ def _row_identity_unproved(f: Sequence, cert: OutsideXCertificate):
     return None
 
 
-def _row_identity_failure(f: Sequence, cert: OutsideXCertificate, points, prec: int):
-    """First of the points that is off the witness row, below the cutoff,
-    or where f and scale * witness disagree; None when every point passes.
-    Two term intervals agree when one contains the other or their
-    difference contains zero, checked once, at 2 * prec.
-
-    That one check decides as a check at prec followed by one at 2 * prec
-    would: term enclosures nest as precision rises, and ``+``, ``-``,
-    ``scale`` and ``mul`` preserve inclusion, so the boxes at prec contain
-    those at 2 * prec.  Agreement at 2 * prec makes the finer boxes meet,
-    hence the coarser ones too, and their difference holds zero."""
-    scale, w = cert.scale, cert.witness
-    work = 2 * prec
-    extra = (1 + int(max(abs(scale.re_hi), abs(scale.im_hi)))).bit_length() + 2
-    for n in points:
-        if not w.support.member(n) or n < cert.cutoff:
-            return n
-        a = f.term(n, work)
-        b = scale.mul(w.seq.term(n, work + extra))
-        if not (a.subset_of(b) or b.subset_of(a) or (a - b).contains(0, 0)):
-            return n
-    return None
-
-
 def escape_certificate(
-    f: Sequence,
-    j0: int,
-    witness: Witness,
-    scale: ComplexInterval,
-    cutoff: int,
-    budget: int,
-    prec: int,
+    f: Sequence, j0: int, witness: Witness, scale: ComplexInterval, cutoff: int
 ) -> OutsideXCertificate:
-    """Escape certificate for f on row j0: ``row_parts`` must prove that f
-    agrees with scale * witness on the witness row from the cutoff on.  The
-    first min(budget, 50) row points from the cutoff on are recorded for
-    the point check of ``check_outside_certificate``."""
-    row = witness.support
-    skipped = row.rank_upto(cutoff - 1)
-    points = tuple(row.nth(skipped + k) for k in range(1, min(max(budget, 1), 50) + 1))
-    cert = OutsideXCertificate(j0, scale, cutoff, witness, points)
+    """Escape certificate for f on row j0: the support hints must prove that
+    f agrees with scale * witness on the witness row from the cutoff on."""
+    cert = OutsideXCertificate(j0, scale, cutoff, witness)
     why = _row_identity_unproved(f, cert)
     if why is not None:
         raise SeqchainError(f"row identity not proved: {why}")
     return cert
 
 
-def certify_outside(
-    coeffs, elements: list[DenseFamilyElement], budget: int, prec: int
-) -> OutsideXCertificate:
+def certify_outside(coeffs, elements: list[DenseFamilyElement]) -> OutsideXCertificate:
     """Escape certificate for sum_j t_j f_j over dense-family elements, on
     the row of the first nonzero coefficient, past every anchor's support."""
     coeffs = [_as_pair(c) for c in coeffs]
@@ -369,22 +336,21 @@ def certify_outside(
 
     c = chosen.scale
     scale = ComplexInterval.exact(t_re * c, t_im * c)
-    return escape_certificate(g, chosen.j, chosen.witness, scale, cutoff, budget, prec)
+    return escape_certificate(g, chosen.j, chosen.witness, scale, cutoff)
 
 
 def check_outside_certificate(
     f: Sequence, cert: OutsideXCertificate, samples: int, prec: int
 ) -> bool:
     """Re-verify an escape certificate against the combination f: prove the
-    row identity again, compare the terms at the first ``samples`` recorded
-    points, and re-check the witness's out-certificate."""
+    row identity again and re-check the witness's out-certificate."""
     w = cert.witness
-    if not cert.scale.excludes_zero() or w.out_cert.space != w.inner:
-        return False
-    points = cert.checked_points[: max(1, samples)]
-    if not points or _row_identity_unproved(f, cert) is not None:
-        return False
-    return _row_identity_failure(f, cert, points, prec) is None and w.out_cert_holds(samples, prec)
+    return (
+        cert.scale.excludes_zero()
+        and w.out_cert.space == w.inner
+        and _row_identity_unproved(f, cert) is None
+        and w.out_cert_holds(samples, prec)
+    )
 
 
 # -- approximation with certified avoidance ------------------------------------
@@ -451,7 +417,7 @@ def approximate_with_avoider(
     w, c = _row_element(inner, outer, 1, epsilon / 2, budget, prec)
 
     f = combine([1, c], [x, w.seq])
-    cert = escape_certificate(f, 1, w, ComplexInterval.exact(c), x.max_index + 1, budget, prec)
+    cert = escape_certificate(f, 1, w, ComplexInterval.exact(c), x.max_index + 1)
 
     # read the distance at the last rungs of the ladders of budgets 64, 256
     # and budget, all on one walk

@@ -78,8 +78,9 @@ class Sequence:
 
     ``support_hint``, when set, is a superset of the node's support: every
     index off it carries an exact zero.  ``Combine`` terms skip the parts
-    whose hint misses n, and escape certificates drop the parts whose hint
-    misses the witness row, so both rest on this contract."""
+    whose hint misses n, escape certificates drop the parts whose hint
+    misses the witness row, and a witness is zero off its support when its
+    hint lies within it, so all three rest on this contract."""
 
     kind = "abstract"
     growth_tags: tuple = ()
@@ -135,6 +136,11 @@ class Sequence:
     def lp_divergence(self, p: Fraction):
         """BlockDivergence witnessing sum |a_n|**p = infinity, if known."""
         return None
+
+    def zero_off(self, support: SupportSet) -> bool:
+        """True only if provably every term off the support is zero: the
+        hint lies within it.  A node with no hint is never proved so."""
+        return self.support_hint is not None and self.support_hint.within(support)
 
     # -- serialization ---------------------------------------------------
     def spec(self) -> dict:
@@ -520,6 +526,9 @@ class _FilteredHint(SupportSet):
     def misses(self, row, cutoff):
         return self.base_hint.misses(row, cutoff) or self.mask.misses(row, cutoff)
 
+    def within(self, other):
+        return self.base_hint.within(other) or self.mask.within(other)
+
     def elements_upto(self, n):
         return [e for e in self.base_hint.elements_upto(n) if self.mask.member(e)]
 
@@ -537,6 +546,9 @@ class _UnionHint(SupportSet):
 
     def misses(self, row, cutoff):
         return all(h.misses(row, cutoff) for h in self.hints)
+
+    def within(self, other):
+        return all(h.within(other) for h in self.hints)
 
     def elements_upto(self, n):
         merged: set[int] = set()

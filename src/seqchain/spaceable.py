@@ -121,4 +121,4 @@ def certify_combination_outside(
         raise AllCoefficientsPossiblyZero(
             "no recovered coefficient interval excludes zero at this precision"
         )
-    return escape_certificate(f, j0, basis.elements[j0], recovered[j0], 0, budget, prec)
+    return escape_certificate(f, j0, basis.elements[j0], recovered[j0], 0)

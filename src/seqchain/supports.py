@@ -51,6 +51,11 @@ class SupportSet:
         A kind without a rule may meet every row."""
         return False
 
+    def within(self, other: SupportSet) -> bool:
+        """True only if provably every element lies in other.  A kind
+        without a rule is within only a set of the same spec."""
+        return self.spec() == other.spec()
+
     def spec(self) -> dict:
         raise NotImplementedError
 
@@ -176,6 +181,9 @@ class ExplicitFinite(SupportSet):
 
     def misses(self, row, cutoff):
         return not any(row.member(e) for e in self.elems[bisect_left(self.elems, cutoff):])
+
+    def within(self, other):
+        return all(other.member(e) for e in self.elems)
 
     def spec(self):
         return {"kind": "explicit-finite", "elems": list(self.elems)}

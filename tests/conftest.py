@@ -43,6 +43,33 @@ def catalog_sequences():
     return catalog()
 
 
+def row_points(cert, count=50):
+    """The first count points of an escape certificate's witness row from its
+    cutoff on: the points the certificate recorded before its row identity
+    was proved from support hints alone."""
+    row = cert.witness.support
+    skipped = row.rank_upto(cert.cutoff - 1)
+    return [row.nth(skipped + k) for k in range(1, count + 1)]
+
+
+def point_check_failure(f, cert, points, prec):
+    """Reference copy of the escape check's former point loop: the first of
+    the points that is off the witness row, below the cutoff, or where f and
+    scale * witness disagree, compared once at 2 * prec; None when every
+    point passes.  A proved row identity implies it passes everywhere."""
+    scale, w = cert.scale, cert.witness
+    work = 2 * prec
+    extra = (1 + int(max(abs(scale.re_hi), abs(scale.im_hi)))).bit_length() + 2
+    for n in points:
+        if not w.support.member(n) or n < cert.cutoff:
+            return n
+        a = f.term(n, work)
+        b = scale.mul(w.seq.term(n, work + extra))
+        if not (a.subset_of(b) or b.subset_of(a) or (a - b).contains(0, 0)):
+            return n
+    return None
+
+
 def random_rational(rng: random.Random, span: int = 8) -> Fraction:
     num = rng.randint(-span, span)
     den = rng.randint(1, span)

@@ -575,14 +575,15 @@ def test_block_constant_divergence_is_tight(space):
     v = classify(seq, space, BUDGET, PREC)
     shape = v.cert.shape
     assert isinstance(shape, DivergentPartialSums) and shape.blocks.comparator == "constant"
-    mass = min(_block_mass_lower(seq, shape.blocks, j, PREC) for j in shape.checked_blocks)
-
-    def with_c(c):
-        blocks = replace(shape.blocks, c=c)
-        return CertifiedOut(OutCert(space, replace(shape, blocks=blocks)))
-
-    assert check_certificate(seq, with_c(mass), 3, PREC)
-    assert not check_certificate(seq, with_c(mass + BUMP), 3, PREC)
+    js = shape.checked_blocks
+    mass = min(_block_mass_lower(seq, shape.blocks, j, PREC) for j in js)
+    assert _verify_blocks(seq, replace(shape.blocks, c=mass), js, PREC)
+    assert not _verify_blocks(seq, replace(shape.blocks, c=mass + BUMP), js, PREC)
+    # the check also ties the blocks to the sequence's own: any other
+    # constant is rejected before a block is summed
+    forged = replace(shape, blocks=replace(shape.blocks, c=mass + BUMP))
+    assert check_certificate(seq, v, 3, PREC)
+    assert not check_certificate(seq, CertifiedOut(OutCert(space, forged)), 3, PREC)
 
 
 def test_gap_cap_c0_past_block_search_cap_is_undecided():

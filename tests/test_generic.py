@@ -1,12 +1,11 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import count, islice
 
 import pytest
 
-from conftest import BUDGET, PREC
-from seqchain.diagnose import CertifiedIn, classify
+from conftest import BUDGET, PREC, point_check_failure, row_points
+from seqchain.diagnose import CertifiedIn, CertifiedOut, check_certificate, classify
 from seqchain.errors import (
     AllZeroCoefficients,
     LengthMismatch,
@@ -14,9 +13,8 @@ from seqchain.errors import (
     SeqchainError,
     UnsupportedOuter,
 )
-from seqchain.families import gap_cap_lp, gap_lp_cap, nat, rem29
+from seqchain.families import gap_cap_lp, gap_lp_cap, nat, prop28, rem29
 from seqchain.generic import (
-    _row_identity_failure,
     approximate_with_avoider,
     certify_outside,
     check_outside_certificate,
@@ -31,7 +29,7 @@ from seqchain.intervals import ComplexInterval, format_rational
 from seqchain.sequences import FiniteRational, combine, restrict, spread, term_at, zero
 from seqchain.spaceable import build_basis, certify_combination_outside
 from seqchain.spaces import C0, CN0, HD, LINF, AINF, adjacent_pairs, cap_lp, lp, metric_bound
-from seqchain.supports import Arith, DyadicRow, ExplicitFinite
+from seqchain.supports import AllNaturals, Arith, DyadicRow, ExplicitFinite, PowersOfTwo
 
 F = Fraction
 
@@ -160,7 +158,7 @@ def _elements(pair, count):
 
 def test_single_element_certificate():
     els = _elements((lp(1), C0), 1)
-    cert = certify_outside([1], els, BUDGET, PREC)
+    cert = certify_outside([1], els)
     assert cert.j0 == 1 and cert.scale.is_exact
     f = combine([1], [els[0].f])
     assert check_outside_certificate(f, cert, samples=3, prec=PREC)
@@ -169,7 +167,7 @@ def test_single_element_certificate():
 def test_certificate_skips_zero_coefficients():
     els = _elements((lp(1), C0), 2)
     t = [0, (F(2), F(1))]
-    cert = certify_outside(t, els, BUDGET, PREC)
+    cert = certify_outside(t, els)
     assert cert.j0 == 2
     assert cert.scale.re_lo == 2 * els[1].scale and cert.scale.im_lo == els[1].scale
     g = combine(t, [e.f for e in els])
@@ -179,44 +177,39 @@ def test_certificate_skips_zero_coefficients():
 def test_all_zero_coefficients_rejected():
     els = _elements((lp(1), C0), 2)
     with pytest.raises(AllZeroCoefficients):
-        certify_outside([0, 0], els, BUDGET, PREC)
+        certify_outside([0, 0], els)
 
 
 def test_coefficient_arity_checked():
     els = _elements((lp(1), C0), 2)
     with pytest.raises(LengthMismatch):
-        certify_outside([1], els, BUDGET, PREC)
+        certify_outside([1], els)
 
 
 def test_float_coefficients_rejected_as_combine_rejects_them():
     els = _elements((lp(1), C0), 2)
     for coeffs in ([0.1, 0], [(F(1), 0.5), 0]):
         with pytest.raises(TypeError, match="exact rationals, not floats"):
-            certify_outside(coeffs, els, BUDGET, PREC)
+            certify_outside(coeffs, els)
         with pytest.raises(TypeError, match="exact rationals, not floats"):
             combine(coeffs, [e.f for e in els])
     # every exact spelling of one coefficient list gives one certificate
-    want = certify_outside([(F(1, 3), F(0)), (F(0), F(0))], els, BUDGET, PREC).describe()
+    want = certify_outside([(F(1, 3), F(0)), (F(0), F(0))], els).describe()
     assert want["scale"]["re"] == [format_rational(els[0].scale / 3)] * 2
     for coeffs in ([F(1, 3), 0], [(F(1, 3), 0), 0], ["1/3", F(0)]):
-        assert certify_outside(coeffs, els, BUDGET, PREC).describe() == want
+        assert certify_outside(coeffs, els).describe() == want
 
 
 def test_cutoff_clears_every_anchor():
     els = _elements((lp(1), C0), 3)
-    cert = certify_outside([1, 1, 1], els, BUDGET, PREC)
+    cert = certify_outside([1, 1, 1], els)
     assert cert.cutoff == 1 + max(e.x.max_index for e in els)
-    row = cert.witness.support
-    first_points = islice((n for n in count(cert.cutoff) if row.member(n)), 50)
-    assert cert.checked_points == tuple(first_points)
 
 
 # each forgery leaves the row identity and the out-certificate true, so
-# only the check of the forged field can reject it: 3 is off row 1 past the
-# cutoff 2, and the witness of lp:1 in c0 is certifiably outside lp:1/2 too
+# only the check of the forged field can reject it: the witness of lp:1 in
+# c0 is certifiably outside lp:1/2 too
 FORGERIES = {
-    "point-off-row": lambda c: dataclasses.replace(c, checked_points=(3,) + c.checked_points),
-    "point-below-cutoff": lambda c: dataclasses.replace(c, checked_points=(0,) + c.checked_points),
     "scale-holds-zero": lambda c: dataclasses.replace(
         c, scale=ComplexInterval.from_real_bounds(-c.scale.re_hi, c.scale.re_hi)
     ),
@@ -226,86 +219,34 @@ FORGERIES = {
             c.witness, out_cert=classify(c.witness.seq, lp(F(1, 2)), BUDGET, PREC).cert
         ),
     ),
-    "no-points": lambda c: dataclasses.replace(c, checked_points=()),
 }
 
 
 @pytest.mark.parametrize("forge", FORGERIES.values(), ids=FORGERIES.keys())
 def test_check_rejects_forged_escape_certificate(forge):
     els = _elements((lp(1), C0), 3)
-    cert = certify_outside([1, 0, 0], els, BUDGET, PREC)
+    cert = certify_outside([1, 0, 0], els)
     g = combine([1, 0, 0], [e.f for e in els])
-    assert cert.cutoff == 2 and not cert.witness.support.member(3)
     assert check_outside_certificate(g, cert, samples=3, prec=PREC)
     assert not check_outside_certificate(g, forge(cert), samples=3, prec=PREC)
-    _assert_same_as_reference(g, forge(cert))
-
-
-# -- the row check against the two-pass reference ----------------------------------
-
-
-def _ref_row_identity_failure(f, cert, points, prec, passes=(1, 2)):
-    """The row check made at prec and again at 2 * prec, which the check at
-    2 * prec alone must equal; passes=(1,) is the check at prec alone."""
-    scale, w = cert.scale, cert.witness
-    extra = (1 + int(max(abs(scale.re_hi), abs(scale.im_hi)))).bit_length() + 2
-    for n in points:
-        if not w.support.member(n) or n < cert.cutoff:
-            return n
-        for work in (k * prec for k in passes):
-            a = f.term(n, work)
-            b = scale.mul(w.seq.term(n, work + extra))
-            if not (a.subset_of(b) or b.subset_of(a) or (a - b).contains(0, 0)):
-                return n
-    return None
-
-
-def _assert_same_as_reference(f, cert):
-    for samples in (1, 3, 50):
-        points = cert.checked_points[:samples]
-        assert _row_identity_failure(f, cert, points, PREC) == _ref_row_identity_failure(
-            f, cert, points, PREC
-        ), samples
-
-
-@pytest.mark.parametrize("pair", adjacent_pairs(), ids=lambda p: f"{p[0]}<{p[1]}")
-def test_row_check_equals_the_two_pass_reference_on_genuine_certificates(pair):
-    inner, outer = pair
-    basis = build_basis(inner, outer, 3, BUDGET, PREC)
-    seqs = [basis.elements[j].seq for j in (1, 2, 3)]
-    other = combine([0, 0, 1], seqs)  # lives on row 3 alone
-    # the first combination certifies on row 1, the second on row 2
-    for t in ([(F(1), F(1)), (F(-2), F(0)), 0], [0, (F(3), F(-1)), (F(1, 2), F(0))]):
-        f = combine(t, seqs)
-        cert = certify_combination_outside(f, basis, [1, 2, 3], BUDGET, PREC)
-        _assert_same_as_reference(f, cert)
-        _assert_same_as_reference(other, cert)
-        assert _row_identity_failure(other, cert, cert.checked_points, PREC) is not None
-    if outer != LINF:
-        res = approximate_with_avoider(FiniteRational({0: F(1)}), F(1), outer, inner, BUDGET, PREC)
-        _assert_same_as_reference(res.f, res.certificate)
 
 
 @pytest.mark.parametrize("pair", [(cap_lp(1), lp(2)), (lp(2), cap_lp(2)), (AINF, cap_lp(0))],
                          ids=lambda p: f"{p[0]}<{p[1]}")
-def test_row_check_rejects_a_scale_that_only_the_finer_precision_tells_apart(pair):
-    # the witness terms are irrational at the first checked points, so their
-    # boxes at prec are wide enough to meet those of a scale moved by a
-    # relative 2**-(3 prec / 2), and their boxes at 2 * prec are not
+def test_a_moved_scale_is_rejected_at_every_sample_count(pair):
+    # a scale moved by a relative 2**-(3 prec / 2) misses the exact witness
+    # coefficient, so the row identity fails whatever the sample count; a
+    # point check at prec alone once accepted it on these irrational terms
     inner, outer = pair
     res = approximate_with_avoider(FiniteRational({0: F(1)}), F(1), outer, inner, BUDGET, PREC)
     cert = res.certificate
     moved = cert.scale.re_lo * (1 + F(1, 1 << (3 * PREC // 2)))
     forged = dataclasses.replace(cert, scale=ComplexInterval.exact(moved))
-    coarse_only = []
-    for samples in range(1, len(cert.checked_points) + 1):
-        points = cert.checked_points[:samples]
-        ref = _ref_row_identity_failure(res.f, forged, points, PREC)
-        assert ref is not None and _row_identity_failure(res.f, forged, points, PREC) == ref
-        if _ref_row_identity_failure(res.f, forged, points, PREC, passes=(1,)) is None:
-            coarse_only.append(samples)
-            assert not check_outside_certificate(res.f, forged, samples, PREC)
-    assert coarse_only  # a check at prec alone accepts the forgery
+    with pytest.raises(SeqchainError, match="lies outside the scale"):
+        escape_certificate(res.f, forged.j0, forged.witness, forged.scale, forged.cutoff)
+    for samples in range(1, 51):
+        assert not check_outside_certificate(res.f, forged, samples, PREC), samples
+    assert check_outside_certificate(res.f, cert, 50, PREC)
 
 
 def test_random_rational_combinations_certify():
@@ -318,14 +259,14 @@ def test_random_rational_combinations_certify():
         ]
         if all(re == 0 and im == 0 for re, im in t):
             t[rng.randrange(5)] = (F(1), F(0))
-        cert = certify_outside(t, els, BUDGET, PREC)
+        cert = certify_outside(t, els)
         g = combine(t, [e.f for e in els])
         assert check_outside_certificate(g, cert, samples=2, prec=PREC)
 
 
 def test_check_rejects_mismatched_combination():
     els = _elements((lp(1), C0), 2)
-    cert = certify_outside([1, 0], els, BUDGET, PREC)
+    cert = certify_outside([1, 0], els)
     other = combine([0, 1], [e.f for e in els])  # lives on row 2, cert checks row 1
     assert not check_outside_certificate(other, cert, samples=3, prec=PREC)
 
@@ -335,29 +276,31 @@ def test_check_rejects_mismatched_combination():
 
 def _build_and_check_reject(f, cert):
     with pytest.raises(SeqchainError, match="row identity not proved"):
-        escape_certificate(f, cert.j0, cert.witness, cert.scale, cert.cutoff, BUDGET, PREC)
+        escape_certificate(f, cert.j0, cert.witness, cert.scale, cert.cutoff)
     assert not check_outside_certificate(f, cert, samples=50, prec=PREC)
-    assert _row_identity_failure(f, cert, cert.checked_points, PREC) is None
+    # the former point check passes it at all 50 points
+    assert point_check_failure(f, cert, row_points(cert), PREC) is None
 
 
 def test_a_finite_copy_of_the_witness_at_the_checked_points_is_rejected():
-    # the copy agrees with scale * witness at all 50 recorded points, so the
-    # point check alone passes it, yet it is finitely supported: in lp:1
+    # the copy agrees with scale * witness at the first 50 row points past
+    # the cutoff, so a point check there passes it, yet it is finitely
+    # supported: in lp:1
     els = _elements((lp(1), C0), 2)
-    cert = certify_outside([1, 0], els, BUDGET, PREC)
+    cert = certify_outside([1, 0], els)
     c, w = cert.scale.re_lo, cert.witness.seq
-    fake = FiniteRational({n: c * w.term(n, 4 * PREC).re_lo for n in cert.checked_points})
+    fake = FiniteRational({n: c * w.term(n, 4 * PREC).re_lo for n in row_points(cert)})
     assert isinstance(classify(fake, lp(1), BUDGET, PREC), CertifiedIn)
     _build_and_check_reject(fake, cert)
 
 
 def test_a_part_whose_hint_meets_the_row_past_the_cutoff_is_rejected():
-    # the spread is zero on the row below 1000, past every recorded point
+    # the spread is zero on the row below 1000, past the first 50 row points
     els = _elements((lp(1), C0), 2)
-    cert = certify_outside([1, 0], els, BUDGET, PREC)
+    cert = certify_outside([1, 0], els)
     stray = spread(restrict(nat(), Arith(1000, 2)), Arith(0, 1))
     g = combine([1, 0, 1], [e.f for e in els] + [stray])
-    assert max(cert.checked_points) < 1000 and not g.term(1000, PREC).is_exact_zero
+    assert max(row_points(cert)) < 1000 and not g.term(1000, PREC).is_exact_zero
     _build_and_check_reject(g, cert)
     # the same part with a cancelling copy, or a zero coefficient, is placed
     for t in ([1, 0, 1, -1], [1, 0, 0, 0]):
@@ -378,9 +321,9 @@ def test_a_proved_row_identity_passes_the_point_check_at_every_recorded_point(pa
         target = FiniteRational({0: F(1), 3: (F(0), F(-1, 2))})
         res = approximate_with_avoider(target, F(1), outer, inner, BUDGET, PREC)
         certs.append((res.f, res.certificate))
+    # the proof implies the former point check at the 50 row points it read
     for f, cert in certs:
-        assert len(cert.checked_points) == 50
-        assert _row_identity_failure(f, cert, cert.checked_points, PREC) is None
+        assert point_check_failure(f, cert, row_points(cert), PREC) is None
 
 
 def test_row_parts_flattens_and_keeps_only_what_may_meet_the_row():
@@ -414,6 +357,64 @@ def test_every_miss_rule_is_sound_and_fires():
                     missed.add(type(hint).__name__)
                     assert not any(hint.member(n) for n in range(cutoff, 600) if row.member(n))
     assert missed == {type(h).__name__ for h in hints[:-1]}
+
+
+def test_every_within_rule_is_sound_and_fires():
+    hints = [
+        ExplicitFinite([0, 2, 6, 40]),
+        DyadicRow(2),  # no rule of its own: within a set of its spec
+        restrict(nat(), DyadicRow(1)).support_hint,  # the mask is within
+        restrict(spread(nat(), DyadicRow(2)), Arith(0, 1)).support_hint,  # the base is within
+        combine([1, 1], [spread(nat(), DyadicRow(2)), FiniteRational({5: 1})]).support_hint,
+        rem29(DyadicRow(3)).support_hint,
+        PowersOfTwo(),  # within none of the sets below
+    ]
+    sets = [DyadicRow(1), DyadicRow(2), DyadicRow(3), Arith(0, 2), AllNaturals()]
+    within = set()
+    for hint in hints:
+        for other in sets:
+            if hint.within(other):
+                within.add(type(hint).__name__)
+                assert all(other.member(n) for n in range(600) if hint.member(n))
+    assert within == {type(h).__name__ for h in hints[:-1]}
+    # a union is within only when every member is, a filter when either side is
+    stray = combine([1, 1], [spread(nat(), DyadicRow(2)), FiniteRational({3: 1})])
+    assert not stray.support_hint.within(DyadicRow(2))
+    assert not restrict(nat(), Arith(0, 1)).support_hint.within(DyadicRow(1))
+
+
+# -- forged witnesses: the witness is what its certificate says it is ---------------
+
+
+def test_a_witness_swapped_for_a_sequence_inside_the_inner_space_is_rejected():
+    els = _elements((lp(1), C0), 1)
+    cert = certify_outside([1], els)
+    w = cert.witness
+    forged = dataclasses.replace(cert, witness=dataclasses.replace(w, seq=prop28()))
+    f = prop28()
+    assert isinstance(classify(f, lp(1), BUDGET, PREC), CertifiedIn)
+    for samples in (1, 3, 8, 50):
+        assert not check_outside_certificate(f, forged, samples, PREC)
+        assert not check_certificate(f, CertifiedOut(w.out_cert), samples, PREC)
+
+
+def test_a_witness_whose_hint_leaves_its_row_is_rejected():
+    # the spread over all naturals has the row witness's base, hence its
+    # divergence blocks, so its out-certificate holds and its spec key is
+    # the certificate's own: only the hint being within the row tells
+    els = _elements((lp(1), C0), 1)
+    cert = certify_outside([1], els)
+    w = cert.witness
+    wide = dataclasses.replace(w, seq=spread(w.seq.base, Arith(0, 1)))
+    assert wide.seq.lp_divergence(F(1)) == w.seq.lp_divergence(F(1))
+    assert wide.out_cert_holds(3, PREC)
+    forged = dataclasses.replace(cert, witness=wide)
+    f = combine([1, cert.scale.re_lo], [els[0].x, wide.seq])
+    assert row_parts(f, w.support, cert.cutoff) == {wide.seq.spec_key(): (cert.scale.re_lo, F(0))}
+    for samples in (1, 3, 50):
+        assert not check_outside_certificate(f, forged, samples, PREC)
+    with pytest.raises(SeqchainError, match="the witness may meet indices off row 1"):
+        escape_certificate(f, 1, wide, cert.scale, cert.cutoff)
 
 
 # -- approximation -----------------------------------------------------------------

@@ -101,7 +101,7 @@ def _ref_approximate_with_avoider(target, epsilon, outer, inner, budget, prec):
     w = make_witness(inner, outer, disjoint_support(1), budget, prec)
     c = _ref_ball_scale(outer, w.seq, epsilon / 2, budget, prec)
     element = DenseFamilyElement(j=1, x=x, witness=w, scale=c, f=combine([1, c], [x, w.seq]))
-    cert = certify_outside([1], [element], budget, prec)
+    cert = certify_outside([1], [element])
     for b in sorted({min(64, budget), min(256, budget), budget}):
         dist = _ref_metric_bound(outer, element.f, target, b, prec)
         if dist.upper is not None and dist.upper < epsilon:

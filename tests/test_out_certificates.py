@@ -33,8 +33,9 @@ from seqchain.diagnose import (
 )
 from seqchain.errors import UnsupportedSpace
 from seqchain.intervals import Q1
-from seqchain.sequences import combine, restrict, spread, support_indices_upto
-from seqchain.spaces import AINF, C0, HD, LINF, standard_chain
+from seqchain.sequences import FiniteRational, combine, restrict, spread, support_indices_upto, zero
+from seqchain.spaceable import basis_element
+from seqchain.spaces import AINF, C0, HD, LINF, lp, standard_chain
 from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
 from seqchain.tags import RootLowerBound, SubseqLowerBound
 
@@ -433,6 +434,37 @@ def test_unbounded_rejects_a_weight_exponent_that_does_not_fit_its_space():
             cert = OutCert(space, shape)
             assert not check_certificate(seq, CertifiedOut(cert), samples, PREC), (str(space), shape.k)
             assert not _ref_check_out(seq, cert, samples, PREC), (str(space), shape.k)
+
+
+# one sequence and space per shape, each certified outside
+_TIED = {
+    "divergent-partial-sums": (families.gap_lp_cap(F(1)), lp(1)),
+    "not-vanishing": (families.const_one(), C0),
+    "unbounded": (families.nat(), LINF),
+    "unbounded-weighted": (families.nat(), AINF),
+    "root-limsup-exceeds": (families.nat_power(), HD),
+}
+
+
+@pytest.mark.parametrize("shape_name", sorted(_TIED))
+def test_a_certificate_holds_only_for_the_sequence_whose_tag_or_blocks_it_names(shape_name):
+    seq, space = _TIED[shape_name]
+    # 1 * seq has seq's terms, so every spot-check passes on it, but a
+    # combination carries no growth tag and no divergence blocks
+    cert = CertifiedOut(_built_shape(seq, space, shape_name))
+    copy = combine([1], [seq])
+    assert all(copy.term(n, PREC) == seq.term(n, PREC) for n in range(64))
+    for samples in (1, 3, 8):
+        assert check_certificate(seq, cert, samples, PREC)
+        assert _ref_check_out(copy, cert.cert, samples, PREC)
+        assert not check_certificate(copy, cert, samples, PREC)
+
+
+def test_a_block_certificate_on_finite_data_is_false_not_an_error():
+    w = basis_element(lp(1), C0, 1, BUDGET, PREC)
+    for seq in (FiniteRational({0: 1}), zero()):
+        for samples in (1, 3):
+            assert not check_certificate(seq, CertifiedOut(w.out_cert), samples, PREC)
 
 
 def test_one_refinement_decides_both_comparisons_as_the_two_loops():

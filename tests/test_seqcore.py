@@ -29,7 +29,7 @@ from seqchain.sequences import (
     zero,
 )
 from seqchain.spaceable import build_basis
-from seqchain.spaces import cap_lp, lp
+from seqchain.spaces import adjacent_pairs, cap_lp, lp
 from seqchain.supports import (
     AllNaturals,
     Arith,
@@ -515,6 +515,15 @@ def test_terms_outside_the_support_hint_are_exact_zeros():
                 assert seq.term(n, PREC).is_exact_zero, (name, n)
                 checked += 1
     assert checked > 10_000
+    # a witness is zero off its support because its hint lies within it:
+    # every basis witness on rows 1-5 of every adjacent pair, up to 4096
+    for inner, outer in adjacent_pairs():
+        for j, w in build_basis(inner, outer, 5, BUDGET, PREC).elements.items():
+            hint, where = w.seq.support_hint, (str(inner), j)
+            assert hint.within(w.support), where
+            for n in range(4097):
+                if not w.support.member(n):
+                    assert not hint.member(n) and w.seq.term(n, PREC).is_exact_zero, (where, n)
 
 
 def _all_parts_term(combo, n, prec):

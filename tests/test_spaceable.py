@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BUDGET, PREC
+from conftest import BUDGET, PREC, point_check_failure, row_points
 from seqchain import witness
 from seqchain.diagnose import classify
 from seqchain.errors import (
@@ -15,7 +15,7 @@ from seqchain.errors import (
     SeqchainError,
 )
 from seqchain.families import const_one
-from seqchain.generic import _row_identity_failure, check_outside_certificate, disjoint_support
+from seqchain.generic import check_outside_certificate, disjoint_support
 from seqchain.sequences import FiniteRational, combine, zero
 from seqchain.serialize import canonical_json
 from seqchain.spaces import AINF, C0, adjacent_pairs, cap_lp, lp, parse_space
@@ -148,7 +148,7 @@ def test_certify_combination_smallest_nonzero_row():
 
 def test_a_finite_copy_of_a_basis_multiple_is_not_a_combination_over_the_basis():
     # 3 * w_1 on row 1's first 50 points: the coefficient recovers as 3 and
-    # every recorded point agrees, yet the sequence is finitely supported
+    # the point check passes there, yet the sequence is finitely supported
     basis = build_basis(lp(1), C0, 2, BUDGET, PREC)
     w1 = basis.elements[1]
     fake = FiniteRational({n: 3 * w1.seq.term(n, 4 * PREC).re_lo
@@ -157,7 +157,7 @@ def test_a_finite_copy_of_a_basis_multiple_is_not_a_combination_over_the_basis()
         certify_combination_outside(fake, basis, [1], BUDGET, PREC)
     cert = certify_combination_outside(combine([3], [w1.seq]), basis, [1], BUDGET, PREC)
     assert (cert.scale.re_lo, cert.scale.re_hi) == (3, 3)
-    assert _row_identity_failure(fake, cert, cert.checked_points, PREC) is None
+    assert point_check_failure(fake, cert, row_points(cert), PREC) is None
     assert not check_outside_certificate(fake, cert, samples=50, prec=PREC)
 
 
