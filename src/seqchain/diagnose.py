@@ -412,7 +412,8 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
     Schedules over exponents p_n (cap-lp) or radii r_k (hd) share one
     cutoff N, so their rows read one head of moduli built once per call
     (after every tail oracle has answered).  The ``disc-schedule`` rows sum
-    that head with the one disc-sum kernel, ``intervals.DiscSum``.
+    that head with the one disc-sum kernel, ``intervals.DiscSum``, add the
+    disc tail's integer pair to it and make one ``Fraction`` per row.
 
     Each schedule samples finitely many rows and rests on a rule that makes
     them enough: ``lp-schedule`` (p_n = a + 1/n, n <= 8) is built only when
@@ -474,8 +475,11 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
                 return None
             tails.append((r_k, tail))
         moduli = _head_moduli(seq, cuts, prec, root=True)
-        rows = tuple((r, cuts, Fraction(*DiscSum(r).extend(moduli).pair) + t) for r, t in tails)
-        return InCert(space, "disc-schedule", rows, prec)
+        rows = []
+        for r, (t_num, t_den) in tails:
+            num, den = DiscSum(r).extend(moduli).pair
+            rows.append((r, cuts, Fraction(num * t_den + t_num * den, den * t_den)))
+        return InCert(space, "disc-schedule", tuple(rows), prec)
 
     if space.tag == "ainf":
         rows = []

@@ -76,22 +76,25 @@ def _geom_tail(base: Fraction, exponent: Fraction, k0: int, prec: int) -> Fracti
     raise BudgetExceeded("geometric ratio bound would not drop below 1")
 
 
-def _check_r(r: Fraction) -> Fraction:
+def _check_r(r) -> tuple[int, int]:
+    """The radius as (u, v), r = u/v in lowest terms, checked to lie in (0,1)
+    on its integers."""
     if not isinstance(r, Fraction):
         r = Fraction(r)
-    if not 0 < r < 1:
-        raise ValueError("disc radius must lie in (0,1)")
-    return r
-
-
-def _disc_geom(r: Fraction, n0: int) -> Fraction:
-    """r**n0 / (1 - r) normalised once: the disc tail of terms <= 1 that vanish below n0."""
-    r = _check_r(r)
     u, v = r.numerator, r.denominator
-    return Fraction(u ** n0 * v, v ** n0 * (v - u))
+    if not 0 < u < v:
+        raise ValueError("disc radius must lie in (0,1)")
+    return u, v
 
 
-def _disc_unit(N: int, r: Fraction, prec: int) -> Fraction:
+def _disc_geom(r: Fraction, n0: int) -> tuple[int, int]:
+    """r**n0 / (1 - r) as the pair (u**n0 * v, v**n0 * (v - u)): the disc tail
+    of terms <= 1 that vanish below n0."""
+    u, v = _check_r(r)
+    return u ** n0 * v, v ** n0 * (v - u)
+
+
+def _disc_unit(N: int, r: Fraction, prec: int) -> tuple[int, int]:
     """Disc tail past N of a sequence whose every term is <= 1 in modulus."""
     return _disc_geom(r, N + 1)
 
@@ -265,8 +268,9 @@ def nat() -> FamilySeq:
         return ComplexInterval.exact(n)
 
     def disc(N, r, prec):
-        r = _check_r(r)
-        return r ** (N + 1) * ((N + 1) - N * r) / (1 - r) ** 2
+        # r**(N+1) ((N+1) - N r) / (1 - r)**2 over the integers of r = u/v
+        u, v = _check_r(r)
+        return u ** (N + 1) * ((N + 1) * v - N * u) * v, v ** (N + 1) * (v - u) ** 2
 
     tags = (
         SubseqLowerBound(

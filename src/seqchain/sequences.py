@@ -9,7 +9,10 @@ optional certified tail metadata carried as data:
 * ``disc_tail(N, r, prec)``    : upper bound on sum_{n>N} |a_n| r**n,
 * ``poly_sup_tail(N, k, prec)``: upper bound on sup_{n>N} n**k |a_n|,
 
-each returning ``None`` when the sequence cannot certify the bound.
+each returning ``None`` when the sequence cannot certify the bound.  A disc
+tail is an integer pair ``(num, den)``, ``den > 0``, with value num/den and
+not reduced (the contract of ``intervals.DiscSum.pair``): the metric and the
+in-certificate add it to a disc sum's pair, so no node pays for a gcd.
 Growth tags (:mod:`seqchain.tags`), block-divergence data and the l^p
 ``threshold`` (node rules on :class:`Sequence`) ride along the same way.
 Term oracles are pure and cached, so repeated calls with identical
@@ -204,9 +207,10 @@ class FiniteRational(Sequence):
 
     def disc_tail(self, N, r, prec):
         if N >= self.max_index:  # past the last entry the tail is zero
-            return Q0
+            return 0, 1
         r = Fraction(r)
-        return sum((m * _radius_power_upper(r, n, prec) for n, m in self._moduli_beyond(N, prec)), Q0)
+        t = sum((m * _radius_power_upper(r, n, prec) for n, m in self._moduli_beyond(N, prec)), Q0)
+        return t.numerator, t.denominator
 
     def poly_sup_tail(self, N, k, prec):
         return max((Fraction(n) ** k * m for n, m in self._moduli_beyond(N, prec)), default=Q0)
@@ -443,7 +447,7 @@ class Combine(Sequence):
         mag = sum(abs(re) + abs(im) for re, im in self.coeffs)
         self._bump = (int(mag) + 2).bit_length() + 1
         self._hints = [b.support_hint for b in self.bases]
-        self._abs_coeffs: dict[tuple[Fraction, int], list[Fraction]] = {}
+        self._abs_coeffs: dict[tuple[int, int, int], list[Fraction]] = {}
         self.support_hint = (
             None if any(h is None for h in self._hints) else _UnionHint(self._hints)
         )
@@ -466,12 +470,12 @@ class Combine(Sequence):
         return ComplexInterval.zero() if acc is None else acc
 
     def _weights(self, prec, p=Q1):
-        """Upper bounds on the |c_i|**p, made once per (p, prec)."""
-        key = (p, prec)
+        """Upper bounds on the |c_i|**p, made once per (p, prec): ``Q1`` itself,
+        with no root taken, for a coefficient with re**2 + im**2 = 1."""
+        key = (p.numerator, p.denominator, prec)
         if key not in self._abs_coeffs:
-            self._abs_coeffs[key] = [
-                pow_bounds(re * re + im * im, p / 2, prec)[1] for re, im in self.coeffs
-            ]
+            sqs = (re * re + im * im for re, im in self.coeffs)
+            self._abs_coeffs[key] = [Q1 if q == 1 else pow_bounds(q, p / 2, prec)[1] for q in sqs]
         return self._abs_coeffs[key]
 
     def _weighted_tail(self, tail, prec, p=Q1):
@@ -486,7 +490,7 @@ class Combine(Sequence):
                 return None
             if t:
                 t = t if p <= 1 else pow_bounds(t, 1 / p, prec)[1]
-                t = t if w == 1 else w * t
+                t = t if w is Q1 else w * t
                 total = t if total is None else total + t
         if total is None:
             return Q0
@@ -500,7 +504,20 @@ class Combine(Sequence):
         return self._weighted_tail(lambda base: base.sup_tail(N, prec), prec)
 
     def disc_tail(self, N, r, prec):
-        return self._weighted_tail(lambda base: base.disc_tail(N, r, prec), prec)
+        """``_weighted_tail`` at p = 1 on pairs: a zero numerator adds nothing,
+        a weight of 1 multiplies nothing, and a pair over the running
+        denominator adds its numerator alone."""
+        num, den = 0, 1
+        for w, base in zip(self._weights(prec), self.bases):
+            t = base.disc_tail(N, r, prec)
+            if t is None:
+                return None
+            t_num, t_den = t if w is Q1 else (w.numerator * t[0], w.denominator * t[1])
+            if t_num and t_den == den:
+                num += t_num
+            elif t_num:
+                num, den = num * t_den + t_num * den, den * t_den
+        return num, den
 
     def poly_sup_tail(self, N, k, prec):
         return self._weighted_tail(lambda base: base.poly_sup_tail(N, k, prec), prec)

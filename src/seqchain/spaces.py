@@ -23,14 +23,16 @@ metric computable from coefficient data with certified tails:
 ``metric_bound`` returns certified two-sided bounds.  Upper bounds are
 minimised over a power-of-two ladder of effective budgets, which keeps
 them monotone in the budget despite interval rounding in the heads.  The
-rungs share one set of head sums: each |d_n| enclosure is computed once
-per call, and each rung extends the previous rung's sums over the new
-indices instead of summing again from zero.  The endpoints are exact
-rationals, so the bounds equal those of rungs summed separately.  The
-ratio and nested sums are integer numerators over a power of two, made a
-``Fraction`` once per read; the ``hd`` disc sums (the one disc-sum kernel,
-``intervals.DiscSum``) stay unreduced integer pairs that the nested sum
-floors onto its grid, so no summand pays for a gcd.
+rungs share one head: one increasing list of the nonzero |d_n|**2 bounds
+and one of the nonzero |d_n| bounds, each enclosure computed once per call,
+and every head sum, per rung, radius or exponent, extends itself over a
+``bisect`` slice of one list instead of summing again from zero.  The
+endpoints are exact rationals, so the bounds equal those of rungs summed
+separately.  The ratio and nested sums are integer numerators over a power
+of two, made a ``Fraction`` once per read; the ``hd`` disc sums (the one
+disc-sum kernel, ``intervals.DiscSum``) and the difference's disc tails stay
+unreduced integer pairs that the nested sum floors onto its grid, so no
+summand pays for a gcd.
 
 ``metric_bounds`` walks the same ladder and yields the bound after each
 rung.  A caller that asks only whether the distance is below r
@@ -179,9 +181,11 @@ def _budget_ladder(budget: int) -> list[int]:
 class _Head:
     """The head of one ``metric_bound`` call: |d_n| enclosures and running sums.
 
-    Each term enclosure is computed once, at ``prec + _HEAD_GUARD``.  Each
-    head sum remembers its cutoff, and a later rung of the budget ladder
-    extends it over the new indices only; the endpoints are exact
+    It keeps two lists increasing in n, the nonzero |d_n|**2 bounds and the
+    nonzero |d_n| bounds (``nonzero``), each made on first use from one
+    enclosure per term at ``prec + _HEAD_GUARD`` and extended as the cutoff
+    grows.  Each head sum, keyed by integers, remembers its cutoff and reads
+    the ``bisect`` slice of one list past it; the endpoints are exact
     rationals, so an extended sum equals the one restarted from zero.
     ``parts`` keeps the summands of the nested metrics (see ``_nested_sum``).
     The ratio sums, the power sums (``PowSum``) and ``parts`` are integer
@@ -195,33 +199,26 @@ class _Head:
         self.diff = diff
         self.hp = prec + _HEAD_GUARD
         self.parts: dict = {}
-        self._support: list[int] = []
-        self._support_upto = -1
-        self._sq: dict = {}
-        self._abs: dict = {}
+        self._nonzero: dict = {}
         self._sums: dict = {}
 
-    def support(self, lo: int, hi: int) -> list[int]:
-        """Indices n with lo < n <= hi that can carry nonzero terms."""
-        if hi > self._support_upto:
-            self._support = sorted(support_indices_upto(self.diff, hi))
-            self._support_upto = hi
-        s = self._support
-        return s[bisect_right(s, lo):bisect_right(s, hi)]
-
-    def sq(self, n: int):
-        """Exact bounds on |d_n|**2, or None when d_n is an exact zero."""
-        if n not in self._sq:
-            iv = self.diff.term(n, self.hp)
-            self._sq[n] = None if iv.is_exact_zero else iv.abs_sq_bounds()
-        return self._sq[n]
-
-    def abs(self, n: int):
-        """Bounds on |d_n| rounded outward at 2**-hp, or None for an exact zero."""
-        if n not in self._abs:
-            iv = self.diff.term(n, self.hp)
-            self._abs[n] = None if iv.is_exact_zero else iv.abs_bounds(self.hp)
-        return self._abs[n]
+    def nonzero(self, root: bool, lo: int, hi: int) -> list:
+        """(n, bounds) for each nonzero d_n with lo < n <= hi, increasing in n:
+        bounds on |d_n| rounded outward at 2**-hp when ``root`` is set, else
+        exact bounds on |d_n|**2."""
+        entry = self._nonzero.get(root)
+        if entry is None:
+            entry = self._nonzero[root] = [-1, [], []]
+        cut, indices, bounds = entry
+        if hi > cut:
+            support = sorted(support_indices_upto(self.diff, hi))
+            for n in support[bisect_right(support, cut):]:
+                iv = self.diff.term(n, self.hp)
+                if not iv.is_exact_zero:
+                    indices.append(n)
+                    bounds.append((n, iv.abs_bounds(self.hp) if root else iv.abs_sq_bounds()))
+            entry[0] = hi
+        return bounds[bisect_right(indices, lo):bisect_right(indices, hi)]
 
     def _entry(self, key, N: int, start):
         """[last cutoff, *sums] under ``key``, the sums made by ``start()``
@@ -233,12 +230,13 @@ class _Head:
             raise ValueError("a head sum cannot shrink below its last cutoff")
         return entry
 
-    def _extend(self, key, N: int, indices, part, join=operator.add, start=lambda: (Q0, Q0)):
-        """``join`` of part(n) over indices(-1, N), continued from the last cutoff."""
+    def _extend(self, key, N: int, root: bool, part, join=operator.add, start=lambda: (Q0, Q0)):
+        """``join`` of part(n, bounds) over the nonzero head up to N (see
+        ``nonzero``), continued from the last cutoff; a part may be None."""
         entry = self._entry(key, N, start)
         cut, lo, hi = entry
-        for n in indices(cut, N):
-            bounds = part(n)
+        for n, bounds in self.nonzero(root, cut, N):
+            bounds = part(n, bounds)
             if bounds is not None:
                 lo = join(lo, bounds[0])
                 hi = join(hi, bounds[1])
@@ -248,14 +246,14 @@ class _Head:
     def power_sum(self, p: Fraction, N: int):
         """Bounds on sum_{n<=N} |d_n|**p, one ``PowSum`` per endpoint."""
         lo, hi = self._extend(
-            ("lp", p), N, self.support, self.sq, PowSum.add,
+            ("lp", p.numerator, p.denominator), N, False, lambda n, sq: sq, PowSum.add,
             lambda: (PowSum(p / 2, self.hp), PowSum(p / 2, self.hp, upper=True)),
         )
         return lo.value, hi.value
 
     def max_abs(self, N: int):
         """Bounds on max_{n<=N} |d_n| (zero for an empty head)."""
-        return self._extend("sup", N, self.support, self.abs, join=max)
+        return self._extend("sup", N, True, lambda n, a: a, join=max)
 
     def ratio_sum(self, N: int):
         """Bounds on sum_{n<=N} 2**-n |d_n|/(1+|d_n|), each summand rounded
@@ -265,28 +263,23 @@ class _Head:
         are integer floors and ceilings; the sums are integers over 2**hp."""
         grid = self.hp
 
-        def part(n):
-            a = self.abs(n)
-            if a is None:
-                return None
+        def part(n, a):
             lo, hi = a
             return (
                 _floor_num(lo.numerator, (lo.denominator + lo.numerator) << n, grid),
                 _ceil_num(hi.numerator, (hi.denominator + hi.numerator) << n, grid),
             )
 
-        lo, hi = self._extend(
-            "cn0", N, lambda lo, hi: range(lo + 1, hi + 1), part, start=lambda: (0, 0)
-        )
+        lo, hi = self._extend("cn0", N, True, part, start=lambda: (0, 0))
         return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid)
 
     def disc_sum(self, r: Fraction, N: int):
         """Bounds on sum_{n<=N} |d_n| r**n as unreduced integer pairs: one
         ``DiscSum`` of the point moduli for both, one per endpoint of the rest."""
         cut, points, wide_lo, wide_hi = entry = self._entry(
-            ("hd", r), N, lambda: (DiscSum(r), DiscSum(r), DiscSum(r))
+            ("hd", r.numerator, r.denominator), N, lambda: (DiscSum(r), DiscSum(r), DiscSum(r))
         )
-        new = [(n, a) for n in self.support(cut, N) if (a := self.abs(n)) is not None]
+        new = self.nonzero(True, cut, N)
         entry[0] = N  # each sum takes the new indices in one call
         points.extend((n, a[0]) for n, a in new if a[0] is a[1])
         wide_lo.extend((n, a[0]) for n, a in new if a[0] is not a[1])
@@ -297,14 +290,13 @@ class _Head:
     def falling_sum(self, i: int, N: int):
         """Bounds on sum_{i<=n<=N} n!/(n-i)! |d_n|."""
 
-        def part(n):
-            a = None if n < i else self.abs(n)
-            if a is None:
+        def part(n, a):
+            if n < i:
                 return None
             f = _falling(n, i)
             return f * a[0], f * a[1]
 
-        return self._extend(("ainf", i), N, self.support, part)
+        return self._extend(("ainf", i), N, True, part)
 
 
 def _lp_power_sum(head: _Head, p: Fraction, N: int, prec: int):
@@ -382,7 +374,8 @@ def _metric_once_hd(head: _Head, N: int, prec: int):
         tail = head.diff.disc_tail(inner_budget, r_k, prec)
         if tail is None:
             raise MissingTailOracle("no disc tail bound available")
-        m_hi = (hi_num * tail.denominator + tail.numerator * hi_den, hi_den * tail.denominator)
+        t_num, t_den = tail
+        m_hi = (hi_num * t_den + t_num * hi_den, hi_den * t_den)
         return tuple(m if m[0] < m[1] else (1, 1) for m in (m_lo, m_hi))  # min(1, m)
 
     return _nested_sum(head, N, prec, summand)

@@ -392,6 +392,13 @@ ROW_COMBINATION = (
     f'["5/7","0",{_ROWS[2]}]]}}'
 )
 
+HD_COMBINATION = (
+    '{"kind":"combine","terms":[["1/2","1/3",{"kind":"restrict","base":{"kind":"family",'
+    '"name":"rem29","params":{"support":{"kind":"arith","start":1,"step":3}}},'
+    '"support":{"kind":"arith","start":0,"step":2}}],'
+    '["-1","0",{"kind":"family","name":"gap-cap-c0","params":{"b":"1/1"}}]]}'
+)
+
 
 # Reports recorded byte for byte before the exact kernel skipped work on
 # zeros and seeded its roots from floats (approx-cn0: before the head sums
@@ -430,6 +437,10 @@ ROW_COMBINATION = (
                                  "--count", "3"]),
         ("recover-lp-1-cap-lp-1", ["recover", "--f", ROW_COMBINATION, "--inner", "lp:1",
                                    "--outer", "cap-lp:1", "--j", "2", "--count", "3"]),
+        # a disc-schedule certificate whose disc tails are a complex
+        # coefficient's weight, a restriction, rem29's selection tail and the
+        # unit tail of gap-cap-c0, added as integer pairs
+        ("classify-hd-combine", ["classify", HD_COMBINATION, "hd"]),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

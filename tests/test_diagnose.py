@@ -903,7 +903,7 @@ def test_disc_schedule_rows_equal_fraction_sums(name):
             for n, a in moduli:
                 ref += a * r ** n
             assert (r, N) == (F(k, k + 1), cut)
-            assert bound == ref + seq.disc_tail(cut, r, PREC), (name, cut, k)
+            assert bound == ref + F(*seq.disc_tail(cut, r, PREC)), (name, cut, k)
 
 
 def test_disc_schedule_rows_are_built_for_most_nodes():

@@ -55,6 +55,10 @@ def _value(x):
     return None if x is None else str(F(x))
 
 
+def _disc_value(pair):
+    return None if pair is None else str(F(*pair))
+
+
 def _record(seq):
     lp, cap, tail = {}, {}, {}
     for x in EXPONENTS:
@@ -69,7 +73,7 @@ def _record(seq):
         "cap": cap,
         "tail": tail,
         "sup": {str(N): _value(seq.sup_tail(N, PREC)) for N in CUTOFFS},
-        "disc": {str(N): _value(seq.disc_tail(N, RADIUS, PREC)) for N in CUTOFFS},
+        "disc": {str(N): _disc_value(seq.disc_tail(N, RADIUS, PREC)) for N in CUTOFFS},
         "pos_sup": {str(K): _value(seq.pos_sup_tail(K, PREC)) for K in POSITIONS},
     }
 

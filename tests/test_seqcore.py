@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count
@@ -13,12 +14,16 @@ from seqchain import families
 from seqchain.errors import FiniteSupportSet, LengthMismatch
 from seqchain.families import nat, prop28
 from seqchain.generic import dense_family_element
-from seqchain.intervals import ComplexInterval, pow_bounds, sqrt_bounds
+from seqchain.diagnose import CertifiedIn, _head_moduli, classify
+from seqchain.intervals import ComplexInterval, DiscSum, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     _EXACT_POWER_BITS,
     Combine,
+    FamilySeq,
     FiniteRational,
+    Restrict,
     Sequence,
+    Spread,
     combine,
     restrict,
     spread,
@@ -29,7 +34,7 @@ from seqchain.sequences import (
     zero,
 )
 from seqchain.spaceable import build_basis
-from seqchain.spaces import adjacent_pairs, cap_lp, lp
+from seqchain.spaces import HD, adjacent_pairs, cap_lp, lp
 from seqchain.supports import (
     AllNaturals,
     Arith,
@@ -250,7 +255,7 @@ def test_family_disc_tails_are_the_geometric_tail_past_the_first_nonzero(name):
         n0 = next(n for n in count(N + 1) if not seq.term(n, 8).is_exact_zero)
         for k in range(1, 73):
             r = F(k, k + 1)
-            assert seq.disc_tail(N, r, PREC) == r ** n0 / (1 - r), (N, k)
+            assert F(*seq.disc_tail(N, r, PREC)) == r ** n0 / (1 - r), (N, k)
 
 
 @pytest.mark.parametrize("name", sorted(_GEOMETRIC_DISC) + ["nat"])
@@ -258,7 +263,7 @@ def test_family_disc_tails_take_any_exact_radius_in_the_open_unit_interval(name)
     seq = _GEOMETRIC_DISC.get(name) or nat()
     for N in (-1, 0, 9):
         for r in (0.5, 0.875, Decimal("0.3")):
-            assert seq.disc_tail(N, r, PREC) == seq.disc_tail(N, F(r), PREC), (N, r)
+            assert F(*seq.disc_tail(N, r, PREC)) == F(*seq.disc_tail(N, F(r), PREC)), (N, r)
         for r in (F(0), F(1), F(-1, 2), F(3, 2), 0.0, 1.5):
             with pytest.raises(ValueError):
                 seq.disc_tail(N, r, PREC)
@@ -295,8 +300,8 @@ def test_combine_tails_are_weighted_sums_at_each_precision():
     for prec in (8, 64, 8):
         for N in (0, 5, 30, 45):  # past 40 both finite tails are exact zeros
             r = F(5, 6)
-            assert combo.disc_tail(N, r, prec) == _ref_weighted(
-                combo, [b.disc_tail(N, r, prec) for b in bases], prec
+            assert F(*combo.disc_tail(N, r, prec)) == _ref_weighted(
+                combo, [F(*b.disc_tail(N, r, prec)) for b in bases], prec
             ), (prec, N)
             assert combo.sup_tail(N, prec) == _ref_weighted(
                 combo, [b.sup_tail(N, prec) for b in bases], prec
@@ -312,6 +317,117 @@ def test_combine_tails_are_weighted_sums_at_each_precision():
                 root_sum += _abs_upper(re, im, prec) * pow_bounds(t, 1 / p, prec)[1]
             assert finite.tail_majorant(N, p, prec) == pow_bounds(root_sum, p, prec)[1]
     assert combo.poly_sup_tail(0, 1, 8) is None
+
+
+# -- disc tails are integer pairs -------------------------------------------------
+
+# the families whose disc tail is r**(N+1) / (1 - r): every term is <= 1
+_UNIT_DISC_FAMILIES = ("const-one", "gap-lp-cap", "gap-cap-lp", "gap-cap-c0")
+
+
+def _ref_disc_tail(seq, N, r, prec):
+    """Reference copy of the reduced-``Fraction`` disc-tail formulas that the
+    integer pairs replaced, node by node."""
+    if isinstance(seq, FiniteRational):
+        if N >= seq.max_index:
+            return F(0)
+        moduli = [(n, pow_bounds(re * re + im * im, F(1, 2), prec)[1])
+                  for n, (re, im) in seq.entries.items() if n > N]
+        return sum((m * _radius_power_upper(r, n, prec) for n, m in moduli), F(0))
+    if isinstance(seq, FamilySeq):
+        if seq.name == "nat":
+            return r ** (N + 1) * ((N + 1) - N * r) / (1 - r) ** 2
+        if seq.name == "prop28":
+            n0 = 1 << max(1, N.bit_length())
+        elif seq.name == "rem29":
+            selection = seq.support_hint
+            n0 = selection.nth(selection.rank_upto(N) + 1)
+        elif seq.name in _UNIT_DISC_FAMILIES:
+            n0 = N + 1
+        else:
+            return None
+        return r ** n0 / (1 - r)
+    if isinstance(seq, Spread):
+        return _ref_disc_tail(seq.base, seq.support.rank_upto(N) - 1, r, prec)
+    if isinstance(seq, Restrict):
+        return _ref_disc_tail(seq.base, N, r, prec)
+    assert isinstance(seq, Combine)
+    total = F(0)
+    for (re, im), base in zip(seq.coeffs, seq.bases):
+        t = _ref_disc_tail(base, N, r, prec)
+        if t is None:
+            return None
+        total += pow_bounds(re * re + im * im, F(1, 2), prec)[1] * t
+    return total
+
+
+def _disc_grid():
+    """The catalog as is, spread onto three supports, restricted, combined
+    with unit, complex and zero coefficients, and that combination nested."""
+    for name, seq in sorted(catalog().items()):
+        yield name, seq
+        for label, support in (("arith", Arith(1, 3)), ("pow2", PowersOfTwo()), ("row", DyadicRow(2))):
+            yield f"spread-{label}({name})", spread(seq, support)
+        yield f"restrict({name})", restrict(seq, Arith(0, 2))
+        combo = combine([1, -1, (F(1, 3), F(-2, 7)), 0], [seq, families.const_one(), seq, prop28()])
+        yield f"combine({name})", combo
+        yield f"nested({name})", combine(
+            [(F(3, 5), F(4, 5)), F(1, 2)], [combo, spread(seq, DyadicRow(1))]
+        )
+
+
+_DISC_GRID = dict(_disc_grid())
+
+
+@pytest.mark.parametrize("name", list(_DISC_GRID))
+def test_disc_tail_pairs_equal_the_fraction_formulas(name):
+    seq = _DISC_GRID[name]
+    for N in (-1, 0, 5, 37, 200, 4095):
+        for k in (1, 2, 7, 72):
+            r = F(k, k + 1)
+            pair, ref = seq.disc_tail(N, r, PREC), _ref_disc_tail(seq, N, r, PREC)
+            if ref is None:
+                assert pair is None, (N, k)
+                continue
+            num, den = pair
+            assert den > 0 and F(num, den) == ref, (N, k)
+
+
+@pytest.mark.parametrize("name", list(_DISC_GRID))
+def test_disc_tail_pairs_bound_the_next_512_terms(name):
+    # a tail is at least any finite stretch of the sum it bounds, here the
+    # lower moduli of the 512 terms past N
+    seq = _DISC_GRID[name]
+    if seq.disc_tail(0, F(1, 2), PREC) is None:
+        return
+    lower = [(n, seq.term(n, 16).abs_bounds(16)[0]) for n in range(200 + 513)]
+    for N in (-1, 0, 5, 37, 200):
+        for r in (F(1, 2), F(7, 8), F(72, 73)):
+            pair = seq.disc_tail(N, r, PREC)
+            s_num, s_den = DiscSum(r).extend(lower[N + 1:N + 513]).pair
+            t_num, t_den = pair
+            assert t_num * s_den >= s_num * t_den, (N, r)
+
+
+def test_many_spread_parts_on_one_row_keep_the_pairs_small():
+    # 64 parts on dyadic row 3, each tail a pair over its own denominator:
+    # the sum of the pairs must not grow past what one Fraction sum costs
+    bases = [prop28(), families.rem29(Arith(1, 3)), families.const_one(), nat(),
+             families.gap_lp_cap(F(1)), families.gap_cap_lp(F(0), F(1)), families.gap_cap_c0(F(2))]
+    parts = [spread(bases[i % len(bases)], DyadicRow(3)) for i in range(64)]
+    coeffs = [(F(1, i + 2), F(-1, i + 3)) if i % 3 else F(i + 1, 5) for i in range(64)]
+    f = combine(coeffs, parts)
+    start = time.process_time()
+    verdict = classify(f, HD, BUDGET, PREC)
+    assert time.process_time() - start < 1
+    assert isinstance(verdict, CertifiedIn) and verdict.cert.shape == "disc-schedule"
+    cut = min(BUDGET, 64)
+    moduli = _head_moduli(f, cut, PREC, root=True)
+    ref = []
+    for k in range(1, 9):
+        r = F(k, k + 1)
+        ref.append((r, cut, F(*DiscSum(r).extend(moduli).pair) + _ref_disc_tail(f, cut, r, PREC)))
+    assert verdict.cert.data == tuple(ref)
 
 
 # -- combine ---------------------------------------------------------------------
@@ -373,7 +489,7 @@ def test_tail_oracles_sound_on_finite(seed):
     if not brute_sq:
         assert a.tail_majorant(N, F(1), prec) == 0
         assert a.sup_tail(N, prec) == 0
-        assert a.disc_tail(N, F(1, 2), prec) == 0
+        assert F(*a.disc_tail(N, F(1, 2), prec)) == 0
         assert a.poly_sup_tail(N, 3, prec) == 0
 
 
@@ -578,7 +694,7 @@ def test_radius_power_is_exact_below_the_size_bound(k, n, prec):
 def test_disc_tail_of_a_far_entry_is_bounded_not_computed():
     a = FiniteRational({1 << 40: F(3), 5: (F(1, 2), F(-1, 3))})
     r = F(7, 8)
-    tail = a.disc_tail(0, r, PREC)
+    tail = F(*a.disc_tail(0, r, PREC))
     head = sqrt_bounds(F(1, 4) + F(1, 9), PREC)[1] * r ** 5
     assert tail == head + 3 * F(1, 1 << (PREC + 16))
 
