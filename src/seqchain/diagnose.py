@@ -295,20 +295,20 @@ def _weight(tag: SubseqLowerBound, m: int, k: int):
 
 
 def _threshold_table(tag: SubseqLowerBound, k: int):
-    """(threshold, m, g(m)) rows with s(m)**k * g(m) >= threshold."""
+    """(threshold, m, g(m)) rows with s(m)**k * g(m) >= threshold, each at
+    the least such m.  The thresholds ascend, so the m of a row meets every
+    smaller threshold too: one scan serves them all, each resuming where the
+    last row was found, and reads every g(m) and weight once."""
+    positive = ((m, g) for m in range(1, _SCAN_CAP + 1) if (g := tag.g(m)) > 0)
+    scan = ((m, g, _weight(tag, m, k) * g) for m, g in positive)
+    hit = next(scan, None)
     rows = []
     for threshold in _THRESHOLDS:
-        hit = None
-        for m in range(1, _SCAN_CAP + 1):
-            g = tag.g(m)
-            if g <= 0:
-                continue
-            if _weight(tag, m, k) * g >= threshold:
-                hit = (threshold, m, g)
-                break
+        while hit is not None and hit[2] < threshold:
+            hit = next(scan, None)
         if hit is None:
             return None
-        rows.append(hit)
+        rows.append((threshold, hit[0], hit[1]))
     return tuple(rows)
 
 

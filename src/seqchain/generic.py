@@ -257,7 +257,8 @@ def row_parts(f: Sequence, row: SupportSet, cutoff: int) -> dict[str, tuple[Frac
     """The parts of f that may meet row from the cutoff on, by spec key,
     with their summed coefficients.
 
-    Nested combinations are flattened, their coefficients multiplied.  A
+    Nested combinations are flattened, their coefficients multiplied (by a
+    unit coefficient, the parts keep their own, unmultiplied).  A
     part is dropped when its coefficient is zero or its support hint, a
     superset of its support, misses row from the cutoff on
     (``SupportSet.misses``).  Parts with one spec key have equal terms, so
@@ -270,17 +271,21 @@ def row_parts(f: Sequence, row: SupportSet, cutoff: int) -> dict[str, tuple[Frac
         if re == 0 and im == 0:
             continue
         if isinstance(part, Combine):
-            flat.extend(
-                (re * c_re - im * c_im, re * c_im + im * c_re, base)
-                for (c_re, c_im), base in zip(part.coeffs, part.bases)
-            )
+            pairs = zip(part.coeffs, part.bases)
+            if re == 1 and im == 0:
+                flat.extend((c_re, c_im, base) for (c_re, c_im), base in pairs)
+            else:
+                flat.extend(
+                    (re * c_re - im * c_im, re * c_im + im * c_re, base)
+                    for (c_re, c_im), base in pairs
+                )
             continue
         hint = part.support_hint
         if hint is not None and hint.misses(row, cutoff):
             continue
         key = part.spec_key()
-        s_re, s_im = parts.get(key, (Q0, Q0))
-        parts[key] = (s_re + re, s_im + im)
+        s = parts.get(key)
+        parts[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
     return {key: c for key, c in parts.items() if c != (Q0, Q0)}
 
 

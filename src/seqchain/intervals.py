@@ -66,7 +66,8 @@ def format_rational(q: Fraction) -> str:
     A numerator or denominator longer than the interpreter's limit on
     integer-to-string conversion (``sys.get_int_max_str_digits()``) cannot
     be rendered; that raises a SeqchainError naming the limit."""
-    q = Fraction(q)
+    if q.__class__ is not Fraction:
+        q = Fraction(q)
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:
@@ -393,7 +394,11 @@ class ComplexInterval:
         return lo, hi
 
     def excludes_zero(self) -> bool:
-        return self.abs_sq_bounds()[0] > 0
+        """Whether the lower end of |z|**2 over the box is positive, tested by
+        sign alone: that lower end is the least re**2 plus the least im**2,
+        and the least square on an axis is positive exactly when the axis
+        excludes 0."""
+        return self.re_lo > 0 or self.re_hi < 0 or self.im_lo > 0 or self.im_hi < 0
 
     def contains(self, c_re, c_im=0) -> bool:
         return (

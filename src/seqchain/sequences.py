@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .errors import LengthMismatch
@@ -38,6 +39,8 @@ _ZERO = ComplexInterval.zero()
 
 
 def _as_rat(x) -> Fraction:
+    if x.__class__ is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("coefficients must be exact rationals, not floats")
     return Fraction(x)
@@ -444,8 +447,6 @@ class Combine(Sequence):
         super().__init__()
         self.coeffs = [_as_pair(c) for c in coeffs]
         self.bases = list(bases)
-        mag = sum(abs(re) + abs(im) for re, im in self.coeffs)
-        self._bump = (int(mag) + 2).bit_length() + 1
         self._hints = [b.support_hint for b in self.bases]
         self._abs_coeffs: dict[tuple[int, int, int], list[Fraction]] = {}
         self.support_hint = (
@@ -453,6 +454,14 @@ class Combine(Sequence):
         )
         ts = [b.threshold for b in self.bases]
         self.threshold = None if None in ts else max(ts, default=Q0)
+
+    @cached_property
+    def _bump(self) -> int:
+        """Extra precision for the parts of a term, from sum |c_i|; made on
+        the first term evaluation, as a combination that is only certified
+        or recovered from never needs it."""
+        mag = sum(abs(re) + abs(im) for re, im in self.coeffs)
+        return (int(mag) + 2).bit_length() + 1
 
     def _term(self, n, prec):
         child = prec + self._bump

@@ -5,7 +5,9 @@ elements never share a support point.  Coefficients of a finite
 combination are recovered by evaluating at a support point where the
 basis element is provably nonzero; for combinations built over the basis
 the cross terms vanish exactly and the recovered interval is zero-width,
-even when the witness values themselves are irrational.
+even when the witness values themselves are irrational.  A combination's
+escape certificate needs one coefficient that excludes zero, so its
+recovery runs in row order and stops at the first such row.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint
 from .generic import OutsideXCertificate, disjoint_support, escape_certificate
-from .intervals import ComplexInterval, Q0
+from .intervals import ComplexInterval
 from .sequences import Combine, Sequence
 from .spaces import SpaceId
 from .witness import Witness, make_witness
@@ -86,19 +88,17 @@ def recover_coefficient(
 
     if isinstance(f, Combine):
         y_key = w.seq.spec_key()
-        exact_re, exact_im = Q0, Q0
-        residual = None
+        exact = residual = None
         for (re, im), base in zip(f.coeffs, f.bases):
             if base.spec_key() == y_key:
-                exact_re += re
-                exact_im += im
+                exact = (re, im) if exact is None else (exact[0] + re, exact[1] + im)
                 continue
             v = base.term(i0, prec)
             if v.is_exact_zero:
                 continue
             part = v.scale(re, im)
             residual = part if residual is None else residual + part
-        out = ComplexInterval.exact(exact_re, exact_im)
+        out = ComplexInterval.zero() if exact is None else ComplexInterval.exact(*exact)
         if residual is not None:
             out = out + residual.div(y_iv)
         return out
@@ -114,11 +114,19 @@ def certify_combination_outside(
 ) -> OutsideXCertificate:
     """Escape certificate for a finite combination over the basis, on the
     row of the smallest active index whose recovered coefficient excludes
-    zero, with that coefficient as the scale."""
-    recovered = {j: recover_coefficient(f, basis, j, prec, budget) for j in sorted(active)}
-    j0 = next((j for j, iv in recovered.items() if iv.excludes_zero()), None)
-    if j0 is None:
-        raise AllCoefficientsPossiblyZero(
-            "no recovered coefficient interval excludes zero at this precision"
-        )
-    return escape_certificate(f, j0, basis.elements[j0], recovered[j0], 0)
+    zero, with that coefficient as the scale.
+
+    Every active index must be in the basis (``KeyError`` otherwise, before
+    any recovery).  Coefficients are recovered in index order and recovery
+    stops at the first that excludes zero: the rows after it are never
+    evaluated."""
+    for j in active:
+        if j not in basis.elements:
+            raise KeyError(f"basis has no element {j}")
+    for j in sorted(active):
+        iv = recover_coefficient(f, basis, j, prec, budget)
+        if iv.excludes_zero():
+            return escape_certificate(f, j, basis.elements[j], iv, 0)
+    raise AllCoefficientsPossiblyZero(
+        "no recovered coefficient interval excludes zero at this precision"
+    )

@@ -26,7 +26,7 @@ from seqchain.generic import (
     row_parts,
 )
 from seqchain.intervals import ComplexInterval, format_rational
-from seqchain.sequences import FiniteRational, combine, restrict, spread, term_at, zero
+from seqchain.sequences import Combine, FiniteRational, combine, restrict, spread, term_at, zero
 from seqchain.spaceable import build_basis, certify_combination_outside
 from seqchain.spaces import C0, CN0, HD, LINF, AINF, adjacent_pairs, cap_lp, lp, metric_bound
 from seqchain.supports import AllNaturals, Arith, DyadicRow, ExplicitFinite, PowersOfTwo
@@ -337,6 +337,62 @@ def test_row_parts_flattens_and_keeps_only_what_may_meet_the_row():
     assert row_parts(g, DyadicRow(1), 0) == {w1: (2 * c1, c1), els[1].x.spec_key(): (F(3), F(0))}
     assert row_parts(g, DyadicRow(2), 0) == {w2: (3 * c2, F(0)), els[2].x.spec_key(): (F(5), F(0))}
     assert row_parts(combine([1, -1], [g, g]), DyadicRow(1), 0) == {}
+
+
+def _ref_row_parts(f, row, cutoff):
+    """row_parts by the product formula: every nested coefficient is the
+    product of the coefficients on its path, the unit ones included."""
+
+    def expand(re, im, part):
+        if isinstance(part, Combine):
+            for (c_re, c_im), base in zip(part.coeffs, part.bases):
+                yield from expand(re * c_re - im * c_im, re * c_im + im * c_re, base)
+        else:
+            yield re, im, part
+
+    parts = {}
+    for re, im, part in expand(F(1), F(0), f):
+        hint = part.support_hint
+        if (re or im) and not (hint is not None and hint.misses(row, cutoff)):
+            s_re, s_im = parts.get(part.spec_key(), (F(0), F(0)))
+            parts[part.spec_key()] = (s_re + re, s_im + im)
+    return {key: c for key, c in parts.items() if c != (0, 0)}
+
+
+def test_row_parts_of_nested_and_unit_coefficients_equal_the_product_formula():
+    leaves = [
+        spread(nat(), DyadicRow(1)),
+        spread(nat(), DyadicRow(2)),
+        spread(prop28(), DyadicRow(1)),
+        FiniteRational({0: 1, 3: F(1, 2)}),
+        nat(),  # no support hint: meets every row
+    ]
+    units = [1, (1, 0), (F(1), F(0))]
+    others = [0, -1, (0, 1), (2, -3), (F(1, 2), 1), (F(-1), F(0))]
+    rng = random.Random("row-parts")
+
+    def tree(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(leaves)
+        width = rng.randint(1, 3)
+        coeffs = [rng.choice(units if rng.random() < 0.5 else others) for _ in range(width)]
+        return combine(coeffs, [tree(depth - 1) for _ in range(width)])
+
+    unit_nested = 0
+    for _ in range(60):
+        f = tree(3)
+        if isinstance(f, Combine) and any(isinstance(b, Combine) for b in f.bases):
+            unit_nested += 1
+        for j in (1, 2, 3):
+            for cutoff in (0, 2, 9):
+                assert row_parts(f, DyadicRow(j), cutoff) == _ref_row_parts(f, DyadicRow(j), cutoff)
+    assert unit_nested >= 10
+    # a unit combination of unit combinations keeps each coefficient as given
+    a, b = leaves[0], leaves[2]
+    inner = combine([(F(2), F(-1)), F(1, 3)], [a, b])
+    f = combine([1], [combine([(1, 0)], [inner])])
+    assert row_parts(f, DyadicRow(1), 0) == {a.spec_key(): (2, -1), b.spec_key(): (F(1, 3), 0)}
+    assert row_parts(combine([1, -1], [f, inner]), DyadicRow(1), 0) == {}
 
 
 def test_every_miss_rule_is_sound_and_fires():

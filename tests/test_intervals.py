@@ -631,6 +631,46 @@ def test_equality_and_hash_are_those_of_the_field_tuple(z, how, other):
         assert hash(z) == hash(w)
 
 
+@st.composite
+def boxes_at_zero(draw):
+    """Boxes whose axes are points, zero among them, or intervals that may
+    start at, end at or straddle 0."""
+
+    def axis():
+        a = draw(st.one_of(st.just(Fraction(0)), rationals))
+        if draw(st.booleans()):
+            return a, a
+        b = draw(st.one_of(st.just(Fraction(0)), rationals))
+        return min(a, b), max(a, b)
+
+    return ComplexInterval(*axis(), *axis())
+
+
+@given(st.one_of(boxes_at_zero(), point_or_wide_boxes()))
+def test_excludes_zero_is_a_positive_least_abs_square(z):
+    assert z.excludes_zero() == (z.abs_sq_bounds()[0] > 0)
+
+
+@pytest.mark.parametrize(
+    "ends, excludes",
+    [
+        ((0, 0, 0, 0), False),
+        ((0, 1, 0, 0), False),
+        ((-1, 0, 0, 0), False),
+        ((-1, 1, -1, 1), False),
+        ((0, 1, -1, 0), False),
+        ((Fraction(1, 3), 1, -1, 1), True),
+        ((-1, 1, -2, Fraction(-1, 5)), True),
+        ((0, 0, Fraction(1, 2), Fraction(1, 2)), True),
+        ((-2, -2, 0, 0), True),
+    ],
+)
+def test_excludes_zero_at_zero_endpoints(ends, excludes):
+    z = ComplexInterval(*(Fraction(x) for x in ends))
+    assert z.excludes_zero() is excludes
+    assert (z.abs_sq_bounds()[0] > 0) is excludes
+
+
 def test_a_box_never_equals_a_non_box():
     z = ComplexInterval.exact(Fraction(0))
     assert z.__eq__(0) is NotImplemented

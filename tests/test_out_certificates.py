@@ -25,6 +25,7 @@ from seqchain.diagnose import (
     ViolatedAt,
     _abs_at_least,
     _abs_sq_lower,
+    _threshold_table,
     _verify_blocks,
     check_certificate,
     closed_family_check,
@@ -524,3 +525,43 @@ def test_fmk_with_k_zero_weighs_index_zero():
     got = closed_family_check(seq, FMk(M=F(1, 2), k=1), 64, PREC)
     assert got == _ref_pointwise_check(seq, FMk(M=F(1, 2), k=1), 64, PREC)
     assert isinstance(got, ViolatedAt) and got.n == 2
+
+
+# -- the threshold table resumes its scan at the previous row ---------------------
+
+
+def _tag_variants():
+    """(name, tag, k): the subsequence tags of every catalog member as is and
+    spread onto each support, with every weight exponent 0..4."""
+    for name, base in sorted(catalog().items()):
+        seqs = [(name, base)] + [
+            (f"{name}@{sup_name}", spread(base, sup)) for sup_name, sup in sorted(_SUPPORTS.items())
+        ]
+        for seq_name, seq in seqs:
+            for tag in seq.growth_tags:
+                if isinstance(tag, SubseqLowerBound):
+                    for k in range(5):
+                        yield seq_name, tag, k
+
+
+def test_threshold_table_equals_the_scan_from_m_1_per_threshold():
+    tables = [(name, k, _threshold_table(tag, k), _ref_threshold_table(tag, weight_k=k))
+              for name, tag, k in _tag_variants()]
+    for name, k, got, ref in tables:
+        assert got == ref, (name, k)
+    # both outcomes occur: full tables and tables with no row for some threshold
+    assert any(ref is None for *_, ref in tables)
+    assert any(ref is not None for *_, ref in tables)
+
+
+def test_threshold_table_reads_each_g_once():
+    nat_tag = next(t for t in families.nat().growth_tags if isinstance(t, SubseqLowerBound))
+    reads = []
+
+    def g(m):
+        reads.append(m)
+        return nat_tag.g(m)
+
+    rows = _threshold_table(replace(nat_tag, g=g), 0)
+    assert rows == _ref_threshold_table(nat_tag, weight_k=0)
+    assert reads == list(range(1, rows[-1][1] + 1))

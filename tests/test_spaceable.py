@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import BUDGET, PREC, point_check_failure, row_points
-from seqchain import witness
+from seqchain import spaceable, witness
 from seqchain.diagnose import classify
 from seqchain.errors import (
     AllCoefficientsPossiblyZero,
@@ -15,11 +15,13 @@ from seqchain.errors import (
     SeqchainError,
 )
 from seqchain.families import const_one
-from seqchain.generic import check_outside_certificate, disjoint_support
-from seqchain.sequences import FiniteRational, combine, zero
+from seqchain.generic import check_outside_certificate, disjoint_support, escape_certificate
+from seqchain.intervals import ComplexInterval
+from seqchain.sequences import Combine, FiniteRational, combine, zero
 from seqchain.serialize import canonical_json
 from seqchain.spaces import AINF, C0, adjacent_pairs, cap_lp, lp, parse_space
 from seqchain.spaceable import (
+    _first_nonzero_point,
     basis_element,
     build_basis,
     certify_combination_outside,
@@ -92,6 +94,15 @@ def test_recover_uses_disjointness():
     f = combine([3, 2], [basis.elements[1].seq, basis.elements[2].seq])
     iv = recover_coefficient(f, basis, 2, PREC)
     assert iv.is_exact and iv.re_lo == 2
+
+
+def test_recover_sums_the_coefficients_of_a_repeated_element():
+    basis = build_basis(lp(1), C0, 2, BUDGET, PREC)
+    w1, w2 = basis.elements[1].seq, basis.elements[2].seq
+    f = combine([(3, 1), (1, 2), (F(-1, 2), -1)], [w1, w2, w1])
+    iv = recover_coefficient(f, basis, 1, PREC)
+    assert iv.is_exact and (iv.re_lo, iv.im_lo) == (F(5, 2), 0)
+    assert recover_coefficient(combine([1, -1], [w1, w1]), basis, 1, PREC).is_exact_zero
 
 
 def test_recover_zero_sequence():
@@ -196,6 +207,9 @@ ESCAPE_GOLDEN_DIR = Path(__file__).parent / "escape_golden"
 ESCAPE_CASES = [
     ("lp-1-cap-lp-1", "lp:1", "cap-lp:1", [(0, 0), (2, -1), (0, 3), (-5, 0), (1, 1)]),
     ("cap-lp-2-c0", "cap-lp:2", "c0", [(3, -2), (0, 0), (1, 0), (0, -4), (5, 5)]),
+    # recorded before recovery stopped at the escaping row: rows 1-2 are
+    # zero, so the certificate sits on row 3
+    ("hd-cn0", "hd", "cn0", [(0, 0), (0, 0), (-3, 2), (4, 0), (0, -1)]),
 ]
 
 
@@ -220,3 +234,94 @@ def test_first_nonzero_point_budget():
     basis = build_basis(AINF, cap_lp(0), 1, BUDGET, PREC)
     with pytest.raises(NoNonzeroSupportPoint):
         recover_coefficient(zero(), basis, 1, PREC, budget=1)
+
+
+# -- reference: recovery of every active row, then the first that escapes --------
+
+
+def _ref_recover_coefficient(f, basis, j, prec, budget):
+    w = basis.elements[j]
+    i0, prec = _first_nonzero_point(w, budget, prec)
+    y_iv = w.seq.term(i0, prec)
+    if isinstance(f, Combine):
+        y_key = w.seq.spec_key()
+        exact_re, exact_im = F(0), F(0)
+        residual = None
+        for (re, im), base in zip(f.coeffs, f.bases):
+            if base.spec_key() == y_key:
+                exact_re += re
+                exact_im += im
+                continue
+            v = base.term(i0, prec)
+            if v.is_exact_zero:
+                continue
+            part = v.scale(re, im)
+            residual = part if residual is None else residual + part
+        out = ComplexInterval.exact(exact_re, exact_im)
+        if residual is not None:
+            out = out + residual.div(y_iv)
+        return out
+    return f.term(i0, prec).div(y_iv)
+
+
+def _ref_certify_combination_outside(f, basis, active, budget, prec):
+    recovered = {j: _ref_recover_coefficient(f, basis, j, prec, budget) for j in sorted(active)}
+    j0 = next((j for j, iv in recovered.items() if iv.abs_sq_bounds()[0] > 0), None)
+    if j0 is None:
+        raise AllCoefficientsPossiblyZero("no recovered coefficient interval excludes zero")
+    return escape_certificate(f, j0, basis.elements[j0], recovered[j0], 0)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{p[0]}<{p[1]}")
+def test_certificates_stop_at_the_escaping_row_as_the_eager_reference(pair, monkeypatch):
+    inner, outer = pair
+    basis = build_basis(inner, outer, 4, BUDGET, PREC)
+    rng = random.Random(f"stop|{inner}|{outer}")
+    seqs = [basis.elements[j].seq for j in (1, 2, 3, 4)]
+    recovered = []
+    real_recover = spaceable.recover_coefficient
+
+    def recover(f, basis, j, prec, budget=256):
+        recovered.append(j)
+        return real_recover(f, basis, j, prec, budget)
+
+    monkeypatch.setattr(spaceable, "recover_coefficient", recover)
+    for zeros in range(5):  # the leading `zeros` coefficients vanish
+        for _ in range(3):
+            t = [(F(0), F(0))] * zeros + [
+                (F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(-4, 4)))
+                for _ in range(4 - zeros)
+            ]
+            if zeros < 4 and t[zeros] == (0, 0):
+                t[zeros] = (F(1), F(-1))
+            f = combine(t, seqs)
+            for j in (1, 2, 3, 4):
+                assert real_recover(f, basis, j, PREC, BUDGET) == _ref_recover_coefficient(
+                    f, basis, j, PREC, BUDGET
+                )
+            recovered.clear()
+            if zeros == 4:
+                with pytest.raises(AllCoefficientsPossiblyZero):
+                    _ref_certify_combination_outside(f, basis, [1, 2, 3, 4], BUDGET, PREC)
+                with pytest.raises(AllCoefficientsPossiblyZero):
+                    certify_combination_outside(f, basis, [1, 2, 3, 4], BUDGET, PREC)
+                assert recovered == [1, 2, 3, 4]
+                continue
+            cert = certify_combination_outside(f, basis, [4, 2, 3, 1], BUDGET, PREC)
+            ref = _ref_certify_combination_outside(f, basis, [1, 2, 3, 4], BUDGET, PREC)
+            assert cert.j0 == ref.j0 == zeros + 1
+            assert cert.scale == ref.scale
+            assert canonical_json(cert.describe()) == canonical_json(ref.describe())
+            assert recovered == list(range(1, zeros + 2))
+
+
+def test_a_missing_active_index_raises_before_any_recovery():
+    # row 1 of this basis has no provably nonzero point at budget 1, so any
+    # recovery would raise NoNonzeroSupportPoint first
+    basis = build_basis(AINF, cap_lp(0), 1, BUDGET, PREC)
+    with pytest.raises(NoNonzeroSupportPoint):
+        certify_combination_outside(zero(), basis, [1], 1, PREC)
+    with pytest.raises(KeyError):
+        certify_combination_outside(zero(), basis, [1, 5], 1, PREC)
+    with pytest.raises(KeyError):
+        certify_combination_outside(combine([1], [basis.elements[1].seq]), basis, [5, 1], BUDGET, PREC)
