@@ -43,7 +43,6 @@ from .errors import ParseError, UnsupportedSpace
 from .intervals import Q0, Q1, DiscSum, PowSum, format_rational
 from .sequences import Sequence, support_indices_upto
 from .spaces import AINF, C0, HD, LINF, SpaceId
-from .supports import AllNaturals
 from .tags import COMPARATORS, BlockDivergence, RootLowerBound, SubseqLowerBound
 
 _SCHEDULE_K = 8          # exponents / radii sampled by in-certificates
@@ -264,25 +263,18 @@ def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
     """Sum the certified lower mass |a_n|**p over every position of each
     block j in js and compare it with beta(j).
 
-    Every sampled term is evaluated, and each block is summed by runs of
-    equal (``==``) consecutive terms: a run of ``count`` terms adds
-    ``count * low`` once.  The runs are found by ``ComplexInterval``'s
-    point-aware ``==``, which compares one endpoint per zero-width axis.
-    Exact rational arithmetic makes that the same total as the term-by-term
-    sum, so ``abs_sq_bounds`` and the power run once per run, and a
-    block-constant witness costs one power per block."""
+    Each block is summed over ``seq.position_runs``, one power per run, which
+    exact rationals make the term-by-term sum however the runs split: a
+    ``gap-cap-c0`` level run (or a spread's) reads no term, the default all."""
     if bd.comparator not in COMPARATORS:
         return False
-    hint = seq.support_hint or AllNaturals()
-    half_p = bd.p / 2
     for j in js:
         k_lo, k_hi = bd.block(j)
         if k_lo < 1 or k_hi < k_lo:
             return False
-        terms = (seq.term(hint.nth(k), prec) for k in range(k_lo, k_hi + 1))
-        total = PowSum(half_p, prec)
-        for iv, run in groupby(terms):
-            total.add(iv.abs_sq_bounds()[0], sum(1 for _ in run))
+        total = PowSum(bd.p, prec)
+        for box, count in seq.position_runs(k_lo, k_hi, prec):
+            total.add(box.modulus_bounds()[0], count)
         if total.value < bd.beta(j):
             return False
     return True
@@ -364,8 +356,8 @@ def try_out_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
 
 
 def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
-    """(n, upper bound on |a_n|**2 at prec) for every support index n <= N,
-    or on |a_n| when root is set (the sup and disc heads).
+    """(n, upper end of the term's ``modulus_bounds``) for every support index
+    n <= N, or (n, upper bound on |a_n|) when root is set (sup and disc heads).
 
     A certificate call builds one head per cutoff N and every row of its
     schedule reads from it, so each |a_n| is bounded once per call; the
@@ -373,21 +365,21 @@ def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
     head = []
     for n in support_indices_upto(seq, N):
         iv = seq.term(n, prec)
-        head.append((n, iv.abs_bounds(prec)[1] if root else iv.abs_sq_bounds()[1]))
+        head.append((n, iv.abs_bounds(prec)[1] if root else iv.modulus_bounds()[1]))
     return head
 
 
-def _head_runs(head) -> list[tuple[Fraction, int]]:
+def _head_runs(head) -> list[tuple[tuple[Fraction, bool], int]]:
     """(modulus, count) per run of equal nonzero moduli of a head, made once
     per certificate call: a zero adds nothing to a head sum, a run adds once."""
-    return [(sq, sum(1 for _ in run)) for sq, run in groupby(sq for _, sq in head if sq)]
+    return [(m, sum(1 for _ in run)) for m, run in groupby(m for _, m in head if m[0])]
 
 
 def _lp_head_upper(runs, p: Fraction, prec: int) -> Fraction:
-    """Upper bound on the head sum of |a_n|**p from the runs of a squared head."""
-    total = PowSum(p / 2, prec, upper=True)
-    for sq_hi, count in runs:
-        total.add(sq_hi, count)
+    """Upper bound on the head sum of |a_n|**p from the runs of a head."""
+    total = PowSum(p, prec, upper=True)
+    for modulus, count in runs:
+        total.add(modulus, count)
     return total.value
 
 
@@ -650,11 +642,11 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
         if fam.p <= 0:
             raise ParseError(f"bad family ref {format_family(fam)}: exponent must be positive")
         hp = prec + 32
-        cum_lo, cum_hi = PowSum(fam.p / 2, hp), PowSum(fam.p / 2, hp, upper=True)
+        cum_lo, cum_hi = PowSum(fam.p, hp), PowSum(fam.p, hp, upper=True)
         for n in support_indices_upto(seq, budget):
-            sq_lo, sq_hi = seq.term(n, hp).abs_sq_bounds()
-            cum_hi.add(sq_hi)
-            if cum_lo.add(sq_lo).value > fam.M:
+            lo, hi = seq.term(n, hp).modulus_bounds()
+            cum_hi.add(hi)
+            if cum_lo.add(lo).value > fam.M:
                 return ViolatedAt(n, cum_lo.value, cum_hi.value)
         return ConsistentUpTo(budget)
 

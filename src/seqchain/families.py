@@ -480,15 +480,22 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
     if b < 0:
         raise ValueError("parameter must be >= 0")
 
-    # one box per dyadic level L(n+2), so a run of equal terms is one object
+    # one box per dyadic level L(n+2), read by terms and runs alike
     levels: dict[int, ComplexInterval] = {}
 
-    def term(n, prec):
-        L = _floor_log2(n + 2)
+    def level(L):
         box = levels.get(L)
         if box is None:
             box = levels[L] = ComplexInterval.exact(Fraction(1, L))
         return box
+
+    def term(n, prec):
+        return level(_floor_log2(n + 2))
+
+    def runs(k_lo, k_hi, prec):
+        # position k is n = k - 1: level L covers 2**L - 1 .. 2**(L+1) - 2
+        for L in range(_floor_log2(k_lo + 1), _floor_log2(k_hi + 1) + 1):
+            yield level(L), min(k_hi, (2 << L) - 2) - max(k_lo, (1 << L) - 1) + 1
 
     def sup(N, prec):
         return Fraction(1, _floor_log2(N + 3))
@@ -517,6 +524,7 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
         sup_fn=sup,
         disc_fn=_disc_unit,
         lp_div_fn=lp_div,
+        runs_fn=runs,
         support_hint=AllNaturals(),
     )
 

@@ -16,6 +16,12 @@ the result is lo = iroot(floor(q**a * 2**(k*(prec+1))), k) over 2**(prec+1),
 an integer that ``PowSum`` adds without building a ``Fraction``.  Every disc
 sum, sum a_n r**n over a head, comes from one Horner kernel, ``DiscSum``.
 
+``PowSum`` powers a bound h on |x| at p for a real box, one on |x|**2 at p/2
+otherwise (``ComplexInterval.modulus_bounds``).  h**p = (h**2)**(p/2) is one
+real number, with one grid floor, and for p = a/k in lowest terms both are
+rational iff h is a k-th power (a even makes k odd; a odd asks h**2 to be a
+2k-th power).  So a real term is powered from half the bits.
+
 The box operations skip work on exact zeros: when a box or a scalar is
 real, the products with its zero imaginary part and the sums with them
 are left out.  ``0*c`` and ``x + 0`` are exact in rational arithmetic, so
@@ -183,18 +189,20 @@ def pow_bounds(q: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]
 
 
 class PowSum:
-    """Running sum of one endpoint of ``pow_bounds(q, e, prec)``, e > 0, over
-    ``add(q, count)`` calls (q >= 0): inexact endpoints, lo or lo + 1 over
-    2**(prec+1), add as one integer numerator, exact ones as a ``Fraction``;
-    ``value`` makes one ``Fraction`` per read, the exact sum of the endpoints."""
+    """Running sum of one endpoint of ``pow_bounds(q, e, prec)``, e > 0 (e/2 if
+    ``squared``), over ``add((q, squared), count)`` calls, q >= 0 (``modulus_bounds``
+    ends): inexact endpoints, lo or lo + 1 over 2**(prec+1), add as one integer
+    numerator, exact ones as a ``Fraction``; ``value`` is their exact sum."""
 
     def __init__(self, e: Fraction, prec: int, upper: bool = False):
-        self.a, self.k, self.prec, self.upper = e.numerator, e.denominator, prec, upper
+        self.exps = [(x.numerator, x.denominator) for x in (e, e / 2)]
+        self.prec, self.upper = prec, upper
         self.exact, self.num = Q0, 0
 
-    def add(self, q: Fraction, count: int = 1) -> "PowSum":
+    def add(self, end: tuple[Fraction, bool], count: int = 1) -> "PowSum":
+        q, squared = end
         if q:
-            exact, lo = pow_grid(q, self.a, self.k, self.prec)
+            exact, lo = pow_grid(q, *self.exps[squared], self.prec)
             if exact is None:
                 self.num += count * (lo + self.upper)
             else:
@@ -380,6 +388,17 @@ class ComplexInterval:
         if self.is_real:
             return r_lo, r_hi  # real box: adding the zero square is exact
         return _sum(r_lo, r_hi, *_interval_sq(self.im_lo, self.im_hi))
+
+    def modulus_bounds(self) -> tuple[tuple[Fraction, bool], tuple[Fraction, bool]]:
+        """The least and greatest |z| over the box as ``PowSum`` ends: exact
+        bounds on |re| and False for a real box, no square taken, and on
+        |z|**2 and True otherwise (module docstring)."""
+        if not self.is_real:
+            lo, hi = self.abs_sq_bounds()
+            return (lo, True), (hi, True)
+        lo, hi = self.re_lo, self.re_hi
+        lo, hi = (lo, hi) if lo >= 0 else _neg(lo, hi) if hi <= 0 else (Q0, max(-lo, hi))
+        return (lo, False), (hi, False)
 
     def abs_bounds(self, prec: int) -> tuple[Fraction, Fraction]:
         """Rational bounds on |z|, rounded outward at 2**-prec."""

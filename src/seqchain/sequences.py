@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from typing import Callable
 
 from .errors import LengthMismatch
@@ -117,6 +118,14 @@ class Sequence:
 
     def _term(self, n: int, prec: int) -> ComplexInterval:
         raise NotImplementedError
+
+    def position_runs(self, k_lo: int, k_hi: int, prec: int):
+        """(box, count) runs that repeat to the terms at support positions
+        k_lo..k_hi (1-based, on the hint, all naturals without one).  This
+        default groups equal (``==``) neighbours among all of those terms."""
+        hint = self.support_hint or AllNaturals()
+        terms = (self.term(hint.nth(k), prec) for k in range(k_lo, k_hi + 1))
+        return ((box, sum(1 for _ in run)) for box, run in groupby(terms))
 
     # -- certified tail metadata (None = not available) -----------------
     def tail_majorant(self, N: int, p: Fraction, prec: int):
@@ -252,6 +261,7 @@ class FamilySeq(Sequence):
         pos_sup_fn=None,
         disc_fn=None,
         lp_div_fn=None,
+        runs_fn=None,
         threshold=None,
         tags=(),
         support_hint=None,
@@ -264,6 +274,7 @@ class FamilySeq(Sequence):
         self._sup_fn = sup_fn
         self._disc_fn = disc_fn
         self._lp_div_fn = lp_div_fn
+        self._runs_fn = runs_fn
         self.threshold = threshold
         self.growth_tags = tuple(tags)
         self.support_hint = support_hint
@@ -271,6 +282,9 @@ class FamilySeq(Sequence):
 
     def _term(self, n, prec):
         return self._term_fn(n, prec)
+
+    def position_runs(self, k_lo, k_hi, prec):
+        return (self._runs_fn or super().position_runs)(k_lo, k_hi, prec)
 
     def tail_majorant(self, N, p, prec):
         p, t = Fraction(p), self.threshold
@@ -353,6 +367,13 @@ class Spread(Sequence):
             return ComplexInterval.zero()
         k = self.support.rank_upto(n)  # 1-based position of n in the support
         return self.base.term(k - 1, prec)
+
+    def position_runs(self, k_lo, k_hi, prec):
+        # spread position k carries base position k on a gapless base hint
+        hint = self.base.support_hint
+        if hint is None or isinstance(hint, AllNaturals):
+            return self.base.position_runs(k_lo, k_hi, prec)
+        return super().position_runs(k_lo, k_hi, prec)
 
     def _base_cut(self, N):
         return self.support.rank_upto(N) - 1

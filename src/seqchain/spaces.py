@@ -23,8 +23,8 @@ metric computable from coefficient data with certified tails:
 ``metric_bound`` returns certified two-sided bounds.  Upper bounds are
 minimised over a power-of-two ladder of effective budgets, which keeps
 them monotone in the budget despite interval rounding in the heads.  The
-rungs share one head: one increasing list of the nonzero |d_n|**2 bounds
-and one of the nonzero |d_n| bounds, each enclosure computed once per call,
+rungs share one head: one increasing list of the nonzero terms' exact
+``modulus_bounds`` and one of their |d_n| bounds, each computed once per call,
 and every head sum, per rung, radius or exponent, extends itself over a
 ``bisect`` slice of one list instead of summing again from zero.  The
 endpoints are exact rationals, so the bounds equal those of rungs summed
@@ -181,8 +181,8 @@ def _budget_ladder(budget: int) -> list[int]:
 class _Head:
     """The head of one ``metric_bound`` call: |d_n| enclosures and running sums.
 
-    It keeps two lists increasing in n, the nonzero |d_n|**2 bounds and the
-    nonzero |d_n| bounds (``nonzero``), each made on first use from one
+    It keeps two lists increasing in n, the nonzero terms' ``modulus_bounds``
+    and their |d_n| bounds (``nonzero``), each made on first use from one
     enclosure per term at ``prec + _HEAD_GUARD`` and extended as the cutoff
     grows.  Each head sum, keyed by integers, remembers its cutoff and reads
     the ``bisect`` slice of one list past it; the endpoints are exact
@@ -205,7 +205,7 @@ class _Head:
     def nonzero(self, root: bool, lo: int, hi: int) -> list:
         """(n, bounds) for each nonzero d_n with lo < n <= hi, increasing in n:
         bounds on |d_n| rounded outward at 2**-hp when ``root`` is set, else
-        exact bounds on |d_n|**2."""
+        the term's exact ``modulus_bounds``."""
         entry = self._nonzero.get(root)
         if entry is None:
             entry = self._nonzero[root] = [-1, [], []]
@@ -216,7 +216,7 @@ class _Head:
                 iv = self.diff.term(n, self.hp)
                 if not iv.is_exact_zero:
                     indices.append(n)
-                    bounds.append((n, iv.abs_bounds(self.hp) if root else iv.abs_sq_bounds()))
+                    bounds.append((n, iv.abs_bounds(self.hp) if root else iv.modulus_bounds()))
             entry[0] = hi
         return bounds[bisect_right(indices, lo):bisect_right(indices, hi)]
 
@@ -246,8 +246,8 @@ class _Head:
     def power_sum(self, p: Fraction, N: int):
         """Bounds on sum_{n<=N} |d_n|**p, one ``PowSum`` per endpoint."""
         lo, hi = self._extend(
-            ("lp", p.numerator, p.denominator), N, False, lambda n, sq: sq, PowSum.add,
-            lambda: (PowSum(p / 2, self.hp), PowSum(p / 2, self.hp, upper=True)),
+            ("lp", p.numerator, p.denominator), N, False, lambda n, ends: ends, PowSum.add,
+            lambda: (PowSum(p, self.hp), PowSum(p, self.hp, upper=True)),
         )
         return lo.value, hi.value
 

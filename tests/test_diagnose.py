@@ -3,8 +3,10 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -44,10 +46,11 @@ from seqchain.diagnose import (
 )
 from seqchain.errors import UnsupportedSpace
 from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, gap_lp_cap, nat, nat_power, prop28
-from seqchain.intervals import ComplexInterval, pow_bounds, sqrt_bounds
+from seqchain.intervals import ComplexInterval, PowSum, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     FiniteRational,
     Sequence,
+    _SpreadBlock,
     combine,
     restrict,
     spread,
@@ -789,16 +792,144 @@ def test_sparse_hint_divergences_certify_on_spreads():
     assert cases >= 8
 
 
+# -- position runs: a node's structure read instead of its terms -------------------
+
+
+def _run_nodes():
+    """The catalog as is, spread onto each support, restricted and combined."""
+    for name, seq in sorted(catalog().items()):
+        yield name, seq
+        for support in sorted(_SPREAD_SUPPORTS):
+            yield f"spread({name}, {support})", spread(seq, _SPREAD_SUPPORTS[support])
+        yield f"restrict({name})", restrict(seq, Arith(0, 2))
+        yield f"combine({name})", combine([F(1, 2), (F(-2, 3), F(1, 5))], [seq, const_one()])
+
+
+_RUN_NODES = dict(_run_nodes())
+
+
+def _position_ranges(rng, size):
+    """One position, ranges from k_lo = 1, and ranges across several dyadic
+    levels, all within the first ``size`` positions."""
+    k = rng.randint(1, size)
+    yield k, k
+    yield 1, 1
+    yield 1, rng.randint(1, size)
+    for _ in range(3):
+        k_lo = rng.randint(1, max(1, size // 4))
+        yield k_lo, rng.randint(k_lo, size)
+
+
+@pytest.mark.parametrize("name", list(_RUN_NODES))
+def test_position_runs_expand_to_the_terms(name):
+    seq = _RUN_NODES[name]
+    hint = seq.support_hint or AllNaturals()
+    # 60 positions span five dyadic levels, and stay below 2**64 on the
+    # sparsest hints (powers of two and selections from them)
+    size = hint.rank_upto(1 << 64) if hint.finite_flag else 60
+    if size == 0:
+        return
+    rng = random.Random(sum(map(ord, name)))
+    for k_lo, k_hi in _position_ranges(rng, size):
+        runs = list(seq.position_runs(k_lo, k_hi, PREC))
+        assert all(count >= 1 for _, count in runs)
+        assert sum(count for _, count in runs) == k_hi - k_lo + 1
+        expanded = [box for box, count in runs for _ in range(count)]
+        assert expanded == [seq.term(hint.nth(k), PREC) for k in range(k_lo, k_hi + 1)], (k_lo, k_hi)
+
+
+@pytest.mark.parametrize("support", ["all", "arith", "dyadic-row"])
+def test_level_runs_of_gap_cap_c0_span_far_ranges(support):
+    # one run per dyadic level, equal to the terms at both of its ends, on
+    # ranges of up to 2**42 positions that no term loop could read
+    seq = spread(gap_cap_c0(F(2)), _SPREAD_SUPPORTS[support])
+    rng = random.Random(5)
+    for _ in range(20):
+        k_lo = rng.randint(1, 1 << 40)
+        k_hi = k_lo + rng.randint(0, 1 << 42)
+        runs, k = list(seq.position_runs(k_lo, k_hi, PREC)), k_lo
+        for box, count in runs:
+            assert count >= 1
+            assert box == seq.term(seq.support_hint.nth(k), PREC)
+            assert box == seq.term(seq.support_hint.nth(k + count - 1), PREC)
+            k += count
+        assert k == k_hi + 1
+        assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+
+
+def _parent_block_mass(seq, bd, j, prec):
+    """Reference copy of the block loop that position runs replaced: every
+    position read, runs of equal terms grouped, each run's least |a|**2
+    powered at p/2.  None for a block the check turns away."""
+    hint = seq.support_hint or AllNaturals()
+    k_lo, k_hi = bd.block(j)
+    if k_lo < 1 or k_hi < k_lo:
+        return None
+    terms = (seq.term(hint.nth(k), prec) for k in range(k_lo, k_hi + 1))
+    total = PowSum(bd.p / 2, prec)
+    for iv, run in groupby(terms):
+        total.add((iv.abs_sq_bounds()[0], False), sum(1 for _ in run))
+    return total.value
+
+
+def _every_catalog_divergence():
+    """Each catalog divergence on its own node and on every spread of it,
+    moved by ``_SpreadBlock`` where the base's hint is sparse."""
+    for _, base in sorted(catalog().items()):
+        nodes = [base] + [spread(base, s) for _, s in sorted(_SPREAD_SUPPORTS.items())]
+        escapes = {_escape_exponent(base.threshold, a) for a in (F(0), F(1))}
+        for q in sorted({F(1), F(2), F(3)} | escapes - {None}):
+            for seq in nodes:
+                bd = seq.lp_divergence(q)
+                if bd is not None:
+                    yield seq, bd
+
+
+def test_block_checks_equal_the_parent_loop_on_every_catalog_divergence():
+    cases = list(_every_catalog_divergence())
+    assert len(cases) >= 100
+    assert any(isinstance(bd.block, _SpreadBlock) for _, bd in cases)
+    for seq, bd in cases:
+        for j in range(bd.j_start, bd.j_start + 3):
+            mass = _parent_block_mass(seq, bd, j, PREC)
+            expected = mass is not None and mass >= bd.beta(j)
+            assert _verify_blocks(seq, bd, (j,), PREC) == expected, (seq.spec(), bd.p, j)
+            if mass is not None:
+                exact = replace(bd, comparator="constant", c=mass, j_start=j)
+                assert _verify_blocks(seq, exact, (j,), PREC)
+                assert not _verify_blocks(seq, replace(exact, c=mass + BUMP), (j,), PREC)
+
+
+@pytest.mark.parametrize("b", [F(1), F(2)], ids=str)
+def test_gap_cap_c0_leaves_every_lp_fast_without_reading_a_term(b):
+    # j_start grows with p (16 at p = 4, 109 at p = 16) and block j holds
+    # 2**j positions; each block is one level run, so certifying and
+    # re-checking take well under a millisecond here, and no term is read
+    cases = [(gap_cap_c0(b), p) for p in range(4, 17)]
+    cases.append((spread(gap_cap_c0(b), DyadicRow(3)), 6))
+    for seq, p in cases:
+        start = time.perf_counter()
+        v = classify(seq, lp(p), BUDGET, PREC)
+        assert isinstance(v, CertifiedOut) and check_certificate(seq, v, 3, PREC)
+        assert time.perf_counter() - start < 0.1, (p, seq.spec())
+        assert not seq._term_cache and not getattr(seq, "base", seq)._term_cache
+
+
 # -- in-certificate heads: grid sums against Fraction sums --------------------------
 
 
 def _ref_lp_head_upper(moduli, p, prec):
     """The head sum as it was added in Fraction arithmetic, one upper
-    endpoint per term."""
+    endpoint per term, from the squared moduli."""
     total = F(0)
     for _, sq_hi in moduli:
         total += _ref_pow_bounds(sq_hi, p / 2, prec)[1]
     return total
+
+
+def _squared_moduli(seq, N, prec):
+    """The head as it was: (n, upper bound on |a_n|**2) straight from the boxes."""
+    return [(n, seq.term(n, prec).abs_sq_bounds()[1]) for n in support_indices_upto(seq, N)]
 
 
 # lp exponents (p = 2 and p = 4 make every summand exact) and cap-lp rows a + 1/n
@@ -812,10 +943,10 @@ def test_lp_head_uppers_equal_fraction_sums(name):
     seq = catalog()[name]
     # n**n (nat-power, nn-evens) makes the reference's q**a slow past N = 40
     for N in (-1, 0, 9, 40) if name in ("nat-power", "nn-evens") else (-1, 0, 9, 64, 300):
-        moduli = _head_moduli(seq, N, PREC)
-        runs = _head_runs(moduli)
+        runs = _head_runs(_head_moduli(seq, N, PREC))
+        squared = _squared_moduli(seq, N, PREC)
         for p in _HEAD_EXPONENTS:
-            assert _lp_head_upper(runs, p, PREC) == _ref_lp_head_upper(moduli, p, PREC), (N, p)
+            assert _lp_head_upper(runs, p, PREC) == _ref_lp_head_upper(squared, p, PREC), (N, p)
 
 
 @pytest.mark.parametrize("prec", [16, 64])
@@ -824,10 +955,10 @@ def test_lp_head_uppers_of_finite_rationals_equal_fraction_sums(prec):
     rng = random.Random(7)
     for _ in range(40):
         seq = random_finite(rng, max_index=30)
-        moduli = _head_moduli(seq, 30, prec)
-        runs = _head_runs(moduli)
+        runs = _head_runs(_head_moduli(seq, 30, prec))
+        squared = _squared_moduli(seq, 30, prec)
         for p in _HEAD_EXPONENTS:
-            assert _lp_head_upper(runs, p, prec) == _ref_lp_head_upper(moduli, p, prec)
+            assert _lp_head_upper(runs, p, prec) == _ref_lp_head_upper(squared, p, prec)
 
 
 def _ref_partial_sum_check(seq, fam, budget, prec):
@@ -853,20 +984,28 @@ def test_partial_sum_scans_equal_fraction_sums(name):
 
 
 def test_lp_head_uppers_with_runs_of_equal_moduli_equal_term_by_term_sums():
-    # runs of equal moduli, exact and on the grid, zeros among them
+    # runs of equal moduli, exact and on the grid, zeros among them: of real
+    # boxes of either sign or across 0, and of complex ones
     rng = random.Random(11)
     values = [F(0), F(1), F(1, 4), F(2), F(1, 3), F(5, 7), F(9, 4)]
+    boxes = [ComplexInterval.exact(v) for v in values] + [
+        ComplexInterval.exact(-F(9, 4)),
+        ComplexInterval.from_real_bounds(F(-1, 3), F(1, 2)),
+        ComplexInterval.exact(F(3, 4), F(-1, 3)),
+        _box(F(1, 5), F(2, 5), F(-1, 7), F(1, 9)),
+    ]
     for _ in range(60):
-        moduli, n = [], 0
+        moduli, squared, n = [], [], 0
         for _ in range(rng.randint(0, 8)):
-            q = rng.choice(values)
+            box = rng.choice(boxes)
             for _ in range(rng.randint(1, 6)):
-                moduli.append((n, q))
+                moduli.append((n, box.modulus_bounds()[1]))
+                squared.append((n, box.abs_sq_bounds()[1]))
                 n += 1
         runs = _head_runs(moduli)
         for p in _HEAD_EXPONENTS:
             for prec in (16, PREC):
-                assert _lp_head_upper(runs, p, prec) == _ref_lp_head_upper(moduli, p, prec)
+                assert _lp_head_upper(runs, p, prec) == _ref_lp_head_upper(squared, p, prec)
 
 
 # -- disc-schedule rows: the disc-sum kernel against Fraction sums ---------------------

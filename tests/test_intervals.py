@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -450,12 +451,53 @@ def test_pow_sum_equals_the_sum_of_reference_endpoints(terms, e, prec):
     lo_sum, hi_sum = PowSum(e, prec), PowSum(e, prec, upper=True)
     ref_lo = ref_hi = Fraction(0)
     for q, count in terms:
-        lo_sum.add(q, count)
-        hi_sum.add(q, count)
+        lo_sum.add((q, False), count)
+        hi_sum.add((q, False), count)
         lo, hi = _ref_pow_bounds(q, e, prec)
         ref_lo += count * lo
         ref_hi += count * hi
     assert (lo_sum.value, hi_sum.value) == (ref_lo, ref_hi)
+
+
+def _real_boxes(rng):
+    """Seeded real boxes: positive, negative, straddling 0 and points, with
+    perfect squares, cubes and fourth powers among the endpoints."""
+    powers = [Fraction(9, 4), Fraction(8, 27), Fraction(16, 81), Fraction(1, 4), Fraction(4)]
+    for _ in range(40):
+        a, b = (rng.choice(powers) if rng.random() < 0.4 else
+                Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(2))
+        lo, hi = min(a, b), max(a, b)
+        yield ComplexInterval.exact(a)
+        yield ComplexInterval.exact(-a)
+        yield ComplexInterval.from_real_bounds(lo, hi)
+        yield ComplexInterval.from_real_bounds(-hi, -lo)
+        yield ComplexInterval.from_real_bounds(-a, b)
+    yield ComplexInterval.zero()
+
+
+# p = a + 1/n (cap-lp rows), 1/k (roots), and integer p
+_BOX_EXPONENTS = [a + Fraction(1, n) for a in (0, 1, 2) for n in (1, 2, 3, 8)] + [
+    Fraction(1, k) for k in (2, 3, 5)] + [Fraction(1), Fraction(2), Fraction(3)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_real_boxes_powered_from_abs_equal_the_squared_path(seed):
+    # a real box's modulus end is |re|, powered at p; the squared path
+    # powers |re|**2 at p/2
+    boxes = list(_real_boxes(random.Random(seed)))
+    for box in boxes:
+        ends = box.modulus_bounds()
+        assert [q * q for q, _ in ends] == list(box.abs_sq_bounds())
+        assert not any(squared for _, squared in ends)
+    for p in _BOX_EXPONENTS:
+        for prec in (16, 64):
+            for upper in (False, True):
+                for box in boxes:
+                    sq = box.abs_sq_bounds()[upper]
+                    via_abs = PowSum(p, prec, upper).add(box.modulus_bounds()[upper], 3).value
+                    via_sq = PowSum(p / 2, prec, upper).add((sq, False), 3).value
+                    ref = 3 * _ref_pow_bounds(sq, p / 2, prec)[upper] if sq else 0
+                    assert via_abs == via_sq == ref, (box, p, prec, upper)
 
 
 @given(
@@ -704,3 +746,11 @@ def test_out_of_order_endpoints_are_rejected_on_either_axis(a, b):
 def test_box_constructors_reject_floats(build):
     with pytest.raises(TypeError, match="not floats"):
         build()
+
+
+@given(point_or_wide_boxes(), st.sampled_from(_BOX_EXPONENTS), st.booleans())
+def test_any_box_powered_from_its_modulus_end_equals_the_squared_path(box, p, upper):
+    # complex boxes keep |z|**2 at p/2; real ones power |re| at p
+    end, sq = box.modulus_bounds()[upper], box.abs_sq_bounds()[upper]
+    assert end[1] == (not box.is_real)
+    assert PowSum(p, 32, upper).add(end).value == PowSum(p / 2, 32, upper).add((sq, False)).value
