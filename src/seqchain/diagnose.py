@@ -12,6 +12,10 @@ k = 0 and ``unbounded-weighted`` (ainf) with k >= 1, and
 ``DivergentPartialSums``, ``NotVanishing`` and ``RootLimsupExceeds`` are
 one shape each.  In-certificates are grounded in the tail oracles, and a
 check rebuilds them at their recorded cutoffs.
+One scan per tag builds the threshold tables of every weight exponent k.
+No linf table is scanned when ``sup_tail(-1)`` bounds every |a_n| below the
+top threshold: a tag promises g(m) <= |a_{s(m)}|, so no table could
+complete.  This drops only tables resting on broken tags, never adds one.
 Membership claims whose quantifiers are infinite (every exponent k,
 every radius r, every epsilon) are certified through a recorded finite
 schedule backed by the totality of the corresponding oracle.
@@ -40,7 +44,7 @@ from itertools import groupby
 from operator import index
 
 from .errors import ParseError, UnsupportedSpace
-from .intervals import Q0, Q1, DiscSum, PowSum, format_rational
+from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, sqrt_bounds
 from .sequences import Sequence, support_indices_upto
 from .spaces import AINF, C0, HD, LINF, SpaceId
 from .tags import COMPARATORS, BlockDivergence, RootLowerBound, SubseqLowerBound
@@ -286,22 +290,24 @@ def _weight(tag: SubseqLowerBound, m: int, k: int):
     return Fraction(tag.s(m)) ** k if k else 1
 
 
-def _threshold_table(tag: SubseqLowerBound, k: int):
-    """(threshold, m, g(m)) rows with s(m)**k * g(m) >= threshold, each at
-    the least such m.  The thresholds ascend, so the m of a row meets every
-    smaller threshold too: one scan serves them all, each resuming where the
-    last row was found, and reads every g(m) and weight once."""
-    positive = ((m, g) for m in range(1, _SCAN_CAP + 1) if (g := tag.g(m)) > 0)
-    scan = ((m, g, _weight(tag, m, k) * g) for m, g in positive)
-    hit = next(scan, None)
-    rows = []
-    for threshold in _THRESHOLDS:
-        while hit is not None and hit[2] < threshold:
-            hit = next(scan, None)
-        if hit is None:
-            return None
-        rows.append((threshold, hit[0], hit[1]))
-    return tuple(rows)
+def _threshold_table(tag: SubseqLowerBound, ks):
+    """Per k in ks, the (threshold, m, g(m)) rows with s(m)**k * g(m) >=
+    threshold, each at the least such m, or None if a threshold has no row by
+    ``_SCAN_CAP``.  The thresholds ascend, so the m of a row meets every smaller
+    one too: one scan from m = 1 serves every threshold and k, reads each g(m)
+    once, and builds s(m) once, only while a weighted table is open."""
+    rows = {k: [] for k in ks}
+    for m in range(1, _SCAN_CAP + 1):
+        open_ks = [k for k, table in rows.items() if len(table) < len(_THRESHOLDS)]
+        if not open_ks:
+            break
+        if (g := tag.g(m)) > 0:
+            s = Fraction(tag.s(m)) if any(open_ks) else None
+            for k in open_ks:
+                table, value = rows[k], s ** k * g if k else g
+                while len(table) < len(_THRESHOLDS) and value >= _THRESHOLDS[len(table)]:
+                    table.append((_THRESHOLDS[len(table)], m, g))
+    return tuple(tuple(rows[k]) if len(rows[k]) == len(_THRESHOLDS) else None for k in ks)
 
 
 def _escape_exponent(t, a: Fraction):
@@ -313,7 +319,7 @@ def _escape_exponent(t, a: Fraction):
     return t if t > a else None
 
 
-def _out_shapes(seq: Sequence, space: SpaceId):
+def _out_shapes(seq: Sequence, space: SpaceId, prec: int):
     """Yield (candidate out-shape, samples its build checks) for the space,
     in the order the candidates are tried: root 3, not-vanishing 5, blocks
     3, threshold tables every row."""
@@ -325,11 +331,15 @@ def _out_shapes(seq: Sequence, space: SpaceId):
                 if m_start is not None:
                     yield RootLimsupExceeds(rho=Fraction(2), m_start=m_start, tag=tag), 3
     elif space.tag in ("linf", "ainf"):
-        for k in range(1, 5) if space.tag == "ainf" else (0,):
-            for tag in subseq_tags:
-                rows = _threshold_table(tag, k)
-                if rows:
-                    yield Unbounded(tag=tag, table=rows, k=k), len(rows)
+        ks = range(1, 5) if space.tag == "ainf" else (0,)
+        sup = seq.sup_tail(-1, prec) if space.tag == "linf" and subseq_tags else None
+        if sup is not None and sup < _THRESHOLDS[-1]:
+            subseq_tags = []  # every g(m) <= sup: no linf table completes
+        tables = [_threshold_table(tag, ks) for tag in subseq_tags]
+        for i, k in enumerate(ks):
+            for tag, per_k in zip(subseq_tags, tables):
+                if per_k[i]:
+                    yield Unbounded(tag=tag, table=per_k[i], k=k), len(per_k[i])
     elif space.tag == "c0":
         for tag in subseq_tags:
             if tag.g_inf is not None and tag.g_inf > 0:
@@ -346,13 +356,19 @@ def _out_shapes(seq: Sequence, space: SpaceId):
 
 def try_out_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
     """The first candidate OutCert that its own check accepts, or None."""
-    for shape, samples in _out_shapes(seq, space):
+    for shape, samples in _out_shapes(seq, space, prec):
         if shape.holds(seq, space, samples, prec):
             return OutCert(space, shape)
     return None
 
 
 # -- in-certificate construction ---------------------------------------------
+
+
+def _modulus_upper(iv, prec: int) -> Fraction:
+    """``iv.abs_bounds(prec)[1]``, rooting only a complex box's upper |z|**2."""
+    q, squared = iv.modulus_bounds()[1]
+    return sqrt_bounds(q, prec)[1] if squared else q
 
 
 def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
@@ -365,7 +381,7 @@ def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
     head = []
     for n in support_indices_upto(seq, N):
         iv = seq.term(n, prec)
-        head.append((n, iv.abs_bounds(prec)[1] if root else iv.modulus_bounds()[1]))
+        head.append((n, _modulus_upper(iv, prec) if root else iv.modulus_bounds()[1]))
     return head
 
 

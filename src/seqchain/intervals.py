@@ -11,10 +11,14 @@ intervals at successive precisions nested.
 All powers q**(a/k), gcd(a, k) = 1, come from one integer kernel,
 ``pow_grid``.  q**a is a k-th power exactly when q is: each prime's
 exponent in q**a is a times that in q, and a is prime to k.  So the test
-for a rational result roots q's own numerator and denominator; otherwise
-the result is lo = iroot(floor(q**a * 2**(k*(prec+1))), k) over 2**(prec+1),
-an integer that ``PowSum`` adds without building a ``Fraction``.  Every disc
-sum, sum a_n r**n over a head, comes from one Horner kernel, ``DiscSum``.
+for a rational result looks at q's own sides, and gives the coprime pair of
+their roots powered at a.  A power-of-two side 2**e is a k-th power iff k
+divides e; it is tested first, and the other side rooted only if it passes.
+Otherwise the result is lo = iroot(floor(q**a * 2**(k*(prec+1))), k) over
+2**(prec+1).  ``PowSum`` adds these integers as one numerator and the exact
+pairs as one over the lcm of their denominators, making one ``Fraction``.
+Every disc sum, sum a_n r**n over a head, comes from one Horner kernel,
+``DiscSum``.
 
 ``PowSum`` powers a bound h on |x| at p for a real box, one on |x|**2 at p/2
 otherwise (``ComplexInterval.modulus_bounds``).  h**p = (h**2)**(p/2) is one
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log2
+from math import gcd, isqrt, lcm, log2
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -118,18 +122,31 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def pow_grid(q: Fraction, a: int, k: int, prec: int) -> tuple[Fraction | None, int]:
-    """q**(a/k) for q > 0 and coprime a, k >= 1, as (value, 0) when it is
-    rational, else as (None, lo) with lo = floor(q**(a/k) * 2**(prec+1)):
-    floor(x**(1/k)) = iroot(floor(x), k), as r**k <= x iff r**k <= floor(x)."""
+def _exact_root(n: int, k: int) -> int:
+    """The k-th root of n >= 1 if n is a k-th power, else 0; rootless for 2**e."""
+    if not n & (n - 1):
+        e = n.bit_length() - 1
+        return 0 if e % k else 1 << (e // k)
+    r = iroot(n, k)
+    return r if r ** k == n else 0
+
+
+def pow_grid(q: Fraction, a: int, k: int, prec: int) -> tuple[tuple[int, int] | None, int]:
+    """q**(a/k) for q > 0 and coprime a, k >= 1, as a coprime pair
+    ((num, den), 0) when it is rational, else as (None, lo) with
+    lo = floor(q**(a/k) * 2**(prec+1)): floor(x**(1/k)) = iroot(floor(x), k),
+    as r**k <= x iff r**k <= floor(x).  A power-of-two side is tested first."""
     num, den = q.numerator, q.denominator
     if k == 1:  # an integer power needs no root
-        return Fraction(num ** a, den ** a), 0
-    rn = iroot(num, k)
-    if rn ** k == num:  # the denominator is rooted only when it can matter
-        rd = iroot(den, k)
-        if rd ** k == den:
-            return Fraction(rn ** a, rd ** a), 0
+        return (num ** a, den ** a), 0
+    if den & (den - 1):
+        rn = _exact_root(num, k)
+        rd = rn and _exact_root(den, k)
+    else:
+        rd = _exact_root(den, k)
+        rn = rd and _exact_root(num, k)
+    if rn and rd:
+        return (rn ** a, rd ** a), 0
     return None, iroot((num ** a << (k * (prec + 1))) // den ** a, k)
 
 
@@ -140,7 +157,7 @@ def _grid_bounds(q: Fraction, a: int, k: int, prec: int) -> tuple[Fraction, Frac
         return Q0, Q0
     exact, lo = pow_grid(q, a, k, prec)
     if exact is not None:
-        return exact, exact
+        return (value := Fraction(*exact)), value
     return Fraction(lo, 1 << (prec + 1)), Fraction(lo + 1, 1 << (prec + 1))
 
 
@@ -191,13 +208,14 @@ def pow_bounds(q: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]
 class PowSum:
     """Running sum of one endpoint of ``pow_bounds(q, e, prec)``, e > 0 (e/2 if
     ``squared``), over ``add((q, squared), count)`` calls, q >= 0 (``modulus_bounds``
-    ends): inexact endpoints, lo or lo + 1 over 2**(prec+1), add as one integer
-    numerator, exact ones as a ``Fraction``; ``value`` is their exact sum."""
+    ends).  Inexact endpoints, lo or lo + 1 over 2**(prec+1), add as one integer
+    numerator, exact pairs as another over L, the lcm of their denominators
+    (the ``DiscSum`` pattern); ``value`` is their exact sum."""
 
     def __init__(self, e: Fraction, prec: int, upper: bool = False):
         self.exps = [(x.numerator, x.denominator) for x in (e, e / 2)]
         self.prec, self.upper = prec, upper
-        self.exact, self.num = Q0, 0
+        self.L, self.exact, self.num = 1, 0, 0
 
     def add(self, end: tuple[Fraction, bool], count: int = 1) -> "PowSum":
         q, squared = end
@@ -206,12 +224,14 @@ class PowSum:
             if exact is None:
                 self.num += count * (lo + self.upper)
             else:
-                self.exact += count * exact
+                num, den = exact
+                L = lcm(self.L, den)
+                self.L, self.exact = L, self.exact * (L // self.L) + count * num * (L // den)
         return self
 
     @property
     def value(self) -> Fraction:
-        return self.exact + Fraction(self.num, 1 << (self.prec + 1))
+        return Fraction((self.exact << self.prec + 1) + self.num * self.L, self.L << self.prec + 1)
 
 
 class DiscSum:

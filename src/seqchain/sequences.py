@@ -32,7 +32,7 @@ from itertools import groupby
 from typing import Callable
 
 from .errors import LengthMismatch
-from .intervals import ComplexInterval, Q0, Q1, format_rational, pow_bounds
+from .intervals import ComplexInterval, PowSum, Q0, Q1, format_rational, pow_bounds
 from .supports import AllNaturals, ExplicitFinite, SupportSet
 
 
@@ -200,15 +200,19 @@ class FiniteRational(Sequence):
             return ComplexInterval.zero()
         return ComplexInterval.exact(val[0], val[1])
 
-    def _moduli_beyond(self, N, prec, p=Q1):
-        """(n, upper bound on |a_n|**p) for every entry past N."""
+    def _moduli_beyond(self, N, prec):
+        """(n, upper bound on |a_n|) for every entry past N."""
         return [
-            (n, pow_bounds(re * re + im * im, p / 2, prec)[1])
+            (n, pow_bounds(re * re + im * im, Q1 / 2, prec)[1])
             for n, (re, im) in self.entries.items() if n > N
         ]
 
     def tail_majorant(self, N, p, prec):
-        return sum((m for _, m in self._moduli_beyond(N, prec, Fraction(p))), Q0)
+        total = PowSum(Fraction(p), prec, upper=True)
+        for n, (re, im) in self.entries.items():
+            if n > N:
+                total.add((re * re + im * im, True) if im else (abs(re), False))
+        return total.value
 
     def sup_tail(self, N, prec):
         return max((m for _, m in self._moduli_beyond(N, prec)), default=Q0)

@@ -10,6 +10,8 @@ from itertools import groupby
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BUDGET, PREC, catalog, random_finite
 from seqchain.diagnose import (
@@ -34,6 +36,7 @@ from seqchain.diagnose import (
     _head_runs,
     _in_cert,
     _lp_head_upper,
+    _modulus_upper,
     _verify_blocks,
     check_certificate,
     classify,
@@ -61,7 +64,7 @@ from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaces import AINF, C0, CN0, HD, LINF, cap_lp, lp, parse_space, standard_chain
 from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
 from seqchain.tags import BlockDivergence, SubseqLowerBound
-from test_intervals import _ref_pow_bounds
+from test_intervals import _ref_pow_bounds, point_or_wide_boxes, rationals
 
 F = Fraction
 
@@ -1065,6 +1068,26 @@ def test_root_head_moduli_equal_roots_of_squared_moduli(prec):
                 for n in support_indices_upto(seq, N)
             ]
             assert _head_moduli(seq, N, prec, root=True) == ref, (seq.spec(), N)
+
+
+_positive = st.fractions(min_value=F(1, 50), max_value=20, max_denominator=50)
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        point_or_wide_boxes(),
+        st.builds(ComplexInterval.exact, rationals),
+        st.builds(lambda a, b: ComplexInterval.from_real_bounds(-a, b), _positive, _positive),
+        st.builds(lambda a, b: ComplexInterval.from_real_bounds(min(a, b), max(a, b)), rationals, rationals),
+    ),
+    st.sampled_from([4, 16, PREC, 200]),
+)
+def test_root_head_modulus_is_the_upper_abs_bound(box, prec):
+    # points, wide real boxes, boxes straddling 0 and complex boxes: a real
+    # box's modulus is its greatest |re| with no root, a complex box's the
+    # upper root of its greatest |z|**2
+    assert _modulus_upper(box, prec) == box.abs_bounds(prec)[1]
 
 
 # -- cap-lp in-certificates rest on the threshold ------------------------------

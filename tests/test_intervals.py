@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqchain import intervals
 from seqchain.errors import SeqchainError
 from seqchain.intervals import (
     ComplexInterval,
@@ -14,6 +15,7 @@ from seqchain.intervals import (
     format_rational,
     iroot,
     pow_bounds,
+    pow_grid,
     root_bounds,
     sqrt_bounds,
 )
@@ -457,6 +459,124 @@ def test_pow_sum_equals_the_sum_of_reference_endpoints(terms, e, prec):
         ref_lo += count * lo
         ref_hi += count * hi
     assert (lo_sum.value, hi_sum.value) == (ref_lo, ref_hi)
+
+
+# -- exact values: pow_grid's coprime pairs and PowSum's exact part ---------------
+
+
+@st.composite
+def exact_heavy_sides(draw, k):
+    """A positive integer that is often a k-th power, a power of two whose
+    exponent k divides or not, or odd."""
+    shape = draw(st.sampled_from(["power", "two-k", "two", "odd", "any"]))
+    if shape == "power":
+        return draw(st.integers(1, 40)) ** k
+    if shape == "two-k":
+        return 1 << (k * draw(st.integers(0, 12)))
+    if shape == "two":
+        return 1 << draw(st.integers(0, 70))
+    if shape == "odd":
+        return 2 * draw(st.integers(0, 500)) + 1
+    return draw(st.integers(1, 10**6))
+
+
+@st.composite
+def exact_heavy_operands(draw):
+    """(q, a, k), gcd(a, k) = 1, with k-th powers and powers of two on
+    either side of q."""
+    k = draw(st.integers(1, 12))
+    a = draw(st.integers(1, 7).filter(lambda a: gcd(a, k) == 1))
+    return Fraction(draw(exact_heavy_sides(k)), draw(exact_heavy_sides(k))), a, k
+
+
+@given(exact_heavy_operands(), st.integers(4, 120))
+def test_pow_grid_pairs_are_coprime_and_equal_the_reference(case, prec):
+    q, a, k = case
+    exact, lo = pow_grid(q, a, k, prec)
+    ref_lo, ref_hi = _ref_pow_bounds(q, Fraction(a, k), prec)
+    if exact is None:
+        unit = Fraction(1, 1 << (prec + 1))
+        assert (lo * unit, (lo + 1) * unit) == (ref_lo, ref_hi)
+    else:
+        num, den = exact
+        assert lo == 0 and den > 0 and gcd(num, den) == 1
+        assert Fraction(num, den) == ref_lo == ref_hi
+
+
+def test_a_power_of_two_side_is_tested_by_its_exponent(monkeypatch):
+    calls = []
+    real_iroot = intervals.iroot
+    monkeypatch.setattr(intervals, "iroot", lambda n, k: calls.append(n) or real_iroot(n, k))
+
+    def roots(q, a, k):
+        calls.clear()
+        result = pow_grid(q, a, k, 32)
+        return result, len(calls)
+
+    # 2**7 is no cube: the odd numerator is never rooted, only the grid floor
+    (exact, _), n = roots(Fraction(5, 1 << 7), 1, 3)
+    assert exact is None and n == 1
+    # 2**9 is a cube, so 27 is rooted: the value is exact
+    assert roots(Fraction(27, 1 << 9), 2, 3) == (((9, 64), 0), 1)
+    # 1 = 2**0 and 2**6 are cubes: no root at all
+    assert roots(Fraction(1, 1 << 6), 1, 3) == (((1, 4), 0), 0)
+    assert roots(Fraction(1 << 6), 1, 3) == (((4, 1), 0), 0)
+    # a power-of-two numerator that fails leaves the denominator unrooted
+    (exact, _), n = roots(Fraction(1 << 5, 27), 1, 3)
+    assert exact is None and n == 1
+    # neither side a power of two: the numerator first, the denominator
+    # only when the numerator is a k-th power
+    assert roots(Fraction(5, 27), 1, 3)[1] == 2
+    assert roots(Fraction(125, 27), 1, 3) == (((5, 3), 0), 2)
+    assert roots(Fraction(125, 26), 1, 3)[1] == 3
+    # a power-of-two numerator that passes: only the denominator is rooted
+    assert roots(Fraction(8, 27), 1, 3) == (((2, 3), 0), 1)
+    assert roots(Fraction(8, 25), 1, 3)[1] == 2
+
+
+# p = 1, 2, 3, a + 1/n and 1/n
+_SUM_EXPONENTS = [Fraction(1), Fraction(2), Fraction(3)] + [
+    a + Fraction(1, n) for a in (1, 2) for n in (2, 3, 8)] + [Fraction(1, n) for n in (2, 3, 5)]
+
+
+@st.composite
+def exact_heavy_ends(draw):
+    """(q, squared): q with k-th powers (k up to 16), powers of two and odd
+    sides, and zero."""
+    if draw(st.integers(0, 9)) == 0:
+        return Fraction(0), draw(st.booleans())
+    k = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 16]))
+    return Fraction(draw(exact_heavy_sides(k)), draw(exact_heavy_sides(k))), draw(st.booleans())
+
+
+@given(
+    st.lists(st.tuples(exact_heavy_ends(), st.integers(1, 5)), max_size=12),
+    st.sampled_from(_SUM_EXPONENTS),
+    st.integers(8, 96),
+)
+def test_pow_sum_of_exact_heavy_ends_equals_the_fraction_sum(terms, p, prec):
+    # squared ends power at p/2, real ends at p; the exact part is an
+    # integer over an lcm, the grid part an integer over 2**(prec+1)
+    lo_sum, hi_sum = PowSum(p, prec), PowSum(p, prec, upper=True)
+    ref_lo = ref_hi = Fraction(0)
+    for (q, squared), count in terms:
+        lo_sum.add((q, squared), count)
+        hi_sum.add((q, squared), count)
+        lo, hi = _ref_pow_bounds(q, p / 2 if squared else p, prec)
+        ref_lo += count * lo
+        ref_hi += count * hi
+    assert (lo_sum.value, hi_sum.value) == (ref_lo, ref_hi)
+
+
+def test_pow_sum_exact_part_is_one_numerator_over_the_lcm():
+    # odd coprime denominators: 1/3 + 2 * 1/5 + 1/7 at p = 1, and 9/25
+    # squared at p = 1 is 3/5 again
+    total = PowSum(Fraction(1), 16)
+    for end, count in (((Fraction(1, 3), False), 1), ((Fraction(1, 5), False), 2),
+                       ((Fraction(1, 7), False), 1), ((Fraction(9, 25), True), 1)):
+        total.add(end, count)
+    assert (total.L, total.num) == (105, 0)
+    assert total.value == Fraction(1, 3) + Fraction(2, 5) + Fraction(1, 7) + Fraction(3, 5)
 
 
 def _real_boxes(rng):

@@ -3,6 +3,7 @@ the one threshold scan behind the pointwise closed families, and the one
 refinement of |a_n| against a bound, against reference copies of the
 per-space build, check, scan and refinement code they replaced."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,13 +29,16 @@ from seqchain.diagnose import (
     _threshold_table,
     _verify_blocks,
     check_certificate,
+    classify,
     closed_family_check,
     try_in_certificate,
     try_out_certificate,
+    verdict_to_json,
 )
 from seqchain.errors import UnsupportedSpace
 from seqchain.intervals import Q1
 from seqchain.sequences import FiniteRational, combine, restrict, spread, support_indices_upto, zero
+from seqchain.serialize import canonical_json
 from seqchain.spaceable import basis_element
 from seqchain.spaces import AINF, C0, HD, LINF, lp, standard_chain
 from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
@@ -531,8 +535,8 @@ def test_fmk_with_k_zero_weighs_index_zero():
 
 
 def _tag_variants():
-    """(name, tag, k): the subsequence tags of every catalog member as is and
-    spread onto each support, with every weight exponent 0..4."""
+    """(name, tag): the subsequence tags of every catalog member as is and
+    spread onto each support."""
     for name, base in sorted(catalog().items()):
         seqs = [(name, base)] + [
             (f"{name}@{sup_name}", spread(base, sup)) for sup_name, sup in sorted(_SUPPORTS.items())
@@ -540,18 +544,29 @@ def _tag_variants():
         for seq_name, seq in seqs:
             for tag in seq.growth_tags:
                 if isinstance(tag, SubseqLowerBound):
-                    for k in range(5):
-                        yield seq_name, tag, k
+                    yield seq_name, tag
 
 
 def test_threshold_table_equals_the_scan_from_m_1_per_threshold():
-    tables = [(name, k, _threshold_table(tag, k), _ref_threshold_table(tag, weight_k=k))
-              for name, tag, k in _tag_variants()]
+    # every weight exponent 0..4 in one scan, and each alone, against the
+    # reference's scan from m = 1 per threshold
+    tables, scans = [], []
+    for name, tag in _tag_variants():
+        together = _threshold_table(tag, range(5))
+        assert len(together) == 5, name
+        scans.append(together)
+        for k in range(5):
+            ref = _ref_threshold_table(tag, weight_k=k)
+            assert _threshold_table(tag, (k,)) == (together[k],), (name, k)
+            tables.append((name, k, together[k], ref))
     for name, k, got, ref in tables:
         assert got == ref, (name, k)
     # both outcomes occur: full tables and tables with no row for some threshold
     assert any(ref is None for *_, ref in tables)
     assert any(ref is not None for *_, ref in tables)
+    # and both occur inside one scan: bounded tags whose weighted tables
+    # complete while the unweighted one never does
+    assert any(t[0] is None and t[4] is not None for t in scans)
 
 
 def test_threshold_table_reads_each_g_once():
@@ -562,6 +577,78 @@ def test_threshold_table_reads_each_g_once():
         reads.append(m)
         return nat_tag.g(m)
 
-    rows = _threshold_table(replace(nat_tag, g=g), 0)
+    (rows,) = _threshold_table(replace(nat_tag, g=g), (0,))
     assert rows == _ref_threshold_table(nat_tag, weight_k=0)
     assert reads == list(range(1, rows[-1][1] + 1))
+
+    # all k together: each g(m) and s(m) read once, up to the last row of
+    # the slowest table; s(m) only while a weighted table is open
+    for tag in (nat_tag, *(t for t in families.prop28().growth_tags if isinstance(t, SubseqLowerBound))):
+        reads, s_reads = [], []
+
+        def s(m, tag=tag):
+            s_reads.append(m)
+            return tag.s(m)
+
+        def g(m, tag=tag):
+            reads.append(m)
+            return tag.g(m)
+
+        tables = _threshold_table(replace(tag, g=g, s=s), range(5))
+        refs = tuple(_ref_threshold_table(tag, weight_k=k) for k in range(5))
+        assert tables == refs
+        last = [rows[-1][1] if rows else 512 for rows in tables]
+        assert reads == list(range(1, max(last) + 1))
+        assert s_reads == list(range(1, max(last[1:]) + 1))
+
+
+# -- linf scans no table that cannot complete ---------------------------------------
+
+# sha256 of the linf reports of the bounded tagged members below, as is and
+# spread onto each support in _SUPPORTS order, one canonical JSON per line;
+# recorded before the sup_tail skip existed
+_BOUNDED_LINF_REPORTS_SHA256 = "471679f47c9b78e736d5ad25f5e9e234cf2b66a4412ff41934adf856002319b9"
+
+
+def _with_counting_g(seq, reads):
+    seq.growth_tags = tuple(
+        replace(t, g=lambda m, g=t.g: reads.append(m) or g(m)) if isinstance(t, SubseqLowerBound) else t
+        for t in seq.growth_tags
+    )
+    return seq
+
+
+def test_bounded_tagged_members_scan_no_linf_table():
+    # sup_tail(-1) < 128 bounds every g(m) below the top threshold: no tag.g
+    # is read, and the reports keep their bytes.  prop28 on the powers of
+    # two is the input whose scan once built s(m) = 2**2**m
+    digest, skipped = hashlib.sha256(), []
+    for name in ("const-one", "gap-lp-cap-1", "gap-lp-cap-2", "prop28", "rem29-evens", "rem29-pow2"):
+        reads = []
+        base = _with_counting_g(catalog()[name], reads)
+        for sup_name, seq in [(name, base)] + [
+            (f"{name}@{s}", spread(base, sup)) for s, sup in sorted(_SUPPORTS.items())
+        ]:
+            assert any(isinstance(t, SubseqLowerBound) for t in seq.growth_tags), sup_name
+            assert seq.sup_tail(-1, PREC) < 128, sup_name
+            verdict = classify(seq, LINF, BUDGET, PREC)
+            assert reads == [], sup_name
+            # the reference scans every table to its cap, and finds none
+            assert _ref_try_out_certificate(seq, LINF, BUDGET, PREC) is None, sup_name
+            reads.clear()
+            assert not isinstance(verdict, CertifiedOut), sup_name
+            digest.update(canonical_json(verdict_to_json(verdict)).encode() + b"\n")
+            skipped.append(sup_name)
+    assert len(skipped) == 30 and "prop28@powers-of-two" in skipped
+    assert digest.hexdigest() == _BOUNDED_LINF_REPORTS_SHA256
+
+    # an unbounded member has no sup tail: nat and its spreads still scan,
+    # and certify unbounded with the reference table
+    for seq in [families.nat()] + [spread(families.nat(), sup) for _, sup in sorted(_SUPPORTS.items())]:
+        assert seq.sup_tail(-1, PREC) is None
+        verdict = classify(seq, LINF, BUDGET, PREC)
+        shape = verdict.cert.shape
+        assert isinstance(shape, Unbounded) and shape.k == 0, seq.spec()
+        assert shape.table == _ref_threshold_table(shape.tag, weight_k=0)
+        assert verdict.cert == _ref_try_out_certificate(seq, LINF, BUDGET, PREC)
+        assert check_certificate(seq, verdict, samples=3, prec=PREC)

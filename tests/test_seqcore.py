@@ -42,6 +42,7 @@ from seqchain.supports import (
     ExplicitFinite,
     PowersOfTwo,
 )
+from test_intervals import _ref_pow_bounds
 
 F = Fraction
 
@@ -491,6 +492,37 @@ def test_tail_oracles_sound_on_finite(seed):
         assert a.sup_tail(N, prec) == 0
         assert F(*a.disc_tail(N, F(1, 2), prec)) == 0
         assert a.poly_sup_tail(N, 3, prec) == 0
+
+
+# entries over coprime odd denominators, perfect squares among them, so the
+# exact part of the tail sum widens its lcm at almost every entry
+_ODD_DEN_VALUES = st.one_of(
+    st.builds(F, st.integers(-40, 40), st.sampled_from([1, 3, 5, 7, 9, 11, 13, 25, 27, 49])),
+    st.builds(lambda r, s, sign: F(sign * r * r, s * s), st.integers(1, 12),
+              st.sampled_from([1, 3, 5, 7, 11]), st.sampled_from([1, -1])),
+)
+
+
+@given(
+    st.dictionaries(
+        st.integers(0, 30),
+        st.tuples(_ODD_DEN_VALUES, st.one_of(st.just(F(0)), _ODD_DEN_VALUES)),
+        max_size=10,
+    ),
+    st.integers(-1, 31),
+    st.sampled_from([F(1), F(2), F(3), F(3, 2), F(7, 3), F(1, 2), F(1, 3)]),
+    st.integers(8, 96),
+)
+def test_finite_tail_majorant_equals_the_sum_of_reference_uppers(entries, N, p, prec):
+    # one PowSum over real |re| ends and complex |z|**2 ends equals the
+    # Fraction sum of the reference kernel's upper ends of |a_n|**2 at p/2
+    a = FiniteRational(entries)
+    ref = sum(
+        (_ref_pow_bounds(re * re + im * im, p / 2, prec)[1]
+         for n, (re, im) in a.entries.items() if n > N),
+        F(0),
+    )
+    assert a.tail_majorant(N, p, prec) == ref
 
 
 def test_support_indices_cover_nonzero_terms():
