@@ -20,6 +20,22 @@ pairs as one over the lcm of their denominators, making one ``Fraction``.
 Every disc sum, sum a_n r**n over a head, comes from one Horner kernel,
 ``DiscSum``.
 
+``pow_bounds`` builds each endpoint as one reduced ``Fraction`` from these
+integers, through the public ``fractions`` API only (its private fast
+constructors differ between Python 3.10 and 3.13):
+
+- An integer exponent j needs no grid: q = num/den in lowest terms gives
+  q**j = num**j/den**j and q**-j = den**j/num**j, coprime as num and den are.
+  That exact rational is ``Fraction``'s own integer power, both ends one object.
+- A grid end m/2**P is reduced by shifting the trailing zeros off m: a power
+  of two is the only factor the two can share.
+- A negative exponent -a/k, k > 1, takes the grid integer lo of q**(a/k) at
+  the inner precision I and returns [2**(I+1)/(lo+1), 2**(I+1)/lo], again
+  reduced by shifting off the powers of two they share; an exact pair (n, d)
+  gives d/n.  These are the reciprocals of the grid ends, so each endpoint is
+  the rational that inverting the enclosure of q**(a/k) gives, and every
+  enclosure equals the one computed through ``Fraction`` division.
+
 ``PowSum`` powers a bound h on |x| at p for a real box, one on |x|**2 at p/2
 otherwise (``ComplexInterval.modulus_bounds``).  h**p = (h**2)**(p/2) is one
 real number, with one grid floor, and for p = a/k in lowest terms both are
@@ -150,21 +166,27 @@ def pow_grid(q: Fraction, a: int, k: int, prec: int) -> tuple[tuple[int, int] | 
     return None, iroot((num ** a << (k * (prec + 1))) // den ** a, k)
 
 
+def _strip_twos(m: int, P: int) -> tuple[int, int]:
+    """m and 2**P, m >= 1, with their common power of two divided out."""
+    s = min((m & -m).bit_length() - 1, P)
+    return m >> s, 1 << (P - s)
+
+
 def _grid_bounds(q: Fraction, a: int, k: int, prec: int) -> tuple[Fraction, Fraction]:
-    if q < 0:
-        raise ValueError("power of negative rational")
-    if q == 0:
-        return Q0, Q0
+    """``pow_bounds`` at e = a/k > 0 for q > 0."""
     exact, lo = pow_grid(q, a, k, prec)
     if exact is not None:
         return (value := Fraction(*exact)), value
-    return Fraction(lo, 1 << (prec + 1)), Fraction(lo + 1, 1 << (prec + 1))
+    P = prec + 1
+    return Fraction(*_strip_twos(lo, P)) if lo else Q0, Fraction(*_strip_twos(lo + 1, P))
 
 
 def root_bounds(q: Fraction, k: int, prec: int) -> tuple[Fraction, Fraction]:
     """Enclose q**(1/k) for q >= 0 within width 2**-prec: ``pow_bounds``
     with e = 1/k, zero-width whenever the root is rational."""
-    return _grid_bounds(q, 1, k, prec)
+    if q < 0:
+        raise ValueError("power of negative rational")
+    return _grid_bounds(q, 1, k, prec) if q else (Q0, Q0)
 
 
 def sqrt_bounds(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
@@ -172,37 +194,45 @@ def sqrt_bounds(q: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     return root_bounds(q, 2, prec)
 
 
-def _neg_log2_upper(q: Fraction, e: Fraction) -> int:
-    """Integer m with q**e >= 2**-m, for q > 0 and e > 0."""
+def _neg_log2_upper(q: Fraction, a: int, k: int) -> int:
+    """Integer m with q**(a/k) >= 2**-m, for q > 0 and a, k >= 1."""
     if q >= 1:
         return 0
     t = q.denominator.bit_length() - q.numerator.bit_length() + 1  # log2(1/q) <= t
-    return -(-(e.numerator * t) // e.denominator)
+    return -(-(a * t) // k)
 
 
 def pow_bounds(q: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]:
     """Enclose q**e for q >= 0 and rational e within width 2**-prec.
 
-    For negative exponents q must be positive; the enclosure of q**(-e) is
-    computed on a grid fine enough (relative to the value's magnitude) that
-    its inversion still meets the width contract, and the grid choice is a
-    deterministic function of (q, e, prec) so enclosures stay nested.
+    An integer exponent gives the exact power.  For other negative exponents
+    q must be positive; the enclosure of q**(-e) is computed on a grid fine
+    enough (relative to the value's magnitude) that its inversion still
+    meets the width contract, and the grid choice is a deterministic
+    function of (q, e, prec) so enclosures stay nested.
     """
     if q < 0:
         raise ValueError("power of negative rational")
-    e = Fraction(e)
-    if e == 0:
+    a, k = e.numerator, e.denominator
+    if not a:
         return Q1, Q1
-    if e < 0:
-        if q == 0:
+    if not q:
+        if a < 0:
             raise ValueError("negative power of nonpositive rational")
-        inner = prec + 2 + 2 * _neg_log2_upper(q, -e)
-        lo_p, hi_p = pow_bounds(q, -e, inner)
-        if lo_p is hi_p:
-            inv = 1 / lo_p
-            return inv, inv
-        return 1 / hi_p, 1 / lo_p
-    return _grid_bounds(q, e.numerator, e.denominator, prec)
+        return Q0, Q0
+    if k == 1:  # num**a / den**a, coprime: exact, no grid
+        if q.__class__ is not Fraction:
+            q = Fraction(q)
+        return (value := q if a == 1 else q ** a), value
+    if a > 0:
+        return _grid_bounds(q, a, k, prec)
+    inner = prec + 2 + 2 * _neg_log2_upper(q, -a, k)
+    exact, lo = pow_grid(q, -a, k, inner)
+    if exact is not None:
+        return (value := Fraction(exact[1], exact[0])), value
+    # 1 over the grid ends: lo >= 8 there, as q**(-e) * 2**(inner+1) >= 2**(prec+3)
+    (n_lo, d_lo), (n_hi, d_hi) = _strip_twos(lo + 1, inner + 1), _strip_twos(lo, inner + 1)
+    return Fraction(d_lo, n_lo), Fraction(d_hi, n_hi)
 
 
 class PowSum:

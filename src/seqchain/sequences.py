@@ -200,12 +200,16 @@ class FiniteRational(Sequence):
             return ComplexInterval.zero()
         return ComplexInterval.exact(val[0], val[1])
 
+    @staticmethod
+    def _modulus_upper(re, im, prec):
+        """Upper bound on |re + i*im|: |re| itself for a real entry, no square
+        rooted back, and the upper square root of re**2 + im**2 otherwise."""
+        return pow_bounds(re * re + im * im, Q1 / 2, prec)[1] if im else abs(re)
+
     def _moduli_beyond(self, N, prec):
         """(n, upper bound on |a_n|) for every entry past N."""
-        return [
-            (n, pow_bounds(re * re + im * im, Q1 / 2, prec)[1])
-            for n, (re, im) in self.entries.items() if n > N
-        ]
+        entries = self.entries.items()
+        return [(n, self._modulus_upper(re, im, prec)) for n, (re, im) in entries if n > N]
 
     def tail_majorant(self, N, p, prec):
         total = PowSum(Fraction(p), prec, upper=True)
@@ -219,7 +223,7 @@ class FiniteRational(Sequence):
 
     def pos_sup_tail(self, K, prec):
         rest = list(self.entries.values())[max(0, K):]
-        return max((pow_bounds(re * re + im * im, Q1 / 2, prec)[1] for re, im in rest), default=Q0)
+        return max((self._modulus_upper(re, im, prec) for re, im in rest), default=Q0)
 
     def disc_tail(self, N, r, prec):
         if N >= self.max_index:  # past the last entry the tail is zero
@@ -505,11 +509,15 @@ class Combine(Sequence):
 
     def _weights(self, prec, p=Q1):
         """Upper bounds on the |c_i|**p, made once per (p, prec): ``Q1`` itself,
-        with no root taken, for a coefficient with re**2 + im**2 = 1."""
+        with no root taken, for a coefficient with re**2 + im**2 = 1, |re|
+        powered at p for a real one (the ``PowSum`` rule: one real number, one
+        grid floor) and re**2 + im**2 at p/2 otherwise."""
         key = (p.numerator, p.denominator, prec)
         if key not in self._abs_coeffs:
-            sqs = (re * re + im * im for re, im in self.coeffs)
-            self._abs_coeffs[key] = [Q1 if q == 1 else pow_bounds(q, p / 2, prec)[1] for q in sqs]
+            weights = self._abs_coeffs[key] = []
+            for re, im in self.coeffs:
+                q, e = (re * re + im * im, p / 2) if im else (abs(re), p)
+                weights.append(Q1 if q == 1 else pow_bounds(q, e, prec)[1])
         return self._abs_coeffs[key]
 
     def _weighted_tail(self, tail, prec, p=Q1):

@@ -874,3 +874,82 @@ def test_any_box_powered_from_its_modulus_end_equals_the_squared_path(box, p, up
     end, sq = box.modulus_bounds()[upper], box.abs_sq_bounds()[upper]
     assert end[1] == (not box.is_real)
     assert PowSum(p, 32, upper).add(end).value == PowSum(p / 2, 32, upper).add((sq, False)).value
+
+
+# -- integer exponents and reciprocal endpoints ------------------------------------
+
+# An integer exponent is the exact coprime power, with no grid; a negative
+# rational exponent inverts the grid integers of one power at the inner
+# precision.  Both must give the reference's endpoints, one object for a point.
+
+
+def _assert_reference_endpoints(q, e, prec):
+    lo, hi = pow_bounds(q, e, prec)
+    assert (lo, hi) == _ref_pow_bounds(q, e, prec)
+    assert lo is hi or lo < hi
+    return lo, hi
+
+
+@given(
+    st.one_of(st.just(Fraction(0)), wide_nonneg, exact_heavy_operands().map(lambda c: c[0])),
+    st.integers(-8, 8),
+    st.integers(4, 200),
+)
+def test_integer_exponents_are_exact_powers_equal_to_the_reference(q, j, prec):
+    if q == 0 and j < 0:
+        with pytest.raises(ValueError):
+            pow_bounds(q, Fraction(j), prec)
+        return
+    lo, hi = _assert_reference_endpoints(q, Fraction(j), prec)
+    assert lo is hi and lo == q ** j
+    assert pow_bounds(q, j, prec) == (lo, hi)  # an int exponent is the same exponent
+
+
+@st.composite
+def near_dyadic_powers(draw):
+    """(q, k, sign) with q**(1/k) just above or below a dyadic rational c/2**s,
+    so that a grid end at any precision past s has trailing zeros."""
+    k = draw(st.integers(1, 6))
+    x = Fraction(draw(st.integers(1, 1 << 12)), 1 << draw(st.integers(0, 12)))
+    nudge = Fraction(draw(st.sampled_from([1, -1])), 3 << draw(st.integers(300, 500)))
+    return x ** k + nudge, k
+
+
+@given(near_dyadic_powers(), st.integers(1, 5), signs, st.integers(4, 200))
+def test_grid_ends_with_trailing_zeros_equal_the_reference(case, a, sign, prec):
+    q, k = case
+    _assert_reference_endpoints(q, _coprime_exponent(a, k, sign), prec)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_grid_end_with_trailing_zeros_is_reduced(sign):
+    # sqrt(q) is 3/2 nudged by far less than the grid step, so one grid end
+    # is 3/2 itself and the reciprocal's matching end is 2/3
+    q = Fraction(9, 4) + Fraction(sign, 3 << 400)
+    lo, hi = pow_bounds(q, Fraction(1, 2), 64)
+    assert (lo if sign > 0 else hi) == Fraction(3, 2)
+    lo, hi = pow_bounds(q, Fraction(-1, 2), 64)
+    assert (hi if sign > 0 else lo) == Fraction(2, 3)
+    assert (lo, hi) == _ref_pow_bounds(q, Fraction(-1, 2), 64)
+
+
+@given(
+    st.one_of(wide_nonneg, exact_heavy_operands().map(lambda c: c[0])),
+    st.fractions(min_value=-6, max_value=6, max_denominator=24),
+    st.integers(4, 160),
+)
+def test_exact_results_hold_one_endpoint_object(q, e, prec):
+    if q == 0 and e < 0:
+        return
+    lo, hi = _assert_reference_endpoints(q, e, prec)
+    if lo == hi:
+        assert lo is hi
+
+
+def test_integer_exponents_take_no_root(monkeypatch):
+    calls = []
+    monkeypatch.setattr(intervals, "iroot", lambda n, k: calls.append(k) or iroot(n, k))
+    for q in (Fraction(2, 7), Fraction(13), Fraction(81, 16)):
+        for j in (-8, -2, -1, 1, 2, 8):
+            pow_bounds(q, Fraction(j), 64)
+    assert calls == []

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BUDGET, PREC, catalog, random_finite
-from seqchain import families
+from seqchain import families, intervals
 from seqchain.errors import FiniteSupportSet, LengthMismatch
 from seqchain.families import nat, prop28
 from seqchain.generic import dense_family_element
 from seqchain.diagnose import CertifiedIn, _head_moduli, classify
-from seqchain.intervals import ComplexInterval, DiscSum, pow_bounds, sqrt_bounds
+from seqchain.intervals import Q1, ComplexInterval, DiscSum, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     _EXACT_POWER_BITS,
     Combine,
@@ -318,6 +318,59 @@ def test_combine_tails_are_weighted_sums_at_each_precision():
                 root_sum += _abs_upper(re, im, prec) * pow_bounds(t, 1 / p, prec)[1]
             assert finite.tail_majorant(N, p, prec) == pow_bounds(root_sum, p, prec)[1]
     assert combo.poly_sup_tail(0, 1, 8) is None
+
+
+
+def _counting_iroot(monkeypatch):
+    calls = []
+    real = intervals.iroot
+    monkeypatch.setattr(intervals, "iroot", lambda n, k: calls.append(k) or real(n, k))
+    return calls
+
+
+def test_real_finite_entries_are_their_own_moduli(monkeypatch):
+    # |re| is exact: no square is rooted back for a real entry
+    entries = {n: F((-1) ** n * (2 * n + 1), 2 * n + 3) for n in range(10)}
+    seq = FiniteRational(entries)
+    calls = _counting_iroot(monkeypatch)
+    got = (seq.sup_tail(-1, 64), seq.pos_sup_tail(0, 64),
+           F(*seq.disc_tail(-1, F(1, 2), 64)), seq.poly_sup_tail(-1, 2, 64))
+    assert calls == []
+    moduli = [(n, abs(re)) for n, re in entries.items()]
+    assert got == (
+        max(m for _, m in moduli),
+        max(m for _, m in moduli),
+        _ref_disc_tail(seq, -1, F(1, 2), 64),
+        max(F(n) ** 2 * m for n, m in moduli),
+    )
+
+
+@pytest.mark.parametrize("prec", [8, 64, 130])
+def test_finite_moduli_of_mixed_entries_equal_the_rooted_squares(prec):
+    entries = {0: F(-5, 4), 2: (F(1, 2), F(-1, 3)), 5: (F(0), F(7, 3)), 7: F(2, 9), 9: (F(3), F(4))}
+    seq = FiniteRational(entries)
+    for N in (-1, 0, 4, 8):
+        ref = [(n, _ref_pow_bounds(re * re + im * im, F(1, 2), prec)[1])
+               for n, (re, im) in seq.entries.items() if n > N]
+        assert seq.sup_tail(N, prec) == max((m for _, m in ref), default=F(0))
+        assert seq.poly_sup_tail(N, 3, prec) == max((F(n) ** 3 * m for n, m in ref), default=F(0))
+    for K in range(6):
+        rest = list(seq.entries.values())[K:]
+        assert seq.pos_sup_tail(K, prec) == max(
+            (_ref_pow_bounds(re * re + im * im, F(1, 2), prec)[1] for re, im in rest), default=F(0)
+        )
+
+
+@pytest.mark.parametrize("p", [F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(5, 7)])
+def test_combine_weights_equal_the_rooted_squares(p):
+    coeffs = [F(1), F(-1), (F(3, 5), F(4, 5)), (F(0), F(-1)), F(2, 3), F(-7, 5), F(4),
+              (F(1, 3), F(-2, 7)), F(9, 4), F(-1, 8)]
+    combo = Combine(coeffs, [families.const_one()] * len(coeffs))
+    sqs = [re * re + im * im for re, im in combo.coeffs]
+    for prec in (8, 64, 130):
+        weights = combo._weights(prec, p)
+        assert weights == [_ref_pow_bounds(q, p / 2, prec)[1] for q in sqs]
+        assert [w is Q1 for w in weights] == [q == 1 for q in sqs]
 
 
 # -- disc tails are integer pairs -------------------------------------------------
