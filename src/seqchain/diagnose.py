@@ -40,13 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from operator import index
 
 from .errors import ParseError, UnsupportedSpace
-from .intervals import Q0, Q1, DiscSum, PowSum, format_rational, sqrt_bounds
+from .intervals import Q1, PowSum, format_rational
 from .sequences import Sequence, support_indices_upto
-from .spaces import AINF, C0, HD, LINF, SpaceId
+from .spaces import AINF, C0, HD, LINF, SpaceId, _Head
 from .tags import COMPARATORS, BlockDivergence, RootLowerBound, SubseqLowerBound
 
 _SCHEDULE_K = 8          # exponents / radii sampled by in-certificates
@@ -365,40 +364,6 @@ def try_out_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
 # -- in-certificate construction ---------------------------------------------
 
 
-def _modulus_upper(iv, prec: int) -> Fraction:
-    """``iv.abs_bounds(prec)[1]``, rooting only a complex box's upper |z|**2."""
-    q, squared = iv.modulus_bounds()[1]
-    return sqrt_bounds(q, prec)[1] if squared else q
-
-
-def _head_moduli(seq: Sequence, N: int, prec: int, root: bool = False):
-    """(n, upper end of the term's ``modulus_bounds``) for every support index
-    n <= N, or (n, upper bound on |a_n|) when root is set (sup and disc heads).
-
-    A certificate call builds one head per cutoff N and every row of its
-    schedule reads from it, so each |a_n| is bounded once per call; the
-    list dies with the call."""
-    head = []
-    for n in support_indices_upto(seq, N):
-        iv = seq.term(n, prec)
-        head.append((n, _modulus_upper(iv, prec) if root else iv.modulus_bounds()[1]))
-    return head
-
-
-def _head_runs(head) -> list[tuple[tuple[Fraction, bool], int]]:
-    """(modulus, count) per run of equal nonzero moduli of a head, made once
-    per certificate call: a zero adds nothing to a head sum, a run adds once."""
-    return [(m, sum(1 for _ in run)) for m, run in groupby(m for _, m in head if m[0])]
-
-
-def _lp_head_upper(runs, p: Fraction, prec: int) -> Fraction:
-    """Upper bound on the head sum of |a_n|**p from the runs of a head."""
-    total = PowSum(p, prec, upper=True)
-    for modulus, count in runs:
-        total.add(modulus, count)
-    return total.value
-
-
 def _find_cutoff(probe, target: Fraction, start: int):
     """Smallest doubling N = start * 2**i with probe(N) <= target, or None."""
     N = start
@@ -417,11 +382,10 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
     cannot certify it.  ``cuts`` is the head cutoff N for lp, cap-lp, linf
     and hd, and one doubling-search start per schedule row for c0 and ainf.
 
-    Schedules over exponents p_n (cap-lp) or radii r_k (hd) share one
-    cutoff N, so their rows read one head of moduli built once per call
-    (after every tail oracle has answered).  The ``disc-schedule`` rows sum
-    that head with the one disc-sum kernel, ``intervals.DiscSum``, add the
-    disc tail's integer pair to it and make one ``Fraction`` per row.
+    The lp, cap-lp, linf and hd rows sum one head, the metrics' own
+    ``spaces._Head`` at precision prec, once every tail oracle has answered,
+    reading only its upper sums, with |a_n| bounded by ``intervals.abs_end``;
+    a disc tail's integer pair joins its disc sum in one ``Fraction``.
 
     Each schedule samples finitely many rows and rests on a rule that makes
     them enough: ``lp-schedule`` (p_n = a + 1/n, n <= 8) is built only when
@@ -433,25 +397,23 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
     if space.tag == "cn0":
         return InCert(space, "total", (), prec)
 
-    if space.tag == "lp":
-        tail = seq.tail_majorant(cuts, space.param, prec)
-        if tail is None:
-            return None
-        head = _lp_head_upper(_head_runs(_head_moduli(seq, cuts, prec)), space.param, prec)
-        return InCert(space, "lp-tail", (space.param, cuts, head, tail), prec)
-
-    if space.tag == "cap-lp":
-        if _escape_exponent(seq.threshold, space.param) is not None:
+    if space.tag in ("lp", "cap-lp"):
+        if space.tag == "lp":
+            ps = (space.param,)
+        elif _escape_exponent(seq.threshold, space.param) is None:
+            ps = tuple(space.param + Fraction(1, n) for n in range(1, _SCHEDULE_K + 1))
+        else:
             return None
         tails = []
-        for n in range(1, _SCHEDULE_K + 1):
-            p_n = space.param + Fraction(1, n)
-            tail = seq.tail_majorant(cuts, p_n, prec)
+        for p in ps:
+            tail = seq.tail_majorant(cuts, p, prec)
             if tail is None:
                 return None
-            tails.append((p_n, tail))
-        runs = _head_runs(_head_moduli(seq, cuts, prec))
-        rows = tuple((p_n, cuts, _lp_head_upper(runs, p_n, prec), tail) for p_n, tail in tails)
+            tails.append((p, tail))
+        head = _Head(seq, prec)
+        rows = tuple((p, cuts, head.power_sum(p, cuts, upper=True)[0], tail) for p, tail in tails)
+        if space.tag == "lp":
+            return InCert(space, "lp-tail", rows[0], prec)
         return InCert(space, "lp-schedule", rows, prec)
 
     if space.tag == "c0":
@@ -471,7 +433,7 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
         tail = seq.sup_tail(cuts, prec)
         if tail is None:
             return None
-        head = max((a for _, a in _head_moduli(seq, cuts, prec, root=True)), default=Q0)
+        head = _Head(seq, prec).max_abs(cuts, upper=True)[0]
         return InCert(space, "sup-bound", (cuts, max(head, tail)), prec)
 
     if space.tag == "hd":
@@ -482,10 +444,10 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
             if tail is None:
                 return None
             tails.append((r_k, tail))
-        moduli = _head_moduli(seq, cuts, prec, root=True)
+        head = _Head(seq, prec)
         rows = []
         for r, (t_num, t_den) in tails:
-            num, den = DiscSum(r).extend(moduli).pair
+            num, den = head.disc_sum(r, cuts, upper=True)[0]
             rows.append((r, cuts, Fraction(num * t_den + t_num * den, den * t_den)))
         return InCert(space, "disc-schedule", tuple(rows), prec)
 
@@ -657,6 +619,8 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
     if isinstance(fam, PartialSum):
         if fam.p <= 0:
             raise ParseError(f"bad family ref {format_family(fam)}: exponent must be positive")
+        if fam.M < 0:  # no sum of |a_n|**p is negative
+            raise ParseError(f"bad family ref {format_family(fam)}: bound must be >= 0")
         hp = prec + 32
         cum_lo, cum_hi = PowSum(fam.p, hp), PowSum(fam.p, hp, upper=True)
         for n in support_indices_upto(seq, budget):

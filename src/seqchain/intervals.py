@@ -54,8 +54,11 @@ enforces.  ``is_exact``, ``is_exact_zero`` and ``is_real`` test identity,
 ``==`` compares one endpoint of an axis that is a point in both boxes, and
 ``+``, ``-``, ``conj``, ``scale``, ``div``, ``abs_sq_bounds``, ``abs_bounds``
 and negative powers in ``pow_bounds`` compute a point's endpoint once: the
-formula for either end gives that same rational.  An exact real box's
-``abs_bounds`` is |re|, with no square to root.
+formula for either end gives that same rational.
+
+Every bound on |z| is ``abs_end`` of a ``modulus_bounds`` end: a real box's
+end bounds |re| and needs no root (it is its square's exact root), a complex
+box's bounds |z|**2 and is rooted on its own side, a point's once for both.
 """
 
 from __future__ import annotations
@@ -233,6 +236,21 @@ def pow_bounds(q: Fraction, e: Fraction, prec: int) -> tuple[Fraction, Fraction]
     # 1 over the grid ends: lo >= 8 there, as q**(-e) * 2**(inner+1) >= 2**(prec+3)
     (n_lo, d_lo), (n_hi, d_hi) = _strip_twos(lo + 1, inner + 1), _strip_twos(lo, inner + 1)
     return Fraction(d_lo, n_lo), Fraction(d_hi, n_hi)
+
+
+def abs_end(end: tuple[Fraction, bool], side: int, prec: int) -> Fraction:
+    """The bound on |z| from one ``modulus_bounds`` end, on its side (0 lower,
+    1 upper): the end, or its root on that side, outward at 2**-prec."""
+    q, squared = end
+    return sqrt_bounds(q, prec)[side] if squared else q
+
+
+def abs_ends(ends, prec: int) -> tuple[Fraction, Fraction]:
+    """Both ``abs_end`` bounds on |z|; a point's |z|**2 is rooted once."""
+    lo, hi = ends
+    if lo[1] and lo[0] is hi[0]:
+        return sqrt_bounds(lo[0], prec)
+    return abs_end(lo, 0, prec), abs_end(hi, 1, prec)
 
 
 class PowSum:
@@ -451,16 +469,8 @@ class ComplexInterval:
         return (lo, False), (hi, False)
 
     def abs_bounds(self, prec: int) -> tuple[Fraction, Fraction]:
-        """Rational bounds on |z|, rounded outward at 2**-prec."""
-        if self.is_exact and self.is_real:
-            a = abs(self.re_lo)
-            return a, a
-        sq_lo, sq_hi = self.abs_sq_bounds()
-        if sq_lo is sq_hi:
-            return sqrt_bounds(sq_lo, prec)
-        lo = sqrt_bounds(sq_lo, prec)[0]
-        hi = sqrt_bounds(sq_hi, prec)[1]
-        return lo, hi
+        """Rational bounds on |z|, rounded outward at 2**-prec (``abs_ends``)."""
+        return abs_ends(self.modulus_bounds(), prec)
 
     def excludes_zero(self) -> bool:
         """Whether the lower end of |z|**2 over the box is positive, tested by

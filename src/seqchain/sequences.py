@@ -32,7 +32,7 @@ from itertools import groupby
 from typing import Callable
 
 from .errors import LengthMismatch
-from .intervals import ComplexInterval, PowSum, Q0, Q1, format_rational, pow_bounds
+from .intervals import ComplexInterval, PowSum, Q0, Q1, abs_end, format_rational, pow_bounds
 from .supports import AllNaturals, ExplicitFinite, SupportSet
 
 
@@ -200,30 +200,25 @@ class FiniteRational(Sequence):
             return ComplexInterval.zero()
         return ComplexInterval.exact(val[0], val[1])
 
-    @staticmethod
-    def _modulus_upper(re, im, prec):
-        """Upper bound on |re + i*im|: |re| itself for a real entry, no square
-        rooted back, and the upper square root of re**2 + im**2 otherwise."""
-        return pow_bounds(re * re + im * im, Q1 / 2, prec)[1] if im else abs(re)
-
-    def _moduli_beyond(self, N, prec):
-        """(n, upper bound on |a_n|) for every entry past N."""
-        entries = self.entries.items()
-        return [(n, self._modulus_upper(re, im, prec)) for n, (re, im) in entries if n > N]
+    def _moduli_beyond(self, N, prec=None):
+        """(n, upper bound on |a_n|) for every entry past N: the ``modulus_bounds``
+        end of the exact entry, |re| or |a_n|**2, and its ``abs_end`` given prec."""
+        ends = [(n, (re * re + im * im, True) if im else (abs(re), False))
+                for n, (re, im) in self.entries.items() if n > N]
+        return ends if prec is None else [(n, abs_end(end, 1, prec)) for n, end in ends]
 
     def tail_majorant(self, N, p, prec):
         total = PowSum(Fraction(p), prec, upper=True)
-        for n, (re, im) in self.entries.items():
-            if n > N:
-                total.add((re * re + im * im, True) if im else (abs(re), False))
+        for _, end in self._moduli_beyond(N):
+            total.add(end)
         return total.value
 
     def sup_tail(self, N, prec):
         return max((m for _, m in self._moduli_beyond(N, prec)), default=Q0)
 
     def pos_sup_tail(self, K, prec):
-        rest = list(self.entries.values())[max(0, K):]
-        return max((self._modulus_upper(re, im, prec) for re, im in rest), default=Q0)
+        rest = list(self.entries)[max(0, K):]  # from position K on: past the index before it
+        return self.sup_tail(rest[0] - 1, prec) if rest else Q0
 
     def disc_tail(self, N, r, prec):
         if N >= self.max_index:  # past the last entry the tail is zero

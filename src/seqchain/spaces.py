@@ -22,17 +22,14 @@ metric computable from coefficient data with certified tails:
 
 ``metric_bound`` returns certified two-sided bounds.  Upper bounds are
 minimised over a power-of-two ladder of effective budgets, which keeps
-them monotone in the budget despite interval rounding in the heads.  The
-rungs share one head: one increasing list of the nonzero terms' exact
-``modulus_bounds`` and one of their |d_n| bounds, each computed once per call,
-and every head sum, per rung, radius or exponent, extends itself over a
-``bisect`` slice of one list instead of summing again from zero.  The
-endpoints are exact rationals, so the bounds equal those of rungs summed
-separately.  The ratio and nested sums are integer numerators over a power
-of two, made a ``Fraction`` once per read; the ``hd`` disc sums (the one
-disc-sum kernel, ``intervals.DiscSum``) and the difference's disc tails stay
-unreduced integer pairs that the nested sum floors onto its grid, so no
-summand pays for a gcd.
+them monotone in the budget despite interval rounding in the heads.  Every
+head sum, of a metric or of an in-certificate (``diagnose``), is read from
+one ``_Head``: one list of the nonzero terms' ``modulus_bounds``, bounds on
+|a_n| taken from it by the one rule ``intervals.abs_end``, and sums that
+extend over a ``bisect`` slice per rung, radius or exponent instead of
+summing again from zero.  The ``hd`` disc sums (``intervals.DiscSum``) and
+the disc tails stay unreduced integer pairs that the nested sum floors onto
+its grid, so no summand pays for a gcd.
 
 ``metric_bounds`` walks the same ladder and yields the bound after each
 rung.  A caller that asks only whether the distance is below r
@@ -46,9 +43,11 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace
-from .intervals import Q0, DiscSum, PowSum, format_rational, parse_rational, pow_bounds
+from .intervals import Q0, DiscSum, PowSum, abs_end, abs_ends, pow_bounds
+from .intervals import format_rational, parse_rational
 from .sequences import Sequence, combine, support_indices_upto, zero
 
 _PARAM_TAGS = {"lp", "cap-lp"}
@@ -178,47 +177,49 @@ def _budget_ladder(budget: int) -> list[int]:
     return rungs
 
 
-class _Head:
-    """The head of one ``metric_bound`` call: |d_n| enclosures and running sums.
+def _upper_abs(ends, hp):
+    return abs_end(ends[1], 1, hp)
 
-    It keeps two lists increasing in n, the nonzero terms' ``modulus_bounds``
-    and their |d_n| bounds (``nonzero``), each made on first use from one
-    enclosure per term at ``prec + _HEAD_GUARD`` and extended as the cutoff
-    grows.  Each head sum, keyed by integers, remembers its cutoff and reads
-    the ``bisect`` slice of one list past it; the endpoints are exact
-    rationals, so an extended sum equals the one restarted from zero.
-    ``parts`` keeps the summands of the nested metrics (see ``_nested_sum``).
-    The ratio sums, the power sums (``PowSum``) and ``parts`` are integer
-    numerators over 2**hp, 2**(hp+1) plus exact summands, 2**(prec+guard),
-    made a ``Fraction`` once per read; disc sums are unreduced pairs over
-    L * v**m for a radius u/v; the falling sums add ``Fraction`` terms.
-    The object lives for one call; cutoffs never decrease within it.
+
+class _Head:
+    """The head of one sequence at precision hp, for one ``metric_bound`` call
+    (of a difference) or one in-certificate.
+
+    It keeps one list, increasing in n, of the nonzero terms' exact
+    ``modulus_bounds`` ends, extended as the cutoff grows.  A sum reads the
+    ends, or a view of them made once per term (``nonzero``): their |a_n|
+    bounds (``abs_ends``), or the upper bound alone.  A sum gives one bound
+    per end it reads: (lower, upper), or with ``upper`` set (upper,), and then
+    makes no lower power, root or Horner pass.  Each sum, keyed by integers,
+    extends from its last cutoff over the ``bisect`` slice past it, which
+    exact endpoints make equal to a sum restarted from zero.  Ratio and power
+    sums (``PowSum``) and ``parts`` (``_nested_sum``) are integer numerators
+    over powers of two, disc sums unreduced pairs; cutoffs never decrease.
     """
 
-    def __init__(self, diff: Sequence, prec: int):
-        self.diff = diff
-        self.hp = prec + _HEAD_GUARD
+    def __init__(self, seq: Sequence, hp: int):
+        self.seq, self.hp = seq, hp
         self.parts: dict = {}
-        self._nonzero: dict = {}
+        self._cut, self._indices = -1, []
+        self._views: dict = {None: []}  # view -> [(n, view(ends, hp))]; None: the ends
         self._sums: dict = {}
 
-    def nonzero(self, root: bool, lo: int, hi: int) -> list:
-        """(n, bounds) for each nonzero d_n with lo < n <= hi, increasing in n:
-        bounds on |d_n| rounded outward at 2**-hp when ``root`` is set, else
-        the term's exact ``modulus_bounds``."""
-        entry = self._nonzero.get(root)
-        if entry is None:
-            entry = self._nonzero[root] = [-1, [], []]
-        cut, indices, bounds = entry
-        if hi > cut:
-            support = sorted(support_indices_upto(self.diff, hi))
-            for n in support[bisect_right(support, cut):]:
-                iv = self.diff.term(n, self.hp)
+    def nonzero(self, view, lo: int, hi: int) -> list:
+        """(n, view(ends, hp)) for each nonzero a_n with lo < n <= hi, increasing
+        in n, where ends is the term's ``modulus_bounds``; for view None, the ends."""
+        ends = self._views[None]
+        if hi > self._cut:
+            support = sorted(support_indices_upto(self.seq, hi))
+            for n in support[bisect_right(support, self._cut):]:
+                iv = self.seq.term(n, self.hp)
                 if not iv.is_exact_zero:
-                    indices.append(n)
-                    bounds.append((n, iv.abs_bounds(self.hp) if root else iv.modulus_bounds()))
-            entry[0] = hi
-        return bounds[bisect_right(indices, lo):bisect_right(indices, hi)]
+                    self._indices.append(n)
+                    ends.append((n, iv.modulus_bounds()))
+            self._cut = hi
+        made, j = self._views.setdefault(view, []), bisect_right(self._indices, hi)
+        if len(made) < j:  # never for the ends, their own view
+            made.extend([(n, view(e, self.hp)) for n, e in ends[len(made):j]])
+        return made[bisect_right(self._indices, lo):j]
 
     def _entry(self, key, N: int, start):
         """[last cutoff, *sums] under ``key``, the sums made by ``start()``
@@ -230,37 +231,35 @@ class _Head:
             raise ValueError("a head sum cannot shrink below its last cutoff")
         return entry
 
-    def _extend(self, key, N: int, root: bool, part, join=operator.add, start=lambda: (Q0, Q0)):
-        """``join`` of part(n, bounds) over the nonzero head up to N (see
-        ``nonzero``), continued from the last cutoff; a part may be None."""
+    def _extend(self, key, N: int, view, part=None, join=operator.add, start=lambda: (Q0, Q0),
+                ends=(0, 1)):
+        """``join`` of the view's bounds, or of part(n, bounds), one sum per
+        end read, over the nonzero head up to N, continued from the last cutoff."""
         entry = self._entry(key, N, start)
-        cut, lo, hi = entry
-        for n, bounds in self.nonzero(root, cut, N):
-            bounds = part(n, bounds)
-            if bounds is not None:
-                lo = join(lo, bounds[0])
-                hi = join(hi, bounds[1])
-        entry[:] = N, lo, hi
-        return lo, hi
+        new = self.nonzero(view, entry[0], N)
+        if part is not None:
+            new = [(n, part(n, bounds)) for n, bounds in new]
+        sums = [reduce(join, (b[i] for _, b in new), total) for i, total in zip(ends, entry[1:])]
+        entry[:] = N, *sums
+        return tuple(sums)
 
-    def power_sum(self, p: Fraction, N: int):
-        """Bounds on sum_{n<=N} |d_n|**p, one ``PowSum`` per endpoint."""
-        lo, hi = self._extend(
-            ("lp", p.numerator, p.denominator), N, False, lambda n, ends: ends, PowSum.add,
-            lambda: (PowSum(p, self.hp), PowSum(p, self.hp, upper=True)),
-        )
-        return lo.value, hi.value
+    def power_sum(self, p: Fraction, N: int, upper: bool = False):
+        """Bounds on sum_{n<=N} |a_n|**p, one ``PowSum`` per end."""
+        ends = (1,) if upper else (0, 1)
+        sums = self._extend(("lp", p.numerator, p.denominator, upper), N, None, join=PowSum.add,
+                            start=lambda: [PowSum(p, self.hp, end == 1) for end in ends], ends=ends)
+        return tuple(total.value for total in sums)
 
-    def max_abs(self, N: int):
-        """Bounds on max_{n<=N} |d_n| (zero for an empty head)."""
-        return self._extend("sup", N, True, lambda n, a: a, join=max)
+    def max_abs(self, N: int, upper: bool = False):
+        """Bounds on max_{n<=N} |a_n| (zero for an empty head)."""
+        if upper:
+            return self._extend("sup+", N, _upper_abs, lambda n, a: (a,), max, lambda: (Q0,))
+        return self._extend("sup", N, abs_ends, join=max)
 
     def ratio_sum(self, N: int):
-        """Bounds on sum_{n<=N} 2**-n |d_n|/(1+|d_n|), each summand rounded
-        outward onto the 2**-hp grid so the rationals cannot balloon.
-
-        For |d_n| = p/q a summand is p/((q+p) 2**n), so its grid numerators
-        are integer floors and ceilings; the sums are integers over 2**hp."""
+        """Bounds on sum_{n<=N} 2**-n |a_n|/(1+|a_n|), each summand rounded
+        outward onto the 2**-hp grid so the rationals cannot balloon: for
+        |a_n| = p/q it is p/((q+p) 2**n), floored and ceiled as integers."""
         grid = self.hp
 
         def part(n, a):
@@ -270,46 +269,43 @@ class _Head:
                 _ceil_num(hi.numerator, (hi.denominator + hi.numerator) << n, grid),
             )
 
-        lo, hi = self._extend("cn0", N, True, part, start=lambda: (0, 0))
+        lo, hi = self._extend("cn0", N, abs_ends, part, start=lambda: (0, 0))
         return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid)
 
-    def disc_sum(self, r: Fraction, N: int):
-        """Bounds on sum_{n<=N} |d_n| r**n as unreduced integer pairs: one
-        ``DiscSum`` of the point moduli for both, one per endpoint of the rest."""
-        cut, points, wide_lo, wide_hi = entry = self._entry(
-            ("hd", r.numerator, r.denominator), N, lambda: (DiscSum(r), DiscSum(r), DiscSum(r))
-        )
-        new = self.nonzero(True, cut, N)
+    def disc_sum(self, r: Fraction, N: int, upper: bool = False):
+        """Bounds on sum_{n<=N} |a_n| r**n as unreduced integer pairs: one
+        ``DiscSum`` of the points' moduli for both ends, one per end of the
+        rest; or one ``DiscSum`` of the upper moduli alone."""
+        cut, points, *wide = entry = self._entry(("hd", r.numerator, r.denominator, upper), N,
+                                                 lambda: [DiscSum(r) for _ in range(1 if upper else 3)])
+        new = self.nonzero(_upper_abs if upper else abs_ends, cut, N)
         entry[0] = N  # each sum takes the new indices in one call
+        if upper:
+            return (points.extend(new).pair,)
         points.extend((n, a[0]) for n, a in new if a[0] is a[1])
-        wide_lo.extend((n, a[0]) for n, a in new if a[0] is not a[1])
-        wide_hi.extend((n, a[1]) for n, a in new if a[0] is not a[1])
+        wide[0].extend((n, a[0]) for n, a in new if a[0] is not a[1])
+        wide[1].extend((n, a[1]) for n, a in new if a[0] is not a[1])
         p_num, p_den = points.pair
-        return tuple((p_num * d + w * p_den, p_den * d) for w, d in (wide_lo.pair, wide_hi.pair))
+        return tuple((p_num * d + w * p_den, p_den * d) for w, d in (total.pair for total in wide))
 
     def falling_sum(self, i: int, N: int):
-        """Bounds on sum_{i<=n<=N} n!/(n-i)! |d_n|."""
+        """Bounds on sum_{i<=n<=N} n!/(n-i)! |a_n|."""
 
         def part(n, a):
-            if n < i:
-                return None
-            f = _falling(n, i)
+            f = _falling(n, i)  # 0 for n < i
             return f * a[0], f * a[1]
 
-        return self._extend(("ainf", i), N, True, part)
-
-
-def _lp_power_sum(head: _Head, p: Fraction, N: int, prec: int):
-    """Bounds on sum_{n<=N} |d_n|**p plus certified tail for the upper."""
-    lo_sum, hi_sum = head.power_sum(p, N)
-    tail = head.diff.tail_majorant(N, p, prec)
-    if tail is None:
-        raise MissingTailOracle(f"no l^{p} tail bound available")
-    return lo_sum, hi_sum + tail
+        return self._extend(("ainf", i), N, abs_ends, part)
 
 
 def _metric_once_lp(head: _Head, p: Fraction, N: int, prec: int):
-    lo, hi = _lp_power_sum(head, p, N, prec)
+    """Bounds on sum_{n<=N} |d_n|**p, the certified tail added to the upper,
+    and their 1/p-th powers for p >= 1."""
+    lo, hi = head.power_sum(p, N)
+    tail = head.seq.tail_majorant(N, p, prec)
+    if tail is None:
+        raise MissingTailOracle(f"no l^{p} tail bound available")
+    hi += tail
     if p >= 1:
         return pow_bounds(lo, 1 / p, prec)[0], pow_bounds(hi, 1 / p, prec)[1]
     return lo, hi
@@ -317,7 +313,7 @@ def _metric_once_lp(head: _Head, p: Fraction, N: int, prec: int):
 
 def _metric_once_sup(head: _Head, N: int, prec: int):
     lo, hi = head.max_abs(N)
-    tail = head.diff.sup_tail(N, prec)
+    tail = head.seq.sup_tail(N, prec)
     if tail is None:
         raise MissingTailOracle("no sup tail bound available")
     return lo, max(hi, tail)
@@ -371,7 +367,7 @@ def _metric_once_hd(head: _Head, N: int, prec: int):
     def summand(k, inner_budget):
         r_k = Fraction(k, k + 1)
         m_lo, (hi_num, hi_den) = head.disc_sum(r_k, inner_budget)
-        tail = head.diff.disc_tail(inner_budget, r_k, prec)
+        tail = head.seq.disc_tail(inner_budget, r_k, prec)
         if tail is None:
             raise MissingTailOracle("no disc tail bound available")
         t_num, t_den = tail
@@ -394,7 +390,7 @@ def _metric_once_ainf(head: _Head, N: int, prec: int):
     hi = Q0
     for i in range(K + 1):
         w_lo, w_hi = head.falling_sum(i, N)
-        poly = head.diff.poly_sup_tail(N, i + 2, prec)
+        poly = head.seq.poly_sup_tail(N, i + 2, prec)
         if poly is None:
             raise MissingTailOracle("no polynomial tail bound available")
         tail = poly * Fraction(1, max(1, N))  # sum_{n>N} n**-2 <= 1/N
@@ -431,7 +427,7 @@ def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):
     if a is b or a.spec_key() == b.spec_key():
         yield from ((rung, MetricBound(Q0, Q0)) for rung in ladder)
         return
-    head = _Head(combine([1, -1], [a, b]), prec)
+    head = _Head(combine([1, -1], [a, b]), prec + _HEAD_GUARD)
     best_lo = Q0
     best_hi = None
     for rung in ladder:

@@ -231,8 +231,13 @@ def test_bad_decompose_range_is_a_one_line_error(capsys, flags):
         ["cap-lp:1", "--outer-range", "0:0"],
         ["linf", "--inner-range=-1:-1"],
         ["ainf", "--outer-range=-1:-1", "--inner-range", "1:1"],
+        ["lp:1", "--inner-range=-1:-1"],
+        ["cap-lp:1", "--inner-range=-1:-1"],
     ],
-    ids=["c0-k-0", "hd-j-0", "cap-lp-n-0", "linf-bound-negative", "ainf-k-negative"],
+    ids=[
+        "c0-k-0", "hd-j-0", "cap-lp-n-0", "linf-bound-negative", "ainf-k-negative",
+        "lp-bound-negative", "cap-lp-bound-negative",
+    ],
 )
 def test_out_of_range_decompose_grid_is_a_one_line_error(capsys, args):
     assert main(["decompose", NAT] + args) == 1

@@ -32,11 +32,7 @@ from seqchain.diagnose import (
     Undecided,
     ViolatedAt,
     _escape_exponent,
-    _head_moduli,
-    _head_runs,
     _in_cert,
-    _lp_head_upper,
-    _modulus_upper,
     _verify_blocks,
     check_certificate,
     classify,
@@ -61,7 +57,19 @@ from seqchain.sequences import (
     zero,
 )
 from seqchain.serialize import canonical_json, sequence_from_spec
-from seqchain.spaces import AINF, C0, CN0, HD, LINF, cap_lp, lp, parse_space, standard_chain
+from seqchain.spaces import (
+    AINF,
+    C0,
+    CN0,
+    HD,
+    LINF,
+    _Head,
+    _upper_abs,
+    cap_lp,
+    lp,
+    parse_space,
+    standard_chain,
+)
 from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
 from seqchain.tags import BlockDivergence, SubseqLowerBound
 from test_intervals import _ref_pow_bounds, point_or_wide_boxes, rationals
@@ -920,6 +928,10 @@ def test_gap_cap_c0_leaves_every_lp_fast_without_reading_a_term(b):
 
 # -- in-certificate heads: grid sums against Fraction sums --------------------------
 
+# The in-certificates read the upper sums of one ``spaces._Head`` at the
+# certificate's precision; these check its upper power sums, its upper |a_n|
+# bounds and its upper disc sums against the Fraction sums they replaced.
+
 
 def _ref_lp_head_upper(moduli, p, prec):
     """The head sum as it was added in Fraction arithmetic, one upper
@@ -946,10 +958,10 @@ def test_lp_head_uppers_equal_fraction_sums(name):
     seq = catalog()[name]
     # n**n (nat-power, nn-evens) makes the reference's q**a slow past N = 40
     for N in (-1, 0, 9, 40) if name in ("nat-power", "nn-evens") else (-1, 0, 9, 64, 300):
-        runs = _head_runs(_head_moduli(seq, N, PREC))
+        head = _Head(seq, PREC)
         squared = _squared_moduli(seq, N, PREC)
         for p in _HEAD_EXPONENTS:
-            assert _lp_head_upper(runs, p, PREC) == _ref_lp_head_upper(squared, p, PREC), (N, p)
+            assert head.power_sum(p, N, upper=True) == (_ref_lp_head_upper(squared, p, PREC),), (N, p)
 
 
 @pytest.mark.parametrize("prec", [16, 64])
@@ -958,10 +970,10 @@ def test_lp_head_uppers_of_finite_rationals_equal_fraction_sums(prec):
     rng = random.Random(7)
     for _ in range(40):
         seq = random_finite(rng, max_index=30)
-        runs = _head_runs(_head_moduli(seq, 30, prec))
+        head = _Head(seq, prec)
         squared = _squared_moduli(seq, 30, prec)
         for p in _HEAD_EXPONENTS:
-            assert _lp_head_upper(runs, p, prec) == _ref_lp_head_upper(squared, p, prec)
+            assert head.power_sum(p, 30, upper=True) == (_ref_lp_head_upper(squared, p, prec),)
 
 
 def _ref_partial_sum_check(seq, fam, budget, prec):
@@ -998,17 +1010,17 @@ def test_lp_head_uppers_with_runs_of_equal_moduli_equal_term_by_term_sums():
         _box(F(1, 5), F(2, 5), F(-1, 7), F(1, 9)),
     ]
     for _ in range(60):
-        moduli, squared, n = [], [], 0
+        listed, squared, n = [], [], 0
         for _ in range(rng.randint(0, 8)):
             box = rng.choice(boxes)
             for _ in range(rng.randint(1, 6)):
-                moduli.append((n, box.modulus_bounds()[1]))
+                listed.append(box)
                 squared.append((n, box.abs_sq_bounds()[1]))
                 n += 1
-        runs = _head_runs(moduli)
-        for p in _HEAD_EXPONENTS:
-            for prec in (16, PREC):
-                assert _lp_head_upper(runs, p, prec) == _ref_lp_head_upper(squared, p, prec)
+        for prec in (16, PREC):
+            head = _Head(_Listed(listed), prec)
+            for p in _HEAD_EXPONENTS:
+                assert head.power_sum(p, n - 1, upper=True) == (_ref_lp_head_upper(squared, p, prec),)
 
 
 # -- disc-schedule rows: the disc-sum kernel against Fraction sums ---------------------
@@ -1036,7 +1048,7 @@ def test_disc_schedule_rows_equal_fraction_sums(name):
         if cert is None:
             assert seq.disc_tail(cut, F(1, 2), PREC) is None, name
             continue
-        moduli = _head_moduli(seq, cut, PREC, root=True)
+        moduli = [(n, seq.term(n, PREC).abs_bounds(PREC)[1]) for n in support_indices_upto(seq, cut)]
         if name == "nat-nat":
             assert moduli and all(a == 0 for _, a in moduli)
         assert len(cert.data) == 8
@@ -1067,7 +1079,9 @@ def test_root_head_moduli_equal_roots_of_squared_moduli(prec):
                 (n, sqrt_bounds(seq.term(n, prec).abs_sq_bounds()[1], prec)[1])
                 for n in support_indices_upto(seq, N)
             ]
-            assert _head_moduli(seq, N, prec, root=True) == ref, (seq.spec(), N)
+            # the head keeps nonzero terms only: a zero adds to no sum
+            ref = [(n, a) for n, a in ref if not seq.term(n, prec).is_exact_zero]
+            assert _Head(seq, prec).nonzero(_upper_abs, -1, N) == ref, (seq.spec(), N)
 
 
 _positive = st.fractions(min_value=F(1, 50), max_value=20, max_denominator=50)
@@ -1087,7 +1101,7 @@ def test_root_head_modulus_is_the_upper_abs_bound(box, prec):
     # points, wide real boxes, boxes straddling 0 and complex boxes: a real
     # box's modulus is its greatest |re| with no root, a complex box's the
     # upper root of its greatest |z|**2
-    assert _modulus_upper(box, prec) == box.abs_bounds(prec)[1]
+    assert _Head(_Listed([box]), prec).max_abs(0, upper=True) == box.abs_bounds(prec)[1:]
 
 
 # -- cap-lp in-certificates rest on the threshold ------------------------------

@@ -1,0 +1,131 @@
+"""Pinned in-certificates and metric enclosures: the head sums they rest on.
+
+``in_cert_golden.json`` holds, per sequence and space, the SHA-256 of the
+canonical JSON of ``try_in_certificate(...).describe()`` (or None) at every
+budget in ``IN_BUDGETS`` and precision in ``IN_PRECS``.  The sequences are
+the catalog as is, spread onto each of the four infinite support
+kinds, restricted to the evens, and in a combination with complex
+coefficients; the spaces are ``IN_SPACES``.  ``metric_golden.json`` holds
+the ``metric_bound`` enclosure (or the error class it raises) of seven
+disjoint catalog pairs in every space with a metric, at each budget in
+``METRIC_BUDGETS``.  The in-certificate rows and the metrics sum the same
+head bounds of |a_n|, so a change to how heads are bounded or summed must
+keep both files byte for byte.  To record them anew after a deliberate
+change, run ``PYTHONPATH=src python tests/test_head_goldens.py``.
+"""
+
+import hashlib
+import json
+from fractions import Fraction as F
+from pathlib import Path
+
+from conftest import catalog
+from seqchain import families
+from seqchain.diagnose import try_in_certificate
+from seqchain.errors import SeqchainError
+from seqchain.intervals import format_rational
+from seqchain.sequences import combine, restrict, spread
+from seqchain.spaces import AINF, C0, CN0, HD, LINF, cap_lp, lp, metric_bound
+from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
+
+IN_GOLDEN_PATH = Path(__file__).parent / "in_cert_golden.json"
+METRIC_GOLDEN_PATH = Path(__file__).parent / "metric_golden.json"
+
+IN_SPACES = [lp(F(1, 2)), lp(1), lp(2), cap_lp(0), cap_lp(1), cap_lp(2), LINF, HD]
+IN_BUDGETS = [16, 64, 256]
+IN_PRECS = [32, 64]
+SUPPORTS = {
+    "all": AllNaturals(),
+    "powers-of-two": PowersOfTwo(),
+    "dyadic-row-2": DyadicRow(2),
+    "arith-1-3": Arith(1, 3),
+}
+METRIC_SPACES = [lp(F(1, 2)), lp(1), lp(2), cap_lp(0), cap_lp(1), C0, LINF, HD, CN0, AINF]
+METRIC_BUDGETS = [16, 256]
+METRIC_PREC = 32
+
+
+def _in_sequences():
+    """Every catalog member in each of its forms: the head terms are exact
+    and inexact, real and complex, points and wide boxes."""
+    seqs = {}
+    for name, seq in sorted(catalog().items()):
+        seqs[name] = seq
+        for kind, support in SUPPORTS.items():
+            seqs[f"spread({name},{kind})"] = spread(seq, support)
+        seqs[f"restrict({name})"] = restrict(seq, Arith(0, 2))
+        seqs[f"combine({name})"] = combine([(F(1, 2), F(1, 3)), (2, -1)], [seq, families.prop28()])
+    return seqs
+
+
+def record_in_certs():
+    out = {}
+    for name, seq in _in_sequences().items():
+        for space in IN_SPACES:
+            certs = {}
+            for budget in IN_BUDGETS:
+                for prec in IN_PRECS:
+                    cert = try_in_certificate(seq, space, budget, prec)
+                    certs[f"{budget}|{prec}"] = None if cert is None else _describe(cert)
+            canonical = json.dumps(certs, sort_keys=True, separators=(",", ":")).encode()
+            out[f"{name}|{space}"] = hashlib.sha256(canonical).hexdigest()
+    return out
+
+
+def _hex(x):
+    """Every number of certificate data in hexadecimal, which has no length cap."""
+    if isinstance(x, F):
+        return f"{x.numerator:x}/{x.denominator:x}"
+    if isinstance(x, tuple):
+        return [_hex(y) for y in x]
+    return x
+
+
+def _describe(cert):
+    """``describe()``, or, for data too large to render in decimal, the
+    error it raises and the data's SHA-256 in hexadecimal."""
+    try:
+        return cert.describe()
+    except SeqchainError as err:
+        data = json.dumps(_hex(cert.data)).encode()
+        return {"error": str(err), "data_sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _metric_pairs():
+    """The catalog in name order, taken two at a time: each member in one pair."""
+    names = sorted(catalog())
+    seqs = catalog()
+    for name, other in zip(names[::2], names[1::2]):
+        yield f"{name}~{other}", seqs[name], seqs[other]
+
+
+def record_metrics():
+    out = {}
+    for label, a, b in _metric_pairs():
+        for space in METRIC_SPACES:
+            for budget in METRIC_BUDGETS:
+                try:
+                    bound = metric_bound(space, a, b, budget, METRIC_PREC)
+                    value = [format_rational(bound.lower), format_rational(bound.upper)]
+                except SeqchainError as err:
+                    value = type(err).__name__
+                out[f"{label}|{space}|{budget}"] = value
+    return out
+
+
+def _mismatches(got, golden):
+    assert sorted(got) == sorted(golden)
+    return [key for key in got if got[key] != golden[key]]
+
+
+def test_in_certificates_match_golden():
+    assert _mismatches(record_in_certs(), json.loads(IN_GOLDEN_PATH.read_text())) == []
+
+
+def test_metric_bounds_match_golden():
+    assert _mismatches(record_metrics(), json.loads(METRIC_GOLDEN_PATH.read_text())) == []
+
+
+if __name__ == "__main__":
+    IN_GOLDEN_PATH.write_text(json.dumps(record_in_certs(), indent=1, sort_keys=True) + "\n")
+    METRIC_GOLDEN_PATH.write_text(json.dumps(record_metrics(), indent=1, sort_keys=True) + "\n")

@@ -953,3 +953,69 @@ def test_integer_exponents_take_no_root(monkeypatch):
         for j in (-8, -2, -1, 1, 2, 8):
             pow_bounds(q, Fraction(j), 64)
     assert calls == []
+
+
+# -- |z| bounds from the modulus ends ------------------------------------------------
+
+# ``abs_bounds`` reads the box's ``modulus_bounds`` ends: a real box's ends
+# are returned with no root, a complex box's roots each squared end on its own
+# side, and a point's once.  It must give the endpoints of the formula it
+# replaced, which squared every box that was not a real point.
+
+
+def _squaring_abs_bounds(z, prec):
+    """``ComplexInterval.abs_bounds`` as it was: |re| for a real point, else
+    the roots of the ends of |z|**2, one root for a point."""
+    if z.is_exact and z.is_real:
+        a = abs(z.re_lo)
+        return a, a
+    sq_lo, sq_hi = z.abs_sq_bounds()
+    if sq_lo is sq_hi:
+        return sqrt_bounds(sq_lo, prec)
+    return sqrt_bounds(sq_lo, prec)[0], sqrt_bounds(sq_hi, prec)[1]
+
+
+class _Calls:
+    """Count calls of a module function while the block runs."""
+
+    def __init__(self, module, name):
+        self.module, self.name, self.count = module, name, 0
+
+    def __enter__(self):
+        self.real = getattr(self.module, self.name)
+
+        def counted(*args):
+            self.count += 1
+            return self.real(*args)
+
+        setattr(self.module, self.name, counted)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(self.module, self.name, self.real)
+
+
+_positive_q = st.fractions(min_value=Fraction(1, 50), max_value=20, max_denominator=50)
+_signed_real_boxes = st.one_of(
+    st.builds(lambda a, b: ComplexInterval.from_real_bounds(a, a + b), _positive_q, _positive_q),
+    st.builds(lambda a, b: ComplexInterval.from_real_bounds(-a - b, -a), _positive_q, _positive_q),
+    st.builds(lambda a, b: ComplexInterval.from_real_bounds(-a, b), _positive_q, _positive_q),
+)
+
+
+@given(
+    st.one_of(st.builds(ComplexInterval.exact, rationals, zero_or_rational), _signed_real_boxes, point_or_wide_boxes()),
+    st.sampled_from([4, 16, 64, 200]),
+)
+def test_abs_bounds_equal_the_squaring_formula_and_root_signed_real_boxes_never(box, prec):
+    ref = _squaring_abs_bounds(box, prec)
+    with _Calls(intervals, "iroot") as iroots, _Calls(intervals, "root_bounds") as roots:
+        got = box.abs_bounds(prec)
+    assert got == ref
+    assert got[0] is got[1] or got[0] < got[1]
+    if box.is_real:
+        assert iroots.count == 0 and roots.count == 0
+    elif box.is_exact:
+        assert roots.count == 1
+    else:
+        assert roots.count == 2

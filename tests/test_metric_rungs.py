@@ -51,7 +51,7 @@ RADII = (F(1), F(1, 2), F(1, 8), F(1, 128), F(1, 2048))
 def _ref_metric_bound(y, a, b, budget, prec):
     if a is b or a.spec_key() == b.spec_key():
         return MetricBound(F(0), F(0))
-    head = _Head(combine([1, -1], [a, b]), prec)
+    head = _Head(combine([1, -1], [a, b]), prec + 16)
     best_lo, best_hi = F(0), None
     for rung in _budget_ladder(budget):
         lo, hi = _metric_once(y, head, rung, prec)

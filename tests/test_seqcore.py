@@ -14,7 +14,7 @@ from seqchain import families, intervals
 from seqchain.errors import FiniteSupportSet, LengthMismatch
 from seqchain.families import nat, prop28
 from seqchain.generic import dense_family_element
-from seqchain.diagnose import CertifiedIn, _head_moduli, classify
+from seqchain.diagnose import CertifiedIn, classify
 from seqchain.intervals import Q1, ComplexInterval, DiscSum, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     _EXACT_POWER_BITS,
@@ -476,7 +476,7 @@ def test_many_spread_parts_on_one_row_keep_the_pairs_small():
     assert time.process_time() - start < 1
     assert isinstance(verdict, CertifiedIn) and verdict.cert.shape == "disc-schedule"
     cut = min(BUDGET, 64)
-    moduli = _head_moduli(f, cut, PREC, root=True)
+    moduli = [(n, f.term(n, PREC).abs_bounds(PREC)[1]) for n in support_indices_upto(f, cut)]
     ref = []
     for k in range(1, 9):
         r = F(k, k + 1)
