@@ -20,6 +20,15 @@ Family ids double as the wire names of the sequence-spec JSON format:
 ``gap-cap-c0``     none     |a_n| = 1/L(n+2); vanishing.
 ``const-one``      none     a_n = 1.
 =================  =======  ===================================================
+
+Three shared rules build most of the catalog.  The tail rule
+``_bounded_tails`` serves the families whose real terms lie in [0, 1] and
+never increase along their support: prop28, rem29, gap-lp-cap, gap-cap-lp,
+gap-cap-c0 and const-one (nat keeps its own disc tail).  The doubling
+builder ``_doubling`` makes rem29 on a support, and prop28 as rem29 on the
+powers of two, whose picks are 2, 4, 8, ...; only their tag weights differ.
+The power builder ``_power`` makes n**(n+e) on a support: nat-power (e = 1,
+all naturals) and nn-on-support (e = 0).
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from .tags import (
 )
 
 _TAG_PREC = 32  # fixed precision for rational bounds baked into tags
-_ONE = ComplexInterval.exact(1)  # every term of const-one
+_ONE = ComplexInterval.exact(Q1)  # every term of const-one
 
 
 def _real_iv(lo: Fraction, hi: Fraction) -> ComplexInterval:
@@ -87,57 +96,25 @@ def _check_r(r) -> tuple[int, int]:
     return u, v
 
 
-def _disc_geom(r: Fraction, n0: int) -> tuple[int, int]:
-    """r**n0 / (1 - r) as the pair (u**n0 * v, v**n0 * (v - u)): the disc tail
-    of terms <= 1 that vanish below n0."""
-    u, v = _check_r(r)
-    return u ** n0 * v, v ** n0 * (v - u)
+# -- bounded decreasing families -------------------------------------------
 
 
-def _disc_unit(N: int, r: Fraction, prec: int) -> tuple[int, int]:
-    """Disc tail past N of a sequence whose every term is <= 1 in modulus."""
-    return _disc_geom(r, N + 1)
-
-
-# -- prop28 / rem29 ---------------------------------------------------------
-
-
-def prop28() -> FamilySeq:
-    """sqrt(1/2**k) at index 2**k for k >= 1; zero elsewhere."""
-
-    def term(n, prec):
-        if n >= 2 and n & (n - 1) == 0:
-            return _real_iv(*sqrt_bounds(Fraction(1, n), prec))
-        return ComplexInterval.zero()
-
-    def _k0(N):
-        return max(1, N.bit_length())  # smallest k >= 1 with 2**k > N
-
-    def tail(N, p, prec):
-        return _geom_tail(Fraction(1, 2), p / 2, _k0(N), prec)
+def _bounded_tails(term, peak=lambda N: N + 1):
+    """sup_fn and disc_fn of a family whose real terms lie in [0, 1] and never
+    increase along its support, where peak(N) is the first support index past
+    N (N + 1 on all naturals).  Past N no term exceeds the one at peak(N), so
+    the sup tail is that term's upper end, read off the raw term closure at
+    16 bits at least, and the disc tail is that of unit terms vanishing below
+    n0 = peak(N): r**n0 / (1 - r) as the pair (u**n0 * v, v**n0 * (v - u))."""
 
     def sup(N, prec):
-        return sqrt_bounds(Fraction(1, 1 << _k0(N)), max(prec, 16))[1]
+        return term(peak(N), max(prec, 16)).re_hi
 
     def disc(N, r, prec):
-        return _disc_geom(r, 1 << _k0(N))  # values are <= 1
+        (u, v), n0 = _check_r(r), peak(N)
+        return u ** n0 * v, v ** n0 * (v - u)
 
-    tag = SubseqLowerBound(
-        label="prop28-weighted",
-        s=lambda m: 1 << m,
-        g=lambda m: Fraction(1, 1 << ((m + 1) // 2)),
-    )
-    return FamilySeq(
-        "prop28",
-        {},
-        term,
-        tail_fn=tail,
-        sup_fn=sup,
-        disc_fn=disc,
-        threshold=Fraction(0),
-        tags=(tag,),
-        support_hint=PowersOfTwo(),
-    )
+    return sup, disc
 
 
 class _DoublingSelection(SupportSet):
@@ -145,12 +122,11 @@ class _DoublingSelection(SupportSet):
     l_m' >= 2**m: scan the support in increasing order, taking for each m
     the first element past the previous pick that reaches 2**m.  The picks
     form a lazy infinite index set, a far tighter support hint than the
-    ambient set."""
+    ambient set.  On the powers of two the picks are 2, 4, 8, ..."""
 
     def __init__(self, support: SupportSet):
         self.support = support
         self.sel: list[int] = []
-        self.pos: list[int] = []  # support positions of the selections
         self._last_pos = 0
 
     def _select_next(self):
@@ -159,24 +135,10 @@ class _DoublingSelection(SupportSet):
         value = self.support.nth(pos)
         self._last_pos = pos
         self.sel.append(value)
-        self.pos.append(pos)
 
     def extend_to_value(self, x: int):
         while not self.sel or self.sel[-1] < x:
             self._select_next()
-
-    def extend_to_count(self, count: int):
-        while len(self.sel) < count:
-            self._select_next()
-
-    def first_past_position(self, K: int) -> int:
-        """1-based selection number of the first pick at support position > K."""
-        m = 1
-        while True:
-            self.extend_to_count(m)
-            if self.pos[m - 1] > K:
-                return m
-            m += 1
 
     # the picks increase strictly, so both bisect them
     def member(self, n):
@@ -190,7 +152,8 @@ class _DoublingSelection(SupportSet):
     def nth(self, k):
         if k < 1:
             raise ValueError("nth is 1-based")
-        self.extend_to_count(k)
+        while len(self.sel) < k:
+            self._select_next()
         return self.sel[k - 1]
 
     # every pick is a point of the underlying support, so its rules carry over
@@ -201,10 +164,10 @@ class _DoublingSelection(SupportSet):
         return self.support.within(other)
 
 
-def rem29(support: SupportSet) -> FamilySeq:
-    """sqrt(1/l) at a doubling selection of support points l; in every l^p
-    but with l |a_l| unbounded along the selection."""
-    support.require_infinite()
+def _doubling(name: str, params: dict, support: SupportSet, label: str, bound) -> FamilySeq:
+    """sqrt(1/l) at the doubling selection of support points l, zero
+    elsewhere: in every l^p, but with l |a_l| unbounded along the picks.
+    The growth tag reads bound(l) at the m-th pick l."""
     selection = _DoublingSelection(support)
 
     def term(n, prec):
@@ -217,25 +180,17 @@ def rem29(support: SupportSet) -> FamilySeq:
         # rank_upto(N) selections is dominated by a geometric series
         return _geom_tail(Fraction(1, 2), p / 2, selection.rank_upto(N) + 1, prec)
 
-    def sup(N, prec):
-        m = selection.rank_upto(N) + 1
-        return sqrt_bounds(Fraction(1, selection.nth(m)), max(prec, 16))[1]
+    sup, disc = _bounded_tails(term, lambda N: selection.nth(selection.rank_upto(N) + 1))
 
     def pos_sup(K, prec):
-        m = selection.first_past_position(K)
-        return sqrt_bounds(Fraction(1, selection.nth(m)), max(prec, 16))[1]
+        # positions count the underlying support: the picks at positions past
+        # K are the picks past its K-th point
+        return sup(support.nth(K) if K > 0 else -1, prec)
 
-    def disc(N, r, prec):
-        return _disc_geom(r, selection.nth(selection.rank_upto(N) + 1))
-
-    tag = SubseqLowerBound(
-        label="rem29-weighted",
-        s=selection.nth,
-        g=lambda m: Fraction(1, _ceil_sqrt(selection.nth(m))),
-    )
+    tag = SubseqLowerBound(label=label, s=selection.nth, g=lambda m: bound(selection.nth(m)))
     return FamilySeq(
-        "rem29",
-        {"support": support.spec()},
+        name,
+        params,
         term,
         tail_fn=tail,
         sup_fn=sup,
@@ -244,6 +199,24 @@ def rem29(support: SupportSet) -> FamilySeq:
         threshold=Fraction(0),
         tags=(tag,),
         support_hint=selection,
+    )
+
+
+def prop28() -> FamilySeq:
+    """sqrt(1/2**k) at index 2**k for k >= 1; zero elsewhere: rem29 on the
+    powers of two, with its own tag weight 2**-((k+1)//2) at 2**k."""
+    return _doubling(
+        "prop28", {}, PowersOfTwo(), "prop28-weighted",
+        lambda l: Fraction(1, 1 << (l.bit_length() // 2)),
+    )
+
+
+def rem29(support: SupportSet) -> FamilySeq:
+    """prop28's shape transplanted into an arbitrary infinite support."""
+    support.require_infinite()
+    return _doubling(
+        "rem29", {"support": support.spec()}, support, "rem29-weighted",
+        lambda l: Fraction(1, _ceil_sqrt(l)),
     )
 
 
@@ -291,71 +264,52 @@ def nat() -> FamilySeq:
     )
 
 
-def nat_power() -> FamilySeq:
-    """a_n = n**(n+1); its coefficient root test diverges."""
-
-    def term(n, prec):
-        return ComplexInterval.exact(0 if n == 0 else Fraction(n) ** (n + 1))
-
-    tags = (
-        SubseqLowerBound(
-            label="nat-power-values",
-            s=lambda m: m,
-            g=lambda m: Fraction(m) ** (m + 1),
-            g_inf=Q1,
-        ),
-        RootLowerBound(label="nat-power-root", s=lambda m: m, rho=lambda m: Fraction(m)),
-    )
-
-    lp_div = _unbounded_divergence(2)
-
-    return FamilySeq(
-        "nat-power",
-        {},
-        term,
-        tags=tags,
-        lp_div_fn=lp_div,
-        support_hint=AllNaturals(),
-    )
-
-
-def nn_on_support(support: SupportSet) -> FamilySeq:
-    """n**n on the support points n >= 1, zero elsewhere."""
+def _power(name: str, params: dict, support: SupportSet, e: int, label: str) -> FamilySeq:
+    """n**(n+e) on the support points n >= 1, zero elsewhere: its coefficient
+    root test diverges.  Its tags are label-values and label-root."""
     support.require_infinite()
     offset = 2 if support.nth(1) == 0 else 1  # skip a leading 0 in the support
+
+    def value(n):
+        return Fraction(n) ** (n + e)
 
     def positive_point(m):
         return support.nth(m + offset - 1)
 
     def term(n, prec):
         if n >= 1 and support.member(n):
-            return ComplexInterval.exact(Fraction(n) ** n)
+            return ComplexInterval.exact(value(n))
         return ComplexInterval.zero()
 
     tags = (
         SubseqLowerBound(
-            label="nn-values",
+            label=f"{label}-values",
             s=positive_point,
-            g=lambda m: Fraction(positive_point(m)) ** positive_point(m),
+            g=lambda m: value(positive_point(m)),
             g_inf=Q1,
         ),
         RootLowerBound(
-            label="nn-root",
-            s=positive_point,
-            rho=lambda m: Fraction(positive_point(m)),
+            label=f"{label}-root", s=positive_point, rho=lambda m: Fraction(positive_point(m))
         ),
     )
-
-    lp_div = _unbounded_divergence(offset)
-
     return FamilySeq(
-        "nn-on-support",
-        {"support": support.spec()},
+        name,
+        params,
         term,
         tags=tags,
-        lp_div_fn=lp_div,
+        lp_div_fn=_unbounded_divergence(offset),
         support_hint=support,
     )
+
+
+def nat_power() -> FamilySeq:
+    """a_n = n**(n+1)."""
+    return _power("nat-power", {}, AllNaturals(), 1, "nat-power")
+
+
+def nn_on_support(support: SupportSet) -> FamilySeq:
+    """n**n on the support points n >= 1, zero elsewhere."""
+    return _power("nn-on-support", {"support": support.spec()}, support, 0, "nn")
 
 
 def const_one() -> FamilySeq:
@@ -364,9 +318,7 @@ def const_one() -> FamilySeq:
     def term(n, prec):
         return _ONE
 
-    def sup(N, prec):
-        return Q1
-
+    sup, disc = _bounded_tails(term)
     tags = (
         SubseqLowerBound(
             label="const-one", s=lambda m: m - 1, g=lambda m: Q1, g_inf=Q1
@@ -380,7 +332,7 @@ def const_one() -> FamilySeq:
         {},
         term,
         sup_fn=sup,
-        disc_fn=_disc_unit,
+        disc_fn=disc,
         tags=tags,
         lp_div_fn=lp_div,
         support_hint=AllNaturals(),
@@ -397,21 +349,16 @@ def gap_lp_cap(a: Fraction) -> FamilySeq:
         raise ValueError("parameter must be positive")
     exponent = -1 / a
 
-    def base_val(n):
-        m = n + 2
-        return Fraction(m * _floor_log2(m))
-
     def term(n, prec):
-        return _real_iv(*pow_bounds(base_val(n), exponent, prec))
+        m = n + 2
+        return _real_iv(*pow_bounds(Fraction(m * _floor_log2(m)), exponent, prec))
 
     def tail(N, q, prec):
         s = q / a
         # sum_{m > N+2} m**-s <= (N+2)**(1-s) / (s-1)
         return pow_bounds(Fraction(N + 2), 1 - s, max(prec, 16))[1] / (s - 1)
 
-    def sup(N, prec):
-        return pow_bounds(base_val(N + 1), exponent, max(prec, 16))[1]
-
+    sup, disc = _bounded_tails(term)
     tag = SubseqLowerBound(
         label="gap-lp-cap-dyadic",
         s=lambda m: (1 << m) - 2,
@@ -429,7 +376,7 @@ def gap_lp_cap(a: Fraction) -> FamilySeq:
         term,
         tail_fn=tail,
         sup_fn=sup,
-        disc_fn=_disc_unit,
+        disc_fn=disc,
         tags=(tag,),
         lp_div_fn=lp_div,
         threshold=a,
@@ -454,8 +401,7 @@ def gap_cap_lp(a: Fraction, b: Fraction) -> FamilySeq:
             return 1 + 1 / (s - 1)
         return pow_bounds(Fraction(N + 1), 1 - s, max(prec, 16))[1] / (s - 1)
 
-    def sup(N, prec):
-        return pow_bounds(Fraction(N + 2), exponent, max(prec, 16))[1]
+    sup, disc = _bounded_tails(term)
 
     def lp_div(p):
         # terms over positions [2**j, 2**(j+1)-1] are each >= 2**-(j+1)
@@ -467,7 +413,7 @@ def gap_cap_lp(a: Fraction, b: Fraction) -> FamilySeq:
         term,
         tail_fn=tail,
         sup_fn=sup,
-        disc_fn=_disc_unit,
+        disc_fn=disc,
         lp_div_fn=lp_div,
         threshold=(a + b) / 2,
         support_hint=AllNaturals(),
@@ -497,8 +443,7 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
         for L in range(_floor_log2(k_lo + 1), _floor_log2(k_hi + 1) + 1):
             yield level(L), min(k_hi, (2 << L) - 2) - max(k_lo, (1 << L) - 1) + 1
 
-    def sup(N, prec):
-        return Fraction(1, _floor_log2(N + 3))
+    sup, disc = _bounded_tails(term)
 
     def lp_div(p):
         # 2**j terms of value j**-p per L-aligned block; valid from the
@@ -522,7 +467,7 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
         {"b": format_rational(b)},
         term,
         sup_fn=sup,
-        disc_fn=_disc_unit,
+        disc_fn=disc,
         lp_div_fn=lp_div,
         runs_fn=runs,
         support_hint=AllNaturals(),

@@ -248,7 +248,8 @@ class FamilySeq(Sequence):
     ``lp_divergence(p)`` is None for p > t, and ``tail_majorant`` is None
     for p <= t and whenever t is None.  Without a ``pos_sup_fn``,
     ``pos_sup_tail(K)`` is ``sup_tail(hint.nth(K))`` (N = -1 for K = 0) on the
-    support hint, all naturals without one.  rem29 keeps its own: it counts
+    support hint, all naturals without one.  The doubling-selection builder
+    of prop28 and rem29 (``families._doubling``) keeps its own: it counts
     positions in its underlying support, not in the selection it hints."""
 
     kind = "family"

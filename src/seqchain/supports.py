@@ -189,8 +189,15 @@ class ExplicitFinite(SupportSet):
         return {"kind": "explicit-finite", "elems": list(self.elems)}
 
 
+def _integer(value):
+    """A JSON integer field: an int, never a bool, a float or a string."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def support_from_spec(spec: dict) -> SupportSet:
-    """Build a support set from its JSON spec."""
+    """Build a support set from its JSON spec, whose fields are integers."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError(f"bad support spec: {spec!r}")
     kind = spec["kind"]
@@ -200,11 +207,13 @@ def support_from_spec(spec: dict) -> SupportSet:
         if kind == "powers-of-two":
             return PowersOfTwo()
         if kind == "dyadic-row":
-            return DyadicRow(int(spec["j"]))
+            return DyadicRow(_integer(spec["j"]))
         if kind == "arith":
-            return Arith(int(spec["start"]), int(spec["step"]))
+            return Arith(_integer(spec["start"]), _integer(spec["step"]))
         if kind == "explicit-finite":
-            return ExplicitFinite(spec["elems"])
+            if not isinstance(spec["elems"], list):
+                raise TypeError("elems is not a list")
+            return ExplicitFinite(map(_integer, spec["elems"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad support spec {spec!r}: {exc}") from None
     raise ParseError(f"unknown support kind {kind!r}")

@@ -251,8 +251,16 @@ def test_out_of_range_decompose_grid_is_a_one_line_error(capsys, args):
         '{"kind":"finite","entries":[[1.5,"1","0"]]}',
         '{"kind":"finite","entries":[[true,"1","0"]]}',
         '{"kind":"family","name":"gap-cap-c0","params":{"b":2}}',
+        '{"kind":"spread","base":{"kind":"family","name":"prop28"},"support":{"kind":"dyadic-row","j":1.5}}',
+        '{"kind":"restrict","base":{"kind":"family","name":"nat"},"support":{"kind":"arith","start":true,"step":3}}',
+        '{"kind":"family","name":"rem29","params":{"support":{"kind":"arith","start":1,"step":"3"}}}',
+        '{"kind":"restrict","base":{"kind":"family","name":"nat"},"support":{"kind":"explicit-finite","elems":[1.9,"3"]}}',
+        '{"kind":"restrict","base":{"kind":"family","name":"nat"},"support":{"kind":"explicit-finite","elems":{}}}',
     ],
-    ids=["int-rational", "float-index", "bool-index", "int-param"],
+    ids=[
+        "int-rational", "float-index", "bool-index", "int-param", "spread-float-row",
+        "restrict-bool-start", "rem29-string-step", "restrict-float-elems", "restrict-dict-elems",
+    ],
 )
 def test_malformed_spec_values_are_one_line_errors(capsys, spec):
     assert main(["classify", spec, "linf"]) == 1

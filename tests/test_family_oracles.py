@@ -7,9 +7,12 @@ the threshold, and ``lp_divergence(q)``'s ``describe()`` and first three
 blocks), and ``tail_majorant(N, p, 64)`` at each cutoff in ``CUTOFFS``
 (None or its exact value).  It also holds ``sup_tail(N, 64)`` and
 ``disc_tail(N, 3/4, 64)`` at each cutoff in ``CUTOFFS``, and
-``pos_sup_tail(K, 64)`` at each K in ``POSITIONS``.  The sequences are the
-catalog, two more gap parameters, and rem29 and nn-on-support on the
-supports in ``SUPPORTS``.  A refactor of the families must keep every
+``pos_sup_tail(K, 64)`` at each K in ``POSITIONS``.  The same four tails
+are pinned again at prec 8 (keys ending ``@8``), below the 16-bit floor the
+families work at, and each growth tag is pinned by its kind, label,
+``g_inf`` and its (s(m), g(m)) or (s(m), rho(m)) for m in ``TAG_INDICES``.
+The sequences are the catalog, two more gap parameters, and rem29 and
+nn-on-support on the supports in ``SUPPORTS``.  A refactor of the families must keep every
 entry, the Nones included.  To record the file anew after a deliberate
 change of the oracles, run ``PYTHONPATH=src python tests/test_family_oracles.py``.
 """
@@ -22,6 +25,7 @@ from conftest import catalog
 from seqchain import families
 from seqchain.diagnose import _escape_exponent
 from seqchain.supports import Arith, DyadicRow, PowersOfTwo
+from seqchain.tags import SubseqLowerBound
 
 GOLDEN_PATH = Path(__file__).parent / "family_oracles_golden.json"
 
@@ -31,6 +35,8 @@ POSITIONS = [0, 1, 2, 16, 37]
 SUPPORTS = {"arith-1-3": Arith(1, 3), "dyadic-row-2": DyadicRow(2), "powers-of-two": PowersOfTwo()}
 RADIUS = F(3, 4)
 PREC = 64
+LOW_PREC = 8
+TAG_INDICES = range(1, 7)
 
 
 def _sequences():
@@ -59,23 +65,37 @@ def _disc_value(pair):
     return None if pair is None else str(F(*pair))
 
 
+def _tag(tag):
+    bound = tag.g if isinstance(tag, SubseqLowerBound) else tag.rho
+    return {
+        "kind": type(tag).__name__,
+        "label": tag.label,
+        "g_inf": _value(getattr(tag, "g_inf", None)),
+        "points": [[tag.s(m), _value(bound(m))] for m in TAG_INDICES],
+    }
+
+
+def _tails(seq, prec):
+    return {
+        "tail": {
+            f"{N}:{x}": _value(seq.tail_majorant(N, x, prec)) for x in EXPONENTS for N in CUTOFFS
+        },
+        "sup": {str(N): _value(seq.sup_tail(N, prec)) for N in CUTOFFS},
+        "disc": {str(N): _disc_value(seq.disc_tail(N, RADIUS, prec)) for N in CUTOFFS},
+        "pos_sup": {str(K): _value(seq.pos_sup_tail(K, prec)) for K in POSITIONS},
+    }
+
+
 def _record(seq):
-    lp, cap, tail = {}, {}, {}
+    lp, cap = {}, {}
     for x in EXPONENTS:
         bd = seq.lp_divergence(x)
         lp[str(x)] = None if bd is None else _divergence(bd.p, bd)
         q = _escape_exponent(seq.threshold, x)
         cap[str(x)] = None if q is None else _divergence(q, seq.lp_divergence(q))
-        for N in CUTOFFS:
-            tail[f"{N}:{x}"] = _value(seq.tail_majorant(N, x, PREC))
-    return {
-        "lp": lp,
-        "cap": cap,
-        "tail": tail,
-        "sup": {str(N): _value(seq.sup_tail(N, PREC)) for N in CUTOFFS},
-        "disc": {str(N): _disc_value(seq.disc_tail(N, RADIUS, PREC)) for N in CUTOFFS},
-        "pos_sup": {str(K): _value(seq.pos_sup_tail(K, PREC)) for K in POSITIONS},
-    }
+    low = {f"{key}@{LOW_PREC}": value for key, value in _tails(seq, LOW_PREC).items()}
+    tags = [_tag(t) for t in seq.growth_tags]
+    return {"lp": lp, "cap": cap, **_tails(seq, PREC), **low, "tags": tags}
 
 
 def record_all():

@@ -463,6 +463,28 @@ def test_disc_tail_pairs_bound_the_next_512_terms(name):
             assert t_num * s_den >= s_num * t_den, (N, r)
 
 
+@pytest.mark.parametrize("name", list(_DISC_GRID))
+def test_sup_and_position_tails_bound_the_next_terms(name):
+    # the sup tail past N is at least the lower modulus of each of the 512
+    # terms past N, and the position tail past K at least that of the terms
+    # at the next 64 hint positions (fewer at the end of a finite hint)
+    seq = _DISC_GRID[name]
+    if seq.sup_tail(0, PREC) is not None:
+        lower = [seq.term(n, 16).abs_bounds(16)[0] for n in range(200 + 513)]
+        for N in (-1, 0, 5, 37, 200):
+            assert seq.sup_tail(N, PREC) >= max(lower[N + 1:N + 513]), N
+    if seq.pos_sup_tail(0, PREC) is not None:
+        hint = seq.support_hint or AllNaturals()
+        for K in (0, 1, 2, 16, 37):
+            tail = seq.pos_sup_tail(K, PREC)
+            for k in range(K + 1, K + 65):
+                try:
+                    n = hint.nth(k)
+                except FiniteSupportSet:
+                    break
+                assert tail >= seq.term(n, 16).abs_bounds(16)[0], (K, k)
+
+
 def test_many_spread_parts_on_one_row_keep_the_pairs_small():
     # 64 parts on dyadic row 3, each tail a pair over its own denominator:
     # the sum of the pairs must not grow past what one Fraction sum costs
