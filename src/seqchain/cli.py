@@ -54,7 +54,10 @@ def _read_source(text: str) -> str:
         return sys.stdin.read()
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+            try:
+                return fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{text[1:]} is not UTF-8: {exc.reason}") from None
     return text
 
 

@@ -45,7 +45,7 @@ from operator import index
 from .errors import ParseError, UnsupportedSpace
 from .intervals import Q1, PowSum, format_rational
 from .sequences import Sequence, support_indices_upto
-from .spaces import AINF, C0, HD, LINF, SpaceId, _Head
+from .spaces import AINF, C0, HD, LINF, SpaceId, _Head, join_row, row_bounds, seminorm_rows
 from .tags import COMPARATORS, BlockDivergence, RootLowerBound, SubseqLowerBound
 
 _SCHEDULE_K = 8          # exponents / radii sampled by in-certificates
@@ -382,10 +382,10 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
     cannot certify it.  ``cuts`` is the head cutoff N for lp, cap-lp, linf
     and hd, and one doubling-search start per schedule row for c0 and ainf.
 
-    The lp, cap-lp, linf and hd rows sum one head, the metrics' own
-    ``spaces._Head`` at precision prec, once every tail oracle has answered,
-    reading only its upper sums, with |a_n| bounded by ``intervals.abs_end``;
-    a disc tail's integer pair joins its disc sum in one ``Fraction``.
+    lp, cap-lp, linf and hd certify row 1 of their seminorm rows, or rows
+    1 .. 8 of a Frechet sum (``spaces.seminorm_rows``): each the upper head
+    sum of one ``spaces._Head`` at precision prec and the tail oracle's
+    bound (``spaces.row_bounds``), stopping at the first row without a tail.
 
     Each schedule samples finitely many rows and rests on a rule that makes
     them enough: ``lp-schedule`` (p_n = a + 1/n, n <= 8) is built only when
@@ -397,24 +397,24 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
     if space.tag == "cn0":
         return InCert(space, "total", (), prec)
 
-    if space.tag in ("lp", "cap-lp"):
-        if space.tag == "lp":
-            ps = (space.param,)
-        elif _escape_exponent(seq.threshold, space.param) is None:
-            ps = tuple(space.param + Fraction(1, n) for n in range(1, _SCHEDULE_K + 1))
-        else:
+    if space.tag in ("lp", "cap-lp", "linf", "hd"):
+        kind, param, nested = seminorm_rows(space)
+        if space.tag == "cap-lp" and _escape_exponent(seq.threshold, space.param) is not None:
             return None
-        tails = []
-        for p in ps:
-            tail = seq.tail_majorant(cuts, p, prec)
-            if tail is None:
+        head, rows = _Head(seq, prec), []
+        for k in range(1, _SCHEDULE_K + 1 if nested else 2):
+            p = param(k)
+            row = row_bounds(head, kind, p, cuts, prec, upper=True)
+            if row is None:
                 return None
-            tails.append((p, tail))
-        head = _Head(seq, prec)
-        rows = tuple((p, cuts, head.power_sum(p, cuts, upper=True)[0], tail) for p, tail in tails)
-        if space.tag == "lp":
-            return InCert(space, "lp-tail", rows[0], prec)
-        return InCert(space, "lp-schedule", rows, prec)
+            (bound,), tail = row
+            if kind == "lp":
+                rows.append((p, cuts, bound, tail))
+            elif kind == "sup":
+                rows.append((cuts, join_row(kind, bound, tail)))
+            else:
+                rows.append((p, cuts, Fraction(*join_row(kind, bound, tail))))
+        return InCert(space, _IN_SHAPES[space.tag][0], tuple(rows) if nested else rows[0], prec)
 
     if space.tag == "c0":
         # the schedule cuts at support positions: beyond the K-th support
@@ -428,28 +428,6 @@ def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
                 return None
             rows.append((eps, found[0], found[1]))
         return InCert(space, "vanishing-schedule", tuple(rows), prec)
-
-    if space.tag == "linf":
-        tail = seq.sup_tail(cuts, prec)
-        if tail is None:
-            return None
-        head = _Head(seq, prec).max_abs(cuts, upper=True)[0]
-        return InCert(space, "sup-bound", (cuts, max(head, tail)), prec)
-
-    if space.tag == "hd":
-        tails = []
-        for k in range(1, _SCHEDULE_K + 1):
-            r_k = Fraction(k, k + 1)
-            tail = seq.disc_tail(cuts, r_k, prec)
-            if tail is None:
-                return None
-            tails.append((r_k, tail))
-        head = _Head(seq, prec)
-        rows = []
-        for r, (t_num, t_den) in tails:
-            num, den = head.disc_sum(r, cuts, upper=True)[0]
-            rows.append((r, cuts, Fraction(num * t_den + t_num * den, den * t_den)))
-        return InCert(space, "disc-schedule", tuple(rows), prec)
 
     if space.tag == "ainf":
         rows = []
@@ -654,16 +632,13 @@ def decompose_report(seq: Sequence, space: SpaceId, outer, inner, budget: int, p
         for k in outer:
             for M in inner:
                 run(FMk(M=Fraction(M), k=int(k)))
-    elif space.tag == "lp":
-        for M in inner:
-            run(PartialSum(p=space.param, M=Fraction(M)))
-    elif space.tag == "cap-lp":
-        for n in outer:
+    elif space.tag in ("lp", "cap-lp"):
+        _, param, nested = seminorm_rows(space)  # psum exponents: the rows' p
+        for n in outer if nested else (1,):
             if int(n) < 1:
                 raise ParseError(f"cap-lp exponent index {n} must be >= 1")
-            p_n = space.param + Fraction(1, int(n))
             for M in inner:
-                run(PartialSum(p=p_n, M=Fraction(M)))
+                run(PartialSum(p=param(int(n)), M=Fraction(M)))
     elif space.tag == "c0":
         for k in outer:
             for n in inner:

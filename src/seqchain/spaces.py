@@ -4,32 +4,34 @@ The ten-member chain (for parameters 0 < a < b) is
 
     ainf < cap-lp:0 < lp:a < cap-lp:a < lp:b < cap-lp:b < c0 < linf < hd < cn0
 
-ordered by strict inclusion.  Each member carries a translation-invariant
-metric computable from coefficient data with certified tails:
+ordered by strict inclusion.  Every member above ``ainf`` (the bottom,
+never an outer space, with no metric) carries a translation-invariant
+metric computable from coefficient data with certified tails, all but
+cn0's read from the member's seminorm rows (``seminorm_rows``):
 
-* ``lp:p``     p >= 1: the p-norm of the difference; 0 < p < 1: the p-th
-  power sum (both complete metrics on the space).
-* ``c0``/``linf``: the sup metric.
-* ``cap-lp:a``: a Frechet combination sum_n 2**-n q_n/(1+q_n) over the
-  exponent schedule p_n = a + 1/n.
-* ``hd``: sum_k 2**-k min(1, M_k) with M_k = sum_n |d_n| r_k**n and
-  r_k = 1 - 1/(k+1).  M_k majorises the sup of the difference on the disc
-  of radius r_k, so this metric dominates the compact-convergence metric;
-  density statements made for it are the stronger ones.
+* ``lp:p``: one ``lp`` row, sum |d_n|**p, rooted to the p-norm for p >= 1
+  (both complete metrics on the space).
+* ``cap-lp:a``: ``lp`` rows q_k at p_k = a + 1/k in the Frechet sum
+  sum_k 2**-k q_k/(1+q_k).
+* ``c0``/``linf``: one ``sup`` row, the sup metric.
+* ``hd``: ``disc`` rows M_k = sum_n |d_n| r_k**n, r_k = k/(k+1), in
+  sum_k 2**-k min(1, M_k).  M_k majorises the sup of the difference on the
+  disc of radius r_k, so this metric dominates the compact-convergence
+  metric; density statements made for it are the stronger ones.
 * ``cn0``: sum_n 2**-n |d_n|/(1+|d_n|) (pointwise convergence).
-* ``ainf``: diagnostic only; derivative sups are replaced by the
-  coefficient majorant sum_n n!/(n-i)! |a_n|.
 
 ``metric_bound`` returns certified two-sided bounds.  Upper bounds are
 minimised over a power-of-two ladder of effective budgets, which keeps
-them monotone in the budget despite interval rounding in the heads.  Every
-head sum, of a metric or of an in-certificate (``diagnose``), is read from
-one ``_Head``: one list of the nonzero terms' ``modulus_bounds``, bounds on
-|a_n| taken from it by the one rule ``intervals.abs_end``, and sums that
-extend over a ``bisect`` slice per rung, radius or exponent instead of
-summing again from zero.  The ``hd`` disc sums (``intervals.DiscSum``) and
-the disc tails stay unreduced integer pairs that the nested sum floors onto
-its grid, so no summand pays for a gcd.
+them monotone in the budget despite interval rounding in the heads.  A
+row's head sum meets its tail oracle in one place, ``row_bounds``, for
+the metrics and the in-certificates (``diagnose``) alike.  Every head sum
+is read from one ``_Head``: one list of the nonzero terms'
+``modulus_bounds``, bounds on |a_n| taken from it by the one rule
+``intervals.abs_end``, and sums that extend over a ``bisect`` slice per
+rung, radius or exponent instead of summing again from zero.  The ``hd``
+disc sums (``intervals.DiscSum``) and the disc tails stay unreduced
+integer pairs that the nested sum floors onto its grid, so no summand
+pays for a gcd.
 
 ``metric_bounds`` walks the same ladder and yields the bound after each
 rung.  A caller that asks only whether the distance is below r
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace
+from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace, UnsupportedSpace
 from .intervals import Q0, DiscSum, PowSum, abs_end, abs_ends, pow_bounds
 from .intervals import format_rational, parse_rational
 from .sequences import Sequence, combine, support_indices_upto, zero
@@ -288,45 +290,62 @@ class _Head:
         p_num, p_den = points.pair
         return tuple((p_num * d + w * p_den, p_den * d) for w, d in (total.pair for total in wide))
 
-    def falling_sum(self, i: int, N: int):
-        """Bounds on sum_{i<=n<=N} n!/(n-i)! |a_n|."""
 
-        def part(n, a):
-            f = _falling(n, i)  # 0 for n < i
-            return f * a[0], f * a[1]
-
-        return self._extend(("ainf", i), N, abs_ends, part)
+# -- seminorm rows ------------------------------------------------------------
 
 
-def _metric_once_lp(head: _Head, p: Fraction, N: int, prec: int):
-    """Bounds on sum_{n<=N} |d_n|**p, the certified tail added to the upper,
-    and their 1/p-th powers for p >= 1."""
-    lo, hi = head.power_sum(p, N)
-    tail = head.seq.tail_majorant(N, p, prec)
-    if tail is None:
-        raise MissingTailOracle(f"no l^{p} tail bound available")
-    hi += tail
-    if p >= 1:
-        return pow_bounds(lo, 1 / p, prec)[0], pow_bounds(hi, 1 / p, prec)[1]
+def seminorm_rows(y: SpaceId):
+    """y's seminorm rows: (row kind, k -> the parameter of row k >= 1,
+    whether the metric is a Frechet sum over rows k = 1, 2, ...); the
+    module docstring lists them.  ``cn0`` has its own metric, ``ainf`` none."""
+    if y.tag == "lp":
+        return "lp", lambda k: y.param, False
+    if y.tag == "cap-lp":
+        return "lp", lambda k: y.param + Fraction(1, k), True
+    if y.tag in ("c0", "linf"):
+        return "sup", lambda k: None, False
+    if y.tag == "hd":
+        return "disc", lambda k: Fraction(k, k + 1), True
+    raise UnsupportedSpace(f"no seminorm rows for {y}")
+
+
+def row_bounds(head: _Head, kind: str, param, N: int, prec: int, upper: bool = False):
+    """(head bounds, tail) of one seminorm row: the ``_Head`` bounds up to N
+    on sum |a_n|**p (``lp``), max |a_n| (``sup``) or sum |a_n| r**n (``disc``),
+    the upper alone with ``upper``, and the tail oracle's bound past N; None,
+    with no head summed, when the oracle has no answer."""
+    seq = head.seq
+    if kind == "lp":
+        tail, total = seq.tail_majorant(N, param, prec), lambda: head.power_sum(param, N, upper)
+    elif kind == "sup":
+        tail, total = seq.sup_tail(N, prec), lambda: head.max_abs(N, upper)
+    else:
+        tail, total = seq.disc_tail(N, param, prec), lambda: head.disc_sum(param, N, upper)
+    return None if tail is None else (total(), tail)
+
+
+def join_row(kind: str, bound, tail):
+    """One row bound from a head bound and the tail: their sum (``lp``), their
+    max (``sup``), or, for ``disc``, the sum of two unreduced integer pairs."""
+    if kind == "lp":
+        return bound + tail
+    if kind == "sup":
+        return max(bound, tail)
+    (num, den), (t_num, t_den) = bound, tail
+    return num * t_den + t_num * den, den * t_den
+
+
+def _metric_row(head: _Head, kind: str, param, N: int, prec: int):
+    """Bounds on one row's seminorm, the certified tail joined to the upper;
+    an ``lp`` row's power sum is rooted to its 1/p-th power for p >= 1."""
+    row = row_bounds(head, kind, param, N, prec)
+    if row is None:
+        raise MissingTailOracle(f"no {f'l^{param}' if kind == 'lp' else kind} tail bound available")
+    (lo, hi), tail = row
+    hi = join_row(kind, hi, tail)
+    if kind == "lp" and param >= 1:
+        return pow_bounds(lo, 1 / param, prec)[0], pow_bounds(hi, 1 / param, prec)[1]
     return lo, hi
-
-
-def _metric_once_sup(head: _Head, N: int, prec: int):
-    lo, hi = head.max_abs(N)
-    tail = head.seq.sup_tail(N, prec)
-    if tail is None:
-        raise MissingTailOracle("no sup tail bound available")
-    return lo, max(hi, tail)
-
-
-def _bounded_ratio(x: Fraction) -> Fraction:
-    return x / (1 + x)
-
-
-def _metric_once_cn0(head: _Head, N: int, prec: int):
-    cut = min(N, prec + 4)
-    lo, hi = head.ratio_sum(cut)
-    return lo, hi + Fraction(1, 1 << cut)
 
 
 def _nested_sum(head: _Head, N: int, prec: int, summand):
@@ -354,66 +373,24 @@ def _nested_sum(head: _Head, N: int, prec: int, summand):
     return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid) + Fraction(1, 1 << K)
 
 
-def _metric_once_cap(head: _Head, a0: Fraction, N: int, prec: int):
-    def summand(n, inner_budget):
-        q_lo, q_hi = _metric_once_lp(head, a0 + Fraction(1, n), inner_budget, prec)
-        # x/(1+x) as the pair (num, num + den)
-        return tuple((q.numerator, q.numerator + q.denominator) for q in (q_lo, q_hi))
-
-    return _nested_sum(head, N, prec, summand)
-
-
-def _metric_once_hd(head: _Head, N: int, prec: int):
-    def summand(k, inner_budget):
-        r_k = Fraction(k, k + 1)
-        m_lo, (hi_num, hi_den) = head.disc_sum(r_k, inner_budget)
-        tail = head.seq.disc_tail(inner_budget, r_k, prec)
-        if tail is None:
-            raise MissingTailOracle("no disc tail bound available")
-        t_num, t_den = tail
-        m_hi = (hi_num * t_den + t_num * hi_den, hi_den * t_den)
-        return tuple(m if m[0] < m[1] else (1, 1) for m in (m_lo, m_hi))  # min(1, m)
-
-    return _nested_sum(head, N, prec, summand)
-
-
-def _falling(n: int, i: int) -> int:
-    out = 1
-    for t in range(i):
-        out *= n - t
-    return out
-
-
-def _metric_once_ainf(head: _Head, N: int, prec: int):
-    K = min(N, max(8, prec + 4))
-    lo = Q0
-    hi = Q0
-    for i in range(K + 1):
-        w_lo, w_hi = head.falling_sum(i, N)
-        poly = head.seq.poly_sup_tail(N, i + 2, prec)
-        if poly is None:
-            raise MissingTailOracle("no polynomial tail bound available")
-        tail = poly * Fraction(1, max(1, N))  # sum_{n>N} n**-2 <= 1/N
-        weight = Fraction(1, 1 << i)
-        lo += _floor_grid(weight * _bounded_ratio(w_lo), prec + _HEAD_GUARD)
-        hi += _ceil_grid(weight * _bounded_ratio(w_hi + tail), prec + _HEAD_GUARD)
-    return lo, hi + Fraction(1, 1 << K)
-
-
 def _metric_once(y: SpaceId, head: _Head, N: int, prec: int):
-    if y.tag == "lp":
-        return _metric_once_lp(head, y.param, N, prec)
-    if y.tag in ("c0", "linf"):
-        return _metric_once_sup(head, N, prec)
+    """Bounds on y's distance at cutoff N: cn0's ratio sum, y's one row, or
+    the nested sum over its rows of t/(1+t) (``lp``) or min(1, t) (``disc``)."""
     if y.tag == "cn0":
-        return _metric_once_cn0(head, N, prec)
-    if y.tag == "cap-lp":
-        return _metric_once_cap(head, y.param, N, prec)
-    if y.tag == "hd":
-        return _metric_once_hd(head, N, prec)
-    if y.tag == "ainf":
-        return _metric_once_ainf(head, N, prec)
-    raise UnknownSpace(y.tag)
+        cut = min(N, prec + 4)
+        lo, hi = head.ratio_sum(cut)
+        return lo, hi + Fraction(1, 1 << cut)
+    kind, param, nested = seminorm_rows(y)
+    if not nested:
+        return _metric_row(head, kind, param(1), N, prec)
+
+    def summand(k, inner_budget):
+        lo, hi = _metric_row(head, kind, param(k), inner_budget, prec)
+        if kind == "lp":  # t/(1+t) as the pair (num, num + den)
+            return tuple((q.numerator, q.numerator + q.denominator) for q in (lo, hi))
+        return tuple(m if m[0] < m[1] else (1, 1) for m in (lo, hi))  # min(1, t)
+
+    return _nested_sum(head, N, prec, summand)
 
 
 def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):

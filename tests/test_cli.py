@@ -156,6 +156,18 @@ def test_spec_from_file_and_stdin(tmp_path, monkeypatch):
     assert code == 0 and json.loads(raw)["result"]["verdict"] == "out"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "@{path}", "hd"], ["witness", "--inner", "lp:1", "--outer", "c0", "--support", "@{path}"]],
+    ids=["sequence", "support"],
+)
+def test_a_spec_file_that_is_not_utf8_is_a_one_line_error(tmp_path, capsys, argv):
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_bytes(b"\xff\xfe")
+    assert main([arg.format(path=spec_file) for arg in argv]) == 1
+    assert _one_line_error(capsys)
+
+
 def test_global_flags_accepted_in_both_positions(tmp_path):
     a = run_json(tmp_path, ["--budget", "512", "classify", NAT, "linf"], name="a.json")
     b = run_json(tmp_path, ["classify", NAT, "linf", "--budget", "512"], name="b.json")
@@ -189,6 +201,22 @@ def test_basis_count_below_one_is_a_one_line_error(capsys, count):
     argv = ["basis", "--inner", "lp:1", "--outer", "cap-lp:1", "--count", count]
     assert main(argv) == 1
     assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "target, outer, message",
+    [
+        (NAT, "lp:1", "no l^1 tail bound available"),
+        (NAT, "lp:1/2", "no l^1/2 tail bound available"),
+        (NAT, "cap-lp:0", "no l^1 tail bound available"),
+        (NAT, "c0", "no sup tail bound available"),
+        ('{"kind":"family","name":"nat-power"}', "hd", "no disc tail bound available"),
+    ],
+    ids=["lp-1", "lp-1/2", "cap-lp-0", "c0", "hd"],
+)
+def test_a_missing_tail_oracle_is_a_one_line_error(capsys, target, outer, message):
+    assert main(["approx", "--target", target, "--outer", outer, "--avoid", "ainf"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,8 @@ kinds, restricted to the evens, and in a combination with complex
 coefficients; the spaces are ``IN_SPACES``.  ``metric_golden.json`` holds
 the ``metric_bound`` enclosure (or the error class it raises) of seven
 disjoint catalog pairs in every space with a metric, at each budget in
-``METRIC_BUDGETS``.  The in-certificate rows and the metrics sum the same
+``METRIC_BUDGETS`` and precision in ``METRIC_PRECS``; a key names its
+precision unless it is the first.  The in-certificate rows and the metrics sum the same
 head bounds of |a_n|, so a change to how heads are bounded or summed must
 keep both files byte for byte.  To record them anew after a deliberate
 change, run ``PYTHONPATH=src python tests/test_head_goldens.py``.
@@ -42,7 +43,7 @@ SUPPORTS = {
 }
 METRIC_SPACES = [lp(F(1, 2)), lp(1), lp(2), cap_lp(0), cap_lp(1), C0, LINF, HD, CN0, AINF]
 METRIC_BUDGETS = [16, 256]
-METRIC_PREC = 32
+METRIC_PRECS = [32, 64]
 
 
 def _in_sequences():
@@ -104,12 +105,14 @@ def record_metrics():
     for label, a, b in _metric_pairs():
         for space in METRIC_SPACES:
             for budget in METRIC_BUDGETS:
-                try:
-                    bound = metric_bound(space, a, b, budget, METRIC_PREC)
-                    value = [format_rational(bound.lower), format_rational(bound.upper)]
-                except SeqchainError as err:
-                    value = type(err).__name__
-                out[f"{label}|{space}|{budget}"] = value
+                for prec in METRIC_PRECS:
+                    try:
+                        bound = metric_bound(space, a, b, budget, prec)
+                        value = [format_rational(bound.lower), format_rational(bound.upper)]
+                    except SeqchainError as err:
+                        value = type(err).__name__
+                    key = f"{label}|{space}|{budget}"
+                    out[key if prec == METRIC_PRECS[0] else f"{key}|{prec}"] = value
     return out
 
 
