@@ -6,7 +6,10 @@ otherwise ``Undecided``.  Out-certificates are grounded in the growth
 tags and block-divergence data carried by the sequence (numeric
 estimation alone never certifies divergence or a root-test failure),
 and each is checked by the same ``holds`` predicate of its shape that
-accepted it when it was built.  Four shape classes render the five
+accepted it when it was built, reading only the checked node's own
+evidence: its growth tag equal to the certificate's (tags and blocks
+compare by data), or its ``lp_divergence``, so a certificate re-checks on
+any node built from the same spec.  Four shape classes render the five
 out-shapes: ``Unbounded`` is ``unbounded`` (linf) with weight exponent
 k = 0 and ``unbounded-weighted`` (ainf) with k >= 1, and
 ``DivergentPartialSums``, ``NotVanishing`` and ``RootLimsupExceeds`` are
@@ -90,6 +93,11 @@ def _increasing_points_at_least(seq: Sequence, s, ms, first: int, bound, prec: i
     return True
 
 
+def _own_tag(seq: Sequence, tag):
+    """The node's own growth tag equal to the certificate's, or None."""
+    return next((own for own in seq.growth_tags if own == tag), None)
+
+
 # -- certificates ------------------------------------------------------------
 
 
@@ -115,13 +123,10 @@ class DivergentPartialSums:
             fits = self.exponent == space.param
         else:
             fits = space.tag == "cap-lp" and self.exponent > space.param
+        if not fits or (blocks := seq.lp_divergence(self.exponent)) != self.blocks:
+            return False
         js = self.checked_blocks[: max(1, samples)]
-        return (
-            fits
-            and self.blocks.p == self.exponent
-            and self.blocks == seq.lp_divergence(self.exponent)
-            and _verify_blocks(seq, self.blocks, js, prec)
-        )
+        return blocks.p == self.exponent and _verify_blocks(seq, blocks, js, prec)
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,8 @@ class NotVanishing:
         }
 
     def holds(self, seq, space, samples, prec) -> bool:
-        tag = self.tag
-        fits = space == C0 and tag in seq.growth_tags
-        if not fits or self.delta <= 0 or tag.g_inf is None or tag.g_inf < self.delta:
+        tag = _own_tag(seq, self.tag)
+        if space != C0 or tag is None or tag.g_inf is None or not 0 < self.delta <= tag.g_inf:
             return False
         ms = range(1, max(1, samples) + 1)
         return _increasing_points_at_least(seq, tag.s, ms, 0, lambda n: self.delta, prec)
@@ -165,13 +169,13 @@ class Unbounded:
         }
 
     def holds(self, seq, space, samples, prec) -> bool:
-        checked = self.table[: max(1, samples)]
+        tag, checked = _own_tag(seq, self.tag), self.table[: max(1, samples)]
         return (
             self.k >= 0
             and space == (AINF if self.k else LINF)
-            and self.tag in seq.growth_tags
-            and all(_weight(self.tag, m, self.k) * g >= t for t, m, g in self.table)
-            and all(_abs_at_least(seq, self.tag.s(m), g, prec) for _, m, g in checked)
+            and tag is not None
+            and all(_weight(tag, m, self.k) * g >= t for t, m, g in self.table)
+            and all(_abs_at_least(seq, tag.s(m), g, prec) for _, m, g in checked)
         )
 
 
@@ -190,13 +194,14 @@ class RootLimsupExceeds:
         }
 
     def holds(self, seq, space, samples, prec) -> bool:
+        tag = _own_tag(seq, self.tag)
         ms = range(self.m_start, self.m_start + max(1, samples))
         return (
             space == HD
             and self.rho > 1
-            and self.tag in seq.growth_tags
-            and all(self.tag.rho(m) >= self.rho for m in ms)
-            and _increasing_points_at_least(seq, self.tag.s, ms, 1, lambda n: self.rho ** n, prec)
+            and tag is not None
+            and all(tag.rho(m) >= self.rho for m in ms)
+            and _increasing_points_at_least(seq, tag.s, ms, 1, lambda n: self.rho ** n, prec)
         )
 
 

@@ -51,7 +51,6 @@ from .supports import AllNaturals, PowersOfTwo, SupportSet, support_from_spec
 from .tags import (
     BlockDivergence,
     RootLowerBound,
-    SingletonBlock,
     SubseqLowerBound,
     dyadic_position_block,
     shifted_dyadic_block,
@@ -225,11 +224,14 @@ def rem29(support: SupportSet) -> FamilySeq:
 
 def _unbounded_divergence(offset: int):
     """lp_div for a sequence with |a| >= 1 at support position j + offset - 1
-    for every j >= 1: one position per block, each with |a|**p >= 1, so
+    for every j >= 1: block j is that one position, with |a|**p >= 1, so
     every l^p sum diverges."""
 
+    def block(j):
+        return (j + offset - 1,) * 2
+
     def lp_div(p):
-        return BlockDivergence(p=p, block=SingletonBlock(offset), comparator="constant", c=Q1)
+        return BlockDivergence(p=p, block=block, comparator="constant", c=Q1)
 
     return lp_div
 

@@ -68,37 +68,12 @@ def _cw_rational(n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _cw_index(q: Fraction) -> int:
-    num, den = q.numerator, q.denominator
-    bits = []
-    while (num, den) != (1, 1):
-        if num > den:
-            bits.append("1")
-            num -= den
-        else:
-            bits.append("0")
-            den -= num
-    return int("1" + "".join(reversed(bits)), 2)
-
-
 def _decode_rational(code: int) -> Fraction:
     if code == 0:
         return Q0
     if code % 2 == 1:
         return _cw_rational((code + 1) // 2)
     return -_cw_rational(code // 2)
-
-
-def _encode_rational(q: Fraction) -> int:
-    if q == 0:
-        return 0
-    if q > 0:
-        return 2 * _cw_index(q) - 1
-    return 2 * _cw_index(-q)
-
-
-def _pair(x: int, y: int) -> int:
-    return (x + y) * (x + y + 1) // 2 + y
 
 
 def _unpair(z: int) -> tuple[int, int]:
@@ -112,10 +87,6 @@ def _decode_value(code: int) -> tuple[Fraction, Fraction]:
     return _decode_rational(re_code), _decode_rational(im_code)
 
 
-def _encode_value(re: Fraction, im: Fraction) -> int:
-    return _pair(_encode_rational(re), _encode_rational(im))
-
-
 def _decode_list(code: int) -> list[int]:
     out = []
     while code:
@@ -124,19 +95,12 @@ def _decode_list(code: int) -> list[int]:
     return out
 
 
-def _encode_list(items: list[int]) -> int:
-    code = 0
-    for head in reversed(items):
-        code = _pair(head, code) + 1
-    return code
-
-
 def enumerate_rational_c00(j: int) -> FiniteRational:
     """The j-th finitely supported Gaussian-rational sequence (j >= 1).
 
-    A bijection: j = 1 is the zero sequence, and encode_rational_c00
-    inverts the map (the final entry of the dense value list is forced
-    nonzero, which makes the trimmed representation canonical)."""
+    A bijection: j = 1 is the zero sequence, and the final entry of the
+    dense value list is forced nonzero, which makes the trimmed
+    representation canonical."""
     if j < 1:
         raise ValueError("enumeration is 1-based")
     if j == 1:
@@ -145,17 +109,6 @@ def enumerate_rational_c00(j: int) -> FiniteRational:
     values = [_decode_value(c) for c in _decode_list(prefix_code)]
     values.append(_decode_value(last_code + 1))
     return FiniteRational({n: v for n, v in enumerate(values)})
-
-
-def encode_rational_c00(seq: FiniteRational) -> int:
-    """Inverse of enumerate_rational_c00."""
-    if not seq.entries:
-        return 1
-    top = seq.max_index
-    dense = [seq.entries.get(n, (Q0, Q0)) for n in range(top + 1)]
-    last = _encode_value(*dense[-1])
-    prefix = _encode_list([_encode_value(re, im) for re, im in dense[:-1]])
-    return _pair(prefix, last - 1) + 2
 
 
 # -- dense family elements ----------------------------------------------------
@@ -168,15 +121,6 @@ class DenseFamilyElement:
     witness: Witness  # supported in disjoint_support(j)
     scale: Fraction  # dyadic c_j with d_Y(c_j y_j, 0) < 1/j
     f: Sequence  # x + scale * witness.seq
-
-    def describe(self):
-        return {
-            "j": self.j,
-            "x": self.x.spec(),
-            "witness": self.witness.describe(),
-            "scale": format_rational(self.scale),
-            "f": self.f.spec(),
-        }
 
 
 def _require_outer(outer: SpaceId):

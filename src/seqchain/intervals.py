@@ -484,14 +484,6 @@ class ComplexInterval:
             self.re_lo <= c_re <= self.re_hi and self.im_lo <= c_im <= self.im_hi
         )
 
-    def subset_of(self, other: "ComplexInterval") -> bool:
-        return (
-            other.re_lo <= self.re_lo
-            and self.re_hi <= other.re_hi
-            and other.im_lo <= self.im_lo
-            and self.im_hi <= other.im_hi
-        )
-
 
 def _as_endpoint(x) -> Fraction:
     if x.__class__ is Fraction:

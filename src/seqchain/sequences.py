@@ -25,15 +25,15 @@ costs one support test to recompute and is the same object every time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from typing import Callable
 
 from .errors import LengthMismatch
 from .intervals import ComplexInterval, PowSum, Q0, Q1, abs_end, format_rational, pow_bounds
 from .supports import AllNaturals, ExplicitFinite, SupportSet
+from .tags import SubseqLowerBound
 
 
 _ZERO = ComplexInterval.zero()
@@ -319,23 +319,11 @@ class FamilySeq(Sequence):
         return {"kind": "family", "name": self.name, "params": self._params_spec}
 
 
-@dataclass(frozen=True)
-class _SpreadBlock:
-    """A base block moved onto spread positions through a sparse hint: a
-    singleton lands on its one position, a longer block is offered empty
-    (see ``Spread._spread_blocks``).  A value, so equal moves compare equal."""
-
-    hint: SupportSet
-    block: Callable[[int], tuple[int, int]]
-
-    def __call__(self, j: int) -> tuple[int, int]:
-        k_lo, k_hi = self.block(j)
-        return (self.hint.nth(k_lo) + 1,) * 2 if k_lo == k_hi else (k_lo, k_lo - 1)
-
-
 class Spread(Sequence):
     """Transplant of a sequence onto an infinite index set: the k-th
-    support point carries the k-th term of the base (counting from 0)."""
+    support point carries the k-th term of the base (counting from 0).
+    Its tags and blocks are the base's, moved by closures made per node;
+    they compare by data, and a check reads the checked node's own."""
 
     kind = "spread"
 
@@ -351,20 +339,12 @@ class Spread(Sequence):
         )
 
     def _transport_tag(self, tag):
-        from .tags import SubseqLowerBound
-
-        if isinstance(tag, SubseqLowerBound):
-            nth = self.support.nth
-            base_s = tag.s
-            return SubseqLowerBound(
-                label=f"{tag.label}@spread",
-                s=lambda m: nth(base_s(m) + 1),
-                g=tag.g,
-                g_inf=tag.g_inf,
-            )
         # root-test tags are position-dependent; they do not survive
         # transplantation
-        return None
+        if not isinstance(tag, SubseqLowerBound):
+            return None
+        nth, base_s = self.support.nth, tag.s
+        return replace(tag, label=f"{tag.label}@spread", s=lambda m: nth(base_s(m) + 1))
 
     def _term(self, n, prec):
         if not self.support.member(n):
@@ -403,10 +383,15 @@ class Spread(Sequence):
         # spread positions nth(k_lo)+1 .. nth(k_hi)+1, the same block on a
         # gapless hint.  On a sparse hint a longer block would grow with the
         # gaps, and a check reads all of it, so it is offered empty instead.
-        hint = self.base.support_hint
+        hint, block = self.base.support_hint, bd.block
         if hint is None or isinstance(hint, AllNaturals):
             return bd
-        return replace(bd, block=_SpreadBlock(hint, bd.block))
+
+        def spread_block(j):
+            k_lo, k_hi = block(j)
+            return (hint.nth(k_lo) + 1,) * 2 if k_lo == k_hi else (k_lo, k_lo - 1)
+
+        return replace(bd, block=spread_block)
 
     def lp_divergence(self, p):
         bd = self.base.lp_divergence(p)

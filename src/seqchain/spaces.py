@@ -401,6 +401,8 @@ def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):
     The rungs share one head (``_Head``), so each rung only extends the head
     sums of the previous one."""
     ladder = _budget_ladder(budget)
+    if y.tag != "cn0":
+        seminorm_rows(y)  # a space without a metric raises, identical sequences too
     if a is b or a.spec_key() == b.spec_key():
         yield from ((rung, MetricBound(Q0, Q0)) for rung in ladder)
         return

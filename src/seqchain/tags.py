@@ -2,7 +2,10 @@
 
 Tags are closed-form claims (never numeric estimates); certificate
 checkers spot-check them at finitely many indices against interval
-evaluations of the terms.  Three shapes cover every out-certificate:
+evaluations of the terms.  Evidence compares by its data, never by its
+callables, and a check reads the checked node's own evidence, so a
+certificate re-checks on any node built from the same spec.  Three shapes
+cover every out-certificate:
 
 * ``SubseqLowerBound`` : |a_{s(m)}| >= g(m) along a strictly increasing
   subsequence, with an optional certified positive infimum of g;
@@ -25,16 +28,16 @@ from typing import Callable
 @dataclass(frozen=True)
 class SubseqLowerBound:
     label: str
-    s: Callable[[int], int] = field(repr=False)  # m >= 1 -> index, strictly increasing
-    g: Callable[[int], Fraction] = field(repr=False)  # m -> rational lower bound
+    s: Callable[[int], int] = field(repr=False, compare=False)  # strictly increasing in m >= 1
+    g: Callable[[int], Fraction] = field(repr=False, compare=False)  # m -> rational lower bound
     g_inf: Fraction | None = None  # certified positive infimum of g, if any
 
 
 @dataclass(frozen=True)
 class RootLowerBound:
     label: str
-    s: Callable[[int], int] = field(repr=False)
-    rho: Callable[[int], Fraction] = field(repr=False)
+    s: Callable[[int], int] = field(repr=False, compare=False)
+    rho: Callable[[int], Fraction] = field(repr=False, compare=False)
 
 
 COMPARATORS = ("constant", "harmonic")
@@ -44,10 +47,12 @@ COMPARATORS = ("constant", "harmonic")
 class BlockDivergence:
     """sum over block j of |a_{support position k}|^p >= beta(j), where
     beta(j) = c ("constant") or c/j ("harmonic"); either family has a
-    divergent sum over j >= j_start."""
+    divergent sum over j >= j_start.  Equal when the fields ``describe()``
+    renders are: a check reads the block rule of the node it checks."""
 
     p: Fraction
-    block: Callable[[int], tuple[int, int]] = field(repr=False)  # j -> (k_lo, k_hi), 1-based, inclusive
+    # j -> (k_lo, k_hi), 1-based, inclusive
+    block: Callable[[int], tuple[int, int]] = field(repr=False, compare=False)
     comparator: str = "constant"
     c: Fraction = Fraction(1)
     j_start: int = 1
@@ -79,15 +84,3 @@ def shifted_dyadic_block(j: int) -> tuple[int, int]:
     """Support positions [2^j - 1, 2^(j+1) - 2]: on all naturals, the
     indices n with 2^j <= n + 2 < 2^(j+1)."""
     return ((1 << j) - 1, (1 << (j + 1)) - 2)
-
-
-@dataclass(frozen=True)
-class SingletonBlock:
-    """Block j is the single support position j + offset - 1.  Block shapes
-    are module functions or values like this one, never closures, so two
-    certificates built for one sequence compare equal."""
-
-    offset: int = 1
-
-    def __call__(self, j: int) -> tuple[int, int]:
-        return (j + self.offset - 1,) * 2

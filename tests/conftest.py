@@ -52,6 +52,11 @@ def row_points(cert, count=50):
     return [row.nth(skipped + k) for k in range(1, count + 1)]
 
 
+def subset_of(a, b) -> bool:
+    """Whether the box a lies within the box b."""
+    return b.re_lo <= a.re_lo and a.re_hi <= b.re_hi and b.im_lo <= a.im_lo and a.im_hi <= b.im_hi
+
+
 def point_check_failure(f, cert, points, prec):
     """Reference copy of the escape check's former point loop: the first of
     the points that is off the witness row, below the cutoff, or where f and
@@ -65,7 +70,7 @@ def point_check_failure(f, cert, points, prec):
             return n
         a = f.term(n, work)
         b = scale.mul(w.seq.term(n, work + extra))
-        if not (a.subset_of(b) or b.subset_of(a) or (a - b).contains(0, 0)):
+        if not (subset_of(a, b) or subset_of(b, a) or (a - b).contains(0, 0)):
             return n
     return None
 

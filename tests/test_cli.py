@@ -85,6 +85,14 @@ def test_decompose_report_table(tmp_path):
     assert table[-1]["n"] == 128
 
 
+def test_text_format_prints_one_line_per_verdict_and_family(tmp_path):
+    code, raw = run_json(tmp_path, ["--format", "text", "classify", NAT, "linf"], "classify.txt")
+    assert (code, raw) == (0, b"linf: out\n")
+    grid = ["--outer-range", "1:1", "--inner-range", "1:1"]
+    code, raw = run_json(tmp_path, ["--format", "text", "decompose", ZERO, "ainf", *grid], "decompose.txt")
+    assert (code, raw) == (0, b"FMk:1/1:1: consistent up to 4096\n")
+
+
 def test_witness_command_and_spec_reingestion(tmp_path):
     code, raw = run_json(
         tmp_path,

@@ -49,7 +49,7 @@ from seqchain.intervals import ComplexInterval, PowSum, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     FiniteRational,
     Sequence,
-    _SpreadBlock,
+    Spread,
     combine,
     restrict,
     spread,
@@ -885,7 +885,7 @@ def _parent_block_mass(seq, bd, j, prec):
 
 def _every_catalog_divergence():
     """Each catalog divergence on its own node and on every spread of it,
-    moved by ``_SpreadBlock`` where the base's hint is sparse."""
+    moved through the base's hint where that hint is sparse."""
     for _, base in sorted(catalog().items()):
         nodes = [base] + [spread(base, s) for _, s in sorted(_SPREAD_SUPPORTS.items())]
         escapes = {_escape_exponent(base.threshold, a) for a in (F(0), F(1))}
@@ -899,7 +899,8 @@ def _every_catalog_divergence():
 def test_block_checks_equal_the_parent_loop_on_every_catalog_divergence():
     cases = list(_every_catalog_divergence())
     assert len(cases) >= 100
-    assert any(isinstance(bd.block, _SpreadBlock) for _, bd in cases)
+    bases = [seq.base for seq, _ in cases if isinstance(seq, Spread)]
+    assert any(b.support_hint is not None and not isinstance(b.support_hint, AllNaturals) for b in bases)
     for seq, bd in cases:
         for j in range(bd.j_start, bd.j_start + 3):
             mass = _parent_block_mass(seq, bd, j, PREC)

@@ -20,7 +20,6 @@ from seqchain.generic import (
     check_outside_certificate,
     dense_family_element,
     disjoint_support,
-    encode_rational_c00,
     enumerate_rational_c00,
     escape_certificate,
     row_parts,
@@ -56,6 +55,54 @@ def test_disjoint_rows_cover_and_never_overlap():
 
 
 # -- enumeration ----------------------------------------------------------------
+
+
+def _cw_index(q: Fraction) -> int:
+    num, den = q.numerator, q.denominator
+    bits = []
+    while (num, den) != (1, 1):
+        if num > den:
+            bits.append("1")
+            num -= den
+        else:
+            bits.append("0")
+            den -= num
+    return int("1" + "".join(reversed(bits)), 2)
+
+
+def _encode_rational(q: Fraction) -> int:
+    if q == 0:
+        return 0
+    if q > 0:
+        return 2 * _cw_index(q) - 1
+    return 2 * _cw_index(-q)
+
+
+def _pair(x: int, y: int) -> int:
+    return (x + y) * (x + y + 1) // 2 + y
+
+
+def _encode_value(re: Fraction, im: Fraction) -> int:
+    return _pair(_encode_rational(re), _encode_rational(im))
+
+
+def _encode_list(items: list[int]) -> int:
+    code = 0
+    for head in reversed(items):
+        code = _pair(head, code) + 1
+    return code
+
+
+def encode_rational_c00(seq: FiniteRational) -> int:
+    """Inverse of enumerate_rational_c00: the Calkin-Wilf index of each
+    rational, Cantor pairs for values and lists."""
+    if not seq.entries:
+        return 1
+    top = seq.max_index
+    dense = [seq.entries.get(n, (F(0), F(0))) for n in range(top + 1)]
+    last = _encode_value(*dense[-1])
+    prefix = _encode_list([_encode_value(re, im) for re, im in dense[:-1]])
+    return _pair(prefix, last - 1) + 2
 
 
 def test_enumeration_starts_with_zero_sequence():

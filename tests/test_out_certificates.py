@@ -1,7 +1,9 @@
 """Out-certificates built and checked by one ``holds`` predicate per shape,
 the one threshold scan behind the pointwise closed families, and the one
 refinement of |a_n| against a bound, against reference copies of the
-per-space build, check, scan and refinement code they replaced."""
+per-space build, check, scan and refinement code they replaced; and the
+re-check of every out-certificate on a second node of its spec, which
+reads that node's own tags and blocks."""
 
 import hashlib
 from dataclasses import replace
@@ -38,7 +40,7 @@ from seqchain.diagnose import (
 from seqchain.errors import UnsupportedSpace
 from seqchain.intervals import Q1
 from seqchain.sequences import FiniteRational, combine, restrict, spread, support_indices_upto, zero
-from seqchain.serialize import canonical_json
+from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaceable import basis_element
 from seqchain.spaces import AINF, C0, HD, LINF, lp, standard_chain
 from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
@@ -652,3 +654,69 @@ def test_bounded_tagged_members_scan_no_linf_table():
         assert shape.table == _ref_threshold_table(shape.tag, weight_k=0)
         assert verdict.cert == _ref_try_out_certificate(seq, LINF, BUDGET, PREC)
         assert check_certificate(seq, verdict, samples=3, prec=PREC)
+
+
+# -- a certificate re-checks on any node built from the same spec --------------------
+
+
+def _catalog_forms():
+    """Each catalog sequence, its spreads onto three supports, its restriction
+    to the evens and its double."""
+    for seq in catalog().values():
+        yield from (
+            seq,
+            spread(seq, Arith(1, 3)),
+            spread(seq, PowersOfTwo()),
+            spread(seq, DyadicRow(2)),
+            restrict(seq, Arith(0, 2)),
+            combine([2], [seq]),
+        )
+
+
+def test_every_out_certificate_rechecks_on_a_second_parse_of_its_spec():
+    outs, failed = 0, []
+    for seq in _catalog_forms():
+        for space in CHAIN:
+            verdict = classify(seq, space, BUDGET, PREC)
+            if isinstance(verdict, CertifiedOut):
+                outs += 1
+                if not check_certificate(sequence_from_spec(seq.spec()), verdict, 3, PREC):
+                    failed.append((seq.spec_key(), str(space)))
+    assert outs >= 200
+    assert failed == []
+
+
+def test_two_builds_of_one_spec_carry_equal_evidence():
+    for seq in _catalog_forms():
+        first, second = sequence_from_spec(seq.spec()), sequence_from_spec(seq.spec())
+        assert first.growth_tags == second.growth_tags, seq.spec_key()
+        labels = [tag.label for tag in first.growth_tags]
+        assert len(set(labels)) == len(labels), seq.spec_key()
+        for q in (F(1, 2), F(1), F(2), F(3)):
+            assert first.lp_divergence(q) == second.lp_divergence(q), (seq.spec_key(), q)
+
+
+def _raises(*args):
+    raise AssertionError("a check called a callable the certificate carries")
+
+
+@pytest.mark.parametrize(
+    "seq, space",
+    [
+        (families.nat(), LINF),
+        (families.nat_power(), HD),
+        (spread(families.nn_on_support(Arith(1, 3)), PowersOfTwo()), lp(1)),
+    ],
+    ids=["nat-linf", "nat-power-hd", "nn-spread-lp1"],
+)
+def test_a_check_reads_the_nodes_own_tag_or_blocks(seq, space):
+    shape = classify(seq, space, BUDGET, PREC).cert.shape
+    if isinstance(shape, DivergentPartialSums):
+        forged = replace(shape, blocks=replace(shape.blocks, block=_raises))
+    elif isinstance(shape, RootLimsupExceeds):
+        forged = replace(shape, tag=replace(shape.tag, s=_raises, rho=_raises))
+    else:
+        assert isinstance(shape, Unbounded)
+        forged = replace(shape, tag=replace(shape.tag, s=_raises, g=_raises))
+    for samples in (1, 3):
+        assert check_certificate(seq, CertifiedOut(OutCert(space, forged)), samples, PREC)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BUDGET, PREC, catalog, random_finite
+from conftest import BUDGET, PREC, catalog, random_finite, subset_of
 from seqchain import families, intervals
 from seqchain.errors import FiniteSupportSet, LengthMismatch
 from seqchain.families import nat, prop28
@@ -91,7 +91,7 @@ def test_term_determinism_and_nesting(name, seq):
         again = seq.term(n, prec)
         assert first == again
         finer = seq.term(n, prec + 1)
-        assert finer.subset_of(first)
+        assert subset_of(finer, first)
         assert first.width <= F(1, 1 << prec)
 
 
@@ -893,7 +893,7 @@ def test_an_exact_term_answers_every_precision_and_a_wide_one_only_its_own():
 
     wide = seq.term(3, 64)
     finer = seq.term(3, 128)
-    assert not wide.is_exact and finer != wide and finer.subset_of(wide)
+    assert not wide.is_exact and finer != wide and subset_of(finer, wide)
     assert seq.term(3, 64) is wide and seq.term(3, 128) is finer
     assert seq.calls == [(2, 64), (3, 64), (3, 128)]
 

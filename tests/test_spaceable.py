@@ -19,7 +19,7 @@ from seqchain.generic import check_outside_certificate, disjoint_support, escape
 from seqchain.intervals import ComplexInterval
 from seqchain.sequences import Combine, FiniteRational, combine, zero
 from seqchain.serialize import canonical_json
-from seqchain.spaces import AINF, C0, adjacent_pairs, cap_lp, lp, parse_space
+from seqchain.spaces import AINF, C0, LINF, adjacent_pairs, cap_lp, lp, parse_space
 from seqchain.spaceable import (
     _first_nonzero_point,
     basis_element,
@@ -103,6 +103,18 @@ def test_recover_sums_the_coefficients_of_a_repeated_element():
     iv = recover_coefficient(f, basis, 1, PREC)
     assert iv.is_exact and (iv.re_lo, iv.im_lo) == (F(5, 2), 0)
     assert recover_coefficient(combine([1, -1], [w1, w1]), basis, 1, PREC).is_exact_zero
+
+
+def test_recover_adds_a_part_that_is_nonzero_at_the_evaluation_point():
+    # row 1 of the (c0, linf) basis starts at 0, where its witness is 1:
+    # a part other than the witness adds its value there, divided by 1,
+    # and a part off row 1 adds nothing
+    basis = build_basis(C0, LINF, 1, BUDGET, PREC)
+    w1 = basis.elements[1]
+    assert w1.support.nth(1) == 0 and w1.seq.term(0, PREC) == ComplexInterval.exact(1)
+    for x, coefficient in (({0: 2}, 5), ({1: 2}, 3)):
+        f = combine([3, 1], [w1.seq, FiniteRational(x)])
+        assert recover_coefficient(f, basis, 1, PREC) == ComplexInterval.exact(coefficient)
 
 
 def test_recover_zero_sequence():
