@@ -93,9 +93,10 @@ def _increasing_points_at_least(seq: Sequence, s, ms, first: int, bound, prec: i
     return True
 
 
-def _own_tag(seq: Sequence, tag):
-    """The node's own growth tag equal to the certificate's, or None."""
-    return next((own for own in seq.growth_tags if own == tag), None)
+def _own_tag(seq: Sequence, tag, kind):
+    """The node's own growth tag equal to the certificate's and of the class
+    ``kind`` the shape reads, or None."""
+    return next((own for own in seq.growth_tags if own == tag and isinstance(own, kind)), None)
 
 
 # -- certificates ------------------------------------------------------------
@@ -142,7 +143,7 @@ class NotVanishing:
         }
 
     def holds(self, seq, space, samples, prec) -> bool:
-        tag = _own_tag(seq, self.tag)
+        tag = _own_tag(seq, self.tag, SubseqLowerBound)
         if space != C0 or tag is None or tag.g_inf is None or not 0 < self.delta <= tag.g_inf:
             return False
         ms = range(1, max(1, samples) + 1)
@@ -169,7 +170,7 @@ class Unbounded:
         }
 
     def holds(self, seq, space, samples, prec) -> bool:
-        tag, checked = _own_tag(seq, self.tag), self.table[: max(1, samples)]
+        tag, checked = _own_tag(seq, self.tag, SubseqLowerBound), self.table[: max(1, samples)]
         return (
             self.k >= 0
             and space == (AINF if self.k else LINF)
@@ -194,7 +195,7 @@ class RootLimsupExceeds:
         }
 
     def holds(self, seq, space, samples, prec) -> bool:
-        tag = _own_tag(seq, self.tag)
+        tag = _own_tag(seq, self.tag, RootLowerBound)
         ms = range(self.m_start, self.m_start + max(1, samples))
         return (
             space == HD
@@ -299,17 +300,19 @@ def _threshold_table(tag: SubseqLowerBound, ks):
     threshold, each at the least such m, or None if a threshold has no row by
     ``_SCAN_CAP``.  The thresholds ascend, so the m of a row meets every smaller
     one too: one scan from m = 1 serves every threshold and k, reads each g(m)
-    once, and builds s(m) once, only while a weighted table is open."""
+    once, and builds s(m) once, only while a weighted table is open; each
+    test is s(m)**k * num(g) >= threshold * den(g), on integers."""
     rows = {k: [] for k in ks}
     for m in range(1, _SCAN_CAP + 1):
         open_ks = [k for k, table in rows.items() if len(table) < len(_THRESHOLDS)]
         if not open_ks:
             break
         if (g := tag.g(m)) > 0:
-            s = Fraction(tag.s(m)) if any(open_ks) else None
+            s = tag.s(m) if any(open_ks) else None
+            num, den = g.numerator, g.denominator
             for k in open_ks:
-                table, value = rows[k], s ** k * g if k else g
-                while len(table) < len(_THRESHOLDS) and value >= _THRESHOLDS[len(table)]:
+                table, value = rows[k], s ** k * num if k else num
+                while len(table) < len(_THRESHOLDS) and value >= _THRESHOLDS[len(table)] * den:
                     table.append((_THRESHOLDS[len(table)], m, g))
     return tuple(tuple(rows[k]) if len(rows[k]) == len(_THRESHOLDS) else None for k in ks)
 

@@ -13,12 +13,13 @@ All powers q**(a/k), gcd(a, k) = 1, come from one integer kernel,
 exponent in q**a is a times that in q, and a is prime to k.  So the test
 for a rational result looks at q's own sides, and gives the coprime pair of
 their roots powered at a.  A power-of-two side 2**e is a k-th power iff k
-divides e; it is tested first, and the other side rooted only if it passes.
-Otherwise the result is lo = iroot(floor(q**a * 2**(k*(prec+1))), k) over
-2**(prec+1).  ``PowSum`` adds these integers as one numerator and the exact
-pairs as one over the lcm of their denominators, making one ``Fraction``.
-Every disc sum, sum a_n r**n over a head, comes from one Horner kernel,
-``DiscSum``.
+divides e; it is tested first, and the other side tested only if it passes,
+below 2**52 by a rounded float root.  Otherwise the result is
+lo = iroot(floor(q**a * 2**(k*(prec+1))), k) over 2**(prec+1), the one root
+that also decides exactness when q = num/2**e with k | e (the dyadic merge).
+``PowSum`` adds a slice's grid integers as one numerator and the exact pairs
+as one over the lcm of their denominators, making one ``Fraction``.  Every
+disc sum, sum a_n r**n over a head, comes from one Horner kernel, ``DiscSum``.
 
 ``pow_bounds`` builds each endpoint as one reduced ``Fraction`` from these
 integers, through the public ``fractions`` API only (its private fast
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm, log2
+from math import gcd, isqrt, log2
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -118,8 +119,11 @@ def iroot(n: int, k: int) -> int:
     Newton starts from a float estimate of 2**(log2(n)/k), taken after
     shifting whole k-th powers of two out of n so the float stays below
     2**61.  One unconditional step follows: by AM-GM the integer Newton
-    iterate of any positive x is at least the floor of the root, so the
-    decreasing loop after it starts at or above the root and stops on it.
+    iterate of any positive x is at least the floor of the root, so one
+    check x**k <= n finds the root when that step lands on it (the estimate
+    holds about 47 bits, so it does for roots of up to about 90), and
+    otherwise the decreasing loop after it starts above the root and stops
+    on it.
     """
     if n < 0:
         raise ValueError("iroot of negative integer")
@@ -134,6 +138,8 @@ def iroot(n: int, k: int) -> int:
     s = max(0, n.bit_length() // k - 60)
     x = (int(2.0 ** (log2(n >> (k * s)) / k)) + 1) << s
     x = ((k - 1) * x + n // x ** (k - 1)) // k
+    if x ** k <= n:
+        return x
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -142,11 +148,13 @@ def iroot(n: int, k: int) -> int:
 
 
 def _exact_root(n: int, k: int) -> int:
-    """The k-th root of n >= 1 if n is a k-th power, else 0; rootless for 2**e."""
+    """The k-th root of n >= 1 if n is a k-th power, else 0; rootless for 2**e.
+    Below 2**52, n is an exact float and n**(1/k) errs from the root r < 2**26
+    by under 2**-46 relative, 2**-20 absolute: it rounds to r if n = r**k."""
     if not n & (n - 1):
         e = n.bit_length() - 1
         return 0 if e % k else 1 << (e // k)
-    r = iroot(n, k)
+    r = round(n ** (1 / k)) if n < 1 << 52 else iroot(n, k)
     return r if r ** k == n else 0
 
 
@@ -154,19 +162,30 @@ def pow_grid(q: Fraction, a: int, k: int, prec: int) -> tuple[tuple[int, int] | 
     """q**(a/k) for q > 0 and coprime a, k >= 1, as a coprime pair
     ((num, den), 0) when it is rational, else as (None, lo) with
     lo = floor(q**(a/k) * 2**(prec+1)): floor(x**(1/k)) = iroot(floor(x), k),
-    as r**k <= x iff r**k <= floor(x).  A power-of-two side is tested first."""
-    num, den = q.numerator, q.denominator
+    as r**k <= x iff r**k <= floor(x).  Over den = 2**e, k | e, with
+    k(prec+1) >= e*a and num no power of two, that floor's integer
+    x = num**a * 2**(k(prec+1) - e*a) is a k-th power iff num is, so its one
+    root decides both.  Else a power-of-two side is tested first."""
+    num, den = q.as_integer_ratio()
     if k == 1:  # an integer power needs no root
         return (num ** a, den ** a), 0
+    P, merged = prec + 1, False
     if den & (den - 1):
         rn = _exact_root(num, k)
         rd = rn and _exact_root(den, k)
-    else:
-        rd = _exact_root(den, k)
+    else:  # den = 2**e
+        e = den.bit_length() - 1
+        merged = not e % k and num & (num - 1) and k * P >= e * a
+        rd = not merged and _exact_root(den, k)
         rn = rd and _exact_root(num, k)
     if rn and rd:
         return (rn ** a, rd ** a), 0
-    return None, iroot((num ** a << (k * (prec + 1))) // den ** a, k)
+    x = (num ** a << k * P) // den ** a
+    lo = iroot(x, k)
+    if merged and lo ** k == x:
+        t = e * a // k
+        return (lo >> P - t, 1 << t), 0
+    return None, lo
 
 
 def _strip_twos(m: int, P: int) -> tuple[int, int]:
@@ -255,27 +274,40 @@ def abs_ends(ends, prec: int) -> tuple[Fraction, Fraction]:
 
 class PowSum:
     """Running sum of one endpoint of ``pow_bounds(q, e, prec)``, e > 0 (e/2 if
-    ``squared``), over ``add((q, squared), count)`` calls, q >= 0 (``modulus_bounds``
-    ends).  Inexact endpoints, lo or lo + 1 over 2**(prec+1), add as one integer
-    numerator, exact pairs as another over L, the lcm of their denominators
-    (the ``DiscSum`` pattern); ``value`` is their exact sum."""
+    ``squared``), over the ends ``(q, squared)`` given to ``extend`` and ``add``,
+    q >= 0 (``modulus_bounds`` ends).  Inexact endpoints, lo or lo + 1 over
+    2**(prec+1), add as one integer numerator, exact pairs as another over L,
+    the lcm of their denominators (the ``DiscSum`` pattern); ``value`` is
+    their exact sum.  ``extend`` sums a slice in one loop, widening L as new
+    denominators come, and multiplies by the count once."""
 
     def __init__(self, e: Fraction, prec: int, upper: bool = False):
         self.exps = [(x.numerator, x.denominator) for x in (e, e / 2)]
         self.prec, self.upper = prec, upper
         self.L, self.exact, self.num = 1, 0, 0
 
-    def add(self, end: tuple[Fraction, bool], count: int = 1) -> "PowSum":
-        q, squared = end
-        if q:
-            exact, lo = pow_grid(q, *self.exps[squared], self.prec)
-            if exact is None:
-                self.num += count * (lo + self.upper)
-            else:
-                num, den = exact
-                L = lcm(self.L, den)
-                self.L, self.exact = L, self.exact * (L // self.L) + count * num * (L // den)
+    def extend(self, ends, count: int = 1) -> "PowSum":
+        """Add count times the endpoint of each end's power."""
+        exps, prec, upper = self.exps, self.prec, self.upper
+        L, exact, grid = self.L, 0, 0
+        for q, squared in ends:
+            if q:
+                pair, lo = pow_grid(q, *exps[squared], prec)
+                if pair is None:
+                    grid += lo + upper
+                else:
+                    num, den = pair
+                    if L % den:
+                        widen = den // gcd(L, den)
+                        L, exact = L * widen, exact * widen
+                    exact += num * (L // den)
+        if exact:  # L widens only with an exact summand
+            self.exact, self.L = self.exact * (L // self.L) + count * exact, L
+        self.num += count * grid
         return self
+
+    def add(self, end: tuple[Fraction, bool], count: int = 1) -> "PowSum":
+        return self.extend((end,), count)
 
     @property
     def value(self) -> Fraction:

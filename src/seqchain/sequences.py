@@ -208,10 +208,8 @@ class FiniteRational(Sequence):
         return ends if prec is None else [(n, abs_end(end, 1, prec)) for n, end in ends]
 
     def tail_majorant(self, N, p, prec):
-        total = PowSum(Fraction(p), prec, upper=True)
-        for _, end in self._moduli_beyond(N):
-            total.add(end)
-        return total.value
+        ends = (end for _, end in self._moduli_beyond(N))
+        return PowSum(Fraction(p), prec, upper=True).extend(ends).value
 
     def sup_tail(self, N, prec):
         return max((m for _, m in self._moduli_beyond(N, prec)), default=Q0)

@@ -234,21 +234,24 @@ class _Head:
         return entry
 
     def _extend(self, key, N: int, view, part=None, join=operator.add, start=lambda: (Q0, Q0),
-                ends=(0, 1)):
+                ends=(0, 1), fold=None):
         """``join`` of the view's bounds, or of part(n, bounds), one sum per
-        end read, over the nonzero head up to N, continued from the last cutoff."""
+        end read, over the nonzero head up to N, continued from the last cutoff;
+        ``fold(total, bounds)`` takes each sum's new bounds at once instead."""
         entry = self._entry(key, N, start)
         new = self.nonzero(view, entry[0], N)
         if part is not None:
             new = [(n, part(n, bounds)) for n, bounds in new]
-        sums = [reduce(join, (b[i] for _, b in new), total) for i, total in zip(ends, entry[1:])]
+        fold = fold or (lambda total, bounds: reduce(join, bounds, total))
+        sums = [fold(total, [b[i] for _, b in new]) for i, total in zip(ends, entry[1:])]
         entry[:] = N, *sums
         return tuple(sums)
 
     def power_sum(self, p: Fraction, N: int, upper: bool = False):
-        """Bounds on sum_{n<=N} |a_n|**p, one ``PowSum`` per end."""
+        """Bounds on sum_{n<=N} |a_n|**p, one ``PowSum`` per end, each
+        extended by the new slice of ends in one call."""
         ends = (1,) if upper else (0, 1)
-        sums = self._extend(("lp", p.numerator, p.denominator, upper), N, None, join=PowSum.add,
+        sums = self._extend(("lp", p.numerator, p.denominator, upper), N, None, fold=PowSum.extend,
                             start=lambda: [PowSum(p, self.hp, end == 1) for end in ends], ends=ends)
         return tuple(total.value for total in sums)
 

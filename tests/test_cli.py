@@ -448,6 +448,12 @@ HD_COMBINATION = (
     '["-1","0",{"kind":"family","name":"gap-cap-c0","params":{"b":"1/1"}}]]}'
 )
 
+GAP_CAP_LP_0_1 = '{"kind":"family","name":"gap-cap-lp","params":{"a":"0/1","b":"1/1"}}'
+COMPLEX_GAP_LP_CAP = (
+    '{"kind":"combine","terms":[["1/2","1/3",'
+    '{"kind":"family","name":"gap-lp-cap","params":{"a":"1/2"}}]]}'
+)
+
 
 # Reports recorded byte for byte before the exact kernel skipped work on
 # zeros and seeded its roots from floats (approx-cn0: before the head sums
@@ -490,6 +496,14 @@ HD_COMBINATION = (
         # coefficient's weight, a restriction, rem29's selection tail and the
         # unit tail of gap-cap-c0, added as integer pairs
         ("classify-hd-combine", ["classify", HD_COMBINATION, "hd"]),
+        # wide grids, recorded before the exact-power kernel rooted even
+        # orders by square roots and decided dyadic ends with one root: the
+        # lp-schedule rows at 1 + 1/k over a 2**-257 grid, real ends (order k)
+        ("classify-gap-cap-lp-cap-lp-1-prec-256",
+         ["--prec", "256", "classify", GAP_CAP_LP_0_1, "cap-lp:1"]),
+        # and complex ends, whose |z|**2 is powered at p/2: orders 2k
+        ("classify-complex-gap-lp-cap-cap-lp-2-prec-256",
+         ["--prec", "256", "classify", COMPLEX_GAP_LP_CAP, "cap-lp:2"]),
     ],
     ids=lambda v: v if isinstance(v, str) else None,
 )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BUDGET, PREC, catalog, random_finite
+from seqchain import intervals
 from seqchain.diagnose import (
     FM,
     CertifiedIn,
@@ -471,6 +473,28 @@ def test_raised_lp_schedule_head_rejected():
     assert check_certificate(seq, v, 3, PREC)
     for row in (0, len(v.cert.data) - 1):
         assert not check_certificate(seq, _bump_row(v, row, 2), 3, PREC)
+
+
+# SHA-256 of the canonical report of the cap-lp:1 in-certificate of
+# gap-cap-lp(0, 1) at the default precision, recorded when each summand took
+# up to two integer roots (3,253 calls of iroot per build)
+_GAP_CAP_LP_CERT_SHA = "ad0a47f301d67789cc5fecdcb3eb29af4acf3d185d092d000609b441b5c64db6"
+
+
+def test_a_cap_lp_schedule_takes_at_most_one_root_per_dyadic_summand(monkeypatch):
+    # 8 rows of 256 powers at 1 + 1/k over a 2**-65 grid: an end over 2**e
+    # with k | e is decided and floored by one root, a numerator below 2**52
+    # is tested by a float candidate, and square roots are no calls of iroot
+    calls = []
+    real = intervals.iroot
+    monkeypatch.setattr(intervals, "iroot", lambda n, k: calls.append(k) or real(n, k))
+    seq, space = gap_cap_lp(F(0), F(1)), cap_lp(1)
+    for _ in range(2):
+        calls.clear()
+        cert = try_in_certificate(seq, space, BUDGET, PREC)
+        assert len(calls) <= 1600
+        report = canonical_json(verdict_to_json(CertifiedIn(cert)))
+        assert hashlib.sha256(report.encode()).hexdigest() == _GAP_CAP_LP_CERT_SHA
 
 
 def test_raised_disc_schedule_bound_rejected():

@@ -13,6 +13,7 @@ from seqchain.intervals import (
     ComplexInterval,
     DiscSum,
     PowSum,
+    _exact_root,
     format_rational,
     iroot,
     pow_bounds,
@@ -514,25 +515,25 @@ def test_a_power_of_two_side_is_tested_by_its_exponent(monkeypatch):
         result = pow_grid(q, a, k, 32)
         return result, len(calls)
 
-    # 2**7 is no cube: the odd numerator is never rooted, only the grid floor
+    # 2**7 is no cube: the odd numerator is never tested, only the grid floor
     (exact, _), n = roots(Fraction(5, 1 << 7), 1, 3)
     assert exact is None and n == 1
-    # 2**9 is a cube, so 27 is rooted: the value is exact
+    # 2**9 is a cube, so one root of 27**2 * 2**81 decides and floors at once
     assert roots(Fraction(27, 1 << 9), 2, 3) == (((9, 64), 0), 1)
     # 1 = 2**0 and 2**6 are cubes: no root at all
     assert roots(Fraction(1, 1 << 6), 1, 3) == (((1, 4), 0), 0)
     assert roots(Fraction(1 << 6), 1, 3) == (((4, 1), 0), 0)
-    # a power-of-two numerator that fails leaves the denominator unrooted
+    # a power-of-two numerator that fails leaves the denominator untested
     (exact, _), n = roots(Fraction(1 << 5, 27), 1, 3)
     assert exact is None and n == 1
-    # neither side a power of two: the numerator first, the denominator
-    # only when the numerator is a k-th power
-    assert roots(Fraction(5, 27), 1, 3)[1] == 2
-    assert roots(Fraction(125, 27), 1, 3) == (((5, 3), 0), 2)
-    assert roots(Fraction(125, 26), 1, 3)[1] == 3
-    # a power-of-two numerator that passes: only the denominator is rooted
-    assert roots(Fraction(8, 27), 1, 3) == (((2, 3), 0), 1)
-    assert roots(Fraction(8, 25), 1, 3)[1] == 2
+    # neither side a power of two: sides below 2**52 are tested from a float
+    # candidate, so the only root is the grid floor when no value is exact
+    assert roots(Fraction(5, 27), 1, 3)[1] == 1
+    assert roots(Fraction(125, 27), 1, 3) == (((5, 3), 0), 0)
+    assert roots(Fraction(125, 26), 1, 3)[1] == 1
+    # a power-of-two numerator that passes: only the denominator is tested
+    assert roots(Fraction(8, 27), 1, 3) == (((2, 3), 0), 0)
+    assert roots(Fraction(8, 25), 1, 3)[1] == 1
 
 
 # p = 1, 2, 3, a + 1/n and 1/n
@@ -1020,3 +1021,132 @@ def test_abs_bounds_equal_the_squaring_formula_and_root_signed_real_boxes_never(
         assert roots.count == 1
     else:
         assert roots.count == 2
+
+
+# -- the exact-power kernel's short paths, against the reference copies -----------
+
+
+@st.composite
+def factored_order_operands(draw):
+    """(n, k), k = 2**j * m with j <= 6 and m odd: n up to 12,000 bits, and
+    perfect k-th powers and their neighbours."""
+    k = (1 << draw(st.integers(0, 6))) * draw(st.sampled_from([1, 3, 5, 7, 9, 11, 25]))
+    if draw(st.booleans()):
+        return draw(st.integers(min_value=0, max_value=(1 << 12000) - 1)), k
+    r = draw(st.integers(min_value=1, max_value=1 << max(1, 12000 // k)))
+    return max(0, r ** k + draw(st.sampled_from([-1, 0, 1]))), k
+
+
+@settings(max_examples=300)
+@given(factored_order_operands())
+def test_iroot_at_factored_orders_equals_the_reference(case):
+    n, k = case
+    assert iroot(n, k) == _ref_iroot(n, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 12, 16, 64])
+def test_iroot_where_one_newton_step_stops_reaching_the_root_equals_the_reference(k):
+    # roots of 95 to 97 bits, where one step from the float estimate stops
+    # reaching the root: the one-step check fails on many, and Newton's loop
+    # finishes them
+    for r in ((1 << 95) - 1, 1 << 95, (1 << 96) - 1, 1 << 96, (1 << 96) + 1, 3 << 95):
+        for n in (r ** k - 1, r ** k, r ** k + 1, (1 << 96 * k) - 1, 1 << 96 * k):
+            assert iroot(n, k) == _ref_iroot(n, k), (n, k)
+
+
+def _ref_exact_root(n, k):
+    r = _ref_iroot(n, k)
+    return r if r ** k == n else 0
+
+
+@pytest.mark.parametrize("k", range(2, 53))
+def test_exact_root_at_the_float_edge_equals_the_reference(k):
+    # r**k just below and just above 2**52 (exactly on it for k | 52), and
+    # the neighbours of each: below 2**52 a float candidate, no root, decides
+    r = _ref_iroot(1 << 52, k)
+    edge = {(1 << 52) + d for d in (-1, 0, 1)}
+    for root in (r - 1, r, r + 1, r + 2):
+        edge |= {root ** k + d for d in (-1, 0, 1)}
+    for n in sorted(x for x in edge if x >= 1):
+        with _Calls(intervals, "iroot") as calls:
+            assert _exact_root(n, k) == _ref_exact_root(n, k), (n, k)
+        power_of_two = not n & (n - 1)
+        assert calls.count == (0 if n < 1 << 52 or power_of_two else 1), (n, k)
+
+
+def test_exact_root_finds_every_power_below_the_float_edge():
+    # every k-th power below 2**52 for k >= 4, sampled roots for k = 2 and 3
+    rng = random.Random(52)
+    for k in range(2, 53):
+        top = _ref_iroot((1 << 52) - 1, k)
+        roots = range(1, top + 1) if k >= 4 else [rng.randint(1, top) for _ in range(3000)] + [top]
+        for r in roots:
+            assert _exact_root(r ** k, k) == r, (r, k)
+            if r > 1:
+                assert _exact_root(r ** k + 1, k) == 0 == _exact_root(r ** k - 1, k), (r, k)
+
+
+@st.composite
+def dyadic_grid_cases(draw):
+    """(q, a, k, prec): q over 2**e with k | e, so 2**e = 2**(k t), and the
+    shift k(prec+1) - e*a either >= 0 (t*a <= prec+1) or < 0; numerators 1,
+    a power of two (which cancels with the denominator), a k-th power, odd
+    or not, and a non-power."""
+    k = draw(st.sampled_from([2, 3, 4, 5, 6, 8, 12, 16]))
+    a = draw(st.integers(1, 7).filter(lambda a: gcd(a, k) == 1))
+    prec = draw(st.integers(4, 120))
+    limit = (prec + 1) // a
+    t = draw(st.integers(0, limit) if draw(st.booleans()) else st.integers(limit + 1, limit + 12))
+    shape = draw(st.sampled_from(["one", "two", "power", "odd-power", "other"]))
+    if shape == "one":
+        num = 1
+    elif shape == "two":
+        num = 1 << draw(st.integers(0, 80))
+    elif shape == "power":
+        num = draw(st.integers(1, 1 << 30)) ** k
+    elif shape == "odd-power":
+        num = (2 * draw(st.integers(0, 1 << 30)) + 1) ** k
+    else:
+        num = draw(st.integers(2, 1 << 200))
+    return Fraction(num, 1 << (k * t)), a, k, prec
+
+
+@settings(max_examples=400)
+@given(dyadic_grid_cases())
+def test_pow_grid_over_dyadic_denominators_equals_the_reference(case):
+    q, a, k, prec = case
+    with _Calls(intervals, "iroot") as calls:
+        exact, lo = pow_grid(q, a, k, prec)
+    ref_lo, ref_hi = _ref_pow_bounds(q, Fraction(a, k), prec)
+    if exact is None:
+        unit = Fraction(1, 1 << (prec + 1))
+        assert (lo * unit, (lo + 1) * unit) == (ref_lo, ref_hi)
+    else:
+        num, den = exact
+        assert lo == 0 and den > 0 and gcd(num, den) == 1
+        assert Fraction(num, den) == ref_lo == ref_hi
+    num, den = q.numerator, q.denominator
+    e = den.bit_length() - 1
+    if not e % k and num & (num - 1) and k * (prec + 1) >= e * a:
+        assert calls.count == 1  # one root decides exactness and floors
+
+
+@given(
+    st.lists(exact_heavy_ends(), max_size=14),
+    st.sampled_from(_SUM_EXPONENTS),
+    st.integers(8, 96),
+    st.integers(1, 5),
+    st.integers(0, 14),
+)
+def test_pow_sum_extend_equals_a_fold_of_add(ends, p, prec, count, split):
+    # exact, inexact and zero ends, squared or not, on either side: one
+    # extend per slice leaves the state a fold of add over the same ends leaves
+    for upper in (False, True):
+        folded, extended = PowSum(p, prec, upper), PowSum(p, prec, upper)
+        for end in ends:
+            folded.add(end, count)
+        extended.extend(ends[:split], count).extend(iter(ends[split:]), count)
+        assert (extended.L, extended.exact, extended.num) == (folded.L, folded.exact, folded.num)
+        assert extended.value == folded.value == sum(
+            (count * _ref_pow_bounds(q, p / 2 if squared else p, prec)[upper]
+             for q, squared in ends), Fraction(0))

@@ -6,6 +6,7 @@ re-check of every out-certificate on a second node of its spec, which
 reads that node's own tags and blocks."""
 
 import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -467,6 +468,25 @@ def test_a_certificate_holds_only_for_the_sequence_whose_tag_or_blocks_it_names(
         assert not check_certificate(copy, cert, samples, PREC)
 
 
+def _tag_of(seq, kind):
+    return next(tag for tag in seq.growth_tags if isinstance(tag, kind))
+
+
+def test_a_tag_of_the_wrong_class_is_false_not_an_error():
+    # each node owns a tag equal to the certificate's, but of the class the
+    # shape does not read: a root tag has no g or g_inf, a subsequence tag no rho
+    nat_power, nat = families.nat_power(), families.nat()
+    root, subseq = _tag_of(nat_power, RootLowerBound), _tag_of(nat, SubseqLowerBound)
+    forged = [
+        (nat_power, OutCert(C0, NotVanishing(delta=F(1), tag=root))),
+        (nat_power, OutCert(LINF, Unbounded(tag=root, table=((1, 1, F(1)),)))),
+        (nat, OutCert(HD, RootLimsupExceeds(rho=F(2), m_start=1, tag=subseq))),
+    ]
+    for seq, cert in forged:
+        for samples in range(1, 9):
+            assert check_certificate(seq, CertifiedOut(cert), samples, PREC) is False
+
+
 def test_a_block_certificate_on_finite_data_is_false_not_an_error():
     w = basis_element(lp(1), C0, 1, BUDGET, PREC)
     for seq in (FiniteRational({0: 1}), zero()):
@@ -569,6 +589,39 @@ def test_threshold_table_equals_the_scan_from_m_1_per_threshold():
     # and both occur inside one scan: bounded tags whose weighted tables
     # complete while the unweighted one never does
     assert any(t[0] is None and t[4] is not None for t in scans)
+
+
+def _awkward_tag(seed):
+    """A subsequence tag whose g(m) has odd denominators, is often zero or
+    negative, and mostly puts s(m)**k * g(m), for a random k, exactly on a
+    threshold, 1/d below it or 1/d above it, the threshold rising with m."""
+    rng = random.Random(seed)
+    step, offset = rng.randint(1, 4), rng.randint(0, 5)
+
+    def s(m):
+        return step * m + offset
+
+    gs = {}
+    for m in range(1, 513):
+        shape = rng.randrange(6)
+        if shape == 0:
+            gs[m] = F(-rng.randint(0, 3), rng.randint(1, 9))
+        elif shape == 1:
+            gs[m] = F(rng.randint(1, 3), rng.choice((1, 3, 7, 9, 25, 243)))
+        else:
+            k, t = rng.randrange(5), 1 << min(7, m // 6)
+            nudge = F(rng.randint(-1, 1), rng.choice((3, 5, 1 << 40)))
+            gs[m] = max(F(0), (t + nudge) / s(m) ** k)
+    return SubseqLowerBound(f"awkward-{seed}", s=s, g=gs.__getitem__)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_threshold_rows_equal_the_fraction_formula_on_awkward_tags(seed):
+    # integer comparisons against threshold times g's denominator give the
+    # rows that comparing the rational s(m)**k * g(m) with each threshold gives
+    tag = _awkward_tag(seed)
+    assert _threshold_table(tag, range(5)) == tuple(
+        _ref_threshold_table(tag, weight_k=k) for k in range(5))
 
 
 def test_threshold_table_reads_each_g_once():
