@@ -47,7 +47,7 @@ from operator import index
 
 from .errors import ParseError, UnsupportedSpace
 from .intervals import Q1, PowSum, format_rational
-from .sequences import Sequence, support_indices_upto
+from .sequences import Sequence
 from .spaces import AINF, C0, HD, LINF, SpaceId, _Head, join_row, row_bounds, seminorm_rows
 from .tags import COMPARATORS, BlockDivergence, RootLowerBound, SubseqLowerBound
 
@@ -127,7 +127,7 @@ class DivergentPartialSums:
         if not fits or (blocks := seq.lp_divergence(self.exponent)) != self.blocks:
             return False
         js = self.checked_blocks[: max(1, samples)]
-        return blocks.p == self.exponent and _verify_blocks(seq, blocks, js, prec)
+        return bool(js) and blocks.p == self.exponent and _verify_blocks(seq, blocks, js, prec)
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,9 @@ class NotVanishing:
 @dataclass(frozen=True)
 class Unbounded:
     """n**k |a_n| exceeds every threshold along the tagged subsequence: out
-    of linf with k = 0, out of ainf with k >= 1."""
+    of linf with k = 0, out of ainf with k >= 1.  The table has one row per
+    threshold of ``_THRESHOLDS``, in order, as ``_threshold_table`` builds
+    it."""
 
     tag: SubseqLowerBound
     table: tuple[tuple[int, int, Fraction], ...]  # (threshold, m, g(m))
@@ -175,6 +177,7 @@ class Unbounded:
             self.k >= 0
             and space == (AINF if self.k else LINF)
             and tag is not None
+            and tuple(t for t, _, _ in self.table) == _THRESHOLDS
             and all(_weight(tag, m, self.k) * g >= t for t, m, g in self.table)
             and all(_abs_at_least(seq, tag.s(m), g, prec) for _, m, g in checked)
         )
@@ -283,7 +286,7 @@ def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
             return False
         total = PowSum(bd.p, prec)
         for box, count in seq.position_runs(k_lo, k_hi, prec):
-            total.add(box.modulus_bounds()[0], count)
+            total.extend((box.modulus_bounds()[0],), count)
         if total.value < bd.beta(j):
             return False
     return True
@@ -609,15 +612,15 @@ def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
             raise ParseError(f"bad family ref {format_family(fam)}: bound must be >= 0")
         hp = prec + 32
         cum_lo, cum_hi = PowSum(fam.p, hp), PowSum(fam.p, hp, upper=True)
-        for n in support_indices_upto(seq, budget):
+        for n in seq.support_hint.elements_upto(budget):
             lo, hi = seq.term(n, hp).modulus_bounds()
-            cum_hi.add(hi)
-            if cum_lo.add(lo).value > fam.M:
+            cum_hi.extend((hi,))
+            if cum_lo.extend((lo,)).value > fam.M:
                 return ViolatedAt(n, cum_lo.value, cum_hi.value)
         return ConsistentUpTo(budget)
 
     first, rule = _pointwise_rule(fam)
-    for n in support_indices_upto(seq, budget):
+    for n in seq.support_hint.elements_upto(budget):
         if n < first:
             continue
         weight, bound = rule(n)

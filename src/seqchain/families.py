@@ -33,7 +33,6 @@ all naturals) and nn-on-support (e = 0).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import isqrt
 
@@ -47,7 +46,7 @@ from .intervals import (
     sqrt_bounds,
 )
 from .sequences import FamilySeq
-from .supports import AllNaturals, PowersOfTwo, SupportSet, support_from_spec
+from .supports import AllNaturals, DoublingSelection, PowersOfTwo, SupportSet, support_from_spec
 from .tags import (
     BlockDivergence,
     RootLowerBound,
@@ -116,58 +115,11 @@ def _bounded_tails(term, peak=lambda N: N + 1):
     return sup, disc
 
 
-class _DoublingSelection(SupportSet):
-    """Deterministic choice of support points l_1' < l_2' < ... with
-    l_m' >= 2**m: scan the support in increasing order, taking for each m
-    the first element past the previous pick that reaches 2**m.  The picks
-    form a lazy infinite index set, a far tighter support hint than the
-    ambient set.  On the powers of two the picks are 2, 4, 8, ..."""
-
-    def __init__(self, support: SupportSet):
-        self.support = support
-        self.sel: list[int] = []
-        self._last_pos = 0
-
-    def _select_next(self):
-        threshold = 1 << (len(self.sel) + 1)
-        pos = max(self._last_pos + 1, self.support.rank_upto(threshold - 1) + 1)
-        value = self.support.nth(pos)
-        self._last_pos = pos
-        self.sel.append(value)
-
-    def extend_to_value(self, x: int):
-        while not self.sel or self.sel[-1] < x:
-            self._select_next()
-
-    # the picks increase strictly, so both bisect them
-    def member(self, n):
-        self.extend_to_value(n)
-        return self.sel[bisect_left(self.sel, n)] == n
-
-    def rank_upto(self, n):
-        self.extend_to_value(n + 1)
-        return bisect_right(self.sel, n)
-
-    def nth(self, k):
-        if k < 1:
-            raise ValueError("nth is 1-based")
-        while len(self.sel) < k:
-            self._select_next()
-        return self.sel[k - 1]
-
-    # every pick is a point of the underlying support, so its rules carry over
-    def misses(self, row, cutoff):
-        return self.support.misses(row, cutoff)
-
-    def within(self, other):
-        return self.support.within(other)
-
-
 def _doubling(name: str, params: dict, support: SupportSet, label: str, bound) -> FamilySeq:
     """sqrt(1/l) at the doubling selection of support points l, zero
     elsewhere: in every l^p, but with l |a_l| unbounded along the picks.
     The growth tag reads bound(l) at the m-th pick l."""
-    selection = _DoublingSelection(support)
+    selection = DoublingSelection(support)
 
     def term(n, prec):
         if selection.member(n):

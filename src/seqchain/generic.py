@@ -39,7 +39,6 @@ from .sequences import (
     Sequence,
     _as_pair,
     combine,
-    support_indices_upto,
     zero,
 )
 from .spaces import SpaceId, ball_scale, distance_below, metric_bounds, strictly_included
@@ -224,8 +223,7 @@ def row_parts(f: Sequence, row: SupportSet, cutoff: int) -> dict[str, tuple[Frac
                     for (c_re, c_im), base in pairs
                 )
             continue
-        hint = part.support_hint
-        if hint is not None and hint.misses(row, cutoff):
+        if part.support_hint.misses(row, cutoff):
             continue
         key = part.spec_key()
         s = parts.get(key)
@@ -334,7 +332,7 @@ def _rational_truncation(
     for head in dict.fromkeys((64, 256, min(1024, budget), budget)):
         for grid_bits in (prec, 2 * prec):
             entries = {}
-            for n in support_indices_upto(target, head):
+            for n in target.support_hint.elements_upto(head):
                 iv = target.term(n, grid_bits + 4)
                 re = _round_to_grid((iv.re_lo + iv.re_hi) / 2, grid_bits)
                 im = _round_to_grid((iv.im_lo + iv.im_hi) / 2, grid_bits)

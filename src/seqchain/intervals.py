@@ -274,7 +274,7 @@ def abs_ends(ends, prec: int) -> tuple[Fraction, Fraction]:
 
 class PowSum:
     """Running sum of one endpoint of ``pow_bounds(q, e, prec)``, e > 0 (e/2 if
-    ``squared``), over the ends ``(q, squared)`` given to ``extend`` and ``add``,
+    ``squared``), over the ends ``(q, squared)`` given to ``extend``,
     q >= 0 (``modulus_bounds`` ends).  Inexact endpoints, lo or lo + 1 over
     2**(prec+1), add as one integer numerator, exact pairs as another over L,
     the lcm of their denominators (the ``DiscSum`` pattern); ``value`` is
@@ -305,9 +305,6 @@ class PowSum:
             self.exact, self.L = self.exact * (L // self.L) + count * exact, L
         self.num += count * grid
         return self
-
-    def add(self, end: tuple[Fraction, bool], count: int = 1) -> "PowSum":
-        return self.extend((end,), count)
 
     @property
     def value(self) -> Fraction:

@@ -14,7 +14,8 @@ tail is an integer pair ``(num, den)``, ``den > 0``, with value num/den and
 not reduced (the contract of ``intervals.DiscSum.pair``): the metric and the
 in-certificate add it to a disc sum's pair, so no node pays for a gcd.
 Growth tags (:mod:`seqchain.tags`), block-divergence data and the l^p
-``threshold`` (node rules on :class:`Sequence`) ride along the same way.
+``threshold`` (node rules on :class:`Sequence`) ride along the same way, as
+does the support hint, always a set: all naturals when nothing narrower is known.
 Term oracles are pure and cached, so repeated calls with identical
 arguments return identical intervals, and intervals at finer precision are
 contained in coarser ones.  The cache keeps every term
@@ -32,7 +33,7 @@ from itertools import groupby
 
 from .errors import LengthMismatch
 from .intervals import ComplexInterval, PowSum, Q0, Q1, abs_end, format_rational, pow_bounds
-from .supports import AllNaturals, ExplicitFinite, SupportSet
+from .supports import AllNaturals, ExplicitFinite, Intersection, SupportSet, Union
 from .tags import SubseqLowerBound
 
 
@@ -83,15 +84,16 @@ class Sequence:
     spread and restrict their base's t, and a combination the largest t of
     its parts, or None if a part has None.
 
-    ``support_hint``, when set, is a superset of the node's support: every
-    index off it carries an exact zero.  ``Combine`` terms skip the parts
-    whose hint misses n, escape certificates drop the parts whose hint
-    misses the witness row, and a witness is zero off its support when its
-    hint lies within it, so all three rest on this contract."""
+    ``support_hint`` is a set that contains the node's support, all naturals
+    when nothing narrower is known: every index off it carries an exact zero.
+    ``Combine`` terms skip the parts whose hint misses n, escape certificates
+    drop the parts whose hint misses the witness row, and a witness is zero
+    off its support when its hint lies within it, so all three rest on this
+    contract."""
 
     kind = "abstract"
     growth_tags: tuple = ()
-    support_hint: SupportSet | None = None
+    support_hint: SupportSet = AllNaturals()
     threshold: Fraction | None = None
 
     def __init__(self):
@@ -121,10 +123,10 @@ class Sequence:
 
     def position_runs(self, k_lo: int, k_hi: int, prec: int):
         """(box, count) runs that repeat to the terms at support positions
-        k_lo..k_hi (1-based, on the hint, all naturals without one).  This
-        default groups equal (``==``) neighbours among all of those terms."""
-        hint = self.support_hint or AllNaturals()
-        terms = (self.term(hint.nth(k), prec) for k in range(k_lo, k_hi + 1))
+        k_lo..k_hi (1-based, on the hint).  This default groups equal (``==``)
+        neighbours among all of those terms."""
+        nth = self.support_hint.nth
+        terms = (self.term(nth(k), prec) for k in range(k_lo, k_hi + 1))
         return ((box, sum(1 for _ in run)) for box, run in groupby(terms))
 
     # -- certified tail metadata (None = not available) -----------------
@@ -154,8 +156,8 @@ class Sequence:
 
     def zero_off(self, support: SupportSet) -> bool:
         """True only if provably every term off the support is zero: the
-        hint lies within it.  A node with no hint is never proved so."""
-        return self.support_hint is not None and self.support_hint.within(support)
+        hint lies within it."""
+        return self.support_hint.within(support)
 
     # -- serialization ---------------------------------------------------
     def spec(self) -> dict:
@@ -246,7 +248,7 @@ class FamilySeq(Sequence):
     ``lp_divergence(p)`` is None for p > t, and ``tail_majorant`` is None
     for p <= t and whenever t is None.  Without a ``pos_sup_fn``,
     ``pos_sup_tail(K)`` is ``sup_tail(hint.nth(K))`` (N = -1 for K = 0) on the
-    support hint, all naturals without one.  The doubling-selection builder
+    support hint, which every builder passes.  The doubling-selection builder
     of prop28 and rem29 (``families._doubling``) keeps its own: it counts
     positions in its underlying support, not in the selection it hints."""
 
@@ -258,6 +260,7 @@ class FamilySeq(Sequence):
         params_spec: dict,
         term_fn,
         *,
+        support_hint: SupportSet,
         tail_fn=None,
         sup_fn=None,
         pos_sup_fn=None,
@@ -266,7 +269,6 @@ class FamilySeq(Sequence):
         runs_fn=None,
         threshold=None,
         tags=(),
-        support_hint=None,
     ):
         super().__init__()
         self.name = name
@@ -301,8 +303,7 @@ class FamilySeq(Sequence):
         if self._pos_sup_fn:
             return self._pos_sup_fn(K, prec)
         # support positions past K are the indices past the K-th hint point
-        hint = self.support_hint or AllNaturals()
-        return self.sup_tail(hint.nth(K) if K > 0 else -1, prec)
+        return self.sup_tail(self.support_hint.nth(K) if K > 0 else -1, prec)
 
     def disc_tail(self, N, r, prec):
         return self._disc_fn(N, r, prec) if self._disc_fn else None
@@ -352,8 +353,7 @@ class Spread(Sequence):
 
     def position_runs(self, k_lo, k_hi, prec):
         # spread position k carries base position k on a gapless base hint
-        hint = self.base.support_hint
-        if hint is None or isinstance(hint, AllNaturals):
+        if isinstance(self.base.support_hint, AllNaturals):
             return self.base.position_runs(k_lo, k_hi, prec)
         return super().position_runs(k_lo, k_hi, prec)
 
@@ -382,7 +382,7 @@ class Spread(Sequence):
         # gapless hint.  On a sparse hint a longer block would grow with the
         # gaps, and a check reads all of it, so it is offered empty instead.
         hint, block = self.base.support_hint, bd.block
-        if hint is None or isinstance(hint, AllNaturals):
+        if isinstance(hint, AllNaturals):
             return bd
 
         def spread_block(j):
@@ -409,11 +409,7 @@ class Restrict(Sequence):
         self.base = base
         self.support = support
         self.threshold = base.threshold
-        base_hint = base.support_hint
-        if base_hint is None:
-            self.support_hint = support
-        else:
-            self.support_hint = _FilteredHint(base_hint, support)
+        self.support_hint = Intersection(base.support_hint, support)
 
     def _term(self, n, prec):
         if not self.support.member(n):
@@ -443,9 +439,8 @@ class Combine(Sequence):
     |x+y|^p <= |x|^p + |y|^p, for p > 1 via the p-norm triangle
     inequality applied to the tails.
 
-    A term reads only the parts whose ``support_hint`` contains n (or
-    that have no hint): a hint is a superset of its part's support, as
-    ``support_indices_upto`` also assumes, so every skipped part is an
+    A term reads only the parts whose ``support_hint`` contains n: a hint
+    is a superset of its part's support, so every skipped part is an
     exact zero.  A combination over disjointly supported basis rows thus
     evaluates one part per index."""
 
@@ -455,11 +450,8 @@ class Combine(Sequence):
         super().__init__()
         self.coeffs = [_as_pair(c) for c in coeffs]
         self.bases = list(bases)
-        self._hints = [b.support_hint for b in self.bases]
         self._abs_coeffs: dict[tuple[int, int, int], list[Fraction]] = {}
-        self.support_hint = (
-            None if any(h is None for h in self._hints) else _UnionHint(self._hints)
-        )
+        self.support_hint = Union(b.support_hint for b in self.bases)
         ts = [b.threshold for b in self.bases]
         self.threshold = None if None in ts else max(ts, default=Q0)
 
@@ -477,8 +469,8 @@ class Combine(Sequence):
         # part and skips zero parts without changing an endpoint; a part
         # whose support hint misses n is such a zero and is not evaluated
         acc = None
-        for (re, im), base, hint in zip(self.coeffs, self.bases, self._hints):
-            if hint is not None and not hint.member(n):
+        for (re, im), base, hint in zip(self.coeffs, self.bases, self.support_hint.hints):
+            if not hint.member(n):
                 continue
             iv = base.term(n, child)
             if not iv.is_exact_zero:
@@ -553,51 +545,6 @@ class Combine(Sequence):
         }
 
 
-class _FilteredHint(SupportSet):
-    def __init__(self, base_hint: SupportSet, mask: SupportSet):
-        self.base_hint, self.mask = base_hint, mask
-        self.finite_flag = base_hint.finite_flag
-
-    def member(self, n):
-        return self.base_hint.member(n) and self.mask.member(n)
-
-    def misses(self, row, cutoff):
-        return self.base_hint.misses(row, cutoff) or self.mask.misses(row, cutoff)
-
-    def within(self, other):
-        return self.base_hint.within(other) or self.mask.within(other)
-
-    def elements_upto(self, n):
-        return [e for e in self.base_hint.elements_upto(n) if self.mask.member(e)]
-
-    def rank_upto(self, n):
-        return len(self.elements_upto(n))
-
-
-class _UnionHint(SupportSet):
-    def __init__(self, hints):
-        self.hints = list(hints)
-        self.finite_flag = all(h.finite_flag for h in self.hints)
-
-    def member(self, n):
-        return any(h.member(n) for h in self.hints)
-
-    def misses(self, row, cutoff):
-        return all(h.misses(row, cutoff) for h in self.hints)
-
-    def within(self, other):
-        return all(h.within(other) for h in self.hints)
-
-    def elements_upto(self, n):
-        merged: set[int] = set()
-        for h in self.hints:
-            merged.update(h.elements_upto(n))
-        return sorted(merged)
-
-    def rank_upto(self, n):
-        return len(self.elements_upto(n))
-
-
 # -- public operations ----------------------------------------------------
 
 
@@ -652,10 +599,3 @@ def unit(n: int) -> FiniteRational:
     """The n-th standard unit sequence e_n."""
     return FiniteRational({n: (Q1, Q0)})
 
-
-def support_indices_upto(seq: Sequence, N: int):
-    """Indices <= N that can carry nonzero terms (everything if unknown)."""
-    hint = seq.support_hint
-    if hint is None or isinstance(hint, AllNaturals):
-        return range(0, N + 1)
-    return hint.elements_upto(N)

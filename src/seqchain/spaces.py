@@ -50,7 +50,7 @@ from functools import reduce
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace, UnsupportedSpace
 from .intervals import Q0, DiscSum, PowSum, abs_end, abs_ends, pow_bounds
 from .intervals import format_rational, parse_rational
-from .sequences import Sequence, combine, support_indices_upto, zero
+from .sequences import Sequence, combine, zero
 
 _PARAM_TAGS = {"lp", "cap-lp"}
 _PLAIN_TAGS = {"ainf", "c0", "linf", "hd", "cn0"}
@@ -211,7 +211,7 @@ class _Head:
         in n, where ends is the term's ``modulus_bounds``; for view None, the ends."""
         ends = self._views[None]
         if hi > self._cut:
-            support = sorted(support_indices_upto(self.seq, hi))
+            support = sorted(self.seq.support_hint.elements_upto(hi))
             for n in support[bisect_right(support, self._cut):]:
                 iv = self.seq.term(n, self.hp)
                 if not iv.is_exact_zero:

@@ -1,14 +1,23 @@
-"""Index sets over the naturals, given as (member, nth) oracle pairs.
+"""Index sets over the naturals, given as (member, nth) oracle pairs: the
+one module that represents, counts and compares supports and hints.
 
 ``nth`` is 1-based: ``nth(1)`` is the smallest element.  Concrete sets
 implement ``member`` and a counting oracle ``rank_upto`` (number of
 elements <= n); ``nth`` is derived by a monotone search, so the two
 access patterns stay consistent by construction.
+
+The spec kinds are arithmetic progressions (all naturals and the dyadic
+rows are ones), the powers of two and explicit finite sets.  Composite
+hints have no spec: ``Intersection`` (a restriction's), ``Union`` (a
+combination's) and ``DoublingSelection`` (prop28's and rem29's picks).
+``misses`` and ``within`` compare sets: two progressions miss each other
+exactly when their starts differ modulo the gcd of their steps.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from math import gcd
 
 from .errors import FiniteSupportSet, ParseError
 
@@ -64,22 +73,6 @@ class SupportSet:
             raise FiniteSupportSet("operation requires an infinite index set")
 
 
-class AllNaturals(SupportSet):
-    def member(self, n):
-        return n >= 0
-
-    def rank_upto(self, n):
-        return max(0, n + 1)
-
-    def nth(self, k):
-        if k < 1:
-            raise ValueError("nth is 1-based")
-        return k - 1
-
-    def spec(self):
-        return {"kind": "all"}
-
-
 class PowersOfTwo(SupportSet):
     """{1, 2, 4, 8, ...}"""
 
@@ -96,42 +89,6 @@ class PowersOfTwo(SupportSet):
 
     def spec(self):
         return {"kind": "powers-of-two"}
-
-
-class DyadicRow(SupportSet):
-    """Row j >= 1 of the dyadic partition: n with v2(n+1) = j-1.
-
-    Row 1 is {0, 2, 4, ...}, row 2 is {1, 5, 9, ...}; the rows partition
-    the naturals.
-    """
-
-    def __init__(self, j: int):
-        if j < 1:
-            raise ValueError("row index must be >= 1")
-        self.j = j
-
-    def member(self, n):
-        if n < 0:
-            return False
-        m = n + 1
-        return m % (1 << (self.j - 1)) == 0 and (m >> (self.j - 1)) % 2 == 1
-
-    def rank_upto(self, n):
-        if n < 0:
-            return 0
-        return ((n + 1) // (1 << (self.j - 1)) + 1) // 2
-
-    def nth(self, k):
-        if k < 1:
-            raise ValueError("nth is 1-based")
-        return (2 * k - 1) * (1 << (self.j - 1)) - 1
-
-    def misses(self, row, cutoff):
-        # the rows are pairwise disjoint
-        return isinstance(row, DyadicRow) and row.j != self.j
-
-    def spec(self):
-        return {"kind": "dyadic-row", "j": self.j}
 
 
 class Arith(SupportSet):
@@ -155,8 +112,44 @@ class Arith(SupportSet):
             raise ValueError("nth is 1-based")
         return self.start + (k - 1) * self.step
 
+    def elements_upto(self, n):
+        return range(self.start, n + 1, self.step)
+
+    def misses(self, row, cutoff):
+        # two progressions meet exactly when their starts agree modulo the
+        # gcd of their steps (Chinese remainder theorem)
+        return isinstance(row, Arith) and (self.start - row.start) % gcd(self.step, row.step) != 0
+
     def spec(self):
         return {"kind": "arith", "start": self.start, "step": self.step}
+
+
+class AllNaturals(Arith):
+    """{0, 1, 2, ...}: the hint of a node with nothing narrower known."""
+
+    def __init__(self):
+        super().__init__(0, 1)
+
+    def spec(self):
+        return {"kind": "all"}
+
+
+class DyadicRow(Arith):
+    """Row j >= 1 of the dyadic partition: n with v2(n+1) = j-1, the
+    progression {2**(j-1) - 1, 2**(j-1) - 1 + 2**j, ...}.
+
+    Row 1 is {0, 2, 4, ...}, row 2 is {1, 5, 9, ...}; the rows partition
+    the naturals, and ``Arith.misses`` proves any two of them disjoint.
+    """
+
+    def __init__(self, j: int):
+        if j < 1:
+            raise ValueError("row index must be >= 1")
+        super().__init__((1 << (j - 1)) - 1, 1 << j)
+        self.j = j
+
+    def spec(self):
+        return {"kind": "dyadic-row", "j": self.j}
 
 
 class ExplicitFinite(SupportSet):
@@ -187,6 +180,103 @@ class ExplicitFinite(SupportSet):
 
     def spec(self):
         return {"kind": "explicit-finite", "elems": list(self.elems)}
+
+
+class Intersection(SupportSet):
+    """The elements of a base set that lie in a mask: a restriction's hint."""
+
+    def __init__(self, base_hint: SupportSet, mask: SupportSet):
+        self.base_hint, self.mask = base_hint, mask
+        self.finite_flag = base_hint.finite_flag
+
+    def member(self, n):
+        return self.base_hint.member(n) and self.mask.member(n)
+
+    def misses(self, row, cutoff):
+        return self.base_hint.misses(row, cutoff) or self.mask.misses(row, cutoff)
+
+    def within(self, other):
+        return self.base_hint.within(other) or self.mask.within(other)
+
+    def elements_upto(self, n):
+        return [e for e in self.base_hint.elements_upto(n) if self.mask.member(e)]
+
+    def rank_upto(self, n):
+        return len(self.elements_upto(n))
+
+
+class Union(SupportSet):
+    """The elements of any of several sets: a combination's hint."""
+
+    def __init__(self, hints):
+        self.hints = list(hints)
+        self.finite_flag = all(h.finite_flag for h in self.hints)
+
+    def member(self, n):
+        return any(h.member(n) for h in self.hints)
+
+    def misses(self, row, cutoff):
+        return all(h.misses(row, cutoff) for h in self.hints)
+
+    def within(self, other):
+        return all(h.within(other) for h in self.hints)
+
+    def elements_upto(self, n):
+        merged: set[int] = set()
+        for h in self.hints:
+            merged.update(h.elements_upto(n))
+        return sorted(merged)
+
+    def rank_upto(self, n):
+        return len(self.elements_upto(n))
+
+
+class DoublingSelection(SupportSet):
+    """Deterministic choice of support points l_1' < l_2' < ... with
+    l_m' >= 2**m: scan the support in increasing order, taking for each m
+    the first element past the previous pick that reaches 2**m.  The picks
+    form a lazy infinite index set, the support hint of prop28 and rem29
+    and far tighter than the ambient set.  On the powers of two the picks
+    are 2, 4, 8, ..."""
+
+    def __init__(self, support: SupportSet):
+        self.support = support
+        self.sel: list[int] = []
+        self._last_pos = 0
+
+    def _select_next(self):
+        threshold = 1 << (len(self.sel) + 1)
+        pos = max(self._last_pos + 1, self.support.rank_upto(threshold - 1) + 1)
+        value = self.support.nth(pos)
+        self._last_pos = pos
+        self.sel.append(value)
+
+    def extend_to_value(self, x: int):
+        while not self.sel or self.sel[-1] < x:
+            self._select_next()
+
+    # the picks increase strictly, so both bisect them
+    def member(self, n):
+        self.extend_to_value(n)
+        return self.sel[bisect_left(self.sel, n)] == n
+
+    def rank_upto(self, n):
+        self.extend_to_value(n + 1)
+        return bisect_right(self.sel, n)
+
+    def nth(self, k):
+        if k < 1:
+            raise ValueError("nth is 1-based")
+        while len(self.sel) < k:
+            self._select_next()
+        return self.sel[k - 1]
+
+    # every pick is a point of the underlying support, so its rules carry over
+    def misses(self, row, cutoff):
+        return self.support.misses(row, cutoff)
+
+    def within(self, other):
+        return self.support.within(other)
 
 
 def _integer(value):

@@ -55,7 +55,6 @@ from seqchain.sequences import (
     combine,
     restrict,
     spread,
-    support_indices_upto,
     zero,
 )
 from seqchain.serialize import canonical_json, sequence_from_spec
@@ -903,7 +902,7 @@ def _parent_block_mass(seq, bd, j, prec):
     terms = (seq.term(hint.nth(k), prec) for k in range(k_lo, k_hi + 1))
     total = PowSum(bd.p / 2, prec)
     for iv, run in groupby(terms):
-        total.add((iv.abs_sq_bounds()[0], False), sum(1 for _ in run))
+        total.extend(((iv.abs_sq_bounds()[0], False),), sum(1 for _ in run))
     return total.value
 
 
@@ -969,7 +968,7 @@ def _ref_lp_head_upper(moduli, p, prec):
 
 def _squared_moduli(seq, N, prec):
     """The head as it was: (n, upper bound on |a_n|**2) straight from the boxes."""
-    return [(n, seq.term(n, prec).abs_sq_bounds()[1]) for n in support_indices_upto(seq, N)]
+    return [(n, seq.term(n, prec).abs_sq_bounds()[1]) for n in seq.support_hint.elements_upto(N)]
 
 
 # lp exponents (p = 2 and p = 4 make every summand exact) and cap-lp rows a + 1/n
@@ -1005,7 +1004,7 @@ def _ref_partial_sum_check(seq, fam, budget, prec):
     """The PartialSum scan as it was: cumulative Fraction sums of both endpoints."""
     hp = prec + 32
     cum_lo = cum_hi = F(0)
-    for n in sorted(support_indices_upto(seq, budget)):
+    for n in sorted(seq.support_hint.elements_upto(budget)):
         sq_lo, sq_hi = seq.term(n, hp).abs_sq_bounds()
         cum_lo += _ref_pow_bounds(sq_lo, fam.p / 2, hp)[0]
         cum_hi += _ref_pow_bounds(sq_hi, fam.p / 2, hp)[1]
@@ -1073,7 +1072,7 @@ def test_disc_schedule_rows_equal_fraction_sums(name):
         if cert is None:
             assert seq.disc_tail(cut, F(1, 2), PREC) is None, name
             continue
-        moduli = [(n, seq.term(n, PREC).abs_bounds(PREC)[1]) for n in support_indices_upto(seq, cut)]
+        moduli = [(n, seq.term(n, PREC).abs_bounds(PREC)[1]) for n in seq.support_hint.elements_upto(cut)]
         if name == "nat-nat":
             assert moduli and all(a == 0 for _, a in moduli)
         assert len(cert.data) == 8
@@ -1102,7 +1101,7 @@ def test_root_head_moduli_equal_roots_of_squared_moduli(prec):
         for N in (-1, 0, 9, 64):
             ref = [
                 (n, sqrt_bounds(seq.term(n, prec).abs_sq_bounds()[1], prec)[1])
-                for n in support_indices_upto(seq, N)
+                for n in seq.support_hint.elements_upto(N)
             ]
             # the head keeps nonzero terms only: a zero adds to no sum
             ref = [(n, a) for n, a in ref if not seq.term(n, prec).is_exact_zero]

@@ -29,6 +29,7 @@ from seqchain.sequences import Combine, FiniteRational, combine, restrict, sprea
 from seqchain.spaceable import build_basis, certify_combination_outside
 from seqchain.spaces import C0, CN0, HD, LINF, AINF, adjacent_pairs, cap_lp, lp, metric_bound
 from seqchain.supports import AllNaturals, Arith, DyadicRow, ExplicitFinite, PowersOfTwo
+from seqchain.witness import make_witness
 
 F = Fraction
 
@@ -355,6 +356,14 @@ def test_a_part_whose_hint_meets_the_row_past_the_cutoff_is_rejected():
         assert check_outside_certificate(g, cert, samples=3, prec=PREC)
 
 
+def test_a_part_on_a_disjoint_progression_is_placed_off_the_row():
+    # the odd numbers miss row 1, the evens: their starts differ mod gcd(2, 2)
+    w = make_witness(lp(1), C0, DyadicRow(1), BUDGET, PREC)
+    f = combine([2, 1], [w.seq, spread(nat(), Arith(1, 2))])
+    cert = escape_certificate(f, 1, w, ComplexInterval.exact(2), 0)
+    assert check_outside_certificate(f, cert, samples=3, prec=PREC)
+
+
 @pytest.mark.parametrize("pair", adjacent_pairs(), ids=lambda p: f"{p[0]}<{p[1]}")
 def test_a_proved_row_identity_passes_the_point_check_at_every_recorded_point(pair):
     inner, outer = pair
@@ -450,16 +459,17 @@ def test_every_miss_rule_is_sound_and_fires():
         restrict(spread(nat(), DyadicRow(2)), Arith(0, 1)).support_hint,  # the base misses
         combine([1, 1], [spread(nat(), DyadicRow(2)), FiniteRational({3: 1})]).support_hint,
         rem29(DyadicRow(3)).support_hint,
-        Arith(0, 3),  # no rule: may meet every row
+        Arith(1, 2),  # the odd numbers: their start differs from row 1's mod gcd 2
+        Arith(0, 3),  # meets every row: the gcd of its step and a row's is 1
     ]
     missed = set()
-    for hint in hints:
+    for i, hint in enumerate(hints):
         for row in (DyadicRow(1), DyadicRow(2), DyadicRow(3)):
             for cutoff in (0, 2, 6, 41):
                 if hint.misses(row, cutoff):
-                    missed.add(type(hint).__name__)
+                    missed.add(i)
                     assert not any(hint.member(n) for n in range(cutoff, 600) if row.member(n))
-    assert missed == {type(h).__name__ for h in hints[:-1]}
+    assert missed == set(range(len(hints) - 1))
 
 
 def test_every_within_rule_is_sound_and_fires():

@@ -455,8 +455,8 @@ def test_pow_sum_equals_the_sum_of_reference_endpoints(terms, e, prec):
     lo_sum, hi_sum = PowSum(e, prec), PowSum(e, prec, upper=True)
     ref_lo = ref_hi = Fraction(0)
     for q, count in terms:
-        lo_sum.add((q, False), count)
-        hi_sum.add((q, False), count)
+        lo_sum.extend(((q, False),), count)
+        hi_sum.extend(((q, False),), count)
         lo, hi = _ref_pow_bounds(q, e, prec)
         ref_lo += count * lo
         ref_hi += count * hi
@@ -562,8 +562,8 @@ def test_pow_sum_of_exact_heavy_ends_equals_the_fraction_sum(terms, p, prec):
     lo_sum, hi_sum = PowSum(p, prec), PowSum(p, prec, upper=True)
     ref_lo = ref_hi = Fraction(0)
     for (q, squared), count in terms:
-        lo_sum.add((q, squared), count)
-        hi_sum.add((q, squared), count)
+        lo_sum.extend(((q, squared),), count)
+        hi_sum.extend(((q, squared),), count)
         lo, hi = _ref_pow_bounds(q, p / 2 if squared else p, prec)
         ref_lo += count * lo
         ref_hi += count * hi
@@ -576,7 +576,7 @@ def test_pow_sum_exact_part_is_one_numerator_over_the_lcm():
     total = PowSum(Fraction(1), 16)
     for end, count in (((Fraction(1, 3), False), 1), ((Fraction(1, 5), False), 2),
                        ((Fraction(1, 7), False), 1), ((Fraction(9, 25), True), 1)):
-        total.add(end, count)
+        total.extend((end,), count)
     assert (total.L, total.num) == (105, 0)
     assert total.value == Fraction(1, 3) + Fraction(2, 5) + Fraction(1, 7) + Fraction(3, 5)
 
@@ -616,8 +616,8 @@ def test_real_boxes_powered_from_abs_equal_the_squared_path(seed):
             for upper in (False, True):
                 for box in boxes:
                     sq = box.abs_sq_bounds()[upper]
-                    via_abs = PowSum(p, prec, upper).add(box.modulus_bounds()[upper], 3).value
-                    via_sq = PowSum(p / 2, prec, upper).add((sq, False), 3).value
+                    via_abs = PowSum(p, prec, upper).extend((box.modulus_bounds()[upper],), 3).value
+                    via_sq = PowSum(p / 2, prec, upper).extend(((sq, False),), 3).value
                     ref = 3 * _ref_pow_bounds(sq, p / 2, prec)[upper] if sq else 0
                     assert via_abs == via_sq == ref, (box, p, prec, upper)
 
@@ -875,7 +875,7 @@ def test_any_box_powered_from_its_modulus_end_equals_the_squared_path(box, p, up
     # complex boxes keep |z|**2 at p/2; real ones power |re| at p
     end, sq = box.modulus_bounds()[upper], box.abs_sq_bounds()[upper]
     assert end[1] == (not box.is_real)
-    assert PowSum(p, 32, upper).add(end).value == PowSum(p / 2, 32, upper).add((sq, False)).value
+    assert PowSum(p, 32, upper).extend((end,)).value == PowSum(p / 2, 32, upper).extend(((sq, False),)).value
 
 
 # -- integer exponents and reciprocal endpoints ------------------------------------
@@ -1140,11 +1140,12 @@ def test_pow_grid_over_dyadic_denominators_equals_the_reference(case):
 )
 def test_pow_sum_extend_equals_a_fold_of_add(ends, p, prec, count, split):
     # exact, inexact and zero ends, squared or not, on either side: one
-    # extend per slice leaves the state a fold of add over the same ends leaves
+    # extend per slice leaves the state a fold of one-end extends over the
+    # same ends leaves
     for upper in (False, True):
         folded, extended = PowSum(p, prec, upper), PowSum(p, prec, upper)
         for end in ends:
-            folded.add(end, count)
+            folded.extend((end,), count)
         extended.extend(ends[:split], count).extend(iter(ends[split:]), count)
         assert (extended.L, extended.exact, extended.num) == (folded.L, folded.exact, folded.num)
         assert extended.value == folded.value == sum(

@@ -18,7 +18,7 @@ from seqchain.generic import (
     certify_outside,
     disjoint_support,
 )
-from seqchain.sequences import FiniteRational, combine, support_indices_upto, zero
+from seqchain.sequences import FiniteRational, combine, zero
 from seqchain.spaces import (
     C0,
     CN0,
@@ -82,7 +82,7 @@ def _ref_rational_truncation(target, outer, half_eps, budget, prec):
     for head in (64, 256, min(1024, budget), budget):
         for grid_bits in (prec, 2 * prec):
             entries = {}
-            for n in support_indices_upto(target, head):
+            for n in target.support_hint.elements_upto(head):
                 iv = target.term(n, grid_bits + 4)
                 re = _round_to_grid((iv.re_lo + iv.re_hi) / 2, grid_bits)
                 im = _round_to_grid((iv.im_lo + iv.im_hi) / 2, grid_bits)

@@ -16,6 +16,7 @@ from conftest import BUDGET, PREC, catalog
 from seqchain import families
 from seqchain.diagnose import (
     FM,
+    CertifiedIn,
     CertifiedOut,
     ConsistentUpTo,
     DivergentPartialSums,
@@ -40,7 +41,7 @@ from seqchain.diagnose import (
 )
 from seqchain.errors import UnsupportedSpace
 from seqchain.intervals import Q1
-from seqchain.sequences import FiniteRational, combine, restrict, spread, support_indices_upto, zero
+from seqchain.sequences import FiniteRational, combine, restrict, spread, zero
 from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaceable import basis_element
 from seqchain.spaces import AINF, C0, HD, LINF, lp, standard_chain
@@ -263,7 +264,7 @@ def _ref_report_abs(seq, n, prec, weight=Q1):
 
 def _ref_pointwise_check(seq, fam, budget, prec):
     if isinstance(fam, FMk):
-        for n in support_indices_upto(seq, budget):
+        for n in seq.support_hint.elements_upto(budget):
             weight = Fraction(n) ** fam.k
             if weight == 0:
                 if fam.k > 0:
@@ -275,7 +276,7 @@ def _ref_pointwise_check(seq, fam, budget, prec):
         return ConsistentUpTo(budget)
     if isinstance(fam, Fnk):
         threshold = Fraction(1, fam.k)
-        for s in support_indices_upto(seq, budget):
+        for s in seq.support_hint.elements_upto(budget):
             if s < fam.n:
                 continue
             if _ref_abs_vs_threshold(seq, s, threshold, prec) > 0:
@@ -283,14 +284,14 @@ def _ref_pointwise_check(seq, fam, budget, prec):
                 return ViolatedAt(s, lo, hi)
         return ConsistentUpTo(budget)
     if isinstance(fam, FM):
-        for n in support_indices_upto(seq, budget):
+        for n in seq.support_hint.elements_upto(budget):
             if _ref_abs_vs_threshold(seq, n, fam.M, prec) > 0:
                 lo, hi = _ref_report_abs(seq, n, prec * 2)
                 return ViolatedAt(n, lo, hi)
         return ConsistentUpTo(budget)
     if isinstance(fam, Fkj):
         base = 1 + Fraction(1, fam.j)
-        for n in support_indices_upto(seq, budget):
+        for n in seq.support_hint.elements_upto(budget):
             if n < max(fam.k, 1):
                 continue
             if _ref_abs_vs_threshold(seq, n, base ** n, prec) > 0:
@@ -485,6 +486,24 @@ def test_a_tag_of_the_wrong_class_is_false_not_an_error():
     for seq, cert in forged:
         for samples in range(1, 9):
             assert check_certificate(seq, CertifiedOut(cert), samples, PREC) is False
+
+
+def test_out_certificates_with_short_evidence_are_false():
+    # const-one is in linf, yet a one-row or empty table on its own tag
+    # passes every row it has; an lp block certificate with no checked
+    # block reads no block at all
+    one = families.const_one()
+    assert isinstance(classify(one, LINF, BUDGET, PREC), CertifiedIn)
+    tag = _tag_of(one, SubseqLowerBound)
+    gap, q = families.gap_cap_lp(F(1), F(2)), F(3, 2)
+    forged = [
+        (one, OutCert(LINF, Unbounded(tag=tag, table=((1, 1, F(1)),)))),
+        (one, OutCert(LINF, Unbounded(tag=tag, table=()))),
+        (gap, OutCert(lp(q), DivergentPartialSums(exponent=q, blocks=gap.lp_divergence(q), checked_blocks=()))),
+    ]
+    for seq, cert in forged:
+        for samples in (1, 3, 8):
+            assert not check_certificate(seq, CertifiedOut(cert), samples, PREC), cert.shape
 
 
 def test_a_block_certificate_on_finite_data_is_false_not_an_error():

@@ -18,7 +18,7 @@ from seqchain import families
 from seqchain.diagnose import try_in_certificate
 from seqchain.errors import SeqchainError
 from seqchain.intervals import PowSum
-from seqchain.sequences import combine, support_indices_upto, zero
+from seqchain.sequences import combine, zero
 from seqchain.spaces import C0, CN0, HD, LINF, cap_lp, lp, metric_bound
 
 OVERLAP_SPACES = [lp(1), lp(F(1, 2)), cap_lp(0), C0, HD, CN0]
@@ -45,13 +45,13 @@ def test_metric_enclosures_overlap_across_budgets_and_precisions(name, space):
 
 def _lower_abs(seq, N):
     """(n, lower bound on |a_n|) over the support up to N, at 256 bits."""
-    return [(n, seq.term(n, REF_PREC).abs_bounds(REF_PREC)[0]) for n in support_indices_upto(seq, N)]
+    return [(n, seq.term(n, REF_PREC).abs_bounds(REF_PREC)[0]) for n in seq.support_hint.elements_upto(N)]
 
 
 def _lower_power_sum(seq, p, N):
     total = PowSum(p, REF_PREC)
-    for n in support_indices_upto(seq, N):
-        total.add(seq.term(n, REF_PREC).modulus_bounds()[0])
+    for n in seq.support_hint.elements_upto(N):
+        total.extend((seq.term(n, REF_PREC).modulus_bounds()[0],))
     return total.value
 
 

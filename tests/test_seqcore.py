@@ -27,7 +27,6 @@ from seqchain.sequences import (
     combine,
     restrict,
     spread,
-    support_indices_upto,
     term_at,
     unit,
     _radius_power_upper,
@@ -498,7 +497,7 @@ def test_many_spread_parts_on_one_row_keep_the_pairs_small():
     assert time.process_time() - start < 1
     assert isinstance(verdict, CertifiedIn) and verdict.cert.shape == "disc-schedule"
     cut = min(BUDGET, 64)
-    moduli = [(n, f.term(n, PREC).abs_bounds(PREC)[1]) for n in support_indices_upto(f, cut)]
+    moduli = [(n, f.term(n, PREC).abs_bounds(PREC)[1]) for n in f.support_hint.elements_upto(cut)]
     ref = []
     for k in range(1, 9):
         r = F(k, k + 1)
@@ -602,7 +601,7 @@ def test_finite_tail_majorant_equals_the_sum_of_reference_uppers(entries, N, p, 
 
 def test_support_indices_cover_nonzero_terms():
     for name, seq in CATALOG:
-        idx = set(support_indices_upto(seq, 60))
+        idx = set(seq.support_hint.elements_upto(60))
         for n in range(61):
             if not seq.term(n, 12).is_exact_zero:
                 assert n in idx, (name, n)

@@ -17,7 +17,6 @@ from seqchain.sequences import (
     FiniteRational,
     combine,
     spread,
-    support_indices_upto,
     unit,
     zero,
 )
@@ -286,7 +285,7 @@ def _ref_ceil_grid(x, bits):
 
 def _ref_disc_sum(seq, r, N, hp):
     lo = hi = F(0)
-    for n in sorted(support_indices_upto(seq, N)):
+    for n in sorted(seq.support_hint.elements_upto(N)):
         a = _ref_abs(seq, n, hp)
         if a is not None:
             lo += a[0] * r ** n
@@ -357,7 +356,7 @@ def test_ratio_sum_equals_fraction_sum(seq, cutoffs, prec):
 
 def _ref_power_sum(seq, p, N, hp):
     lo = hi = F(0)
-    for n in sorted(support_indices_upto(seq, N)):
+    for n in sorted(seq.support_hint.elements_upto(N)):
         iv = seq.term(n, hp)
         if not iv.is_exact_zero:
             sq_lo, sq_hi = iv.abs_sq_bounds()

@@ -56,6 +56,32 @@ def test_dyadic_rows_partition():
     assert set(seen) == set(range(0, 1001))  # rows 1..11 cover 0..1000
 
 
+def test_dyadic_rows_equal_the_brute_force_valuation():
+    # row j is n with v2(n+1) = j-1, here read off the lowest set bit of n+1
+    for j in range(1, 11):
+        row = DyadicRow(j)
+        elements = [n for n in range(1 << 12) if ((n + 1) & -(n + 1)).bit_length() == j]
+        assert [n for n in range(1 << 12) if row.member(n)] == elements
+        assert [row.nth(k) for k in range(1, len(elements) + 1)] == elements
+        count = 0
+        for n in range(1 << 12):
+            count += n in elements[count:count + 1]
+            assert row.rank_upto(n) == count
+        for n in (*range(-1, 1 << 12, 97), (1 << 12) - 1):
+            assert list(row.elements_upto(n)) == [e for e in elements if e <= n]
+
+
+def test_progressions_miss_exactly_when_brute_force_finds_no_common_element():
+    # two progressions meet by 15 + lcm(steps) <= 255 if they meet at all,
+    # so their elements below 2**10 decide it
+    progressions = [Arith(a, d) for a in range(16) for d in range(1, 17)]
+    progressions += [DyadicRow(j) for j in range(1, 5)]
+    points = [frozenset(range(s.start, 1 << 10, s.step)) for s in progressions]
+    for s, s_points in zip(progressions, points):
+        for row, row_points in zip(progressions, points):
+            assert s.misses(row, 0) == s_points.isdisjoint(row_points), (s.spec(), row.spec())
+
+
 def test_finite_flag_and_errors():
     fin = ExplicitFinite([3, 7])
     assert fin.finite_flag

@@ -179,12 +179,12 @@ def test_verify_rejects_forged_support():
     assert not verify_witness(forged, BUDGET, 3, PREC)
 
 
-def test_verify_rejects_a_sequence_without_a_support_hint():
-    # with no hint nothing proves the sequence zero off its support
+def test_verify_rejects_a_sequence_whose_hint_is_all_naturals():
+    # a hint of all naturals proves the sequence zero off no support
     w = make_witness(lp(1), C0, EVENS, BUDGET, PREC)
     assert verify_witness(w, BUDGET, 3, PREC)
     unhinted = spread(w.seq.base, EVENS)
-    unhinted.support_hint = None
+    unhinted.support_hint = AllNaturals()
     assert not verify_witness(dataclasses.replace(w, seq=unhinted), BUDGET, 3, PREC)
 
 
