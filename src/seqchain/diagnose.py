@@ -13,8 +13,9 @@ any node built from the same spec.  Four shape classes render the five
 out-shapes: ``Unbounded`` is ``unbounded`` (linf) with weight exponent
 k = 0 and ``unbounded-weighted`` (ainf) with k >= 1, and
 ``DivergentPartialSums``, ``NotVanishing`` and ``RootLimsupExceeds`` are
-one shape each.  In-certificates are grounded in the tail oracles, and a
-check rebuilds them at their recorded cutoffs.
+one shape each.  In-certificates rest on the tail oracles alone: a row
+records its oracle's bound on the whole row (at N = -1, or past a searched
+cutoff for c0 and ainf), and a check accepts a bound at least the oracle's.
 One scan per tag builds the threshold tables of every weight exponent k.
 No linf table is scanned when ``sup_tail(-1)`` bounds every |a_n| below the
 top threshold: a tag promises g(m) <= |a_{s(m)}|, so no table could
@@ -43,12 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
 
 from .errors import ParseError, UnsupportedSpace
 from .intervals import Q1, PowSum, format_rational
 from .sequences import Sequence
-from .spaces import AINF, C0, HD, LINF, SpaceId, _Head, join_row, row_bounds, seminorm_rows
+from .spaces import AINF, C0, HD, LINF, SpaceId, row_tail, seminorm_rows
 from .tags import COMPARATORS, BlockDivergence, RootLowerBound, SubseqLowerBound
 
 _SCHEDULE_K = 8          # exponents / radii sampled by in-certificates
@@ -220,9 +220,9 @@ class OutCert:
 
 @dataclass(frozen=True)
 class InCert:
-    """Tail-bound witness: a finite head plus oracle-backed tail bounds,
-    recorded together with its cutoffs and precision, so a check rebuilds
-    it from those and compares."""
+    """Tail-bound witness: per row of the space's schedule, its parameters,
+    the searched cutoff for c0 and ainf, and an upper bound on the row, not
+    a norm estimate; for cap-lp, (t, rows) with the threshold t."""
 
     space: SpaceId
     shape: str
@@ -372,7 +372,7 @@ def try_out_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
     return None
 
 
-# -- in-certificate construction ---------------------------------------------
+# -- in-certificates -----------------------------------------------------------
 
 
 def _find_cutoff(probe, target: Fraction, start: int):
@@ -388,79 +388,63 @@ def _find_cutoff(probe, target: Fraction, start: int):
     return None
 
 
-def _in_cert(seq: Sequence, space: SpaceId, cuts, prec: int):
-    """The InCert of the space at the given cutoffs, or None when an oracle
-    cannot certify it.  ``cuts`` is the head cutoff N for lp, cap-lp, linf
-    and hd, and one doubling-search start per schedule row for c0 and ainf.
+# space tag -> the shape of its in-certificate
+_IN_SHAPES = {"cn0": "total", "lp": "lp-tail", "cap-lp": "lp-schedule", "c0": "vanishing-schedule",
+              "linf": "sup-bound", "hd": "disc-schedule", "ainf": "poly-schedule"}
 
-    lp, cap-lp, linf and hd certify row 1 of their seminorm rows, or rows
-    1 .. 8 of a Frechet sum (``spaces.seminorm_rows``): each the upper head
-    sum of one ``spaces._Head`` at precision prec and the tail oracle's
-    bound (``spaces.row_bounds``), stopping at the first row without a tail.
+
+def _in_schedule(seq: Sequence, space: SpaceId, prec: int):
+    """The rows an in-certificate of the space records, in order: each
+    (its parameters, its tail oracle, cutoff -> bound or None, and the
+    target its bound must meet, or None for a row read at N = -1: lp,
+    cap-lp, linf and hd read their seminorm rows (``spaces.seminorm_rows``)
+    there, 1 row or rows 1 .. 8 of a Frechet sum.
 
     Each schedule samples finitely many rows and rests on a rule that makes
-    them enough: ``lp-schedule`` (p_n = a + 1/n, n <= 8) is built only when
-    the threshold t is at most a; a ``disc_tail`` (``disc-schedule``, radii
-    k/(k+1)) exists only where the disc sums converge for every r < 1; each
-    position tail (``vanishing-schedule``, eps = 2**-i) tends to 0 or is
-    >= 1 (``const-one``), failing the eps = 1/2 row; and only finitely
-    supported data has a ``poly_sup_tail`` (``poly-schedule``)."""
-    if space.tag == "cn0":
-        return InCert(space, "total", (), prec)
-
-    if space.tag in ("lp", "cap-lp", "linf", "hd"):
-        kind, param, nested = seminorm_rows(space)
-        if space.tag == "cap-lp" and _escape_exponent(seq.threshold, space.param) is not None:
-            return None
-        head, rows = _Head(seq, prec), []
-        for k in range(1, _SCHEDULE_K + 1 if nested else 2):
-            p = param(k)
-            row = row_bounds(head, kind, p, cuts, prec, upper=True)
-            if row is None:
-                return None
-            (bound,), tail = row
-            if kind == "lp":
-                rows.append((p, cuts, bound, tail))
-            elif kind == "sup":
-                rows.append((cuts, join_row(kind, bound, tail)))
-            else:
-                rows.append((p, cuts, Fraction(*join_row(kind, bound, tail))))
-        return InCert(space, _IN_SHAPES[space.tag][0], tuple(rows) if nested else rows[0], prec)
-
+    them enough: ``lp-schedule`` (p_n = a + 1/n, n <= 8) holds only with the
+    threshold t <= a, which it records and its check compares with the
+    sequence's own; a ``disc_tail`` (``disc-schedule``, radii k/(k+1))
+    exists only where the disc sums converge for every r < 1; each position
+    tail (``vanishing-schedule``, eps = 2**-i) tends to 0 or is >= 1
+    (``const-one``), failing the eps = 1/2 row; and only finitely supported
+    data has a ``poly_sup_tail`` (``poly-schedule``)."""
+    if space.tag == "cn0":  # every sequence lies in the product space
+        return []
     if space.tag == "c0":
         # the schedule cuts at support positions: beyond the K-th support
         # point every term modulus is <= eps (off-support terms are zero),
         # which keeps the cutoffs representable on sparse supports
-        rows = []
-        for i, start in enumerate(cuts):
-            eps = Fraction(1, 1 << i)
-            found = _find_cutoff(lambda K: seq.pos_sup_tail(K, prec), eps, start)
-            if found is None:
-                return None
-            rows.append((eps, found[0], found[1]))
-        return InCert(space, "vanishing-schedule", tuple(rows), prec)
-
+        epsilons = [Fraction(1, 1 << i) for i in range(_SCHEDULE_K)]
+        return [((eps,), lambda K: seq.pos_sup_tail(K, prec), eps) for eps in epsilons]
     if space.tag == "ainf":
-        rows = []
-        for k, start in enumerate(cuts):
-            eps = Fraction(1, 64)
-            found = _find_cutoff(lambda N: seq.poly_sup_tail(N, k, prec), eps, start)
-            if found is None:
-                return None
-            rows.append((k, eps, found[0], found[1]))
-        return InCert(space, "poly-schedule", tuple(rows), prec)
+        eps = Fraction(1, 64)
+        return [((k, eps), lambda N, k=k: seq.poly_sup_tail(N, k, prec), eps)
+                for k in range(_SCHEDULE_K + 1)]
+    kind, param, nested = seminorm_rows(space)
+    ps = [param(k) for k in range(1, _SCHEDULE_K + 1 if nested else 2)]
 
-    raise UnsupportedSpace(space.tag)
+    def tail(N, p):  # the value of a disc tail's integer pair is recorded
+        value = row_tail(seq, kind, p, N, prec)
+        return Fraction(*value) if kind == "disc" and value is not None else value
+
+    return [(() if kind == "sup" else (p,), lambda N, p=p: tail(N, p), None) for p in ps]
 
 
 def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
-    """Build an InCert, or None: heads cut at min(budget, 256), or at
-    min(budget, 64) for hd; every schedule row searches from 16."""
-    if space.tag == "c0":
-        return _in_cert(seq, space, (16,) * _SCHEDULE_K, prec)
-    if space.tag == "ainf":
-        return _in_cert(seq, space, (16,) * (_SCHEDULE_K + 1), prec)
-    return _in_cert(seq, space, min(budget, 64 if space.tag == "hd" else 256), prec)
+    """The space's InCert, or None when an oracle cannot certify it; no
+    head is summed, ``budget`` is not read, and cutoffs are searched from 16."""
+    if space.tag == "cap-lp" and _escape_exponent(seq.threshold, space.param) is not None:
+        return None
+    rows = []
+    for params, oracle, target in _in_schedule(seq, space, prec):
+        found = (oracle(-1),) if target is None else _find_cutoff(oracle, target, 16)
+        if found is None or found[-1] is None:
+            return None
+        rows.append((*params, *found))
+    data = rows[0] if len(rows) == 1 else tuple(rows)
+    if space.tag == "cap-lp":
+        data = (seq.threshold, data)
+    return InCert(space, _IN_SHAPES[space.tag], data, prec)
 
 
 def classify(seq: Sequence, space: SpaceId, budget: int, prec: int):
@@ -491,31 +475,36 @@ def check_certificate(seq: Sequence, verdict, samples: int, prec: int) -> bool:
     raise ValueError("only certified verdicts carry certificates")
 
 
-# space tag -> (its in-certificate shape, the number of data entries, and
-# the cutoffs _in_cert takes, read from the data; index() turns away a
-# cutoff that is not an integer)
-_IN_SHAPES = {
-    "cn0": ("total", 0, lambda data: None),
-    "lp": ("lp-tail", 4, lambda data: index(data[1])),
-    "cap-lp": ("lp-schedule", _SCHEDULE_K, lambda data: index(data[0][1])),
-    "c0": ("vanishing-schedule", _SCHEDULE_K, lambda data: tuple(index(r[1]) for r in data)),
-    "linf": ("sup-bound", 2, lambda data: index(data[0])),
-    "hd": ("disc-schedule", _SCHEDULE_K, lambda data: index(data[0][1])),
-    "ainf": ("poly-schedule", _SCHEDULE_K + 1, lambda data: tuple(index(r[2]) for r in data)),
-}
-
-
 def _check_in(seq, cert: InCert) -> bool:
-    """Rebuild the certificate at its recorded cutoffs and compare: every
-    row, cutoff and number must come out the same."""
-    shape, size, read_cuts = _IN_SHAPES[cert.space.tag]
-    try:
-        if cert.shape != shape or len(cert.data) != size:
-            return False
-        cuts = read_cuts(cert.data)
-    except (IndexError, TypeError):
+    """Accept the space's shape and schedule, each recorded bound a Fraction
+    at least its oracle's value now and at most the row's target, and for
+    cap-lp the sequence's own threshold t <= a; nothing is searched."""
+    space, data = cert.space, cert.data
+    if cert.shape != _IN_SHAPES[space.tag] or type(data) is not tuple:
         return False
-    return _in_cert(seq, cert.space, cuts, cert.prec) == cert
+    if space.tag == "cap-lp":
+        t, data = data if len(data) == 2 else (None, None)
+        if type(t) is not Fraction or t != seq.threshold or t > space.param:
+            return False
+    schedule = _in_schedule(seq, space, cert.prec)
+    rows = (data,) if len(schedule) == 1 else data
+    return (type(rows) is tuple and len(rows) == len(schedule)
+            and all(_row_holds(row, *entry) for row, entry in zip(rows, schedule)))
+
+
+def _row_holds(row, params, oracle, target) -> bool:
+    """A recorded row: the schedule's parameters, then the bound, or for a
+    searched row the cutoff, a natural number, and the bound."""
+    n = len(params)
+    if type(row) is not tuple or row[:n] != params or len(row) != n + 1 + (target is not None):
+        return False
+    cut, bound = (-1, row[n]) if target is None else row[n:]
+    if type(bound) is not Fraction:
+        return False
+    if target is not None and not (type(cut) is int and cut >= 0 and bound <= target):
+        return False
+    value = oracle(cut)
+    return value is not None and value <= bound
 
 
 # -- closed families ----------------------------------------------------------

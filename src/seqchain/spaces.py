@@ -22,10 +22,11 @@ cn0's read from the member's seminorm rows (``seminorm_rows``):
 
 ``metric_bound`` returns certified two-sided bounds.  Upper bounds are
 minimised over a power-of-two ladder of effective budgets, which keeps
-them monotone in the budget despite interval rounding in the heads.  A
-row's head sum meets its tail oracle in one place, ``row_bounds``, for
-the metrics and the in-certificates (``diagnose``) alike.  Every head sum
-is read from one ``_Head``: one list of the nonzero terms'
+them monotone in the budget despite interval rounding in the heads.  Each
+row kind names its tail oracle in one place, ``row_tail``: the metrics
+join it to a head sum (``_metric_row``), and the in-certificates
+(``diagnose``) read it at N = -1 alone, where it bounds the whole row.
+Every head sum is read from one ``_Head``: one list of the nonzero terms'
 ``modulus_bounds``, bounds on |a_n| taken from it by the one rule
 ``intervals.abs_end``, and sums that extend over a ``bisect`` slice per
 rung, radius or exponent instead of summing again from zero.  The ``hd``
@@ -48,7 +49,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace, UnsupportedSpace
-from .intervals import Q0, DiscSum, PowSum, abs_end, abs_ends, pow_bounds
+from .intervals import Q0, DiscSum, PowSum, abs_ends, pow_bounds
 from .intervals import format_rational, parse_rational
 from .sequences import Sequence, combine, zero
 
@@ -179,24 +180,19 @@ def _budget_ladder(budget: int) -> list[int]:
     return rungs
 
 
-def _upper_abs(ends, hp):
-    return abs_end(ends[1], 1, hp)
-
-
 class _Head:
     """The head of one sequence at precision hp, for one ``metric_bound`` call
-    (of a difference) or one in-certificate.
+    (of a difference).
 
     It keeps one list, increasing in n, of the nonzero terms' exact
     ``modulus_bounds`` ends, extended as the cutoff grows.  A sum reads the
     ends, or a view of them made once per term (``nonzero``): their |a_n|
-    bounds (``abs_ends``), or the upper bound alone.  A sum gives one bound
-    per end it reads: (lower, upper), or with ``upper`` set (upper,), and then
-    makes no lower power, root or Horner pass.  Each sum, keyed by integers,
-    extends from its last cutoff over the ``bisect`` slice past it, which
-    exact endpoints make equal to a sum restarted from zero.  Ratio and power
-    sums (``PowSum``) and ``parts`` (``_nested_sum``) are integer numerators
-    over powers of two, disc sums unreduced pairs; cutoffs never decrease.
+    bounds (``abs_ends``).  A sum gives two bounds, (lower, upper).  Each
+    sum, keyed by integers, extends from its last cutoff over the ``bisect``
+    slice past it, which exact endpoints make equal to a sum restarted from
+    zero.  Ratio and power sums (``PowSum``) and ``parts`` (``_nested_sum``)
+    are integer numerators over powers of two, disc sums unreduced pairs;
+    cutoffs never decrease.
     """
 
     def __init__(self, seq: Sequence, hp: int):
@@ -234,31 +230,28 @@ class _Head:
         return entry
 
     def _extend(self, key, N: int, view, part=None, join=operator.add, start=lambda: (Q0, Q0),
-                ends=(0, 1), fold=None):
+                fold=None):
         """``join`` of the view's bounds, or of part(n, bounds), one sum per
-        end read, over the nonzero head up to N, continued from the last cutoff;
+        end, over the nonzero head up to N, continued from the last cutoff;
         ``fold(total, bounds)`` takes each sum's new bounds at once instead."""
         entry = self._entry(key, N, start)
         new = self.nonzero(view, entry[0], N)
         if part is not None:
             new = [(n, part(n, bounds)) for n, bounds in new]
         fold = fold or (lambda total, bounds: reduce(join, bounds, total))
-        sums = [fold(total, [b[i] for _, b in new]) for i, total in zip(ends, entry[1:])]
+        sums = [fold(total, [b[i] for _, b in new]) for i, total in enumerate(entry[1:])]
         entry[:] = N, *sums
         return tuple(sums)
 
-    def power_sum(self, p: Fraction, N: int, upper: bool = False):
+    def power_sum(self, p: Fraction, N: int):
         """Bounds on sum_{n<=N} |a_n|**p, one ``PowSum`` per end, each
         extended by the new slice of ends in one call."""
-        ends = (1,) if upper else (0, 1)
-        sums = self._extend(("lp", p.numerator, p.denominator, upper), N, None, fold=PowSum.extend,
-                            start=lambda: [PowSum(p, self.hp, end == 1) for end in ends], ends=ends)
+        sums = self._extend(("lp", p.numerator, p.denominator), N, None, fold=PowSum.extend,
+                            start=lambda: (PowSum(p, self.hp), PowSum(p, self.hp, True)))
         return tuple(total.value for total in sums)
 
-    def max_abs(self, N: int, upper: bool = False):
+    def max_abs(self, N: int):
         """Bounds on max_{n<=N} |a_n| (zero for an empty head)."""
-        if upper:
-            return self._extend("sup+", N, _upper_abs, lambda n, a: (a,), max, lambda: (Q0,))
         return self._extend("sup", N, abs_ends, join=max)
 
     def ratio_sum(self, N: int):
@@ -277,16 +270,14 @@ class _Head:
         lo, hi = self._extend("cn0", N, abs_ends, part, start=lambda: (0, 0))
         return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid)
 
-    def disc_sum(self, r: Fraction, N: int, upper: bool = False):
+    def disc_sum(self, r: Fraction, N: int):
         """Bounds on sum_{n<=N} |a_n| r**n as unreduced integer pairs: one
         ``DiscSum`` of the points' moduli for both ends, one per end of the
-        rest; or one ``DiscSum`` of the upper moduli alone."""
-        cut, points, *wide = entry = self._entry(("hd", r.numerator, r.denominator, upper), N,
-                                                 lambda: [DiscSum(r) for _ in range(1 if upper else 3)])
-        new = self.nonzero(_upper_abs if upper else abs_ends, cut, N)
+        rest."""
+        cut, points, *wide = entry = self._entry(("hd", r.numerator, r.denominator), N,
+                                                 lambda: [DiscSum(r) for _ in range(3)])
+        new = self.nonzero(abs_ends, cut, N)
         entry[0] = N  # each sum takes the new indices in one call
-        if upper:
-            return (points.extend(new).pair,)
         points.extend((n, a[0]) for n, a in new if a[0] is a[1])
         wide[0].extend((n, a[0]) for n, a in new if a[0] is not a[1])
         wide[1].extend((n, a[1]) for n, a in new if a[0] is not a[1])
@@ -312,43 +303,33 @@ def seminorm_rows(y: SpaceId):
     raise UnsupportedSpace(f"no seminorm rows for {y}")
 
 
-def row_bounds(head: _Head, kind: str, param, N: int, prec: int, upper: bool = False):
-    """(head bounds, tail) of one seminorm row: the ``_Head`` bounds up to N
-    on sum |a_n|**p (``lp``), max |a_n| (``sup``) or sum |a_n| r**n (``disc``),
-    the upper alone with ``upper``, and the tail oracle's bound past N; None,
-    with no head summed, when the oracle has no answer."""
-    seq = head.seq
-    if kind == "lp":
-        tail, total = seq.tail_majorant(N, param, prec), lambda: head.power_sum(param, N, upper)
-    elif kind == "sup":
-        tail, total = seq.sup_tail(N, prec), lambda: head.max_abs(N, upper)
-    else:
-        tail, total = seq.disc_tail(N, param, prec), lambda: head.disc_sum(param, N, upper)
-    return None if tail is None else (total(), tail)
-
-
-def join_row(kind: str, bound, tail):
-    """One row bound from a head bound and the tail: their sum (``lp``), their
-    max (``sup``), or, for ``disc``, the sum of two unreduced integer pairs."""
-    if kind == "lp":
-        return bound + tail
+def row_tail(seq: Sequence, kind: str, param, N: int, prec: int):
+    """The tail oracle's bound past N on one seminorm row: on sum |a_n|**p
+    (``lp``), sup |a_n| (``sup``) or sum |a_n| r**n (``disc``, an unreduced
+    integer pair); None when the oracle has no answer."""
     if kind == "sup":
-        return max(bound, tail)
-    (num, den), (t_num, t_den) = bound, tail
-    return num * t_den + t_num * den, den * t_den
+        return seq.sup_tail(N, prec)
+    return (seq.tail_majorant if kind == "lp" else seq.disc_tail)(N, param, prec)
 
 
 def _metric_row(head: _Head, kind: str, param, N: int, prec: int):
-    """Bounds on one row's seminorm, the certified tail joined to the upper;
-    an ``lp`` row's power sum is rooted to its 1/p-th power for p >= 1."""
-    row = row_bounds(head, kind, param, N, prec)
-    if row is None:
+    """Bounds on one row's seminorm: the head's up to N, and ``row_tail``
+    past N added to the upper (as unreduced integer pairs for ``disc``, a
+    max for ``sup``), with no head summed when it has no answer; an ``lp``
+    row's power sum is rooted to its 1/p-th power for p >= 1."""
+    tail = row_tail(head.seq, kind, param, N, prec)
+    if tail is None:
         raise MissingTailOracle(f"no {f'l^{param}' if kind == 'lp' else kind} tail bound available")
-    (lo, hi), tail = row
-    hi = join_row(kind, hi, tail)
-    if kind == "lp" and param >= 1:
-        return pow_bounds(lo, 1 / param, prec)[0], pow_bounds(hi, 1 / param, prec)[1]
-    return lo, hi
+    if kind == "sup":
+        lo, hi = head.max_abs(N)
+        return lo, max(hi, tail)
+    if kind == "disc":
+        lo, (num, den) = head.disc_sum(param, N)
+        return lo, (num * tail[1] + tail[0] * den, den * tail[1])
+    lo, hi = head.power_sum(param, N)
+    if param >= 1:
+        return pow_bounds(lo, 1 / param, prec)[0], pow_bounds(hi + tail, 1 / param, prec)[1]
+    return lo, hi + tail
 
 
 def _nested_sum(head: _Head, N: int, prec: int, summand):

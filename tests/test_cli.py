@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from seqchain.cli import main
-from seqchain.serialize import MAX_SPEC_DEPTH
+from seqchain.diagnose import check_certificate, classify, verdict_to_json
+from seqchain.serialize import MAX_SPEC_DEPTH, sequence_from_spec
+from seqchain.spaces import parse_space
 
 NAT = '{"kind":"family","name":"nat"}'
 ZERO = '{"kind":"finite","entries":[]}'
@@ -411,19 +413,55 @@ def test_too_deeply_nested_support_json_is_a_one_line_error(capsys):
     assert _one_line_error(capsys)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--prec", "2000", "classify", PROP28, "lp:1"],
-        ["classify", '{"kind":"family","name":"gap-lp-cap","params":{"a":"2"}}', "cap-lp:2"],
-    ],
-    ids=["prop28-prec-2000", "gap-lp-cap-in-cap-lp-2"],
-)
+# prop28's lp:1 tail on the 2**-16001 grid has a denominator of about
+# 16,000 bits, past the 4,300 digits Python renders
+@pytest.mark.parametrize("argv", [["--prec", "16000", "classify", PROP28, "lp:1"]], ids=["prop28-prec-16000"])
 def test_report_past_the_int_str_digit_limit_is_a_one_line_error(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "integer-to-string" in err
+
+
+_GAP_CAP_LP_1_2 = '{"kind":"family","name":"gap-cap-lp","params":{"a":"1/1","b":"2/1"}}'
+
+# classify inputs whose in-certificates once summed a head of exact
+# rationals, with odd denominators that multiplied past the digit limit
+# (the last three by 31,351, 47,007 and 75,322 bits); each row now records
+# its tail oracle's bound alone
+_ONCE_PAST_THE_DIGIT_LIMIT = {
+    "prop28-prec-2000": ["--prec", "2000", "classify", PROP28, "lp:1"],
+    "gap-lp-cap-in-cap-lp-2": ["classify", '{"kind":"family","name":"gap-lp-cap","params":{"a":"2"}}', "cap-lp:2"],
+    "gap-cap-lp-1-2-in-lp-2": ["classify", _GAP_CAP_LP_1_2, "lp:2"],
+    "gap-cap-lp-1-2-in-cap-lp-2": ["classify", _GAP_CAP_LP_1_2, "cap-lp:2"],
+    "gap-lp-cap-1-100-in-lp-2": [
+        "classify", '{"kind":"family","name":"gap-lp-cap","params":{"a":"1/100"}}', "lp:2",
+    ],
+}
+
+
+def _numbers(x):
+    """Every string inside a JSON value."""
+    if isinstance(x, str):
+        yield x
+    elif isinstance(x, list):
+        for y in x:
+            yield from _numbers(y)
+
+
+@pytest.mark.parametrize("name", list(_ONCE_PAST_THE_DIGIT_LIMIT))
+def test_reports_once_past_the_digit_limit_certify_in(tmp_path, name):
+    argv = _ONCE_PAST_THE_DIGIT_LIMIT[name]
+    code, raw = run_json(tmp_path, argv)
+    assert code == 0
+    report = json.loads(raw)
+    assert report["result"]["verdict"] == "in"
+    assert max(len(x) for x in _numbers(report["result"]["certificate"]["data"])) < 4300
+    # the reported certificate re-checks on a second parse of its spec
+    spec, space, config = argv[-2], parse_space(argv[-1]), report["config"]
+    verdict = classify(sequence_from_spec(spec), space, config["budget"], config["prec"])
+    assert verdict_to_json(verdict) == report["result"]
+    assert check_certificate(sequence_from_spec(spec), verdict, 3, config["prec"])
 
 
 GOLDEN_DIR = Path(__file__).parent / "cli_golden"
@@ -459,7 +497,8 @@ COMPLEX_GAP_LP_CAP = (
 # zeros and seeded its roots from floats (approx-cn0: before the head sums
 # became integers; the three reports with checkpoints: before distance
 # questions stopped at their first decisive rung); every endpoint must stay
-# the same.
+# the same.  The four classify reports and the basis report were recorded
+# again when in-certificates came to record tail bounds alone.
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -468,7 +507,7 @@ COMPLEX_GAP_LP_CAP = (
         ("approx-cap-lp-0", ["approx", "--target",
                              '{"kind":"finite","entries":[[0,"1/2","1/3"],[3,"-2/5","0"]]}',
                              "--outer", "cap-lp:0", "--avoid", "ainf", "--epsilon", "1/2"]),
-        # exponents 1 + 1/n: each head term is powered through a root of order 2n
+        # an lp-schedule: the threshold t = 0 and eight rows at exponents 1 + 1/n
         ("classify-cap-lp-1", ["classify", PROP28, "cap-lp:1"]),
         ("approx-cn0", ["approx", "--target",
                         '{"kind":"finite","entries":[[0,"1/3","-2/7"],[2,"5/2","0"],[9,"0","-1/9"]]}',
@@ -496,12 +535,11 @@ COMPLEX_GAP_LP_CAP = (
         # coefficient's weight, a restriction, rem29's selection tail and the
         # unit tail of gap-cap-c0, added as integer pairs
         ("classify-hd-combine", ["classify", HD_COMBINATION, "hd"]),
-        # wide grids, recorded before the exact-power kernel rooted even
-        # orders by square roots and decided dyadic ends with one root: the
-        # lp-schedule rows at 1 + 1/k over a 2**-257 grid, real ends (order k)
+        # lp-schedules recorded at --prec 256: of a family, whose tails past
+        # N = -1 are closed forms
         ("classify-gap-cap-lp-cap-lp-1-prec-256",
          ["--prec", "256", "classify", GAP_CAP_LP_0_1, "cap-lp:1"]),
-        # and complex ends, whose |z|**2 is powered at p/2: orders 2k
+        # and of a complex multiple, whose tails are weighted by its modulus
         ("classify-complex-gap-lp-cap-cap-lp-2-prec-256",
          ["--prec", "256", "classify", COMPLEX_GAP_LP_CAP, "cap-lp:2"]),
     ],

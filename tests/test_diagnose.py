@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import random
@@ -15,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BUDGET, PREC, catalog, random_finite
-from seqchain import intervals
 from seqchain.diagnose import (
     FM,
     CertifiedIn,
@@ -34,7 +32,6 @@ from seqchain.diagnose import (
     Undecided,
     ViolatedAt,
     _escape_exponent,
-    _in_cert,
     _verify_blocks,
     check_certificate,
     classify,
@@ -47,7 +44,7 @@ from seqchain.diagnose import (
 )
 from seqchain.errors import UnsupportedSpace
 from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, gap_lp_cap, nat, nat_power, prop28
-from seqchain.intervals import ComplexInterval, PowSum, pow_bounds, sqrt_bounds
+from seqchain.intervals import ComplexInterval, PowSum, abs_ends, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
     FiniteRational,
     Sequence,
@@ -65,7 +62,6 @@ from seqchain.spaces import (
     HD,
     LINF,
     _Head,
-    _upper_abs,
     cap_lp,
     lp,
     parse_space,
@@ -74,6 +70,7 @@ from seqchain.spaces import (
 from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
 from seqchain.tags import BlockDivergence, SubseqLowerBound
 from test_intervals import _ref_pow_bounds, point_or_wide_boxes, rationals
+from test_seqcore import _ref_disc_tail
 
 F = Fraction
 
@@ -432,10 +429,10 @@ def test_decompose_cap_lp_uses_exponent_schedule():
 
 # -- recorded certificates and tampering -------------------------------------------
 
-# Reports recorded before the certificate heads were shared across schedule
-# rows: one spec per certificate shape, including the block-constant
-# gap-cap-c0 spread on a dyadic row.  Any change to a head sum, a bound or
-# the row order changes these bytes.
+# One report per certificate shape, including the block-constant gap-cap-c0
+# spread on a dyadic row; the in-certificates were recorded again when they
+# came to hold tail bounds alone.  Any change to a tail oracle, a block sum,
+# a bound or the row order changes these bytes.
 GOLDEN = json.loads((Path(__file__).parent / "diagnose_golden.json").read_text())
 
 
@@ -455,59 +452,15 @@ def test_certificate_reports_match_recorded_bytes(case):
 
 
 BUMP = F(1, 2**200)
+STEP = F(1, 2 ** (PREC + 1))  # one step of the 2**-(prec+1) grid
 
 
-def _bump_row(verdict, row: int, col: int):
-    """The in-certificate with data[row][col] raised by 2**-200."""
-    cert = verdict.cert
-    data = list(cert.data)
-    data[row] = tuple(x + BUMP if i == col else x for i, x in enumerate(data[row]))
-    return CertifiedIn(InCert(cert.space, cert.shape, tuple(data), cert.prec))
-
-
-def test_raised_lp_schedule_head_rejected():
-    seq = gap_lp_cap(F(1))
-    v = classify(seq, cap_lp(1), BUDGET, PREC)
-    assert v.cert.shape == "lp-schedule"
+def _in_verdict(seq, space, shape):
+    """The sequence's in-verdict in the space, of the given shape, checked."""
+    v = classify(seq, space, BUDGET, PREC)
+    assert isinstance(v, CertifiedIn) and v.cert.shape == shape
     assert check_certificate(seq, v, 3, PREC)
-    for row in (0, len(v.cert.data) - 1):
-        assert not check_certificate(seq, _bump_row(v, row, 2), 3, PREC)
-
-
-# SHA-256 of the canonical report of the cap-lp:1 in-certificate of
-# gap-cap-lp(0, 1) at the default precision, recorded when each summand took
-# up to two integer roots (3,253 calls of iroot per build)
-_GAP_CAP_LP_CERT_SHA = "ad0a47f301d67789cc5fecdcb3eb29af4acf3d185d092d000609b441b5c64db6"
-
-
-def test_a_cap_lp_schedule_takes_at_most_one_root_per_dyadic_summand(monkeypatch):
-    # 8 rows of 256 powers at 1 + 1/k over a 2**-65 grid: an end over 2**e
-    # with k | e is decided and floored by one root, a numerator below 2**52
-    # is tested by a float candidate, and square roots are no calls of iroot
-    calls = []
-    real = intervals.iroot
-    monkeypatch.setattr(intervals, "iroot", lambda n, k: calls.append(k) or real(n, k))
-    seq, space = gap_cap_lp(F(0), F(1)), cap_lp(1)
-    for _ in range(2):
-        calls.clear()
-        cert = try_in_certificate(seq, space, BUDGET, PREC)
-        assert len(calls) <= 1600
-        report = canonical_json(verdict_to_json(CertifiedIn(cert)))
-        assert hashlib.sha256(report.encode()).hexdigest() == _GAP_CAP_LP_CERT_SHA
-
-
-def test_raised_disc_schedule_bound_rejected():
-    seq = nat()
-    v = classify(seq, HD, BUDGET, PREC)
-    assert v.cert.shape == "disc-schedule"
-    assert check_certificate(seq, v, 3, PREC)
-    for row in (0, len(v.cert.data) - 1):
-        assert not check_certificate(seq, _bump_row(v, row, 2), 3, PREC)
-
-
-# An in-certificate is checked by rebuilding it at its recorded cutoffs, so
-# any recorded number, row or cutoff that the rebuild does not reproduce is
-# rejected, even where the forged value would still bound the sequence.
+    return v
 
 
 def _with_data(verdict, data):
@@ -515,20 +468,110 @@ def _with_data(verdict, data):
     return CertifiedIn(InCert(cert.space, cert.shape, data, cert.prec))
 
 
-def test_raised_sup_bound_rejected():
-    seq = prop28()
-    v = classify(seq, LINF, BUDGET, PREC)
-    assert v.cert.shape == "sup-bound"
-    assert check_certificate(seq, v, 3, PREC)
-    N, bound = v.cert.data
-    assert not check_certificate(seq, _with_data(v, (N, bound + BUMP)), 3, PREC)
+def _bump_row(verdict, row: int, col: int):
+    """The in-certificate with data[row][col] raised by 2**-200."""
+    data = list(verdict.cert.data)
+    data[row] = tuple(x + BUMP if i == col else x for i, x in enumerate(data[row]))
+    return _with_data(verdict, tuple(data))
+
+
+# An in-certificate is checked by reading each row's oracle again: a bound
+# under the oracle's, a parameter other than the schedule's, a dropped row,
+# another threshold, or a cutoff or bound of another type is rejected.  A
+# bound above the oracle's still bounds its row and is accepted, up to the
+# row's target where it has one.
+
+
+def _replace_row(rows, i, row):
+    rows = list(rows)
+    rows[i] = row
+    return tuple(rows)
+
+
+def _lp_schedule(mutate_rows):
+    return lambda data: (data[0], mutate_rows(data[1]))
+
+
+def _moved_tail(i):
+    """rows, delta -> the rows with the tail of row i moved by delta."""
+    return lambda rows, delta: _replace_row(rows, i, (rows[i][0], rows[i][1] + delta))
+
+
+def _gap():
+    """gap-lp-cap(1): in cap-lp:1, at its threshold t = 1."""
+    return gap_lp_cap(F(1))
+
+
+# tail id -> (sequence, space, shape, (data, delta) -> the data with that
+# one recorded tail moved by delta)
+_TAIL_MOVES = {
+    "lp-tail": (prop28, lp(1), "lp-tail", lambda d, x: (d[0], d[1] + x)),
+    "lp-schedule-tail": (_gap, cap_lp(1), "lp-schedule", lambda d, x: (d[0], _moved_tail(-1)(d[1], x))),
+    "sup-bound": (prop28, LINF, "sup-bound", lambda d, x: (d[0] + x,)),
+    "disc-schedule-tail": (nat, HD, "disc-schedule", _moved_tail(0)),
+    "disc-schedule-last-tail": (nat, HD, "disc-schedule", _moved_tail(-1)),
+}
+
+# mutation id -> (sequence, space, shape, data -> the mutated data)
+_IN_MUTATIONS = {
+    **{f"{name}-lowered": (make, space, shape, lambda d, move=move: move(d, -STEP))
+       for name, (make, space, shape, move) in _TAIL_MOVES.items()},
+    "lp-tail-other-exponent": (prop28, lp(1), "lp-tail", lambda d: (d[0] + 1, d[1])),
+    "lp-tail-float": (prop28, lp(1), "lp-tail", lambda d: (d[0], float(d[1]))),
+    "lp-schedule-next-exponent": (
+        _gap, cap_lp(1), "lp-schedule",
+        _lp_schedule(lambda rows: _replace_row(rows, 0, (rows[1][0], rows[0][1]))),
+    ),
+    "lp-schedule-row-dropped": (_gap, cap_lp(1), "lp-schedule", _lp_schedule(lambda rows: rows[:-1])),
+    "lp-schedule-t-above-a": (_gap, cap_lp(1), "lp-schedule", lambda d: (d[0] + STEP, d[1])),
+    "lp-schedule-t-below-threshold": (_gap, cap_lp(1), "lp-schedule", lambda d: (d[0] - STEP, d[1])),
+    "lp-schedule-float-tail": (
+        _gap, cap_lp(1), "lp-schedule",
+        _lp_schedule(lambda rows: _replace_row(rows, 0, (rows[0][0], float(rows[0][1])))),
+    ),
+    "sup-bound-float": (prop28, LINF, "sup-bound", lambda d: (float(d[0]),)),
+    "disc-schedule-next-radius": (
+        nat, HD, "disc-schedule", lambda d: _replace_row(d, 0, (d[1][0], d[0][1])),
+    ),
+    "disc-schedule-row-dropped": (nat, HD, "disc-schedule", lambda d: d[1:]),
+}
+
+
+@pytest.mark.parametrize("mutation", list(_IN_MUTATIONS))
+def test_single_field_in_certificate_mutations_rejected(mutation):
+    make, space, shape, mutate = _IN_MUTATIONS[mutation]
+    seq = make()
+    v = _in_verdict(seq, space, shape)
+    assert not check_certificate(seq, _with_data(v, mutate(v.cert.data)), 3, PREC)
+
+
+@pytest.mark.parametrize("name", list(_TAIL_MOVES))
+def test_raised_in_certificate_tails_still_check(name):
+    # a tail raised instead of lowered still bounds its row
+    make, space, shape, move = _TAIL_MOVES[name]
+    seq = make()
+    v = _in_verdict(seq, space, shape)
+    for delta in (BUMP, STEP, F(1)):
+        assert check_certificate(seq, _with_data(v, move(v.cert.data, delta)), 3, PREC)
+
+
+def test_an_lp_schedule_reads_no_term(monkeypatch):
+    # each row is the closed-form tail past N = -1 of the family, of a
+    # multiple of it or of its spread: building and checking the schedule
+    # evaluate no term
+    reads = []
+    real = Sequence.term
+    monkeypatch.setattr(Sequence, "term", lambda self, n, prec: reads.append(n) or real(self, n, prec))
+    g = gap_cap_lp(F(0), F(1))
+    for seq in (g, combine([(F(1, 2), F(1, 3))], [g]), spread(g, Arith(1, 3))):
+        v = _in_verdict(seq, cap_lp(1), "lp-schedule")
+        assert len(v.cert.data[1]) == 8 and v.cert.data[0] == seq.threshold
+    assert reads == []
 
 
 def test_larger_vanishing_schedule_epsilon_rejected():
     seq = prop28()
-    v = classify(seq, C0, BUDGET, PREC)
-    assert v.cert.shape == "vanishing-schedule"
-    assert check_certificate(seq, v, 3, PREC)
+    v = _in_verdict(seq, C0, "vanishing-schedule")
     for row in (0, len(v.cert.data) - 1):
         assert not check_certificate(seq, _bump_row(v, row, 0), 3, PREC)
 
@@ -543,30 +586,38 @@ def test_raised_poly_schedule_bound_rejected():
     # |a_20| = 1/128 is under eps = 1/64 at k = 0, so row 0 records a
     # nonzero bound at the first cutoff; later rows search past index 20
     seq = FiniteRational({20: F(1, 128)})
-    v = classify(seq, AINF, BUDGET, PREC)
-    assert v.cert.shape == "poly-schedule"
+    v = _in_verdict(seq, AINF, "poly-schedule")
     assert v.cert.data[0][2:] == (16, F(1, 128)) and v.cert.data[1][2] == 32
-    assert check_certificate(seq, v, 3, PREC)
     for row in (0, 1):
-        assert not check_certificate(seq, _bump_row(v, row, 3), 3, PREC)
+        k, eps, N, bound = v.cert.data[row]
+        # raised up to the target eps, a bound still holds; past it, or
+        # under the oracle's, not
+        for forged, holds in ((eps, True), (eps + BUMP, False), (bound - STEP, False)):
+            data = _replace_row(v.cert.data, row, (k, eps, N, forged))
+            assert check_certificate(seq, _with_data(v, data), 3, PREC) == holds, (row, forged)
 
 
 def test_lp_tail_at_another_cutoff_rejected():
+    # the recorded tail is the oracle's past N = -1, a bound on the whole
+    # row; the tail past a later cutoff leaves the head out and is rejected
     seq = prop28()
-    v = classify(seq, lp(1), BUDGET, PREC)
-    assert v.cert.shape == "lp-tail"
-    p, N, head, tail = v.cert.data
-    for other in (N // 2, 2 * N):
-        assert not check_certificate(seq, _with_data(v, (p, other, head, tail)), 3, PREC)
+    v = _in_verdict(seq, lp(1), "lp-tail")
+    p, tail = v.cert.data
+    for N in (2, 16):
+        later = seq.tail_majorant(N, p, PREC)
+        assert later < tail
+        assert not check_certificate(seq, _with_data(v, (p, later)), 3, PREC)
 
 
 def test_lp_schedule_rows_on_different_cutoffs_rejected():
     seq = gap_lp_cap(F(1))
-    v = classify(seq, cap_lp(1), BUDGET, PREC)
-    rows = list(v.cert.data)
-    p_n, N, head, tail = rows[-1]
-    rows[-1] = (p_n, N // 2, head, tail)
-    assert not check_certificate(seq, _with_data(v, tuple(rows)), 3, PREC)
+    v = _in_verdict(seq, cap_lp(1), "lp-schedule")
+    t, rows = v.cert.data
+    p_n, tail = rows[-1]
+    later = seq.tail_majorant(0, p_n, PREC)
+    assert later < tail
+    forged = (t, _replace_row(rows, -1, (p_n, later)))
+    assert not check_certificate(seq, _with_data(v, forged), 3, PREC)
 
 
 def test_shape_of_another_space_rejected():
@@ -586,13 +637,15 @@ def test_empty_in_certificate_data_rejected(space):
     assert not check_certificate(seq, _with_data(v, ()), 3, PREC)
 
 
-@pytest.mark.parametrize("cutoff", [F(256), 256.0], ids=["fraction", "float"])
+@pytest.mark.parametrize("cutoff", [F(16), 16.0], ids=["fraction", "float"])
 def test_non_integer_recorded_cutoff_rejected(cutoff):
+    # only the searched c0 and ainf rows record a cutoff
     seq = prop28()
-    v = classify(seq, LINF, BUDGET, PREC)
-    N, bound = v.cert.data
-    assert N == cutoff
-    assert not check_certificate(seq, _with_data(v, (cutoff, bound)), 3, PREC)
+    v = _in_verdict(seq, C0, "vanishing-schedule")
+    eps, K, bound = v.cert.data[0]
+    assert K == cutoff
+    data = _replace_row(v.cert.data, 0, (eps, cutoff, bound))
+    assert not check_certificate(seq, _with_data(v, data), 3, PREC)
 
 
 def _block_mass_lower(seq, bd, j, prec):
@@ -711,7 +764,7 @@ def _reference_block_mass(seq, bd, j, prec):
     """The per-term loop that the run-based check replaced: one power per
     sampled term, no runs and no memo, in Fraction arithmetic through the
     reference kernel."""
-    hint = seq.support_hint or AllNaturals()
+    hint = seq.support_hint
     k_lo, k_hi = bd.block(j)
     total = F(0)
     for k in range(k_lo, k_hi + 1):
@@ -811,7 +864,7 @@ def test_sparse_hint_divergences_certify_on_spreads():
     spread onto each support and re-checks."""
     cases = 0
     for name, base in sorted(catalog().items()):
-        if base.support_hint is None or isinstance(base.support_hint, AllNaturals):
+        if isinstance(base.support_hint, AllNaturals):
             continue
         for space in (lp(1), cap_lp(1)):
             if not isinstance(classify(base, space, BUDGET, PREC), CertifiedOut):
@@ -857,7 +910,7 @@ def _position_ranges(rng, size):
 @pytest.mark.parametrize("name", list(_RUN_NODES))
 def test_position_runs_expand_to_the_terms(name):
     seq = _RUN_NODES[name]
-    hint = seq.support_hint or AllNaturals()
+    hint = seq.support_hint
     # 60 positions span five dyadic levels, and stay below 2**64 on the
     # sparsest hints (powers of two and selections from them)
     size = hint.rank_upto(1 << 64) if hint.finite_flag else 60
@@ -895,7 +948,7 @@ def _parent_block_mass(seq, bd, j, prec):
     """Reference copy of the block loop that position runs replaced: every
     position read, runs of equal terms grouped, each run's least |a|**2
     powered at p/2.  None for a block the check turns away."""
-    hint = seq.support_hint or AllNaturals()
+    hint = seq.support_hint
     k_lo, k_hi = bd.block(j)
     if k_lo < 1 or k_hi < k_lo:
         return None
@@ -923,7 +976,7 @@ def test_block_checks_equal_the_parent_loop_on_every_catalog_divergence():
     cases = list(_every_catalog_divergence())
     assert len(cases) >= 100
     bases = [seq.base for seq, _ in cases if isinstance(seq, Spread)]
-    assert any(b.support_hint is not None and not isinstance(b.support_hint, AllNaturals) for b in bases)
+    assert any(not isinstance(b.support_hint, AllNaturals) for b in bases)
     for seq, bd in cases:
         for j in range(bd.j_start, bd.j_start + 3):
             mass = _parent_block_mass(seq, bd, j, PREC)
@@ -950,25 +1003,26 @@ def test_gap_cap_c0_leaves_every_lp_fast_without_reading_a_term(b):
         assert not seq._term_cache and not getattr(seq, "base", seq)._term_cache
 
 
-# -- in-certificate heads: grid sums against Fraction sums --------------------------
+# -- metric heads: grid sums against Fraction sums ---------------------------------
 
-# The in-certificates read the upper sums of one ``spaces._Head`` at the
-# certificate's precision; these check its upper power sums, its upper |a_n|
-# bounds and its upper disc sums against the Fraction sums they replaced.
+# The metrics read the two-end sums of one ``spaces._Head``; these check its
+# power sums, its |a_n| bounds and its greatest |a_n| against the Fraction
+# sums and roots they replaced.
 
 
-def _ref_lp_head_upper(moduli, p, prec):
-    """The head sum as it was added in Fraction arithmetic, one upper
-    endpoint per term, from the squared moduli."""
-    total = F(0)
-    for _, sq_hi in moduli:
-        total += _ref_pow_bounds(sq_hi, p / 2, prec)[1]
-    return total
+def _ref_lp_head(moduli, p, prec):
+    """The head sum as it was added in Fraction arithmetic, one lower and
+    one upper endpoint per term, from the squared moduli."""
+    lo = hi = F(0)
+    for _, (sq_lo, sq_hi) in moduli:
+        lo += _ref_pow_bounds(sq_lo, p / 2, prec)[0]
+        hi += _ref_pow_bounds(sq_hi, p / 2, prec)[1]
+    return lo, hi
 
 
 def _squared_moduli(seq, N, prec):
-    """The head as it was: (n, upper bound on |a_n|**2) straight from the boxes."""
-    return [(n, seq.term(n, prec).abs_sq_bounds()[1]) for n in seq.support_hint.elements_upto(N)]
+    """The head as it was: (n, bounds on |a_n|**2) straight from the boxes."""
+    return [(n, seq.term(n, prec).abs_sq_bounds()) for n in seq.support_hint.elements_upto(N)]
 
 
 # lp exponents (p = 2 and p = 4 make every summand exact) and cap-lp rows a + 1/n
@@ -985,7 +1039,7 @@ def test_lp_head_uppers_equal_fraction_sums(name):
         head = _Head(seq, PREC)
         squared = _squared_moduli(seq, N, PREC)
         for p in _HEAD_EXPONENTS:
-            assert head.power_sum(p, N, upper=True) == (_ref_lp_head_upper(squared, p, PREC),), (N, p)
+            assert head.power_sum(p, N) == _ref_lp_head(squared, p, PREC), (N, p)
 
 
 @pytest.mark.parametrize("prec", [16, 64])
@@ -997,7 +1051,7 @@ def test_lp_head_uppers_of_finite_rationals_equal_fraction_sums(prec):
         head = _Head(seq, prec)
         squared = _squared_moduli(seq, 30, prec)
         for p in _HEAD_EXPONENTS:
-            assert head.power_sum(p, 30, upper=True) == (_ref_lp_head_upper(squared, p, prec),)
+            assert head.power_sum(p, 30) == _ref_lp_head(squared, p, prec)
 
 
 def _ref_partial_sum_check(seq, fam, budget, prec):
@@ -1039,15 +1093,15 @@ def test_lp_head_uppers_with_runs_of_equal_moduli_equal_term_by_term_sums():
             box = rng.choice(boxes)
             for _ in range(rng.randint(1, 6)):
                 listed.append(box)
-                squared.append((n, box.abs_sq_bounds()[1]))
+                squared.append((n, box.abs_sq_bounds()))
                 n += 1
         for prec in (16, PREC):
             head = _Head(_Listed(listed), prec)
             for p in _HEAD_EXPONENTS:
-                assert head.power_sum(p, n - 1, upper=True) == (_ref_lp_head_upper(squared, p, prec),)
+                assert head.power_sum(p, n - 1) == _ref_lp_head(squared, p, prec)
 
 
-# -- disc-schedule rows: the disc-sum kernel against Fraction sums ---------------------
+# -- disc-schedule rows: the disc tails past N = -1 -----------------------------------
 
 
 def _disc_nodes():
@@ -1066,46 +1120,39 @@ _DISC_NODES = dict(_disc_nodes())
 
 @pytest.mark.parametrize("name", list(_DISC_NODES))
 def test_disc_schedule_rows_equal_fraction_sums(name):
+    # row k is (r_k, the disc tail past N = -1), the tail oracle's bound on
+    # the whole disc sum, as the Fraction formula of the tails gives it
     seq = _DISC_NODES[name]
-    for cut in (0, 5, 64):
-        cert = _in_cert(seq, HD, cut, PREC)
-        if cert is None:
-            assert seq.disc_tail(cut, F(1, 2), PREC) is None, name
-            continue
-        moduli = [(n, seq.term(n, PREC).abs_bounds(PREC)[1]) for n in seq.support_hint.elements_upto(cut)]
-        if name == "nat-nat":
-            assert moduli and all(a == 0 for _, a in moduli)
-        assert len(cert.data) == 8
-        for k, (r, N, bound) in enumerate(cert.data, start=1):
-            ref = F(0)
-            for n, a in moduli:
-                ref += a * r ** n
-            assert (r, N) == (F(k, k + 1), cut)
-            assert bound == ref + F(*seq.disc_tail(cut, r, PREC)), (name, cut, k)
+    ref = [(F(k, k + 1), _ref_disc_tail(seq, -1, F(k, k + 1), PREC)) for k in range(1, 9)]
+    cert = try_in_certificate(seq, HD, BUDGET, PREC)
+    if cert is None:
+        assert ref[0][1] is None, name
+        return
+    assert cert.data == tuple(ref), name
 
 
 def test_disc_schedule_rows_are_built_for_most_nodes():
-    built = [name for name, seq in _DISC_NODES.items() if _in_cert(seq, HD, 5, PREC) is not None]
+    built = [name for name, seq in _DISC_NODES.items() if try_in_certificate(seq, HD, BUDGET, PREC)]
     assert len(built) == 49 and "nat-nat" in built
 
 
 @pytest.mark.parametrize("prec", [16, PREC])
 def test_root_head_moduli_equal_roots_of_squared_moduli(prec):
-    # the sup-bound and disc-schedule heads: real, complex and exact-zero
-    # terms, the catalog and its spread, restricted and combined nodes
+    # the sup and disc metric heads: real, complex and exact-zero terms, the
+    # catalog and its spread, restricted and combined nodes
     rng = random.Random(13)
     mixed = FiniteRational({0: (F(-3, 4), 0), 2: (0, F(1, 2)), 5: (F(1, 3), F(1, 4)), 9: (F(7), F(-2, 5))})
     seqs = [random_finite(rng, real_only=i % 2 == 0, max_index=30) for i in range(40)]
     seqs += [mixed, combine([1, -1], [mixed, mixed]), *_DISC_NODES.values()]
     for seq in seqs:
         for N in (-1, 0, 9, 64):
-            ref = [
-                (n, sqrt_bounds(seq.term(n, prec).abs_sq_bounds()[1], prec)[1])
-                for n in seq.support_hint.elements_upto(N)
-            ]
-            # the head keeps nonzero terms only: a zero adds to no sum
-            ref = [(n, a) for n, a in ref if not seq.term(n, prec).is_exact_zero]
-            assert _Head(seq, prec).nonzero(_upper_abs, -1, N) == ref, (seq.spec(), N)
+            ref = []
+            for n in seq.support_hint.elements_upto(N):
+                sq_lo, sq_hi = seq.term(n, prec).abs_sq_bounds()
+                # the head keeps nonzero terms only: a zero adds to no sum
+                if not seq.term(n, prec).is_exact_zero:
+                    ref.append((n, (sqrt_bounds(sq_lo, prec)[0], sqrt_bounds(sq_hi, prec)[1])))
+            assert _Head(seq, prec).nonzero(abs_ends, -1, N) == ref, (seq.spec(), N)
 
 
 _positive = st.fractions(min_value=F(1, 50), max_value=20, max_denominator=50)
@@ -1124,8 +1171,8 @@ _positive = st.fractions(min_value=F(1, 50), max_value=20, max_denominator=50)
 def test_root_head_modulus_is_the_upper_abs_bound(box, prec):
     # points, wide real boxes, boxes straddling 0 and complex boxes: a real
     # box's modulus is its greatest |re| with no root, a complex box's the
-    # upper root of its greatest |z|**2
-    assert _Head(_Listed([box]), prec).max_abs(0, upper=True) == box.abs_bounds(prec)[1:]
+    # upper root of its greatest |z|**2; the lower end is the least |z|
+    assert _Head(_Listed([box]), prec).max_abs(0) == box.abs_bounds(prec)
 
 
 # -- cap-lp in-certificates rest on the threshold ------------------------------

@@ -1,4 +1,5 @@
-"""Pinned in-certificates and metric enclosures: the head sums they rest on.
+"""Pinned in-certificates and metric enclosures: the tails and head sums
+they rest on.
 
 ``in_cert_golden.json`` holds, per sequence and space, the SHA-256 of the
 canonical JSON of ``try_in_certificate(...).describe()`` (or None) at every
@@ -9,10 +10,11 @@ coefficients; the spaces are ``IN_SPACES``.  ``metric_golden.json`` holds
 the ``metric_bound`` enclosure (or the error class it raises) of seven
 disjoint catalog pairs in every space with a metric, at each budget in
 ``METRIC_BUDGETS`` and precision in ``METRIC_PRECS``; a key names its
-precision unless it is the first.  The in-certificate rows and the metrics sum the same
-head bounds of |a_n|, so a change to how heads are bounded or summed must
-keep both files byte for byte.  To record them anew after a deliberate
-change, run ``PYTHONPATH=src python tests/test_head_goldens.py``.
+precision unless it is the first.  The in-certificate rows are the tail
+oracles' bounds past N = -1, which the metrics add to their head sums, so
+a change to a tail oracle, or to how heads are bounded or summed, must keep
+both files byte for byte.  To record them anew after a deliberate change,
+run ``PYTHONPATH=src python tests/test_head_goldens.py``.
 """
 
 import hashlib

@@ -680,8 +680,8 @@ def test_threshold_table_reads_each_g_once():
 
 # sha256 of the linf reports of the bounded tagged members below, as is and
 # spread onto each support in _SUPPORTS order, one canonical JSON per line;
-# recorded before the sup_tail skip existed
-_BOUNDED_LINF_REPORTS_SHA256 = "471679f47c9b78e736d5ad25f5e9e234cf2b66a4412ff41934adf856002319b9"
+# re-recorded when a sup-bound certificate became sup_tail(-1) alone
+_BOUNDED_LINF_REPORTS_SHA256 = "e7265eb1a63aa6c9dcb256b4e31cfb5ef22a48461d562865c2aebebec41eaa43"
 
 
 def _with_counting_g(seq, reads):

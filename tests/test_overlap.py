@@ -1,11 +1,12 @@
 """Soundness guards that need no golden file.
 
 Two enclosures of one distance, at any budgets and precisions, must
-overlap: each holds the true distance.  An in-certificate head must be at
-least every lower bound of the head sum it bounds: here the lower sum at
-256 bits, read from the terms directly.  A head or tail that undercuts
-the truth fails one of these checks even when a golden file is recorded
-anew from the faulty code.
+overlap: each holds the true distance.  An in-certificate row bound, the
+tail oracle's bound on the whole row, must be at least every lower bound of
+a partial sum of that row: here the lower sum up to index 511 at 256 bits,
+read from the terms directly.  A bound or tail that undercuts the truth
+fails one of these checks even when a golden file is recorded anew from the
+faulty code.
 """
 
 from fractions import Fraction as F
@@ -43,32 +44,35 @@ def test_metric_enclosures_overlap_across_budgets_and_precisions(name, space):
         assert a.lower <= b.upper and b.lower <= a.upper, (a, b)
 
 
-def _lower_abs(seq, N):
-    """(n, lower bound on |a_n|) over the support up to N, at 256 bits."""
-    return [(n, seq.term(n, REF_PREC).abs_bounds(REF_PREC)[0]) for n in seq.support_hint.elements_upto(N)]
+LAST = 511  # every row bound must cover the row's partial sum up to here
 
 
-def _lower_power_sum(seq, p, N):
-    total = PowSum(p, REF_PREC)
-    for n in seq.support_hint.elements_upto(N):
-        total.extend((seq.term(n, REF_PREC).modulus_bounds()[0],))
-    return total.value
-
-
-def _head_violations(seq, cert):
-    """The rows of cert whose recorded head falls below the 256-bit lower sum."""
+def _rows(cert):
+    """(row kind, parameter, recorded bound) per row of the certificate."""
     if cert.shape == "lp-tail":
-        rows = [cert.data]
-    elif cert.shape in ("lp-schedule", "disc-schedule"):
-        rows = list(cert.data)
-    else:
-        assert cert.shape == "sup-bound"
-        N, bound = cert.data
-        return [] if bound >= max((a for _, a in _lower_abs(seq, N)), default=0) else [cert.data]
+        return [("lp", *cert.data)]
+    if cert.shape == "lp-schedule":
+        return [("lp", p, tail) for p, tail in cert.data[1]]
     if cert.shape == "disc-schedule":
-        return [(r, N, bound) for r, N, bound in rows
-                if bound < sum(a * r ** n for n, a in _lower_abs(seq, N))]
-    return [(p, N, head) for p, N, head, _ in rows if head < _lower_power_sum(seq, p, N)]
+        return [("disc", r, tail) for r, tail in cert.data]
+    assert cert.shape == "sup-bound"
+    return [("sup", None, *cert.data)]
+
+
+def _lower_partial_sum(boxes, kind, param):
+    """A lower bound on the row's partial sum (its max, for ``sup``) up to
+    index 511 from the terms at 256 bits: each summand's lower bound
+    floored onto the 2**-256 grid, so the sum keeps one denominator."""
+    if kind == "sup":
+        return max((box.abs_bounds(REF_PREC)[0] for _, box in boxes), default=0)
+    total = 0
+    for n, box in boxes:
+        if kind == "lp":
+            x = PowSum(param, REF_PREC).extend((box.modulus_bounds()[0],)).value
+        else:
+            x = box.abs_bounds(REF_PREC)[0] * param ** n
+        total += (x.numerator << REF_PREC) // x.denominator
+    return F(total, 1 << REF_PREC)
 
 
 def _in_sequences():
@@ -81,10 +85,12 @@ def _in_sequences():
 def test_in_certificate_heads_bound_the_lower_head_sums():
     checked, violations = 0, []
     for name, seq in _in_sequences():
+        boxes = [(n, seq.term(n, REF_PREC)) for n in seq.support_hint.elements_upto(LAST)]
         for space in IN_SPACES:
             cert = try_in_certificate(seq, space, 64, 32)
             if cert is not None:
                 checked += 1
-                violations += [(name, str(space), row) for row in _head_violations(seq, cert)]
+                violations += [(name, str(space), row) for row in _rows(cert)
+                               if row[2] < _lower_partial_sum(boxes, *row[:2])]
     assert checked > 40
     assert violations == []
