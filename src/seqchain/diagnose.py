@@ -2,20 +2,18 @@
 
 ``classify`` returns ``CertifiedOut`` or ``CertifiedIn`` only with a
 certificate that re-verifies independently via ``check_certificate``;
-otherwise ``Undecided``.  Out-certificates are grounded in the growth
-tags and block-divergence data carried by the sequence (numeric
-estimation alone never certifies divergence or a root-test failure),
-and each is checked by the same ``holds`` predicate of its shape that
-accepted it when it was built, reading only the checked node's own
-evidence: its growth tag equal to the certificate's (tags and blocks
-compare by data), or its ``lp_divergence``, so a certificate re-checks on
-any node built from the same spec.  Four shape classes render the five
-out-shapes: ``Unbounded`` is ``unbounded`` (linf) with weight exponent
-k = 0 and ``unbounded-weighted`` (ainf) with k >= 1, and
-``DivergentPartialSums``, ``NotVanishing`` and ``RootLimsupExceeds`` are
-one shape each.  In-certificates rest on the tail oracles alone: a row
-records its oracle's bound on the whole row (at N = -1, or past a searched
-cutoff for c0 and ainf), and a check accepts a bound at least the oracle's.
+otherwise ``Undecided``.  Every certificate is one record (space, shape,
+fields); ``_SHAPES`` gives each shape the verdict it backs, its field names
+and its check, and one rule renders every field value.  Out-certificates
+are grounded in the growth tags and block-divergence data carried by the
+sequence (numeric estimation alone never certifies divergence or a
+root-test failure), and each is checked by the same check that accepted it
+when it was built, reading only the checked node's own evidence: its growth
+tag equal to the certificate's (tags and blocks compare by data), or its
+``lp_divergence``, so a certificate re-checks on any node built from the
+same spec.  In-certificates rest on the tail oracles alone: a row records
+its oracle's bound on the whole row (at N = -1, or past a searched cutoff
+for c0 and ainf), and a check accepts a bound at least the oracle's.
 One scan per tag builds the threshold tables of every weight exponent k.
 No linf table is scanned when ``sup_tail(-1)`` bounds every |a_n| below the
 top threshold: a tag promises g(m) <= |a_{s(m)}|, so no table could
@@ -45,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, UnsupportedSpace
+from .errors import ParseError, SeqchainError, UnsupportedSpace
 from .intervals import Q1, PowSum, format_rational
 from .sequences import Sequence
 from .spaces import AINF, C0, HD, LINF, SpaceId, row_tail, seminorm_rows
@@ -103,156 +101,47 @@ def _own_tag(seq: Sequence, tag, kind):
 
 
 @dataclass(frozen=True)
-class DivergentPartialSums:
-    """sum |a_n|**exponent diverges, witnessed by disjoint support-position
-    blocks with masses >= a named divergent comparator."""
-
-    exponent: Fraction
-    blocks: BlockDivergence
-    checked_blocks: tuple[int, ...]
-
-    def describe(self):
-        return {
-            "shape": "divergent-partial-sums",
-            "exponent": format_rational(self.exponent),
-            "blocks": self.blocks.describe(),
-            "checked_blocks": list(self.checked_blocks),
-        }
-
-    def holds(self, seq, space, samples, prec) -> bool:
-        if space.tag == "lp":
-            fits = self.exponent == space.param
-        else:
-            fits = space.tag == "cap-lp" and self.exponent > space.param
-        if not fits or (blocks := seq.lp_divergence(self.exponent)) != self.blocks:
-            return False
-        js = self.checked_blocks[: max(1, samples)]
-        return bool(js) and blocks.p == self.exponent and _verify_blocks(seq, blocks, js, prec)
-
-
-@dataclass(frozen=True)
-class NotVanishing:
-    delta: Fraction
-    tag: SubseqLowerBound
-
-    def describe(self):
-        return {
-            "shape": "not-vanishing",
-            "delta": format_rational(self.delta),
-            "tag": self.tag.label,
-        }
-
-    def holds(self, seq, space, samples, prec) -> bool:
-        tag = _own_tag(seq, self.tag, SubseqLowerBound)
-        if space != C0 or tag is None or tag.g_inf is None or not 0 < self.delta <= tag.g_inf:
-            return False
-        ms = range(1, max(1, samples) + 1)
-        return _increasing_points_at_least(seq, tag.s, ms, 0, lambda n: self.delta, prec)
-
-
-@dataclass(frozen=True)
-class Unbounded:
-    """n**k |a_n| exceeds every threshold along the tagged subsequence: out
-    of linf with k = 0, out of ainf with k >= 1.  The table has one row per
-    threshold of ``_THRESHOLDS``, in order, as ``_threshold_table`` builds
-    it."""
-
-    tag: SubseqLowerBound
-    table: tuple[tuple[int, int, Fraction], ...]  # (threshold, m, g(m))
-    k: int = 0
-
-    def describe(self):
-        weighted = {"shape": "unbounded-weighted", "k": self.k} if self.k else {"shape": "unbounded"}
-        return {
-            **weighted,
-            "tag": self.tag.label,
-            "table": [
-                [t, self.tag.s(m), format_rational(g)] for t, m, g in self.table
-            ],
-        }
-
-    def holds(self, seq, space, samples, prec) -> bool:
-        tag, checked = _own_tag(seq, self.tag, SubseqLowerBound), self.table[: max(1, samples)]
-        return (
-            self.k >= 0
-            and space == (AINF if self.k else LINF)
-            and tag is not None
-            and tuple(t for t, _, _ in self.table) == _THRESHOLDS
-            and all(_weight(tag, m, self.k) * g >= t for t, m, g in self.table)
-            and all(_abs_at_least(seq, tag.s(m), g, prec) for _, m, g in checked)
-        )
-
-
-@dataclass(frozen=True)
-class RootLimsupExceeds:
-    rho: Fraction
-    m_start: int
-    tag: RootLowerBound
-
-    def describe(self):
-        return {
-            "shape": "root-limsup-exceeds",
-            "rho": format_rational(self.rho),
-            "from_sample": self.m_start,
-            "tag": self.tag.label,
-        }
-
-    def holds(self, seq, space, samples, prec) -> bool:
-        tag = _own_tag(seq, self.tag, RootLowerBound)
-        ms = range(self.m_start, self.m_start + max(1, samples))
-        return (
-            space == HD
-            and self.rho > 1
-            and tag is not None
-            and all(tag.rho(m) >= self.rho for m in ms)
-            and _increasing_points_at_least(seq, tag.s, ms, 1, lambda n: self.rho ** n, prec)
-        )
-
-
-@dataclass(frozen=True)
-class OutCert:
-    space: SpaceId
-    shape: object
-
-    def describe(self):
-        return {"space": str(self.space), **self.shape.describe()}
-
-
-@dataclass(frozen=True)
-class InCert:
-    """Tail-bound witness: per row of the space's schedule, its parameters,
-    the searched cutoff for c0 and ainf, and an upper bound on the row, not
-    a norm estimate; for cap-lp, (t, rows) with the threshold t."""
+class Certificate:
+    """The evidence of a verdict: its space, its shape, and the shape's fields
+    in the order ``_SHAPES`` names them.  An in-shape holds (rows, prec): per
+    row of the space's schedule, its parameters, the searched cutoff for c0
+    and ainf, and an upper bound on the row, not a norm estimate; for cap-lp,
+    (t, rows) with the threshold t."""
 
     space: SpaceId
     shape: str
-    data: tuple
-    prec: int
+    fields: tuple
 
     def describe(self):
-        def render(x):
-            if isinstance(x, Fraction):
-                return format_rational(x)
-            if isinstance(x, tuple):
-                return [render(y) for y in x]
-            return x
+        names = _SHAPES[self.shape][1]
+        return {"space": str(self.space), "shape": self.shape,
+                **dict(zip(names, map(_render, self.fields)))}
 
-        return {
-            "space": str(self.space),
-            "shape": self.shape,
-            "data": render(self.data),
-            "prec": self.prec,
-        }
+
+def _render(x):
+    """A field value as a report holds it: a Fraction as num/den, a tuple as a
+    list, a growth tag as its label, block data as its ``describe()``, an int
+    as itself; by exact type, as ``isinstance`` of ``Fraction`` is slow."""
+    kind = type(x)
+    if kind is tuple:
+        return [_render(y) for y in x]
+    if kind is Fraction:
+        return format_rational(x)
+    if kind is SubseqLowerBound or kind is RootLowerBound:
+        return x.label
+    if kind is BlockDivergence:
+        return x.describe()
+    return x
 
 
 @dataclass(frozen=True)
 class CertifiedIn:
-    cert: InCert
+    cert: Certificate
 
 
 @dataclass(frozen=True)
 class CertifiedOut:
-    cert: OutCert
+    cert: Certificate
 
 
 @dataclass(frozen=True)
@@ -261,11 +150,10 @@ class Undecided:
 
 
 def verdict_to_json(v) -> dict:
-    if isinstance(v, CertifiedIn):
-        return {"verdict": "in", "certificate": v.cert.describe()}
-    if isinstance(v, CertifiedOut):
-        return {"verdict": "out", "certificate": v.cert.describe()}
-    return {"verdict": "undecided", "budget": v.budget}
+    if isinstance(v, Undecided):
+        return {"verdict": "undecided", "budget": v.budget}
+    verdict = "in" if isinstance(v, CertifiedIn) else "out"
+    return {"verdict": verdict, "certificate": v.cert.describe()}
 
 
 # -- out-certificate candidates -----------------------------------------------
@@ -292,12 +180,6 @@ def _verify_blocks(seq: Sequence, bd: BlockDivergence, js, prec: int) -> bool:
     return True
 
 
-def _weight(tag: SubseqLowerBound, m: int, k: int):
-    """s(m)**k, and 1 at k = 0, where s(m) is never built: on a sparse
-    support such as powers of two, s(m) = 2**2**m is too large to hold."""
-    return Fraction(tag.s(m)) ** k if k else 1
-
-
 def _threshold_table(tag: SubseqLowerBound, ks):
     """Per k in ks, the (threshold, m, g(m)) rows with s(m)**k * g(m) >=
     threshold, each at the least such m, or None if a threshold has no row by
@@ -320,6 +202,25 @@ def _threshold_table(tag: SubseqLowerBound, ks):
     return tuple(tuple(rows[k]) if len(rows[k]) == len(_THRESHOLDS) else None for k in ks)
 
 
+def _table_rows(tag: SubseqLowerBound, table):
+    """The (threshold, n, g) rows of a scanned table, n = s(m).  An index past
+    the interpreter's limit on integer-to-string conversion cannot be
+    rendered, and on a sparse support a later one may not fit in memory, so
+    the first such index stops the build with an error naming its size."""
+    rows = []
+    for t, m, g in table:
+        n = tag.s(m)
+        try:
+            str(n)
+        except ValueError:
+            raise SeqchainError(
+                f"cannot render the threshold table of tag {tag.label}: its index s({m}) is a "
+                f"{n.bit_length()}-bit integer, past the interpreter's limit on integer-to-string "
+                "conversion") from None
+        rows.append((t, n, g))
+    return tuple(rows)
+
+
 def _escape_exponent(t, a: Fraction):
     """The exponent q > a at which a sequence of l^p threshold t leaves
     cap-lp:a: t when t > a, a + 1 when t is None (in no l^q), and None when
@@ -339,7 +240,7 @@ def _out_shapes(seq: Sequence, space: SpaceId, prec: int):
             if isinstance(tag, RootLowerBound):
                 m_start = next((m for m in range(1, _SCAN_CAP + 1) if tag.rho(m) >= 2), None)
                 if m_start is not None:
-                    yield RootLimsupExceeds(rho=Fraction(2), m_start=m_start, tag=tag), 3
+                    yield Certificate(space, "root-limsup-exceeds", (Fraction(2), m_start, tag)), 3
     elif space.tag in ("linf", "ainf"):
         ks = range(1, 5) if space.tag == "ainf" else (0,)
         sup = seq.sup_tail(-1, prec) if space.tag == "linf" and subseq_tags else None
@@ -349,26 +250,29 @@ def _out_shapes(seq: Sequence, space: SpaceId, prec: int):
         for i, k in enumerate(ks):
             for tag, per_k in zip(subseq_tags, tables):
                 if per_k[i]:
-                    yield Unbounded(tag=tag, table=per_k[i], k=k), len(per_k[i])
+                    rows = _table_rows(tag, per_k[i])
+                    fields = (k, tag, rows) if k else (tag, rows)
+                    shape = "unbounded-weighted" if k else "unbounded"
+                    yield Certificate(space, shape, fields), len(rows)
     elif space.tag == "c0":
         for tag in subseq_tags:
             if tag.g_inf is not None and tag.g_inf > 0:
-                yield NotVanishing(delta=tag.g_inf, tag=tag), 5
+                yield Certificate(space, "not-vanishing", (tag.g_inf, tag)), 5
     elif space.tag in ("lp", "cap-lp"):
         q = space.param if space.tag == "lp" else _escape_exponent(seq.threshold, space.param)
         bd = None if q is None else seq.lp_divergence(q)
         if bd is not None:
             js = tuple(range(bd.j_start, bd.j_start + 3))
-            yield DivergentPartialSums(exponent=q, blocks=bd, checked_blocks=js), 3
+            yield Certificate(space, "divergent-partial-sums", (q, bd, js)), 3
     elif space.tag != "cn0":  # every sequence belongs to the product space cn0
         raise UnsupportedSpace(space.tag)
 
 
-def try_out_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
-    """The first candidate OutCert that its own check accepts, or None."""
-    for shape, samples in _out_shapes(seq, space, prec):
-        if shape.holds(seq, space, samples, prec):
-            return OutCert(space, shape)
+def try_out_certificate(seq: Sequence, space: SpaceId, prec: int):
+    """The first candidate out-certificate that its own check accepts, or None."""
+    for cert, samples in _out_shapes(seq, space, prec):
+        if _SHAPES[cert.shape][2](seq, cert, samples, prec):
+            return cert
     return None
 
 
@@ -430,9 +334,9 @@ def _in_schedule(seq: Sequence, space: SpaceId, prec: int):
     return [(() if kind == "sup" else (p,), lambda N, p=p: tail(N, p), None) for p in ps]
 
 
-def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
-    """The space's InCert, or None when an oracle cannot certify it; no
-    head is summed, ``budget`` is not read, and cutoffs are searched from 16."""
+def try_in_certificate(seq: Sequence, space: SpaceId, prec: int):
+    """The space's in-certificate, or None when an oracle cannot certify it;
+    no head is summed, and cutoffs are searched from 16."""
     if space.tag == "cap-lp" and _escape_exponent(seq.threshold, space.param) is not None:
         return None
     rows = []
@@ -444,15 +348,15 @@ def try_in_certificate(seq: Sequence, space: SpaceId, budget: int, prec: int):
     data = rows[0] if len(rows) == 1 else tuple(rows)
     if space.tag == "cap-lp":
         data = (seq.threshold, data)
-    return InCert(space, _IN_SHAPES[space.tag], data, prec)
+    return Certificate(space, _IN_SHAPES[space.tag], (data, prec))
 
 
 def classify(seq: Sequence, space: SpaceId, budget: int, prec: int):
     """Certified membership verdict for the sequence in the space."""
-    out = try_out_certificate(seq, space, budget, prec)
+    out = try_out_certificate(seq, space, prec)
     if out is not None:
         return CertifiedOut(out)
-    inc = try_in_certificate(seq, space, budget, prec)
+    inc = try_in_certificate(seq, space, prec)
     if inc is not None:
         return CertifiedIn(inc)
     return Undecided(budget)
@@ -462,31 +366,29 @@ def classify(seq: Sequence, space: SpaceId, budget: int, prec: int):
 
 
 def check_certificate(seq: Sequence, verdict, samples: int, prec: int) -> bool:
-    """Independently re-verify a CertifiedIn/CertifiedOut verdict."""
-    if isinstance(verdict, CertifiedOut):
-        # a shape's holds is its whole rule: the space it certifies, its
-        # structure, its tie to the sequence's own tag or blocks, and its
-        # spot-checks; try_out_certificate calls it too
-        shape, space = verdict.cert.shape, verdict.cert.space
-        shapes = (DivergentPartialSums, NotVanishing, Unbounded, RootLimsupExceeds)
-        return isinstance(shape, shapes) and shape.holds(seq, space, samples, prec)
-    if isinstance(verdict, CertifiedIn):
-        return _check_in(seq, verdict.cert)
-    raise ValueError("only certified verdicts carry certificates")
+    """Independently re-verify a CertifiedIn/CertifiedOut verdict: its shape
+    must back that verdict and carry one value per field name, and then its
+    check is the whole rule, which try_out_certificate calls too."""
+    if not isinstance(verdict, (CertifiedIn, CertifiedOut)):
+        raise ValueError("only certified verdicts carry certificates")
+    cert = verdict.cert
+    kind, names, check = _SHAPES.get(cert.shape, (None, (), None))
+    return (type(verdict) is kind and type(cert.fields) is tuple and len(cert.fields) == len(names)
+            and check(seq, cert, samples, prec))
 
 
-def _check_in(seq, cert: InCert) -> bool:
+def _check_in(seq, cert: Certificate, samples: int, prec: int) -> bool:
     """Accept the space's shape and schedule, each recorded bound a Fraction
     at least its oracle's value now and at most the row's target, and for
     cap-lp the sequence's own threshold t <= a; nothing is searched."""
-    space, data = cert.space, cert.data
+    space, (data, cert_prec) = cert.space, cert.fields
     if cert.shape != _IN_SHAPES[space.tag] or type(data) is not tuple:
         return False
     if space.tag == "cap-lp":
         t, data = data if len(data) == 2 else (None, None)
         if type(t) is not Fraction or t != seq.threshold or t > space.param:
             return False
-    schedule = _in_schedule(seq, space, cert.prec)
+    schedule = _in_schedule(seq, space, cert_prec)
     rows = (data,) if len(schedule) == 1 else data
     return (type(rows) is tuple and len(rows) == len(schedule)
             and all(_row_holds(row, *entry) for row, entry in zip(rows, schedule)))
@@ -505,6 +407,71 @@ def _row_holds(row, params, oracle, target) -> bool:
         return False
     value = oracle(cut)
     return value is not None and value <= bound
+
+
+def _check_blocks(seq, cert: Certificate, samples: int, prec: int) -> bool:
+    """divergent-partial-sums: sum |a_n|**exponent diverges, witnessed by the
+    node's own blocks of support positions with masses >= a named divergent
+    comparator; the checked blocks run on from the first, as built."""
+    q, blocks, js = cert.fields
+    space = cert.space
+    fits = q == space.param if space.tag == "lp" else space.tag == "cap-lp" and q > space.param
+    if not fits or (own := seq.lp_divergence(q)) != blocks or own.p != q:
+        return False
+    return (bool(js) and js == tuple(range(own.j_start, own.j_start + len(js)))
+            and _verify_blocks(seq, own, js[: max(1, samples)], prec))
+
+
+def _check_not_vanishing(seq, cert: Certificate, samples: int, prec: int) -> bool:
+    delta, tag = cert.fields
+    tag = _own_tag(seq, tag, SubseqLowerBound)
+    if cert.space != C0 or tag is None or tag.g_inf is None or not 0 < delta <= tag.g_inf:
+        return False
+    ms = range(1, max(1, samples) + 1)
+    return _increasing_points_at_least(seq, tag.s, ms, 0, lambda n: delta, prec)
+
+
+def _check_unbounded(seq, cert: Certificate, samples: int, prec: int) -> bool:
+    """n**k |a_n| exceeds every threshold along the tagged subsequence: out
+    of linf with k = 0, out of ainf with k = 1..4, the exponents built.  One
+    row per threshold of ``_THRESHOLDS``, in order, each with n = s(m) and
+    g = g(m) at an m found by walking the node's own tag upward, and
+    n**k * g >= threshold; then the first ``samples`` rows are spot-checked."""
+    weighted = cert.shape == "unbounded-weighted"
+    k, tag, table = cert.fields if weighted else (0, *cert.fields)
+    tag = _own_tag(seq, tag, SubseqLowerBound)
+    if (tag is None or type(k) is not int or k not in (range(1, 5) if weighted else (0,))
+            or cert.space != (AINF if weighted else LINF)
+            or tuple(row[0] for row in table) != _THRESHOLDS):
+        return False
+    m, s = 1, tag.s(1)
+    for t, n, g in table:
+        while s < n and m < _SCAN_CAP:
+            m += 1
+            s = tag.s(m)
+        if s != n or g != tag.g(m) or n ** k * g < t:
+            return False
+    return all(_abs_at_least(seq, n, g, prec) for _, n, g in table[: max(1, samples)])
+
+
+def _check_root(seq, cert: Certificate, samples: int, prec: int) -> bool:
+    rho, m_start, tag = cert.fields
+    tag = _own_tag(seq, tag, RootLowerBound)
+    ms = range(m_start, m_start + max(1, samples))
+    return (cert.space == HD and rho > 1 and tag is not None and all(tag.rho(m) >= rho for m in ms)
+            and _increasing_points_at_least(seq, tag.s, ms, 1, lambda n: rho ** n, prec))
+
+
+# shape -> (the verdict it backs, the names its fields render under, its check)
+_SHAPES = {
+    **{shape: (CertifiedIn, ("data", "prec"), _check_in) for shape in _IN_SHAPES.values()},
+    "divergent-partial-sums":
+        (CertifiedOut, ("exponent", "blocks", "checked_blocks"), _check_blocks),
+    "not-vanishing": (CertifiedOut, ("delta", "tag"), _check_not_vanishing),
+    "unbounded": (CertifiedOut, ("tag", "table"), _check_unbounded),
+    "unbounded-weighted": (CertifiedOut, ("k", "tag", "table"), _check_unbounded),
+    "root-limsup-exceeds": (CertifiedOut, ("rho", "from_sample", "tag"), _check_root),
+}
 
 
 # -- closed families ----------------------------------------------------------

@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnose import (
-    CertifiedIn,
-    CertifiedOut,
-    InCert,
-    OutCert,
-    check_certificate,
-    classify,
-)
+from .diagnose import Certificate, CertifiedIn, CertifiedOut, check_certificate, classify
 from .errors import NotStrictPair, SeqchainError, TopOfChain
 from .families import (
     const_one,
@@ -42,8 +35,8 @@ class Witness:
     seq: Sequence
     inner: SpaceId  # certified out of this space
     outer: SpaceId  # certified inside this space
-    out_cert: OutCert
-    in_cert: InCert
+    out_cert: Certificate
+    in_cert: Certificate
     support: SupportSet
     # (samples, prec) at which the out-certificate re-checked; a replaced
     # witness starts empty

@@ -201,8 +201,8 @@ def test_criterion_7_soundness_invariants():
     for name, seq in catalog().items():
         row = []
         for space in spaces:
-            out = try_out_certificate(seq, space, 512, 48)
-            inc = try_in_certificate(seq, space, 512, 48)
+            out = try_out_certificate(seq, space, 48)
+            inc = try_in_certificate(seq, space, 48)
             assert not (out is not None and inc is not None), (name, str(space))
             row.append("in" if inc else ("out" if out else "und"))
         if "in" in row:

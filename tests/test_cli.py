@@ -423,6 +423,27 @@ def test_report_past_the_int_str_digit_limit_is_a_one_line_error(capsys, argv):
     assert "integer-to-string" in err
 
 
+_NAT_ON_POWERS_OF_TWO_TWICE = (
+    '{"kind":"spread","base":{"kind":"spread","base":' + NAT + ',"support":{"kind":"powers-of-two"}},'
+    '"support":{"kind":"powers-of-two"}}'
+)
+
+
+def test_a_threshold_table_index_past_the_digit_limit_is_a_one_line_error(capsys):
+    # nat's linf rows sit at m = 1, 2, 4, ..., 128, and twice on the powers
+    # of two s(m) = 2**2**m: s(16) has 19,729 digits, and s(32) would take
+    # 512 MiB to build, so the build stops at s(16) and names its size
+    start = time.process_time()
+    assert main(["classify", _NAT_ON_POWERS_OF_TWO_TWICE, "linf"]) == 1
+    assert time.process_time() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "s(16) is a 65537-bit integer" in err and "integer-to-string" in err
+    # the other spaces decide it
+    for space in ("ainf", "c0", "hd", "lp:1"):
+        assert main(["classify", _NAT_ON_POWERS_OF_TWO_TWICE, space]) == 0, space
+
+
 _GAP_CAP_LP_1_2 = '{"kind":"family","name":"gap-cap-lp","params":{"a":"1/1","b":"2/1"}}'
 
 # classify inputs whose in-certificates once summed a head of exact

@@ -16,19 +16,14 @@ from hypothesis import strategies as st
 from conftest import BUDGET, PREC, catalog, random_finite
 from seqchain.diagnose import (
     FM,
+    Certificate,
     CertifiedIn,
     CertifiedOut,
     ConsistentUpTo,
-    DivergentPartialSums,
     FMk,
     Fkj,
     Fnk,
-    InCert,
-    NotVanishing,
-    OutCert,
     PartialSum,
-    RootLimsupExceeds,
-    Unbounded,
     Undecided,
     ViolatedAt,
     _escape_exponent,
@@ -91,29 +86,30 @@ def test_finite_data_in_every_space():
 
 def test_nat_outside_bounded_inside_disc():
     out = classify(nat(), LINF, BUDGET, PREC)
-    assert isinstance(out, CertifiedOut) and isinstance(out.cert.shape, Unbounded)
+    assert isinstance(out, CertifiedOut) and out.cert.shape == "unbounded"
     inside = classify(nat(), HD, BUDGET, PREC)
     assert isinstance(inside, CertifiedIn)
 
 
 def test_nat_power_outside_disc():
     v = classify(nat_power(), HD, BUDGET, PREC)
-    assert isinstance(v, CertifiedOut) and isinstance(v.cert.shape, RootLimsupExceeds)
+    assert isinstance(v, CertifiedOut) and v.cert.shape == "root-limsup-exceeds"
 
 
 def test_prop28_out_certificate_shape():
     v = classify(prop28(), AINF, BUDGET, PREC)
     assert isinstance(v, CertifiedOut)
-    shape = v.cert.shape
-    assert isinstance(shape, Unbounded) and shape.k == 1
+    assert v.cert.shape == "unbounded-weighted"
+    k, tag, _ = v.cert.fields
+    assert k == 1
     # the tagged subsequence runs along the powers of two
-    assert [shape.tag.s(m) for m in (1, 2, 3)] == [2, 4, 8]
+    assert [tag.s(m) for m in (1, 2, 3)] == [2, 4, 8]
 
 
 def test_const_one_not_vanishing():
     v = classify(const_one(), C0, BUDGET, PREC)
-    assert isinstance(v, CertifiedOut) and isinstance(v.cert.shape, NotVanishing)
-    assert v.cert.shape.delta == 1
+    assert isinstance(v, CertifiedOut) and v.cert.shape == "not-vanishing"
+    assert v.cert.fields[0] == 1
 
 
 def test_everything_lands_in_cn0():
@@ -135,9 +131,9 @@ def test_never_both_certificates():
     spaces = standard_chain()
     for name, seq in catalog().items():
         for space in spaces:
-            out = try_out_certificate(seq, space, 512, 48)
+            out = try_out_certificate(seq, space, 48)
             if out is not None:
-                inc = try_in_certificate(seq, space, 512, 48)
+                inc = try_in_certificate(seq, space, 48)
                 assert inc is None, (name, str(space))
 
 
@@ -189,60 +185,43 @@ def test_check_certificates_for_catalog():
 
 def test_forged_not_vanishing_rejected():
     # claim (n)_n stays away from zero on its zero entries
-    forged = NotVanishing(
-        delta=F(1),
-        tag=SubseqLowerBound(label="forged", s=lambda m: 0, g=lambda m: F(1), g_inf=F(1)),
-    )
-    from seqchain.diagnose import OutCert
-
-    verdict = CertifiedOut(OutCert(C0, forged))
+    tag = SubseqLowerBound(label="forged", s=lambda m: 0, g=lambda m: F(1), g_inf=F(1))
+    verdict = CertifiedOut(Certificate(C0, "not-vanishing", (F(1), tag)))
     assert not check_certificate(nat(), verdict, samples=3, prec=PREC)
 
 
 def test_forged_unbounded_rejected_on_zero_sequence():
     tag = SubseqLowerBound(label="forged", s=lambda m: m, g=lambda m: F(m), g_inf=F(1))
-    from seqchain.diagnose import OutCert
-
-    forged = Unbounded(tag=tag, table=((1, 1, F(1)), (2, 2, F(2))))
-    assert not check_certificate(zero(), CertifiedOut(OutCert(LINF, forged)), 3, PREC)
+    forged = Certificate(LINF, "unbounded", (tag, ((1, 1, F(1)), (2, 2, F(2)))))
+    assert not check_certificate(zero(), CertifiedOut(forged), 3, PREC)
 
 
 def test_forged_divergence_on_summable_sequence_rejected():
     # claim the square-summable sqrt family has divergent l^1 partial sums
-    from seqchain.diagnose import DivergentPartialSums, OutCert
     from seqchain.tags import BlockDivergence
 
-    forged = DivergentPartialSums(
-        exponent=F(1),
-        blocks=BlockDivergence(
-            p=F(1),
-            block=lambda j: (1 << j, (1 << (j + 1)) - 1),
-            comparator="constant",
-            c=F(1, 2),
-        ),
-        checked_blocks=(1, 2, 3),
+    blocks = BlockDivergence(
+        p=F(1),
+        block=lambda j: (1 << j, (1 << (j + 1)) - 1),
+        comparator="constant",
+        c=F(1, 2),
     )
-    verdict = CertifiedOut(OutCert(lp(1), forged))
+    verdict = CertifiedOut(Certificate(lp(1), "divergent-partial-sums", (F(1), blocks, (1, 2, 3))))
     assert not check_certificate(prop28(), verdict, samples=3, prec=PREC)
 
 
 def test_forged_root_certificate_with_tame_rho_rejected():
-    from seqchain.diagnose import OutCert
     from seqchain.tags import RootLowerBound
 
-    tame = RootLimsupExceeds(
-        rho=F(1),  # not > 1: says nothing about the root test
-        m_start=1,
-        tag=RootLowerBound(label="f", s=lambda m: m, rho=lambda m: F(1)),
-    )
-    assert not check_certificate(nat(), CertifiedOut(OutCert(HD, tame)), 3, PREC)
+    tag = RootLowerBound(label="f", s=lambda m: m, rho=lambda m: F(1))
+    # rho = 1 is not > 1: says nothing about the root test
+    tame = Certificate(HD, "root-limsup-exceeds", (F(1), 1, tag))
+    assert not check_certificate(nat(), CertifiedOut(tame), 3, PREC)
 
 
 def test_swapped_space_certificate_rejected():
     v = classify(nat(), LINF, BUDGET, PREC)
-    from seqchain.diagnose import OutCert
-
-    wrong_space = CertifiedOut(OutCert(C0, v.cert.shape))
+    wrong_space = CertifiedOut(replace(v.cert, space=C0))
     assert not check_certificate(nat(), wrong_space, 3, PREC)
 
 
@@ -465,12 +444,12 @@ def _in_verdict(seq, space, shape):
 
 def _with_data(verdict, data):
     cert = verdict.cert
-    return CertifiedIn(InCert(cert.space, cert.shape, data, cert.prec))
+    return CertifiedIn(Certificate(cert.space, cert.shape, (data, cert.fields[1])))
 
 
 def _bump_row(verdict, row: int, col: int):
     """The in-certificate with data[row][col] raised by 2**-200."""
-    data = list(verdict.cert.data)
+    data = list(verdict.cert.fields[0])
     data[row] = tuple(x + BUMP if i == col else x for i, x in enumerate(data[row]))
     return _with_data(verdict, tuple(data))
 
@@ -542,7 +521,7 @@ def test_single_field_in_certificate_mutations_rejected(mutation):
     make, space, shape, mutate = _IN_MUTATIONS[mutation]
     seq = make()
     v = _in_verdict(seq, space, shape)
-    assert not check_certificate(seq, _with_data(v, mutate(v.cert.data)), 3, PREC)
+    assert not check_certificate(seq, _with_data(v, mutate(v.cert.fields[0])), 3, PREC)
 
 
 @pytest.mark.parametrize("name", list(_TAIL_MOVES))
@@ -552,7 +531,7 @@ def test_raised_in_certificate_tails_still_check(name):
     seq = make()
     v = _in_verdict(seq, space, shape)
     for delta in (BUMP, STEP, F(1)):
-        assert check_certificate(seq, _with_data(v, move(v.cert.data, delta)), 3, PREC)
+        assert check_certificate(seq, _with_data(v, move(v.cert.fields[0], delta)), 3, PREC)
 
 
 def test_an_lp_schedule_reads_no_term(monkeypatch):
@@ -565,21 +544,21 @@ def test_an_lp_schedule_reads_no_term(monkeypatch):
     g = gap_cap_lp(F(0), F(1))
     for seq in (g, combine([(F(1, 2), F(1, 3))], [g]), spread(g, Arith(1, 3))):
         v = _in_verdict(seq, cap_lp(1), "lp-schedule")
-        assert len(v.cert.data[1]) == 8 and v.cert.data[0] == seq.threshold
+        assert len(v.cert.fields[0][1]) == 8 and v.cert.fields[0][0] == seq.threshold
     assert reads == []
 
 
 def test_larger_vanishing_schedule_epsilon_rejected():
     seq = prop28()
     v = _in_verdict(seq, C0, "vanishing-schedule")
-    for row in (0, len(v.cert.data) - 1):
+    for row in (0, len(v.cert.fields[0]) - 1):
         assert not check_certificate(seq, _bump_row(v, row, 0), 3, PREC)
 
 
 def test_shortened_vanishing_schedule_rejected():
     seq = prop28()
     v = classify(seq, C0, BUDGET, PREC)
-    assert not check_certificate(seq, _with_data(v, v.cert.data[:3]), 3, PREC)
+    assert not check_certificate(seq, _with_data(v, v.cert.fields[0][:3]), 3, PREC)
 
 
 def test_raised_poly_schedule_bound_rejected():
@@ -587,13 +566,13 @@ def test_raised_poly_schedule_bound_rejected():
     # nonzero bound at the first cutoff; later rows search past index 20
     seq = FiniteRational({20: F(1, 128)})
     v = _in_verdict(seq, AINF, "poly-schedule")
-    assert v.cert.data[0][2:] == (16, F(1, 128)) and v.cert.data[1][2] == 32
+    assert v.cert.fields[0][0][2:] == (16, F(1, 128)) and v.cert.fields[0][1][2] == 32
     for row in (0, 1):
-        k, eps, N, bound = v.cert.data[row]
+        k, eps, N, bound = v.cert.fields[0][row]
         # raised up to the target eps, a bound still holds; past it, or
         # under the oracle's, not
         for forged, holds in ((eps, True), (eps + BUMP, False), (bound - STEP, False)):
-            data = _replace_row(v.cert.data, row, (k, eps, N, forged))
+            data = _replace_row(v.cert.fields[0], row, (k, eps, N, forged))
             assert check_certificate(seq, _with_data(v, data), 3, PREC) == holds, (row, forged)
 
 
@@ -602,7 +581,7 @@ def test_lp_tail_at_another_cutoff_rejected():
     # row; the tail past a later cutoff leaves the head out and is rejected
     seq = prop28()
     v = _in_verdict(seq, lp(1), "lp-tail")
-    p, tail = v.cert.data
+    p, tail = v.cert.fields[0]
     for N in (2, 16):
         later = seq.tail_majorant(N, p, PREC)
         assert later < tail
@@ -612,7 +591,7 @@ def test_lp_tail_at_another_cutoff_rejected():
 def test_lp_schedule_rows_on_different_cutoffs_rejected():
     seq = gap_lp_cap(F(1))
     v = _in_verdict(seq, cap_lp(1), "lp-schedule")
-    t, rows = v.cert.data
+    t, rows = v.cert.fields[0]
     p_n, tail = rows[-1]
     later = seq.tail_majorant(0, p_n, PREC)
     assert later < tail
@@ -622,10 +601,10 @@ def test_lp_schedule_rows_on_different_cutoffs_rejected():
 
 def test_shape_of_another_space_rejected():
     seq = zero()
-    assert not check_certificate(seq, CertifiedIn(InCert(lp(1), "total", (), PREC)), 3, PREC)
+    assert not check_certificate(seq, CertifiedIn(Certificate(lp(1), "total", ((), PREC))), 3, PREC)
     cn0_cert = classify(seq, CN0, BUDGET, PREC).cert
     lp_cert = classify(seq, lp(1), BUDGET, PREC).cert
-    forged = InCert(lp(1), cn0_cert.shape, lp_cert.data, PREC)
+    forged = Certificate(lp(1), cn0_cert.shape, lp_cert.fields)
     assert not check_certificate(seq, CertifiedIn(forged), 3, PREC)
 
 
@@ -642,9 +621,9 @@ def test_non_integer_recorded_cutoff_rejected(cutoff):
     # only the searched c0 and ainf rows record a cutoff
     seq = prop28()
     v = _in_verdict(seq, C0, "vanishing-schedule")
-    eps, K, bound = v.cert.data[0]
+    eps, K, bound = v.cert.fields[0][0]
     assert K == cutoff
-    data = _replace_row(v.cert.data, 0, (eps, cutoff, bound))
+    data = _replace_row(v.cert.fields[0], 0, (eps, cutoff, bound))
     assert not check_certificate(seq, _with_data(v, data), 3, PREC)
 
 
@@ -663,17 +642,16 @@ def test_block_constant_divergence_is_tight(space):
     # value once; a comparator constant just above the real mass must fail
     seq = spread(gap_cap_c0(F(2)), DyadicRow(3))
     v = classify(seq, space, BUDGET, PREC)
-    shape = v.cert.shape
-    assert isinstance(shape, DivergentPartialSums) and shape.blocks.comparator == "constant"
-    js = shape.checked_blocks
-    mass = min(_block_mass_lower(seq, shape.blocks, j, PREC) for j in js)
-    assert _verify_blocks(seq, replace(shape.blocks, c=mass), js, PREC)
-    assert not _verify_blocks(seq, replace(shape.blocks, c=mass + BUMP), js, PREC)
+    q, blocks, js = v.cert.fields
+    assert v.cert.shape == "divergent-partial-sums" and blocks.comparator == "constant"
+    mass = min(_block_mass_lower(seq, blocks, j, PREC) for j in js)
+    assert _verify_blocks(seq, replace(blocks, c=mass), js, PREC)
+    assert not _verify_blocks(seq, replace(blocks, c=mass + BUMP), js, PREC)
     # the check also ties the blocks to the sequence's own: any other
     # constant is rejected before a block is summed
-    forged = replace(shape, blocks=replace(shape.blocks, c=mass + BUMP))
+    forged = replace(v.cert, fields=(q, replace(blocks, c=mass + BUMP), js))
     assert check_certificate(seq, v, 3, PREC)
-    assert not check_certificate(seq, CertifiedOut(OutCert(space, forged)), 3, PREC)
+    assert not check_certificate(seq, CertifiedOut(forged), 3, PREC)
 
 
 def test_gap_cap_c0_past_block_search_cap_is_undecided():
@@ -873,7 +851,7 @@ def test_sparse_hint_divergences_certify_on_spreads():
                 seq = spread(base, _SPREAD_SUPPORTS[support])
                 v = classify(seq, space, BUDGET, PREC)
                 assert isinstance(v, CertifiedOut), (name, str(space), support)
-                assert isinstance(v.cert.shape, DivergentPartialSums)
+                assert v.cert.shape == "divergent-partial-sums"
                 assert all(check_certificate(seq, v, k, PREC) for k in range(1, 9))
                 cases += 1
     assert cases >= 8
@@ -1124,15 +1102,15 @@ def test_disc_schedule_rows_equal_fraction_sums(name):
     # the whole disc sum, as the Fraction formula of the tails gives it
     seq = _DISC_NODES[name]
     ref = [(F(k, k + 1), _ref_disc_tail(seq, -1, F(k, k + 1), PREC)) for k in range(1, 9)]
-    cert = try_in_certificate(seq, HD, BUDGET, PREC)
+    cert = try_in_certificate(seq, HD, PREC)
     if cert is None:
         assert ref[0][1] is None, name
         return
-    assert cert.data == tuple(ref), name
+    assert cert.fields == (tuple(ref), PREC), name
 
 
 def test_disc_schedule_rows_are_built_for_most_nodes():
-    built = [name for name, seq in _DISC_NODES.items() if try_in_certificate(seq, HD, BUDGET, PREC)]
+    built = [name for name, seq in _DISC_NODES.items() if try_in_certificate(seq, HD, PREC)]
     assert len(built) == 49 and "nat-nat" in built
 
 
@@ -1197,15 +1175,15 @@ def test_a_threshold_just_above_a_is_not_certified_into_cap_lp(name):
     seq = _near_gap_inputs()[name]
     assert seq.threshold == F(41, 40)
     assert not isinstance(classify(seq, cap_lp(1), 64, PREC), CertifiedIn)
-    assert try_in_certificate(seq, cap_lp(1), 64, PREC) is None
+    assert try_in_certificate(seq, cap_lp(1), PREC) is None
 
 
 def test_a_schedule_built_past_the_threshold_fails_its_check():
-    assert try_in_certificate(_NEAR_GAP, cap_lp(1), 64, PREC) is None
+    assert try_in_certificate(_NEAR_GAP, cap_lp(1), PREC) is None
     # the same rows, built from a copy that claims threshold 1
     posing = gap_cap_lp(F(1), F(21, 20))
     posing.threshold = F(1)
-    forged = try_in_certificate(posing, cap_lp(1), 64, PREC)
+    forged = try_in_certificate(posing, cap_lp(1), PREC)
     assert forged is not None and forged.shape == "lp-schedule"
     assert check_certificate(posing, CertifiedIn(forged), 8, PREC)
     assert not check_certificate(_NEAR_GAP, CertifiedIn(forged), 8, PREC)
@@ -1228,8 +1206,8 @@ def test_no_sequence_is_certified_both_in_and_out_of_a_cap_lp_space():
     conflicts, ins, outs = [], 0, 0
     for name, seq in _consistency_inputs():
         for space in (cap_lp(0), cap_lp(1), cap_lp(2)):
-            inc = try_in_certificate(seq, space, BUDGET, PREC) is not None
-            out = try_out_certificate(seq, space, BUDGET, PREC) is not None
+            inc = try_in_certificate(seq, space, PREC) is not None
+            out = try_out_certificate(seq, space, PREC) is not None
             ins, outs = ins + inc, outs + out
             if inc and out:
                 conflicts.append((name, str(space)))

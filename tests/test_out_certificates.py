@@ -1,4 +1,4 @@
-"""Out-certificates built and checked by one ``holds`` predicate per shape,
+"""Out-certificates built and checked by one check per shape,
 the one threshold scan behind the pointwise closed families, and the one
 refinement of |a_n| against a bound, against reference copies of the
 per-space build, check, scan and refinement code they replaced; and the
@@ -7,6 +7,7 @@ reads that node's own tags and blocks."""
 
 import hashlib
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,17 +17,13 @@ from conftest import BUDGET, PREC, catalog
 from seqchain import families
 from seqchain.diagnose import (
     FM,
+    Certificate,
     CertifiedIn,
     CertifiedOut,
     ConsistentUpTo,
-    DivergentPartialSums,
     FMk,
     Fkj,
     Fnk,
-    NotVanishing,
-    OutCert,
-    RootLimsupExceeds,
-    Unbounded,
     ViolatedAt,
     _abs_at_least,
     _abs_sq_lower,
@@ -104,8 +101,14 @@ def _ref_threshold_table(tag, weight_k):
     return tuple(rows)
 
 
-def _ref_check_table(seq, tag, rows, prec):
-    return all(_ref_abs_at_least(seq, tag.s(m), g, prec) for _, m, g in rows)
+def _ref_rows(tag, weight_k):
+    """The reference table with each row's m rendered as its index s(m)."""
+    rows = _ref_threshold_table(tag, weight_k)
+    return rows and tuple((t, tag.s(m), g) for t, m, g in rows)
+
+
+def _ref_check_table(seq, rows, prec):
+    return all(_ref_abs_at_least(seq, n, g, prec) for _, n, g in rows)
 
 
 # -- reference: the per-space build and check the holds predicates replaced -------
@@ -116,32 +119,33 @@ def _ref_subseq_tags(seq):
 
 
 def _ref_verify_root_cert(seq, cert, samples, prec):
-    if cert.rho <= 1:
+    rho, m_start, tag = cert.fields
+    if rho <= 1:
         return False
-    tag = cert.tag
     prev_s = -1
-    for m in range(cert.m_start, cert.m_start + max(1, samples)):
+    for m in range(m_start, m_start + max(1, samples)):
         s = tag.s(m)
         if s <= prev_s or s < 1:
             return False
         prev_s = s
-        if tag.rho(m) < cert.rho:
+        if tag.rho(m) < rho:
             return False
-        if not _ref_abs_at_least(seq, s, cert.rho ** s, prec):
+        if not _ref_abs_at_least(seq, s, rho ** s, prec):
             return False
     return True
 
 
 def _ref_verify_not_vanishing(seq, cert, samples, prec):
-    if cert.delta <= 0 or cert.tag.g_inf is None or cert.tag.g_inf < cert.delta:
+    delta, tag = cert.fields
+    if delta <= 0 or tag.g_inf is None or tag.g_inf < delta:
         return False
     prev_s = -1
     for m in range(1, max(1, samples) + 1):
-        s = cert.tag.s(m)
+        s = tag.s(m)
         if s <= prev_s:
             return False
         prev_s = s
-        if not _ref_abs_at_least(seq, s, cert.delta, prec):
+        if not _ref_abs_at_least(seq, s, delta, prec):
             return False
     return True
 
@@ -165,22 +169,22 @@ def _ref_try_out_certificate(seq, space, budget, prec):
                     break
             if m_start is None:
                 continue
-            cert = RootLimsupExceeds(rho=rho, m_start=m_start, tag=tag)
+            cert = Certificate(space, "root-limsup-exceeds", (rho, m_start, tag))
             if _ref_verify_root_cert(seq, cert, samples=3, prec=prec):
-                return OutCert(space, cert)
+                return cert
         return None
     if space.tag == "linf":
         for tag in _ref_subseq_tags(seq):
-            rows = _ref_threshold_table(tag, weight_k=0)
-            if rows and _ref_check_table(seq, tag, rows, prec):
-                return OutCert(space, Unbounded(tag=tag, table=rows))
+            rows = _ref_rows(tag, weight_k=0)
+            if rows and _ref_check_table(seq, rows, prec):
+                return Certificate(space, "unbounded", (tag, rows))
         return None
     if space.tag == "c0":
         for tag in _ref_subseq_tags(seq):
             if tag.g_inf is not None and tag.g_inf > 0:
-                cert = NotVanishing(delta=tag.g_inf, tag=tag)
+                cert = Certificate(space, "not-vanishing", (tag.g_inf, tag))
                 if _ref_verify_not_vanishing(seq, cert, samples=5, prec=prec):
-                    return OutCert(space, cert)
+                    return cert
         return None
     if space.tag == "lp":
         bd = seq.lp_divergence(space.param)
@@ -188,9 +192,7 @@ def _ref_try_out_certificate(seq, space, budget, prec):
             return None
         js = _ref_blocks_to_check(bd)
         if _verify_blocks(seq, bd, js, prec):
-            return OutCert(
-                space, DivergentPartialSums(exponent=bd.p, blocks=bd, checked_blocks=js)
-            )
+            return Certificate(space, "divergent-partial-sums", (bd.p, bd, js))
         return None
     if space.tag == "cap-lp":
         t, a = seq.threshold, space.param
@@ -205,16 +207,14 @@ def _ref_try_out_certificate(seq, space, budget, prec):
             return None
         js = _ref_blocks_to_check(bd)
         if _verify_blocks(seq, bd, js, prec):
-            return OutCert(
-                space, DivergentPartialSums(exponent=q, blocks=bd, checked_blocks=js)
-            )
+            return Certificate(space, "divergent-partial-sums", (q, bd, js))
         return None
     if space.tag == "ainf":
         for k in range(1, 5):
             for tag in _ref_subseq_tags(seq):
-                rows = _ref_threshold_table(tag, weight_k=k)
-                if rows and _ref_check_table(seq, tag, rows, prec):
-                    return OutCert(space, Unbounded(tag=tag, table=rows, k=k))
+                rows = _ref_rows(tag, weight_k=k)
+                if rows and _ref_check_table(seq, rows, prec):
+                    return Certificate(space, "unbounded-weighted", (k, tag, rows))
         return None
     raise UnsupportedSpace(space.tag)
 
@@ -222,35 +222,38 @@ def _ref_try_out_certificate(seq, space, budget, prec):
 def _ref_check_out(seq, cert, samples, prec):
     shape = cert.shape
     space = cert.space
-    if isinstance(shape, DivergentPartialSums):
-        if space.tag == "lp" and shape.exponent != space.param:
+    if shape == "divergent-partial-sums":
+        exponent, blocks, checked_blocks = cert.fields
+        if space.tag == "lp" and exponent != space.param:
             return False
-        if space.tag == "cap-lp" and shape.exponent <= space.param:
+        if space.tag == "cap-lp" and exponent <= space.param:
             return False
         if space.tag not in ("lp", "cap-lp"):
             return False
-        if shape.blocks.p != shape.exponent:
+        if blocks.p != exponent:
             return False
-        js = shape.checked_blocks[: max(1, samples)]
-        return _verify_blocks(seq, shape.blocks, js, prec)
-    if isinstance(shape, Unbounded) and shape.k >= 1:
+        js = checked_blocks[: max(1, samples)]
+        return _verify_blocks(seq, blocks, js, prec)
+    if shape == "unbounded-weighted" and cert.fields[0] >= 1:
+        k, _, table = cert.fields
         if space != AINF:
             return False
-        for threshold, m, g in shape.table:
-            if Fraction(shape.tag.s(m)) ** shape.k * g < threshold:
+        for threshold, n, g in table:
+            if Fraction(n) ** k * g < threshold:
                 return False
-        return _ref_check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
-    if isinstance(shape, Unbounded) and shape.k == 0:
+        return _ref_check_table(seq, table[: max(1, samples)], prec)
+    if shape == "unbounded":
+        _, table = cert.fields
         if space != LINF:
             return False
-        for threshold, m, g in shape.table:
+        for threshold, n, g in table:
             if g < threshold:
                 return False
-        return _ref_check_table(seq, shape.tag, shape.table[: max(1, samples)], prec)
-    if isinstance(shape, NotVanishing):
-        return space == C0 and _ref_verify_not_vanishing(seq, shape, samples, prec)
-    if isinstance(shape, RootLimsupExceeds):
-        return space == HD and _ref_verify_root_cert(seq, shape, samples, prec)
+        return _ref_check_table(seq, table[: max(1, samples)], prec)
+    if shape == "not-vanishing":
+        return space == C0 and _ref_verify_not_vanishing(seq, cert, samples, prec)
+    if shape == "root-limsup-exceeds":
+        return space == HD and _ref_verify_root_cert(seq, cert, samples, prec)
     return False
 
 
@@ -324,16 +327,16 @@ def _variants():
 
 
 def _shape_name(cert):
-    return cert.shape.describe()["shape"]
+    return cert.describe()["shape"]
 
 
 @pytest.fixture(scope="module")
 def built():
-    """(name, seq, space, new OutCert or None, reference OutCert or None)."""
+    """(name, seq, space, new out-certificate or None, reference or None)."""
     rows = []
     for name, seq in _variants():
         for space in CHAIN:
-            new = try_out_certificate(seq, space, BUDGET, PREC)
+            new = try_out_certificate(seq, space, PREC)
             ref = _ref_try_out_certificate(seq, space, BUDGET, PREC)
             rows.append((name, seq, space, new, ref))
     return rows
@@ -381,17 +384,17 @@ def test_shapes_moved_to_other_spaces(built):
         for other in CHAIN:
             if other == space:
                 continue
-            moved = OutCert(other, new.shape)
+            moved = replace(new, space=other)
             got = check_certificate(seq, CertifiedOut(moved), 3, PREC)
             assert got == _ref_check_out(seq, moved, 3, PREC), (name, str(space), str(other))
             if other.tag not in _SHAPE_TAGS[_shape_name(new)]:
                 assert not got, (name, str(space), str(other))
             elif got:
-                assert try_in_certificate(seq, other, BUDGET, PREC) is None, (name, str(other))
+                assert try_in_certificate(seq, other, PREC) is None, (name, str(other))
 
 
 def _built_shape(seq, space, shape_name):
-    cert = try_out_certificate(seq, space, BUDGET, PREC)
+    cert = try_out_certificate(seq, space, PREC)
     assert _shape_name(cert) == shape_name
     return cert
 
@@ -401,48 +404,51 @@ def test_weighted_row_below_its_threshold_rejected():
     # check passes) but claims a threshold above s(m)**k * g
     seq = families.nat()
     cert = _built_shape(seq, AINF, "unbounded-weighted")
-    shape = cert.shape
-    _, m, g = shape.table[-1]
-    weighted = Fraction(shape.tag.s(m)) ** shape.k * g
-    forged = replace(shape, table=shape.table[:-1] + ((int(weighted) + 1, m, g),))
-    assert _ref_check_table(seq, shape.tag, forged.table, PREC)
+    k, tag, table = cert.fields
+    _, n, g = table[-1]
+    weighted = Fraction(n) ** k * g
+    forged = replace(cert, fields=(k, tag, table[:-1] + ((int(weighted) + 1, n, g),)))
+    assert _ref_check_table(seq, forged.fields[2], PREC)
     for samples in (1, 8):
         assert check_certificate(seq, CertifiedOut(cert), samples, PREC)
-        assert not check_certificate(seq, CertifiedOut(OutCert(AINF, forged)), samples, PREC)
+        assert not check_certificate(seq, CertifiedOut(forged), samples, PREC)
 
 
 def test_unbounded_row_below_its_threshold_rejected():
     seq = families.nat()
     cert = _built_shape(seq, LINF, "unbounded")
-    shape = cert.shape
-    _, m, g = shape.table[-1]
-    forged = replace(shape, table=shape.table[:-1] + ((int(g) + 1, m, g),))
-    assert _ref_check_table(seq, shape.tag, forged.table, PREC)
+    tag, table = cert.fields
+    _, n, g = table[-1]
+    forged = replace(cert, fields=(tag, table[:-1] + ((int(g) + 1, n, g),)))
+    assert _ref_check_table(seq, forged.fields[1], PREC)
     for samples in (1, 8):
         assert check_certificate(seq, CertifiedOut(cert), samples, PREC)
-        assert not check_certificate(seq, CertifiedOut(OutCert(LINF, forged)), samples, PREC)
+        assert not check_certificate(seq, CertifiedOut(forged), samples, PREC)
 
 
 def test_unbounded_rejects_a_weight_exponent_that_does_not_fit_its_space():
     # nat's tables pass their term checks; only k and the space are forged
     seq = families.nat()
-    linf = _built_shape(seq, LINF, "unbounded").shape
-    ainf = _built_shape(seq, AINF, "unbounded-weighted").shape
+    linf = _built_shape(seq, LINF, "unbounded").fields
+    _, *ainf = _built_shape(seq, AINF, "unbounded-weighted").fields
+    weighted, plain = "unbounded-weighted", "unbounded"
     forged = [
-        (LINF, replace(linf, k=-1)),
-        (AINF, replace(linf, k=-1)),
-        (AINF, replace(ainf, k=-1)),
-        (AINF, linf),  # a k = 0 table in ainf
-        (LINF, ainf),  # a k >= 1 table in linf
-        (LINF, replace(ainf, k=0)),  # nat's ainf table relabelled k = 0
-        (AINF, replace(ainf, k=0)),
+        (LINF, weighted, (-1, *linf)),
+        (AINF, weighted, (-1, *linf)),
+        (AINF, weighted, (-1, *ainf)),
+        (AINF, plain, linf),  # a k = 0 table in ainf
+        (LINF, weighted, (1, *ainf)),  # a k >= 1 table in linf
+        (LINF, plain, tuple(ainf)),  # nat's ainf table relabelled k = 0
+        (AINF, plain, tuple(ainf)),
+        (LINF, weighted, (0, *ainf)),
+        (AINF, weighted, (0, *ainf)),
     ]
-    for space, shape in forged:
-        assert _ref_check_table(seq, shape.tag, shape.table, PREC)
+    for space, shape, fields in forged:
+        assert _ref_check_table(seq, fields[-1], PREC)
         for samples in (1, 8):
-            cert = OutCert(space, shape)
-            assert not check_certificate(seq, CertifiedOut(cert), samples, PREC), (str(space), shape.k)
-            assert not _ref_check_out(seq, cert, samples, PREC), (str(space), shape.k)
+            cert = Certificate(space, shape, fields)
+            assert not check_certificate(seq, CertifiedOut(cert), samples, PREC), (str(space), fields)
+            assert not _ref_check_out(seq, cert, samples, PREC), (str(space), fields)
 
 
 # one sequence and space per shape, each certified outside
@@ -479,9 +485,9 @@ def test_a_tag_of_the_wrong_class_is_false_not_an_error():
     nat_power, nat = families.nat_power(), families.nat()
     root, subseq = _tag_of(nat_power, RootLowerBound), _tag_of(nat, SubseqLowerBound)
     forged = [
-        (nat_power, OutCert(C0, NotVanishing(delta=F(1), tag=root))),
-        (nat_power, OutCert(LINF, Unbounded(tag=root, table=((1, 1, F(1)),)))),
-        (nat, OutCert(HD, RootLimsupExceeds(rho=F(2), m_start=1, tag=subseq))),
+        (nat_power, Certificate(C0, "not-vanishing", (F(1), root))),
+        (nat_power, Certificate(LINF, "unbounded", (root, ((1, 1, F(1)),)))),
+        (nat, Certificate(HD, "root-limsup-exceeds", (F(2), 1, subseq))),
     ]
     for seq, cert in forged:
         for samples in range(1, 9):
@@ -497,13 +503,96 @@ def test_out_certificates_with_short_evidence_are_false():
     tag = _tag_of(one, SubseqLowerBound)
     gap, q = families.gap_cap_lp(F(1), F(2)), F(3, 2)
     forged = [
-        (one, OutCert(LINF, Unbounded(tag=tag, table=((1, 1, F(1)),)))),
-        (one, OutCert(LINF, Unbounded(tag=tag, table=()))),
-        (gap, OutCert(lp(q), DivergentPartialSums(exponent=q, blocks=gap.lp_divergence(q), checked_blocks=()))),
+        (one, Certificate(LINF, "unbounded", (tag, ((1, 1, F(1)),)))),
+        (one, Certificate(LINF, "unbounded", (tag, ()))),
+        (gap, Certificate(lp(q), "divergent-partial-sums", (q, gap.lp_divergence(q), ()))),
     ]
     for seq, cert in forged:
         for samples in (1, 3, 8):
             assert not check_certificate(seq, CertifiedOut(cert), samples, PREC), cert.shape
+
+
+def _with_last_row(cert, row):
+    *head, table = cert.fields
+    return CertifiedOut(replace(cert, fields=(*head, table[:-1] + (row,))))
+
+
+def test_every_table_row_is_tied_to_the_tag():
+    # nat's linf table ends at (128, s(128) = 128, g(128) = 128); a row past
+    # the spot-checked ones must still be the tag's own (n, g) at some m
+    seq = families.nat()
+    cert = _built_shape(seq, LINF, "unbounded")
+    assert cert.fields[1][-1] == (128, 128, F(128))
+    for row in ((128, 128, F(129)), (128, 133, F(128)), (128, 127, F(128))):
+        for samples in (1, 3, 8):
+            assert not check_certificate(seq, _with_last_row(cert, row), samples, PREC), row
+    # a later m with its own n and g still bounds the threshold from below
+    assert check_certificate(seq, _with_last_row(cert, (128, 133, F(133))), 3, PREC)
+    # on the powers of two, s(127) < n < s(128) is off the support, where
+    # the term is 0, yet the walk stops at m = 128, whose g the row keeps
+    seq = spread(families.nat(), PowersOfTwo())
+    cert = _built_shape(seq, LINF, "unbounded")
+    _, n, g = cert.fields[1][-1]
+    assert not check_certificate(seq, _with_last_row(cert, (128, n - 1, g)), 3, PREC)
+
+
+def test_a_weight_exponent_the_build_never_tries_is_false_at_once():
+    # every row of nat's k = 1 table also holds at a larger k, but k = 10**7
+    # made each row's n**k a number of tens of millions of bits
+    seq = families.nat()
+    cert = _built_shape(seq, AINF, "unbounded-weighted")
+    _, tag, table = cert.fields
+    for k in (5, 10 ** 7):
+        start = time.process_time()
+        assert not check_certificate(seq, CertifiedOut(replace(cert, fields=(k, tag, table))), 3, PREC)
+        assert time.process_time() - start < 0.01, k
+
+
+def test_a_full_table_of_forged_bounds_on_a_bounded_sequence_is_false():
+    # const-one is in linf; g = threshold at m = 1..8 would pass the first
+    # row's spot check, but its tag gives g(m) = 1 at every m
+    one = families.const_one()
+    assert isinstance(classify(one, LINF, BUDGET, PREC), CertifiedIn)
+    tag = _tag_of(one, SubseqLowerBound)
+    table = tuple((1 << (m - 1), tag.s(m), F(1 << (m - 1))) for m in range(1, 9))
+    forged = CertifiedOut(Certificate(LINF, "unbounded", (tag, table)))
+    for samples in (1, 3, 8):
+        assert not check_certificate(one, forged, samples, PREC)
+
+
+def test_checked_blocks_run_on_from_the_first_block():
+    # a later block alone is rejected before a block is summed: block 16 of
+    # gap-cap-lp(1, 2) holds 2**16 positions
+    seq = families.gap_cap_lp(F(1), F(2))
+    cert = _built_shape(seq, lp(1), "divergent-partial-sums")
+    q, blocks, js = cert.fields
+    assert js == (blocks.j_start, blocks.j_start + 1, blocks.j_start + 2)
+    for forged_js in ((12,), (16,), (2, 3, 4), (1, 3), (1, 2, 2), [1, 2, 3]):
+        forged = CertifiedOut(replace(cert, fields=(q, blocks, forged_js)))
+        start = time.process_time()
+        assert not check_certificate(seq, forged, 3, PREC), forged_js
+        assert time.process_time() - start < 0.01, forged_js
+    assert check_certificate(seq, CertifiedOut(replace(cert, fields=(q, blocks, js[:1]))), 3, PREC)
+
+
+def test_a_shape_backs_only_its_own_verdict_and_field_count():
+    # an in-shape inside CertifiedOut, an out-shape inside CertifiedIn, an
+    # unknown shape, or a field too many or too few is False, never an error
+    seq = families.nat()
+    in_cert = classify(seq, HD, BUDGET, PREC).cert
+    out_cert = classify(seq, LINF, BUDGET, PREC).cert
+    assert check_certificate(seq, CertifiedIn(in_cert), 3, PREC)
+    assert check_certificate(seq, CertifiedOut(out_cert), 3, PREC)
+    forged = [
+        CertifiedOut(in_cert),
+        CertifiedIn(out_cert),
+        CertifiedOut(replace(out_cert, shape="unbounded-table")),
+        CertifiedOut(replace(out_cert, fields=out_cert.fields + (0,))),
+        CertifiedOut(replace(out_cert, fields=out_cert.fields[:1])),
+        CertifiedIn(replace(in_cert, fields=in_cert.fields[:1])),
+    ]
+    for verdict in forged:
+        assert check_certificate(seq, verdict, 3, PREC) is False, verdict.cert.shape
 
 
 def test_a_block_certificate_on_finite_data_is_false_not_an_error():
@@ -721,9 +810,9 @@ def test_bounded_tagged_members_scan_no_linf_table():
     for seq in [families.nat()] + [spread(families.nat(), sup) for _, sup in sorted(_SUPPORTS.items())]:
         assert seq.sup_tail(-1, PREC) is None
         verdict = classify(seq, LINF, BUDGET, PREC)
-        shape = verdict.cert.shape
-        assert isinstance(shape, Unbounded) and shape.k == 0, seq.spec()
-        assert shape.table == _ref_threshold_table(shape.tag, weight_k=0)
+        assert verdict.cert.shape == "unbounded", seq.spec()
+        tag, table = verdict.cert.fields
+        assert table == _ref_rows(tag, weight_k=0)
         assert verdict.cert == _ref_try_out_certificate(seq, LINF, BUDGET, PREC)
         assert check_certificate(seq, verdict, samples=3, prec=PREC)
 
@@ -782,13 +871,16 @@ def _raises(*args):
     ids=["nat-linf", "nat-power-hd", "nn-spread-lp1"],
 )
 def test_a_check_reads_the_nodes_own_tag_or_blocks(seq, space):
-    shape = classify(seq, space, BUDGET, PREC).cert.shape
-    if isinstance(shape, DivergentPartialSums):
-        forged = replace(shape, blocks=replace(shape.blocks, block=_raises))
-    elif isinstance(shape, RootLimsupExceeds):
-        forged = replace(shape, tag=replace(shape.tag, s=_raises, rho=_raises))
+    cert = classify(seq, space, BUDGET, PREC).cert
+    if cert.shape == "divergent-partial-sums":
+        q, blocks, js = cert.fields
+        fields = (q, replace(blocks, block=_raises), js)
+    elif cert.shape == "root-limsup-exceeds":
+        rho, m_start, tag = cert.fields
+        fields = (rho, m_start, replace(tag, s=_raises, rho=_raises))
     else:
-        assert isinstance(shape, Unbounded)
-        forged = replace(shape, tag=replace(shape.tag, s=_raises, g=_raises))
+        assert cert.shape == "unbounded"
+        tag, table = cert.fields
+        fields = (replace(tag, s=_raises, g=_raises), table)
     for samples in (1, 3):
-        assert check_certificate(seq, CertifiedOut(OutCert(space, forged)), samples, PREC)
+        assert check_certificate(seq, CertifiedOut(replace(cert, fields=fields)), samples, PREC)

@@ -524,7 +524,7 @@ def test_many_spread_parts_on_one_row_keep_the_pairs_small():
     assert time.process_time() - start < 1
     assert isinstance(verdict, CertifiedIn) and verdict.cert.shape == "disc-schedule"
     ref = tuple((F(k, k + 1), _ref_disc_tail(f, -1, F(k, k + 1), PREC)) for k in range(1, 9))
-    assert verdict.cert.data == ref
+    assert verdict.cert.fields == (ref, PREC)
 
 
 # -- combine ---------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_witness_ainf_on_powers_of_two_is_prop28_pointwise():
     reference = prop28()
     for n in range(0, 130):
         assert w.seq.term(n, 40) == reference.term(n, 40)
-    assert w.out_cert.shape.k == 1
+    assert w.out_cert.shape == "unbounded-weighted" and w.out_cert.fields[0] == 1
 
 
 def test_witness_hd_on_evens_uses_nn_values():
@@ -87,17 +87,19 @@ def test_witness_hd_on_evens_uses_nn_values():
     for n in (2, 4, 6):
         assert w.seq.term(n, 20).re_lo == F(n) ** n
     assert w.seq.term(3, 20).is_exact_zero
-    shape = w.out_cert.shape
+    assert w.out_cert.shape == "root-limsup-exceeds"
+    _, _, tag = w.out_cert.fields
     # root lower bounds equal the support points themselves
-    assert [shape.tag.rho(m) for m in (1, 2, 3)] == [shape.tag.s(m) for m in (1, 2, 3)]
+    assert [tag.rho(m) for m in (1, 2, 3)] == [tag.s(m) for m in (1, 2, 3)]
 
 
 def test_witness_lp1_c0_divergence_certificate():
     w = make_witness(lp(1), C0, AllNaturals(), BUDGET, PREC)
     assert w.seq.kind == "spread"
-    out = w.out_cert.shape
-    assert out.exponent == 1
-    assert out.blocks.comparator == "harmonic"
+    assert w.out_cert.shape == "divergent-partial-sums"
+    exponent, blocks, _ = w.out_cert.fields
+    assert exponent == 1
+    assert blocks.comparator == "harmonic"
     assert verify_witness(w, BUDGET, 3, PREC)
 
 
