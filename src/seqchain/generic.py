@@ -33,14 +33,7 @@ from .errors import (
     UnsupportedOuter,
 )
 from .intervals import ComplexInterval, Q0, Q1, format_rational
-from .sequences import (
-    Combine,
-    FiniteRational,
-    Sequence,
-    _as_pair,
-    combine,
-    zero,
-)
+from .sequences import FiniteRational, Sequence, _as_pair, combine, normal_form, zero
 from .spaces import SpaceId, ball_scale, distance_below, metric_bounds, strictly_included
 from .spaces import _budget_ladder
 from .supports import DyadicRow, SupportSet
@@ -197,38 +190,11 @@ class OutsideXCertificate:
 
 
 def row_parts(f: Sequence, row: SupportSet, cutoff: int) -> dict[str, tuple[Fraction, Fraction]]:
-    """The parts of f that may meet row from the cutoff on, by spec key,
-    with their summed coefficients.
-
-    Nested combinations are flattened, their coefficients multiplied (by a
-    unit coefficient, the parts keep their own, unmultiplied).  A
-    part is dropped when its coefficient is zero or its support hint, a
-    superset of its support, misses row from the cutoff on
-    (``SupportSet.misses``).  Parts with one spec key have equal terms, so
-    their coefficients add, and a key whose sum is zero goes too.  On row
-    from the cutoff on, f is then sum c_k * part_k at every index."""
-    flat = [(Q1, Q0, f)]
-    parts: dict[str, tuple[Fraction, Fraction]] = {}
-    while flat:
-        re, im, part = flat.pop()
-        if re == 0 and im == 0:
-            continue
-        if isinstance(part, Combine):
-            pairs = zip(part.coeffs, part.bases)
-            if re == 1 and im == 0:
-                flat.extend((c_re, c_im, base) for (c_re, c_im), base in pairs)
-            else:
-                flat.extend(
-                    (re * c_re - im * c_im, re * c_im + im * c_re, base)
-                    for (c_re, c_im), base in pairs
-                )
-            continue
-        if part.support_hint.misses(row, cutoff):
-            continue
-        key = part.spec_key()
-        s = parts.get(key)
-        parts[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
-    return {key: c for key, c in parts.items() if c != (Q0, Q0)}
+    """f's ``normal_form`` coefficients by spec key, without the parts whose
+    support hint, a superset of their support, misses row from the cutoff
+    on (``SupportSet.misses``): there, f is sum c_k * part_k at every index."""
+    parts = normal_form([(Q1, Q0, f)], lambda part: not part.support_hint.misses(row, cutoff))
+    return {key: c for key, (c, _) in parts.items()}
 
 
 def _row_identity_unproved(f: Sequence, cert: OutsideXCertificate):

@@ -495,7 +495,7 @@ class Combine(Sequence):
         """sum |c_i|**p * tail(base_i) for p <= 1, (sum |c_i| * tail(base_i)**(1/p))**p
         for p > 1, or None at the first base whose tail oracle gives None.
         Exact-zero tails add nothing and a weight of 1 multiplies nothing:
-        every metric's difference a - b has two."""
+        a metric's normal form a - b mostly has unit weights."""
         total = None
         for w, base in zip(self._weights(prec, min(p, Q1)), self.bases):
             t = tail(base)
@@ -589,6 +589,26 @@ def combine(coeffs, seqs) -> Sequence:
                 acc[n] = (ore + cre * re - cim * im, oim + cre * im + cim * re)
         return FiniteRational(acc)
     return Combine(coeffs, seqs)
+
+
+def normal_form(terms, keep=None) -> dict[str, tuple[tuple[Fraction, Fraction], Sequence]]:
+    """sum c * seq over terms (re, im, seq) as {key: (c_k, part_k)} by spec key:
+    nested combinations flattened, coefficients multiplied, and those of one
+    key (equal terms) summed.  Zero coefficients and sums are dropped, and the
+    parts ``keep`` rejects: by default empty finite ones."""
+    keep = keep or (lambda part: not isinstance(part, FiniteRational) or part.entries)
+    flat, parts = list(terms), {}
+    while flat:
+        re, im, part = flat.pop()
+        if isinstance(part, Combine):  # a unit coefficient leaves the parts' own
+            unit = re == 1 and not im
+            flat.extend((c_re, c_im, base) if unit else
+                        (re * c_re - im * c_im, re * c_im + im * c_re, base)
+                        for (c_re, c_im), base in zip(part.coeffs, part.bases))
+        elif (re or im) and keep(part):
+            s = parts.get(key := part.spec_key())
+            parts[key] = (re, im, part) if s is None else (s[0] + re, s[1] + im, part)
+    return {key: ((re, im), part) for key, (re, im, part) in parts.items() if re or im}
 
 
 def zero() -> FiniteRational:

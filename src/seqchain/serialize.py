@@ -54,10 +54,16 @@ def _sequence_at_depth(spec, depth: int) -> Sequence:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError(f"sequence spec must be an object with a kind: {spec!r}")
     kind = spec["kind"]
+    fields = {"finite": "entries", "family": "name params", "spread": "base support",
+              "restrict": "base support", "combine": "terms"}.get(str(kind))
+    if fields is None:
+        raise ParseError(f"unknown sequence kind {kind!r}")
+    for key in sorted(set(spec) - {"kind", *fields.split()}, key=str):
+        raise ParseError(f"sequence spec ({kind}) has no key {key!r}")
     try:
         if kind == "finite":
             entries = {}
-            for row in spec.get("entries", []):
+            for row in spec["entries"]:
                 n, re, im = row
                 if not isinstance(n, int) or isinstance(n, bool):
                     raise ParseError(f"bad finite entry index {n!r}: expected an integer")
@@ -77,16 +83,17 @@ def _sequence_at_depth(spec, depth: int) -> Sequence:
             )
         if kind == "combine":
             coeffs, bases = [], []
-            for row in spec.get("terms", []):
+            for row in spec["terms"]:
                 c_re, c_im, sub = row
                 coeffs.append((parse_rational(c_re), parse_rational(c_im)))
                 bases.append(_sequence_at_depth(sub, depth + 1))
             return combine(coeffs, bases)
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"sequence spec ({kind}) is missing the key {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad sequence spec ({kind}): {exc}") from None
-    raise ParseError(f"unknown sequence kind {kind!r}")
 
 
 def canonical_json(obj) -> str:

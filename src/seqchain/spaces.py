@@ -7,37 +7,36 @@ The ten-member chain (for parameters 0 < a < b) is
 ordered by strict inclusion.  Every member above ``ainf`` (the bottom,
 never an outer space, with no metric) carries a translation-invariant
 metric computable from coefficient data with certified tails, all but
-cn0's read from the member's seminorm rows (``seminorm_rows``):
+cn0's read from the member's seminorm rows (``seminorm_rows``).  Each row
+kind is homogeneous, of the degree in brackets: row(c d) = |c|**deg row(d).
 
-* ``lp:p``: one ``lp`` row, sum |d_n|**p, rooted to the p-norm for p >= 1
-  (both complete metrics on the space).
-* ``cap-lp:a``: ``lp`` rows q_k at p_k = a + 1/k in the Frechet sum
+* ``lp:p``: one ``lp`` row [p], sum |d_n|**p, rooted to the p-norm for
+  p >= 1 (both complete metrics on the space).
+* ``cap-lp:a``: ``lp`` rows q_k [p_k] at p_k = a + 1/k in the Frechet sum
   sum_k 2**-k q_k/(1+q_k).
-* ``c0``/``linf``: one ``sup`` row, the sup metric.
-* ``hd``: ``disc`` rows M_k = sum_n |d_n| r_k**n, r_k = k/(k+1), in
+* ``c0``/``linf``: one ``sup`` row [1], the sup metric.
+* ``hd``: ``disc`` rows M_k [1] = sum_n |d_n| r_k**n, r_k = k/(k+1), in
   sum_k 2**-k min(1, M_k).  M_k majorises the sup of the difference on the
   disc of radius r_k, so this metric dominates the compact-convergence
   metric; density statements made for it are the stronger ones.
 * ``cn0``: sum_n 2**-n |d_n|/(1+|d_n|) (pointwise convergence).
 
-``metric_bound`` returns certified two-sided bounds.  Upper bounds are
-minimised over a power-of-two ladder of effective budgets, which keeps
-them monotone in the budget despite interval rounding in the heads.  Each
-row kind names its tail oracle in one place, ``row_tail``: the metrics
-join it to a head sum (``_metric_row``), and the in-certificates
-(``diagnose``) read it at N = -1 alone, where it bounds the whole row.
-Every head sum is read from one ``_Head``: one list of the nonzero terms'
-``modulus_bounds``, bounds on |a_n| taken from it by the one rule
-``intervals.abs_end``, and sums that extend over a ``bisect`` slice per
-rung, radius or exponent instead of summing again from zero.  The ``hd``
-disc sums (``intervals.DiscSum``) and the disc tails stay unreduced
-integer pairs that the nested sum floors onto its grid, so no summand
-pays for a gcd.
+``metric_bound`` returns certified two-sided bounds, minimised over a
+power-of-two ladder of budgets (monotone in the budget despite rounding);
+``metric_bounds`` yields the bound after each rung, and ``distance_below``
+stops at the first rung that settles it.  Each row kind names its tail
+oracle in ``row_tail``: the metrics join it to a head sum (``_metric_row``),
+and the in-certificates (``diagnose``) read it at N = -1 alone.
 
-``metric_bounds`` walks the same ladder and yields the bound after each
-rung.  A caller that asks only whether the distance is below r
-(``distance_below``) stops at the first rung that settles it; the last
-rungs cost the most.
+A walk reads the normal form of a - b (``sequences.normal_form``): an empty
+one is distance 0, one part c*s is read from s's own head with each row
+scaled outward by |c|**deg (cn0 scales each |a_n|), and more parts from
+their combination's head, c = 1.  ``ball_scale`` bounds every 2**-m from
+one head so; the bound falls with m, so m gallops and then bisects.  Every
+head sum is read from one ``_Head``: one list of the nonzero terms'
+``modulus_bounds``, bounds on |a_n| by ``intervals.abs_end``, and sums
+extended over a ``bisect`` slice per rung, radius or exponent; ``hd`` disc
+sums and tails stay unreduced integer pairs, floored onto the grid.
 """
 
 from __future__ import annotations
@@ -49,9 +48,9 @@ from fractions import Fraction
 from functools import reduce
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace, UnsupportedSpace
-from .intervals import Q0, DiscSum, PowSum, abs_ends, pow_bounds
+from .intervals import Q0, Q1, DiscSum, PowSum, _neg_log2_upper, abs_ends, pow_bounds
 from .intervals import format_rational, parse_rational
-from .sequences import Sequence, combine, zero
+from .sequences import Sequence, combine, normal_form
 
 _PARAM_TAGS = {"lp", "cap-lp"}
 _PLAIN_TAGS = {"ainf", "c0", "linf", "hd", "cn0"}
@@ -171,18 +170,14 @@ def _ceil_grid(x: Fraction, bits: int) -> Fraction:
 
 
 def _budget_ladder(budget: int) -> list[int]:
-    top = max(_MIN_BUDGET, budget)
-    rungs = []
-    n = _MIN_BUDGET
-    while n <= top:
-        rungs.append(n)
-        n *= 2
-    return rungs
+    """16, 32, 64, ... up to max(16, budget)."""
+    return [_MIN_BUDGET << i for i in range((max(budget, _MIN_BUDGET) // _MIN_BUDGET).bit_length())]
 
 
 class _Head:
-    """The head of one sequence at precision hp, for one ``metric_bound`` call
-    (of a difference).
+    """The head of one sequence at precision hp, for one ``metric_bounds`` or
+    ``ball_scale`` call: of the normal form's one part, or of the combination
+    of its parts.
 
     It keeps one list, increasing in n, of the nonzero terms' exact
     ``modulus_bounds`` ends, extended as the cutoff grows.  A sum reads the
@@ -197,7 +192,8 @@ class _Head:
 
     def __init__(self, seq: Sequence, hp: int):
         self.seq, self.hp = seq, hp
-        self.parts: dict = {}
+        # parts: c -> that scalar's nested summands; rows: each row's unscaled bounds
+        self.parts, self.rows, self._powers = {}, {}, {}
         self._cut, self._indices = -1, []
         self._views: dict = {None: []}  # view -> [(n, view(ends, hp))]; None: the ends
         self._sums: dict = {}
@@ -218,6 +214,16 @@ class _Head:
         if len(made) < j:  # never for the ends, their own view
             made.extend([(n, view(e, self.hp)) for n, e in ends[len(made):j]])
         return made[bisect_right(self._indices, lo):j]
+
+    def power(self, c, e: Fraction):
+        """Outward bounds on |c|**e, c = (re, im), made once: (1, 1) for |c| = 1, else
+        hp bits below the value's leading bit, so the upper end falls as |c| halves."""
+        key = c, e.numerator, e.denominator
+        if key not in self._powers:
+            q, e = (c[0] * c[0] + c[1] * c[1], e / 2) if c[1] else (abs(c[0]), e)
+            bits = self.hp + _neg_log2_upper(q, e.numerator, e.denominator)
+            self._powers[key] = (Q1, Q1) if q == 1 else pow_bounds(q, e, bits)
+        return self._powers[key]
 
     def _entry(self, key, N: int, start):
         """[last cutoff, *sums] under ``key``, the sums made by ``start()``
@@ -254,20 +260,20 @@ class _Head:
         """Bounds on max_{n<=N} |a_n| (zero for an empty head)."""
         return self._extend("sup", N, abs_ends, join=max)
 
-    def ratio_sum(self, N: int):
-        """Bounds on sum_{n<=N} 2**-n |a_n|/(1+|a_n|), each summand rounded
+    def ratio_sum(self, N: int, c=(Q1, Q0)):
+        """Bounds on sum_{n<=N} 2**-n |c a_n|/(1+|c a_n|), each summand rounded
         outward onto the 2**-hp grid so the rationals cannot balloon: for
-        |a_n| = p/q it is p/((q+p) 2**n), floored and ceiled as integers."""
-        grid = self.hp
+        |c a_n| = p/q it is p/((q+p) 2**n), floored and ceiled as integers."""
+        grid, (w_lo, w_hi) = self.hp, self.power(c, Q1)
 
         def part(n, a):
-            lo, hi = a
+            lo, hi = a if w_lo is Q1 else (a[0] * w_lo, a[1] * w_hi)
             return (
                 _floor_num(lo.numerator, (lo.denominator + lo.numerator) << n, grid),
                 _ceil_num(hi.numerator, (hi.denominator + hi.numerator) << n, grid),
             )
 
-        lo, hi = self._extend("cn0", N, abs_ends, part, start=lambda: (0, 0))
+        lo, hi = self._extend(("cn0", c), N, abs_ends, part, start=lambda: (0, 0))
         return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid)
 
     def disc_sum(self, r: Fraction, N: int):
@@ -291,7 +297,8 @@ class _Head:
 def seminorm_rows(y: SpaceId):
     """y's seminorm rows: (row kind, k -> the parameter of row k >= 1,
     whether the metric is a Frechet sum over rows k = 1, 2, ...); the
-    module docstring lists them.  ``cn0`` has its own metric, ``ainf`` none."""
+    module docstring lists them and their degrees.  ``cn0`` has its own
+    metric, ``ainf`` none."""
     if y.tag == "lp":
         return "lp", lambda k: y.param, False
     if y.tag == "cap-lp":
@@ -312,43 +319,55 @@ def row_tail(seq: Sequence, kind: str, param, N: int, prec: int):
     return (seq.tail_majorant if kind == "lp" else seq.disc_tail)(N, param, prec)
 
 
-def _metric_row(head: _Head, kind: str, param, N: int, prec: int):
-    """Bounds on one row's seminorm: the head's up to N, and ``row_tail``
-    past N added to the upper (as unreduced integer pairs for ``disc``, a
-    max for ``sup``), with no head summed when it has no answer; an ``lp``
-    row's power sum is rooted to its 1/p-th power for p >= 1."""
-    tail = row_tail(head.seq, kind, param, N, prec)
-    if tail is None:
-        raise MissingTailOracle(f"no {f'l^{param}' if kind == 'lp' else kind} tail bound available")
-    if kind == "sup":
-        lo, hi = head.max_abs(N)
-        return lo, max(hi, tail)
-    if kind == "disc":
-        lo, (num, den) = head.disc_sum(param, N)
-        return lo, (num * tail[1] + tail[0] * den, den * tail[1])
-    lo, hi = head.power_sum(param, N)
-    if param >= 1:
-        return pow_bounds(lo, 1 / param, prec)[0], pow_bounds(hi + tail, 1 / param, prec)[1]
-    return lo, hi + tail
+def _metric_row(head: _Head, kind: str, param, N: int, prec: int, c=(Q1, Q0)):
+    """Bounds on one row's seminorm of c * head.seq: the head's up to N, and
+    ``row_tail`` past N added to the upper (as unreduced integer pairs for
+    ``disc``, a max for ``sup``), with no head summed when it has no answer,
+    kept in ``head.rows``; times |c| to the row's degree, rooted for p >= 1."""
+    key = (kind, N) if param is None else (kind, N, param.numerator, param.denominator)
+    if key not in head.rows:
+        tail = row_tail(head.seq, kind, param, N, prec)
+        if tail is None:
+            what = f"l^{param}" if kind == "lp" else kind
+            raise MissingTailOracle(f"no {what} tail bound available")
+        if kind == "disc":
+            lo, (num, den) = head.disc_sum(param, N)
+            head.rows[key] = lo, (num * tail[1] + tail[0] * den, den * tail[1])
+        else:
+            lo, hi = head.max_abs(N) if kind == "sup" else head.power_sum(param, N)
+            head.rows[key] = lo, max(hi, tail) if kind == "sup" else hi + tail
+    (lo, hi), (w_lo, w_hi) = head.rows[key], head.power(c, param if kind == "lp" else Q1)
+    if w_lo is not Q1:
+        lo, hi = ((x[0] * w.numerator, x[1] * w.denominator) if kind == "disc" else x * w
+                  for x, w in ((lo, w_lo), (hi, w_hi)))
+    if kind == "lp" and param >= 1:
+        return pow_bounds(lo, 1 / param, prec)[0], pow_bounds(hi, 1 / param, prec)[1]
+    return lo, hi
 
 
-def _nested_sum(head: _Head, N: int, prec: int, summand):
+def _remainder_bits(y: SpaceId | None, N: int, prec: int) -> int:
+    """K: at cutoff N, y's bound adds 2**-K at every scale for cn0's terms, or
+    (y None too) for a Frechet sum's rows, past K."""
+    return min(N, prec + 4) if y and y.tag == "cn0" else min(N, max(_MIN_BUDGET, prec + 8))
+
+
+def _nested_sum(head: _Head, N: int, prec: int, summand, c=(Q1, Q0)):
     """sum_{k<=K} 2**-k * summand(k, inner cutoff), plus 2**-K for the rest.
 
     ``summand`` returns two integer pairs (num, den), den > 0, not reduced,
     with values num/den in [0, 1]; each weighted summand is rounded outward
-    onto the 2**-(prec+guard) grid and kept in ``head.parts`` as a pair of
-    integer numerators over that grid, so a later rung reuses every summand
-    whose inner cutoff has stopped growing."""
-    grid = prec + _HEAD_GUARD
-    K = min(N, max(_MIN_BUDGET, prec + 8))
+    onto the 2**-(prec+guard) grid and kept in ``head.parts`` under its
+    scalar c, as a pair of integer numerators over that grid, so a later
+    rung reuses every summand whose inner cutoff has stopped growing."""
+    grid, parts = prec + _HEAD_GUARD, head.parts.setdefault(c, {})
+    K = _remainder_bits(None, N, prec)
     lo = hi = 0
     for k in range(1, K + 1):
         inner_budget = max(_MIN_BUDGET, min(N, 4096 // k))
-        part = head.parts.get((k, inner_budget))
+        part = parts.get((k, inner_budget))
         if part is None:
             (lo_num, lo_den), (hi_num, hi_den) = summand(k, inner_budget)
-            part = head.parts[k, inner_budget] = (
+            part = parts[k, inner_budget] = (
                 _floor_num(lo_num, lo_den << k, grid),
                 _ceil_num(hi_num, hi_den << k, grid),
             )
@@ -357,24 +376,53 @@ def _nested_sum(head: _Head, N: int, prec: int, summand):
     return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid) + Fraction(1, 1 << K)
 
 
-def _metric_once(y: SpaceId, head: _Head, N: int, prec: int):
-    """Bounds on y's distance at cutoff N: cn0's ratio sum, y's one row, or
-    the nested sum over its rows of t/(1+t) (``lp``) or min(1, t) (``disc``)."""
+def _metric_once(y: SpaceId, head: _Head, N: int, prec: int, c=(Q1, Q0)):
+    """Bounds on y's distance of c * head.seq from 0 at cutoff N: cn0's ratio
+    sum, y's one row, or the nested sum over its rows of t/(1+t) (``lp``)
+    or min(1, t) (``disc``)."""
     if y.tag == "cn0":
-        cut = min(N, prec + 4)
-        lo, hi = head.ratio_sum(cut)
+        cut = _remainder_bits(y, N, prec)
+        lo, hi = head.ratio_sum(cut, c)
         return lo, hi + Fraction(1, 1 << cut)
     kind, param, nested = seminorm_rows(y)
     if not nested:
-        return _metric_row(head, kind, param(1), N, prec)
+        return _metric_row(head, kind, param(1), N, prec, c)
 
     def summand(k, inner_budget):
-        lo, hi = _metric_row(head, kind, param(k), inner_budget, prec)
+        lo, hi = _metric_row(head, kind, param(k), inner_budget, prec, c)
         if kind == "lp":  # t/(1+t) as the pair (num, num + den)
             return tuple((q.numerator, q.numerator + q.denominator) for q in (lo, hi))
         return tuple(m if m[0] < m[1] else (1, 1) for m in (lo, hi))  # min(1, t)
 
-    return _nested_sum(head, N, prec, summand)
+    return _nested_sum(head, N, prec, summand, c)
+
+
+def _normal_head(y: SpaceId, terms, prec: int):
+    """(head, c) of the terms' ``normal_form``: its one part's own head and
+    coefficient, or its parts' combination's and 1; None if it is empty."""
+    if y.tag != "cn0":
+        seminorm_rows(y)  # a space without a metric raises, a zero sum too
+    parts = list(normal_form(terms).values())
+    if not parts:
+        return None
+    c, seq = parts[0] if len(parts) == 1 else ((Q1, Q0), combine(*zip(*parts)))
+    return _Head(seq, prec + _HEAD_GUARD), c
+
+
+def _walk(y: SpaceId, normal, ladder: list[int], prec: int):
+    """(rung, best bounds so far) on y's distance of c * head.seq from 0 after
+    each rung, normal = (head, c); 0 at every rung for normal None."""
+    if normal is None:
+        yield from ((rung, MetricBound(Q0, Q0)) for rung in ladder)
+        return
+    (head, c), best_lo, best_hi = normal, Q0, None
+    for rung in ladder:
+        lo, hi = _metric_once(y, head, rung, prec, c)
+        best_lo = max(best_lo, lo)
+        best_hi = hi if best_hi is None else min(best_hi, hi)
+        lower = _floor_grid(best_lo, prec + 8)
+        # an upper below the lower can only come from independent roundings: widen
+        yield rung, MetricBound(lower, max(lower, _ceil_grid(best_hi, prec + 8)))
 
 
 def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):
@@ -382,24 +430,10 @@ def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):
     by rung: after each rung of the budget ladder, ``(rung, bound)`` with the
     bound ``metric_bound`` returns when the ladder stops at that rung.
 
-    The rungs share one head (``_Head``), so each rung only extends the head
-    sums of the previous one."""
-    ladder = _budget_ladder(budget)
-    if y.tag != "cn0":
-        seminorm_rows(y)  # a space without a metric raises, identical sequences too
-    if a is b or a.spec_key() == b.spec_key():
-        yield from ((rung, MetricBound(Q0, Q0)) for rung in ladder)
-        return
-    head = _Head(combine([1, -1], [a, b]), prec + _HEAD_GUARD)
-    best_lo = Q0
-    best_hi = None
-    for rung in ladder:
-        lo, hi = _metric_once(y, head, rung, prec)
-        best_lo = max(best_lo, lo)
-        best_hi = hi if best_hi is None else min(best_hi, hi)
-        lower = _floor_grid(best_lo, prec + 8)
-        # an upper below the lower can only come from independent roundings: widen
-        yield rung, MetricBound(lower, max(lower, _ceil_grid(best_hi, prec + 8)))
+    The rungs share one head of a - b's normal form (``_normal_head``), each
+    extending the head sums of the last; an empty normal form is 0."""
+    normal = _normal_head(y, [(Q1, Q0, a), (-Q1, Q0, b)], prec)
+    yield from _walk(y, normal, _budget_ladder(budget), prec)
 
 
 def metric_bound(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int) -> MetricBound:
@@ -409,18 +443,16 @@ def metric_bound(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int) -
     return bound
 
 
+def _below(walk, r: Fraction) -> bool:
+    """Whether a walk's last upper is below r, decided at the first rung that
+    settles it: a lower of at least r bounds every later upper from below."""
+    return next((b.upper < r for _, b in walk if b.upper < r or b.lower >= r), False)
+
+
 def distance_below(y: SpaceId, a: Sequence, b: Sequence, r: Fraction, budget: int,
                    prec: int) -> bool:
-    """Whether ``metric_bound(y, a, b, budget, prec).upper < r``, decided at
-    the first rung that settles it.  An upper bound below r says yes; a
-    lower bound of at least r says no, since every later upper bound is at
-    least the distance, hence at least that lower bound."""
-    for _, bound in metric_bounds(y, a, b, budget, prec):
-        if bound.upper < r:
-            return True
-        if bound.lower >= r:
-            return False
-    return False
+    """Whether ``metric_bound(y, a, b, budget, prec).upper < r`` (``_below``)."""
+    return _below(metric_bounds(y, a, b, budget, prec), r)
 
 
 _MAX_HALVINGS = 96  # scales 2**-m tried by ball_scale, m = 0 .. _MAX_HALVINGS
@@ -432,22 +464,36 @@ def _radius_bits(radius: Fraction) -> int:
 
 
 def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: int) -> Fraction:
-    """Largest tried dyadic scalar c = 2**-m with certified d(c*seq, 0) <
-    radius: m runs up from 0, and the first c that certifies is returned.
-
-    Each halving is decided by ``distance_below``, at the first rung of its
-    ladder that settles it.  Pure in its inputs."""
+    """The first c = 2**-m, m <= ``_MAX_HALVINGS``, with certified d(c*seq, 0)
+    < radius, each bound from one head of seq with its rows scaled by c and
+    decided at its first settling rung.  The bound falls with m, so m gallops
+    (0, 1, 2, 4, ...) and bisects back; none is tried if the remainder the
+    bound adds at every scale is at least the radius.  Pure in its inputs."""
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    # candidates are evaluated at a capped internal budget and precision: a
-    # bound certified at the capped budget and precision is still a
-    # certified bound, and the candidate scan stays deterministic
+    # a capped budget and precision still certify, and keep the search deterministic
     eval_budget = min(budget, 128)
     eval_prec = min(prec, max(32, 12 + _radius_bits(radius)))
-    origin = zero()
-    for m in range(_MAX_HALVINGS + 1):
-        c = Fraction(1, 1 << m)
-        if distance_below(y, combine([c], [seq]), origin, radius, eval_budget, eval_prec):
-            return c
-    raise BudgetExceeded(f"no dyadic scale reached radius {radius} in {_MAX_HALVINGS} halvings")
+    ladder, normal = _budget_ladder(eval_budget), _normal_head(y, [(Q1, Q0, seq)], eval_prec)
+    if normal is None:
+        return Q1
+    K = _remainder_bits(y, ladder[-1], eval_prec)
+    if (y.tag == "cn0" or seminorm_rows(y)[2]) and Fraction(1, 1 << K) >= radius:
+        cut = f"--budget {budget}" if K == ladder[-1] else f"--prec {prec}"
+        raise BudgetExceeded(f"no dyadic scale can reach radius {radius} in {y}: its bound adds "
+                             f"2**-{K} at every scale, past the cut {K} that {cut} sets")
+    head, (re, im) = normal
+
+    def certifies(m):
+        return _below(_walk(y, (head, (re / (1 << m), im / (1 << m))), ladder, eval_prec), radius)
+
+    top, fails, m = _MAX_HALVINGS, -1, 0
+    while not certifies(m):
+        if m == top:
+            raise BudgetExceeded(f"no dyadic scale reached radius {radius} in {top} halvings")
+        fails, m = m, min(top, 2 * m or 1)
+    while m - fails > 1:
+        mid = (fails + m) // 2
+        fails, m = (fails, mid) if certifies(mid) else (mid, m)
+    return Fraction(1, 1 << m)

@@ -229,6 +229,43 @@ def test_a_missing_tail_oracle_is_a_one_line_error(capsys, target, outer, messag
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# the bound of hd, cap-lp and cn0 adds 2**-K at every scale past a cut that
+# --budget or --prec sets: when that is already at least the radius, the
+# scale search fails at once and names it, instead of trying 97 halvings
+@pytest.mark.parametrize(
+    "argv, remainder",
+    [
+        (["--budget", "16", "--epsilon", "1/1000000", "approx", "--outer", "hd"], "2**-16"),
+        (["--budget", "16", "--epsilon", "1/1000000", "approx", "--outer", "cap-lp:0"], "2**-16"),
+        (["--prec", "16", "--epsilon", "1/1000000000000", "approx", "--outer", "cn0"], "2**-20"),
+    ],
+    ids=["hd", "cap-lp-0", "cn0"],
+)
+def test_a_remainder_above_the_radius_is_a_one_line_error(capsys, argv, remainder):
+    target = '{"kind":"finite","entries":[[0,"1/3","0/1"]]}'
+    assert main(argv + ["--avoid", "ainf", "--target", target]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no dyadic scale can reach radius") and err.count("\n") == 1
+    flag = "--budget 16" if "--budget" in argv else "--prec 16"
+    assert f"adds {remainder} " in err and f"that {flag} sets" in err
+
+
+# a misspelled or missing key is an error, not the zero sequence
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ('{"kind":"combine","coeffs":["1"],"parts":[{"kind":"family","name":"nat"}]}', "'coeffs'"),
+        ('{"kind":"finite","entires":[[3,"1/1","0/1"]]}', "'entires'"),
+        ('{"kind":"finite"}', "'entries'"),
+        ('{"kind":"combine"}', "'terms'"),
+    ],
+)
+def test_a_spec_key_typo_is_a_one_line_error(capsys, spec, key):
+    assert main(["classify", spec, "linf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -519,7 +556,10 @@ COMPLEX_GAP_LP_CAP = (
 # became integers; the three reports with checkpoints: before distance
 # questions stopped at their first decisive rung); every endpoint must stay
 # the same.  The four classify reports and the basis report were recorded
-# again when in-certificates came to record tail bounds alone.
+# again when in-certificates came to record tail bounds alone, and
+# approx-cap-lp-0 when x + c*w - x came to be read from w's own head with
+# its rows scaled by |c|**p (a distance upper 7 * 2**-72 lower, inside the
+# parent's; ``test_scaled_metrics`` checks both enclosures).
 @pytest.mark.parametrize(
     "name, argv",
     [

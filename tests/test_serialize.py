@@ -85,3 +85,30 @@ def test_canonical_json_is_stable():
     once = canonical_json(payload)
     assert once == canonical_json(json.loads(once))
     assert once.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "finite", "entries": [], "extra": 1}, "(finite) has no key 'extra'"),
+        ({"kind": "family", "name": "nat", "parms": {}}, "(family) has no key 'parms'"),
+        ({"kind": "spread", "base": {"kind": "family", "name": "nat"}}, "(spread) is missing the key 'support'"),
+        ({"kind": "restrict", "support": {"kind": "all"}}, "(restrict) is missing the key 'base'"),
+        ({"kind": "combine", "terms": [["1", "0", {"kind": "finite", "entry": []}]]},
+         "(finite) has no key 'entry'"),
+        ({"kind": "combine", "coeffs": ["1"], "parts": []}, "(combine) has no key 'coeffs'"),
+        ({"kind": "finite"}, "(finite) is missing the key 'entries'"),
+        ({"kind": ["finite"]}, "unknown sequence kind ['finite']"),
+    ],
+)
+def test_unknown_and_missing_spec_keys_are_parse_errors(spec, message):
+    """A spec key the kind does not have, or a missing one, would otherwise
+    turn a typo into another sequence (the zero sequence, for a combine)."""
+    with pytest.raises(ParseError) as err:
+        sequence_from_spec(spec)
+    assert message in str(err.value)
+
+
+def test_every_catalog_spec_still_parses_to_its_own_bytes():
+    for seq in catalog().values():
+        assert canonical_json(sequence_from_spec(seq.spec()).spec()) == canonical_json(seq.spec())
