@@ -431,31 +431,34 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
 # -- registry ----------------------------------------------------------------
 
 
-def _need(params: dict, key: str) -> str:
-    if key not in params:
-        raise ParseError(f"family params missing {key!r}")
-    return params[key]
-
-
+# family id -> (its parameter names, the builder taking their values in that order)
 FAMILY_BUILDERS = {
-    "prop28": lambda params: prop28(),
-    "rem29": lambda params: rem29(support_from_spec(_need(params, "support"))),
-    "nat": lambda params: nat(),
-    "nat-power": lambda params: nat_power(),
-    "nn-on-support": lambda params: nn_on_support(
-        support_from_spec(_need(params, "support"))
-    ),
-    "gap-lp-cap": lambda params: gap_lp_cap(parse_rational(_need(params, "a"))),
-    "gap-cap-lp": lambda params: gap_cap_lp(
-        parse_rational(_need(params, "a")), parse_rational(_need(params, "b"))
-    ),
-    "gap-cap-c0": lambda params: gap_cap_c0(parse_rational(_need(params, "b"))),
-    "const-one": lambda params: const_one(),
+    "prop28": ((), prop28),
+    "rem29": (("support",), lambda support: rem29(support_from_spec(support))),
+    "nat": ((), nat),
+    "nat-power": ((), nat_power),
+    "nn-on-support": (("support",), lambda support: nn_on_support(support_from_spec(support))),
+    "gap-lp-cap": (("a",), lambda a: gap_lp_cap(parse_rational(a))),
+    "gap-cap-lp": (("a", "b"), lambda a, b: gap_cap_lp(parse_rational(a), parse_rational(b))),
+    "gap-cap-c0": (("b",), lambda b: gap_cap_c0(parse_rational(b))),
+    "const-one": ((), const_one),
 }
 
 
 def family_from_spec(name: str, params: dict) -> FamilySeq:
-    builder = FAMILY_BUILDERS.get(name)
-    if builder is None:
+    """The family ``name`` at ``params``, which must name each of its
+    parameters and nothing else."""
+    entry = FAMILY_BUILDERS.get(name)
+    if entry is None:
         raise ParseError(f"unknown family id {name!r}")
-    return builder(params or {})
+    keys, build = entry
+    params = params or {}
+    if not isinstance(params, dict):
+        raise ParseError(f"family {name} params must be an object: {params!r}")
+    unknown = [key for key in params if key not in keys]
+    if unknown:
+        raise ParseError(f"family {name} has no parameter {min(unknown, key=str)!r}")
+    for key in keys:
+        if key not in params:
+            raise ParseError(f"family params missing {key!r}")
+    return build(*[params[key] for key in keys])

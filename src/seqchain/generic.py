@@ -32,8 +32,8 @@ from .errors import (
     SeqchainError,
     UnsupportedOuter,
 )
-from .intervals import ComplexInterval, Q0, Q1, format_rational
-from .sequences import FiniteRational, Sequence, _as_pair, combine, normal_form, zero
+from .intervals import ComplexInterval, Q0, format_rational
+from .sequences import FiniteRational, Sequence, _as_pair, combine, zero
 from .spaces import SpaceId, ball_scale, distance_below, metric_bounds, strictly_included
 from .spaces import _budget_ladder
 from .supports import DyadicRow, SupportSet
@@ -193,8 +193,8 @@ def row_parts(f: Sequence, row: SupportSet, cutoff: int) -> dict[str, tuple[Frac
     """f's ``normal_form`` coefficients by spec key, without the parts whose
     support hint, a superset of their support, misses row from the cutoff
     on (``SupportSet.misses``): there, f is sum c_k * part_k at every index."""
-    parts = normal_form([(Q1, Q0, f)], lambda part: not part.support_hint.misses(row, cutoff))
-    return {key: c for key, (c, _) in parts.items()}
+    return {key: c for key, (c, part) in f.normal_parts.items()
+            if not part.support_hint.misses(row, cutoff)}
 
 
 def _row_identity_unproved(f: Sequence, cert: OutsideXCertificate):

@@ -95,6 +95,8 @@ class Sequence:
     growth_tags: tuple = ()
     support_hint: SupportSet = AllNaturals()
     threshold: Fraction | None = None
+    # ``spaces.metric_bounds``'s rung memo, made on the node's first metric walk
+    metric_rungs: dict | None = None
 
     def __init__(self):
         self._term_cache: dict[int | tuple[int, int], ComplexInterval] = {}
@@ -158,6 +160,12 @@ class Sequence:
         """True only if provably every term off the support is zero: the
         hint lies within it."""
         return self.support_hint.within(support)
+
+    @cached_property
+    def normal_parts(self) -> dict:
+        """``normal_form`` of the node alone, made once: a combination's
+        recovered coefficients and escape-certificate rows all read it."""
+        return normal_form([(Q1, Q0, self)])
 
     # -- serialization ---------------------------------------------------
     def spec(self) -> dict:
@@ -591,12 +599,11 @@ def combine(coeffs, seqs) -> Sequence:
     return Combine(coeffs, seqs)
 
 
-def normal_form(terms, keep=None) -> dict[str, tuple[tuple[Fraction, Fraction], Sequence]]:
+def normal_form(terms) -> dict[str, tuple[tuple[Fraction, Fraction], Sequence]]:
     """sum c * seq over terms (re, im, seq) as {key: (c_k, part_k)} by spec key:
     nested combinations flattened, coefficients multiplied, and those of one
-    key (equal terms) summed.  Zero coefficients and sums are dropped, and the
-    parts ``keep`` rejects: by default empty finite ones."""
-    keep = keep or (lambda part: not isinstance(part, FiniteRational) or part.entries)
+    key (equal terms) summed.  Zero coefficients and sums are dropped, and so
+    are empty finite parts."""
     flat, parts = list(terms), {}
     while flat:
         re, im, part = flat.pop()
@@ -605,7 +612,7 @@ def normal_form(terms, keep=None) -> dict[str, tuple[tuple[Fraction, Fraction], 
             flat.extend((c_re, c_im, base) if unit else
                         (re * c_re - im * c_im, re * c_im + im * c_re, base)
                         for (c_re, c_im), base in zip(part.coeffs, part.bases))
-        elif (re or im) and keep(part):
+        elif (re or im) and (not isinstance(part, FiniteRational) or part.entries):
             s = parts.get(key := part.spec_key())
             parts[key] = (re, im, part) if s is None else (s[0] + re, s[1] + im, part)
     return {key: ((re, im), part) for key, (re, im, part) in parts.items() if re or im}

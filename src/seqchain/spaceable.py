@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint
 from .generic import OutsideXCertificate, disjoint_support, escape_certificate
-from .intervals import ComplexInterval
+from .intervals import Q0, ComplexInterval
 from .sequences import Combine, Sequence
 from .spaces import SpaceId
 from .witness import Witness, make_witness
@@ -76,10 +76,11 @@ def recover_coefficient(
 ) -> ComplexInterval:
     """Interval for the coefficient of basis element j in f.
 
-    When f is a combination whose parts are the basis elements themselves
-    (recognized by spec identity), the cross terms at the evaluation point
-    are exact zeros and the quotient y/y is resolved exactly, so the
-    result is zero-width for exact combinations."""
+    When f is a combination, its ``normal_form`` gives the basis element's
+    coefficient exactly (parts recognized by spec identity, nested
+    combinations flattened); the other parts add their value at the
+    evaluation point over y, an exact zero for the other basis rows, so the
+    result is zero-width for exact combinations over the basis."""
     if j not in basis.elements:
         raise KeyError(f"basis has no element {j}")
     w = basis.elements[j]
@@ -87,21 +88,17 @@ def recover_coefficient(
     y_iv = w.seq.term(i0, prec)
 
     if isinstance(f, Combine):
-        y_key = w.seq.spec_key()
-        exact = residual = None
-        for (re, im), base in zip(f.coeffs, f.bases):
-            if base.spec_key() == y_key:
-                exact = (re, im) if exact is None else (exact[0] + re, exact[1] + im)
+        y_key, exact, residual = w.seq.spec_key(), (Q0, Q0), None
+        for key, ((re, im), part) in f.normal_parts.items():
+            if key == y_key:
+                exact = re, im
                 continue
-            v = base.term(i0, prec)
-            if v.is_exact_zero:
-                continue
-            part = v.scale(re, im)
-            residual = part if residual is None else residual + part
-        out = ComplexInterval.zero() if exact is None else ComplexInterval.exact(*exact)
-        if residual is not None:
-            out = out + residual.div(y_iv)
-        return out
+            v = part.term(i0, prec)
+            if not v.is_exact_zero:
+                v = v.scale(re, im)
+                residual = v if residual is None else residual + v
+        out = ComplexInterval.exact(*exact)
+        return out if residual is None else out + residual.div(y_iv)
     return f.term(i0, prec).div(y_iv)
 
 

@@ -37,6 +37,13 @@ head sum is read from one ``_Head``: one list of the nonzero terms'
 ``modulus_bounds``, bounds on |a_n| by ``intervals.abs_end``, and sums
 extended over a ``bisect`` slice per rung, radius or exponent; ``hd`` disc
 sums and tails stay unreduced integer pairs, floored onto the grid.
+
+A rung's raw bounds are a pure function of (space, node, prec, c, rung), so
+``metric_bounds`` keeps them on the node it reads (``_rung_memo``), as the
+node keeps its terms: a later walk on the same node, such as a dense-family
+element's witness row, reads the rungs it finds and computes the rest on
+its own fresh head.  ``ball_scale`` reads no memo: it shares one head among
+its scales, and ``generic._row_element`` caches its answers per row.
 """
 
 from __future__ import annotations
@@ -279,14 +286,18 @@ class _Head:
     def disc_sum(self, r: Fraction, N: int):
         """Bounds on sum_{n<=N} |a_n| r**n as unreduced integer pairs: one
         ``DiscSum`` of the points' moduli for both ends, one per end of the
-        rest."""
+        rest.  Each sum takes its new terms in one call, and a sum that gets
+        none is not called."""
         cut, points, *wide = entry = self._entry(("hd", r.numerator, r.denominator), N,
                                                  lambda: [DiscSum(r) for _ in range(3)])
-        new = self.nonzero(abs_ends, cut, N)
-        entry[0] = N  # each sum takes the new indices in one call
-        points.extend((n, a[0]) for n, a in new if a[0] is a[1])
-        wide[0].extend((n, a[0]) for n, a in new if a[0] is not a[1])
-        wide[1].extend((n, a[1]) for n, a in new if a[0] is not a[1])
+        entry[0], new_points, new_wide = N, [], []
+        for n, a in self.nonzero(abs_ends, cut, N):
+            (new_points if a[0] is a[1] else new_wide).append((n, a))
+        if new_points:
+            points.extend((n, a[0]) for n, a in new_points)
+        if new_wide:
+            wide[0].extend((n, a[0]) for n, a in new_wide)
+            wide[1].extend((n, a[1]) for n, a in new_wide)
         p_num, p_den = points.pair
         return tuple((p_num * d + w * p_den, p_den * d) for w, d in (total.pair for total in wide))
 
@@ -409,15 +420,30 @@ def _normal_head(y: SpaceId, terms, prec: int):
     return _Head(seq, prec + _HEAD_GUARD), c
 
 
-def _walk(y: SpaceId, normal, ladder: list[int], prec: int):
+def _rung_memo(y: SpaceId, normal, prec: int) -> dict:
+    """rung -> raw ``_metric_once`` bounds of normal = (head, c), kept on
+    head.seq under (y, prec, c) as ``Sequence.term`` keeps terms: a pure
+    function of those keys, so it lives and dies with its node."""
+    head, c = normal
+    if head.seq.metric_rungs is None:
+        head.seq.metric_rungs = {}
+    return head.seq.metric_rungs.setdefault((y, prec, c), {})
+
+
+def _walk(y: SpaceId, normal, ladder: list[int], prec: int, rungs: dict):
     """(rung, best bounds so far) on y's distance of c * head.seq from 0 after
-    each rung, normal = (head, c); 0 at every rung for normal None."""
+    each rung, normal = (head, c); 0 at every rung for normal None.  The raw
+    bounds of a rung found in ``rungs`` are read, the others computed on the
+    head and kept there: a head first asked at rung N only extends its sums,
+    as a sum extended from a cutoff equals one restarted from zero."""
     if normal is None:
         yield from ((rung, MetricBound(Q0, Q0)) for rung in ladder)
         return
     (head, c), best_lo, best_hi = normal, Q0, None
     for rung in ladder:
-        lo, hi = _metric_once(y, head, rung, prec, c)
+        if rung not in rungs:
+            rungs[rung] = _metric_once(y, head, rung, prec, c)
+        lo, hi = rungs[rung]
         best_lo = max(best_lo, lo)
         best_hi = hi if best_hi is None else min(best_hi, hi)
         lower = _floor_grid(best_lo, prec + 8)
@@ -431,9 +457,12 @@ def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):
     bound ``metric_bound`` returns when the ladder stops at that rung.
 
     The rungs share one head of a - b's normal form (``_normal_head``), each
-    extending the head sums of the last; an empty normal form is 0."""
+    extending the head sums of the last, and the head's node keeps each
+    rung's raw bounds (``_rung_memo``) for later walks; an empty normal form
+    is 0."""
     normal = _normal_head(y, [(Q1, Q0, a), (-Q1, Q0, b)], prec)
-    yield from _walk(y, normal, _budget_ladder(budget), prec)
+    rungs = {} if normal is None else _rung_memo(y, normal, prec)
+    yield from _walk(y, normal, _budget_ladder(budget), prec, rungs)
 
 
 def metric_bound(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int) -> MetricBound:
@@ -486,7 +515,8 @@ def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: i
     head, (re, im) = normal
 
     def certifies(m):
-        return _below(_walk(y, (head, (re / (1 << m), im / (1 << m))), ladder, eval_prec), radius)
+        normal = head, (re / (1 << m), im / (1 << m))
+        return _below(_walk(y, normal, ladder, eval_prec, {}), radius)  # no memo: one head, many c
 
     top, fails, m = _MAX_HALVINGS, -1, 0
     while not certifies(m):

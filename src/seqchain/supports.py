@@ -286,11 +286,23 @@ def _integer(value):
     return value
 
 
+# support kind -> its fields besides ``kind``
+_SUPPORT_FIELDS = {"all": (), "powers-of-two": (), "dyadic-row": ("j",),
+                   "arith": ("start", "step"), "explicit-finite": ("elems",)}
+
+
 def support_from_spec(spec: dict) -> SupportSet:
-    """Build a support set from its JSON spec, whose fields are integers."""
+    """Build a support set from its JSON spec, whose fields are integers; a
+    key the kind does not have is an error."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParseError(f"bad support spec: {spec!r}")
     kind = spec["kind"]
+    fields = _SUPPORT_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ParseError(f"unknown support kind {kind!r}")
+    unknown = [key for key in spec if key != "kind" and key not in fields]
+    if unknown:
+        raise ParseError(f"support spec ({kind}) has no key {min(unknown, key=str)!r}")
     try:
         if kind == "all":
             return AllNaturals()
@@ -300,10 +312,9 @@ def support_from_spec(spec: dict) -> SupportSet:
             return DyadicRow(_integer(spec["j"]))
         if kind == "arith":
             return Arith(_integer(spec["start"]), _integer(spec["step"]))
-        if kind == "explicit-finite":
-            if not isinstance(spec["elems"], list):
-                raise TypeError("elems is not a list")
-            return ExplicitFinite(map(_integer, spec["elems"]))
+        # the one kind left: explicit-finite
+        if not isinstance(spec["elems"], list):
+            raise TypeError("elems is not a list")
+        return ExplicitFinite(map(_integer, spec["elems"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad support spec {spec!r}: {exc}") from None
-    raise ParseError(f"unknown support kind {kind!r}")

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import catalog
 from seqchain.errors import ParseError
+from seqchain.families import FAMILY_BUILDERS
 from seqchain.intervals import parse_rational
 from seqchain.sequences import FiniteRational, combine, restrict, spread
 from seqchain.serialize import canonical_json, sequence_from_spec
@@ -99,6 +100,16 @@ def test_canonical_json_is_stable():
         ({"kind": "combine", "coeffs": ["1"], "parts": []}, "(combine) has no key 'coeffs'"),
         ({"kind": "finite"}, "(finite) is missing the key 'entries'"),
         ({"kind": ["finite"]}, "unknown sequence kind ['finite']"),
+        ({"kind": "family", "name": "gap-cap-c0", "params": {"b": "1/1", "bb": "3/1"}},
+         "family gap-cap-c0 has no parameter 'bb'"),
+        ({"kind": "family", "name": "nat", "params": {"a": "1/2"}}, "family nat has no parameter 'a'"),
+        ({"kind": "family", "name": "prop28", "params": "x"}, "family prop28 params must be an object"),
+        ({"kind": "family", "name": "gap-cap-lp", "params": {"a": "1/1"}}, "family params missing 'b'"),
+        ({"kind": "family", "name": "nn-on-support",
+          "params": {"support": {"kind": "arith", "start": 1, "step": 3, "stpe": 3}}},
+         "support spec (arith) has no key 'stpe'"),
+        ({"kind": "spread", "base": {"kind": "family", "name": "nat"},
+          "support": {"kind": "powers-of-two", "j": 2}}, "support spec (powers-of-two) has no key 'j'"),
     ],
 )
 def test_unknown_and_missing_spec_keys_are_parse_errors(spec, message):
@@ -112,3 +123,15 @@ def test_unknown_and_missing_spec_keys_are_parse_errors(spec, message):
 def test_every_catalog_spec_still_parses_to_its_own_bytes():
     for seq in catalog().values():
         assert canonical_json(sequence_from_spec(seq.spec()).spec()) == canonical_json(seq.spec())
+
+
+def test_every_family_rejects_a_parameter_it_does_not_have():
+    # a family that takes no parameter rejects every one
+    families = {seq.name: seq for seq in catalog().values() if seq.kind == "family"}
+    assert set(families) == set(FAMILY_BUILDERS)
+    for name, seq in sorted(families.items()):
+        spec = seq.spec()
+        assert canonical_json(sequence_from_spec(spec).spec()) == canonical_json(spec)
+        spec["params"] = {**spec["params"], "zz": "1/1"}
+        with pytest.raises(ParseError, match=f"family {name} has no parameter 'zz'"):
+            sequence_from_spec(spec)

@@ -105,6 +105,19 @@ def test_recover_sums_the_coefficients_of_a_repeated_element():
     assert recover_coefficient(combine([1, -1], [w1, w1]), basis, 1, PREC).is_exact_zero
 
 
+def test_recover_reads_nested_combinations_through_their_normal_form():
+    # a nested scalar is multiplied through, not read as an inexact quotient,
+    # and a nested w - w cancels to an exact zero
+    basis = build_basis(AINF, cap_lp(0), 1, BUDGET, PREC)
+    w = basis.elements[1].seq
+    two_w = combine([2], [w])
+    iv = recover_coefficient(combine([1], [two_w]), basis, 1, PREC)
+    assert iv == ComplexInterval.exact(2)
+    for f in (combine([1, -1], [two_w, two_w]), combine([1, -2], [two_w, w]),
+              combine([1, 1], [combine([2, -2], [w, w]), combine([3], [zero()])])):
+        assert recover_coefficient(f, basis, 1, PREC) == ComplexInterval.exact(0)
+
+
 def test_recover_adds_a_part_that_is_nonzero_at_the_evaluation_point():
     # row 1 of the (c0, linf) basis starts at 0, where its witness is 1:
     # a part other than the witness adds its value there, divided by 1,

@@ -117,6 +117,22 @@ def test_bad_specs_rejected():
         support_from_spec("all")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "all", "j": 1},
+        {"kind": "powers-of-two", "start": 0},
+        {"kind": "dyadic-row", "j": 4, "k": 1},
+        {"kind": "arith", "start": 3, "step": 5, "stpe": 3},
+        {"kind": "explicit-finite", "elems": [2, 7], "elem": [1]},
+    ],
+)
+def test_a_key_the_support_kind_does_not_have_is_rejected(spec):
+    extra = list(spec)[-1]
+    with pytest.raises(ParseError, match=f"support spec \\({spec['kind']}\\) has no key '{extra}'"):
+        support_from_spec(spec)
+
+
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=60))
 def test_dyadic_row_nth_matches_rank(j, k):
     row = DyadicRow(j)
