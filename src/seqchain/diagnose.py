@@ -368,7 +368,11 @@ def classify(seq: Sequence, space: SpaceId, budget: int, prec: int):
 def check_certificate(seq: Sequence, verdict, samples: int, prec: int) -> bool:
     """Independently re-verify a CertifiedIn/CertifiedOut verdict: its shape
     must back that verdict and carry one value per field name, and then its
-    check is the whole rule, which try_out_certificate calls too."""
+    check is the whole rule, which try_out_certificate calls too.  An
+    in-check reads the node's tail oracles, whose answers the node, or the
+    bases it hands them to, keeps (``Sequence._oracle_memo``): on the node
+    the certificate was built on it reads the build's answers, and on a
+    node parsed afresh from the same spec it evaluates every oracle again."""
     if not isinstance(verdict, (CertifiedIn, CertifiedOut)):
         raise ValueError("only certified verdicts carry certificates")
     cert = verdict.cert

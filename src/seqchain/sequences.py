@@ -21,15 +21,29 @@ arguments return identical intervals, and intervals at finer precision are
 contained in coarser ones.  The cache keeps every term
 except the shared zero box (``ComplexInterval.zero()``): a structural zero
 costs one support test to recompute and is the same object every time.
+
+A node keeps what it computes: its terms, its tail oracles' answers
+(``None`` too, in ``_oracle_memo``, with the data a node derives once per
+precision: finite data's moduli, a combination's coefficient weights) and,
+once measured, its metric rungs (``spaces._rung_memo``).  Finite data and
+families keep their answers; a spread, a restriction or a combination hands
+each question to its bases, which keep the answers, so it keeps none
+itself.  This is sound because a node does not change after construction
+and each of these is a pure function of the node and its arguments; each
+memo lives and dies with its node, so a node parsed afresh evaluates
+everything again.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
+from inspect import signature
 from itertools import groupby
+from operator import itemgetter
 
 from .errors import LengthMismatch
 from .intervals import ComplexInterval, PowSum, Q0, Q1, abs_end, format_rational, pow_bounds
@@ -38,6 +52,36 @@ from .tags import SubseqLowerBound
 
 
 _ZERO = ComplexInterval.zero()
+_MISSING = object()
+
+
+def _memo(oracle):
+    """The tail oracle (N, prec) or (N, x, prec), its answers kept in the node's
+    ``_oracle_memo``, ``None`` answers too, under the oracle's name and its
+    arguments, with x = p, r or k as its exact ratio of integers: an oracle
+    reads x as ``Fraction(x)``, and a key holding the caller's ``Fraction``
+    would keep one more object alive per answer on a long-lived node.  A call
+    by keyword is bound by the oracle's own parameter names.  Each class
+    decorates its own methods, so each stays a name in its class's
+    ``__dict__``."""
+    name, sig = oracle.__name__, signature(oracle)
+    arity = len(sig.parameters) - 1
+
+    @wraps(oracle)
+    def memoized(self, *args, **kwargs):
+        if kwargs or len(args) != arity:
+            args = sig.bind(self, *args, **kwargs).args[1:]
+        if arity == 2:
+            key = (name, *args)
+        else:
+            N, x, prec = args
+            key = (name, N, *x.as_integer_ratio(), prec)
+        hit = self._oracle_memo.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = self._oracle_memo[key] = oracle(self, *args)
+        return hit
+
+    return memoized
 
 
 def _as_rat(x) -> Fraction:
@@ -89,7 +133,13 @@ class Sequence:
     ``Combine`` terms skip the parts whose hint misses n, escape certificates
     drop the parts whose hint misses the witness row, and a witness is zero
     off its support when its hint lies within it, so all three rest on this
-    contract."""
+    contract.
+
+    A node keeps its terms (``term``), its tail oracles' answers
+    (``_oracle_memo``, made with the term cache) and its metric rungs
+    (``metric_rungs``, made on its first metric walk): all three are pure
+    in the node and their arguments, and a node does not change after
+    construction (``spec_key``)."""
 
     kind = "abstract"
     growth_tags: tuple = ()
@@ -100,6 +150,7 @@ class Sequence:
 
     def __init__(self):
         self._term_cache: dict[int | tuple[int, int], ComplexInterval] = {}
+        self._oracle_memo: dict[tuple, object] = {}
         self._spec_key: str | None = None
 
     # -- term oracle ---------------------------------------------------
@@ -212,22 +263,32 @@ class FiniteRational(Sequence):
 
     def _moduli_beyond(self, N, prec=None):
         """(n, upper bound on |a_n|) for every entry past N: the ``modulus_bounds``
-        end of the exact entry, |re| or |a_n|**2, and its ``abs_end`` given prec."""
-        ends = [(n, (re * re + im * im, True) if im else (abs(re), False))
-                for n, (re, im) in self.entries.items() if n > N]
-        return ends if prec is None else [(n, abs_end(end, 1, prec)) for n, end in ends]
+        end of the exact entry, |re| or |a_n|**2, and its ``abs_end`` given prec;
+        made for every entry once per prec and sliced by N."""
+        memo, key = self._oracle_memo, ("moduli", prec)
+        ends = memo.get(key)
+        if ends is None and prec is None:
+            ends = memo[key] = [(n, (re * re + im * im, True) if im else (abs(re), False))
+                                for n, (re, im) in self.entries.items()]
+        elif ends is None:
+            ends = memo[key] = [(n, abs_end(end, 1, prec)) for n, end in self._moduli_beyond(-1)]
+        return ends[bisect_right(ends, N, key=itemgetter(0)):]
 
+    @_memo
     def tail_majorant(self, N, p, prec):
         ends = (end for _, end in self._moduli_beyond(N))
         return PowSum(Fraction(p), prec, upper=True).extend(ends).value
 
+    @_memo
     def sup_tail(self, N, prec):
         return max((m for _, m in self._moduli_beyond(N, prec)), default=Q0)
 
+    @_memo
     def pos_sup_tail(self, K, prec):
         rest = list(self.entries)[max(0, K):]  # from position K on: past the index before it
         return self.sup_tail(rest[0] - 1, prec) if rest else Q0
 
+    @_memo
     def disc_tail(self, N, r, prec):
         if N >= self.max_index:  # past the last entry the tail is zero
             return 0, 1
@@ -235,6 +296,7 @@ class FiniteRational(Sequence):
         t = sum((m * _radius_power_upper(r, n, prec) for n, m in self._moduli_beyond(N, prec)), Q0)
         return t.numerator, t.denominator
 
+    @_memo
     def poly_sup_tail(self, N, k, prec):
         return max((Fraction(n) ** k * m for n, m in self._moduli_beyond(N, prec)), default=Q0)
 
@@ -298,21 +360,25 @@ class FamilySeq(Sequence):
     def position_runs(self, k_lo, k_hi, prec):
         return (self._runs_fn or super().position_runs)(k_lo, k_hi, prec)
 
+    @_memo
     def tail_majorant(self, N, p, prec):
         p, t = Fraction(p), self.threshold
         if self._tail_fn is None or t is None or p <= t:
             return None
         return self._tail_fn(N, p, prec)
 
+    @_memo
     def sup_tail(self, N, prec):
         return self._sup_fn(N, prec) if self._sup_fn else None
 
+    @_memo
     def pos_sup_tail(self, K, prec):
         if self._pos_sup_fn:
             return self._pos_sup_fn(K, prec)
         # support positions past K are the indices past the K-th hint point
         return self.sup_tail(self.support_hint.nth(K) if K > 0 else -1, prec)
 
+    @_memo
     def disc_tail(self, N, r, prec):
         return self._disc_fn(N, r, prec) if self._disc_fn else None
 
@@ -458,7 +524,6 @@ class Combine(Sequence):
         super().__init__()
         self.coeffs = [_as_pair(c) for c in coeffs]
         self.bases = list(bases)
-        self._abs_coeffs: dict[tuple[int, int, int], list[Fraction]] = {}
         self.support_hint = Union(b.support_hint for b in self.bases)
         ts = [b.threshold for b in self.bases]
         self.threshold = None if None in ts else max(ts, default=Q0)
@@ -490,14 +555,14 @@ class Combine(Sequence):
         """Upper bounds on the |c_i|**p, made once per (p, prec): ``Q1`` itself,
         with no root taken, for a coefficient with re**2 + im**2 = 1, |re|
         powered at p for a real one (the ``PowSum`` rule: one real number, one
-        grid floor) and re**2 + im**2 at p/2 otherwise."""
-        key = (p.numerator, p.denominator, prec)
-        if key not in self._abs_coeffs:
-            weights = self._abs_coeffs[key] = []
+        grid floor) and re**2 + im**2 at p/2 otherwise; kept in ``_oracle_memo``."""
+        memo, key = self._oracle_memo, ("weights", p.numerator, p.denominator, prec)
+        if key not in memo:
+            weights = memo[key] = []
             for re, im in self.coeffs:
                 q, e = (re * re + im * im, p / 2) if im else (abs(re), p)
                 weights.append(Q1 if q == 1 else pow_bounds(q, e, prec)[1])
-        return self._abs_coeffs[key]
+        return memo[key]
 
     def _weighted_tail(self, tail, prec, p=Q1):
         """sum |c_i|**p * tail(base_i) for p <= 1, (sum |c_i| * tail(base_i)**(1/p))**p

@@ -224,10 +224,12 @@ class _Head:
 
     def power(self, c, e: Fraction):
         """Outward bounds on |c|**e, c = (re, im), made once: (1, 1) for |c| = 1, else
-        hp bits below the value's leading bit, so the upper end falls as |c| halves."""
-        key = c, e.numerator, e.denominator
+        hp bits below the value's leading bit, so the upper end falls as |c| halves.
+        Kept under integers, as hashing a ``Fraction`` costs a modular inverse."""
+        re, im = c
+        key = re.numerator, re.denominator, im.numerator, im.denominator, e.numerator, e.denominator
         if key not in self._powers:
-            q, e = (c[0] * c[0] + c[1] * c[1], e / 2) if c[1] else (abs(c[0]), e)
+            q, e = (re * re + im * im, e / 2) if im else (abs(re), e)
             bits = self.hp + _neg_log2_upper(q, e.numerator, e.denominator)
             self._powers[key] = (Q1, Q1) if q == 1 else pow_bounds(q, e, bits)
         return self._powers[key]
