@@ -7,7 +7,8 @@ c_j y_j sits within 1/j of x_j in the outer metric.  On one witness
 row, past the joint support of the x parts, a nonzero finite combination
 of the f_j agrees term by term with a scalar multiple of that row's
 witness; the escape certificate records that row identity together with
-the witness, whose out-certificate it carries.
+the witness, whose out-certificate it carries.  ``approximate_with_avoider``
+walks no metric: d(x + c y, t) <= d(x, t) + d(c y, 0) in every outer metric.
 
 Build and check prove the row identity from support hints and spec keys,
 for every point at once (``row_parts``): past the cutoff, the only part of
@@ -34,8 +35,7 @@ from .errors import (
 )
 from .intervals import ComplexInterval, Q0, format_rational
 from .sequences import FiniteRational, Sequence, _as_pair, combine, zero
-from .spaces import SpaceId, ball_scale, distance_below, metric_bounds, strictly_included
-from .spaces import _budget_ladder
+from .spaces import SpaceId, ball_bound, strictly_included, truncation_bound
 from .supports import DyadicRow, SupportSet
 from .witness import Witness, make_witness
 
@@ -131,13 +131,12 @@ _ROW_CACHE_SIZE = 128
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
 def _row_element(
     inner: SpaceId, outer: SpaceId, j: int, radius: Fraction, budget: int, prec: int
-) -> tuple[Witness, Fraction]:
-    """The witness on row j and its dyadic scale c with d_Y(c y, 0) < radius.
-
-    Both are pure in the arguments, so the pair is cached: the package's one
-    module-level cache, bounded by ``_ROW_CACHE_SIZE``."""
+) -> tuple[Witness, Fraction, Fraction]:
+    """The witness y on row j, its dyadic scale c with d_Y(c y, 0) < radius,
+    and the bound that certified c.  All three are pure in the arguments, so
+    cached: the package's one module-level cache, bounded by ``_ROW_CACHE_SIZE``."""
     w = make_witness(inner, outer, disjoint_support(j), budget, prec)
-    return w, ball_scale(outer, w.seq, radius, budget, prec)
+    return (w, *ball_bound(outer, w.seq, radius, budget, prec))
 
 
 def dense_family_element(
@@ -148,7 +147,7 @@ def dense_family_element(
         raise ValueError("element index is 1-based")
     _require_outer(outer)
     x = enumerate_rational_c00(j)
-    w, c = _row_element(inner, outer, j, Fraction(1, j), budget, prec)
+    w, c, _ = _row_element(inner, outer, j, Fraction(1, j), budget, prec)
     f = combine([1, c], [x, w.seq])
     return DenseFamilyElement(j=j, x=x, witness=w, scale=c, f=f)
 
@@ -283,30 +282,39 @@ class ApproxResult:
         }
 
 
-def _round_to_grid(value: Fraction, grid_bits: int) -> Fraction:
-    scale = 1 << grid_bits
-    return Fraction(round(value * scale), scale)
+def _truncation(target: Sequence, outer: SpaceId, head: int, grid_bits: int, prec: int):
+    """x, the target's boxes to head with midpoints rounded half to even onto the grid,
+    and the bound on d(target, x) at e, the largest |re| + |im| to a box's far corner."""
+    entries, e, grid = {}, 0, 1 << grid_bits
+    for n in target.support_hint.elements_upto(head):
+        iv, x_n, e_n = target.term(n, grid_bits + 4), [], 0
+        for lo, hi in ((iv.re_lo, iv.re_hi), (iv.im_lo, iv.im_hi)):  # in exact integers
+            s, t = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+            den, mid = 2 * lo.denominator * hi.denominator, (s + t) * grid
+            x_n.append(Fraction(k := round(Fraction(mid, den)), grid))
+            e_n += -(-16 * ((t - s) * grid + abs(mid - k * den)) // den)  # on 2**-(grid_bits+4)
+        entries[n], e = tuple(x_n), max(e, e_n)
+    e = Fraction(e, 16 * grid)
+    return FiniteRational(entries), truncation_bound(outer, target, e, len(entries), head, prec)
 
 
 def _rational_truncation(
     target: Sequence, outer: SpaceId, half_eps: Fraction, budget: int, prec: int
-) -> FiniteRational:
-    """A Gaussian-rational c00 sequence within half_eps of the target."""
+) -> tuple[FiniteRational, Fraction]:
+    """x in c00 and its bound below half_eps on d(target, x), on the first head whose tail is."""
     if isinstance(target, FiniteRational):
-        return target
+        return target, Q0
     # a repeated cutoff (budget below 1024) would rebuild x and fail again
     for head in dict.fromkeys((64, 256, min(1024, budget), budget)):
-        for grid_bits in (prec, 2 * prec):
-            entries = {}
-            for n in target.support_hint.elements_upto(head):
-                iv = target.term(n, grid_bits + 4)
-                re = _round_to_grid((iv.re_lo + iv.re_hi) / 2, grid_bits)
-                im = _round_to_grid((iv.im_lo + iv.im_hi) / 2, grid_bits)
-                entries[n] = (re, im)
-            x = FiniteRational(entries)
-            if distance_below(outer, target, x, half_eps, budget, prec):
-                return x
-    raise BudgetExceeded("no rational truncation reached the target distance")
+        bound = truncation_bound(outer, target, Q0, 0, head, prec)
+        for grid_bits in (prec, 2 * prec) if bound < half_eps else ():
+            x, bound = _truncation(target, outer, head, grid_bits, prec)
+            if bound < half_eps:
+                return x, bound
+    from decimal import Decimal  # renders any size of bound; needed on this path alone
+    raise BudgetExceeded(f"no rational truncation within {format_rational(half_eps)} in {outer} by "
+                         f"--budget {budget}: the bound at cutoff {head} is "
+                         f"{Decimal(bound.numerator) / bound.denominator:.3g}")
 
 
 def approximate_with_avoider(
@@ -326,16 +334,9 @@ def approximate_with_avoider(
     if not strictly_included(inner, outer):
         raise NotStrictPair(f"{inner} is not strictly below {outer}")
 
-    x = _rational_truncation(target, outer, epsilon / 2, budget, prec)
-    w, c = _row_element(inner, outer, 1, epsilon / 2, budget, prec)
+    x, x_bound = _rational_truncation(target, outer, epsilon / 2, budget, prec)
+    w, c, w_bound = _row_element(inner, outer, 1, epsilon / 2, budget, prec)
 
     f = combine([1, c], [x, w.seq])
     cert = escape_certificate(f, 1, w, ComplexInterval.exact(c), x.max_index + 1)
-
-    # read the distance at the last rungs of the ladders of budgets 64, 256
-    # and budget, all on one walk
-    checkpoints = {_budget_ladder(b)[-1] for b in (min(64, budget), min(256, budget), budget)}
-    for rung, dist in metric_bounds(outer, f, target, budget, prec):
-        if rung in checkpoints and dist.upper < epsilon:
-            return ApproxResult(f=f, certificate=cert, distance_upper=dist.upper)
-    raise BudgetExceeded("certified distance bound did not reach epsilon")
+    return ApproxResult(f=f, certificate=cert, distance_upper=x_bound + w_bound)

@@ -25,8 +25,8 @@ kind is homogeneous, of the degree in brackets: row(c d) = |c|**deg row(d).
 power-of-two ladder of budgets (monotone in the budget despite rounding);
 ``metric_bounds`` yields the bound after each rung, and ``distance_below``
 stops at the first rung that settles it.  Each row kind names its tail
-oracle in ``row_tail``: the metrics join it to a head sum (``_metric_row``),
-and the in-certificates (``diagnose``) read it at N = -1 alone.
+oracle in ``row_tail``: a metric joins it to a head sum (``_metric_row``) or
+a truncation's residue (``_Residue``), an in-certificate reads it at N = -1.
 
 A walk reads the normal form of a - b (``sequences.normal_form``): an empty
 one is distance 0, one part c*s is read from s's own head with each row
@@ -42,7 +42,7 @@ A rung's raw bounds are a pure function of (space, node, prec, c, rung), so
 ``metric_bounds`` keeps them on the node it reads (``_rung_memo``), as the
 node keeps its terms: a later walk on the same node, such as a dense-family
 element's witness row, reads the rungs it finds and computes the rest on
-its own fresh head.  ``ball_scale`` reads no memo: it shares one head among
+its own fresh head.  ``ball_bound`` reads no memo: it shares one head among
 its scales, and ``generic._row_element`` caches its answers per row.
 """
 
@@ -304,6 +304,23 @@ class _Head:
         return tuple((p_num * d + w * p_den, p_den * d) for w, d in (total.pair for total in wide))
 
 
+class _Residue(_Head):
+    """The head of t - x, x within e of t at count points: sums from e, rows cut at N."""
+
+    def power_sum(self, p: Fraction, N: int):
+        return Q0, self.count * self.power((self.e, Q0), p)[1]
+
+    def max_abs(self, N: int):
+        return Q0, self.e
+
+    def ratio_sum(self, N: int, c=(Q1, Q0)):
+        return Q0, 2 * self.e  # sum_n 2**-n e
+
+    def disc_sum(self, r: Fraction, N: int):
+        bound = self.e / (1 - r)  # sum_n e r**n
+        return (0, 1), (bound.numerator, bound.denominator)
+
+
 # -- seminorm rows ------------------------------------------------------------
 
 
@@ -376,7 +393,7 @@ def _nested_sum(head: _Head, N: int, prec: int, summand, c=(Q1, Q0)):
     K = _remainder_bits(None, N, prec)
     lo = hi = 0
     for k in range(1, K + 1):
-        inner_budget = max(_MIN_BUDGET, min(N, 4096 // k))
+        inner_budget = N if isinstance(head, _Residue) else max(_MIN_BUDGET, min(N, 4096 // k))
         part = parts.get((k, inner_budget))
         if part is None:
             (lo_num, lo_den), (hi_num, hi_den) = summand(k, inner_budget)
@@ -420,6 +437,13 @@ def _normal_head(y: SpaceId, terms, prec: int):
         return None
     c, seq = parts[0] if len(parts) == 1 else ((Q1, Q0), combine(*zip(*parts)))
     return _Head(seq, prec + _HEAD_GUARD), c
+
+
+def truncation_bound(y: SpaceId, seq: Sequence, e: Fraction, count: int, N: int, prec: int):
+    """Upper bound on d_y(seq, x), x within e of seq at count points to N, 0 past."""
+    head = _Residue(seq, prec + _HEAD_GUARD)
+    head.e, head.count = e, count
+    return _ceil_grid(_metric_once(y, head, N, prec)[1], prec + 8)
 
 
 def _rung_memo(y: SpaceId, normal, prec: int) -> dict:
@@ -474,16 +498,16 @@ def metric_bound(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int) -
     return bound
 
 
-def _below(walk, r: Fraction) -> bool:
-    """Whether a walk's last upper is below r, decided at the first rung that
-    settles it: a lower of at least r bounds every later upper from below."""
-    return next((b.upper < r for _, b in walk if b.upper < r or b.lower >= r), False)
+def _upper_below(walk, r: Fraction) -> Fraction | None:
+    """The upper below r at the rung that settles a walk's last upper below r, or None."""
+    b = next((b for _, b in walk if b.upper < r or b.lower >= r), None)
+    return b.upper if b is not None and b.upper < r else None
 
 
 def distance_below(y: SpaceId, a: Sequence, b: Sequence, r: Fraction, budget: int,
                    prec: int) -> bool:
-    """Whether ``metric_bound(y, a, b, budget, prec).upper < r`` (``_below``)."""
-    return _below(metric_bounds(y, a, b, budget, prec), r)
+    """Whether ``metric_bound(y, a, b, budget, prec).upper < r`` (``_upper_below``)."""
+    return _upper_below(metric_bounds(y, a, b, budget, prec), r) is not None
 
 
 _MAX_HALVINGS = 96  # scales 2**-m tried by ball_scale, m = 0 .. _MAX_HALVINGS
@@ -495,11 +519,16 @@ def _radius_bits(radius: Fraction) -> int:
 
 
 def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: int) -> Fraction:
+    """The scale that ``ball_bound`` finds."""
+    return ball_bound(y, seq, radius, budget, prec)[0]
+
+
+def ball_bound(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: int) -> tuple:
     """The first c = 2**-m, m <= ``_MAX_HALVINGS``, with certified d(c*seq, 0)
-    < radius, each bound from one head of seq with its rows scaled by c and
-    decided at its first settling rung.  The bound falls with m, so m gallops
-    (0, 1, 2, 4, ...) and bisects back; none is tried if the remainder the
-    bound adds at every scale is at least the radius.  Pure in its inputs."""
+    < radius, and that upper, each from one head of seq with rows scaled by c
+    and decided at its first settling rung.  The bound falls with m, so m
+    gallops (0, 1, 2, 4, ...) and bisects back; none is tried if the remainder
+    it adds at every scale is at least the radius.  Pure in its inputs."""
     radius = Fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -508,7 +537,7 @@ def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: i
     eval_prec = min(prec, max(32, 12 + _radius_bits(radius)))
     ladder, normal = _budget_ladder(eval_budget), _normal_head(y, [(Q1, Q0, seq)], eval_prec)
     if normal is None:
-        return Q1
+        return Q1, Q0
     K = _remainder_bits(y, ladder[-1], eval_prec)
     if (y.tag == "cn0" or seminorm_rows(y)[2]) and Fraction(1, 1 << K) >= radius:
         cut = f"--budget {budget}" if K == ladder[-1] else f"--prec {prec}"
@@ -516,16 +545,16 @@ def ball_scale(y: SpaceId, seq: Sequence, radius: Fraction, budget: int, prec: i
                              f"2**-{K} at every scale, past the cut {K} that {cut} sets")
     head, (re, im) = normal
 
-    def certifies(m):
+    def upper(m):  # no memo: one head, many c
         normal = head, (re / (1 << m), im / (1 << m))
-        return _below(_walk(y, normal, ladder, eval_prec, {}), radius)  # no memo: one head, many c
+        return _upper_below(_walk(y, normal, ladder, eval_prec, {}), radius)
 
     top, fails, m = _MAX_HALVINGS, -1, 0
-    while not certifies(m):
+    while (bound := upper(m)) is None:
         if m == top:
             raise BudgetExceeded(f"no dyadic scale reached radius {radius} in {top} halvings")
         fails, m = m, min(top, 2 * m or 1)
     while m - fails > 1:
         mid = (fails + m) // 2
-        fails, m = (fails, mid) if certifies(mid) else (mid, m)
-    return Fraction(1, 1 << m)
+        fails, m, bound = (mid, m, bound) if (found := upper(mid)) is None else (fails, mid, found)
+    return Fraction(1, 1 << m), bound

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,38 @@ def test_a_remainder_above_the_radius_is_a_one_line_error(capsys, argv, remainde
     assert err.startswith("error: no dyadic scale can reach radius") and err.count("\n") == 1
     flag = "--budget 16" if "--budget" in argv else "--prec 16"
     assert f"adds {remainder} " in err and f"that {flag} sets" in err
+
+
+GAP_CAP_LP_1_2 = '{"kind":"family","name":"gap-cap-lp","params":{"a":"1/1","b":"2/1"}}'
+
+
+# a truncation's distance is read from the tail oracles, so a budget whose
+# every cutoff leaves a bound of at least epsilon/2 fails at once and names
+# the last cutoff and its bound (the first ran 45 s through metric walks)
+@pytest.mark.parametrize(
+    "target, outer, inner, named",
+    [
+        (GAP_CAP_LP_1_2, "lp:2", "lp:1", "1/4 in lp:2/1 by --budget 4096: the bound at cutoff 4096 is 0.433"),
+        (PROP28, "cap-lp:0", "ainf", "1/4 in cap-lp:0/1 by --budget 4096: the bound at cutoff 4096 is 0.307"),
+    ],
+    ids=["gap-cap-lp-lp-2", "prop28-cap-lp-0"],
+)
+def test_a_truncation_out_of_reach_is_a_fast_one_line_error(capsys, target, outer, inner, named):
+    argv = ["--epsilon", "1/2", "approx", "--target", target, "--outer", outer, "--avoid", inner]
+    start = time.process_time()
+    assert main(argv) == 1
+    assert time.process_time() - start < 1
+    assert capsys.readouterr().err == f"error: no rational truncation within {named}\n"
+
+
+def test_prop28_reaches_cap_lp_0_with_a_larger_budget(tmp_path):
+    """prop28 has 12 support points below 4096; at --budget 65536 the tail of
+    every cap-lp:0 row is read past 65536."""
+    argv = ["--budget", "65536", "--epsilon", "1/2", "approx", "--target", PROP28,
+            "--outer", "cap-lp:0", "--avoid", "ainf"]
+    code, raw = run_json(tmp_path, argv)
+    assert code == 0
+    assert Fraction(json.loads(raw)["distance_upper"]) < Fraction(1, 2)
 
 
 # a misspelled or missing key is an error, not the zero sequence
@@ -559,7 +592,12 @@ COMPLEX_GAP_LP_CAP = (
 # again when in-certificates came to record tail bounds alone, and
 # approx-cap-lp-0 when x + c*w - x came to be read from w's own head with
 # its rows scaled by |c|**p (a distance upper 7 * 2**-72 lower, inside the
-# parent's; ``test_scaled_metrics`` checks both enclosures).
+# parent's; ``test_scaled_metrics`` checks both enclosures).  The seven approx
+# reports were recorded again when ``distance_upper`` came to be the
+# truncation's oracle bound plus the bound that certified the scale, with no
+# walk: only that line changed, by a factor of 1.00 to 1.05, and
+# ``test_metric_rungs`` and ``test_truncation_bounds`` hold it against walks
+# at 4 * prec.
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -573,9 +611,9 @@ COMPLEX_GAP_LP_CAP = (
         ("approx-cn0", ["approx", "--target",
                         '{"kind":"finite","entries":[[0,"1/3","-2/7"],[2,"5/2","0"],[9,"0","-1/9"]]}',
                         "--outer", "cn0", "--avoid", "hd", "--epsilon", "1/1024"]),
-        # the final distance check reads one ladder where ladders stopped at
-        # budgets 64, 256 and --budget would stop: the lp:1 run passes only
-        # the last, and at --budget 40 the one checkpoint is rung 32
+        # prop28's l^1 tail bounds at cutoffs 64 and 256 are above epsilon/2,
+        # so x is built on the head to 1024; at --budget 40 and 100 the cn0
+        # scale is certified on ladders that stop at rungs 32 and 64
         ("approx-lp-1-checkpoint-budget", ["approx", "--target", PROP28, "--outer", "lp:1",
                                            "--avoid", "ainf", "--epsilon", "1/4"]),
         ("approx-cn0-budget-40", ["--budget", "40", "approx", "--target", PROP28, "--outer", "cn0",
