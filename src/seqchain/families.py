@@ -447,12 +447,11 @@ FAMILY_BUILDERS = {
 
 def family_from_spec(name: str, params: dict) -> FamilySeq:
     """The family ``name`` at ``params``, which must name each of its
-    parameters and nothing else."""
+    parameters and nothing else; ``params`` is an object."""
     entry = FAMILY_BUILDERS.get(name)
     if entry is None:
         raise ParseError(f"unknown family id {name!r}")
     keys, build = entry
-    params = params or {}
     if not isinstance(params, dict):
         raise ParseError(f"family {name} params must be an object: {params!r}")
     unknown = [key for key in params if key not in keys]

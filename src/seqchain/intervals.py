@@ -68,6 +68,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log2
 
+from .errors import ParseError
+
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 
@@ -77,11 +79,18 @@ def parse_rational(text: str) -> Fraction:
 
     Only strings are accepted: a JSON number where a literal is expected
     is a malformed spec, not a value to coerce.  Exponent notation is
-    refused, since ``Fraction("1e-300000000")`` expands the power exactly."""
-    from .errors import ParseError
-
+    refused, since ``Fraction("1e-300000000")`` expands the power exactly.
+    The canonical literal ``-?digits/digits`` in ASCII, as reports write it,
+    skips ``Fraction``'s regular expression; every other string takes it."""
     if not isinstance(text, str):
         raise ParseError(f"bad rational literal {text!r}: expected a string")
+    num, _, den = text.partition("/")
+    if text.isascii() and den.isdigit() and num.removeprefix("-").isdigit():
+        try:
+            if d := int(den):
+                return Fraction(int(num), d)
+        except ValueError:  # past the int-to-str digit limit: the regular path names it
+            pass
     if "e" in text or "E" in text:
         raise ParseError(f"bad rational literal {text!r}: exponent notation is not accepted")
     try:

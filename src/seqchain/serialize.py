@@ -7,12 +7,23 @@
     {"kind":"combine","terms":[["c_num/c_den","ci_num/ci_den",<spec>],...]}
 
 Support specs are handled by :mod:`seqchain.supports`; family ids by
-:mod:`seqchain.families`.
+:mod:`seqchain.families`.  ``entries`` and ``terms`` are JSON arrays and
+``params`` an object or absent.
+
+Reports are rendered by ``canonical_json``, byte for byte the text of
+``json.dumps(obj, sort_keys=True, indent=2)``.  With ``indent`` set the
+standard library leaves its C encoder for a pure-Python generator chain,
+which cost a sixth of a ``classify`` op; a report holds only exact dicts
+with string keys, lists, tuples, strings, ints, booleans and ``None``, so
+one recursive renderer over that subset, quoting strings with the C
+``encode_basestring_ascii``, writes the same bytes.  Any other value hands
+the whole object to ``json.dumps``, which gives its string or its error.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError
 from .families import family_from_spec
@@ -63,7 +74,7 @@ def _sequence_at_depth(spec, depth: int) -> Sequence:
     try:
         if kind == "finite":
             entries = {}
-            for row in spec["entries"]:
+            for row in _array(spec, "entries"):
                 n, re, im = row
                 if not isinstance(n, int) or isinstance(n, bool):
                     raise ParseError(f"bad finite entry index {n!r}: expected an integer")
@@ -83,7 +94,7 @@ def _sequence_at_depth(spec, depth: int) -> Sequence:
             )
         if kind == "combine":
             coeffs, bases = [], []
-            for row in spec["terms"]:
+            for row in _array(spec, "terms"):
                 c_re, c_im, sub = row
                 coeffs.append((parse_rational(c_re), parse_rational(c_im)))
                 bases.append(_sequence_at_depth(sub, depth + 1))
@@ -96,6 +107,43 @@ def _sequence_at_depth(spec, depth: int) -> Sequence:
         raise ParseError(f"bad sequence spec ({kind}): {exc}") from None
 
 
+def _array(spec: dict, key: str) -> list:
+    value = spec[key]
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"sequence spec ({spec['kind']}) {key} must be an array: {value!r}")
+    return value
+
+
 def canonical_json(obj) -> str:
-    """Deterministic rendering used for all reports."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic rendering used for all reports: the text of
+    ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline."""
+    try:
+        return _render(obj, "\n") + "\n"
+    except (TypeError, ValueError, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _render(obj, newline: str) -> str:
+    """``obj`` at the indent ``newline`` ends in; TypeError outside the subset."""
+    cls = obj.__class__
+    if cls is str:
+        return encode_basestring_ascii(obj)
+    if cls is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if cls is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key in sorted(obj):
+            if key.__class__ is not str:
+                raise TypeError(key)
+            items.append(f"{encode_basestring_ascii(key)}: {_render(obj[key], inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if cls is list or cls is tuple:
+        if not obj:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_render(x, inner) for x in obj])}{newline}]"
+    if obj is None or cls is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    raise TypeError(obj)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+from .intervals import format_rational
+
 
 @dataclass(frozen=True)
 class SubseqLowerBound:
@@ -65,8 +67,6 @@ class BlockDivergence:
         raise ValueError(f"unknown comparator {self.comparator!r}")
 
     def describe(self) -> dict:
-        from .intervals import format_rational
-
         return {
             "exponent": format_rational(self.p),
             "comparator": self.comparator,

@@ -299,6 +299,23 @@ def test_a_spec_key_typo_is_a_one_line_error(capsys, spec, key):
     assert err.startswith("error: ") and err.count("\n") == 1 and key in err
 
 
+# an empty object where an array is due read as an empty array, and an
+# empty array as absent params: each exited 0 as another sequence
+@pytest.mark.parametrize(
+    "spec, named",
+    [
+        ('{"kind":"finite","entries":{}}', "(finite) entries must be an array: {}"),
+        ('{"kind":"combine","terms":{}}', "(combine) terms must be an array: {}"),
+        ('{"kind":"family","name":"nat","params":[]}', "family nat params must be an object: []"),
+    ],
+    ids=["finite-object-entries", "combine-object-terms", "family-array-params"],
+)
+def test_a_mistyped_empty_container_is_a_one_line_error(capsys, spec, named):
+    assert main(["classify", spec, "linf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

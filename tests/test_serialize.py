@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import catalog
 from seqchain.errors import ParseError
@@ -135,3 +138,118 @@ def test_every_family_rejects_a_parameter_it_does_not_have():
         spec["params"] = {**spec["params"], "zz": "1/1"}
         with pytest.raises(ParseError, match=f"family {name} has no parameter 'zz'"):
             sequence_from_spec(spec)
+
+
+# --- report rendering: the bytes of json.dumps(sort_keys=True, indent=2) ---
+
+_TESTS = Path(__file__).resolve().parent
+_REPORT_FILES = sorted(
+    [*(_TESTS / "cli_golden").glob("*.json"), *(_TESTS / "escape_golden").glob("*.json"),
+     _TESTS / "diagnose_golden.json"]
+)
+
+
+def _stdlib(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+class _Dict(dict):
+    pass
+
+
+_STRINGS = st.one_of(
+    st.text(),
+    st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\r é€😀\ud800\udfff\u2028ab')),
+)
+_LEAVES = st.one_of(
+    _STRINGS, st.integers(), st.integers(-(10**80), 10**80), st.booleans(), st.none(),
+    st.floats(),  # outside the renderer's subset: handed to json.dumps
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_STRINGS, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, min_size=1, max_size=3),
+        st.dictionaries(_STRINGS, inner, max_size=3).map(_Dict),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_VALUES)
+@example({"b": [(), {}, []], "a": {"": None, "\ud800": [True, False, -(10**40)]}})
+@example({1: "int key"})
+@example(_Dict(b=1, a=2))
+@example([0.5, {"x": float("nan")}])
+def test_canonical_json_is_the_stdlib_text(obj):
+    assert canonical_json(obj) == _stdlib(obj)
+
+
+def _circular():
+    loop = []
+    loop.append({"a": loop})
+    return loop
+
+
+def _rendered(render, obj):
+    try:
+        return "text", render(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "obj", [object(), {1: "a", "b": 2}, [{"a": {1, 2}}], _circular(), {"n": 10**5000}],
+    ids=["object", "mixed-keys", "nested-set", "circular", "past-the-digit-limit"],
+)
+def test_canonical_json_raises_what_the_stdlib_raises(obj):
+    assert _rendered(canonical_json, obj) == _rendered(_stdlib, obj)
+
+
+@pytest.mark.parametrize("path", _REPORT_FILES, ids=lambda f: str(f.relative_to(_TESTS)))
+def test_recorded_reports_render_to_their_own_bytes(path):
+    raw = path.read_bytes()
+    assert canonical_json(json.loads(raw)).encode() == raw
+
+
+# --- rational literals: the canonical ASCII form skips Fraction's parser ---
+
+
+def _parse_through_fraction(text):
+    """parse_rational without its canonical-literal fast path."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {text!r}: {exc}") from None
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    assert value.__class__ is Fraction
+    return "value", value
+
+
+@given(st.text(st.sampled_from("0123456789-+/_. ３٣"), max_size=12))
+@example("0/0")
+@example("1/00")
+@example("+3/4")
+@example("3_0/4")
+@example(" 3/4")
+@example("-0/7")
+@example("--1/2")
+@example("-12/-3")
+@example("٣/4")
+@example("1/2/3")
+def test_rational_literals_parse_as_through_fraction(text):
+    assert _outcome(parse_rational, text) == _outcome(_parse_through_fraction, text)
+
+
+def test_a_literal_past_the_digit_limit_is_the_same_parse_error():
+    text = "1" * 5000 + "/3"
+    assert _outcome(parse_rational, text) == _outcome(_parse_through_fraction, text)
+    assert _outcome(parse_rational, text)[0] == "error"
