@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ParseError, SeqchainError, UnsupportedSpace
 from .intervals import Q1, PowSum, format_rational
@@ -111,6 +112,15 @@ class Certificate:
     space: SpaceId
     shape: str
     fields: tuple
+
+    # a kept out-check's key hashes its certificate on every check, and
+    # hashing the Fractions each time cost construct about 5 %
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.space, self.shape, self.fields))
 
     def describe(self):
         names = _SHAPES[self.shape][1]
@@ -370,9 +380,9 @@ def check_certificate(seq: Sequence, verdict, samples: int, prec: int) -> bool:
     must back that verdict and carry one value per field name, and then its
     check is the whole rule, which try_out_certificate calls too.  An
     in-check reads the node's tail oracles, whose answers the node, or the
-    bases it hands them to, keeps (``Sequence._oracle_memo``): on the node
-    the certificate was built on it reads the build's answers, and on a
-    node parsed afresh from the same spec it evaluates every oracle again."""
+    bases it hands them to, keeps (``Sequence.kept``): on the node the
+    certificate was built on it reads the build's answers, and on a node
+    parsed afresh from the same spec it evaluates every oracle again."""
     if not isinstance(verdict, (CertifiedIn, CertifiedOut)):
         raise ValueError("only certified verdicts carry certificates")
     cert = verdict.cert

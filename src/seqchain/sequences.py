@@ -22,16 +22,13 @@ contained in coarser ones.  The cache keeps every term
 except the shared zero box (``ComplexInterval.zero()``): a structural zero
 costs one support test to recompute and is the same object every time.
 
-A node keeps what it computes: its terms, its tail oracles' answers
-(``None`` too, in ``_oracle_memo``, with the data a node derives once per
-precision: finite data's moduli, a combination's coefficient weights) and,
-once measured, its metric rungs (``spaces._rung_memo``).  Finite data and
-families keep their answers; a spread, a restriction or a combination hands
-each question to its bases, which keep the answers, so it keeps none
-itself.  This is sound because a node does not change after construction
-and each of these is a pure function of the node and its arguments; each
-memo lives and dies with its node, so a node parsed afresh evaluates
-everything again.
+A node keeps what it computes: its terms and, in one store
+(``Sequence.kept``), every other value per key, each a pure function of the
+node, which does not change after construction, and of its key.  Finite data
+and families keep their tail oracles' answers there; a spread, a restriction
+or a combination hands each question to its bases, which keep the answers,
+so it keeps none itself.  The store dies with its node, so a node parsed
+afresh evaluates everything again.
 """
 
 from __future__ import annotations
@@ -40,8 +37,7 @@ import json
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property, wraps
-from inspect import signature
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -53,35 +49,6 @@ from .tags import SubseqLowerBound
 
 _ZERO = ComplexInterval.zero()
 _MISSING = object()
-
-
-def _memo(oracle):
-    """The tail oracle (N, prec) or (N, x, prec), its answers kept in the node's
-    ``_oracle_memo``, ``None`` answers too, under the oracle's name and its
-    arguments, with x = p, r or k as its exact ratio of integers: an oracle
-    reads x as ``Fraction(x)``, and a key holding the caller's ``Fraction``
-    would keep one more object alive per answer on a long-lived node.  A call
-    by keyword is bound by the oracle's own parameter names.  Each class
-    decorates its own methods, so each stays a name in its class's
-    ``__dict__``."""
-    name, sig = oracle.__name__, signature(oracle)
-    arity = len(sig.parameters) - 1
-
-    @wraps(oracle)
-    def memoized(self, *args, **kwargs):
-        if kwargs or len(args) != arity:
-            args = sig.bind(self, *args, **kwargs).args[1:]
-        if arity == 2:
-            key = (name, *args)
-        else:
-            N, x, prec = args
-            key = (name, N, *x.as_integer_ratio(), prec)
-        hit = self._oracle_memo.get(key, _MISSING)
-        if hit is _MISSING:
-            hit = self._oracle_memo[key] = oracle(self, *args)
-        return hit
-
-    return memoized
 
 
 def _as_rat(x) -> Fraction:
@@ -135,23 +102,30 @@ class Sequence:
     off its support when its hint lies within it, so all three rest on this
     contract.
 
-    A node keeps its terms (``term``), its tail oracles' answers
-    (``_oracle_memo``, made with the term cache) and its metric rungs
-    (``metric_rungs``, made on its first metric walk): all three are pure
-    in the node and their arguments, and a node does not change after
-    construction (``spec_key``)."""
+    A node keeps its terms (``term``) and, in one store (``kept``), every
+    other value it computes per key.  Each public tail oracle passes what its
+    node rule (``_sup_tail``, ...) answers through ``_answer``, so no node
+    kind defines a public oracle: finite data and families keep the answer,
+    as ``term`` keeps what ``_term`` answers, and the other kinds hand the
+    question on to their bases (``_hand_on``)."""
 
     kind = "abstract"
     growth_tags: tuple = ()
     support_hint: SupportSet = AllNaturals()
     threshold: Fraction | None = None
-    # ``spaces.metric_bounds``'s rung memo, made on the node's first metric walk
-    metric_rungs: dict | None = None
 
     def __init__(self):
         self._term_cache: dict[int | tuple[int, int], ComplexInterval] = {}
-        self._oracle_memo: dict[tuple, object] = {}
-        self._spec_key: str | None = None
+        self._kept: dict[tuple, object] = {}
+
+    def kept(self, key: tuple, make, *args):
+        """``make(*args)``, computed once per key on this node, ``None`` too:
+        sound for a value that is a pure function of the node and its key, as
+        a node does not change after construction."""
+        hit = self._kept.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = self._kept[key] = make(*args)
+        return hit
 
     # -- term oracle ---------------------------------------------------
     def term(self, n: int, prec: int) -> ComplexInterval:
@@ -183,11 +157,22 @@ class Sequence:
         return ((box, sum(1 for _ in run)) for box, run in groupby(terms))
 
     # -- certified tail metadata (None = not available) -----------------
+    # an answer is kept under the oracle's short name and its arguments, x = p, r
+    # or k as its exact ratio of integers, so that no key keeps the caller's
+    # ``Fraction`` alive
+    _answer = kept
+
+    def _hand_on(self, key, rule, *args):
+        """``_answer`` of a spread, a restriction or a combination: its rule
+        asks its bases, which keep their answers, so it keeps none itself."""
+        return rule(*args)
+
     def tail_majorant(self, N: int, p: Fraction, prec: int):
-        return None
+        key = ("tail", N, *p.as_integer_ratio(), prec)
+        return self._answer(key, self._tail_majorant, N, p, prec)
 
     def sup_tail(self, N: int, prec: int):
-        return None
+        return self._answer(("sup", N, prec), self._sup_tail, N, prec)
 
     def pos_sup_tail(self, K: int, prec: int):
         """Upper bound on sup |a_n| over support positions > K.
@@ -195,13 +180,20 @@ class Sequence:
         Position-indexed tails stay representable where ambient cutoffs
         would explode (sparse supports), and spreading preserves them
         verbatim.  ``None`` when unavailable."""
-        return None
+        return self._answer(("pos-sup", K, prec), self._pos_sup_tail, K, prec)
 
     def disc_tail(self, N: int, r: Fraction, prec: int):
-        return None
+        key = ("disc", N, *r.as_integer_ratio(), prec)
+        return self._answer(key, self._disc_tail, N, r, prec)
 
     def poly_sup_tail(self, N: int, k: int, prec: int):
+        key = ("poly", N, *k.as_integer_ratio(), prec)
+        return self._answer(key, self._poly_sup_tail, N, k, prec)
+
+    def _no_bound(self, *args):  # the node rule of an oracle this node kind cannot answer
         return None
+
+    _tail_majorant = _sup_tail = _pos_sup_tail = _disc_tail = _poly_sup_tail = _no_bound
 
     def lp_divergence(self, p: Fraction):
         """BlockDivergence witnessing sum |a_n|**p = infinity, if known."""
@@ -223,11 +215,13 @@ class Sequence:
         raise NotImplementedError
 
     def spec_key(self) -> str:
-        """Canonical JSON of ``spec()``, computed once: a node does not
-        change after construction."""
-        if self._spec_key is None:
-            self._spec_key = json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-        return self._spec_key
+        """Canonical JSON of ``spec()``, kept once made.  A hit is read from
+        the store directly: ``normal_form`` reads the key of every part, and
+        the call into ``kept`` cost construct about 3 %."""
+        return self._kept.get(("spec",)) or self.kept(("spec",), self._canonical_spec)
+
+    def _canonical_spec(self) -> str:
+        return json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.kind}>"
@@ -264,40 +258,35 @@ class FiniteRational(Sequence):
     def _moduli_beyond(self, N, prec=None):
         """(n, upper bound on |a_n|) for every entry past N: the ``modulus_bounds``
         end of the exact entry, |re| or |a_n|**2, and its ``abs_end`` given prec;
-        made for every entry once per prec and sliced by N."""
-        memo, key = self._oracle_memo, ("moduli", prec)
-        ends = memo.get(key)
-        if ends is None and prec is None:
-            ends = memo[key] = [(n, (re * re + im * im, True) if im else (abs(re), False))
-                                for n, (re, im) in self.entries.items()]
-        elif ends is None:
-            ends = memo[key] = [(n, abs_end(end, 1, prec)) for n, end in self._moduli_beyond(-1)]
+        kept for every entry once per prec and sliced by N."""
+        ends = self.kept(("moduli", prec), self._moduli, prec)
         return ends[bisect_right(ends, N, key=itemgetter(0)):]
 
-    @_memo
-    def tail_majorant(self, N, p, prec):
+    def _moduli(self, prec):
+        if prec is None:
+            return [(n, (re * re + im * im, True) if im else (abs(re), False))
+                    for n, (re, im) in self.entries.items()]
+        return [(n, abs_end(end, 1, prec)) for n, end in self._moduli_beyond(-1)]
+
+    def _tail_majorant(self, N, p, prec):
         ends = (end for _, end in self._moduli_beyond(N))
         return PowSum(Fraction(p), prec, upper=True).extend(ends).value
 
-    @_memo
-    def sup_tail(self, N, prec):
+    def _sup_tail(self, N, prec):
         return max((m for _, m in self._moduli_beyond(N, prec)), default=Q0)
 
-    @_memo
-    def pos_sup_tail(self, K, prec):
+    def _pos_sup_tail(self, K, prec):
         rest = list(self.entries)[max(0, K):]  # from position K on: past the index before it
         return self.sup_tail(rest[0] - 1, prec) if rest else Q0
 
-    @_memo
-    def disc_tail(self, N, r, prec):
+    def _disc_tail(self, N, r, prec):
         if N >= self.max_index:  # past the last entry the tail is zero
             return 0, 1
         r = Fraction(r)
         t = sum((m * _radius_power_upper(r, n, prec) for n, m in self._moduli_beyond(N, prec)), Q0)
         return t.numerator, t.denominator
 
-    @_memo
-    def poly_sup_tail(self, N, k, prec):
+    def _poly_sup_tail(self, N, k, prec):
         return max((Fraction(n) ** k * m for n, m in self._moduli_beyond(N, prec)), default=Q0)
 
     def spec(self):
@@ -360,26 +349,22 @@ class FamilySeq(Sequence):
     def position_runs(self, k_lo, k_hi, prec):
         return (self._runs_fn or super().position_runs)(k_lo, k_hi, prec)
 
-    @_memo
-    def tail_majorant(self, N, p, prec):
+    def _tail_majorant(self, N, p, prec):
         p, t = Fraction(p), self.threshold
         if self._tail_fn is None or t is None or p <= t:
             return None
         return self._tail_fn(N, p, prec)
 
-    @_memo
-    def sup_tail(self, N, prec):
+    def _sup_tail(self, N, prec):
         return self._sup_fn(N, prec) if self._sup_fn else None
 
-    @_memo
-    def pos_sup_tail(self, K, prec):
+    def _pos_sup_tail(self, K, prec):
         if self._pos_sup_fn:
             return self._pos_sup_fn(K, prec)
         # support positions past K are the indices past the K-th hint point
         return self.sup_tail(self.support_hint.nth(K) if K > 0 else -1, prec)
 
-    @_memo
-    def disc_tail(self, N, r, prec):
+    def _disc_tail(self, N, r, prec):
         return self._disc_fn(N, r, prec) if self._disc_fn else None
 
     def lp_divergence(self, p):
@@ -399,6 +384,7 @@ class Spread(Sequence):
     they compare by data, and a check reads the checked node's own."""
 
     kind = "spread"
+    _answer = Sequence._hand_on
 
     def __init__(self, base: Sequence, support: SupportSet):
         super().__init__()
@@ -434,18 +420,18 @@ class Spread(Sequence):
     def _base_cut(self, N):
         return self.support.rank_upto(N) - 1
 
-    def tail_majorant(self, N, p, prec):
+    def _tail_majorant(self, N, p, prec):
         return self.base.tail_majorant(self._base_cut(N), p, prec)
 
-    def sup_tail(self, N, prec):
+    def _sup_tail(self, N, prec):
         return self.base.sup_tail(self._base_cut(N), prec)
 
-    def pos_sup_tail(self, K, prec):
+    def _pos_sup_tail(self, K, prec):
         # spread position k carries base index k-1, so the position tail
         # here is exactly the base's ambient index tail
         return self.base.sup_tail(K - 1, prec)
 
-    def disc_tail(self, N, r, prec):
+    def _disc_tail(self, N, r, prec):
         # positions satisfy nth(k) >= k-1, so r**nth(k) <= r**(k-1)
         return self.base.disc_tail(self._base_cut(N), r, prec)
 
@@ -477,6 +463,7 @@ class Restrict(Sequence):
     """Pointwise mask: keeps terms inside the support, zero elsewhere."""
 
     kind = "restrict"
+    _answer = Sequence._hand_on
 
     def __init__(self, base: Sequence, support: SupportSet):
         super().__init__()
@@ -491,16 +478,16 @@ class Restrict(Sequence):
         return self.base.term(n, prec)
 
     # masking only removes mass, so the base's bounds remain valid
-    def tail_majorant(self, N, p, prec):
+    def _tail_majorant(self, N, p, prec):
         return self.base.tail_majorant(N, p, prec)
 
-    def sup_tail(self, N, prec):
+    def _sup_tail(self, N, prec):
         return self.base.sup_tail(N, prec)
 
-    def disc_tail(self, N, r, prec):
+    def _disc_tail(self, N, r, prec):
         return self.base.disc_tail(N, r, prec)
 
-    def poly_sup_tail(self, N, k, prec):
+    def _poly_sup_tail(self, N, k, prec):
         return self.base.poly_sup_tail(N, k, prec)
 
     def spec(self):
@@ -519,6 +506,7 @@ class Combine(Sequence):
     evaluates one part per index."""
 
     kind = "combine"
+    _answer = Sequence._hand_on
 
     def __init__(self, coeffs, bases):
         super().__init__()
@@ -555,14 +543,12 @@ class Combine(Sequence):
         """Upper bounds on the |c_i|**p, made once per (p, prec): ``Q1`` itself,
         with no root taken, for a coefficient with re**2 + im**2 = 1, |re|
         powered at p for a real one (the ``PowSum`` rule: one real number, one
-        grid floor) and re**2 + im**2 at p/2 otherwise; kept in ``_oracle_memo``."""
-        memo, key = self._oracle_memo, ("weights", p.numerator, p.denominator, prec)
-        if key not in memo:
-            weights = memo[key] = []
-            for re, im in self.coeffs:
-                q, e = (re * re + im * im, p / 2) if im else (abs(re), p)
-                weights.append(Q1 if q == 1 else pow_bounds(q, e, prec)[1])
-        return memo[key]
+        grid floor) and re**2 + im**2 at p/2 otherwise."""
+        return self.kept(("weights", p.numerator, p.denominator, prec), self._make_weights, prec, p)
+
+    def _make_weights(self, prec, p):
+        moduli = ((re * re + im * im, p / 2) if im else (abs(re), p) for re, im in self.coeffs)
+        return [Q1 if q == 1 else pow_bounds(q, e, prec)[1] for q, e in moduli]
 
     def _weighted_tail(self, tail, prec, p=Q1):
         """sum |c_i|**p * tail(base_i) for p <= 1, (sum |c_i| * tail(base_i)**(1/p))**p
@@ -582,14 +568,14 @@ class Combine(Sequence):
             return Q0
         return total if p <= 1 else pow_bounds(total, p, prec)[1]
 
-    def tail_majorant(self, N, p, prec):
+    def _tail_majorant(self, N, p, prec):
         p = Fraction(p)
         return self._weighted_tail(lambda base: base.tail_majorant(N, p, prec), prec, p)
 
-    def sup_tail(self, N, prec):
+    def _sup_tail(self, N, prec):
         return self._weighted_tail(lambda base: base.sup_tail(N, prec), prec)
 
-    def disc_tail(self, N, r, prec):
+    def _disc_tail(self, N, r, prec):
         """``_weighted_tail`` at p = 1 on pairs: a zero numerator adds nothing,
         a weight of 1 multiplies nothing, and a pair over the running
         denominator adds its numerator alone."""
@@ -605,7 +591,7 @@ class Combine(Sequence):
                 num, den = num * t_den + t_num * den, den * t_den
         return num, den
 
-    def poly_sup_tail(self, N, k, prec):
+    def _poly_sup_tail(self, N, k, prec):
         return self._weighted_tail(lambda base: base.poly_sup_tail(N, k, prec), prec)
 
     def spec(self):

@@ -39,7 +39,7 @@ extended over a ``bisect`` slice per rung, radius or exponent; ``hd`` disc
 sums and tails stay unreduced integer pairs, floored onto the grid.
 
 A rung's raw bounds are a pure function of (space, node, prec, c, rung), so
-``metric_bounds`` keeps them on the node it reads (``_rung_memo``), as the
+``metric_bounds`` keeps them on the node it reads (``Sequence.kept``), as the
 node keeps its terms: a later walk on the same node, such as a dense-family
 element's witness row, reads the rungs it finds and computes the rest on
 its own fresh head.  ``ball_bound`` reads no memo: it shares one head among
@@ -446,16 +446,6 @@ def truncation_bound(y: SpaceId, seq: Sequence, e: Fraction, count: int, N: int,
     return _ceil_grid(_metric_once(y, head, N, prec)[1], prec + 8)
 
 
-def _rung_memo(y: SpaceId, normal, prec: int) -> dict:
-    """rung -> raw ``_metric_once`` bounds of normal = (head, c), kept on
-    head.seq under (y, prec, c) as ``Sequence.term`` keeps terms: a pure
-    function of those keys, so it lives and dies with its node."""
-    head, c = normal
-    if head.seq.metric_rungs is None:
-        head.seq.metric_rungs = {}
-    return head.seq.metric_rungs.setdefault((y, prec, c), {})
-
-
 def _walk(y: SpaceId, normal, ladder: list[int], prec: int, rungs: dict):
     """(rung, best bounds so far) on y's distance of c * head.seq from 0 after
     each rung, normal = (head, c); 0 at every rung for normal None.  The raw
@@ -484,10 +474,10 @@ def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):
 
     The rungs share one head of a - b's normal form (``_normal_head``), each
     extending the head sums of the last, and the head's node keeps each
-    rung's raw bounds (``_rung_memo``) for later walks; an empty normal form
-    is 0."""
+    rung's raw bounds under (y, prec, c) for later walks, rung -> bounds; an
+    empty normal form is 0."""
     normal = _normal_head(y, [(Q1, Q0, a), (-Q1, Q0, b)], prec)
-    rungs = {} if normal is None else _rung_memo(y, normal, prec)
+    rungs = {} if normal is None else normal[0].seq.kept(("rungs", y, prec, normal[1]), dict)
     yield from _walk(y, normal, _budget_ladder(budget), prec, rungs)
 
 

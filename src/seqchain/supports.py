@@ -187,7 +187,7 @@ class Intersection(SupportSet):
 
     def __init__(self, base_hint: SupportSet, mask: SupportSet):
         self.base_hint, self.mask = base_hint, mask
-        self.finite_flag = base_hint.finite_flag
+        self.finite_flag = base_hint.finite_flag or mask.finite_flag
 
     def member(self, n):
         return self.base_hint.member(n) and self.mask.member(n)

@@ -10,7 +10,7 @@ X = ainf and the n**n construction for X = hd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnose import Certificate, CertifiedIn, CertifiedOut, check_certificate, classify
 from .errors import NotStrictPair, SeqchainError, TopOfChain
@@ -38,20 +38,13 @@ class Witness:
     out_cert: Certificate
     in_cert: Certificate
     support: SupportSet
-    # (samples, prec) at which the out-certificate re-checked; a replaced
-    # witness starts empty
-    _out_checked: set = field(default_factory=set, init=False, compare=False, repr=False)
 
     def out_cert_holds(self, samples: int, prec: int) -> bool:
-        """``check_certificate`` of the out-certificate, run once per
-        (samples, prec): the sequence and its certificate never change, so
-        a success is remembered and a failure is checked again."""
-        key = (samples, prec)
-        if key not in self._out_checked:
-            if not check_certificate(self.seq, CertifiedOut(self.out_cert), samples, prec):
-                return False
-            self._out_checked.add(key)
-        return True
+        """``check_certificate`` of the out-certificate, kept on the sequence
+        per (certificate, samples, prec): a pure function of that key, so a
+        kept failure is as sound as a kept success."""
+        return self.seq.kept(("out-check", self.out_cert, samples, prec), check_certificate,
+                             self.seq, CertifiedOut(self.out_cert), samples, prec)
 
     def describe(self):
         return {

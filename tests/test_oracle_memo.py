@@ -1,7 +1,7 @@
-"""A node keeps its tail oracles' answers (``Sequence._oracle_memo``), as it
-keeps its terms.  The reference for every read is the same read as the first
-and only one on a freshly parsed node of the same spec, whose memo is empty;
-no golden is read.  A certificate check reads the memo of the node it
+"""A node keeps its tail oracles' answers (``Sequence.kept``), as it keeps
+its terms.  The reference for every read is the same read as the first and
+only one on a freshly parsed node of the same spec, whose store is empty; no
+golden is read.  A certificate check reads the answers kept on the node it
 checks, so every verdict must still check on a node parsed afresh
 (``test_diagnose`` rejects each forged in-certificate on one, too)."""
 
@@ -15,7 +15,7 @@ import pytest
 from conftest import PREC
 from seqchain import families
 from seqchain.diagnose import Undecided, check_certificate, classify
-from seqchain.sequences import Combine, FamilySeq, FiniteRational
+from seqchain.sequences import Combine, FamilySeq, FiniteRational, Restrict, Spread
 from seqchain.serialize import sequence_from_spec
 from seqchain.spaces import parse_space
 from seqchain.supports import AllNaturals
@@ -69,9 +69,12 @@ def test_memoized_reads_equal_reads_on_a_fresh_node(name):
     first, second = _answers(seq), _answers(seq)
     fresh = [getattr(sequence_from_spec(seq.spec()), oracle)(*args) for oracle, args in _reads()]
     assert first == second == fresh
-    # a node that keeps its answers hands back the one its first read kept
+    # finite data and a family hand back the answer their first read kept; a
+    # spread, a restriction or a combination keeps none, as its bases keep theirs
     if isinstance(seq, (FamilySeq, FiniteRational)):
         assert all(a is b for a, b in zip(first, second))
+    else:
+        assert {key[0] for key in seq._kept} <= {"weights"}
 
 
 @pytest.mark.parametrize("name", sorted(NODES))
@@ -92,17 +95,24 @@ def test_a_none_answer_is_read_back_without_a_second_evaluation():
     assert calls == [(5, PREC), (-1, PREC)]
 
 
-@pytest.mark.parametrize("name, cls", [("finite", FiniteRational), ("gap-cap-c0", FamilySeq)])
+@pytest.mark.parametrize("name, cls", [
+    ("finite", FiniteRational), ("gap-cap-c0", FamilySeq), ("spread(gap-cap-c0,arith-1-3)", Spread),
+    ("restrict(gap-cap-c0)", Restrict), ("combine(gap-cap-c0)", Combine)])
 def test_keyword_reads_share_the_positional_reads_memo(name, cls):
     seq = sequence_from_spec(NODES[name].spec())
     assert type(seq) is cls
     keyword = [seq.sup_tail(5, prec=64), seq.tail_majorant(N=0, p=F(2), prec=64),
                seq.pos_sup_tail(prec=64, K=3), seq.disc_tail(-1, r=F(1, 2), prec=64),
                seq.poly_sup_tail(N=5, k=3, prec=64)]
-    size = len(seq._oracle_memo)
+    kept = dict(seq._kept)
     positional = [seq.sup_tail(5, 64), seq.tail_majorant(0, F(2), 64), seq.pos_sup_tail(3, 64),
                   seq.disc_tail(-1, F(1, 2), 64), seq.poly_sup_tail(5, 3, 64)]
-    assert all(a is b for a, b in zip(keyword, positional)) and len(seq._oracle_memo) == size
+    # each keyword read made the entry its positional read finds, on the node or,
+    # for a spread or a restriction, on its base; a combination makes its
+    # answers afresh from its bases' kept ones
+    assert keyword == positional and seq._kept == kept
+    if cls is not Combine:
+        assert all(a is b for a, b in zip(keyword, positional))
     with pytest.raises(TypeError):
         seq.sup_tail(5)
     with pytest.raises(TypeError):
@@ -115,7 +125,7 @@ def test_a_finite_node_makes_its_moduli_once_per_precision():
         for prec in (32, 64):
             seq.sup_tail(N, prec)
             seq.poly_sup_tail(N, 3, prec)
-    assert {key for key in seq._oracle_memo if key[0] == "moduli"} == {
+    assert {key for key in seq._kept if key[0] == "moduli"} == {
         ("moduli", None), ("moduli", 32), ("moduli", 64)}
     # sliced by N: every entry past N, and none at or before it
     assert seq._moduli_beyond(0, 64) == seq._moduli_beyond(1, 64) == seq._moduli_beyond(-1, 64)[1:]
@@ -153,6 +163,6 @@ def test_classify_op_certificates_check_alike_on_the_build_node_and_a_cold_one(s
 def test_a_check_reads_the_answers_the_build_kept():
     seq = families.prop28()
     verdict = classify(seq, parse_space("c0"), 4096, PREC)
-    kept = dict(seq._oracle_memo)
+    kept = dict(seq._kept)
     assert kept and check_certificate(seq, verdict, 3, PREC)
-    assert seq._oracle_memo == kept
+    assert seq._kept == kept

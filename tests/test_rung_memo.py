@@ -1,5 +1,5 @@
-"""A node keeps the raw bounds of each metric rung (``spaces._rung_memo``):
-a later walk on the same node reads the rungs it finds there and computes
+"""A node keeps the raw bounds of each metric rung (``Sequence.kept`` under
+("rungs", space, prec, c)): a later walk on the same node reads the rungs it finds there and computes
 the rest on a fresh head.  The reference for every walk is the same walk on
 a freshly parsed node of the same spec, whose memo is empty; no golden is
 read."""
@@ -24,7 +24,6 @@ from seqchain.spaces import (
     LINF,
     _budget_ladder,
     _Head,
-    _rung_memo,
     _walk,
     ball_scale,
     cap_lp,
@@ -56,9 +55,13 @@ def _spec(y, inner, node):
 
 def _walk_on(y, node, c, budget):
     """The walk ``metric_bounds`` makes of c * node when node is its normal
-    form's one part: a fresh head and the node's memo."""
-    normal = (_Head(node, PREC + 16), (c, Q0))
-    return _walk(y, normal, _budget_ladder(budget), PREC, _rung_memo(y, normal, PREC))
+    form's one part: a fresh head and the rungs the node keeps."""
+    rungs = node.kept(("rungs", y, PREC, (c, Q0)), dict)
+    return _walk(y, (_Head(node, PREC + 16), (c, Q0)), _budget_ladder(budget), PREC, rungs)
+
+
+def _rung_keys(seq):
+    return {key for key in seq._kept if key[0] == "rungs"}
 
 
 def _fresh(spec, c, budget, y):
@@ -78,7 +81,7 @@ def test_memo_walks_equal_fresh_walks_rung_by_rung(space, node):
         seq = sequence_from_spec(spec)
         for c, budget in order:
             assert list(_walk_on(y, seq, c, budget)) == fresh[c, budget], order
-        assert set(seq.metric_rungs) == {(y, PREC, (C, Q0))}
+        assert _rung_keys(seq) == {("rungs", y, PREC, (C, Q0))}
     # walks at c and c/2, and a second one at c, stepped in turn: a rung one
     # walk computes is read by the next, each on its own head
     seq = sequence_from_spec(spec)
@@ -96,7 +99,7 @@ def test_metric_bounds_reads_the_memo_of_the_witness_it_scales(monkeypatch):
     w = make_witness(inner, y, disjoint_support(1), 4096, PREC).seq
     f, x = combine([1, C], [catalog()["finite"], w]), catalog()["finite"]
     first = list(metric_bounds(y, f, x, 4096, PREC))
-    assert list(w.metric_rungs[y, PREC, (C, Q0)]) == _budget_ladder(4096)
+    assert list(w._kept["rungs", y, PREC, (C, Q0)]) == _budget_ladder(4096)
     calls = []
     real = spaces._metric_once
     monkeypatch.setattr(spaces, "_metric_once", lambda *args: calls.append(args) or real(*args))
@@ -112,11 +115,11 @@ def test_ball_scale_and_classify_leave_no_memo():
     for y, inner in SPACES.values():
         w = make_witness(inner, y, disjoint_support(1), 4096, PREC).seq
         ball_scale(y, w, F(1, 8), 4096, PREC)
-        assert w.metric_rungs is None, str(y)
+        assert not _rung_keys(w), str(y)
     nodes = [catalog()["prop28"], catalog()["nat"]]
     nodes.append(combine([1, (1, 2)], nodes))
     for seq in nodes:
         for y in standard_chain():
             classify(seq, y, 4096, PREC)
-    assert all(seq.metric_rungs is None for seq in nodes)
-    assert zero().metric_rungs is None
+    assert not any(_rung_keys(seq) for seq in nodes)
+    assert not zero()._kept

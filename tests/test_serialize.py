@@ -245,11 +245,18 @@ def _outcome(parse, text):
 @example("-12/-3")
 @example("٣/4")
 @example("1/2/3")
+@example("2")
+@example("-1")
+@example("0")
+@example("-0")
+@example("007")
+@example("-")
+@example("3/")
 def test_rational_literals_parse_as_through_fraction(text):
     assert _outcome(parse_rational, text) == _outcome(_parse_through_fraction, text)
 
 
 def test_a_literal_past_the_digit_limit_is_the_same_parse_error():
-    text = "1" * 5000 + "/3"
-    assert _outcome(parse_rational, text) == _outcome(_parse_through_fraction, text)
-    assert _outcome(parse_rational, text)[0] == "error"
+    for text in ("1" * 5000 + "/3", "-" + "1" * 5000):
+        assert _outcome(parse_rational, text) == _outcome(_parse_through_fraction, text)
+        assert _outcome(parse_rational, text)[0] == "error"

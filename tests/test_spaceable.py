@@ -7,7 +7,7 @@ import pytest
 
 from conftest import BUDGET, PREC, point_check_failure, row_points
 from seqchain import spaceable, witness
-from seqchain.diagnose import classify
+from seqchain.diagnose import CertifiedOut, classify
 from seqchain.errors import (
     AllCoefficientsPossiblyZero,
     NoNonzeroSupportPoint,
@@ -18,7 +18,7 @@ from seqchain.families import const_one
 from seqchain.generic import check_outside_certificate, disjoint_support, escape_certificate
 from seqchain.intervals import ComplexInterval
 from seqchain.sequences import Combine, FiniteRational, combine, zero
-from seqchain.serialize import canonical_json
+from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaces import AINF, C0, LINF, adjacent_pairs, cap_lp, lp, parse_space
 from seqchain.spaceable import (
     _first_nonzero_point,
@@ -200,27 +200,30 @@ def test_a_finite_copy_of_a_basis_multiple_is_not_a_combination_over_the_basis()
 def test_the_out_certificate_check_is_remembered_per_witness():
     w = basis_element(lp(1), C0, 1, BUDGET, PREC)
     assert verify_witness(w, BUDGET, 3, PREC) and w.out_cert_holds(3, PREC)
-    assert (3, PREC) in w._out_checked
-    # a replaced witness starts with no memo: the witness vanishes, so the
-    # not-vanishing certificate of the constant 1 fails on it
+    assert w.seq._kept["out-check", w.out_cert, 3, PREC]
+    # an equal certificate made afresh hashes alike and finds the same entry
+    assert w.seq._kept["out-check", dataclasses.replace(w.out_cert), 3, PREC]
+    # a replaced certificate is its own key on the same sequence: the witness
+    # vanishes, so the not-vanishing certificate of the constant 1 fails on it
     moved = dataclasses.replace(w, out_cert=classify(const_one(), C0, BUDGET, PREC).cert)
-    assert moved._out_checked == set() and not moved.out_cert_holds(3, PREC)
+    assert not moved.out_cert_holds(3, PREC)
+    assert not w.seq._kept["out-check", moved.out_cert, 3, PREC]
     assert w.out_cert_holds(3, PREC)
 
 
-def test_a_failed_out_certificate_check_is_not_remembered(monkeypatch):
+def test_the_kept_out_check_equals_the_check_on_a_node_parsed_afresh(monkeypatch):
     w = basis_element(lp(1), C0, 2, BUDGET, PREC)
-    answers = [False, True]
-    calls = []
-
-    def check(seq, verdict, samples, prec):
-        calls.append(samples)
-        return answers[len(calls) - 1]
-
-    monkeypatch.setattr(witness, "check_certificate", check)
-    assert not w.out_cert_holds(2, PREC) and w._out_checked == set()
-    assert w.out_cert_holds(2, PREC) and w.out_cert_holds(2, PREC)
-    assert calls == [2, 2]
+    w = dataclasses.replace(w, seq=sequence_from_spec(w.seq.spec()))  # nothing kept yet
+    vanishing = classify(const_one(), C0, BUDGET, PREC).cert
+    real, calls = witness.check_certificate, []
+    monkeypatch.setattr(witness, "check_certificate", lambda *a: calls.append(a) or real(*a))
+    for cert, holds in ((w.out_cert, True), (vanishing, False)):
+        fresh = sequence_from_spec(w.seq.spec())
+        assert bool(real(fresh, CertifiedOut(cert), 2, PREC)) is holds
+        one = dataclasses.replace(w, out_cert=cert)
+        assert one.out_cert_holds(2, PREC) == holds and one.out_cert_holds(2, PREC) == holds
+    # one check per certificate: a failure is kept as a success is
+    assert len(calls) == 2
 
 
 ESCAPE_GOLDEN_DIR = Path(__file__).parent / "escape_golden"

@@ -3,12 +3,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqchain.errors import FiniteSupportSet, ParseError
+from seqchain.families import nat
+from seqchain.sequences import restrict
 from seqchain.supports import (
     AllNaturals,
     Arith,
     DyadicRow,
     ExplicitFinite,
     PowersOfTwo,
+    Union,
     support_from_spec,
 )
 
@@ -89,6 +92,15 @@ def test_finite_flag_and_errors():
         fin.require_infinite()
     with pytest.raises(FiniteSupportSet):
         fin.nth(3)
+
+
+def test_a_restriction_to_a_finite_mask_has_a_finite_hint():
+    finite = [restrict(nat(), ExplicitFinite(elems)).support_hint for elems in ([1, 3], [8])]
+    infinite = restrict(nat(), PowersOfTwo()).support_hint
+    assert all(hint.finite_flag for hint in finite) and not infinite.finite_flag
+    # a union is finite exactly when every one of its hints is
+    assert Union(finite).finite_flag
+    assert not Union([finite[0], infinite]).finite_flag
 
 
 @pytest.mark.parametrize(
