@@ -1,9 +1,13 @@
 """Command-line surface.
 
 Subcommands: ``chain``, ``classify``, ``witness``, ``approx``, ``basis``,
-``recover``, ``decompose``.  Reports are deterministic: identical inputs
+``recover``, ``decompose``, one entry each in ``COMMANDS``.  Each ``cmd_*``
+returns its report fields, its text lines and its exit status; ``main``
+alone adds ``schema``, ``command`` and ``config``, renders json or text and
+writes ``--out`` or stdout.  Reports are deterministic: identical inputs
 and config produce byte-identical output.  Exit codes: 0 success, 2 when
-the only outcome is an undecided verdict, 1 on errors.
+the only outcome is an undecided verdict, 1 on errors, malformed arguments
+included, each reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -65,150 +69,92 @@ def _load_sequence(text: str) -> Sequence:
     return sequence_from_spec(_read_source(text))
 
 
-def _emit(report: dict, text_lines: list[str], config: RunConfig, out_path):
-    if config.fmt == "json":
-        payload = canonical_json(report)
-    else:
-        payload = "\n".join(text_lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _base_report(command: str, config: RunConfig) -> dict:
-    return {"schema": SCHEMA, "command": command, "config": config.describe()}
-
-
-# -- subcommands --------------------------------------------------------------
-
-
-def cmd_chain(args, config: RunConfig) -> int:
-    chain = standard_chain()
-    report = _base_report("chain", config)
-    report["chain"] = [str(s) for s in chain]
-    lines = ["chain: " + " < ".join(str(s) for s in chain)]
-    status = 0
-    if args.verify:
-        results = []
-        all_ok = True
-        for inner, outer in adjacent_pairs():
-            support = support_from_spec({"kind": "all"})
-            w = make_witness(inner, outer, support, config.budget, config.prec)
-            ok = verify_witness(w, config.budget, samples=3, prec=config.prec)
-            all_ok = all_ok and ok
-            results.append(
-                {
-                    "inner": str(inner),
-                    "outer": str(outer),
-                    "verified": ok,
-                    "witness": w.seq.spec(),
-                }
-            )
-            lines.append(f"{'ok ' if ok else 'FAIL'} {inner} < {outer}")
-        report["witnesses"] = results
-        report["verified"] = all_ok
-        lines.append(f"verified: {sum(1 for r in results if r['verified'])}/{len(results)}")
-        if not all_ok:
-            status = 1
-    _emit(report, lines, config, args.out)
-    return status
-
-
-def cmd_classify(args, config: RunConfig) -> int:
-    seq = _load_sequence(args.seq)
-    space = parse_space(args.space)
-    verdict = diagnose.classify(seq, space, config.budget, config.prec)
-    report = _base_report("classify", config)
-    report["space"] = str(space)
-    report["sequence"] = seq.spec()
-    report["result"] = diagnose.verdict_to_json(verdict)
-    lines = [f"{space}: {report['result']['verdict']}"]
-    _emit(report, lines, config, args.out)
-    return 2 if isinstance(verdict, diagnose.Undecided) else 0
-
-
 def _load_support(text: str):
     return support_from_spec(parse_json(_read_source(text)))
 
 
-def cmd_witness(args, config: RunConfig) -> int:
-    inner = parse_space(args.inner)
-    outer = parse_space(args.outer)
-    support = _load_support(args.support)
-    w = make_witness(inner, outer, support, config.budget, config.prec)
-    ok = verify_witness(w, config.budget, samples=3, prec=config.prec)
-    report = _base_report("witness", config)
-    report["witness"] = w.describe()
-    report["verified"] = ok
-    lines = [f"witness for {inner} < {outer}: {'verified' if ok else 'FAILED'}"]
-    _emit(report, lines, config, args.out)
-    return 0 if ok else 1
+def _verified(w, config: RunConfig) -> bool:
+    return verify_witness(w, config.budget, samples=3, prec=config.prec)
 
 
-def cmd_approx(args, config: RunConfig) -> int:
+# -- subcommands: each returns (report fields, text lines, exit status) ---------
+
+
+def cmd_chain(args, config: RunConfig):
+    fields = {"chain": [str(s) for s in standard_chain()]}
+    lines = ["chain: " + " < ".join(fields["chain"])]
+    if not args.verify:
+        return fields, lines, 0
+    results = []
+    for inner, outer in adjacent_pairs():
+        support = support_from_spec({"kind": "all"})
+        w = make_witness(inner, outer, support, config.budget, config.prec)
+        ok = _verified(w, config)
+        results.append(
+            {"inner": str(inner), "outer": str(outer), "verified": ok, "witness": w.seq.spec()}
+        )
+        lines.append(f"{'ok ' if ok else 'FAIL'} {inner} < {outer}")
+    verified = sum(r["verified"] for r in results)
+    lines.append(f"verified: {verified}/{len(results)}")
+    all_ok = verified == len(results)
+    return {**fields, "witnesses": results, "verified": all_ok}, lines, 0 if all_ok else 1
+
+
+def cmd_classify(args, config: RunConfig):
+    seq, space = _load_sequence(args.seq), parse_space(args.space)
+    verdict = diagnose.classify(seq, space, config.budget, config.prec)
+    result = diagnose.verdict_to_json(verdict)
+    fields = {"space": str(space), "sequence": seq.spec(), "result": result}
+    status = 2 if isinstance(verdict, diagnose.Undecided) else 0
+    return fields, [f"{space}: {result['verdict']}"], status
+
+
+def cmd_witness(args, config: RunConfig):
+    inner, outer = parse_space(args.inner), parse_space(args.outer)
+    w = make_witness(inner, outer, _load_support(args.support), config.budget, config.prec)
+    ok = _verified(w, config)
+    line = f"witness for {inner} < {outer}: {'verified' if ok else 'FAILED'}"
+    return {"witness": w.describe(), "verified": ok}, [line], 0 if ok else 1
+
+
+def cmd_approx(args, config: RunConfig):
     target = _load_sequence(args.target)
-    outer = parse_space(args.outer)
-    inner = parse_space(args.avoid)
+    outer, inner = parse_space(args.outer), parse_space(args.avoid)
     eps = config.epsilon if config.epsilon is not None else Fraction(1, 1024)
-    result = generic.approximate_with_avoider(
-        target, eps, outer, inner, config.budget, config.prec
-    )
-    report = _base_report("approx", config)
-    report["outer"] = str(outer)
-    report["avoid"] = str(inner)
-    report["epsilon"] = format_rational(eps)
-    report.update(result.describe())
-    lines = [
-        f"approximated within {format_rational(result.distance_upper)} "
-        f"of the target in {outer}, certified outside {inner}"
-    ]
-    _emit(report, lines, config, args.out)
-    return 0
+    result = generic.approximate_with_avoider(target, eps, outer, inner, config.budget, config.prec)
+    fields = {"outer": str(outer), "avoid": str(inner), "epsilon": format_rational(eps)}
+    line = (f"approximated within {format_rational(result.distance_upper)} "
+            f"of the target in {outer}, certified outside {inner}")
+    return {**fields, **result.describe()}, [line], 0
 
 
-def cmd_basis(args, config: RunConfig) -> int:
+def cmd_basis(args, config: RunConfig):
     if args.count < 1:
         raise SeqchainError("count must be >= 1 (a basis has at least one element)")
-    inner = parse_space(args.inner)
-    outer = parse_space(args.outer)
+    inner, outer = parse_space(args.inner), parse_space(args.outer)
     basis = spaceable.build_basis(inner, outer, args.count, config.budget, config.prec)
-    ok = all(
-        verify_witness(w, config.budget, samples=3, prec=config.prec)
-        for w in basis.elements.values()
-    )
-    report = _base_report("basis", config)
-    report["basis"] = basis.describe()
-    report["verified"] = ok
-    lines = [f"basis of {args.count} for {inner} < {outer}: {'verified' if ok else 'FAILED'}"]
-    _emit(report, lines, config, args.out)
-    return 0 if ok else 1
+    ok = all(_verified(w, config) for w in basis.elements.values())
+    line = f"basis of {args.count} for {inner} < {outer}: {'verified' if ok else 'FAILED'}"
+    return {"basis": basis.describe(), "verified": ok}, [line], 0 if ok else 1
 
 
-def cmd_recover(args, config: RunConfig) -> int:
+def cmd_recover(args, config: RunConfig):
+    """Coefficient j of f: recovery reads basis element j alone, so no other
+    element is built."""
     if args.j < 1:
         raise SeqchainError("j must be >= 1 (basis elements count from 1)")
-    inner = parse_space(args.inner)
-    outer = parse_space(args.outer)
-    f = _load_sequence(args.f)
-    basis = spaceable.build_basis(
-        inner, outer, max(args.j, args.count), config.budget, config.prec
-    )
+    inner, outer, f = parse_space(args.inner), parse_space(args.outer), _load_sequence(args.f)
+    w = spaceable.basis_element(inner, outer, args.j, config.budget, config.prec)
+    basis = spaceable.SpaceableBasis(inner, outer, {args.j: w})
     iv = spaceable.recover_coefficient(f, basis, args.j, config.prec, config.budget)
-    report = _base_report("recover", config)
-    report["j"] = args.j
-    report["coefficient"] = {
+    coefficient = {
         "re": [format_rational(iv.re_lo), format_rational(iv.re_hi)],
         "im": [format_rational(iv.im_lo), format_rational(iv.im_hi)],
         "exact": iv.is_exact,
     }
-    lines = [
-        f"c_{args.j} in [{iv.re_lo}, {iv.re_hi}] + i[{iv.im_lo}, {iv.im_hi}]"
-        + (" (exact)" if iv.is_exact else "")
-    ]
-    _emit(report, lines, config, args.out)
-    return 0
+    line = (f"c_{args.j} in [{iv.re_lo}, {iv.re_hi}] + i[{iv.im_lo}, {iv.im_hi}]"
+            + (" (exact)" if iv.is_exact else ""))
+    return {"j": args.j, "coefficient": coefficient}, [line], 0
 
 
 def _parse_range(text: str, flag: str) -> range:
@@ -219,42 +165,61 @@ def _parse_range(text: str, flag: str) -> range:
         raise ParseError(f"bad {flag} {text!r}: expected LO:HI with integer ends") from None
 
 
-def cmd_decompose(args, config: RunConfig) -> int:
-    seq = _load_sequence(args.seq)
-    space = parse_space(args.space)
+def cmd_decompose(args, config: RunConfig):
+    seq, space = _load_sequence(args.seq), parse_space(args.space)
+    outer_range = _parse_range(args.outer_range, "--outer-range")
+    inner_range = _parse_range(args.inner_range, "--inner-range")
     rows = diagnose.decompose_report(
-        seq,
-        space,
-        _parse_range(args.outer_range, "--outer-range"),
-        _parse_range(args.inner_range, "--inner-range"),
-        config.budget,
-        config.prec,
+        seq, space, outer_range, inner_range, config.budget, config.prec
     )
-    report = _base_report("decompose", config)
-    report["space"] = str(space)
-    table = []
-    lines = []
+    table, lines = [], []
     for fam, res in rows:
         key = diagnose.format_family(fam)
         if isinstance(res, diagnose.ViolatedAt):
-            table.append(
-                {
-                    "family": key,
-                    "result": "violated",
-                    "n": res.n,
-                    "value": [format_rational(res.lower), format_rational(res.upper)],
-                }
-            )
+            value = [format_rational(res.lower), format_rational(res.upper)]
+            table.append({"family": key, "result": "violated", "n": res.n, "value": value})
             lines.append(f"{key}: violated at {res.n}")
         else:
             table.append({"family": key, "result": "consistent", "upto": res.N})
             lines.append(f"{key}: consistent up to {res.N}")
-    report["table"] = table
-    _emit(report, lines, config, args.out)
-    return 0
+    return {"space": str(space), "table": table}, lines, 0
 
 
 # -- argument parsing ----------------------------------------------------------
+
+_REQUIRED = {"required": True}
+
+# name: (help, own arguments as (flag, add_argument keywords), function)
+COMMANDS = {
+    "chain": ("print the chain; optionally verify witnesses",
+              [("--verify", {"action": "store_true"})], cmd_chain),
+    "classify": ("membership verdict with certificate",
+                 [("seq", {"help": "sequence spec (JSON, @file, or -)"}), ("space", {})],
+                 cmd_classify),
+    "witness": ("separating sequence for a strict pair",
+                [("--inner", _REQUIRED), ("--outer", _REQUIRED),
+                 ("--support", {"default": '{"kind":"all"}'})], cmd_witness),
+    "approx": ("approximate while certifiably avoiding a space",
+               [("--target", _REQUIRED), ("--outer", _REQUIRED), ("--avoid", _REQUIRED)],
+               cmd_approx),
+    "basis": ("disjointly supported witness basis",
+              [("--inner", _REQUIRED), ("--outer", _REQUIRED),
+               ("--count", {"type": int, "default": 3})], cmd_basis),
+    "recover": ("recover a combination coefficient",
+                [("--f", _REQUIRED), ("--inner", _REQUIRED), ("--outer", _REQUIRED),
+                 ("--j", {"type": int, "required": True})], cmd_recover),
+    "decompose": ("closed-family grid report",
+                  [("seq", {}), ("space", {}), ("--outer-range", {"default": "1:3"}),
+                   ("--inner-range", {"default": "1:10"})], cmd_decompose),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises an argument error as a ``ParseError`` for ``main`` to report;
+    the subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def _add_common(p: argparse.ArgumentParser, top: bool):
@@ -269,69 +234,24 @@ def _add_common(p: argparse.ArgumentParser, top: bool):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqchain",
         description="certificate-carrying diagnostics for the sequence-space chain",
     )
     _add_common(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chain", help="print the chain; optionally verify witnesses")
-    p.add_argument("--verify", action="store_true")
-    p.set_defaults(func=cmd_chain)
-    _add_common(p, top=False)
-
-    p = sub.add_parser("classify", help="membership verdict with certificate")
-    p.add_argument("seq", help="sequence spec (JSON, @file, or -)")
-    p.add_argument("space")
-    p.set_defaults(func=cmd_classify)
-    _add_common(p, top=False)
-
-    p = sub.add_parser("witness", help="separating sequence for a strict pair")
-    p.add_argument("--inner", required=True)
-    p.add_argument("--outer", required=True)
-    p.add_argument("--support", default='{"kind":"all"}')
-    p.set_defaults(func=cmd_witness)
-    _add_common(p, top=False)
-
-    p = sub.add_parser("approx", help="approximate while certifiably avoiding a space")
-    p.add_argument("--target", required=True)
-    p.add_argument("--outer", required=True)
-    p.add_argument("--avoid", required=True)
-    p.set_defaults(func=cmd_approx)
-    _add_common(p, top=False)
-
-    p = sub.add_parser("basis", help="disjointly supported witness basis")
-    p.add_argument("--inner", required=True)
-    p.add_argument("--outer", required=True)
-    p.add_argument("--count", type=int, default=3)
-    p.set_defaults(func=cmd_basis)
-    _add_common(p, top=False)
-
-    p = sub.add_parser("recover", help="recover a combination coefficient")
-    p.add_argument("--f", required=True)
-    p.add_argument("--inner", required=True)
-    p.add_argument("--outer", required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
-    p.set_defaults(func=cmd_recover)
-    _add_common(p, top=False)
-
-    p = sub.add_parser("decompose", help="closed-family grid report")
-    p.add_argument("seq")
-    p.add_argument("space")
-    p.add_argument("--outer-range", default="1:3")
-    p.add_argument("--inner-range", default="1:10")
-    p.set_defaults(func=cmd_decompose)
-    _add_common(p, top=False)
-
+    for name, (help_text, own, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in own:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
+        _add_common(p, top=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = RunConfig(
             budget=args.budget,
             prec=args.prec,
@@ -339,7 +259,18 @@ def main(argv=None) -> int:
             seed=args.seed,
             fmt=args.format,
         )
-        return args.func(args, config)
+        fields, lines, status = args.func(args, config)
+        if config.fmt == "json":
+            report = {"schema": SCHEMA, "command": args.command, "config": config.describe()}
+            payload = canonical_json({**report, **fields})
+        else:
+            payload = "\n".join(lines) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+        return status
     except (SeqchainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

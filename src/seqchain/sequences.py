@@ -37,7 +37,6 @@ import json
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -204,11 +203,11 @@ class Sequence:
         hint lies within it."""
         return self.support_hint.within(support)
 
-    @cached_property
+    @property
     def normal_parts(self) -> dict:
-        """``normal_form`` of the node alone, made once: a combination's
+        """``normal_form`` of the node alone, kept once made: a combination's
         recovered coefficients and escape-certificate rows all read it."""
-        return normal_form([(Q1, Q0, self)])
+        return self.kept(("normal",), normal_form, ((Q1, Q0, self),))
 
     # -- serialization ---------------------------------------------------
     def spec(self) -> dict:
@@ -516,11 +515,14 @@ class Combine(Sequence):
         ts = [b.threshold for b in self.bases]
         self.threshold = None if None in ts else max(ts, default=Q0)
 
-    @cached_property
+    @property
     def _bump(self) -> int:
-        """Extra precision for the parts of a term, from sum |c_i|; made on
+        """Extra precision for the parts of a term, from sum |c_i|; kept on
         the first term evaluation, as a combination that is only certified
         or recovered from never needs it."""
+        return self.kept(("bump",), self._make_bump)
+
+    def _make_bump(self) -> int:
         mag = sum(abs(re) + abs(im) for re, im in self.coeffs)
         return (int(mag) + 2).bit_length() + 1
 

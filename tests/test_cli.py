@@ -96,6 +96,33 @@ def test_text_format_prints_one_line_per_verdict_and_family(tmp_path):
     assert (code, raw) == (0, b"FMk:1/1:1: consistent up to 4096\n")
 
 
+_CHAIN = [
+    "ainf", "cap-lp:0/1", "lp:1/1", "cap-lp:1/1", "lp:2/1", "cap-lp:2/1", "c0", "linf", "hd", "cn0",
+]
+_CHAIN_TEXT = "chain: " + " < ".join(_CHAIN) + "\n"
+
+
+# the text lines and exit status of every other command, byte for byte
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["chain"], _CHAIN_TEXT),
+        (["chain", "--verify"], _CHAIN_TEXT + "".join(
+            f"ok  {a} < {b}\n" for a, b in zip(_CHAIN, _CHAIN[1:])) + "verified: 9/9\n"),
+        (["witness", "--inner", "lp:1", "--outer", "c0"], "witness for lp:1/1 < c0: verified\n"),
+        (["approx", "--target", ZERO, "--outer", "c0", "--avoid", "lp:1", "--epsilon", "1/64"],
+         "approximated within 1/256 of the target in c0, certified outside lp:1/1\n"),
+        (["basis", "--inner", "lp:1", "--outer", "c0", "--count", "2"],
+         "basis of 2 for lp:1/1 < c0: verified\n"),
+        (["recover", "--f", ZERO, "--inner", "lp:1", "--outer", "c0", "--j", "1"],
+         "c_1 in [0, 0] + i[0, 0] (exact)\n"),
+    ],
+    ids=["chain", "chain-verify", "witness", "approx", "basis", "recover"],
+)
+def test_text_format_of_each_command(tmp_path, argv, text):
+    assert run_json(tmp_path, ["--format", "text", *argv], "out.txt") == (0, text.encode())
+
+
 def test_witness_command_and_spec_reingestion(tmp_path):
     code, raw = run_json(
         tmp_path,
@@ -193,6 +220,38 @@ def test_config_validation():
 def _one_line_error(capsys):
     err = capsys.readouterr().err
     return err.startswith("error: ") and err.count("\n") == 1
+
+
+# a malformed argument exits 1 with argparse's message on one line, not 2
+# (the undecided code) with a usage block
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--budget", "x", "chain"], "argument --budget: invalid int value: 'x'"),
+        (["classify"], "the following arguments are required: seq, space"),
+        (["basis", "--inner", "lp:1", "--outer", "c0", "--count", "two"], "argument --count"),
+        (["decompose", NAT, "ainf", "--inner-range", "-2:1"], "argument --inner-range"),
+        ([], "the following arguments are required: command"),
+        (["nosuch"], "invalid choice"),
+        # recovery reads element j alone, so recover builds no other and has no --count
+        (["recover", "--f", ZERO, "--inner", "lp:1", "--outer", "c0", "--j", "1", "--count", "3"],
+         "unrecognized arguments: --count 3"),
+    ],
+    ids=["budget-letter", "classify-bare", "count-word", "range-dash", "no-command", "unknown-command",
+         "recover-count"],
+)
+def test_malformed_arguments_are_one_line_errors(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["recover", "--help"]], ids=["top", "recover"])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: seqchain")
 
 
 def test_nonpositive_epsilon_is_a_one_line_error(capsys):
@@ -646,7 +705,7 @@ COMPLEX_GAP_LP_CAP = (
         ("basis-lp-1-cap-lp-1", ["basis", "--inner", "lp:1", "--outer", "cap-lp:1",
                                  "--count", "3"]),
         ("recover-lp-1-cap-lp-1", ["recover", "--f", ROW_COMBINATION, "--inner", "lp:1",
-                                   "--outer", "cap-lp:1", "--j", "2", "--count", "3"]),
+                                   "--outer", "cap-lp:1", "--j", "2"]),
         # a disc-schedule certificate whose disc tails are a complex
         # coefficient's weight, a restriction, rem29's selection tail and the
         # unit tail of gap-cap-c0, added as integer pairs

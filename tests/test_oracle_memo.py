@@ -166,3 +166,16 @@ def test_a_check_reads_the_answers_the_build_kept():
     kept = dict(seq._kept)
     assert kept and check_certificate(seq, verdict, 3, PREC)
     assert seq._kept == kept
+
+
+def test_a_node_writes_no_attribute_after_construction():
+    """A node's normal form and a combination's precision bump sit in the
+    store: reading them, or a term, adds no attribute to the node."""
+    inner = Combine([F(1, 2)], [families.nat()])
+    combo = Combine([(F(2), F(1, 3)), F(-1)], [inner, families.prop28()])
+    before = set(vars(combo))
+    combo.term(5, PREC)
+    parts = combo.normal_parts
+    assert set(vars(combo)) == before
+    assert parts is combo.normal_parts and len(parts) == 2
+    assert combo._kept["bump",] == combo._bump
