@@ -160,9 +160,12 @@ def cmd_recover(args, config: RunConfig):
 def _parse_range(text: str, flag: str) -> range:
     lo, _, hi = text.partition(":")
     try:
-        return range(int(lo), int(hi) + 1)
+        ends = range(int(lo), int(hi) + 1)
     except ValueError:
-        raise ParseError(f"bad {flag} {text!r}: expected LO:HI with integer ends") from None
+        ends = range(0)
+    if not ends:  # malformed, or HI < LO
+        raise ParseError(f"bad {flag} {text!r}: expected LO:HI with integer ends, LO <= HI")
+    return ends
 
 
 def cmd_decompose(args, config: RunConfig):

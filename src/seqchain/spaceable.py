@@ -5,9 +5,12 @@ elements never share a support point.  Coefficients of a finite
 combination are recovered by evaluating at a support point where the
 basis element is provably nonzero; for combinations built over the basis
 the cross terms vanish exactly and the recovered interval is zero-width,
-even when the witness values themselves are irrational.  A combination's
-escape certificate needs one coefficient that excludes zero, so its
-recovery runs in row order and stops at the first such row.
+even when the witness values themselves are irrational.  That point is
+kept on the witness's node per (row, budget, prec), and the residual is
+read only from the parts whose support hint holds it, so recovering row j
+evaluates no term of another row's witness.  A combination's escape
+certificate needs one coefficient that excludes zero, so its recovery
+runs in row order and stops at the first such row.
 """
 
 from __future__ import annotations
@@ -78,13 +81,17 @@ def recover_coefficient(
 
     When f is a combination, its ``normal_form`` gives the basis element's
     coefficient exactly (parts recognized by spec identity, nested
-    combinations flattened); the other parts add their value at the
-    evaluation point over y, an exact zero for the other basis rows, so the
-    result is zero-width for exact combinations over the basis."""
+    combinations flattened); the other parts whose support hint holds the
+    evaluation point add their value there over y, and the rest are exact
+    zeros there by the hint contract, so the other basis rows are never
+    evaluated and the result is zero-width for exact combinations over the
+    basis.  The evaluation point is kept on the witness's node per (row,
+    budget, prec); a search that raises keeps nothing."""
     if j not in basis.elements:
         raise KeyError(f"basis has no element {j}")
     w = basis.elements[j]
-    i0, prec = _first_nonzero_point(w, budget, prec)
+    i0, prec = w.seq.kept(("first-nonzero", w.support, budget, prec),
+                          _first_nonzero_point, w, budget, prec)
     y_iv = w.seq.term(i0, prec)
 
     if isinstance(f, Combine):
@@ -92,11 +99,11 @@ def recover_coefficient(
         for key, ((re, im), part) in f.normal_parts.items():
             if key == y_key:
                 exact = re, im
-                continue
-            v = part.term(i0, prec)
-            if not v.is_exact_zero:
-                v = v.scale(re, im)
-                residual = v if residual is None else residual + v
+            elif part.support_hint.member(i0):
+                v = part.term(i0, prec)
+                if not v.is_exact_zero:
+                    v = v.scale(re, im)
+                    residual = v if residual is None else residual + v
         out = ComplexInterval.exact(*exact)
         return out if residual is None else out + residual.div(y_iv)
     return f.term(i0, prec).div(y_iv)

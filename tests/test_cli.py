@@ -399,8 +399,10 @@ def test_reports_byte_identical_across_runs(tmp_path, argv):
         ["--outer-range", "1:1", "--inner-range", "a:b"],
         ["--outer-range", "1-3"],
         ["--outer-range", ""],
+        ["--outer-range", "2:1"],
+        ["--inner-range", "3:1"],
     ],
-    ids=["inner-letters", "outer-dash", "outer-empty"],
+    ids=["inner-letters", "outer-dash", "outer-empty", "outer-reversed", "inner-reversed"],
 )
 def test_bad_decompose_range_is_a_one_line_error(capsys, flags):
     assert main(["decompose", PROP28, "ainf"] + flags) == 1

@@ -41,7 +41,9 @@ from seqchain.errors import UnsupportedSpace
 from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, gap_lp_cap, nat, nat_power, prop28
 from seqchain.intervals import ComplexInterval, PowSum, abs_ends, pow_bounds, sqrt_bounds
 from seqchain.sequences import (
+    Combine,
     FiniteRational,
+    Restrict,
     Sequence,
     Spread,
     combine,
@@ -62,7 +64,7 @@ from seqchain.spaces import (
     parse_space,
     standard_chain,
 )
-from seqchain.supports import AllNaturals, Arith, DyadicRow, PowersOfTwo
+from seqchain.supports import AllNaturals, Arith, DyadicRow, ExplicitFinite, PowersOfTwo
 from seqchain.tags import BlockDivergence, SubseqLowerBound
 from test_intervals import _ref_pow_bounds, point_or_wide_boxes, rationals
 from test_seqcore import _ref_disc_tail
@@ -1216,3 +1218,80 @@ def test_no_sequence_is_certified_both_in_and_out_of_a_cap_lp_space():
                 conflicts.append((name, str(space)))
     assert conflicts == []
     assert (ins, outs) == (150, 58)
+
+
+# -- in-schedule rules: each rule `_in_schedule` rests on, tested on its oracle --------
+
+
+def _finitely_supported(seq):
+    """Read from the node's structure, not from its hint or oracles: finite
+    data, its spreads and restrictions, a restriction onto a finite mask, or
+    a combination of such parts."""
+    if isinstance(seq, FiniteRational):
+        return True
+    if isinstance(seq, Restrict):
+        return isinstance(seq.support, ExplicitFinite) or _finitely_supported(seq.base)
+    if isinstance(seq, Spread):
+        return _finitely_supported(seq.base)
+    if isinstance(seq, Combine):
+        return all(_finitely_supported(b) for b in seq.bases)
+    return False
+
+
+def _schedule_nodes():
+    """The disc-schedule nodes, plus each catalog member combined with
+    finite data and restricted onto a finite mask."""
+    yield from _DISC_NODES.items()
+    partner = FiniteRational({1: F(2), 4: (F(-1, 3), F(1, 2))})
+    for name, seq in sorted(catalog().items()):
+        yield f"{name}+finite", combine([F(3, 2), (F(1), F(-1))], [seq, partner])
+        yield f"restrict-finite({name})", restrict(seq, ExplicitFinite([0, 1, 5, 6]))
+
+
+_SCHEDULE_NODES = dict(_schedule_nodes())
+_OUTSIDE_HD = ("nat-power", "nn-evens")  # the catalog's members growing like n**n
+
+
+def test_a_poly_sup_tail_comes_only_from_finitely_supported_data():
+    answered = []
+    for name, seq in _SCHEDULE_NODES.items():
+        for N in (-1, 0, 16, 4096):
+            for k in range(9):  # the ainf schedule's exponents
+                if seq.poly_sup_tail(N, k, PREC) is not None:
+                    assert _finitely_supported(seq), (name, N, k)
+                    answered.append(name)
+    assert {"zero", "finite", "spread(finite)", "restrict(finite)", "finite+finite",
+            "zero+finite", "restrict-finite(finite)"} <= set(answered)
+
+
+def test_a_disc_tail_comes_only_from_members_of_hd():
+    radii = [F(k, k + 1) for k in range(1, 9)]  # the disc schedule's radii
+    answered = set()
+    for name, seq in _SCHEDULE_NODES.items():
+        in_hd = _finitely_supported(seq) or not any(bad in name for bad in _OUTSIDE_HD)
+        for N in (-1, 16, 256):
+            for r in radii:
+                if seq.disc_tail(N, r, PREC) is not None:
+                    assert in_hd, (name, N, r)
+                    answered.add(name)
+    for bad in _OUTSIDE_HD:
+        assert bad in _SCHEDULE_NODES and f"spread({bad})" in _SCHEDULE_NODES
+        assert not {bad, f"spread({bad})", f"restrict({bad})", f"combine({bad})"} & answered
+    assert {"nat", "const-one", "prop28", "spread(nat)", "combine(gap-cap-c0)"} <= answered
+
+
+def test_every_position_tail_falls_below_one_half_or_stays_at_least_one():
+    cutoffs = (0, 1, 16, 256, 1 << 12)
+    vanishing, constant = [], []
+    for name, seq in _SCHEDULE_NODES.items():
+        tails = [t for t in (seq.pos_sup_tail(K, PREC) for K in cutoffs) if t is not None]
+        if not tails:
+            continue
+        late = seq.pos_sup_tail(1 << 12, PREC)
+        if late is not None and late < F(1, 2):
+            vanishing.append(name)
+        else:  # the c0 schedule's eps = 1/2 row then fails, as it must
+            assert min(tails) >= 1 and "const-one" in name, (name, tails)
+            constant.append(name)
+    assert sorted(constant) == ["const-one", "spread(const-one)"]
+    assert {"finite", "prop28", "gap-cap-c0", "spread(prop28)"} <= set(vanishing)

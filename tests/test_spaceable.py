@@ -17,7 +17,7 @@ from seqchain.errors import (
 from seqchain.families import const_one
 from seqchain.generic import check_outside_certificate, disjoint_support, escape_certificate
 from seqchain.intervals import ComplexInterval
-from seqchain.sequences import Combine, FiniteRational, combine, zero
+from seqchain.sequences import Combine, FiniteRational, Sequence, combine, spread, zero
 from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaces import AINF, C0, LINF, adjacent_pairs, cap_lp, lp, parse_space
 from seqchain.spaceable import (
@@ -27,6 +27,7 @@ from seqchain.spaceable import (
     certify_combination_outside,
     recover_coefficient,
 )
+from seqchain.supports import Arith
 from seqchain.witness import verify_witness
 
 F = Fraction
@@ -138,12 +139,16 @@ def test_recover_zero_sequence():
 
 def test_recover_escalates_precision_at_the_evaluation_point():
     # the first row-7 point of the ainf witness, 63, is not zero-free at
-    # precision 1, so recovery doubles the precision there
+    # precision 1, so recovery doubles the precision there; the point kept
+    # by a recovery at PREC first is kept per precision and not read
     basis = build_basis(AINF, cap_lp(0), 7, BUDGET, PREC)
     w7 = basis.elements[7]
     assert w7.support.nth(1) == 63 and not w7.seq.term(63, 1).excludes_zero()
+    recover_coefficient(w7.seq, basis, 7, PREC, BUDGET)
+    assert w7.seq._kept["first-nonzero", w7.support, BUDGET, PREC] == (63, PREC)
     iv = recover_coefficient(w7.seq, basis, 7, 1, BUDGET)
     assert (iv.re_lo, iv.re_hi, iv.im_lo, iv.im_hi) == (F(1, 4), 4, 0, 0)
+    assert w7.seq._kept["first-nonzero", w7.support, BUDGET, 1] == (63, 2)
     exact = recover_coefficient(combine([(2, 1)], [w7.seq]), basis, 7, 1, BUDGET)
     assert exact.is_exact and (exact.re_lo, exact.im_lo) == (2, 1)
 
@@ -259,9 +264,13 @@ def test_certify_zero_combination_raises():
 
 
 def test_first_nonzero_point_budget():
+    # the point a larger budget found and kept is not read at budget 1, and
+    # a search that raises keeps nothing, so it raises again
     basis = build_basis(AINF, cap_lp(0), 1, BUDGET, PREC)
-    with pytest.raises(NoNonzeroSupportPoint):
-        recover_coefficient(zero(), basis, 1, PREC, budget=1)
+    assert recover_coefficient(zero(), basis, 1, PREC, BUDGET).is_exact_zero
+    for _ in range(2):
+        with pytest.raises(NoNonzeroSupportPoint):
+            recover_coefficient(zero(), basis, 1, PREC, budget=1)
 
 
 # -- reference: recovery of every active row, then the first that escapes --------
@@ -353,3 +362,58 @@ def test_a_missing_active_index_raises_before_any_recovery():
         certify_combination_outside(zero(), basis, [1, 5], 1, PREC)
     with pytest.raises(KeyError):
         certify_combination_outside(combine([1], [basis.elements[1].seq]), basis, [5, 1], BUDGET, PREC)
+
+
+# -- recovery reads its own row: the kept point and the hinted residual ------------
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{p[0]}<{p[1]}")
+def test_recovering_a_row_evaluates_no_other_rows_witness(pair, monkeypatch):
+    inner, outer = pair
+    basis = build_basis(inner, outer, 5, BUDGET, PREC)
+    seqs = {j: w.seq for j, w in basis.elements.items()}
+    f = combine([(F(j), F(-j)) for j in seqs], list(seqs.values()))
+    real_term, calls = Sequence.term, {}
+
+    def term(self, n, prec):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return real_term(self, n, prec)
+
+    monkeypatch.setattr(Sequence, "term", term)
+    for j in seqs:
+        calls.clear()
+        assert recover_coefficient(f, basis, j, PREC, BUDGET) == ComplexInterval.exact(j, -j)
+        assert calls.get(id(seqs[j]))
+        assert not [k for k, s in seqs.items() if k != j and calls.get(id(s))], j
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{p[0]}<{p[1]}")
+def test_a_stray_part_meeting_the_recovery_point_recovers_as_the_eager_reference(pair):
+    # the odd naturals hold every point of rows 2 and up, and miss row 1
+    inner, outer = pair
+    basis = build_basis(inner, outer, 5, BUDGET, PREC)
+    stray = spread(const_one(), Arith(1, 2))
+    i0 = _first_nonzero_point(basis.elements[2], BUDGET, PREC)[0]
+    assert stray.support_hint.member(i0) and not stray.term(i0, PREC).is_exact_zero
+    rng = random.Random(f"stray|{inner}|{outer}")
+    for _ in range(3):
+        t = [(F(rng.randint(-4, 4)), F(rng.randint(-4, 4))) for _ in range(5)]
+        f = combine(t + [(F(1, 2), F(-1, 3))],
+                    [basis.elements[j].seq for j in range(1, 6)] + [stray])
+        for j in range(1, 6):
+            got = recover_coefficient(f, basis, j, PREC, BUDGET)
+            assert got == _ref_recover_coefficient(f, basis, j, PREC, BUDGET), j
+            assert (got == ComplexInterval.exact(*t[j - 1])) is (j == 1)  # the stray adds
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: f"{p[0]}<{p[1]}")
+def test_the_kept_point_is_the_search_on_a_rebuilt_witness(pair):
+    inner, outer = pair
+    basis = build_basis(inner, outer, 3, BUDGET, PREC)
+    f = combine([1, 2, 3], [basis.elements[j].seq for j in (1, 2, 3)])
+    for j, w in basis.elements.items():
+        recover_coefficient(f, basis, j, PREC, BUDGET)
+        kept = w.seq._kept["first-nonzero", w.support, BUDGET, PREC]
+        rebuilt = basis_element(inner, outer, j, BUDGET, PREC)
+        assert rebuilt.seq is not w.seq
+        assert kept == _first_nonzero_point(rebuilt, BUDGET, PREC)
