@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagnose, generic, spaceable
 from .errors import ParseError, SeqchainError
-from .intervals import format_rational, parse_rational
+from .intervals import Frozen, format_rational, parse_rational
 from .sequences import Sequence
 from .serialize import canonical_json, parse_json, sequence_from_spec
 from .spaces import adjacent_pairs, parse_space, standard_chain
@@ -29,21 +28,18 @@ from .witness import make_witness, verify_witness
 SCHEMA = "seqchain/1"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    budget: int = 4096
-    prec: int = 64
-    epsilon: Fraction | None = None
-    seed: int = 0
-    fmt: str = "json"
+class RunConfig(Frozen):
+    __slots__ = _fields = ("budget", "prec", "epsilon", "seed", "fmt")
 
-    def __post_init__(self):
-        if self.budget < 1:
+    def __init__(self, budget: int = 4096, prec: int = 64, epsilon: Fraction | None = None,
+                 seed: int = 0, fmt: str = "json"):
+        if budget < 1:
             raise SeqchainError("budget must be >= 1")
-        if self.prec < 8:
+        if prec < 8:
             raise SeqchainError("prec must be >= 8")
-        if self.epsilon is not None and self.epsilon <= 0:
+        if epsilon is not None and epsilon <= 0:
             raise SeqchainError("epsilon must be > 0")
+        super().__init__(budget, prec, epsilon, seed, fmt)
 
     def describe(self):
         out = {"budget": self.budget, "prec": self.prec, "seed": self.seed}

@@ -40,12 +40,10 @@ the lower end of one refinement loop, ``_abs_sq_lower``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import ParseError, SeqchainError, UnsupportedSpace
-from .intervals import Q1, PowSum, format_rational
+from .intervals import Q1, Frozen, PowSum, format_rational, setters
 from .sequences import Sequence
 from .spaces import AINF, C0, HD, LINF, SpaceId, row_tail, seminorm_rows
 from .tags import COMPARATORS, BlockDivergence, RootLowerBound, SubseqLowerBound
@@ -101,31 +99,40 @@ def _own_tag(seq: Sequence, tag, kind):
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Frozen):
     """The evidence of a verdict: its space, its shape, and the shape's fields
     in the order ``_SHAPES`` names them.  An in-shape holds (rows, prec): per
     row of the space's schedule, its parameters, the searched cutoff for c0
     and ainf, and an upper bound on the row, not a norm estimate; for cap-lp,
     (t, rows) with the threshold t."""
 
-    space: SpaceId
-    shape: str
-    fields: tuple
+    _fields = ("space", "shape", "fields")
+    __slots__ = (*_fields, "_hash")
+
+    def __init__(self, space: SpaceId, shape: str, fields: tuple):
+        _set_space(self, space)
+        _set_shape(self, shape)
+        _set_fields(self, fields)
 
     # a kept out-check's key hashes its certificate on every check, and
-    # hashing the Fractions each time cost construct about 5 %
+    # hashing the Fractions each time cost construct about 5 %: the first
+    # hash is written to the ``_hash`` slot, which later ones read
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.space, self.shape, self.fields))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.space, self.shape, self.fields))
+            _set_hash(self, h)
+            return h
 
     def describe(self):
         names = _SHAPES[self.shape][1]
         return {"space": str(self.space), "shape": self.shape,
                 **dict(zip(names, map(_render, self.fields)))}
+
+
+_set_space, _set_shape, _set_fields = setters(Certificate)
+_set_hash = Certificate._hash.__set__
 
 
 def _render(x):
@@ -144,19 +151,30 @@ def _render(x):
     return x
 
 
-@dataclass(frozen=True)
-class CertifiedIn:
-    cert: Certificate
+class CertifiedIn(Frozen):
+    __slots__ = _fields = ("cert",)
+
+    def __init__(self, cert: Certificate):
+        _set_in_cert(self, cert)
 
 
-@dataclass(frozen=True)
-class CertifiedOut:
-    cert: Certificate
+class CertifiedOut(Frozen):
+    __slots__ = _fields = ("cert",)
+
+    def __init__(self, cert: Certificate):
+        _set_out_cert(self, cert)
 
 
-@dataclass(frozen=True)
-class Undecided:
-    budget: int
+class Undecided(Frozen):
+    __slots__ = _fields = ("budget",)
+
+    def __init__(self, budget: int):
+        _set_budget(self, budget)
+
+
+(_set_in_cert,) = setters(CertifiedIn)
+(_set_out_cert,) = setters(CertifiedOut)
+(_set_budget,) = setters(Undecided)
 
 
 def verdict_to_json(v) -> dict:
@@ -491,31 +509,31 @@ _SHAPES = {
 # -- closed families ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FMk:
+class FMk(Frozen):
+    __slots__ = _fields = ("M", "k")
     M: Fraction
     k: int
 
 
-@dataclass(frozen=True)
-class PartialSum:
+class PartialSum(Frozen):
+    __slots__ = _fields = ("p", "M")
     p: Fraction
     M: Fraction
 
 
-@dataclass(frozen=True)
-class Fnk:
+class Fnk(Frozen):
+    __slots__ = _fields = ("n", "k")
     n: int
     k: int
 
 
-@dataclass(frozen=True)
-class FM:
+class FM(Frozen):
+    __slots__ = _fields = ("M",)
     M: Fraction
 
 
-@dataclass(frozen=True)
-class Fkj:
+class Fkj(Frozen):
+    __slots__ = _fields = ("k", "j")
     k: int
     j: int
 
@@ -534,19 +552,19 @@ def format_family(fam) -> str:
     raise TypeError(f"not a family ref: {fam!r}")
 
 
-@dataclass(frozen=True)
-class ViolatedAt:
+class ViolatedAt(Frozen):
     """First index where the family inequality provably fails; lower/upper
     bound the violating quantity (the weighted term, the term modulus, or
     the partial sum, depending on the family)."""
 
+    __slots__ = _fields = ("n", "lower", "upper")
     n: int
     lower: Fraction
     upper: Fraction
 
 
-@dataclass(frozen=True)
-class ConsistentUpTo:
+class ConsistentUpTo(Frozen):
+    __slots__ = _fields = ("N",)
     N: int
 
 

@@ -20,7 +20,6 @@ is a superset of its node's support; no term is evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -33,7 +32,7 @@ from .errors import (
     SeqchainError,
     UnsupportedOuter,
 )
-from .intervals import ComplexInterval, Q0, format_rational
+from .intervals import ComplexInterval, Frozen, Q0, format_rational, setters
 from .sequences import FiniteRational, Sequence, _as_pair, combine, zero
 from .spaces import SpaceId, ball_bound, strictly_included, truncation_bound
 from .supports import DyadicRow, SupportSet
@@ -106,8 +105,8 @@ def enumerate_rational_c00(j: int) -> FiniteRational:
 # -- dense family elements ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DenseFamilyElement:
+class DenseFamilyElement(Frozen):
+    __slots__ = _fields = ("j", "x", "witness", "scale", "f")
     j: int
     x: FiniteRational
     witness: Witness  # supported in disjoint_support(j)
@@ -155,8 +154,7 @@ def dense_family_element(
 # -- escape certificates -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutsideXCertificate:
+class OutsideXCertificate(Frozen):
     """Certificate that a finite combination escapes the inner space.
 
     On the witness row, from the cutoff on, the combination's own terms
@@ -169,10 +167,14 @@ class OutsideXCertificate:
     the decomposition it accepts is {witness: c} with c in scale, so the
     scale records it."""
 
-    j0: int
-    scale: ComplexInterval  # exact for exact-coefficient combinations
-    cutoff: int
-    witness: Witness
+    __slots__ = _fields = ("j0", "scale", "cutoff", "witness")
+
+    # the scale is exact for exact-coefficient combinations
+    def __init__(self, j0: int, scale: ComplexInterval, cutoff: int, witness: Witness):
+        _set_j0(self, j0)
+        _set_scale(self, scale)
+        _set_cutoff(self, cutoff)
+        _set_witness(self, witness)
 
     def describe(self):
         scale = {
@@ -186,6 +188,9 @@ class OutsideXCertificate:
             "cutoff": self.cutoff,
             "witness_out_certificate": self.witness.out_cert.describe(),
         }
+
+
+_set_j0, _set_scale, _set_cutoff, _set_witness = setters(OutsideXCertificate)
 
 
 def row_parts(f: Sequence, row: SupportSet, cutoff: int) -> dict[str, tuple[Fraction, Fraction]]:
@@ -268,8 +273,8 @@ def check_outside_certificate(
 # -- approximation with certified avoidance ------------------------------------
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(Frozen):
+    __slots__ = _fields = ("f", "certificate", "distance_upper")
     f: Sequence
     certificate: OutsideXCertificate
     distance_upper: Fraction

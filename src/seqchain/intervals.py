@@ -64,14 +64,78 @@ box's bounds |z|**2 and is rooted on its own side, a point's once for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, log2
+from operator import attrgetter
 
 from .errors import ParseError
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
+
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its constructor's parameters in ``_fields``, in order,
+    and keeps them in ``__slots__``; it compares, hashes and shows the
+    fields in ``_compare`` (all of ``_fields`` unless it says otherwise), and
+    never equals an instance of another class.  Fields are written once, in
+    ``__init__``: a type built on every op writes each slot through its member
+    descriptor (``setters``), and a cold record keeps this base's constructor,
+    which binds positional and keyword arguments to ``_fields``.  Plain
+    classes load and build faster than generated ones: no source is compiled
+    per class at import."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._compare = cls.__dict__.get("_compare", cls._fields)
+        cls._key = attrgetter(*cls._compare)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compare)
+        return f"{type(self).__qualname__}({shown})"
+
+    # copy and pickle rebuild through the constructor: __setattr__ refuses
+    # their slot writes
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+def setters(cls) -> tuple:
+    """The member descriptors' ``__set__`` of cls's fields, in order, for the
+    ``__init__`` of a type built on every op."""
+    return tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+
+def replace(obj: Frozen, **changes) -> Frozen:
+    """A copy of obj with some fields changed, built by obj's constructor, so
+    its checks run again."""
+    return obj.__class__(**{name: getattr(obj, name) for name in obj._fields} | changes)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -365,25 +429,25 @@ def _interval_sq(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     return Q0, max(lo * lo, hi * hi)
 
 
-@dataclass(frozen=True)
-class ComplexInterval:
+class ComplexInterval(Frozen):
     """Axis-aligned box of complex values with exact rational endpoints."""
 
-    re_lo: Fraction
-    re_hi: Fraction
-    im_lo: Fraction
-    im_hi: Fraction
+    __slots__ = _fields = ("re_lo", "re_hi", "im_lo", "im_hi")
 
-    def __post_init__(self):
+    def __init__(self, re_lo: Fraction, re_hi: Fraction, im_lo: Fraction, im_hi: Fraction):
         # a zero-width axis holds one endpoint object (module docstring)
-        if self.re_lo is not self.re_hi and not self.re_lo < self.re_hi:
-            if self.re_lo > self.re_hi:
+        if re_lo is not re_hi and not re_lo < re_hi:
+            if re_lo > re_hi:
                 raise ValueError("interval endpoints out of order")
-            object.__setattr__(self, "re_hi", self.re_lo)
-        if self.im_lo is not self.im_hi and not self.im_lo < self.im_hi:
-            if self.im_lo > self.im_hi:
+            re_hi = re_lo
+        if im_lo is not im_hi and not im_lo < im_hi:
+            if im_lo > im_hi:
                 raise ValueError("interval endpoints out of order")
-            object.__setattr__(self, "im_hi", self.im_lo)
+            im_hi = im_lo
+        _set_re_lo(self, re_lo)
+        _set_re_hi(self, re_hi)
+        _set_im_lo(self, im_lo)
+        _set_im_hi(self, im_hi)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -395,6 +459,8 @@ class ComplexInterval:
             and (s.im_lo is o.im_lo or s.im_lo == o.im_lo)
             and (s.im_lo is s.im_hi and o.im_lo is o.im_hi or s.im_hi == o.im_hi)
         )
+
+    __hash__ = Frozen.__hash__  # a class that defines __eq__ alone is unhashable
 
     @staticmethod
     def exact(re, im=Q0) -> "ComplexInterval":
@@ -518,6 +584,8 @@ class ComplexInterval:
         return self.re_lo > 0 or self.re_hi < 0 or self.im_lo > 0 or self.im_hi < 0
 
     def contains(self, c_re, c_im=0) -> bool:
+        if self.re_lo is self.re_hi and self.im_lo is self.im_hi:
+            return self.re_lo == c_re and self.im_lo == c_im
         return (
             self.re_lo <= c_re <= self.re_hi and self.im_lo <= c_im <= self.im_hi
         )
@@ -554,4 +622,5 @@ def _scale_real(lo: Fraction, hi: Fraction, c: Fraction) -> tuple[Fraction, Frac
     return c * hi, c * lo
 
 
+_set_re_lo, _set_re_hi, _set_im_lo, _set_im_hi = setters(ComplexInterval)
 _ZERO = ComplexInterval(Q0, Q0, Q0, Q0)

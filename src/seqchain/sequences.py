@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
 from .errors import LengthMismatch
-from .intervals import ComplexInterval, PowSum, Q0, Q1, abs_end, format_rational, pow_bounds
+from .intervals import ComplexInterval, PowSum, Q0, Q1, abs_end, format_rational, pow_bounds, replace
 from .supports import AllNaturals, ExplicitFinite, Intersection, SupportSet, Union
 from .tags import SubseqLowerBound
 

@@ -15,11 +15,9 @@ runs in row order and stops at the first such row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint
 from .generic import OutsideXCertificate, disjoint_support, escape_certificate
-from .intervals import Q0, ComplexInterval
+from .intervals import Q0, ComplexInterval, Frozen
 from .sequences import Combine, Sequence
 from .spaces import SpaceId
 from .witness import Witness, make_witness
@@ -34,8 +32,8 @@ def basis_element(
     return make_witness(inner, outer, disjoint_support(j), budget, prec)
 
 
-@dataclass(frozen=True)
-class SpaceableBasis:
+class SpaceableBasis(Frozen):
+    __slots__ = _fields = ("inner", "outer", "elements")
     inner: SpaceId
     outer: SpaceId
     elements: dict[int, Witness]

@@ -50,36 +50,35 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace, UnsupportedSpace
-from .intervals import Q0, Q1, DiscSum, PowSum, _neg_log2_upper, abs_ends, pow_bounds
-from .intervals import format_rational, parse_rational
+from .intervals import Q0, Q1, DiscSum, Frozen, PowSum, _neg_log2_upper, abs_ends, pow_bounds
+from .intervals import format_rational, parse_rational, setters
 from .sequences import Sequence, combine, normal_form
 
 _PARAM_TAGS = {"lp", "cap-lp"}
 _PLAIN_TAGS = {"ainf", "c0", "linf", "hd", "cn0"}
 
 
-@dataclass(frozen=True, order=False)
-class SpaceId:
-    tag: str
-    param: Fraction | None = None
+class SpaceId(Frozen):
+    __slots__ = _fields = ("tag", "param")
 
-    def __post_init__(self):
-        if self.tag in _PLAIN_TAGS:
-            if self.param is not None:
-                raise UnknownSpace(f"{self.tag} takes no parameter")
-        elif self.tag == "lp":
-            if self.param is None or self.param <= 0:
+    def __init__(self, tag: str, param: Fraction | None = None):
+        if tag in _PLAIN_TAGS:
+            if param is not None:
+                raise UnknownSpace(f"{tag} takes no parameter")
+        elif tag == "lp":
+            if param is None or param <= 0:
                 raise UnknownSpace("lp requires a parameter > 0")
-        elif self.tag == "cap-lp":
-            if self.param is None or self.param < 0:
+        elif tag == "cap-lp":
+            if param is None or param < 0:
                 raise UnknownSpace("cap-lp requires a parameter >= 0")
         else:
-            raise UnknownSpace(f"unknown space tag {self.tag!r}")
+            raise UnknownSpace(f"unknown space tag {tag!r}")
+        _set_tag(self, tag)
+        _set_param(self, param)
 
     def __str__(self):
         if self.param is None:
@@ -96,6 +95,7 @@ class SpaceId:
         return (2 + ("c0", "linf", "hd", "cn0").index(self.tag), Q0, 0)
 
 
+_set_tag, _set_param = setters(SpaceId)
 AINF = SpaceId("ainf")
 C0 = SpaceId("c0")
 LINF = SpaceId("linf")
@@ -142,14 +142,17 @@ def adjacent_pairs(a=Fraction(1), b=Fraction(2)) -> list[tuple[SpaceId, SpaceId]
     return list(zip(chain, chain[1:]))
 
 
-@dataclass(frozen=True)
-class MetricBound:
-    lower: Fraction
-    upper: Fraction
+class MetricBound(Frozen):
+    __slots__ = _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        if self.lower > self.upper:
+    def __init__(self, lower: Fraction, upper: Fraction):
+        if lower > upper:
             raise ValueError("bound endpoints out of order")
+        _set_lower(self, lower)
+        _set_upper(self, upper)
+
+
+_set_lower, _set_upper = setters(MetricBound)
 
 
 # -- metric computation -----------------------------------------------------

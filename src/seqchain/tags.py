@@ -20,44 +20,56 @@ block through the base's enumeration onto its own positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
-from .intervals import format_rational
-
-
-@dataclass(frozen=True)
-class SubseqLowerBound:
-    label: str
-    s: Callable[[int], int] = field(repr=False, compare=False)  # strictly increasing in m >= 1
-    g: Callable[[int], Fraction] = field(repr=False, compare=False)  # m -> rational lower bound
-    g_inf: Fraction | None = None  # certified positive infimum of g, if any
+from .intervals import Frozen, format_rational, setters
 
 
-@dataclass(frozen=True)
-class RootLowerBound:
-    label: str
-    s: Callable[[int], int] = field(repr=False, compare=False)
-    rho: Callable[[int], Fraction] = field(repr=False, compare=False)
+class SubseqLowerBound(Frozen):
+    __slots__ = _fields = ("label", "s", "g", "g_inf")
+    _compare = ("label", "g_inf")
+
+    # s is strictly increasing in m >= 1, g maps m to a rational lower bound,
+    # and g_inf is a certified positive infimum of g, if any
+    def __init__(self, label: str, s: Callable[[int], int], g: Callable[[int], Fraction],
+                 g_inf: Fraction | None = None):
+        _set_sub_label(self, label)
+        _set_sub_s(self, s)
+        _set_sub_g(self, g)
+        _set_sub_g_inf(self, g_inf)
+
+
+class RootLowerBound(Frozen):
+    __slots__ = _fields = ("label", "s", "rho")
+    _compare = ("label",)
+
+    def __init__(self, label: str, s: Callable[[int], int], rho: Callable[[int], Fraction]):
+        _set_root_label(self, label)
+        _set_root_s(self, s)
+        _set_root_rho(self, rho)
 
 
 COMPARATORS = ("constant", "harmonic")
 
 
-@dataclass(frozen=True)
-class BlockDivergence:
+class BlockDivergence(Frozen):
     """sum over block j of |a_{support position k}|^p >= beta(j), where
     beta(j) = c ("constant") or c/j ("harmonic"); either family has a
     divergent sum over j >= j_start.  Equal when the fields ``describe()``
     renders are: a check reads the block rule of the node it checks."""
 
-    p: Fraction
-    # j -> (k_lo, k_hi), 1-based, inclusive
-    block: Callable[[int], tuple[int, int]] = field(repr=False, compare=False)
-    comparator: str = "constant"
-    c: Fraction = Fraction(1)
-    j_start: int = 1
+    __slots__ = _fields = ("p", "block", "comparator", "c", "j_start")
+    _compare = ("p", "comparator", "c", "j_start")
+
+    # block maps j to (k_lo, k_hi), 1-based, inclusive
+    def __init__(self, p: Fraction, block: Callable[[int], tuple[int, int]],
+                 comparator: str = "constant", c: Fraction = Fraction(1), j_start: int = 1):
+        _set_p(self, p)
+        _set_block(self, block)
+        _set_comparator(self, comparator)
+        _set_c(self, c)
+        _set_j_start(self, j_start)
 
     def beta(self, j: int) -> Fraction:
         if self.comparator == "constant":
@@ -73,6 +85,11 @@ class BlockDivergence:
             "c": format_rational(self.c),
             "j_start": self.j_start,
         }
+
+
+_set_sub_label, _set_sub_s, _set_sub_g, _set_sub_g_inf = setters(SubseqLowerBound)
+_set_root_label, _set_root_s, _set_root_rho = setters(RootLowerBound)
+_set_p, _set_block, _set_comparator, _set_c, _set_j_start = setters(BlockDivergence)
 
 
 def dyadic_position_block(j: int) -> tuple[int, int]:

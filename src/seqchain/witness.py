@@ -10,8 +10,6 @@ X = ainf and the n**n construction for X = hd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnose import Certificate, CertifiedIn, CertifiedOut, check_certificate, classify
 from .errors import NotStrictPair, SeqchainError, TopOfChain
 from .families import (
@@ -25,13 +23,14 @@ from .families import (
     prop28,
     rem29,
 )
+from .intervals import Frozen
 from .sequences import Sequence, spread
 from .spaces import SpaceId, strictly_included
 from .supports import SupportSet
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
+    __slots__ = _fields = ("seq", "inner", "outer", "out_cert", "in_cert", "support")
     seq: Sequence
     inner: SpaceId  # certified out of this space
     outer: SpaceId  # certified inside this space

@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
@@ -39,7 +38,7 @@ from seqchain.diagnose import (
 )
 from seqchain.errors import UnsupportedSpace
 from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, gap_lp_cap, nat, nat_power, prop28
-from seqchain.intervals import ComplexInterval, PowSum, abs_ends, pow_bounds, sqrt_bounds
+from seqchain.intervals import ComplexInterval, PowSum, abs_ends, pow_bounds, replace, sqrt_bounds
 from seqchain.sequences import (
     Combine,
     FiniteRational,

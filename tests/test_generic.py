@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from seqchain.generic import (
     escape_certificate,
     row_parts,
 )
-from seqchain.intervals import ComplexInterval, format_rational
+from seqchain.intervals import ComplexInterval, format_rational, replace
 from seqchain.sequences import Combine, FiniteRational, combine, restrict, spread, term_at, zero
 from seqchain.spaceable import build_basis, certify_combination_outside
 from seqchain.spaces import C0, CN0, HD, LINF, AINF, adjacent_pairs, cap_lp, lp, metric_bound
@@ -258,12 +257,12 @@ def test_cutoff_clears_every_anchor():
 # only the check of the forged field can reject it: the witness of lp:1 in
 # c0 is certifiably outside lp:1/2 too
 FORGERIES = {
-    "scale-holds-zero": lambda c: dataclasses.replace(
+    "scale-holds-zero": lambda c: replace(
         c, scale=ComplexInterval.from_real_bounds(-c.scale.re_hi, c.scale.re_hi)
     ),
-    "out-cert-of-another-space": lambda c: dataclasses.replace(
+    "out-cert-of-another-space": lambda c: replace(
         c,
-        witness=dataclasses.replace(
+        witness=replace(
             c.witness, out_cert=classify(c.witness.seq, lp(F(1, 2)), BUDGET, PREC).cert
         ),
     ),
@@ -289,7 +288,7 @@ def test_a_moved_scale_is_rejected_at_every_sample_count(pair):
     res = approximate_with_avoider(FiniteRational({0: F(1)}), F(1), outer, inner, BUDGET, PREC)
     cert = res.certificate
     moved = cert.scale.re_lo * (1 + F(1, 1 << (3 * PREC // 2)))
-    forged = dataclasses.replace(cert, scale=ComplexInterval.exact(moved))
+    forged = replace(cert, scale=ComplexInterval.exact(moved))
     with pytest.raises(SeqchainError, match="lies outside the scale"):
         escape_certificate(res.f, forged.j0, forged.witness, forged.scale, forged.cutoff)
     for samples in range(1, 51):
@@ -503,7 +502,7 @@ def test_a_witness_swapped_for_a_sequence_inside_the_inner_space_is_rejected():
     els = _elements((lp(1), C0), 1)
     cert = certify_outside([1], els)
     w = cert.witness
-    forged = dataclasses.replace(cert, witness=dataclasses.replace(w, seq=prop28()))
+    forged = replace(cert, witness=replace(w, seq=prop28()))
     f = prop28()
     assert isinstance(classify(f, lp(1), BUDGET, PREC), CertifiedIn)
     for samples in (1, 3, 8, 50):
@@ -518,10 +517,10 @@ def test_a_witness_whose_hint_leaves_its_row_is_rejected():
     els = _elements((lp(1), C0), 1)
     cert = certify_outside([1], els)
     w = cert.witness
-    wide = dataclasses.replace(w, seq=spread(w.seq.base, Arith(0, 1)))
+    wide = replace(w, seq=spread(w.seq.base, Arith(0, 1)))
     assert wide.seq.lp_divergence(F(1)) == w.seq.lp_divergence(F(1))
     assert wide.out_cert_holds(3, PREC)
-    forged = dataclasses.replace(cert, witness=wide)
+    forged = replace(cert, witness=wide)
     f = combine([1, cert.scale.re_lo], [els[0].x, wide.seq])
     assert row_parts(f, w.support, cert.cutoff) == {wide.seq.spec_key(): (cert.scale.re_lo, F(0))}
     for samples in (1, 3, 50):

@@ -778,6 +778,16 @@ def test_box_ops_equal_the_general_formulas(z, w, c_re, c_im):
         assert _ends(z.div(w)) == _ref_div(z, w)
 
 
+@given(point_or_wide_boxes(), st.data())
+def test_contains_equals_the_four_comparisons(z, data):
+    # a point box answers by two == tests, any other by four comparisons; the
+    # points are drawn from the box's own ends as well, so that both answers occur
+    c_re = data.draw(st.one_of(st.sampled_from([z.re_lo, z.re_hi, _copy(z.re_hi)]), rationals, st.integers(-3, 3)))
+    c_im = data.draw(st.one_of(st.sampled_from([z.im_lo, z.im_hi, _copy(z.im_lo)]), zero_or_rational))
+    assert z.contains(c_re, c_im) is (z.re_lo <= c_re <= z.re_hi and z.im_lo <= c_im <= z.im_hi)
+    assert z.contains(c_re) is (z.re_lo <= c_re <= z.re_hi and z.im_lo <= 0 <= z.im_hi)
+
+
 @given(point_or_wide_boxes(), st.sampled_from(["copy", "other", "re_hi", "im_hi"]), point_or_wide_boxes())
 def test_equality_and_hash_are_those_of_the_field_tuple(z, how, other):
     if how == "copy":

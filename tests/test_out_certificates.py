@@ -8,7 +8,6 @@ reads that node's own tags and blocks."""
 import hashlib
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -37,7 +36,7 @@ from seqchain.diagnose import (
     verdict_to_json,
 )
 from seqchain.errors import UnsupportedSpace
-from seqchain.intervals import Q1
+from seqchain.intervals import Q1, replace
 from seqchain.sequences import FiniteRational, combine, restrict, spread, zero
 from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaceable import basis_element

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +15,7 @@ from seqchain.errors import (
 )
 from seqchain.families import const_one
 from seqchain.generic import check_outside_certificate, disjoint_support, escape_certificate
-from seqchain.intervals import ComplexInterval
+from seqchain.intervals import ComplexInterval, replace
 from seqchain.sequences import Combine, FiniteRational, Sequence, combine, spread, zero
 from seqchain.serialize import canonical_json, sequence_from_spec
 from seqchain.spaces import AINF, C0, LINF, adjacent_pairs, cap_lp, lp, parse_space
@@ -207,10 +206,10 @@ def test_the_out_certificate_check_is_remembered_per_witness():
     assert verify_witness(w, BUDGET, 3, PREC) and w.out_cert_holds(3, PREC)
     assert w.seq._kept["out-check", w.out_cert, 3, PREC]
     # an equal certificate made afresh hashes alike and finds the same entry
-    assert w.seq._kept["out-check", dataclasses.replace(w.out_cert), 3, PREC]
+    assert w.seq._kept["out-check", replace(w.out_cert), 3, PREC]
     # a replaced certificate is its own key on the same sequence: the witness
     # vanishes, so the not-vanishing certificate of the constant 1 fails on it
-    moved = dataclasses.replace(w, out_cert=classify(const_one(), C0, BUDGET, PREC).cert)
+    moved = replace(w, out_cert=classify(const_one(), C0, BUDGET, PREC).cert)
     assert not moved.out_cert_holds(3, PREC)
     assert not w.seq._kept["out-check", moved.out_cert, 3, PREC]
     assert w.out_cert_holds(3, PREC)
@@ -218,14 +217,14 @@ def test_the_out_certificate_check_is_remembered_per_witness():
 
 def test_the_kept_out_check_equals_the_check_on_a_node_parsed_afresh(monkeypatch):
     w = basis_element(lp(1), C0, 2, BUDGET, PREC)
-    w = dataclasses.replace(w, seq=sequence_from_spec(w.seq.spec()))  # nothing kept yet
+    w = replace(w, seq=sequence_from_spec(w.seq.spec()))  # nothing kept yet
     vanishing = classify(const_one(), C0, BUDGET, PREC).cert
     real, calls = witness.check_certificate, []
     monkeypatch.setattr(witness, "check_certificate", lambda *a: calls.append(a) or real(*a))
     for cert, holds in ((w.out_cert, True), (vanishing, False)):
         fresh = sequence_from_spec(w.seq.spec())
         assert bool(real(fresh, CertifiedOut(cert), 2, PREC)) is holds
-        one = dataclasses.replace(w, out_cert=cert)
+        one = replace(w, out_cert=cert)
         assert one.out_cert_holds(2, PREC) == holds and one.out_cert_holds(2, PREC) == holds
     # one check per certificate: a failure is kept as a success is
     assert len(calls) == 2

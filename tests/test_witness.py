@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from seqchain.diagnose import CertifiedIn, CertifiedOut, classify
 from seqchain.errors import FiniteSupportSet, NotStrictPair, TopOfChain
 from seqchain.families import prop28
 from seqchain.generic import _row_element, approximate_with_avoider, dense_family_element
-from seqchain.intervals import ComplexInterval
+from seqchain.intervals import ComplexInterval, replace
 from seqchain.sequences import spread, term_at
 from seqchain.serialize import canonical_json
 from seqchain.spaceable import build_basis
@@ -177,7 +176,7 @@ def test_rearrangement_invariance_of_verdicts():
 
 def test_verify_rejects_forged_support():
     w = make_witness(lp(1), C0, AllNaturals(), BUDGET, PREC)
-    forged = dataclasses.replace(w, support=EVENS)  # claims evens, but lives on all
+    forged = replace(w, support=EVENS)  # claims evens, but lives on all
     assert not verify_witness(forged, BUDGET, 3, PREC)
 
 
@@ -187,19 +186,19 @@ def test_verify_rejects_a_sequence_whose_hint_is_all_naturals():
     assert verify_witness(w, BUDGET, 3, PREC)
     unhinted = spread(w.seq.base, EVENS)
     unhinted.support_hint = AllNaturals()
-    assert not verify_witness(dataclasses.replace(w, seq=unhinted), BUDGET, 3, PREC)
+    assert not verify_witness(replace(w, seq=unhinted), BUDGET, 3, PREC)
 
 
 def test_verify_rejects_swapped_spaces():
     w = make_witness(lp(1), C0, EVENS, BUDGET, PREC)
-    swapped = dataclasses.replace(w, inner=w.outer, outer=w.inner)
+    swapped = replace(w, inner=w.outer, outer=w.inner)
     assert not verify_witness(swapped, BUDGET, 3, PREC)
 
 
 def test_verify_rejects_mismatched_certificates():
     w1 = make_witness(lp(1), C0, EVENS, BUDGET, PREC)
     w2 = make_witness(lp(2), C0, EVENS, BUDGET, PREC)
-    crossed = dataclasses.replace(w1, out_cert=w2.out_cert)
+    crossed = replace(w1, out_cert=w2.out_cert)
     assert not verify_witness(crossed, BUDGET, 3, PREC)
 
 
