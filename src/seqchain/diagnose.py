@@ -53,6 +53,8 @@ _THRESHOLDS = tuple(1 << t for t in range(8))  # unboundedness spot-check ladder
 _SCAN_CAP = 512          # tag index scan bound
 _DOUBLING_CAP = 220      # cutoff search: N up to ~2**220
 _REFINE_STEPS = 4
+_C0_EPSILONS = tuple(Fraction(1, 1 << i) for i in range(_SCHEDULE_K))  # vanishing-schedule rows
+_AINF_EPS = Fraction(1, 64)  # the bound of every poly-schedule row
 
 
 # -- interval comparisons ----------------------------------------------------
@@ -346,11 +348,9 @@ def _in_schedule(seq: Sequence, space: SpaceId, prec: int):
         # the schedule cuts at support positions: beyond the K-th support
         # point every term modulus is <= eps (off-support terms are zero),
         # which keeps the cutoffs representable on sparse supports
-        epsilons = [Fraction(1, 1 << i) for i in range(_SCHEDULE_K)]
-        return [((eps,), lambda K: seq.pos_sup_tail(K, prec), eps) for eps in epsilons]
+        return [((eps,), lambda K: seq.pos_sup_tail(K, prec), eps) for eps in _C0_EPSILONS]
     if space.tag == "ainf":
-        eps = Fraction(1, 64)
-        return [((k, eps), lambda N, k=k: seq.poly_sup_tail(N, k, prec), eps)
+        return [((k, _AINF_EPS), lambda N, k=k: seq.poly_sup_tail(N, k, prec), _AINF_EPS)
                 for k in range(_SCHEDULE_K + 1)]
     kind, param, nested = seminorm_rows(space)
     ps = [param(k) for k in range(1, _SCHEDULE_K + 1 if nested else 2)]

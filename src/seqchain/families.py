@@ -57,6 +57,7 @@ from .tags import (
 
 _TAG_PREC = 32  # fixed precision for rational bounds baked into tags
 _ONE = ComplexInterval.exact(Q1)  # every term of const-one
+_HALF = Fraction(1, 2)  # the doubling tail's base
 
 
 def _real_iv(lo: Fraction, hi: Fraction) -> ComplexInterval:
@@ -73,22 +74,27 @@ def _ceil_sqrt(n: int) -> int:
 
 
 def _geom_tail(base: Fraction, exponent: Fraction, k0: int, prec: int) -> Fraction:
-    """Upper bound on sum_{k >= k0} (base**exponent)**k for 0 < base < 1."""
+    """Upper bound on sum_{k >= k0} (base**exponent)**k for 0 < base < 1, on integers."""
     work = max(prec, 16)
     for _ in range(20):
-        t_up = pow_bounds(base, exponent, work)[1]
-        if t_up < 1:
-            return t_up ** k0 / (1 - t_up)
+        n, d = pow_bounds(base, exponent, work)[1].as_integer_ratio()
+        if n < d:
+            return Fraction(n ** k0 * d, d ** k0 * (d - n))
         work += 32
     raise BudgetExceeded("geometric ratio bound would not drop below 1")
+
+
+def _power_tail(m: int, s_num: int, s_den: int, prec: int) -> Fraction:
+    """Upper bound m**(1-s)/(s-1) on sum_{n > m} n**-s, s = s_num/s_den > 1, on integers."""
+    d = s_num - s_den  # s - 1 = d/s_den
+    x, y = pow_bounds(m, Fraction(-d, s_den), max(prec, 16))[1].as_integer_ratio()
+    return Fraction(x * s_den, y * d)
 
 
 def _check_r(r) -> tuple[int, int]:
     """The radius as (u, v), r = u/v in lowest terms, checked to lie in (0,1)
     on its integers."""
-    if not isinstance(r, Fraction):
-        r = Fraction(r)
-    u, v = r.numerator, r.denominator
+    u, v = r.as_integer_ratio()
     if not 0 < u < v:
         raise ValueError("disc radius must lie in (0,1)")
     return u, v
@@ -129,7 +135,8 @@ def _doubling(name: str, params: dict, support: SupportSet, label: str, bound) -
     def tail(N, p, prec):
         # the m-th selected value is >= 2**m, so the tail past the first
         # rank_upto(N) selections is dominated by a geometric series
-        return _geom_tail(Fraction(1, 2), p / 2, selection.rank_upto(N) + 1, prec)
+        half = Fraction(p.numerator, 2 * p.denominator)
+        return _geom_tail(_HALF, half, selection.rank_upto(N) + 1, prec)
 
     sup, disc = _bounded_tails(term, lambda N: selection.nth(selection.rank_upto(N) + 1))
 
@@ -308,9 +315,8 @@ def gap_lp_cap(a: Fraction) -> FamilySeq:
         return _real_iv(*pow_bounds(Fraction(m * _floor_log2(m)), exponent, prec))
 
     def tail(N, q, prec):
-        s = q / a
-        # sum_{m > N+2} m**-s <= (N+2)**(1-s) / (s-1)
-        return pow_bounds(Fraction(N + 2), 1 - s, max(prec, 16))[1] / (s - 1)
+        # sum_{m > N+2} m**-s <= (N+2)**(1-s) / (s-1), s = q/a
+        return _power_tail(N + 2, q.numerator * a.denominator, q.denominator * a.numerator, prec)
 
     sup, disc = _bounded_tails(term)
     tag = SubseqLowerBound(
@@ -344,16 +350,17 @@ def gap_cap_lp(a: Fraction, b: Fraction) -> FamilySeq:
     if not 0 <= a < b:
         raise ValueError("need 0 <= a < b")
     exponent = Fraction(-2) / (a + b)
+    ab_num, ab_den = (a + b).as_integer_ratio()
 
     def term(n, prec):
         return _real_iv(*pow_bounds(Fraction(n + 1), exponent, prec))
 
     def tail(N, q, prec):
-        s = 2 * q / (a + b)
+        s_num, s_den = 2 * q.numerator * ab_den, q.denominator * ab_num  # s = 2q/(a+b)
         if N < 0:
-            # the whole sequence: the n = 0 term is 1, the rest is the N = 0 tail
-            return 1 + 1 / (s - 1)
-        return pow_bounds(Fraction(N + 1), 1 - s, max(prec, 16))[1] / (s - 1)
+            # the whole sequence: the n = 0 term 1 and the N = 0 tail, 1 + 1/(s-1)
+            return Fraction(s_num, s_num - s_den)
+        return _power_tail(N + 1, s_num, s_den, prec)
 
     sup, disc = _bounded_tails(term)
 

@@ -20,6 +20,8 @@ that also decides exactness when q = num/2**e with k | e (the dyadic merge).
 ``PowSum`` adds a slice's grid integers as one numerator and the exact pairs
 as one over the lcm of their denominators, making one ``Fraction``.  Every
 disc sum, sum a_n r**n over a head, comes from one Horner kernel, ``DiscSum``.
+The tail oracles and the schedule and seminorm rows keep this rule too:
+integers inside, one ``Fraction`` per result.
 
 ``pow_bounds`` builds each endpoint as one reduced ``Fraction`` from these
 integers, through the public ``fractions`` API only (its private fast
@@ -145,13 +147,14 @@ def parse_rational(text: str) -> Fraction:
     is a malformed spec, not a value to coerce.  Exponent notation is
     refused, since ``Fraction("1e-300000000")`` expands the power exactly.
     The canonical literal ``-?digits/digits`` in ASCII, as reports write it,
-    skips ``Fraction``'s regular expression; every other string takes it."""
+    and a bare ``-?digits`` skip ``Fraction``'s regular expression; every
+    other string takes it."""
     if not isinstance(text, str):
         raise ParseError(f"bad rational literal {text!r}: expected a string")
-    num, _, den = text.partition("/")
-    if text.isascii() and den.isdigit() and num.removeprefix("-").isdigit():
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
         try:
-            if d := int(den):
+            if d := int(den or 1):
                 return Fraction(int(num), d)
         except ValueError:  # past the int-to-str digit limit: the regular path names it
             pass
@@ -355,7 +358,8 @@ class PowSum:
     denominators come, and multiplies by the count once."""
 
     def __init__(self, e: Fraction, prec: int, upper: bool = False):
-        self.exps = [(x.numerator, x.denominator) for x in (e, e / 2)]
+        a, k = e.numerator, e.denominator  # e/2 in lowest terms from e's own
+        self.exps = (a, k), (a // 2, k) if a % 2 == 0 else (a, 2 * k)
         self.prec, self.upper = prec, upper
         self.L, self.exact, self.num = 1, 0, 0
 

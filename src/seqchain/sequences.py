@@ -40,7 +40,8 @@ from itertools import groupby
 from operator import itemgetter
 
 from .errors import LengthMismatch
-from .intervals import ComplexInterval, PowSum, Q0, Q1, abs_end, format_rational, pow_bounds, replace
+from .intervals import ComplexInterval, DiscSum, PowSum, Q0, Q1, abs_end, format_rational, pow_bounds
+from .intervals import replace
 from .supports import AllNaturals, ExplicitFinite, Intersection, SupportSet, Union
 from .tags import SubseqLowerBound
 
@@ -55,6 +56,10 @@ def _as_rat(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("coefficients must be exact rationals, not floats")
     return Fraction(x)
+
+
+def _as_fraction(x) -> Fraction:
+    return x if x.__class__ is Fraction else Fraction(x)
 
 
 def _as_pair(c) -> tuple[Fraction, Fraction]:
@@ -268,7 +273,7 @@ class FiniteRational(Sequence):
 
     def _tail_majorant(self, N, p, prec):
         ends = (end for _, end in self._moduli_beyond(N))
-        return PowSum(Fraction(p), prec, upper=True).extend(ends).value
+        return PowSum(_as_fraction(p), prec, upper=True).extend(ends).value
 
     def _sup_tail(self, N, prec):
         return max((m for _, m in self._moduli_beyond(N, prec)), default=Q0)
@@ -280,12 +285,22 @@ class FiniteRational(Sequence):
     def _disc_tail(self, N, r, prec):
         if N >= self.max_index:  # past the last entry the tail is zero
             return 0, 1
-        r = Fraction(r)
-        t = sum((m * _radius_power_upper(r, n, prec) for n, m in self._moduli_beyond(N, prec)), Q0)
-        return t.numerator, t.denominator
+        r = _as_fraction(r)  # exact powers through DiscSum, bounded ones past _EXACT_POWER_BITS
+        moduli, bits = self._moduli_beyond(N, prec), r.denominator.bit_length()
+        cut = bisect_right(moduli, _EXACT_POWER_BITS // bits, key=itemgetter(0))
+        num, den = DiscSum(r).extend(moduli[:cut]).pair
+        for n, m in moduli[cut:]:
+            far = m * _radius_power_upper(r, n, prec)
+            num, den = num * far.denominator + far.numerator * den, den * far.denominator
+        return num, den
 
     def _poly_sup_tail(self, N, k, prec):
-        return max((Fraction(n) ** k * m for n, m in self._moduli_beyond(N, prec)), default=Q0)
+        best, best_den = 0, 1
+        for n, m in self._moduli_beyond(N, prec):  # the max by cross-multiplication
+            num, den = n ** k * m.numerator, m.denominator
+            if num * best_den > best * den:
+                best, best_den = num, den
+        return Fraction(best, best_den) if best else Q0
 
     def spec(self):
         return {
@@ -348,7 +363,7 @@ class FamilySeq(Sequence):
         return (self._runs_fn or super().position_runs)(k_lo, k_hi, prec)
 
     def _tail_majorant(self, N, p, prec):
-        p, t = Fraction(p), self.threshold
+        p, t = _as_fraction(p), self.threshold
         if self._tail_fn is None or t is None or p <= t:
             return None
         return self._tail_fn(N, p, prec)
@@ -366,7 +381,7 @@ class FamilySeq(Sequence):
         return self._disc_fn(N, r, prec) if self._disc_fn else None
 
     def lp_divergence(self, p):
-        p, t = Fraction(p), self.threshold
+        p, t = _as_fraction(p), self.threshold
         if self._lp_div_fn is None or (t is not None and p > t):
             return None
         return self._lp_div_fn(p)
@@ -570,7 +585,7 @@ class Combine(Sequence):
         return total if p <= 1 else pow_bounds(total, p, prec)[1]
 
     def _tail_majorant(self, N, p, prec):
-        p = Fraction(p)
+        p = _as_fraction(p)
         return self._weighted_tail(lambda base: base.tail_majorant(N, p, prec), prec, p)
 
     def _sup_tail(self, N, prec):

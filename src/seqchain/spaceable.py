@@ -15,6 +15,8 @@ runs in row order and stops at the first such row.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint
 from .generic import OutsideXCertificate, disjoint_support, escape_certificate
 from .intervals import Q0, ComplexInterval, Frozen
@@ -34,9 +36,9 @@ def basis_element(
 
 class SpaceableBasis(Frozen):
     __slots__ = _fields = ("inner", "outer", "elements")
-    inner: SpaceId
-    outer: SpaceId
-    elements: dict[int, Witness]
+
+    def __init__(self, inner: SpaceId, outer: SpaceId, elements):  # j -> witness, read-only
+        super().__init__(inner, outer, MappingProxyType(dict(elements)))
 
     def describe(self):
         return {

@@ -21,6 +21,10 @@ kind is homogeneous, of the degree in brackets: row(c d) = |c|**deg row(d).
   metric; density statements made for it are the stronger ones.
 * ``cn0``: sum_n 2**-n |d_n|/(1+|d_n|) (pointwise convergence).
 
+A space keeps its rows, outside its fields, and each row's parameter once
+made from integers: an in-certificate's build, its check and every metric
+walk read one ``Fraction`` per row.  A plain tag parses to ``AINF``, ``C0``, ...
+
 ``metric_bound`` returns certified two-sided bounds, minimised over a
 power-of-two ladder of budgets (monotone in the budget despite rounding);
 ``metric_bounds`` yields the bound after each rung, and ``distance_below``
@@ -51,7 +55,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace, UnsupportedSpace
 from .intervals import Q0, Q1, DiscSum, Frozen, PowSum, _neg_log2_upper, abs_ends, pow_bounds
@@ -59,14 +63,14 @@ from .intervals import format_rational, parse_rational, setters
 from .sequences import Sequence, combine, normal_form
 
 _PARAM_TAGS = {"lp", "cap-lp"}
-_PLAIN_TAGS = {"ainf", "c0", "linf", "hd", "cn0"}
 
 
 class SpaceId(Frozen):
-    __slots__ = _fields = ("tag", "param")
+    _fields = ("tag", "param")
+    __slots__ = (*_fields, "_rows")  # seminorm_rows(self), once made: outside the fields
 
     def __init__(self, tag: str, param: Fraction | None = None):
-        if tag in _PLAIN_TAGS:
+        if tag in ("ainf", "c0", "linf", "hd", "cn0"):
             if param is not None:
                 raise UnknownSpace(f"{tag} takes no parameter")
         elif tag == "lp":
@@ -101,6 +105,7 @@ C0 = SpaceId("c0")
 LINF = SpaceId("linf")
 HD = SpaceId("hd")
 CN0 = SpaceId("cn0")
+_PLAIN_SPACES = {space.tag: space for space in (AINF, C0, LINF, HD, CN0)}
 
 
 def lp(p) -> SpaceId:
@@ -118,8 +123,8 @@ def parse_space(text: str) -> SpaceId:
         if tag not in _PARAM_TAGS:
             raise UnknownSpace(f"space {tag!r} takes no parameter")
         return SpaceId(tag, parse_rational(raw))
-    if text in _PLAIN_TAGS:
-        return SpaceId(text)
+    if text in _PLAIN_SPACES:
+        return _PLAIN_SPACES[text]
     if text in _PARAM_TAGS:
         raise UnknownSpace(f"space {text!r} needs a parameter")
     raise UnknownSpace(f"unknown space {text!r}")
@@ -330,17 +335,23 @@ class _Residue(_Head):
 def seminorm_rows(y: SpaceId):
     """y's seminorm rows: (row kind, k -> the parameter of row k >= 1,
     whether the metric is a Frechet sum over rows k = 1, 2, ...); the
-    module docstring lists them and their degrees.  ``cn0`` has its own
-    metric, ``ainf`` none."""
-    if y.tag == "lp":
-        return "lp", lambda k: y.param, False
-    if y.tag == "cap-lp":
-        return "lp", lambda k: y.param + Fraction(1, k), True
-    if y.tag in ("c0", "linf"):
-        return "sup", lambda k: None, False
-    if y.tag == "hd":
-        return "disc", lambda k: Fraction(k, k + 1), True
-    raise UnsupportedSpace(f"no seminorm rows for {y}")
+    module docstring lists them and their degrees, and how y keeps them.
+    ``cn0`` has its own metric, ``ainf`` none."""
+    rows = getattr(y, "_rows", None)
+    if rows is None:
+        if y.tag == "lp":
+            rows = "lp", lambda k, p=y.param: p, False
+        elif y.tag == "cap-lp":  # a/b + 1/k
+            a, b = y.param.as_integer_ratio()
+            rows = "lp", cache(lambda k: Fraction(a * k + b, b * k)), True
+        elif y.tag in ("c0", "linf"):
+            rows = "sup", lambda k: None, False
+        elif y.tag == "hd":
+            rows = "disc", cache(lambda k: Fraction(k, k + 1)), True
+        else:
+            raise UnsupportedSpace(f"no seminorm rows for {y}")
+        SpaceId._rows.__set__(y, rows)
+    return rows
 
 
 def row_tail(seq: Sequence, kind: str, param, N: int, prec: int):

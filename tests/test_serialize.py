@@ -256,6 +256,27 @@ def test_rational_literals_parse_as_through_fraction(text):
     assert _outcome(parse_rational, text) == _outcome(_parse_through_fraction, text)
 
 
+# bare, signed, num/den, with whitespace, with underscores, and past the digit limit
+_LITERALS = [
+    "0", "2", "-1", "-0", "007", "+5", "12345678901234567890", "1_000", "-1_0",
+    "3/4", "-3/4", "0/5", "6/4", "+3/4", "1_0/2_0", "-00/01",
+    " 2", "2 ", "\t-7\n", " 3/4 ", "3 /4", "- 1",
+    "", "-", "--1", "1/", "/2", "1/0", "0/0", "1/-2", "1/2/3", "1__0", "_1", "1.5", "1e3",
+    "9" * 4301, "-" + "9" * 4301, "9" * 4301 + "/7", "7/" + "9" * 4301,
+]
+
+
+@pytest.mark.parametrize("text", _LITERALS, ids=lambda text: repr(text)[:24])
+def test_a_grid_of_literals_parses_as_through_fraction(text):
+    outcome = _outcome(parse_rational, text)
+    if "e" in text:  # refused before Fraction's parser is reached
+        assert outcome == ("error", f"bad rational literal {text!r}: exponent notation is not accepted")
+    else:
+        assert outcome == _outcome(_parse_through_fraction, text)
+    if outcome[0] == "value":
+        assert outcome[1] == Fraction(text.strip())
+
+
 def test_a_literal_past_the_digit_limit_is_the_same_parse_error():
     for text in ("1" * 5000 + "/3", "-" + "1" * 5000):
         assert _outcome(parse_rational, text) == _outcome(_parse_through_fraction, text)

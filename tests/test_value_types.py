@@ -6,6 +6,7 @@ package loads none of the modules that generated classes need."""
 
 import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -33,7 +34,8 @@ from seqchain.generic import ApproxResult, DenseFamilyElement, OutsideXCertifica
 from seqchain.intervals import ComplexInterval, Frozen, replace
 from seqchain.sequences import FiniteRational
 from seqchain.spaceable import SpaceableBasis
-from seqchain.spaces import C0, MetricBound, SpaceId, lp
+from seqchain import spaces
+from seqchain.spaces import C0, HD, MetricBound, SpaceId, cap_lp, lp, parse_space, seminorm_rows
 from seqchain.supports import DyadicRow
 from seqchain.tags import (
     BlockDivergence,
@@ -115,11 +117,49 @@ def test_equal_fields_give_equal_values_and_hashes(name):
     a, b = VALUES[name](), VALUES[name]()
     assert a is not b and a == b and not a != b
     assert replace(a) == a and copy.copy(a) == a
-    if name == "SpaceableBasis":  # its elements are a dict
+    if name == "SpaceableBasis":  # its elements are a read-only mapping, which has no hash
         with pytest.raises(TypeError):
             hash(a)
     else:
         assert hash(a) == hash(b) == hash(replace(a))
+
+
+def test_a_basis_cannot_be_changed_in_place():
+    given = {1: _witness()}
+    basis = SpaceableBasis(lp(F(1)), C0, given)
+    with pytest.raises(TypeError):
+        basis.elements[4] = _witness()
+    with pytest.raises(TypeError):
+        del basis.elements[1]
+    given[2] = _witness()  # the basis holds its own copy
+    assert list(basis.elements) == [1] and basis.elements[1] == _witness()
+    assert list(basis.elements.values()) == [_witness()]
+    assert replace(basis) == basis and copy.copy(basis).elements == basis.elements
+
+
+def _row_params(y, rows=16):
+    kind, param, nested = seminorm_rows(y)
+    return kind, nested, [param(k) for k in range(1, rows + 1)]
+
+
+@pytest.mark.parametrize("text", ["cap-lp:1/2", "lp:3/2", "hd", "c0", "linf"])
+def test_kept_rows_do_not_change_what_a_space_is(text):
+    y, before = parse_space(text), parse_space(text)
+    shown, key = repr(y), hash(y)
+    first = _row_params(y)
+    assert y == before and before == y and hash(y) == key == hash(before) and repr(y) == shown
+    for again in (copy.copy(y), copy.deepcopy(y), pickle.loads(pickle.dumps(y)), replace(y)):
+        assert again == y and hash(again) == key and repr(again) == shown
+        assert _row_params(again) == first  # made afresh, the same values
+    second = _row_params(y)
+    assert all(a is b for a, b in zip(first[2], second[2]))  # the kept objects
+
+
+def test_a_plain_tag_parses_to_the_module_constant():
+    for name in ("ainf", "c0", "linf", "hd", "cn0"):
+        assert parse_space(name) is parse_space(f" {name} ") is getattr(spaces, name.upper())
+    assert parse_space("cap-lp:1") is not parse_space("cap-lp:1") == cap_lp(1)
+    assert seminorm_rows(parse_space("hd")) is seminorm_rows(HD)
 
 
 def test_another_class_with_the_same_fields_is_never_equal():
