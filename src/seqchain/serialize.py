@@ -78,6 +78,8 @@ def _sequence_at_depth(spec, depth: int) -> Sequence:
                 n, re, im = row
                 if not isinstance(n, int) or isinstance(n, bool):
                     raise ParseError(f"bad finite entry index {n!r}: expected an integer")
+                if n in entries:
+                    raise ParseError(f"finite entry index {n} is repeated")
                 entries[n] = (parse_rational(re), parse_rational(im))
             return FiniteRational(entries)
         if kind == "family":

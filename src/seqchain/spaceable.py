@@ -20,7 +20,7 @@ from types import MappingProxyType
 from .errors import AllCoefficientsPossiblyZero, NoNonzeroSupportPoint
 from .generic import OutsideXCertificate, disjoint_support, escape_certificate
 from .intervals import Q0, ComplexInterval, Frozen
-from .sequences import Combine, Sequence
+from .sequences import Sequence
 from .spaces import SpaceId
 from .witness import Witness, make_witness
 
@@ -79,9 +79,9 @@ def recover_coefficient(
 ) -> ComplexInterval:
     """Interval for the coefficient of basis element j in f.
 
-    When f is a combination, its ``normal_form`` gives the basis element's
-    coefficient exactly (parts recognized by spec identity, nested
-    combinations flattened); the other parts whose support hint holds the
+    f's ``normal_parts`` give the basis element's coefficient exactly (parts
+    recognized by spec identity, nested combinations flattened; a bare f is
+    its own one part); the other parts whose support hint holds the
     evaluation point add their value there over y, and the rest are exact
     zeros there by the hint contract, so the other basis rows are never
     evaluated and the result is zero-width for exact combinations over the
@@ -92,21 +92,17 @@ def recover_coefficient(
     w = basis.elements[j]
     i0, prec = w.seq.kept(("first-nonzero", w.support, budget, prec),
                           _first_nonzero_point, w, budget, prec)
-    y_iv = w.seq.term(i0, prec)
-
-    if isinstance(f, Combine):
-        y_key, exact, residual = w.seq.spec_key(), (Q0, Q0), None
-        for key, ((re, im), part) in f.normal_parts.items():
-            if key == y_key:
-                exact = re, im
-            elif part.support_hint.member(i0):
-                v = part.term(i0, prec)
-                if not v.is_exact_zero:
-                    v = v.scale(re, im)
-                    residual = v if residual is None else residual + v
-        out = ComplexInterval.exact(*exact)
-        return out if residual is None else out + residual.div(y_iv)
-    return f.term(i0, prec).div(y_iv)
+    y_key, exact, residual = w.seq.spec_key(), (Q0, Q0), None
+    for key, ((re, im), part) in f.normal_parts.items():
+        if key == y_key:
+            exact = re, im
+        elif part.support_hint.member(i0):
+            v = part.term(i0, prec)
+            if not v.is_exact_zero:
+                v = v.scale(re, im)
+                residual = v if residual is None else residual + v
+    out = ComplexInterval.exact(*exact)
+    return out if residual is None else out + residual.div(w.seq.term(i0, prec))
 
 
 def certify_combination_outside(

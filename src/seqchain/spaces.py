@@ -27,8 +27,9 @@ walk read one ``Fraction`` per row.  A plain tag parses to ``AINF``, ``C0``, ...
 
 ``metric_bound`` returns certified two-sided bounds, minimised over a
 power-of-two ladder of budgets (monotone in the budget despite rounding);
-``metric_bounds`` yields the bound after each rung, and ``distance_below``
-stops at the first rung that settles it.  Each row kind names its tail
+``metric_bounds`` yields the bound after each rung, and ``_upper_below``
+stops a walk at the first rung that settles whether its upper is below a
+radius (``ball_bound``'s early decision).  Each row kind names its tail
 oracle in ``row_tail``: a metric joins it to a head sum (``_metric_row``) or
 a truncation's residue (``_Residue``), an in-certificate reads it at N = -1.
 
@@ -506,12 +507,6 @@ def _upper_below(walk, r: Fraction) -> Fraction | None:
     """The upper below r at the rung that settles a walk's last upper below r, or None."""
     b = next((b for _, b in walk if b.upper < r or b.lower >= r), None)
     return b.upper if b is not None and b.upper < r else None
-
-
-def distance_below(y: SpaceId, a: Sequence, b: Sequence, r: Fraction, budget: int,
-                   prec: int) -> bool:
-    """Whether ``metric_bound(y, a, b, budget, prec).upper < r`` (``_upper_below``)."""
-    return _upper_below(metric_bounds(y, a, b, budget, prec), r) is not None
 
 
 _MAX_HALVINGS = 96  # scales 2**-m tried by ball_scale, m = 0 .. _MAX_HALVINGS

@@ -442,10 +442,13 @@ def test_out_of_range_decompose_grid_is_a_one_line_error(capsys, args):
         '{"kind":"family","name":"rem29","params":{"support":{"kind":"arith","start":1,"step":"3"}}}',
         '{"kind":"restrict","base":{"kind":"family","name":"nat"},"support":{"kind":"explicit-finite","elems":[1.9,"3"]}}',
         '{"kind":"restrict","base":{"kind":"family","name":"nat"},"support":{"kind":"explicit-finite","elems":{}}}',
+        # a later entry once replaced an earlier one of the same index
+        '{"kind":"finite","entries":[[3,"1","0"],[3,"-1","0"]]}',
     ],
     ids=[
         "int-rational", "float-index", "bool-index", "int-param", "spread-float-row",
         "restrict-bool-start", "rem29-string-step", "restrict-float-elems", "restrict-dict-elems",
+        "finite-repeated-index",
     ],
 )
 def test_malformed_spec_values_are_one_line_errors(capsys, spec):

@@ -184,6 +184,35 @@ def test_check_certificates_for_catalog():
         assert check_certificate(seq, v, samples=4, prec=PREC)
 
 
+_NN_ARITH = {"kind": "family", "name": "nn-on-support",
+             "params": {"support": {"kind": "arith", "start": 1, "step": 3}}}
+
+
+# out-checks read the checked node's own growth tags and blocks, and
+# in-checks its tail oracles, which the built node answers from its store
+# (Sequence.kept) and a node parsed afresh evaluates again
+@pytest.mark.parametrize(
+    "spec, space, kind",
+    [
+        ({"kind": "family", "name": "nat"}, "linf", CertifiedOut),
+        ({"kind": "family", "name": "nat"}, "hd", CertifiedIn),
+        ({"kind": "spread", "base": _NN_ARITH, "support": {"kind": "powers-of-two"}}, "lp:1",
+         CertifiedOut),
+        ({"kind": "family", "name": "gap-cap-lp", "params": {"a": "1/2", "b": "3/2"}}, "cap-lp:2",
+         CertifiedIn),
+        ({"kind": "family", "name": "prop28"}, "c0", CertifiedIn),
+        ({"kind": "finite", "entries": [[0, "3/4", "0/1"], [2, "1/2", "-1/3"]]}, "ainf", CertifiedIn),
+    ],
+    ids=["nat-linf", "nat-hd", "nn-spread-lp-1", "gap-cap-lp-cap-lp-2", "prop28-c0", "finite-ainf"],
+)
+def test_a_certificate_rechecks_on_a_second_parse_of_its_spec(spec, space, kind):
+    built = sequence_from_spec(spec)
+    verdict = classify(built, parse_space(space), BUDGET, PREC)
+    assert isinstance(verdict, kind)
+    assert check_certificate(built, verdict, 3, PREC)
+    assert check_certificate(sequence_from_spec(spec), verdict, 3, PREC)
+
+
 def test_forged_not_vanishing_rejected():
     # claim (n)_n stays away from zero on its zero entries
     tag = SubseqLowerBound(label="forged", s=lambda m: 0, g=lambda m: F(1), g_inf=F(1))

@@ -29,9 +29,9 @@ from seqchain.spaces import (
     _floor_grid,
     _Head,
     _metric_once,
+    _upper_below,
     ball_scale,
     cap_lp,
-    distance_below,
     lp,
     metric_bound,
     metric_bounds,
@@ -144,8 +144,9 @@ def _metric_cases():
 
 def test_rung_walk_and_early_decision_equal_the_full_ladder():
     """Each rung yields the bound of a ladder stopped there, ``metric_bound``
-    is the last of them, and ``distance_below`` answers as the full ladder
-    does at either endpoint and one grid step either side of it."""
+    is the last of them, and the early decision ``ball_bound`` relies on
+    (``_upper_below`` over the walk) answers as the full ladder does at
+    either endpoint and one grid step either side of it."""
     for y, a, b, budget, prec in _metric_cases():
         walked = list(metric_bounds(y, a, b, budget, prec))
         assert [rung for rung, _ in walked] == _budget_ladder(budget)
@@ -156,7 +157,7 @@ def test_rung_walk_and_early_decision_equal_the_full_ladder():
         step = F(1, 1 << (prec + 8))
         for end in (bound.lower, bound.upper):
             for r in (end - step, end, end + step):
-                got = distance_below(y, a, b, r, budget, prec)
+                got = _upper_below(metric_bounds(y, a, b, budget, prec), r) is not None
                 assert got == (bound.upper < r), (str(y), budget, prec, r, bound)
 
 
@@ -164,8 +165,8 @@ def test_identical_pair_is_zero_at_every_rung():
     seq = catalog()["prop28"]
     walked = list(metric_bounds(HD, seq, seq, 100, PREC))
     assert walked == [(rung, MetricBound(F(0), F(0))) for rung in (16, 32, 64)]
-    assert not distance_below(HD, seq, seq, F(0), 100, PREC)
-    assert distance_below(HD, seq, seq, F(1, 1 << 80), 100, PREC)
+    assert _upper_below(metric_bounds(HD, seq, seq, 100, PREC), F(0)) is None
+    assert _upper_below(metric_bounds(HD, seq, seq, 100, PREC), F(1, 1 << 80)) is not None
 
 
 def test_ball_scale_equals_the_full_ladder():

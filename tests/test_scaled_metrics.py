@@ -23,9 +23,9 @@ from seqchain.spaces import (
     _Head,
     _metric_row,
     _radius_bits,
+    _upper_below,
     ball_scale,
     cap_lp,
-    distance_below,
     lp,
     metric_bound,
     metric_bounds,
@@ -93,7 +93,7 @@ def test_cancelling_normal_forms_are_zero_at_every_rung(pair):
     for y in METRIC_SPACES:
         walked = list(metric_bounds(y, a, b, 100, PREC))
         assert walked == [(rung, MetricBound(F(0), F(0))) for rung in (16, 32, 64)], str(y)
-        assert not distance_below(y, a, b, F(0), 100, PREC)
+        assert _upper_below(metric_bounds(y, a, b, 100, PREC), F(0)) is None
     with pytest.raises(UnsupportedSpace):
         metric_bound(AINF, a, b, 100, PREC)
 
@@ -122,8 +122,9 @@ def test_ball_scale_postcondition_in_cap_lp_0(radius):
     w = make_witness(AINF, y, DyadicRow(1), 256, PREC).seq
     c = ball_scale(y, w, radius, 4096, PREC)
     budget, prec = 128, min(PREC, max(32, 12 + _radius_bits(radius)))
-    assert distance_below(y, combine([c], [w]), zero(), radius, budget, prec)
-    assert c < 1 and not distance_below(y, combine([2 * c], [w]), zero(), radius, budget, prec)
+    assert _upper_below(metric_bounds(y, combine([c], [w]), zero(), budget, prec), radius) is not None
+    doubled = metric_bounds(y, combine([2 * c], [w]), zero(), budget, prec)
+    assert c < 1 and _upper_below(doubled, radius) is None
     assert _ref_metric_bound(y, combine([c], [w]), zero(), budget, 4 * prec).lower < radius
 
 

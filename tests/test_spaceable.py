@@ -145,11 +145,22 @@ def test_recover_escalates_precision_at_the_evaluation_point():
     assert w7.support.nth(1) == 63 and not w7.seq.term(63, 1).excludes_zero()
     recover_coefficient(w7.seq, basis, 7, PREC, BUDGET)
     assert w7.seq._kept["first-nonzero", w7.support, BUDGET, PREC] == (63, PREC)
-    iv = recover_coefficient(w7.seq, basis, 7, 1, BUDGET)
-    assert (iv.re_lo, iv.re_hi, iv.im_lo, iv.im_hi) == (F(1, 4), 4, 0, 0)
+    # a part other than the witness is divided by its value at precision 2
+    iv = recover_coefficient(FiniteRational({63: 1}), basis, 7, 1, BUDGET)
+    assert iv == ComplexInterval.exact(1).div(w7.seq.term(63, 2)) and not iv.is_exact
     assert w7.seq._kept["first-nonzero", w7.support, BUDGET, 1] == (63, 2)
+    assert recover_coefficient(w7.seq, basis, 7, 1, BUDGET) == ComplexInterval.exact(1)
     exact = recover_coefficient(combine([(2, 1)], [w7.seq]), basis, 7, 1, BUDGET)
     assert exact.is_exact and (exact.re_lo, exact.im_lo) == (2, 1)
+
+
+def test_a_bare_witness_recovers_exactly_one():
+    # a witness given alone, or parsed again from its spec, is its own one
+    # part: its coefficient is read by spec key, not as a quotient of terms
+    basis = build_basis(lp(2), cap_lp(2), 2, BUDGET, PREC)
+    w = basis.elements[2].seq
+    for f in (w, sequence_from_spec(w.spec()), combine([1], [w])):
+        assert recover_coefficient(f, basis, 2, PREC, BUDGET) == ComplexInterval.exact(1)
 
 
 def test_recover_missing_element_rejected():
