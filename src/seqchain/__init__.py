@@ -17,6 +17,7 @@ supported bases (:mod:`seqchain.spaceable`), and a CLI
 from .diagnose import (
     CertifiedIn,
     CertifiedOut,
+    ClosedFamily,
     Undecided,
     check_certificate,
     classify,

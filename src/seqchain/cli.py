@@ -173,7 +173,7 @@ def cmd_decompose(args, config: RunConfig):
     )
     table, lines = [], []
     for fam, res in rows:
-        key = diagnose.format_family(fam)
+        key = str(fam)
         if isinstance(res, diagnose.ViolatedAt):
             value = [format_rational(res.lower), format_rational(res.upper)]
             table.append({"family": key, "result": "violated", "n": res.n, "value": value})

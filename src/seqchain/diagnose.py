@@ -22,14 +22,15 @@ Membership claims whose quantifiers are infinite (every exponent k,
 every radius r, every epsilon) are certified through a recorded finite
 schedule backed by the totality of the corresponding oracle.
 
-``closed_family_check`` decides the defining inequality of the closed
-families used in the decomposition of each space:
+``closed_family_check`` decides the defining inequality of a ``ClosedFamily``
+by its row of ``_FAMILIES``; ``decompose_report`` fills its params by the
+space's row of ``_DECOMPOSITIONS`` from the inner range, then the outer:
 
-* ``FMk:<M>:<k>``   n**k |a_n| <= M for all n          (ainf)
-* ``psum:<p>:<M>``  partial sums of |a_n|**p <= M      (lp)
-* ``Fnk:<n>:<k>``   |a_s| <= 1/k for all s >= n        (c0)
-* ``FM:<M>``        |a_n| <= M for all n               (linf)
-* ``Fkj:<k>:<j>``   |a_n|**(1/n) <= 1+1/j for n >= k   (hd)
+* ``FMk:<M>:<k>``   n**k |a_n| <= M for all n          (ainf: M, k)
+* ``psum:<p>:<M>``  partial sums of |a_n|**p <= M      (lp, cap-lp: M, p of row)
+* ``Fnk:<n>:<k>``   |a_s| <= 1/k for all s >= n        (c0: n, k)
+* ``FM:<M>``        |a_n| <= M for all n               (linf: M)
+* ``Fkj:<k>:<j>``   |a_n|**(1/n) <= 1+1/j for n >= k   (hd: k, j)
 
 "Provably fails" means the certified lower bound of the quantity
 strictly exceeds the threshold; overlapping comparisons refine the
@@ -509,47 +510,14 @@ _SHAPES = {
 # -- closed families ----------------------------------------------------------
 
 
-class FMk(Frozen):
-    __slots__ = _fields = ("M", "k")
-    M: Fraction
-    k: int
+class ClosedFamily(Frozen):
+    """A closed family: its name, a key of ``_FAMILIES``, and its params in
+    key order; ``str()`` is the key, the name and params joined by ``:``."""
 
+    __slots__ = _fields = ("name", "params")
 
-class PartialSum(Frozen):
-    __slots__ = _fields = ("p", "M")
-    p: Fraction
-    M: Fraction
-
-
-class Fnk(Frozen):
-    __slots__ = _fields = ("n", "k")
-    n: int
-    k: int
-
-
-class FM(Frozen):
-    __slots__ = _fields = ("M",)
-    M: Fraction
-
-
-class Fkj(Frozen):
-    __slots__ = _fields = ("k", "j")
-    k: int
-    j: int
-
-
-def format_family(fam) -> str:
-    if isinstance(fam, FMk):
-        return f"FMk:{format_rational(fam.M)}:{fam.k}"
-    if isinstance(fam, PartialSum):
-        return f"psum:{format_rational(fam.p)}:{format_rational(fam.M)}"
-    if isinstance(fam, Fnk):
-        return f"Fnk:{fam.n}:{fam.k}"
-    if isinstance(fam, FM):
-        return f"FM:{format_rational(fam.M)}"
-    if isinstance(fam, Fkj):
-        return f"Fkj:{fam.k}:{fam.j}"
-    raise TypeError(f"not a family ref: {fam!r}")
+    def __str__(self):
+        return ":".join(map(str, (self.name, *map(_render, self.params))))
 
 
 class ViolatedAt(Frozen):
@@ -568,87 +536,83 @@ class ConsistentUpTo(Frozen):
     N: int
 
 
-def _pointwise_rule(fam):
-    """(first index, n -> (weight, bound)) of a pointwise family, which asks
-    weight * |a_n| <= bound at every support index n >= the first index."""
-    if isinstance(fam, FMk):
-        if fam.M < 0 or fam.k < 0:
-            raise ParseError(f"bad family ref {format_family(fam)}: parameters out of range")
-        return 0, lambda n: (Fraction(n) ** fam.k, fam.M)
-    if isinstance(fam, Fnk):
-        if fam.k < 1:
-            raise ParseError(f"bad family ref {format_family(fam)}: need k >= 1")
-        return fam.n, lambda n: (Q1, Fraction(1, fam.k))
-    if isinstance(fam, FM):
-        if fam.M < 0:
-            raise ParseError(f"bad family ref {format_family(fam)}: bound must be >= 0")
-        return 0, lambda n: (Q1, fam.M)
-    if isinstance(fam, Fkj):
-        if fam.k < 1 or fam.j < 1:
-            raise ParseError(f"bad family ref {format_family(fam)}: need k, j >= 1")
-        return fam.k, lambda n: (Q1, (1 + Fraction(1, fam.j)) ** n)
-    raise TypeError(f"not a family ref: {fam!r}")
+def _pointwise(first: int, rule):
+    """The scan of a pointwise family, which asks weight * |a_n| <= bound,
+    (weight, bound) = rule(n), at every support index n >= first."""
+    def scan(seq: Sequence, budget: int, prec: int):
+        for n in seq.support_hint.elements_upto(budget):
+            if n >= first:
+                weight, bound = rule(n)
+                # weight 0 (FMk at n = 0, k > 0) asks 0 <= M, which holds
+                if weight and _abs_sq_lower(seq, n, b := bound / weight, prec) > b * b:
+                    lo, hi = seq.term(n, prec * 2).abs_bounds(prec * 2)
+                    return ViolatedAt(n, weight * lo, weight * hi)
+    return scan
 
 
-def closed_family_check(seq: Sequence, fam, budget: int, prec: int):
-    """Scan indices <= budget for a provable violation of the family's
-    defining inequality."""
-    if isinstance(fam, PartialSum):
-        if fam.p <= 0:
-            raise ParseError(f"bad family ref {format_family(fam)}: exponent must be positive")
-        if fam.M < 0:  # no sum of |a_n|**p is negative
-            raise ParseError(f"bad family ref {format_family(fam)}: bound must be >= 0")
+def _partial_sums(p: Fraction, M: Fraction):
+    """The scan of psum, which asks every partial sum of |a_n|**p <= M."""
+    def scan(seq: Sequence, budget: int, prec: int):
         hp = prec + 32
-        cum_lo, cum_hi = PowSum(fam.p, hp), PowSum(fam.p, hp, upper=True)
+        cum_lo, cum_hi = PowSum(p, hp), PowSum(p, hp, upper=True)
         for n in seq.support_hint.elements_upto(budget):
             lo, hi = seq.term(n, hp).modulus_bounds()
             cum_hi.extend((hi,))
-            if cum_lo.extend((lo,)).value > fam.M:
+            if cum_lo.extend((lo,)).value > M:
                 return ViolatedAt(n, cum_lo.value, cum_hi.value)
-        return ConsistentUpTo(budget)
+    return scan
 
-    first, rule = _pointwise_rule(fam)
-    for n in seq.support_hint.elements_upto(budget):
-        if n < first:
-            continue
-        weight, bound = rule(n)
-        # weight 0 (FMk at n = 0, k > 0) asks 0 <= M, which holds
-        if weight and _abs_sq_lower(seq, n, b := bound / weight, prec) > b * b:
-            lo, hi = seq.term(n, prec * 2).abs_bounds(prec * 2)
-            return ViolatedAt(n, weight * lo, weight * hi)
-    return ConsistentUpTo(budget)
+
+# family name -> (params -> why they are out of range, or a false value;
+# params -> the scan (seq, budget, prec) -> ViolatedAt or None)
+_FAMILIES = {
+    "FMk": (lambda M, k: (M < 0 or k < 0) and "parameters out of range",
+            lambda M, k: _pointwise(0, lambda n: (Fraction(n) ** k, M))),
+    "psum": (lambda p, M: "exponent must be positive" if p <= 0 else M < 0 and "bound must be >= 0",
+             _partial_sums),  # no sum of |a_n|**p is negative
+    "Fnk": (lambda n, k: k < 1 and "need k >= 1",
+            lambda n, k: _pointwise(n, lambda _: (Q1, Fraction(1, k)))),
+    "FM": (lambda M: M < 0 and "bound must be >= 0", lambda M: _pointwise(0, lambda _: (Q1, M))),
+    "Fkj": (lambda k, j: (k < 1 or j < 1) and "need k, j >= 1",
+            lambda k, j: _pointwise(k, lambda n: (Q1, (1 + Fraction(1, j)) ** n))),
+}
+
+
+def closed_family_check(seq: Sequence, fam: ClosedFamily, budget: int, prec: int):
+    """Scan indices <= budget for a provable violation of the family's
+    defining inequality."""
+    out_of_range, scan = _FAMILIES[fam.name]
+    if reason := out_of_range(*fam.params):
+        raise ParseError(f"bad family ref {fam}: {reason}")
+    return scan(*fam.params)(seq, budget, prec) or ConsistentUpTo(budget)
+
+
+def _psum_params(space: SpaceId, n, M) -> tuple:
+    if int(n) < 1:
+        raise ParseError(f"cap-lp exponent index {n} must be >= 1")
+    return seminorm_rows(space)[1](int(n)), Fraction(M)  # p: the space's row n
+
+
+# space tag -> (its family, whether the outer range is read, (space, outer,
+# inner) -> one grid point's params); an unread outer range is the point 1
+_DECOMPOSITIONS = {
+    "ainf": ("FMk", True, lambda space, k, M: (Fraction(M), int(k))),
+    "lp": ("psum", False, _psum_params),
+    "cap-lp": ("psum", True, _psum_params),
+    "c0": ("Fnk", True, lambda space, k, n: (int(n), int(k))),
+    "linf": ("FM", False, lambda space, _, M: (Fraction(M),)),
+    "hd": ("Fkj", True, lambda space, j, k: (int(k), int(j))),
+}
 
 
 def decompose_report(seq: Sequence, space: SpaceId, outer, inner, budget: int, prec: int):
-    """closed_family_check over a parameter grid; rows keyed by family ref."""
-    outer, inner = list(outer), list(inner)
-    rows = []
-
-    def run(fam):
-        rows.append((fam, closed_family_check(seq, fam, budget, prec)))
-
-    if space.tag == "ainf":
-        for k in outer:
-            for M in inner:
-                run(FMk(M=Fraction(M), k=int(k)))
-    elif space.tag in ("lp", "cap-lp"):
-        _, param, nested = seminorm_rows(space)  # psum exponents: the rows' p
-        for n in outer if nested else (1,):
-            if int(n) < 1:
-                raise ParseError(f"cap-lp exponent index {n} must be >= 1")
-            for M in inner:
-                run(PartialSum(p=param(int(n)), M=Fraction(M)))
-    elif space.tag == "c0":
-        for k in outer:
-            for n in inner:
-                run(Fnk(n=int(n), k=int(k)))
-    elif space.tag == "linf":
-        for M in inner:
-            run(FM(M=Fraction(M)))
-    elif space.tag == "hd":
-        for j in outer:
-            for k in inner:
-                run(Fkj(k=int(k), j=int(j)))
-    else:
+    """closed_family_check over the outer by inner grid; rows keyed by family ref."""
+    if space.tag not in _DECOMPOSITIONS:
         raise UnsupportedSpace(f"no decomposition for {space}")
+    name, reads_outer, fill = _DECOMPOSITIONS[space.tag]
+    inner, rows = list(inner), []
+    for o in outer if reads_outer else (1,):
+        for i in inner:
+            fam = ClosedFamily(name, fill(space, o, i))
+            rows.append((fam, closed_family_check(seq, fam, budget, prec)))
     return rows

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from math import gcd
 
-from .errors import FiniteSupportSet, ParseError
+from .errors import FiniteSupportSet, ParseError, SeqchainError
 
 
 class SupportSet:
@@ -145,7 +145,12 @@ class DyadicRow(Arith):
     def __init__(self, j: int):
         if j < 1:
             raise ValueError("row index must be >= 1")
-        super().__init__((1 << (j - 1)) - 1, 1 << j)
+        try:
+            start, step = (1 << (j - 1)) - 1, 1 << j
+        except (MemoryError, OverflowError):
+            raise SeqchainError(f"dyadic row {j} is too large: its start 2**{j - 1} - 1 "
+                                "does not fit in memory") from None
+        super().__init__(start, step)
         self.j = j
 
     def spec(self):

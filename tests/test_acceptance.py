@@ -18,11 +18,7 @@ from seqchain.cli import main
 from seqchain.diagnose import (
     CertifiedIn,
     CertifiedOut,
-    FM,
-    FMk,
-    Fkj,
-    Fnk,
-    PartialSum,
+    ClosedFamily,
     closed_family_check,
     classify,
     try_in_certificate,
@@ -83,7 +79,7 @@ def test_criterion_2_sqrt_witness_reproduction():
     iv = y.term(4, 20)
     assert iv.is_exact and iv.re_lo == F(1, 2) and iv.im_lo == 0
 
-    res = closed_family_check(y, FMk(M=F(1), k=1), BUDGET, PREC)
+    res = closed_family_check(y, ClosedFamily("FMk", (F(1), 1)), BUDGET, PREC)
     assert res.n == 2
     assert res.lower > 1, "interval must exclude the bound 1"
     assert res.lower ** 2 <= 2 <= res.upper ** 2, "value is sqrt(2)"
@@ -119,25 +115,26 @@ def test_criterion_4_decomposition_bruteforce_suite():
         a = random_finite(rng)
         real = random_finite(rng, real_only=True)
 
-        fam = FMk(M=F(rng.randint(1, 6)), k=rng.randint(0, 3))
+        fam = ClosedFamily("FMk", (F(rng.randint(1, 6)), rng.randint(0, 3)))
         assert _agree(closed_family_check(a, fam, 64, PREC), _brute_fmk(a, fam))
 
-        fam = FM(M=F(rng.randint(1, 4)))
+        fam = ClosedFamily("FM", (F(rng.randint(1, 4)),))
         assert _agree(closed_family_check(a, fam, 64, PREC), _brute_fm(a, fam))
 
-        fam = Fnk(n=rng.randint(0, 6), k=rng.randint(1, 5))
+        fam = ClosedFamily("Fnk", (rng.randint(0, 6), rng.randint(1, 5)))
         assert _agree(closed_family_check(a, fam, 64, PREC), _brute_fnk(a, fam))
 
-        fam = Fkj(k=rng.randint(1, 4), j=rng.randint(1, 4))
+        fam = ClosedFamily("Fkj", (rng.randint(1, 4), rng.randint(1, 4)))
         assert _agree(closed_family_check(a, fam, 64, PREC), _brute_fkj(a, fam))
 
-        fam = PartialSum(p=F(rng.choice((1, 2))), M=F(rng.randint(1, 5)))
-        source = real if fam.p == 1 else a
+        fam = ClosedFamily("psum", (F(rng.choice((1, 2))), F(rng.randint(1, 5))))
+        p, M = fam.params
+        source = real if p == 1 else a
         total = F(0)
         expected = None
         for n, (re, im) in sorted(source.entries.items()):
-            total += abs(re) if fam.p == 1 else re * re + im * im
-            if total > fam.M:
+            total += abs(re) if p == 1 else re * re + im * im
+            if total > M:
                 expected = n
                 break
         assert _agree(closed_family_check(source, fam, 64, PREC), expected)

@@ -14,15 +14,11 @@ from hypothesis import strategies as st
 
 from conftest import BUDGET, PREC, catalog, random_finite
 from seqchain.diagnose import (
-    FM,
     Certificate,
     CertifiedIn,
     CertifiedOut,
+    ClosedFamily,
     ConsistentUpTo,
-    FMk,
-    Fkj,
-    Fnk,
-    PartialSum,
     Undecided,
     ViolatedAt,
     _escape_exponent,
@@ -31,7 +27,6 @@ from seqchain.diagnose import (
     classify,
     closed_family_check,
     decompose_report,
-    format_family,
     try_in_certificate,
     try_out_certificate,
     verdict_to_json,
@@ -261,18 +256,18 @@ def test_swapped_space_certificate_rejected():
 def test_family_ref_grammar_roundtrip():
     # the decompose report keys its rows by these strings
     pinned = {
-        FMk(M=F(3), k=2): "FMk:3/1:2",
-        PartialSum(p=F(1, 2), M=F(7)): "psum:1/2:7/1",
-        Fnk(n=4, k=3): "Fnk:4:3",
-        FM(M=F(5)): "FM:5/1",
-        Fkj(k=2, j=6): "Fkj:2:6",
+        ClosedFamily("FMk", (F(3), 2)): "FMk:3/1:2",
+        ClosedFamily("psum", (F(1, 2), F(7))): "psum:1/2:7/1",
+        ClosedFamily("Fnk", (4, 3)): "Fnk:4:3",
+        ClosedFamily("FM", (F(5),)): "FM:5/1",
+        ClosedFamily("Fkj", (2, 6)): "Fkj:2:6",
     }
     for ref, text in pinned.items():
-        assert format_family(ref) == text
+        assert str(ref) == text
 
 
 def test_prop28_violates_first_weighted_family():
-    res = closed_family_check(prop28(), FMk(M=F(1), k=1), BUDGET, PREC)
+    res = closed_family_check(prop28(), ClosedFamily("FMk", (F(1), 1)), BUDGET, PREC)
     assert isinstance(res, ViolatedAt) and res.n == 2
     # weighted value is sqrt(2); the reported interval excludes 1
     assert res.lower > 1
@@ -280,81 +275,93 @@ def test_prop28_violates_first_weighted_family():
 
 
 def test_zero_consistent_everywhere():
-    for fam in (FMk(M=F(1), k=1), PartialSum(p=F(1), M=F(1)), Fnk(n=0, k=3), FM(M=F(1)), Fkj(k=1, j=1)):
+    for name, params in (("FMk", (F(1), 1)), ("psum", (F(1), F(1))), ("Fnk", (0, 3)), ("FM", (F(1),)),
+                         ("Fkj", (1, 1))):
+        fam = ClosedFamily(name, params)
         assert closed_family_check(zero(), fam, BUDGET, PREC) == ConsistentUpTo(BUDGET)
 
 
 def test_nat_root_families_consistent():
     # n**(1/n) <= 2 and even <= 3/2 for every n
-    assert isinstance(closed_family_check(nat(), Fkj(k=1, j=1), 512, PREC), ConsistentUpTo)
-    assert isinstance(closed_family_check(nat(), Fkj(k=1, j=2), 512, PREC), ConsistentUpTo)
+    assert isinstance(closed_family_check(nat(), ClosedFamily("Fkj", (1, 1)), 512, PREC), ConsistentUpTo)
+    assert isinstance(closed_family_check(nat(), ClosedFamily("Fkj", (1, 2)), 512, PREC), ConsistentUpTo)
 
 
 def test_nat_violates_bounded_families():
-    res = closed_family_check(nat(), FM(M=F(10)), BUDGET, PREC)
+    res = closed_family_check(nat(), ClosedFamily("FM", (F(10),)), BUDGET, PREC)
     assert res == ViolatedAt(11, F(11), F(11))
 
 
 def test_family_check_budget_monotone():
     # a violation found at a small budget persists verbatim at larger ones
-    small = closed_family_check(prop28(), FMk(M=F(1), k=1), 64, PREC)
-    large = closed_family_check(prop28(), FMk(M=F(1), k=1), BUDGET, PREC)
+    small = closed_family_check(prop28(), ClosedFamily("FMk", (F(1), 1)), 64, PREC)
+    large = closed_family_check(prop28(), ClosedFamily("FMk", (F(1), 1)), BUDGET, PREC)
     assert small == large
-    assert closed_family_check(nat(), Fkj(k=1, j=1), 64, PREC) == ConsistentUpTo(64)
-    assert closed_family_check(nat(), Fkj(k=1, j=1), 512, PREC) == ConsistentUpTo(512)
+    assert closed_family_check(nat(), ClosedFamily("Fkj", (1, 1)), 64, PREC) == ConsistentUpTo(64)
+    assert closed_family_check(nat(), ClosedFamily("Fkj", (1, 1)), 512, PREC) == ConsistentUpTo(512)
 
 
 # -- brute force agreement -----------------------------------------------------------
 
 
 def _brute_fmk(a, fam):
+    assert fam.name == "FMk"
+    M, k = fam.params
     hits = [
         n
         for n, (re, im) in sorted(a.entries.items())
-        if Fraction(n) ** (2 * fam.k) * (re * re + im * im) > fam.M ** 2
-        and not (n == 0 and fam.k > 0)
+        if Fraction(n) ** (2 * k) * (re * re + im * im) > M ** 2
+        and not (n == 0 and k > 0)
     ]
-    if fam.k == 0:
+    if k == 0:
         hits = [
             n
             for n, (re, im) in sorted(a.entries.items())
-            if re * re + im * im > fam.M ** 2
+            if re * re + im * im > M ** 2
         ]
     return hits[0] if hits else None
 
 
 def _brute_fm(a, fam):
+    assert fam.name == "FM"
+    (M,) = fam.params
     hits = [
-        n for n, (re, im) in sorted(a.entries.items()) if re * re + im * im > fam.M ** 2
+        n for n, (re, im) in sorted(a.entries.items()) if re * re + im * im > M ** 2
     ]
     return hits[0] if hits else None
 
 
 def _brute_fnk(a, fam):
-    t = F(1, fam.k)
+    assert fam.name == "Fnk"
+    start, k = fam.params
+    t = F(1, k)
     hits = [
         n
         for n, (re, im) in sorted(a.entries.items())
-        if n >= fam.n and re * re + im * im > t * t
+        if n >= start and re * re + im * im > t * t
     ]
     return hits[0] if hits else None
 
 
 def _brute_fkj(a, fam):
-    base = 1 + F(1, fam.j)
+    assert fam.name == "Fkj"
+    k, j = fam.params
+    base = 1 + F(1, j)
     hits = [
         n
         for n, (re, im) in sorted(a.entries.items())
-        if n >= max(fam.k, 1) and re * re + im * im > base ** (2 * n)
+        if n >= max(k, 1) and re * re + im * im > base ** (2 * n)
     ]
     return hits[0] if hits else None
 
 
 def _brute_psum(a, fam, exact_abs):
+    assert fam.name == "psum"
+    p, M = fam.params
     total = F(0)
     for n, value in sorted(a.entries.items()):
-        total += exact_abs(value) ** fam.p.numerator  # p in {1, 2} here
-        if total > fam.M:
+        total += exact_abs(value) ** p.numerator  # p in {1, 2} here
+        if total > M:
             return n
     return None
 
@@ -370,13 +377,13 @@ def test_bruteforce_agreement_pointwise_families(seed):
     rng = random.Random(1000 + seed)
     for _ in range(25):
         a = random_finite(rng)
-        fam1 = FMk(M=F(rng.randint(1, 6)), k=rng.randint(0, 3))
+        fam1 = ClosedFamily("FMk", (F(rng.randint(1, 6)), rng.randint(0, 3)))
         assert _agree(closed_family_check(a, fam1, 64, PREC), _brute_fmk(a, fam1))
-        fam2 = FM(M=F(rng.randint(1, 4)))
+        fam2 = ClosedFamily("FM", (F(rng.randint(1, 4)),))
         assert _agree(closed_family_check(a, fam2, 64, PREC), _brute_fm(a, fam2))
-        fam3 = Fnk(n=rng.randint(0, 6), k=rng.randint(1, 5))
+        fam3 = ClosedFamily("Fnk", (rng.randint(0, 6), rng.randint(1, 5)))
         assert _agree(closed_family_check(a, fam3, 64, PREC), _brute_fnk(a, fam3))
-        fam4 = Fkj(k=rng.randint(1, 4), j=rng.randint(1, 4))
+        fam4 = ClosedFamily("Fkj", (rng.randint(1, 4), rng.randint(1, 4)))
         assert _agree(closed_family_check(a, fam4, 64, PREC), _brute_fkj(a, fam4))
 
 
@@ -385,17 +392,17 @@ def test_bruteforce_agreement_partial_sums(seed):
     rng = random.Random(2000 + seed)
     for _ in range(25):
         real = random_finite(rng, real_only=True)
-        fam = PartialSum(p=F(1), M=F(rng.randint(1, 5)))
+        fam = ClosedFamily("psum", (F(1), F(rng.randint(1, 5))))
         expected = _brute_psum(real, fam, lambda v: abs(v[0]))
         assert _agree(closed_family_check(real, fam, 64, PREC), expected)
 
         gauss = random_finite(rng)
-        fam2 = PartialSum(p=F(2), M=F(rng.randint(1, 5)))
+        fam2 = ClosedFamily("psum", (F(2), F(rng.randint(1, 5))))
         total = F(0)
         expected2 = None
         for n, (re, im) in sorted(gauss.entries.items()):
             total += re * re + im * im
-            if total > fam2.M:
+            if total > fam2.params[1]:
                 expected2 = n
                 break
         assert _agree(closed_family_check(gauss, fam2, 64, PREC), expected2)
@@ -406,7 +413,7 @@ def test_bruteforce_agreement_partial_sums(seed):
 
 def test_decompose_prop28_weighted_grid():
     rows = decompose_report(prop28(), AINF, [1], range(1, 11), BUDGET, PREC)
-    violations = {fam.M: res.n for fam, res in rows}
+    violations = {fam.params[0]: res.n for fam, res in rows}
     # first power of two whose weighted value exceeds M: 2**k > M**2
     for M in range(1, 11):
         expected = 2 ** next(k for k in range(1, 20) if 2 ** k > M * M)
@@ -432,7 +439,7 @@ def test_decompose_rejects_cn0():
 def test_decompose_cap_lp_uses_exponent_schedule():
     rows = decompose_report(gap_cap_c0(F(2)), cap_lp(1), [1, 2], [1], 256, PREC)
     fams = [fam for fam, _ in rows]
-    assert fams[0].p == F(2) and fams[-1].p == F(3, 2)
+    assert fams[0].params[0] == F(2) and fams[-1].params[0] == F(3, 2)
     assert all(isinstance(res, ViolatedAt) for _, res in rows)
 
 
@@ -1066,14 +1073,15 @@ def test_lp_head_uppers_of_finite_rationals_equal_fraction_sums(prec):
 
 
 def _ref_partial_sum_check(seq, fam, budget, prec):
-    """The PartialSum scan as it was: cumulative Fraction sums of both endpoints."""
+    """The psum scan as it was: cumulative Fraction sums of both endpoints."""
+    p, M = fam.params
     hp = prec + 32
     cum_lo = cum_hi = F(0)
     for n in sorted(seq.support_hint.elements_upto(budget)):
         sq_lo, sq_hi = seq.term(n, hp).abs_sq_bounds()
-        cum_lo += _ref_pow_bounds(sq_lo, fam.p / 2, hp)[0]
-        cum_hi += _ref_pow_bounds(sq_hi, fam.p / 2, hp)[1]
-        if cum_lo > fam.M:
+        cum_lo += _ref_pow_bounds(sq_lo, p / 2, hp)[0]
+        cum_hi += _ref_pow_bounds(sq_hi, p / 2, hp)[1]
+        if cum_lo > M:
             return ViolatedAt(n, cum_lo, cum_hi)
     return ConsistentUpTo(budget)
 
@@ -1083,7 +1091,7 @@ def test_partial_sum_scans_equal_fraction_sums(name):
     seq = catalog()[name]
     for p in (F(1, 2), F(1), F(3, 2), F(2), F(4, 3)):
         for M in (F(1, 3), F(2), F(9)):
-            fam = PartialSum(p=p, M=M)
+            fam = ClosedFamily("psum", (p, M))
             assert closed_family_check(seq, fam, 200, PREC) == _ref_partial_sum_check(seq, fam, 200, PREC)
 
 

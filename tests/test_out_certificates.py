@@ -15,14 +15,11 @@ import pytest
 from conftest import BUDGET, PREC, catalog
 from seqchain import families
 from seqchain.diagnose import (
-    FM,
     Certificate,
     CertifiedIn,
     CertifiedOut,
+    ClosedFamily,
     ConsistentUpTo,
-    FMk,
-    Fkj,
-    Fnk,
     ViolatedAt,
     _abs_at_least,
     _abs_sq_lower,
@@ -265,36 +262,40 @@ def _ref_report_abs(seq, n, prec, weight=Q1):
 
 
 def _ref_pointwise_check(seq, fam, budget, prec):
-    if isinstance(fam, FMk):
+    if fam.name == "FMk":
+        M, k = fam.params
         for n in seq.support_hint.elements_upto(budget):
-            weight = Fraction(n) ** fam.k
+            weight = Fraction(n) ** k
             if weight == 0:
-                if fam.k > 0:
+                if k > 0:
                     continue
                 weight = Q1
-            if _ref_abs_vs_threshold(seq, n, fam.M / weight, prec) > 0:
+            if _ref_abs_vs_threshold(seq, n, M / weight, prec) > 0:
                 lo, hi = _ref_report_abs(seq, n, prec * 2, weight)
                 return ViolatedAt(n, lo, hi)
         return ConsistentUpTo(budget)
-    if isinstance(fam, Fnk):
-        threshold = Fraction(1, fam.k)
+    if fam.name == "Fnk":
+        start, k = fam.params
+        threshold = Fraction(1, k)
         for s in seq.support_hint.elements_upto(budget):
-            if s < fam.n:
+            if s < start:
                 continue
             if _ref_abs_vs_threshold(seq, s, threshold, prec) > 0:
                 lo, hi = _ref_report_abs(seq, s, prec * 2)
                 return ViolatedAt(s, lo, hi)
         return ConsistentUpTo(budget)
-    if isinstance(fam, FM):
+    if fam.name == "FM":
+        (M,) = fam.params
         for n in seq.support_hint.elements_upto(budget):
-            if _ref_abs_vs_threshold(seq, n, fam.M, prec) > 0:
+            if _ref_abs_vs_threshold(seq, n, M, prec) > 0:
                 lo, hi = _ref_report_abs(seq, n, prec * 2)
                 return ViolatedAt(n, lo, hi)
         return ConsistentUpTo(budget)
-    if isinstance(fam, Fkj):
-        base = 1 + Fraction(1, fam.j)
+    if fam.name == "Fkj":
+        k, j = fam.params
+        base = 1 + Fraction(1, j)
         for n in seq.support_hint.elements_upto(budget):
-            if n < max(fam.k, 1):
+            if n < max(k, 1):
                 continue
             if _ref_abs_vs_threshold(seq, n, base ** n, prec) > 0:
                 lo, hi = _ref_report_abs(seq, n, prec * 2)
@@ -626,15 +627,15 @@ def test_one_refinement_decides_both_comparisons_as_the_two_loops():
 def _family_grid():
     for k in (0, 1, 2, 3):
         for M in (F(0), F(1, 2), F(1), F(3), F(100)):
-            yield FMk(M=M, k=k)
+            yield ClosedFamily("FMk", (M, k))
     for n in (0, 1, 3, 7):  # starts past 0
         for k in (1, 2, 5):
-            yield Fnk(n=n, k=k)
+            yield ClosedFamily("Fnk", (n, k))
     for M in (F(0), F(1, 3), F(1), F(10)):
-        yield FM(M=M)
+        yield ClosedFamily("FM", (M,))
     for k in (1, 2, 5):  # starts past 0
         for j in (1, 2, 8):
-            yield Fkj(k=k, j=j)
+            yield ClosedFamily("Fkj", (k, j))
 
 
 @pytest.mark.parametrize("support", [None, "arith"])
@@ -649,14 +650,14 @@ def test_pointwise_family_scan_equals_the_reference(support):
 
 
 def test_fmk_with_k_zero_weighs_index_zero():
-    # n**0 = 1 at n = 0 as everywhere: a_0 = 3/4 violates FMk(1/2, 0) at 0,
+    # n**0 = 1 at n = 0 as everywhere: a_0 = 3/4 violates ClosedFamily("FMk", (1/2, 0)) at 0,
     # and with k > 0 index 0 carries weight 0 and is never a violation
     seq = catalog()["finite"]
-    got = closed_family_check(seq, FMk(M=F(1, 2), k=0), 64, PREC)
-    assert got == _ref_pointwise_check(seq, FMk(M=F(1, 2), k=0), 64, PREC)
+    got = closed_family_check(seq, ClosedFamily("FMk", (F(1, 2), 0)), 64, PREC)
+    assert got == _ref_pointwise_check(seq, ClosedFamily("FMk", (F(1, 2), 0)), 64, PREC)
     assert isinstance(got, ViolatedAt) and got.n == 0 and got.lower == F(3, 4)
-    got = closed_family_check(seq, FMk(M=F(1, 2), k=1), 64, PREC)
-    assert got == _ref_pointwise_check(seq, FMk(M=F(1, 2), k=1), 64, PREC)
+    got = closed_family_check(seq, ClosedFamily("FMk", (F(1, 2), 1)), 64, PREC)
+    assert got == _ref_pointwise_check(seq, ClosedFamily("FMk", (F(1, 2), 1)), 64, PREC)
     assert isinstance(got, ViolatedAt) and got.n == 2
 
 

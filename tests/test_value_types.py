@@ -16,15 +16,11 @@ import pytest
 
 from seqchain.cli import RunConfig
 from seqchain.diagnose import (
-    FM,
     Certificate,
     CertifiedIn,
     CertifiedOut,
+    ClosedFamily,
     ConsistentUpTo,
-    Fkj,
-    FMk,
-    Fnk,
-    PartialSum,
     Undecided,
     ViolatedAt,
 )
@@ -70,7 +66,7 @@ def _escape():
 
 
 # one value of every type on the base, built afresh, with equal but distinct
-# Fractions, on each call
+# Fractions, on each call; a ClosedFamily once for each of its five families
 VALUES = {
     "ComplexInterval": lambda: ComplexInterval(F(0), F(1), F(2), F(2)),
     "SpaceId": lambda: SpaceId("cap-lp", F(1, 2)),
@@ -82,11 +78,11 @@ VALUES = {
     "CertifiedIn": lambda: CertifiedIn(_cert()),
     "CertifiedOut": lambda: CertifiedOut(_cert()),
     "Undecided": lambda: Undecided(64),
-    "FMk": lambda: FMk(F(1), 2),
-    "PartialSum": lambda: PartialSum(F(1), F(2)),
-    "Fnk": lambda: Fnk(3, 4),
-    "FM": lambda: FM(F(5)),
-    "Fkj": lambda: Fkj(2, 3),
+    "FMk": lambda: ClosedFamily("FMk", (F(1), 2)),
+    "PartialSum": lambda: ClosedFamily("psum", (F(1), F(2))),
+    "Fnk": lambda: ClosedFamily("Fnk", (3, 4)),
+    "FM": lambda: ClosedFamily("FM", (F(5),)),
+    "Fkj": lambda: ClosedFamily("Fkj", (2, 3)),
     "ViolatedAt": lambda: ViolatedAt(5, F(1), F(2)),
     "ConsistentUpTo": lambda: ConsistentUpTo(10),
     "DenseFamilyElement": lambda: DenseFamilyElement(1, X, _witness(), F(1, 4), SEQ),
@@ -99,7 +95,8 @@ VALUES = {
 
 
 def test_every_value_type_is_covered():
-    assert {cls.__name__ for cls in Frozen.__subclasses__()} == set(VALUES)
+    built = {type(make()).__name__ for make in VALUES.values()}
+    assert {cls.__name__ for cls in Frozen.__subclasses__()} == built
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -165,7 +162,7 @@ def test_a_plain_tag_parses_to_the_module_constant():
 def test_another_class_with_the_same_fields_is_never_equal():
     cert = _cert()
     assert CertifiedIn(cert) != CertifiedOut(cert)
-    assert Fnk(2, 3) != Fkj(2, 3)
+    assert ClosedFamily("Fnk", (2, 3)) != ClosedFamily("Fkj", (2, 3))  # nor another name
 
 
 def test_tags_and_blocks_compare_without_their_callables():
