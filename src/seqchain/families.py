@@ -73,13 +73,13 @@ def _ceil_sqrt(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-def _geom_tail(base: Fraction, exponent: Fraction, k0: int, prec: int) -> Fraction:
-    """Upper bound on sum_{k >= k0} (base**exponent)**k for 0 < base < 1, on integers."""
+def _geom_ratio(base: Fraction, exponent: Fraction, prec: int) -> tuple[int, int]:
+    """An upper bound n/d < 1 on base**exponent for 0 < base < 1, as (n, d)."""
     work = max(prec, 16)
     for _ in range(20):
         n, d = pow_bounds(base, exponent, work)[1].as_integer_ratio()
         if n < d:
-            return Fraction(n ** k0 * d, d ** k0 * (d - n))
+            return n, d
         work += 32
     raise BudgetExceeded("geometric ratio bound would not drop below 1")
 
@@ -122,10 +122,11 @@ def _bounded_tails(term, peak=lambda N: N + 1):
 
 
 def _doubling(name: str, params: dict, support: SupportSet, label: str, bound) -> FamilySeq:
-    """sqrt(1/l) at the doubling selection of support points l, zero
-    elsewhere: in every l^p, but with l |a_l| unbounded along the picks.
-    The growth tag reads bound(l) at the m-th pick l."""
+    """sqrt(1/l) at the doubling selection of support points l, zero elsewhere:
+    in every l^p, with l |a_l| unbounded along the picks, which the growth tag
+    reads as bound(l) at the m-th pick l.  Its tails keep one ratio per (p, prec)."""
     selection = DoublingSelection(support)
+    ratios = {}  # (p, prec) as integers -> _geom_ratio(1/2, p/2, prec), made once
 
     def term(n, prec):
         if selection.member(n):
@@ -134,9 +135,12 @@ def _doubling(name: str, params: dict, support: SupportSet, label: str, bound) -
 
     def tail(N, p, prec):
         # the m-th selected value is >= 2**m, so the tail past the first
-        # rank_upto(N) selections is dominated by a geometric series
-        half = Fraction(p.numerator, 2 * p.denominator)
-        return _geom_tail(_HALF, half, selection.rank_upto(N) + 1, prec)
+        # rank_upto(N) = k0 - 1 selections is at most sum_{k >= k0} t**k, t = n/d
+        a, k = p.as_integer_ratio()
+        if (a, k, prec) not in ratios:
+            ratios[a, k, prec] = _geom_ratio(_HALF, Fraction(a, 2 * k), prec)
+        (n, d), k0 = ratios[a, k, prec], selection.rank_upto(N) + 1
+        return Fraction(n ** k0 * d, d ** k0 * (d - n))
 
     sup, disc = _bounded_tails(term, lambda N: selection.nth(selection.rank_upto(N) + 1))
 

@@ -294,10 +294,16 @@ def _truncation(target: Sequence, outer: SpaceId, head: int, grid_bits: int, pre
     for n in target.support_hint.elements_upto(head):
         iv, x_n, e_n = target.term(n, grid_bits + 4), [], 0
         for lo, hi in ((iv.re_lo, iv.re_hi), (iv.im_lo, iv.im_hi)):  # in exact integers
+            if lo is hi and not lo:  # a zero axis: rounds to 0, no residue
+                x_n.append(Q0)
+                continue
             s, t = lo.numerator * hi.denominator, hi.numerator * lo.denominator
             den, mid = 2 * lo.denominator * hi.denominator, (s + t) * grid
-            x_n.append(Fraction(k := round(Fraction(mid, den)), grid))
-            e_n += -(-16 * ((t - s) * grid + abs(mid - k * den)) // den)  # on 2**-(grid_bits+4)
+            k, r = divmod(mid, den)  # mid/den rounded half to even: k, off by r
+            if 2 * r > den or 2 * r == den and k & 1:
+                k, r = k + 1, den - r
+            x_n.append(Fraction(k, grid) if k else Q0)
+            e_n += -(-16 * ((t - s) * grid + r) // den)  # on 2**-(grid_bits+4)
         entries[n], e = tuple(x_n), max(e, e_n)
     e = Fraction(e, 16 * grid)
     return FiniteRational(entries), truncation_bound(outer, target, e, len(entries), head, prec)

@@ -354,8 +354,9 @@ class PowSum:
     q >= 0 (``modulus_bounds`` ends).  Inexact endpoints, lo or lo + 1 over
     2**(prec+1), add as one integer numerator, exact pairs as another over L,
     the lcm of their denominators (the ``DiscSum`` pattern); ``value`` is
-    their exact sum.  ``extend`` sums a slice in one loop, widening L as new
-    denominators come, and multiplies by the count once."""
+    their exact sum.  ``extend_pair`` sums a slice into a lower and an upper
+    sum in one loop, a point's end powered once for both, widening each L as
+    new denominators come, and multiplies by the count once."""
 
     def __init__(self, e: Fraction, prec: int, upper: bool = False):
         a, k = e.numerator, e.denominator  # e/2 in lowest terms from e's own
@@ -365,27 +366,53 @@ class PowSum:
 
     def extend(self, ends, count: int = 1) -> "PowSum":
         """Add count times the endpoint of each end's power."""
-        exps, prec, upper = self.exps, self.prec, self.upper
-        L, exact, grid = self.L, 0, 0
-        for q, squared in ends:
-            if q:
-                pair, lo = pow_grid(q, *exps[squared], prec)
-                if pair is None:
-                    grid += lo + upper
-                else:
-                    num, den = pair
-                    if L % den:
-                        widen = den // gcd(L, den)
-                        L, exact = L * widen, exact * widen
-                    exact += num * (L // den)
-        if exact:  # L widens only with an exact summand
-            self.exact, self.L = self.exact * (L // self.L) + count * exact, L
-        self.num += count * grid
+        sides = (None, self) if self.upper else (self, None)
+        PowSum.extend_pair(*sides, ((end, end) for end in ends), count)
         return self
+
+    @staticmethod
+    def extend_pair(lower: "PowSum | None", upper: "PowSum | None", pairs, count: int = 1):
+        """Add count times the power's lower endpoint at each (lower, upper)
+        pair's lower end to ``lower``, and its upper one at the upper end to
+        ``upper`` (one of them may be None).  A point, one q, is powered once."""
+        exps, prec = (lower or upper).exps, (lower or upper).prec
+        lo_L, lo_exact, lo_grid = lower.L if lower else 1, 0, 0
+        hi_L, hi_exact, hi_grid = upper.L if upper else 1, 0, 0
+        for (q, squared), (q_hi, squared_hi) in pairs:
+            if not q_hi:  # so q = 0 too
+                continue
+            pair, g = pow_grid(q_hi, *exps[squared_hi], prec)
+            if pair is None:
+                hi_grid += g + 1
+            else:
+                hi_L, hi_exact = _add_exact(hi_L, hi_exact, pair)
+            if q is not q_hi:
+                if not q:
+                    continue
+                pair, g = pow_grid(q, *exps[squared], prec)
+            if pair is None:
+                lo_grid += g
+            else:
+                lo_L, lo_exact = _add_exact(lo_L, lo_exact, pair)
+        for total, L, exact, grid in ((lower, lo_L, lo_exact, lo_grid),
+                                      (upper, hi_L, hi_exact, hi_grid)):
+            if total is not None:
+                if exact:  # L widens only with an exact summand
+                    total.exact, total.L = total.exact * (L // total.L) + count * exact, L
+                total.num += count * grid
 
     @property
     def value(self) -> Fraction:
         return Fraction((self.exact << self.prec + 1) + self.num * self.L, self.L << self.prec + 1)
+
+
+def _add_exact(L: int, exact: int, pair: tuple[int, int]) -> tuple[int, int]:
+    """exact/L plus num/den, over L widened to a multiple of den."""
+    num, den = pair
+    if L % den:
+        widen = den // gcd(L, den)
+        L, exact = L * widen, exact * widen
+    return L, exact + num * (L // den)
 
 
 class DiscSum:
@@ -395,26 +422,26 @@ class DiscSum:
 
     def __init__(self, r: Fraction):
         self.u, self.v = r.numerator, r.denominator
-        self.m, self.L, self.num = 0, 1, 0
+        self.m, self.L, self.num, self.um, self.vm = 0, 1, 0, 1, 1
 
     def extend(self, terms) -> "DiscSum":
-        u, v, m, L, num = self.u, self.v, self.m, self.L, self.num
-        um = u ** m
+        u, v, m, L, num, um, vm = self.u, self.v, self.m, self.L, self.num, self.um, self.vm
         for n, a in terms:
+            a, den = a.as_integer_ratio()
             if a:
-                den = a.denominator
                 if L % den:
                     widen = den // gcd(L, den)
                     L, num = L * widen, num * widen
-                um *= u ** (n - m)
-                num = num * v ** (n - m) + a.numerator * (L // den) * um
+                step = v ** (n - m)
+                um, vm = um * u ** (n - m), vm * step
+                num = num * step + a * (L // den) * um
                 m = n
-        self.m, self.L, self.num = m, L, num
+        self.m, self.L, self.num, self.um, self.vm = m, L, num, um, vm
         return self
 
     @property
     def pair(self) -> tuple[int, int]:
-        return self.num, self.L * self.v ** self.m
+        return self.num, self.L * self.vm
 
 
 def _interval_mul(a_lo: Fraction, a_hi: Fraction, b_lo: Fraction, b_hi: Fraction):

@@ -30,8 +30,8 @@ power-of-two ladder of budgets (monotone in the budget despite rounding);
 ``metric_bounds`` yields the bound after each rung, and ``_upper_below``
 stops a walk at the first rung that settles whether its upper is below a
 radius (``ball_bound``'s early decision).  Each row kind names its tail
-oracle in ``row_tail``: a metric joins it to a head sum (``_metric_row``) or
-a truncation's residue (``_Residue``), an in-certificate reads it at N = -1.
+oracle in ``row_tail``: a metric joins it to a head sum (``_row``) or a
+truncation's residue (``_Residue``), an in-certificate reads it at N = -1.
 
 A walk reads the normal form of a - b (``sequences.normal_form``): an empty
 one is distance 0, one part c*s is read from s's own head with each row
@@ -40,15 +40,19 @@ their combination's head, c = 1.  ``ball_scale`` bounds every 2**-m from
 one head so; the bound falls with m, so m gallops and then bisects.  Every
 head sum is read from one ``_Head``: one list of the nonzero terms'
 ``modulus_bounds``, bounds on |a_n| by ``intervals.abs_end``, and sums
-extended over a ``bisect`` slice per rung, radius or exponent; ``hd`` disc
-sums and tails stay unreduced integer pairs, floored onto the grid.
+extended over a ``bisect`` slice per rung, radius or exponent.  A Frechet
+sum's summand reads its row unscaled from ``head.rows`` and scales the row's
+integers by |c|'s bounds, each power taken once per walk: |c|**deg once per
+scale and row degree, a point's p-th power once for both ends, ``hd`` disc
+sums and tails kept as unreduced integer pairs, floored onto the grid.
 
-A rung's raw bounds are a pure function of (space, node, prec, c, rung), so
-``metric_bounds`` keeps them on the node it reads (``Sequence.kept``), as the
-node keeps its terms: a later walk on the same node, such as a dense-family
-element's witness row, reads the rungs it finds and computes the rest on
-its own fresh head.  ``ball_bound`` reads no memo: it shares one head among
-its scales, and ``generic._row_element`` caches its answers per row.
+A rung's bounds, integer numerators on the 2**-(prec+8) grid, are a pure
+function of (space, node, prec, c, rung), so ``metric_bounds`` keeps them on
+the node it reads (``Sequence.kept``): a later walk on the same node, such
+as a dense-family element's witness row, reads the rungs it finds and
+computes the rest on its own fresh head.  ``ball_bound`` reads no memo: it
+shares one head among its scales, and ``generic._row_element`` caches its
+answers per row.
 """
 
 from __future__ import annotations
@@ -177,10 +181,6 @@ def _ceil_num(num: int, den: int, bits: int) -> int:
     return -((-num << bits) // den)
 
 
-def _floor_grid(x: Fraction, bits: int) -> Fraction:
-    return Fraction(_floor_num(x.numerator, x.denominator, bits), 1 << bits)
-
-
 def _ceil_grid(x: Fraction, bits: int) -> Fraction:
     return Fraction(_ceil_num(x.numerator, x.denominator, bits), 1 << bits)
 
@@ -253,26 +253,25 @@ class _Head:
             raise ValueError("a head sum cannot shrink below its last cutoff")
         return entry
 
-    def _extend(self, key, N: int, view, part=None, join=operator.add, start=lambda: (Q0, Q0),
-                fold=None):
+    def _extend(self, key, N: int, view, part=None, join=operator.add, start=lambda: (Q0, Q0)):
         """``join`` of the view's bounds, or of part(n, bounds), one sum per
-        end, over the nonzero head up to N, continued from the last cutoff;
-        ``fold(total, bounds)`` takes each sum's new bounds at once instead."""
+        end, over the nonzero head up to N, continued from the last cutoff."""
         entry = self._entry(key, N, start)
         new = self.nonzero(view, entry[0], N)
         if part is not None:
             new = [(n, part(n, bounds)) for n, bounds in new]
-        fold = fold or (lambda total, bounds: reduce(join, bounds, total))
-        sums = [fold(total, [b[i] for _, b in new]) for i, total in enumerate(entry[1:])]
+        sums = [reduce(join, [b[i] for _, b in new], total) for i, total in enumerate(entry[1:])]
         entry[:] = N, *sums
         return tuple(sums)
 
     def power_sum(self, p: Fraction, N: int):
-        """Bounds on sum_{n<=N} |a_n|**p, one ``PowSum`` per end, each
-        extended by the new slice of ends in one call."""
-        sums = self._extend(("lp", p.numerator, p.denominator), N, None, fold=PowSum.extend,
-                            start=lambda: (PowSum(p, self.hp), PowSum(p, self.hp, True)))
-        return tuple(total.value for total in sums)
+        """Bounds on sum_{n<=N} |a_n|**p, one ``PowSum`` per end, both
+        extended by the new slice of ends in one pass (``PowSum.extend_pair``)."""
+        cut, lo, hi = entry = self._entry(("lp", p.numerator, p.denominator), N,
+                                          lambda: (PowSum(p, self.hp), PowSum(p, self.hp, True)))
+        entry[0] = N
+        PowSum.extend_pair(lo, hi, [ends for _, ends in self.nonzero(None, cut, N)])
+        return lo.value, hi.value
 
     def max_abs(self, N: int):
         """Bounds on max_{n<=N} |a_n| (zero for an empty head)."""
@@ -297,18 +296,21 @@ class _Head:
     def disc_sum(self, r: Fraction, N: int):
         """Bounds on sum_{n<=N} |a_n| r**n as unreduced integer pairs: one
         ``DiscSum`` of the points' moduli for both ends, one per end of the
-        rest.  Each sum takes its new terms in one call, and a sum that gets
-        none is not called."""
-        cut, points, *wide = entry = self._entry(("hd", r.numerator, r.denominator), N,
-                                                 lambda: [DiscSum(r) for _ in range(3)])
+        rest, made at the first term that is no point.  Each sum takes its
+        new terms in one call, and a sum that gets none is not called."""
+        cut, points, wide = entry = self._entry(("hd", r.numerator, r.denominator), N,
+                                                lambda: [DiscSum(r), None])
         entry[0], new_points, new_wide = N, [], []
         for n, a in self.nonzero(abs_ends, cut, N):
             (new_points if a[0] is a[1] else new_wide).append((n, a))
         if new_points:
             points.extend((n, a[0]) for n, a in new_points)
         if new_wide:
+            wide = entry[2] = wide or (DiscSum(r), DiscSum(r))
             wide[0].extend((n, a[0]) for n, a in new_wide)
             wide[1].extend((n, a[1]) for n, a in new_wide)
+        if wide is None:
+            return points.pair, points.pair
         p_num, p_den = points.pair
         return tuple((p_num * d + w * p_den, p_den * d) for w, d in (total.pair for total in wide))
 
@@ -364,11 +366,11 @@ def row_tail(seq: Sequence, kind: str, param, N: int, prec: int):
     return (seq.tail_majorant if kind == "lp" else seq.disc_tail)(N, param, prec)
 
 
-def _metric_row(head: _Head, kind: str, param, N: int, prec: int, c=(Q1, Q0)):
-    """Bounds on one row's seminorm of c * head.seq: the head's up to N, and
-    ``row_tail`` past N added to the upper (as unreduced integer pairs for
-    ``disc``, a max for ``sup``), with no head summed when it has no answer,
-    kept in ``head.rows``; times |c| to the row's degree, rooted for p >= 1."""
+def _row(head: _Head, kind: str, param, N: int, prec: int):
+    """Bounds on one row's seminorm of head.seq, unscaled: the head's up to
+    N, and ``row_tail`` past N added to the upper (as unreduced integer pairs
+    for ``disc``, a max for ``sup``), with no head summed when it has no
+    answer, kept in ``head.rows``."""
     key = (kind, N) if param is None else (kind, N, param.numerator, param.denominator)
     if key not in head.rows:
         tail = row_tail(head.seq, kind, param, N, prec)
@@ -381,7 +383,14 @@ def _metric_row(head: _Head, kind: str, param, N: int, prec: int, c=(Q1, Q0)):
         else:
             lo, hi = head.max_abs(N) if kind == "sup" else head.power_sum(param, N)
             head.rows[key] = lo, max(hi, tail) if kind == "sup" else hi + tail
-    (lo, hi), (w_lo, w_hi) = head.rows[key], head.power(c, param if kind == "lp" else Q1)
+    return head.rows[key]
+
+
+def _metric_row(head: _Head, kind: str, param, N: int, prec: int, c=(Q1, Q0)):
+    """Bounds on one row's seminorm of c * head.seq: the ``_row`` times |c|
+    to the row's degree, rooted for p >= 1."""
+    lo, hi = _row(head, kind, param, N, prec)
+    w_lo, w_hi = head.power(c, param if kind == "lp" else Q1)
     if w_lo is not Q1:
         lo, hi = ((x[0] * w.numerator, x[1] * w.denominator) if kind == "disc" else x * w
                   for x, w in ((lo, w_lo), (hi, w_hi)))
@@ -405,17 +414,15 @@ def _nested_sum(head: _Head, N: int, prec: int, summand, c=(Q1, Q0)):
     scalar c, as a pair of integer numerators over that grid, so a later
     rung reuses every summand whose inner cutoff has stopped growing."""
     grid, parts = prec + _HEAD_GUARD, head.parts.setdefault(c, {})
-    K = _remainder_bits(None, N, prec)
+    K, residue = _remainder_bits(None, N, prec), isinstance(head, _Residue)
     lo = hi = 0
     for k in range(1, K + 1):
-        inner_budget = N if isinstance(head, _Residue) else max(_MIN_BUDGET, min(N, 4096 // k))
+        inner_budget = N if residue else max(_MIN_BUDGET, min(N, 4096 // k))
         part = parts.get((k, inner_budget))
-        if part is None:
+        if part is None:  # floor and ceiling on the grid, as _floor_num and _ceil_num
             (lo_num, lo_den), (hi_num, hi_den) = summand(k, inner_budget)
-            part = parts[k, inner_budget] = (
-                _floor_num(lo_num, lo_den << k, grid),
-                _ceil_num(hi_num, hi_den << k, grid),
-            )
+            part = parts[k, inner_budget] = ((lo_num << grid) // (lo_den << k),
+                                             -((-hi_num << grid) // (hi_den << k)))
         lo += part[0]
         hi += part[1]
     return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid) + Fraction(1, 1 << K)
@@ -432,12 +439,24 @@ def _metric_once(y: SpaceId, head: _Head, N: int, prec: int, c=(Q1, Q0)):
     kind, param, nested = seminorm_rows(y)
     if not nested:
         return _metric_row(head, kind, param(1), N, prec, c)
+    if kind == "disc":  # min(1, t) of the row's pairs scaled by |c|'s bounds
+        (a, b), (u, v) = (w.as_integer_ratio() for w in head.power(c, Q1))
 
-    def summand(k, inner_budget):
-        lo, hi = _metric_row(head, kind, param(k), inner_budget, prec, c)
-        if kind == "lp":  # t/(1+t) as the pair (num, num + den)
-            return tuple((q.numerator, q.numerator + q.denominator) for q in (lo, hi))
-        return tuple(m if m[0] < m[1] else (1, 1) for m in (lo, hi))  # min(1, t)
+        def summand(k, inner_budget):
+            (lo, lo_den), (hi, hi_den) = _row(head, kind, param(k), inner_budget, prec)
+            lo, lo_den, hi, hi_den = lo * a, lo_den * b, hi * u, hi_den * v
+            return (lo, lo_den) if lo < lo_den else (1, 1), (hi, hi_den) if hi < hi_den else (1, 1)
+    else:  # t/(1+t) as the pair (num, num + den), t the row scaled by |c|**p, p-th root for p >= 1
+
+        def summand(k, inner_budget):
+            p = param(k)
+            if p >= 1:  # rooted, so scaled as Fractions
+                (lo, hi), (w_lo, w_hi) = _metric_row(head, kind, p, inner_budget, prec, c), (Q1, Q1)
+            else:
+                (lo, hi), (w_lo, w_hi) = _row(head, kind, p, inner_budget, prec), head.power(c, p)
+            lo_num, lo_den = lo.numerator * w_lo.numerator, lo.denominator * w_lo.denominator
+            hi_num, hi_den = hi.numerator * w_hi.numerator, hi.denominator * w_hi.denominator
+            return (lo_num, lo_num + lo_den), (hi_num, hi_num + hi_den)
 
     return _nested_sum(head, N, prec, summand, c)
 
@@ -463,23 +482,27 @@ def truncation_bound(y: SpaceId, seq: Sequence, e: Fraction, count: int, N: int,
 
 def _walk(y: SpaceId, normal, ladder: list[int], prec: int, rungs: dict):
     """(rung, best bounds so far) on y's distance of c * head.seq from 0 after
-    each rung, normal = (head, c); 0 at every rung for normal None.  The raw
-    bounds of a rung found in ``rungs`` are read, the others computed on the
-    head and kept there: a head first asked at rung N only extends its sums,
-    as a sum extended from a cutoff equals one restarted from zero."""
+    each rung, normal = (head, c); 0 at every rung for normal None.  A rung's
+    bounds floored and ceiled onto the 2**-(prec+8) grid are read from
+    ``rungs``, or computed on the head and kept there: a head first asked at
+    rung N only extends its sums, as a sum extended from a cutoff equals one
+    restarted from zero."""
     if normal is None:
         yield from ((rung, MetricBound(Q0, Q0)) for rung in ladder)
         return
-    (head, c), best_lo, best_hi = normal, Q0, None
+    (head, c), bits, best_lo, best_hi = normal, prec + 8, 0, None
     for rung in ladder:
-        if rung not in rungs:
-            rungs[rung] = _metric_once(y, head, rung, prec, c)
-        lo, hi = rungs[rung]
-        best_lo = max(best_lo, lo)
-        best_hi = hi if best_hi is None else min(best_hi, hi)
-        lower = _floor_grid(best_lo, prec + 8)
+        bounds = rungs.get(rung)
+        if bounds is None:
+            lo, hi = _metric_once(y, head, rung, prec, c)
+            bounds = rungs[rung] = (_floor_num(lo.numerator, lo.denominator, bits),
+                                    _ceil_num(hi.numerator, hi.denominator, bits))
+        # floor and ceiling are monotone: the best grid ends are the best bounds' ones
+        best_lo = max(best_lo, bounds[0])
+        best_hi = bounds[1] if best_hi is None else min(best_hi, bounds[1])
         # an upper below the lower can only come from independent roundings: widen
-        yield rung, MetricBound(lower, max(lower, _ceil_grid(best_hi, prec + 8)))
+        upper = max(best_lo, best_hi)
+        yield rung, MetricBound(Fraction(best_lo, 1 << bits), Fraction(upper, 1 << bits))
 
 
 def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):
@@ -489,7 +512,7 @@ def metric_bounds(y: SpaceId, a: Sequence, b: Sequence, budget: int, prec: int):
 
     The rungs share one head of a - b's normal form (``_normal_head``), each
     extending the head sums of the last, and the head's node keeps each
-    rung's raw bounds under (y, prec, c) for later walks, rung -> bounds; an
+    rung's grid bounds under (y, prec, c) for later walks, rung -> bounds; an
     empty normal form is 0."""
     normal = _normal_head(y, [(Q1, Q0, a), (-Q1, Q0, b)], prec)
     rungs = {} if normal is None else normal[0].seq.kept(("rungs", y, prec, normal[1]), dict)

@@ -9,11 +9,11 @@ same."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqchain.errors import BudgetExceeded
-from seqchain.families import _geom_tail, gap_cap_lp, gap_lp_cap, prop28, rem29
+from seqchain.families import _geom_ratio, gap_cap_lp, gap_lp_cap, prop28, rem29
 from seqchain.intervals import ComplexInterval, PowSum, Q0, pow_bounds
 from seqchain.sequences import _EXACT_POWER_BITS, FiniteRational, _radius_power_upper
 from seqchain.spaces import HD, cap_lp, seminorm_rows
@@ -44,7 +44,9 @@ def _ref_geom_tail(base, exponent, k0, prec):
 @example(F(1, 2), F(1, 2), 0, 16)
 @example(F(1, 2), F(3), 7, 64)
 def test_geom_tail_equals_the_fraction_formula(base, exponent, k0, prec):
-    assert _geom_tail(base, exponent, k0, prec) == _ref_geom_tail(base, exponent, k0, prec)
+    # the ratio bound n/d of the doubling tails, summed on integers from k0 on
+    n, d = _geom_ratio(base, exponent, prec)
+    assert F(n ** k0 * d, d ** k0 * (d - n)) == _ref_geom_tail(base, exponent, k0, prec)
 
 
 @pytest.mark.parametrize("N", CUTOFFS)
@@ -53,6 +55,20 @@ def test_doubling_tails_equal_the_fraction_formula(N, p, prec):
     for seq in (prop28(), rem29(Arith(1, 3))):
         k0 = seq.support_hint.rank_upto(N) + 1
         assert seq.tail_majorant(N, p, prec) == _ref_geom_tail(F(1, 2), p / 2, k0, prec)
+
+
+_DOUBLING_QUESTIONS = [(N, p, prec) for N in CUTOFFS for p in (F(1, 3), F(1), F(7, 3))
+                       for prec in (16, 64)]
+
+
+@settings(max_examples=20)
+@given(st.permutations(_DOUBLING_QUESTIONS))
+def test_doubling_tails_do_not_depend_on_the_order_asked(order):
+    # a node makes each (p, prec) ratio once and reuses it at every cutoff:
+    # the answers in any order are those of a fresh node per question
+    for make in (prop28, lambda: rem29(Arith(1, 3))):
+        seq = make()
+        assert [seq.tail_majorant(*q) for q in order] == [make().tail_majorant(*q) for q in order]
 
 
 @pytest.mark.parametrize("N", CUTOFFS)

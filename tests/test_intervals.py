@@ -570,6 +570,40 @@ def test_pow_sum_of_exact_heavy_ends_equals_the_fraction_sum(terms, p, prec):
     assert (lo_sum.value, hi_sum.value) == (ref_lo, ref_hi)
 
 
+@st.composite
+def end_pairs(draw):
+    """(lower end, upper end) as ``modulus_bounds`` gives them: a point, one
+    q object on both sides, or two ends of one kind in order."""
+    lo = draw(exact_heavy_ends())
+    if draw(st.booleans()):
+        return lo, (lo[0], lo[1])
+    a, b = sorted((lo[0], draw(exact_heavy_ends())[0]))
+    return (a, lo[1]), (b, lo[1])
+
+
+@given(st.lists(end_pairs(), max_size=10), st.sampled_from(_SUM_EXPONENTS),
+       st.integers(8, 96), st.integers(1, 5))
+def test_pow_sum_pair_pass_equals_separate_extends(pairs, p, prec, count):
+    # one pass over (lower, upper) ends leaves each sum as a one-sided extend
+    # over its side's ends leaves, and equal to the reference endpoints; a
+    # point's q is powered once for both sums
+    calls, real = [], intervals.pow_grid
+    intervals.pow_grid = lambda *args: calls.append(args) or real(*args)
+    try:
+        lower, upper = PowSum(p, prec), PowSum(p, prec, upper=True)
+        PowSum.extend_pair(lower, upper, pairs, count)
+    finally:
+        intervals.pow_grid = real
+    assert len(calls) == sum(bool(lo[0]) + (hi[0] is not lo[0] and bool(hi[0])) for lo, hi in pairs)
+    for side, total in enumerate((lower, upper)):
+        ends = [pair[side] for pair in pairs]
+        alone = PowSum(p, prec, upper=bool(side)).extend(ends, count)
+        assert (total.L, total.exact, total.num) == (alone.L, alone.exact, alone.num)
+        assert total.value == sum(
+            (count * _ref_pow_bounds(q, p / 2 if squared else p, prec)[side] for q, squared in ends),
+            Fraction(0))
+
+
 def test_pow_sum_exact_part_is_one_numerator_over_the_lcm():
     # odd coprime denominators: 1/3 + 2 * 1/5 + 1/7 at p = 1, and 9/25
     # squared at p = 1 is 3/5 again

@@ -26,7 +26,6 @@ from seqchain.spaces import (
     MetricBound,
     _budget_ladder,
     _ceil_grid,
-    _floor_grid,
     _Head,
     _metric_once,
     _upper_below,
@@ -46,6 +45,10 @@ RADII = (F(1), F(1, 2), F(1, 8), F(1, 128), F(1, 2048))
 
 
 # -- reference: every question answered by a full ladder ------------------------------
+
+
+def _floor_grid(x, bits):
+    return F((x.numerator << bits) // x.denominator, 1 << bits)
 
 
 def _ref_metric_bound(y, a, b, budget, prec):
