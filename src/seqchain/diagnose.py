@@ -551,14 +551,14 @@ def _pointwise(first: int, rule):
 
 
 def _partial_sums(p: Fraction, M: Fraction):
-    """The scan of psum, which asks every partial sum of |a_n|**p <= M."""
+    """The scan of psum, which asks every partial sum of |a_n|**p <= M: one
+    two-sided ``PowSum.extend_pair`` per term, a point powered once."""
     def scan(seq: Sequence, budget: int, prec: int):
         hp = prec + 32
         cum_lo, cum_hi = PowSum(p, hp), PowSum(p, hp, upper=True)
         for n in seq.support_hint.elements_upto(budget):
-            lo, hi = seq.term(n, hp).modulus_bounds()
-            cum_hi.extend((hi,))
-            if cum_lo.extend((lo,)).value > M:
+            PowSum.extend_pair(cum_lo, cum_hi, [seq.term(n, hp).modulus_bounds()])
+            if cum_lo.value > M:
                 return ViolatedAt(n, cum_lo.value, cum_hi.value)
     return scan
 

@@ -45,7 +45,7 @@ from .intervals import (
     pow_bounds,
     sqrt_bounds,
 )
-from .sequences import FamilySeq
+from .sequences import _EXACT_POWER_BITS, FamilySeq
 from .supports import AllNaturals, DoublingSelection, PowersOfTwo, SupportSet, support_from_spec
 from .tags import (
     BlockDivergence,
@@ -412,13 +412,25 @@ def gap_cap_c0(b: Fraction) -> FamilySeq:
 
     def lp_div(p):
         # 2**j terms of value j**-p per L-aligned block; valid from the
-        # first j in the monotone region with 2**j >= j**p.  Past the
-        # search cap there is no certificate (None), not an error.
-        j = max(1, -(-2 * p.numerator // p.denominator))
-        while not (1 << (j * p.denominator)) >= j ** p.numerator:
-            j += 1
-            if j > 512:
+        # least j >= 2p with 2**j >= j**p.  From 2p > p/ln 2 on the test
+        # holds at every j past its first, so j doubles, then bisects back.
+        # An operand past _EXACT_POWER_BITS gives no certificate (None).
+        a, k = p.numerator, p.denominator
+
+        def holds(j):
+            if max(j * k, a * j.bit_length()) > _EXACT_POWER_BITS:
                 return None
+            return (1 << (j * k)) >= j ** a
+
+        j = max(1, -(-2 * a // k))
+        fails = j - 1
+        while not (found := holds(j)):
+            if found is None:
+                return None
+            fails, j = j, 2 * j
+        while j - fails > 1:  # mid < j: its operands are smaller
+            mid = (fails + j) // 2
+            fails, j = (fails, mid) if holds(mid) else (mid, j)
         return BlockDivergence(
             p=p,
             block=shifted_dyadic_block,

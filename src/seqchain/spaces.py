@@ -38,13 +38,14 @@ one is distance 0, one part c*s is read from s's own head with each row
 scaled outward by |c|**deg (cn0 scales each |a_n|), and more parts from
 their combination's head, c = 1.  ``ball_scale`` bounds every 2**-m from
 one head so; the bound falls with m, so m gallops and then bisects.  Every
-head sum is read from one ``_Head``: one list of the nonzero terms'
-``modulus_bounds``, bounds on |a_n| by ``intervals.abs_end``, and sums
-extended over a ``bisect`` slice per rung, radius or exponent.  A Frechet
-sum's summand reads its row unscaled from ``head.rows`` and scales the row's
-integers by |c|'s bounds, each power taken once per walk: |c|**deg once per
-scale and row degree, a point's p-th power once for both ends, ``hd`` disc
-sums and tails kept as unreduced integer pairs, floored onto the grid.
+head sum is read from one ``_Head``: the nonzero terms' ``modulus_bounds``
+and their |a_n| bounds (``intervals.abs_end``), and sums extended over a
+``bisect`` slice per rung, radius or exponent.  Every row, of a one-row
+metric or a Frechet sum, is read by one rule, ``_row``: kept unscaled as
+integer pairs, multiplied by the |c|**deg bounds its caller looks up once
+per scale and degree, and rooted for ``lp`` at p >= 1.  A point's p-th
+power is taken once for both ends, and a Frechet sum's summands stay
+unreduced integer pairs, floored onto the grid.
 
 A rung's bounds, integer numerators on the 2**-(prec+8) grid, are a pure
 function of (space, node, prec, c, rung), so ``metric_bounds`` keeps them on
@@ -57,10 +58,9 @@ answers per row.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 
 from .errors import BudgetExceeded, MissingTailOracle, UnknownSpace, UnsupportedSpace
 from .intervals import Q0, Q1, DiscSum, Frozen, PowSum, _neg_log2_upper, abs_ends, pow_bounds
@@ -195,29 +195,28 @@ class _Head:
     ``ball_scale`` call: of the normal form's one part, or of the combination
     of its parts.
 
-    It keeps one list, increasing in n, of the nonzero terms' exact
-    ``modulus_bounds`` ends, extended as the cutoff grows.  A sum reads the
-    ends, or a view of them made once per term (``nonzero``): their |a_n|
-    bounds (``abs_ends``).  A sum gives two bounds, (lower, upper).  Each
-    sum, keyed by integers, extends from its last cutoff over the ``bisect``
-    slice past it, which exact endpoints make equal to a sum restarted from
-    zero.  Ratio and power sums (``PowSum``) and ``parts`` (``_nested_sum``)
-    are integer numerators over powers of two, disc sums unreduced pairs;
-    cutoffs never decrease.
+    It keeps two lists, increasing in n and extended as the cutoff grows
+    (``nonzero``): the nonzero terms' exact ``modulus_bounds`` ends, and
+    their |a_n| bounds (``abs_ends``).  A sum gives two bounds, (lower,
+    upper).  Each sum, keyed by integers, extends from its last cutoff over
+    the ``bisect`` slice past it, which exact endpoints make equal to a sum
+    restarted from zero.  Ratio and power sums (``PowSum``) and ``parts``
+    (``_nested_sum``) are integer numerators over powers of two, disc sums
+    and ``rows`` unreduced integer pairs; cutoffs never decrease.
     """
 
     def __init__(self, seq: Sequence, hp: int):
         self.seq, self.hp = seq, hp
         # parts: c -> that scalar's nested summands; rows: each row's unscaled bounds
         self.parts, self.rows, self._powers = {}, {}, {}
-        self._cut, self._indices = -1, []
-        self._views: dict = {None: []}  # view -> [(n, view(ends, hp))]; None: the ends
+        self._cut, self._indices, self._ends, self._abs = -1, [], [], []
         self._sums: dict = {}
 
-    def nonzero(self, view, lo: int, hi: int) -> list:
-        """(n, view(ends, hp)) for each nonzero a_n with lo < n <= hi, increasing
-        in n, where ends is the term's ``modulus_bounds``; for view None, the ends."""
-        ends = self._views[None]
+    def nonzero(self, lo: int, hi: int, absolute: bool = False) -> list:
+        """(n, ends) for each nonzero a_n with lo < n <= hi, increasing in n,
+        where ends is the term's ``modulus_bounds``; (n, |a_n| bounds) if
+        ``absolute``, each made once per term."""
+        ends = self._ends
         if hi > self._cut:
             support = sorted(self.seq.support_hint.elements_upto(hi))
             for n in support[bisect_right(support, self._cut):]:
@@ -226,9 +225,9 @@ class _Head:
                     self._indices.append(n)
                     ends.append((n, iv.modulus_bounds()))
             self._cut = hi
-        made, j = self._views.setdefault(view, []), bisect_right(self._indices, hi)
-        if len(made) < j:  # never for the ends, their own view
-            made.extend([(n, view(e, self.hp)) for n, e in ends[len(made):j]])
+        made, j = self._abs if absolute else ends, bisect_right(self._indices, hi)
+        if len(made) < j:  # never for the ends themselves
+            made.extend([(n, abs_ends(e, self.hp)) for n, e in ends[len(made):j]])
         return made[bisect_right(self._indices, lo):j]
 
     def power(self, c, e: Fraction):
@@ -253,45 +252,36 @@ class _Head:
             raise ValueError("a head sum cannot shrink below its last cutoff")
         return entry
 
-    def _extend(self, key, N: int, view, part=None, join=operator.add, start=lambda: (Q0, Q0)):
-        """``join`` of the view's bounds, or of part(n, bounds), one sum per
-        end, over the nonzero head up to N, continued from the last cutoff."""
-        entry = self._entry(key, N, start)
-        new = self.nonzero(view, entry[0], N)
-        if part is not None:
-            new = [(n, part(n, bounds)) for n, bounds in new]
-        sums = [reduce(join, [b[i] for _, b in new], total) for i, total in enumerate(entry[1:])]
-        entry[:] = N, *sums
-        return tuple(sums)
-
     def power_sum(self, p: Fraction, N: int):
         """Bounds on sum_{n<=N} |a_n|**p, one ``PowSum`` per end, both
         extended by the new slice of ends in one pass (``PowSum.extend_pair``)."""
         cut, lo, hi = entry = self._entry(("lp", p.numerator, p.denominator), N,
                                           lambda: (PowSum(p, self.hp), PowSum(p, self.hp, True)))
         entry[0] = N
-        PowSum.extend_pair(lo, hi, [ends for _, ends in self.nonzero(None, cut, N)])
+        PowSum.extend_pair(lo, hi, [ends for _, ends in self.nonzero(cut, N)])
         return lo.value, hi.value
 
     def max_abs(self, N: int):
         """Bounds on max_{n<=N} |a_n| (zero for an empty head)."""
-        return self._extend("sup", N, abs_ends, join=max)
+        entry = self._entry("sup", N, lambda: (Q0, Q0))
+        for _, (lo, hi) in self.nonzero(entry[0], N, True):
+            entry[1], entry[2] = max(entry[1], lo), max(entry[2], hi)
+        entry[0] = N
+        return entry[1], entry[2]
 
     def ratio_sum(self, N: int, c=(Q1, Q0)):
-        """Bounds on sum_{n<=N} 2**-n |c a_n|/(1+|c a_n|), each summand rounded
-        outward onto the 2**-hp grid so the rationals cannot balloon: for
-        |c a_n| = p/q it is p/((q+p) 2**n), floored and ceiled as integers."""
-        grid, (w_lo, w_hi) = self.hp, self.power(c, Q1)
-
-        def part(n, a):
-            lo, hi = a if w_lo is Q1 else (a[0] * w_lo, a[1] * w_hi)
-            return (
-                _floor_num(lo.numerator, (lo.denominator + lo.numerator) << n, grid),
-                _ceil_num(hi.numerator, (hi.denominator + hi.numerator) << n, grid),
-            )
-
-        lo, hi = self._extend(("cn0", c), N, abs_ends, part, start=lambda: (0, 0))
-        return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid)
+        """Bounds on sum_{n<=N} 2**-n |c a_n|/(1+|c a_n|), each summand
+        p/((q+p) 2**n) for |c a_n| = p/q, scaled on integers, floored and
+        ceiled onto the 2**-hp grid so the rationals cannot balloon."""
+        grid, entry = self.hp, self._entry(("cn0", c), N, lambda: (0, 0))
+        (a, b), (u, v) = (w.as_integer_ratio() for w in self.power(c, Q1))
+        for n, (lo, hi) in self.nonzero(entry[0], N, True):
+            p, q = lo.numerator * a, lo.denominator * b
+            entry[1] += _floor_num(p, (q + p) << n, grid)
+            p, q = hi.numerator * u, hi.denominator * v
+            entry[2] += _ceil_num(p, (q + p) << n, grid)
+        entry[0] = N
+        return Fraction(entry[1], 1 << grid), Fraction(entry[2], 1 << grid)
 
     def disc_sum(self, r: Fraction, N: int):
         """Bounds on sum_{n<=N} |a_n| r**n as unreduced integer pairs: one
@@ -301,7 +291,7 @@ class _Head:
         cut, points, wide = entry = self._entry(("hd", r.numerator, r.denominator), N,
                                                 lambda: [DiscSum(r), None])
         entry[0], new_points, new_wide = N, [], []
-        for n, a in self.nonzero(abs_ends, cut, N):
+        for n, a in self.nonzero(cut, N, True):
             (new_points if a[0] is a[1] else new_wide).append((n, a))
         if new_points:
             points.extend((n, a[0]) for n, a in new_points)
@@ -366,37 +356,36 @@ def row_tail(seq: Sequence, kind: str, param, N: int, prec: int):
     return (seq.tail_majorant if kind == "lp" else seq.disc_tail)(N, param, prec)
 
 
-def _row(head: _Head, kind: str, param, N: int, prec: int):
-    """Bounds on one row's seminorm of head.seq, unscaled: the head's up to
-    N, and ``row_tail`` past N added to the upper (as unreduced integer pairs
-    for ``disc``, a max for ``sup``), with no head summed when it has no
-    answer, kept in ``head.rows``."""
+def _row(head: _Head, kind: str, param, N: int, prec: int, w):
+    """Bounds on one row's seminorm of c * head.seq, w = (lower, upper) bounds
+    on |c| to the row's degree (``head.power``), as integer pairs (num, den),
+    den > 0, not reduced: the unscaled row, the head's up to N and
+    ``row_tail`` past N added to the upper (a max for ``sup``), with no head
+    summed when the oracle has no answer, kept in ``head.rows``; then scaled
+    by w, and rooted for ``lp`` at p >= 1."""
     key = (kind, N) if param is None else (kind, N, param.numerator, param.denominator)
-    if key not in head.rows:
+    row = head.rows.get(key)
+    if row is None:
         tail = row_tail(head.seq, kind, param, N, prec)
         if tail is None:
             what = f"l^{param}" if kind == "lp" else kind
             raise MissingTailOracle(f"no {what} tail bound available")
         if kind == "disc":
             lo, (num, den) = head.disc_sum(param, N)
-            head.rows[key] = lo, (num * tail[1] + tail[0] * den, den * tail[1])
+            row = lo, (num * tail[1] + tail[0] * den, den * tail[1])
         else:
             lo, hi = head.max_abs(N) if kind == "sup" else head.power_sum(param, N)
-            head.rows[key] = lo, max(hi, tail) if kind == "sup" else hi + tail
-    return head.rows[key]
-
-
-def _metric_row(head: _Head, kind: str, param, N: int, prec: int, c=(Q1, Q0)):
-    """Bounds on one row's seminorm of c * head.seq: the ``_row`` times |c|
-    to the row's degree, rooted for p >= 1."""
-    lo, hi = _row(head, kind, param, N, prec)
-    w_lo, w_hi = head.power(c, param if kind == "lp" else Q1)
-    if w_lo is not Q1:
-        lo, hi = ((x[0] * w.numerator, x[1] * w.denominator) if kind == "disc" else x * w
-                  for x, w in ((lo, w_lo), (hi, w_hi)))
+            hi = max(hi, tail) if kind == "sup" else hi + tail
+            row = lo.as_integer_ratio(), hi.as_integer_ratio()
+        head.rows[key] = row
+    (lo, lo_den), (hi, hi_den) = row
+    if w[0] is not Q1:
+        (a, b), (u, v) = w[0].as_integer_ratio(), w[1].as_integer_ratio()
+        lo, lo_den, hi, hi_den = lo * a, lo_den * b, hi * u, hi_den * v
     if kind == "lp" and param >= 1:
-        return pow_bounds(lo, 1 / param, prec)[0], pow_bounds(hi, 1 / param, prec)[1]
-    return lo, hi
+        return (pow_bounds(Fraction(lo, lo_den), 1 / param, prec)[0].as_integer_ratio(),
+                pow_bounds(Fraction(hi, hi_den), 1 / param, prec)[1].as_integer_ratio())
+    return (lo, lo_den), (hi, hi_den)
 
 
 def _remainder_bits(y: SpaceId | None, N: int, prec: int) -> int:
@@ -419,10 +408,10 @@ def _nested_sum(head: _Head, N: int, prec: int, summand, c=(Q1, Q0)):
     for k in range(1, K + 1):
         inner_budget = N if residue else max(_MIN_BUDGET, min(N, 4096 // k))
         part = parts.get((k, inner_budget))
-        if part is None:  # floor and ceiling on the grid, as _floor_num and _ceil_num
+        if part is None:
             (lo_num, lo_den), (hi_num, hi_den) = summand(k, inner_budget)
-            part = parts[k, inner_budget] = ((lo_num << grid) // (lo_den << k),
-                                             -((-hi_num << grid) // (hi_den << k)))
+            part = parts[k, inner_budget] = (_floor_num(lo_num, lo_den << k, grid),
+                                             _ceil_num(hi_num, hi_den << k, grid))
         lo += part[0]
         hi += part[1]
     return Fraction(lo, 1 << grid), Fraction(hi, 1 << grid) + Fraction(1, 1 << K)
@@ -430,33 +419,26 @@ def _nested_sum(head: _Head, N: int, prec: int, summand, c=(Q1, Q0)):
 
 def _metric_once(y: SpaceId, head: _Head, N: int, prec: int, c=(Q1, Q0)):
     """Bounds on y's distance of c * head.seq from 0 at cutoff N: cn0's ratio
-    sum, y's one row, or the nested sum over its rows of t/(1+t) (``lp``)
-    or min(1, t) (``disc``)."""
+    sum, y's one row, or the nested sum over its rows of min(1, t) (``disc``)
+    or t/(1+t) (``lp``), each row read by ``_row``.  |c|**deg is looked up
+    once per call for degree 1, once per row for an ``lp`` row."""
     if y.tag == "cn0":
         cut = _remainder_bits(y, N, prec)
         lo, hi = head.ratio_sum(cut, c)
         return lo, hi + Fraction(1, 1 << cut)
     kind, param, nested = seminorm_rows(y)
+    w = None if kind == "lp" else head.power(c, Q1)
     if not nested:
-        return _metric_row(head, kind, param(1), N, prec, c)
-    if kind == "disc":  # min(1, t) of the row's pairs scaled by |c|'s bounds
-        (a, b), (u, v) = (w.as_integer_ratio() for w in head.power(c, Q1))
+        p = param(1)
+        lo, hi = _row(head, kind, p, N, prec, w or head.power(c, p))
+        return Fraction(*lo), Fraction(*hi)
 
-        def summand(k, inner_budget):
-            (lo, lo_den), (hi, hi_den) = _row(head, kind, param(k), inner_budget, prec)
-            lo, lo_den, hi, hi_den = lo * a, lo_den * b, hi * u, hi_den * v
+    def summand(k, inner_budget):
+        p = param(k)
+        (lo, lo_den), (hi, hi_den) = _row(head, kind, p, inner_budget, prec, w or head.power(c, p))
+        if kind == "disc":  # min(1, t)
             return (lo, lo_den) if lo < lo_den else (1, 1), (hi, hi_den) if hi < hi_den else (1, 1)
-    else:  # t/(1+t) as the pair (num, num + den), t the row scaled by |c|**p, p-th root for p >= 1
-
-        def summand(k, inner_budget):
-            p = param(k)
-            if p >= 1:  # rooted, so scaled as Fractions
-                (lo, hi), (w_lo, w_hi) = _metric_row(head, kind, p, inner_budget, prec, c), (Q1, Q1)
-            else:
-                (lo, hi), (w_lo, w_hi) = _row(head, kind, p, inner_budget, prec), head.power(c, p)
-            lo_num, lo_den = lo.numerator * w_lo.numerator, lo.denominator * w_lo.denominator
-            hi_num, hi_den = hi.numerator * w_hi.numerator, hi.denominator * w_hi.denominator
-            return (lo_num, lo_num + lo_den), (hi_num, hi_num + hi_den)
+        return (lo, lo + lo_den), (hi, hi + hi_den)  # t/(1+t)
 
     return _nested_sum(head, N, prec, summand, c)
 

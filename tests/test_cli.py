@@ -489,7 +489,7 @@ def test_plain_decimal_space_parameter_still_parses(tmp_path):
 
 def test_gap_cap_c0_high_exponent_exits_undecided(tmp_path):
     spec = '{"kind":"family","name":"gap-cap-c0","params":{"b":"1000"}}'
-    code, raw = run_json(tmp_path, ["classify", spec, "lp:1000"])
+    code, raw = run_json(tmp_path, ["classify", spec, "lp:1000000"])
     assert code == 2
     assert json.loads(raw)["result"]["verdict"] == "undecided"
 

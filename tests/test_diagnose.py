@@ -33,7 +33,7 @@ from seqchain.diagnose import (
 )
 from seqchain.errors import UnsupportedSpace
 from seqchain.families import const_one, gap_cap_c0, gap_cap_lp, gap_lp_cap, nat, nat_power, prop28
-from seqchain.intervals import ComplexInterval, PowSum, abs_ends, pow_bounds, replace, sqrt_bounds
+from seqchain.intervals import ComplexInterval, PowSum, pow_bounds, replace, sqrt_bounds
 from seqchain.sequences import (
     Combine,
     FiniteRational,
@@ -695,9 +695,51 @@ def test_block_constant_divergence_is_tight(space):
 
 
 def test_gap_cap_c0_past_block_search_cap_is_undecided():
+    # p = 10**6 starts the search at j = 2 * 10**6, where j**p has ~21 Mbit
     seq = gap_cap_c0(F(1000))
-    assert seq.lp_divergence(F(1000)) is None
-    assert isinstance(classify(seq, lp(1000), BUDGET, PREC), Undecided)
+    start = time.perf_counter()
+    assert seq.lp_divergence(F(10 ** 6)) is None
+    assert isinstance(classify(seq, lp(10 ** 6), BUDGET, PREC), Undecided)
+    assert time.perf_counter() - start < 1
+
+
+# j_start of gap-cap-c0's blocks at p = 1 .. 56, and at rationals, as the
+# linear scan from ceil(2p) found them
+_GAP_C0_J_STARTS = [2, 4, 10, 16, 23, 30, 37, 44, 52, 59, 67, 75, 83, 92, 100, 109, 117, 126, 135, 144,
+                    153, 162, 171, 180, 190, 199, 208, 218, 227, 237, 247, 256, 266, 276, 286, 296, 306,
+                    316, 326, 336, 346, 356, 367, 377, 387, 398, 408, 418, 429, 439, 450, 460, 471, 482,
+                    492, 503]
+_GAP_C0_RATIONAL_J_STARTS = {F(1, 100): 1, F(1, 3): 1, F(1, 2): 1, F(7, 5): 3, F(3, 2): 3, F(5, 2): 8,
+                             F(33, 2): 113, F(101, 2): 445, F(111, 2): 498, F(113, 2): 508}
+
+
+def test_gap_cap_c0_block_starts_are_pinned():
+    seq = gap_cap_c0(F(1))
+    assert [seq.lp_divergence(F(p)).j_start for p in range(1, 57)] == _GAP_C0_J_STARTS
+    assert {p: seq.lp_divergence(p).j_start for p in _GAP_C0_RATIONAL_J_STARTS} == _GAP_C0_RATIONAL_J_STARTS
+
+
+def test_gap_cap_c0_high_exponent_blocks_start_at_the_least_j_and_recheck():
+    # the search doubles and bisects from j = 2p: its start is the least such
+    # j with 2**j >= j**p, and the certificate re-checks on a fresh parse
+    seq = gap_cap_c0(F(1))
+    for p in range(57, 201):
+        j = 2 * p
+        while 2 ** j < j ** p:
+            j += 1
+        v = classify(seq, lp(p), BUDGET, PREC)
+        assert isinstance(v, CertifiedOut) and v.cert.fields[1].j_start == j, p
+        assert check_certificate(sequence_from_spec(seq.spec()), v, 3, PREC), p
+
+
+@pytest.mark.parametrize("space", ["lp:57", "lp:64", "lp:100", "lp:1000", "cap-lp:100"])
+def test_gap_cap_c0_is_out_of_every_high_lp_fast(space):
+    seq, y = gap_cap_c0(F(1)), parse_space(space)
+    start = time.perf_counter()
+    v = classify(seq, y, BUDGET, PREC)
+    assert isinstance(v, CertifiedOut) and v.cert.shape == "divergent-partial-sums"
+    assert check_certificate(sequence_from_spec(seq.spec()), v, 3, PREC)
+    assert time.perf_counter() - start < 0.1
 
 
 _POW2 = {"kind": "powers-of-two"}
@@ -1171,7 +1213,7 @@ def test_root_head_moduli_equal_roots_of_squared_moduli(prec):
                 # the head keeps nonzero terms only: a zero adds to no sum
                 if not seq.term(n, prec).is_exact_zero:
                     ref.append((n, (sqrt_bounds(sq_lo, prec)[0], sqrt_bounds(sq_hi, prec)[1])))
-            assert _Head(seq, prec).nonzero(abs_ends, -1, N) == ref, (seq.spec(), N)
+            assert _Head(seq, prec).nonzero(-1, N, True) == ref, (seq.spec(), N)
 
 
 _positive = st.fractions(min_value=F(1, 50), max_value=20, max_denominator=50)

@@ -21,8 +21,8 @@ from seqchain.spaces import (
     LINF,
     MetricBound,
     _Head,
-    _metric_row,
     _radius_bits,
+    _row,
     _upper_below,
     ball_scale,
     cap_lp,
@@ -169,17 +169,22 @@ def test_modulus_powers_enclose_the_power_and_fall_as_the_modulus_halves(c):
 
 
 def test_scaled_rows_enclose_the_exact_row():
-    """Each row kind of 1/3 * x, for x with three unit entries, read from x's
-    own head with its bounds scaled: lp at 1/2 (3 * 3**-1/2 = 3**1/2), lp at
-    3/2 rooted ((3 * 3**-3/2)**2/3 = 3**-1/3), sup (1/3) and disc at r = 2/3."""
+    """Each row kind of 1/3 * x, for x with three unit entries, read by
+    ``_row`` from x's own head with its bounds scaled by |1/3| to the row's
+    degree: lp at 1/2 (3 * 3**-1/2 = 3**1/2), lp at 3/2 rooted
+    ((3 * 3**-3/2)**2/3 = 3**-1/3), sup (1/3) and disc at r = 2/3."""
     head, c, r = _Head(FiniteRational({0: 1, 2: 1, 5: 1}), 48), (F(1, 3), F(0)), F(2, 3)
-    lo, hi = _metric_row(head, "lp", F(1, 2), 16, 32, c)
+
+    def row(kind, param, degree):
+        return tuple(F(*pair) for pair in _row(head, kind, param, 16, 32, head.power(c, degree)))
+
+    lo, hi = row("lp", F(1, 2), F(1, 2))
     assert lo ** 2 <= 3 <= hi ** 2
-    lo, hi = _metric_row(head, "lp", F(3, 2), 16, 32, c)
+    lo, hi = row("lp", F(3, 2), F(3, 2))
     assert lo ** 3 <= F(1, 3) <= hi ** 3
-    assert _metric_row(head, "sup", None, 16, 32, c) == (F(1, 3), F(1, 3))
-    lo, hi = _metric_row(head, "disc", r, 16, 32, c)
-    assert F(*lo) <= (1 + r ** 2 + r ** 5) / 3 <= F(*hi)
+    assert row("sup", None, F(1)) == (F(1, 3), F(1, 3))
+    lo, hi = row("disc", r, F(1))
+    assert lo <= (1 + r ** 2 + r ** 5) / 3 <= hi
 
 
 @pytest.mark.parametrize(

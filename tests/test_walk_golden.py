@@ -1,6 +1,5 @@
-"""Pinned Frechet-sum walks: the exact rationals of every rung, scale search
-and truncation that the nested-sum metrics give on the library's own
-witnesses.
+"""Pinned metric walks: the exact rationals of every rung, scale search and
+truncation that the metrics give on the library's own witnesses.
 
 ``walk_golden.json`` holds, for the witness of each adjacent pair whose outer
 space is ``hd`` or ``cap-lp`` (rows 1 to 4):
@@ -10,6 +9,11 @@ space is ``hd`` or ``cap-lp`` (rows 1 to 4):
   scales, as ``ball_bound`` shares it (``metric_bounds`` is this walk on a
   head of its own, and a sum extended over a shared head equals a fresh one);
 * ``ball_bound(outer, w, 1/j, 4096, 64)`` on row j, as (scale, upper);
+
+the same two (``row_walks``, keyed by the pair) for the witness of each
+adjacent pair of ``standard_chain(1, 2)`` and ``standard_chain(1/3, 7/5)``
+whose outer space has one row or is ``cn0`` (``lp`` at 1/3, 1, 7/5 and 2,
+``c0``, ``linf`` and ``cn0``; rows 1 and 2), so c != 1 scales every row kind;
 
 and ``_truncation`` of ``TRUNCATION_TARGETS`` in ``TRUNCATION_OUTERS`` at
 each head and grid, as (the SHA-256 of x's canonical spec, bound), or the
@@ -37,6 +41,7 @@ from seqchain.spaces import (
     _budget_ladder,
     _Head,
     _walk,
+    adjacent_pairs,
     ball_bound,
     cap_lp,
     lp,
@@ -47,6 +52,11 @@ GOLDEN_PATH = Path(__file__).parent / "walk_golden.json"
 
 PAIRS = ((LINF, HD), (AINF, cap_lp(0)), (lp(1), cap_lp(1)), (lp(2), cap_lp(2)))
 ROWS = (1, 2, 3, 4)
+# one-row outer spaces and cn0, each pair once
+ROW_PAIRS = tuple(dict.fromkeys(
+    pair for a, b in ((1, 2), (F(1, 3), F(7, 5))) for pair in adjacent_pairs(a, b)
+    if pair[1].tag in ("lp", "c0", "linf", "cn0")))
+ROW_ROWS = (1, 2)
 SCALES = ((F(1), F(0)), (F(1, 8), F(0)), (F(1, 128), F(0)), (F(3, 4), F(1, 5)))
 TRUNCATION_TARGETS = {
     "prop28": families.prop28(),
@@ -62,19 +72,19 @@ def _q(x):
     return format_rational(x)
 
 
-def record_walks():
+def record_walks(pairs=PAIRS, rows=ROWS, name=lambda inner, outer: str(outer)):
     out = {}
-    for inner, outer in PAIRS:
-        for j in ROWS:
+    for inner, outer in pairs:
+        for j in rows:
             w = make_witness(inner, outer, disjoint_support(j), 4096, 64)
             head = _Head(w.seq, 64 + 16)
             for c in SCALES:
                 walk = _walk(outer, (head, c), _budget_ladder(256), 64, {})
-                out[f"{outer}|{j}|{_q(c[0])}+{_q(c[1])}i"] = [
+                out[f"{name(inner, outer)}|{j}|{_q(c[0])}+{_q(c[1])}i"] = [
                     [rung, _q(b.lower), _q(b.upper)] for rung, b in walk
                 ]
             scale, upper = ball_bound(outer, w.seq, F(1, j), 4096, 64)
-            out[f"{outer}|{j}|ball"] = [_q(scale), _q(upper)]
+            out[f"{name(inner, outer)}|{j}|ball"] = [_q(scale), _q(upper)]
     return out
 
 
@@ -95,7 +105,11 @@ def record_truncations():
 
 
 def record():
-    return {"walks": record_walks(), "truncations": record_truncations()}
+    return {
+        "walks": record_walks(),
+        "row_walks": record_walks(ROW_PAIRS, ROW_ROWS, lambda inner, outer: f"{inner}<{outer}"),
+        "truncations": record_truncations(),
+    }
 
 
 def test_walks_and_truncations_match_golden():
